@@ -30,7 +30,7 @@ from .linalg import (
     solve,
     subspace_gap,
 )
-from .resolvent import DiskGrid, Pencil, _identity_residual, pair_indices
+from .resolvent import DiskGrid, Pencil, max_identity_residual, pair_indices
 
 _FINITE_DIM_NOTE = (
     "at finite dimension rank-nullity makes nullity constancy, corank constancy "
@@ -131,8 +131,6 @@ def fredholm_criterion(
     anchor_corank = p.shape[0] - anchor
     nullity_constant = all(v == anchor_nullity for v in profile.nullities)
     corank_constant = all(v == anchor_corank for v in profile.coranks)
-    # fixed shape means both constancies are the same statement as rank constancy
-    assert nullity_constant == corank_constant == all(r == anchor for r in profile.ranks)
     return IndexConstancyReport(
         nullity_constant=nullity_constant,
         corank_constant=corank_constant,
@@ -165,7 +163,9 @@ class MPResolventReport:
     identity_verdict checks the resolvent identity pairwise on the
     pointwise-computed pseudoinverse family itself (plus its axioms), never
     through the explicit resolvent formula, so the two verdicts are computed
-    along genuinely different routes and must agree.
+    along genuinely different routes and must agree. max_identity_residual
+    is the exact spectral maximum over the sampled pairs, relative to
+    ||(t - 0*s)^+||, found by :func:`max_identity_residual`'s screened pass.
     """
 
     points: tuple[complex, ...]
@@ -200,12 +200,9 @@ def mp_resolvent_characterization(
             axioms.p_hermitian_residual,
             axioms.q_hermitian_residual,
         )
-    max_identity = 0.0
-    for i, j in pair_indices(len(grid.points), seed):
-        res = _identity_residual(
-            p.s, scale, pinvs[i], pinvs[j], grid.points[i], grid.points[j]
-        )
-        max_identity = max(max_identity, res)
+    max_identity, _ = max_identity_residual(
+        p.s, scale, pinvs, grid.points, pair_indices(len(grid.points), seed)
+    )
     constancy = all(g <= tol.gap_tol for g in kernel_gaps + range_gaps)
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
     return MPResolventReport(

@@ -23,7 +23,8 @@ from .errors import (
 )
 
 EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
+# Floor on a scale norm in relative residuals, so a zero scale cannot divide by 0.
+NORM_FLOOR = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -314,4 +315,4 @@ def relative_residual(deviation, scale) -> float:
 
     A tiny floor guards division when the scale is the zero matrix.
     """
-    return op_norm2(deviation) / max(op_norm2(scale), _TINY)
+    return op_norm2(deviation) / max(op_norm2(scale), NORM_FLOOR)

@@ -1,0 +1,131 @@
+"""The screened resolvent-identity stage against a plain per-pair loop.
+
+The screen must return exactly what checking every pair with its own
+spectral norm returns: the same maximum (compared with ==) and the same
+first maximizing pair. A count gate caps the SVDs the two pairwise stages
+spend on a small seeded pencil; later changes may only lower its bounds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from genresolvent import (
+    Pencil,
+    build_family,
+    check_resolvent_axioms,
+    default_grid,
+    evaluate,
+    mp_inverse,
+    mp_resolvent_characterization,
+    pinv_matrix,
+    relative_residual,
+)
+from genresolvent import resolvent
+from genresolvent.resolvent import max_identity_residual, pair_indices
+from helpers import framed_pencil
+
+CASES = [
+    (m, n, switched, points)
+    for m, n in ((4, 4), (3, 5), (6, 3))
+    for switched in (False, True)
+    for points in (25, 60)
+]
+
+
+def reference_identity_max(s, scale, values, points, pairs):
+    """The per-pair loop the screen replaces: one deviation, one norm per pair."""
+    best, worst = 0.0, None
+    for i, j in pairs:
+        deviation = values[i] - values[j] - (points[i] - points[j]) * (values[i] @ s @ values[j])
+        res = relative_residual(deviation, scale)
+        if res > best:
+            best, worst = res, (i, j)
+    return best, worst
+
+
+def pencil_for(m, n, switched, seed=0):
+    rng = np.random.default_rng([seed, m, n, int(switched)])
+    return framed_pencil(rng, m, n, min(m, n) - 1, switched=switched)
+
+
+@pytest.mark.parametrize("m,n,switched,points", CASES)
+def test_axiom_stage_matches_reference(m, n, switched, points):
+    p = pencil_for(m, n, switched)
+    family = build_family(p, mp_inverse(p.t))
+    report = check_resolvent_axioms(family, default_grid(family.radius / 2, points))
+    values = [evaluate(family, lam) for lam in report.points]
+    best, worst = reference_identity_max(
+        p.s, family.g.tplus, values, report.points, pair_indices(len(report.points))
+    )
+    assert report.max_identity_residual == best
+    assert report.worst_pair == (report.points[worst[0]], report.points[worst[1]])
+
+
+@pytest.mark.parametrize("m,n,switched,points", CASES)
+def test_mp_stage_matches_reference(m, n, switched, points):
+    p = pencil_for(m, n, switched)
+    grid = default_grid(build_family(p, mp_inverse(p.t)).radius / 2, points)
+    report = mp_resolvent_characterization(p, grid)
+    pinvs = [pinv_matrix(p.at(lam)) for lam in grid.points]
+    pairs = pair_indices(len(grid.points))
+    expected = reference_identity_max(p.s, pinvs[0], pinvs, grid.points, pairs)
+    assert report.max_identity_residual == expected[0]
+    assert max_identity_residual(p.s, pinvs[0], pinvs, grid.points, pairs) == expected
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_chunking_does_not_change_the_result(monkeypatch, switched):
+    p = pencil_for(5, 4, switched, seed=1)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, 25)
+    values = [evaluate(family, lam) for lam in grid.points]
+    pairs = pair_indices(len(grid.points))
+    expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
+    for budget in (1, 3 * values[0].nbytes, resolvent.IDENTITY_CHUNK_BYTES):
+        monkeypatch.setattr(resolvent, "IDENTITY_CHUNK_BYTES", budget)
+        assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
+
+
+def test_zero_s_has_no_worst_pair():
+    p = Pencil(np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3)))
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(1.0, 25)
+    report = check_resolvent_axioms(family, grid)
+    assert report.max_identity_residual == 0.0
+    assert report.worst_pair is None
+    assert mp_resolvent_characterization(p, grid).max_identity_residual == 0.0
+
+
+def test_tiny_deviations_are_not_screened_out():
+    # entries near 1e-160 square below the double range in a plain Gram product
+    p = pencil_for(4, 4, True, seed=2)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, 9)
+    values = [1e-160 * evaluate(family, lam) for lam in grid.points]
+    pairs = pair_indices(len(grid.points))
+    expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
+    assert expected[0] > 0.0
+    assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_svd_count_gate(monkeypatch, switched):
+    """SVDs per pairwise stage on the seeded n=6 pencil (1350 and 1550 per-pair)."""
+    p = framed_pencil(np.random.default_rng(6), 6, 6, 3, switched=switched)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, 25)
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    check_resolvent_axioms(family, grid)
+    axiom_calls, calls[0] = calls[0], 0
+    mp_resolvent_characterization(p, grid)
+    assert axiom_calls <= 250
+    assert calls[0] <= 450

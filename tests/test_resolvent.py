@@ -247,6 +247,11 @@ class TestExistence:
     def test_warns_beyond_family_radius(self):
         with pytest.warns(UserWarning):
             existence_check(BROKEN, mp_inverse(BROKEN.t), DiskGrid(2.0, [0, 2.0]))
+        # a grid reaching the family radius exactly: its outer ring is skipped
+        grid = default_grid(0.5, 25)
+        assert build_family(DIAG3, mp_inverse(DIAG3.t)).radius == grid.radius
+        with pytest.warns(UserWarning):
+            existence_check(DIAG3, mp_inverse(DIAG3.t), grid)
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
