@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sweep random pencils and tabulate agreement of the existence criteria.
 
-For each pencil the sweep evaluates five verdicts on a shared grid inside
-both convergence disks: rank constancy, nullity/corank constancy,
-transversality for the pseudoinverse, transversality for a second inverse
-built from tilted complements, and the direct-sum splittings. The theory
-says they coincide; the sweep reports the empirical agreement table.
+For each pencil the sweep evaluates four verdicts on a shared grid inside
+both convergence disks: rank constancy (which is also nullity and corank
+constancy), transversality for the pseudoinverse, transversality for a
+second inverse built from tilted complements, and the direct-sum
+splittings. The theory says they coincide; the sweep reports the empirical
+agreement table.
 """
 
 from __future__ import annotations
@@ -17,41 +18,18 @@ import numpy as np
 
 from genresolvent import (
     ComplementPair,
-    Pencil,
     build_family,
     default_grid,
     direct_sum_criteria,
     existence_check,
     finite_rank_criterion,
-    fredholm_criterion,
     geninv_from_complements,
     kernel_basis,
     mp_inverse,
     range_basis,
     subspace_from_columns,
 )
-
-
-def cgauss(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def unitary(rng, n):
-    q, r = np.linalg.qr(cgauss(rng, (n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def framed(rng, m, n, rank, switched):
-    k = min(m, n)
-    d = np.zeros((m, n), dtype=complex)
-    e = np.zeros((m, n), dtype=complex)
-    idx = np.arange(rank)
-    d[idx, idx] = rng.uniform(0.3, 2.0, rank) * np.exp(2j * np.pi * rng.uniform(size=rank))
-    e[idx, idx] = rng.uniform(0.2, 1.0, rank) * np.exp(2j * np.pi * rng.uniform(size=rank))
-    if switched and rank < k:
-        e[rank, rank] = rng.uniform(0.5, 1.0) * np.exp(2j * np.pi * rng.uniform())
-    u, v = unitary(rng, m), unitary(rng, n)
-    return Pencil(u @ d @ v.conj().T, u @ e @ v.conj().T)
+from instances import cgauss, framed
 
 
 def tilted_inverse(rng, t):
@@ -87,14 +65,13 @@ def main() -> int:
         grid = default_grid(radius, 25)
         patterns[(
             finite_rank_criterion(pencil, grid).verdict,
-            fredholm_criterion(pencil, grid).verdict,
             existence_check(pencil, g_mp, grid).verdict,
             existence_check(pencil, g_alt, grid).verdict,
             direct_sum_criteria(pencil, g_mp, grid).verdict,
         )] += 1
 
     print(f"{args.pencils} pencils, verdict tuple "
-          "(rank, fredholm, transversal-mp, transversal-alt, direct-sum):")
+          "(rank, transversal-mp, transversal-alt, direct-sum):")
     for pattern, count in sorted(patterns.items(), reverse=True):
         print(f"  {pattern}: {count}")
     mixed = sum(count for pattern, count in patterns.items() if len(set(pattern)) != 1)

@@ -15,15 +15,7 @@ import argparse
 import numpy as np
 
 from genresolvent import mp_inverse, op_norm2, perturbed_inverse, splitting_checks
-
-
-def cgauss(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def unitary(rng, n):
-    q, r = np.linalg.qr(cgauss(rng, (n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from instances import cgauss, unitary
 
 
 def draw_instance(rng, case: str):

@@ -12,20 +12,17 @@ matrix files.
 __version__ = "0.1.0"
 
 from .criteria import (
-    IndexConstancyReport,
     InvertibilityReport,
     MPResolventReport,
     RankConstancyReport,
     RankProfile,
     ScanPoint,
     finite_rank_criterion,
-    fredholm_criterion,
     generalized_spectrum_scan,
     invertibility_corollary,
     mp_resolvent_characterization,
     rank_profile,
     rectangular_region,
-    semi_fredholm_criterion,
 )
 from .errors import (
     FactorizationError,
@@ -55,10 +52,12 @@ from .geninv import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    Factor,
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
     direct_sum_check,
+    factor,
     full_subspace,
     intersection_trivial,
     kernel_basis,

@@ -19,7 +19,6 @@ import time
 from . import __version__
 from .criteria import (
     finite_rank_criterion,
-    fredholm_criterion,
     generalized_spectrum_scan,
     mp_resolvent_characterization,
     rectangular_region,
@@ -101,7 +100,6 @@ def cmd_analyze(args) -> int:
     certificate = existence_check(pencil, g, grid, tol)
     axioms = check_resolvent_axioms(family, grid, tol, seed=args.seed)
     finite_rank = finite_rank_criterion(pencil, grid, tol)
-    fredholm = fredholm_criterion(pencil, grid, tol)
     exists = certificate.verdict and axioms.ok
     report = {
         "command": "analyze",
@@ -129,9 +127,9 @@ def cmd_analyze(args) -> int:
         "criteria": {
             "finite_rank": {"verdict": finite_rank.verdict},
             "fredholm": {
-                "nullity_constant": fredholm.nullity_constant,
-                "corank_constant": fredholm.corank_constant,
-                "verdict": fredholm.verdict,
+                "nullity_constant": finite_rank.nullity_constant,
+                "corank_constant": finite_rank.corank_constant,
+                "verdict": finite_rank.nullity_constant or finite_rank.corank_constant,
             },
         },
         "rank_profile": {

@@ -2,12 +2,15 @@
 
 At finite dimension every matrix is a finite-rank Fredholm operator, so the
 finite-rank, Fredholm and semi-Fredholm existence characterizations all
-collapse to the same computation: constancy of rank (equivalently nullity,
-equivalently corank) of t - lam*s across the sampled region, anchored at
-lam = 0. The Moore-Penrose characterization is sharper: the pseudoinverse
-family (t - lam*s)^+ is itself the resolvent exactly when the kernel and
-range subspaces stay fixed, and this module computes both sides of that
-equivalence independently so the agreement is a genuine cross-check.
+collapse to the same computation: constancy of rank (equivalently nullity
+n - r, equivalently corank m - r) of t - lam*s across the sampled region,
+anchored at lam = 0. :func:`finite_rank_criterion` is therefore also the
+Fredholm and semi-Fredholm criterion; its report exposes the nullity and
+corank verdicts as views of the one rank profile. The Moore-Penrose
+characterization is sharper: the pseudoinverse family (t - lam*s)^+ is
+itself the resolvent exactly when the kernel and range subspaces stay fixed,
+and this module computes both sides of that equivalence independently so the
+agreement is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -22,24 +25,14 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
-    kernel_basis,
+    factor,
     numerical_rank,
     op_norm2,
-    range_basis,
     rank_and_marginal,
     solve,
     subspace_gap,
 )
 from .resolvent import DiskGrid, Pencil, max_identity_residual, pair_indices
-
-_FINITE_DIM_NOTE = (
-    "at finite dimension rank-nullity makes nullity constancy, corank constancy "
-    "and rank constancy the same condition"
-)
-_SEMI_FREDHOLM_NOTE = (
-    _FINITE_DIM_NOTE + "; the finiteness qualifiers are vacuous since every "
-    "subspace here is finite-dimensional"
-)
 
 
 @dataclass(frozen=True)
@@ -82,16 +75,30 @@ def rank_profile(p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL) 
     )
 
 
-def _rank_at_zero(profile: RankProfile) -> int:
-    return profile.ranks[profile.points.index(0)]
+def _constant_from_zero(profile: RankProfile, values: tuple[int, ...]) -> bool:
+    anchor = values[profile.points.index(0)]
+    return all(v == anchor for v in values)
 
 
 @dataclass(frozen=True)
 class RankConstancyReport:
-    """Verdict of the rank-constancy existence criterion, with its profile."""
+    """Verdict of the rank-constancy existence criterion, with its profile.
+
+    Nullity n - r and corank m - r are constant exactly when the rank r is,
+    so this report also carries the Fredholm and semi-Fredholm verdicts:
+    nullity_constant and corank_constant read the profile's own columns.
+    """
 
     verdict: bool
     profile: RankProfile
+
+    @property
+    def nullity_constant(self) -> bool:
+        return _constant_from_zero(self.profile, self.profile.nullities)
+
+    @property
+    def corank_constant(self) -> bool:
+        return _constant_from_zero(self.profile, self.profile.coranks)
 
 
 def finite_rank_criterion(
@@ -103,54 +110,9 @@ def finite_rank_criterion(
     criterion in this module.
     """
     profile = rank_profile(p, grid, tol)
-    anchor = _rank_at_zero(profile)
     return RankConstancyReport(
-        verdict=all(r == anchor for r in profile.ranks),
+        verdict=_constant_from_zero(profile, profile.ranks),
         profile=profile,
-    )
-
-
-@dataclass(frozen=True)
-class IndexConstancyReport:
-    """Nullity/corank constancy verdicts (Fredholm-style criterion)."""
-
-    nullity_constant: bool
-    corank_constant: bool
-    verdict: bool
-    profile: RankProfile
-    note: str
-
-
-def fredholm_criterion(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
-) -> IndexConstancyReport:
-    """Existence iff nullity or corank of t - lam*s is constant on the grid."""
-    profile = rank_profile(p, grid, tol)
-    anchor = _rank_at_zero(profile)
-    anchor_nullity = p.shape[1] - anchor
-    anchor_corank = p.shape[0] - anchor
-    nullity_constant = all(v == anchor_nullity for v in profile.nullities)
-    corank_constant = all(v == anchor_corank for v in profile.coranks)
-    return IndexConstancyReport(
-        nullity_constant=nullity_constant,
-        corank_constant=corank_constant,
-        verdict=nullity_constant or corank_constant,
-        profile=profile,
-        note=_FINITE_DIM_NOTE,
-    )
-
-
-def semi_fredholm_criterion(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
-) -> IndexConstancyReport:
-    """Same computation as the Fredholm criterion; finiteness is automatic here."""
-    report = fredholm_criterion(p, grid, tol)
-    return IndexConstancyReport(
-        nullity_constant=report.nullity_constant,
-        corank_constant=report.corank_constant,
-        verdict=report.verdict,
-        profile=report.profile,
-        note=_SEMI_FREDHOLM_NOTE,
     )
 
 
@@ -180,18 +142,24 @@ class MPResolventReport:
 def mp_resolvent_characterization(
     p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL, seed: int = 0
 ) -> MPResolventReport:
-    """Evaluate both sides of the pseudoinverse-resolvent equivalence."""
-    t_kernel = kernel_basis(p.t, tol)
-    t_range = range_basis(p.t, tol)
-    pinvs = [pinv_matrix(p.at(lam), tol) for lam in grid.points]
-    scale = pinvs[grid.points.index(0)]
+    """Evaluate both sides of the pseudoinverse-resolvent equivalence.
+
+    Each grid point is factored once; its pseudoinverse, kernel and range
+    are views of that one SVD.
+    """
+    t_factor = factor(p.t, tol)
+    t_kernel, t_range = t_factor.kernel, t_factor.range
+    pinvs: list[np.ndarray] = []
     kernel_gaps: list[float] = []
     range_gaps: list[float] = []
     max_axiom = 0.0
-    for lam, b in zip(grid.points, pinvs):
+    for lam in grid.points:
         a = p.at(lam)
-        kernel_gaps.append(subspace_gap(kernel_basis(a, tol), t_kernel))
-        range_gaps.append(subspace_gap(range_basis(a, tol), t_range))
+        a_factor = factor(a, tol)
+        b = a_factor.pinv
+        pinvs.append(b)
+        kernel_gaps.append(subspace_gap(a_factor.kernel, t_kernel))
+        range_gaps.append(subspace_gap(a_factor.range, t_range))
         axioms = verify_mp_axioms(a, b, tol)
         max_axiom = max(
             max_axiom,
@@ -200,6 +168,7 @@ def mp_resolvent_characterization(
             axioms.p_hermitian_residual,
             axioms.q_hermitian_residual,
         )
+    scale = pinvs[grid.points.index(0)]
     max_identity, _ = max_identity_residual(
         p.s, scale, pinvs, grid.points, pair_indices(len(grid.points), seed)
     )

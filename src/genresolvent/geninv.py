@@ -23,14 +23,11 @@ from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     TolerancePolicy,
-    _count_above_cutoff,
     as_matrix,
     direct_sum_check,
-    kernel_basis,
-    range_basis,
+    factor,
     relative_residual,
     solve,
-    svd,
 )
 
 
@@ -138,15 +135,7 @@ def pinv_matrix(t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
     Singular values at or below the cutoff are zeroed, never inverted.
     """
-    t = as_matrix(t)
-    m, n = t.shape
-    if min(m, n) == 0 or not np.any(t):
-        return np.zeros((n, m), dtype=np.complex128)
-    u, s, vh = svd(t)
-    r = _count_above_cutoff(s, t.shape, tol)
-    inv_s = np.zeros(min(m, n), dtype=np.float64)
-    inv_s[:r] = 1.0 / s[:r]
-    return (vh.conj().T[:, : min(m, n)] * inv_s) @ u.conj().T[: min(m, n), :]
+    return factor(t, tol).pinv
 
 
 def mp_inverse(t, tol: TolerancePolicy = DEFAULT_TOL) -> GenInverse:
@@ -187,8 +176,8 @@ def geninv_from_complements(
     """
     t = as_matrix(t)
     m, n = t.shape
-    ker = kernel_basis(t, tol)
-    rng = range_basis(t, tol)
+    t_factor = factor(t, tol)
+    ker, rng = t_factor.kernel, t_factor.range
     if c.e.ambient_dim != n or c.f.ambient_dim != m:
         raise ShapeMismatchError(
             f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
@@ -213,4 +202,5 @@ def geninv_from_complements(
 
 def complements_of(g: GenInverse, tol: TolerancePolicy = DEFAULT_TOL) -> ComplementPair:
     """Read the complements (R(tplus), N(tplus)) back off a generalized inverse."""
-    return ComplementPair(e=range_basis(g.tplus, tol), f=kernel_basis(g.tplus, tol))
+    tplus_factor = factor(g.tplus, tol)
+    return ComplementPair(e=tplus_factor.range, f=tplus_factor.kernel)

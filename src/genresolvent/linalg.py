@@ -37,6 +37,11 @@ class TolerancePolicy:
                   counts as satisfied
     gap_tol       bound under which a projector-difference norm counts as
                   subspace equality
+
+    Each lies in the open interval (0, 1): a subspace gap never exceeds 1,
+    the zero candidate inverse has inner residual exactly 1, and a rank_rtol
+    of 1 puts the cutoff at or above sigma_max, so a bound of 1 or more
+    decides nothing. NaN and inf fail the same comparison.
     """
 
     rank_rtol: float = EPS
@@ -44,8 +49,10 @@ class TolerancePolicy:
     gap_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rank_rtol <= 0 or self.residual_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("rank_rtol", "residual_tol", "gap_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in the open interval (0, 1), got {value!r}")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -110,12 +117,7 @@ def full_subspace(ambient_dim: int) -> SubspaceBasis:
 
 def subspace_from_columns(columns, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the span of arbitrary (possibly dependent) columns."""
-    cols = as_matrix(columns)
-    if min(cols.shape) == 0:
-        return zero_subspace(cols.shape[0])
-    u, s, _ = svd(cols)
-    r = _count_above_cutoff(s, cols.shape, tol)
-    return SubspaceBasis(cols.shape[0], u[:, :r])
+    return factor(columns, tol).range
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,15 +129,12 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = as_matrix(a)
     if a.size == 0:
         raise ShapeMismatchError("svd requires a non-empty matrix")
-    try:
-        return np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"svd did not converge: {exc}") from exc
+    return _svd(a, compute_uv=True)
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
+def _svd(a: np.ndarray, compute_uv: bool):
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"svd did not converge: {exc}") from exc
 
@@ -155,7 +154,7 @@ def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     a = as_matrix(a)
     if min(a.shape) == 0:
         return 0
-    return _count_above_cutoff(_singular_values(a), a.shape, tol)
+    return _count_above_cutoff(_svd(a, compute_uv=False), a.shape, tol)
 
 
 def rank_and_marginal(a, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, bool]:
@@ -168,37 +167,65 @@ def rank_and_marginal(a, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, bool]
     a = as_matrix(a)
     if min(a.shape) == 0:
         return 0, False
-    s = _singular_values(a)
+    s = _svd(a, compute_uv=False)
     cutoff = rank_cutoff(s, a.shape, tol)
     r = int(np.count_nonzero(s > cutoff))
     marginal = r > 0 and float(s[r - 1]) <= 10.0 * cutoff
     return r, marginal
 
 
-def kernel_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the null space N(a)."""
+@dataclass(frozen=True)
+class Factor:
+    """One full SVD a = u @ diag(s) @ vh and its numerical rank.
+
+    Kernel, range and pseudoinverse are views of the same factorization, so
+    a caller that needs several of them pays for one SVD. An empty matrix
+    factors with identity u and vh and rank 0.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    @property
+    def kernel(self) -> SubspaceBasis:
+        """Orthonormal basis of the null space N(a)."""
+        return SubspaceBasis(self.vh.shape[0], self.vh[self.rank :].conj().T)
+
+    @property
+    def range(self) -> SubspaceBasis:
+        """Orthonormal basis of the range R(a)."""
+        return SubspaceBasis(self.u.shape[0], self.u[:, : self.rank])
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse: values at or below the cutoff are zeroed, never inverted."""
+        k = self.s.size
+        inv_s = np.zeros(k, dtype=np.float64)
+        inv_s[: self.rank] = 1.0 / self.s[: self.rank]
+        return (self.vh.conj().T[:, :k] * inv_s) @ self.u.conj().T[:k, :]
+
+
+def factor(a, tol: TolerancePolicy = DEFAULT_TOL) -> Factor:
+    """Full SVD of a with the shared rank cutoff applied."""
     a = as_matrix(a)
     m, n = a.shape
-    if n == 0:
-        return zero_subspace(0)
-    if m == 0:
-        return full_subspace(n)
-    u, s, vh = svd(a)
-    r = _count_above_cutoff(s, a.shape, tol)
-    return SubspaceBasis(n, vh[r:].conj().T)
+    if a.size == 0:
+        return Factor(np.eye(m, dtype=np.complex128), np.zeros(0),
+                      np.eye(n, dtype=np.complex128), 0)
+    u, s, vh = _svd(a, compute_uv=True)
+    return Factor(u, s, vh, _count_above_cutoff(s, a.shape, tol))
+
+
+def kernel_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
+    """Orthonormal basis of the null space N(a)."""
+    return factor(a, tol).kernel
 
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the range R(a)."""
-    a = as_matrix(a)
-    m, n = a.shape
-    if m == 0:
-        return zero_subspace(0)
-    if n == 0:
-        return zero_subspace(m)
-    u, s, vh = svd(a)
-    r = _count_above_cutoff(s, a.shape, tol)
-    return SubspaceBasis(m, u[:, :r])
+    return factor(a, tol).range
 
 
 def op_norm2(a) -> float:
@@ -206,7 +233,7 @@ def op_norm2(a) -> float:
     a = as_matrix(a)
     if min(a.shape) == 0 or not np.any(a):
         return 0.0
-    return float(_singular_values(a)[0])
+    return float(_svd(a, compute_uv=False)[0])
 
 
 def projector(b: SubspaceBasis) -> np.ndarray:
@@ -292,7 +319,7 @@ def solve(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         raise ShapeMismatchError(f"right-hand side has {b.shape[0]} rows, expected {n}")
     if n == 0:
         return np.zeros_like(b)
-    s = _singular_values(a)
+    s = _svd(a, compute_uv=False)
     cutoff = rank_cutoff(s, a.shape, tol)
     smin = float(s[-1])
     if smin <= cutoff:

@@ -29,6 +29,7 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     direct_sum_check,
+    factor,
     intersection_trivial,
     kernel_basis,
     op_norm2,
@@ -147,10 +148,10 @@ def splitting_checks(
     """
     tbar = as_matrix(tbar)
     result = perturbed_inverse(g, tbar, tol)
-    rng_bar = range_basis(tbar, tol)
-    ker_bar = kernel_basis(tbar, tol)
-    ker_plus = kernel_basis(g.tplus, tol)
-    rng_plus = range_basis(g.tplus, tol)
+    bar_factor = factor(tbar, tol)
+    plus_factor = factor(g.tplus, tol)
+    rng_bar, ker_bar = bar_factor.range, bar_factor.kernel
+    ker_plus, rng_plus = plus_factor.kernel, plus_factor.range
     return SplittingChecks(
         b_is_generalized=result.classification is PerturbationClass.GENERALIZED,
         transversal=intersection_trivial(rng_bar, ker_plus, tol),

@@ -45,6 +45,7 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     direct_sum_check,
+    factor,
     intersection_trivial,
     kernel_basis,
     numerical_rank,
@@ -99,8 +100,8 @@ class DiskGrid:
     points: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("grid radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"grid radius must be positive and finite, got {self.radius!r}")
         pts = tuple(complex(p) for p in self.points)
         if not any(p == 0 for p in pts):
             pts = (0j,) + pts
@@ -118,8 +119,6 @@ def default_grid(radius: float, points: int = 25) -> DiskGrid:
     25 points means three full rings; other counts fill rings of 8 and put
     the remainder on the outermost ring.
     """
-    if radius <= 0:
-        raise ValueError("grid radius must be positive")
     if points < 1:
         raise ValueError("grid needs at least one point")
     pts: list[complex] = [0j]
@@ -458,9 +457,9 @@ def fixed_complements_check(
         )
     rows = []
     for lam in grid.points:
-        a = p.at(lam)
-        domain_ok = direct_sum_check(kernel_basis(a, tol), c.e, tol)
-        codomain_ok = direct_sum_check(range_basis(a, tol), c.f, tol)
+        a_factor = factor(p.at(lam), tol)
+        domain_ok = direct_sum_check(a_factor.kernel, c.e, tol)
+        codomain_ok = direct_sum_check(a_factor.range, c.f, tol)
         rows.append((lam, domain_ok, codomain_ok))
     return FixedComplementsReport(
         per_point=tuple(rows),
@@ -490,13 +489,13 @@ def direct_sum_criteria(
 ) -> DirectSumReport:
     """Check both splittings induced by g at every sampled point."""
     _require_matching_inverse(p, g)
-    rng_plus = range_basis(g.tplus, tol)
-    ker_plus = kernel_basis(g.tplus, tol)
+    tplus_factor = factor(g.tplus, tol)
+    rng_plus, ker_plus = tplus_factor.range, tplus_factor.kernel
     rows = []
     for lam in grid.points:
-        a = p.at(lam)
-        domain_ok = direct_sum_check(kernel_basis(a, tol), rng_plus, tol)
-        codomain_ok = direct_sum_check(range_basis(a, tol), ker_plus, tol)
+        a_factor = factor(p.at(lam), tol)
+        domain_ok = direct_sum_check(a_factor.kernel, rng_plus, tol)
+        codomain_ok = direct_sum_check(a_factor.range, ker_plus, tol)
         rows.append((lam, domain_ok, codomain_ok))
     domain_verdict = all(d for _, d, _ in rows)
     codomain_verdict = all(c for _, _, c in rows)

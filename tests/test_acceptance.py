@@ -26,7 +26,6 @@ from genresolvent import (
     evaluate_neumann,
     existence_check,
     finite_rank_criterion,
-    fredholm_criterion,
     invertibility_corollary,
     mp_inverse,
     mp_resolvent_characterization,
@@ -107,10 +106,11 @@ def test_criterion_2_counterexample_detection():
     grid = default_grid(0.25, 25)
     g = mp_inverse(BROKEN.t)
     mp_report = mp_resolvent_characterization(BROKEN, grid)
+    rank_report = finite_rank_criterion(BROKEN, grid)
     rejects = {
         "existence": not existence_check(BROKEN, g, grid).verdict,
-        "finite_rank": not finite_rank_criterion(BROKEN, grid).verdict,
-        "fredholm": not fredholm_criterion(BROKEN, grid).verdict,
+        "finite_rank": not rank_report.verdict,
+        "fredholm": not (rank_report.nullity_constant or rank_report.corank_constant),
         "mp_resolvent": not mp_report.constancy_verdict and not mp_report.identity_verdict,
     }
     axiom_report = check_resolvent_axioms(
@@ -133,9 +133,10 @@ def test_criterion_3_criterion_web_equivalence():
             build_family(pencil, g_mp).radius, build_family(pencil, g_alt).radius
         )
         grid = default_grid(radius, 25)
+        rank_report = finite_rank_criterion(pencil, grid)
         verdicts = (
-            finite_rank_criterion(pencil, grid).verdict,
-            fredholm_criterion(pencil, grid).verdict,
+            rank_report.verdict,
+            rank_report.nullity_constant or rank_report.corank_constant,
             existence_check(pencil, g_mp, grid).verdict,
             existence_check(pencil, g_alt, grid).verdict,
             direct_sum_criteria(pencil, g_mp, grid).verdict,

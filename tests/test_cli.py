@@ -106,6 +106,27 @@ class TestAnalyzeCommand:
         assert len(report["inputs"]["t"]["sha256"]) == 64
 
 
+@pytest.mark.parametrize("command", ["analyze", "mp-check"])
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [
+        ("--gap-tol", "1", "gap_tol"),
+        ("--gap-tol", "nan", "gap_tol"),
+        ("--residual-tol", "1", "residual_tol"),
+        ("--residual-tol", "inf", "residual_tol"),
+        ("--rank-rtol", "1", "rank_rtol"),
+        ("--grid-radius", "nan", "grid radius"),
+        ("--grid-radius", "inf", "grid radius"),
+    ],
+)
+def test_settings_that_decide_nothing_exit_two(command, flag, value, named, capsys):
+    code, out, err = run(
+        [command, DATA / "const_t.json", DATA / "const_s.json", flag, value], capsys
+    )
+    assert (code, out) == (2, "")
+    assert named in err
+
+
 class TestMpCheckCommand:
     def test_positive_family(self, capsys):
         code, out, _ = run(["mp-check", DATA / "diag110.json", DATA / "diag120.json"], capsys)

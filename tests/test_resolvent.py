@@ -70,6 +70,13 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             DiskGrid(0.1, [0.5])
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+    def test_grids_name_a_radius_that_is_not_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="grid radius"):
+            default_grid(radius)
+        with pytest.raises(ValueError, match="grid radius"):
+            DiskGrid(radius, [0])
+
     def test_default_grid_layout(self):
         grid = default_grid(0.6, points=25)
         assert len(grid.points) == 25
