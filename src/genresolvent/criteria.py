@@ -20,17 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, SingularSystemError
-from .geninv import pinv_matrix, verify_mp_axioms
+from .geninv import mp_axiom_residuals
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
     factor,
+    factors,
     numerical_rank,
-    op_norm2,
-    rank_and_marginal,
-    solve,
-    subspace_gap,
+    op_norms2,
+    projector,
+    ranks_and_marginals,
+    solve_stack,
 )
 from .resolvent import DiskGrid, Pencil, max_identity_residual, pair_indices
 
@@ -58,14 +59,14 @@ class RankProfile:
 
 
 def rank_profile(p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL) -> RankProfile:
-    """Numerical rank of t - lam*s at every grid point."""
+    """Numerical rank of t - lam*s at every grid point, one values-only SVD per chunk."""
     m, n = p.shape
     ranks: list[int] = []
     marginal: list[bool] = []
-    for lam in grid.points:
-        r, near = rank_and_marginal(p.at(lam), tol)
-        ranks.append(r)
-        marginal.append(near)
+    for lams in p.point_chunks(grid.points, live=1):
+        chunk_ranks, chunk_marginal = ranks_and_marginals(p.at_many(lams), tol)
+        ranks += chunk_ranks.tolist()
+        marginal += chunk_marginal.tolist()
     return RankProfile(
         points=tuple(grid.points),
         ranks=tuple(ranks),
@@ -145,36 +146,41 @@ def mp_resolvent_characterization(
     """Evaluate both sides of the pseudoinverse-resolvent equivalence.
 
     Each grid point is factored once; its pseudoinverse, kernel and range
-    are views of that one SVD.
+    are views of that one SVD. Chunk by chunk of the grid, the points are
+    factored by one batched SVD, and the subspace gaps and Moore-Penrose
+    axiom residuals are stacked norms.
     """
+    return _mp_characterization(p, grid, tol, seed)[0]
+
+
+def _mp_characterization(
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy, seed: int
+) -> tuple[MPResolventReport, list[np.ndarray]]:
+    """The report of :func:`mp_resolvent_characterization` and the pseudoinverse per point."""
     t_factor = factor(p.t, tol)
-    t_kernel, t_range = t_factor.kernel, t_factor.range
+    t_kernel, t_range = projector(t_factor.kernel), projector(t_factor.range)
     pinvs: list[np.ndarray] = []
     kernel_gaps: list[float] = []
     range_gaps: list[float] = []
     max_axiom = 0.0
-    for lam in grid.points:
-        a = p.at(lam)
-        a_factor = factor(a, tol)
-        b = a_factor.pinv
-        pinvs.append(b)
-        kernel_gaps.append(subspace_gap(a_factor.kernel, t_kernel))
-        range_gaps.append(subspace_gap(a_factor.range, t_range))
-        axioms = verify_mp_axioms(a, b, tol)
-        max_axiom = max(
-            max_axiom,
-            axioms.inner_residual,
-            axioms.outer_residual,
-            axioms.p_hermitian_residual,
-            axioms.q_hermitian_residual,
+    # per point: t - lam s, its u and vh, the pseudoinverse, the projectors
+    # and their difference, and the products and deviations of the axioms
+    for lams in p.point_chunks(grid.points, live=10):
+        b, kernel_part, range_part, axiom_part = _mp_point_checks(
+            p.at_many(lams), t_kernel, t_range, tol
         )
+        pinvs += list(b)
+        kernel_gaps += kernel_part
+        range_gaps += range_part
+        for residuals in axiom_part:
+            max_axiom = max(max_axiom, *residuals)
     scale = pinvs[grid.points.index(0)]
     max_identity, _ = max_identity_residual(
         p.s, scale, pinvs, grid.points, pair_indices(len(grid.points), seed)
     )
     constancy = all(g <= tol.gap_tol for g in kernel_gaps + range_gaps)
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
-    return MPResolventReport(
+    report = MPResolventReport(
         points=tuple(grid.points),
         kernel_gaps=tuple(kernel_gaps),
         range_gaps=tuple(range_gaps),
@@ -183,6 +189,21 @@ def mp_resolvent_characterization(
         constancy_verdict=constancy,
         identity_verdict=identity,
     )
+    return report, pinvs
+
+
+def _mp_point_checks(
+    a: np.ndarray, t_kernel: np.ndarray, t_range: np.ndarray, tol: TolerancePolicy
+) -> tuple[np.ndarray, list[float], list[float], list[list[float]]]:
+    """For one chunk a of t - lam*s: the pseudoinverses, the kernel and range
+    gaps against the projectors of t, and the four MP-axiom residuals per point."""
+    a_factors = factors(a, tol)
+    b = np.stack([a_factor.pinv for a_factor in a_factors])
+    kernels = np.stack([projector(a_factor.kernel) for a_factor in a_factors]) - t_kernel
+    kernel_gaps = op_norms2(kernels).tolist()
+    ranges = np.stack([projector(a_factor.range) for a_factor in a_factors]) - t_range
+    range_gaps = op_norms2(ranges).tolist()
+    return b, kernel_gaps, range_gaps, mp_axiom_residuals(a, b).tolist()
 
 
 @dataclass(frozen=True)
@@ -211,27 +232,42 @@ def invertibility_corollary(
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatchError(f"invertibility needs a square matrix, got {t.shape}")
     pencil = Pencil(t, np.eye(n, dtype=np.complex128))
-    report = mp_resolvent_characterization(pencil, grid, tol)
+    report, pinvs = _mp_characterization(pencil, grid, tol, seed=0)
     invertible = numerical_rank(t, tol) == n
     worst: float | None = None
     if invertible:
         worst = 0.0
-        eye = np.eye(n, dtype=np.complex128)
-        for lam in grid.points:
-            a = pencil.at(lam)
+        done = 0
+        # per point: t - lam I, its inverse, the pseudoinverse and their difference
+        for lams in pencil.point_chunks(grid.points, live=4):
             try:
-                classical = solve(a, eye, tol)
+                deviations = _classical_deviations(
+                    pencil.at_many(lams), pinvs[done : done + len(lams)], tol
+                )
             except SingularSystemError:
                 worst = np.inf
                 break
-            cond = op_norm2(a) * op_norm2(classical)
-            worst = max(worst, op_norm2(pinv_matrix(a, tol) - classical) / cond)
+            done += len(lams)
+            for value in deviations:
+                worst = max(worst, value)
     return InvertibilityReport(
         mp_resolvent_ok=report.constancy_verdict and report.identity_verdict,
         t_invertible=invertible,
         max_classical_residual=worst,
         mp_report=report,
     )
+
+
+def _classical_deviations(
+    a: np.ndarray, pinvs: list[np.ndarray], tol: TolerancePolicy
+) -> list[float]:
+    """||a_k^+ - a_k^-1|| / cond(a_k) for one chunk of square matrices a_k.
+
+    Raises SingularSystemError when some a_k is singular to tolerance.
+    """
+    classical = solve_stack(a, np.eye(a.shape[1], dtype=np.complex128), tol)
+    cond = op_norms2(a) * op_norms2(classical)
+    return (op_norms2(np.stack(pinvs) - classical) / cond).tolist()
 
 
 @dataclass(frozen=True)
@@ -266,7 +302,9 @@ def generalized_spectrum_scan(
     points = [complex(lam) for lam in region]
     if not points:
         raise ValueError("region is empty")
-    ranks = [numerical_rank(p.at(lam), tol) for lam in points]
+    ranks: list[int] = []
+    for lams in p.point_chunks(points, live=1):
+        ranks += ranks_and_marginals(p.at_many(lams), tol)[0].tolist()
     top = max(ranks)
     return [
         ScanPoint(lam=lam, rank=r, is_drop=r < top)

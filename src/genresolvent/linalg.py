@@ -5,13 +5,26 @@ spectral norms and subspace comparisons. Every operator in the package is a
 dense complex matrix (``numpy.ndarray`` of ``complex128``); this module owns
 the tolerance conventions the rest of the package inherits.
 
-All functions are pure: inputs are validated, promoted to read-only complex
-arrays, and never mutated, so results are safe to share across threads.
+All functions are pure: inputs are never mutated, so results are safe to
+share across threads. Public single-matrix functions validate their inputs and
+promote them to read-only complex arrays with :func:`as_matrix`.
+
+The per-point stages of the package work on stacks: (k, m, n) complex128
+arrays built inside the package, such as ``t - lams[:, None, None] * s``.
+The stack functions (:func:`op_norms2`, :func:`ranks_and_marginals`,
+:func:`factors`, :func:`solve_stack`, :func:`solve_right_stack`,
+:func:`relative_residuals`) trust their input and skip ``as_matrix``; each
+makes one batched LAPACK call per stack. The single-matrix functions are
+their one-element views, so there is one code path. Batched SVDs, solves and
+products return exactly, bit for bit, what per-matrix calls return (a
+``matmul`` written with ``out=`` need not); callers cut stacks into slices by
+:func:`chunks` so that at most CHUNK_BYTES are held at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +38,9 @@ from .errors import (
 EPS = float(np.finfo(np.float64).eps)
 # Floor on a scale norm in relative residuals, so a zero scale cannot divide by 0.
 NORM_FLOOR = float(np.finfo(np.float64).tiny)
+# Bytes held at once by one stack of per-point matrices and the arrays built
+# from it, so peak memory stays flat in n and grid size.
+CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -139,39 +155,49 @@ def _svd(a: np.ndarray, compute_uv: bool):
         raise FactorizationError(f"svd did not converge: {exc}") from exc
 
 
-def rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> float:
-    """Singular-value cutoff: values at or below it count as zero."""
-    top = float(s[0]) if s.size else 0.0
-    return tol.rank_rtol * top * max(shape)
+def chunks(count: int, point_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of at least one index and, where
+    point_bytes are held per index, of at most CHUNK_BYTES in all."""
+    step = max(1, CHUNK_BYTES // max(point_bytes, 1))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
-def _count_above_cutoff(s: np.ndarray, shape, tol: TolerancePolicy) -> int:
-    return int(np.count_nonzero(s > rank_cutoff(s, shape, tol)))
+def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
+    """Per-row counts of the singular values s[k] above their cutoffs, and the cutoffs.
+
+    The cutoff of a matrix is rank_rtol * sigma_max * max(m, n); values at or
+    below it count as zero.
+    """
+    cutoffs = tol.rank_rtol * s[:, 0] * max(shape[-2:])
+    return np.count_nonzero(s > cutoffs[:, None], axis=1), cutoffs
+
+
+def ranks_and_marginals(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
+    """Numerical ranks of a (k, m, n) stack and their marginal flags, by one values-only SVD.
+
+    A rank decision is marginal when the smallest retained singular value is
+    within a factor of 10 of the cutoff, i.e. the rank would flip under a
+    modest tolerance change. Empty matrices have rank 0 and are not factored.
+    """
+    k, m, n = stack.shape
+    if k == 0 or min(m, n) == 0:
+        return np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    s = _svd(stack, compute_uv=False)
+    ranks, cutoffs = _ranks(s, stack.shape, tol)
+    kept = s[np.arange(k), np.maximum(ranks - 1, 0)]
+    return ranks, (ranks > 0) & (kept <= 10.0 * cutoffs)
 
 
 def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff; 0 for the zero matrix."""
-    a = as_matrix(a)
-    if min(a.shape) == 0:
-        return 0
-    return _count_above_cutoff(_svd(a, compute_uv=False), a.shape, tol)
+    return rank_and_marginal(a, tol)[0]
 
 
 def rank_and_marginal(a, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, bool]:
-    """Numerical rank plus a marginality flag.
-
-    The rank decision is marginal when the smallest retained singular value
-    is within a factor of 10 of the cutoff, i.e. the rank would flip under a
-    modest tolerance change.
-    """
-    a = as_matrix(a)
-    if min(a.shape) == 0:
-        return 0, False
-    s = _svd(a, compute_uv=False)
-    cutoff = rank_cutoff(s, a.shape, tol)
-    r = int(np.count_nonzero(s > cutoff))
-    marginal = r > 0 and float(s[r - 1]) <= 10.0 * cutoff
-    return r, marginal
+    """Numerical rank plus a marginality flag; see :func:`ranks_and_marginals`."""
+    ranks, marginal = ranks_and_marginals(as_matrix(a)[None], tol)
+    return int(ranks[0]), bool(marginal[0])
 
 
 @dataclass(frozen=True)
@@ -207,15 +233,24 @@ class Factor:
         return (self.vh.conj().T[:, :k] * inv_s) @ self.u.conj().T[:k, :]
 
 
+def factors(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[Factor]:
+    """Factors of every matrix of a (k, m, n) stack, read off one batched full SVD.
+
+    Their arrays are views into the batched result.
+    """
+    k, m, n = stack.shape
+    if min(m, n) == 0:
+        empty = Factor(np.eye(m, dtype=np.complex128), np.zeros(0),
+                       np.eye(n, dtype=np.complex128), 0)
+        return [empty] * k
+    u, s, vh = _svd(stack, compute_uv=True)
+    ranks, _ = _ranks(s, stack.shape, tol)
+    return [Factor(u[i], s[i], vh[i], int(ranks[i])) for i in range(k)]
+
+
 def factor(a, tol: TolerancePolicy = DEFAULT_TOL) -> Factor:
     """Full SVD of a with the shared rank cutoff applied."""
-    a = as_matrix(a)
-    m, n = a.shape
-    if a.size == 0:
-        return Factor(np.eye(m, dtype=np.complex128), np.zeros(0),
-                      np.eye(n, dtype=np.complex128), 0)
-    u, s, vh = _svd(a, compute_uv=True)
-    return Factor(u, s, vh, _count_above_cutoff(s, a.shape, tol))
+    return factors(as_matrix(a)[None], tol)[0]
 
 
 def kernel_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
@@ -228,12 +263,26 @@ def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     return factor(a, tol).range
 
 
+def op_norms2(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a (k, m, n) stack, by one values-only SVD of its nonzero members.
+
+    Zero and empty matrices have norm 0 and are not factored.
+    """
+    k, m, n = stack.shape
+    norms = np.zeros(k)
+    if k == 0 or min(m, n) == 0:
+        return norms
+    nonzero = np.any(stack, axis=(1, 2))
+    if nonzero.all():
+        norms[:] = _svd(stack, compute_uv=False)[:, 0]
+    elif nonzero.any():
+        norms[nonzero] = _svd(stack[nonzero], compute_uv=False)[:, 0]
+    return norms
+
+
 def op_norm2(a) -> float:
     """Spectral norm: the largest singular value."""
-    a = as_matrix(a)
-    if min(a.shape) == 0 or not np.any(a):
-        return 0.0
-    return float(_svd(a, compute_uv=False)[0])
+    return float(op_norms2(as_matrix(a)[None])[0])
 
 
 def projector(b: SubspaceBasis) -> np.ndarray:
@@ -257,34 +306,65 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
     return op_norm2(projector(m) - projector(n))
 
 
+def _require_same_ambient(pairs: Sequence[tuple[SubspaceBasis, SubspaceBasis]]) -> None:
+    for m, n in pairs:
+        if m.ambient_dim != n.ambient_dim:
+            raise ShapeMismatchError(
+                f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
+            )
+
+
+def intersections_trivial(
+    pairs: Sequence[tuple[SubspaceBasis, SubspaceBasis]], tol: TolerancePolicy = DEFAULT_TOL
+) -> list[bool]:
+    """For each pair, True iff the subspaces meet only at the origin.
+
+    Decided by whether the concatenated bases [M | N] have full column rank.
+    Pairs with a trivial member need no rank; the others are ranked in
+    stacks of equal shape.
+    """
+    _require_same_ambient(pairs)
+    verdicts = [True] * len(pairs)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for index, (m, n) in enumerate(pairs):
+        if m.dim and n.dim:
+            groups.setdefault((m.ambient_dim, m.dim, n.dim), []).append(index)
+    for (ambient, left, right), indices in groups.items():
+        width = left + right
+        for part in chunks(len(indices), 16 * ambient * width):
+            members = indices[part]
+            stack = np.empty((len(members), ambient, width), dtype=np.complex128)
+            for row, index in enumerate(members):
+                stack[row, :, :left] = pairs[index][0].basis
+                stack[row, :, left:] = pairs[index][1].basis
+            ranks, _ = ranks_and_marginals(stack, tol)
+            for index, rank in zip(members, ranks):
+                verdicts[index] = bool(rank == width)
+    return verdicts
+
+
 def intersection_trivial(
     m: SubspaceBasis, n: SubspaceBasis, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
-    """True iff the subspaces meet only at the origin.
+    """True iff the subspaces meet only at the origin; see :func:`intersections_trivial`."""
+    return intersections_trivial([(m, n)], tol)[0]
 
-    Decided by whether the concatenated bases have full column rank.
-    """
-    if m.ambient_dim != n.ambient_dim:
-        raise ShapeMismatchError(
-            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
-        )
-    if m.dim == 0 or n.dim == 0:
-        return True
-    stacked = np.hstack([m.basis, n.basis])
-    return numerical_rank(stacked, tol) == m.dim + n.dim
+
+def direct_sum_checks(
+    pairs: Sequence[tuple[SubspaceBasis, SubspaceBasis]], tol: TolerancePolicy = DEFAULT_TOL
+) -> list[bool]:
+    """For each pair, True iff the ambient space is the (not necessarily orthogonal) sum M + N."""
+    _require_same_ambient(pairs)
+    spanning = [m.dim + n.dim == m.ambient_dim for m, n in pairs]
+    trivial = iter(intersections_trivial([pr for pr, ok in zip(pairs, spanning) if ok], tol))
+    return [ok and next(trivial) for ok in spanning]
 
 
 def direct_sum_check(
     m: SubspaceBasis, n: SubspaceBasis, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
     """True iff the ambient space is the (not necessarily orthogonal) sum M + N."""
-    if m.ambient_dim != n.ambient_dim:
-        raise ShapeMismatchError(
-            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
-        )
-    if m.dim + n.dim != m.ambient_dim:
-        return False
-    return intersection_trivial(m, n, tol)
+    return direct_sum_checks([(m, n)], tol)[0]
 
 
 def oblique_projector(
@@ -304,6 +384,37 @@ def oblique_projector(
     return m.basis @ coeffs[: m.dim]
 
 
+def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Solve a[k] @ x[k] = b for a (k, n, n) stack of numerically invertible matrices.
+
+    b is one (n, r) right-hand side shared by every system. One values-only
+    SVD of the stack checks invertibility first: the lowest-index matrix
+    whose smallest singular value falls at or below its rank cutoff raises
+    SingularSystemError carrying a condition estimate, and nothing is solved.
+    """
+    k, n, _ = a.shape
+    if n == 0:
+        return np.zeros((k,) + b.shape, dtype=np.complex128)
+    s = _svd(a, compute_uv=False)
+    _, cutoffs = _ranks(s, a.shape, tol)
+    singular = np.flatnonzero(s[:, -1] <= cutoffs)
+    if singular.size:
+        top, smin = float(s[singular[0], 0]), float(s[singular[0], -1])
+        cond = top / smin if smin > 0.0 else np.inf
+        raise SingularSystemError(
+            f"system matrix singular to tolerance (cond ~ {cond:.3e})", cond
+        )
+    return np.linalg.solve(a, b)
+
+
+def solve_right_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Solve x[k] @ a[k] = b for a (k, m, m) stack, i.e. apply each a[k]^-1 from the right.
+
+    Solved as a[k]^T x[k]^T = b^T, with the singularity check of :func:`solve_stack`.
+    """
+    return solve_stack(a.swapaxes(1, 2), b.T, tol).swapaxes(1, 2)
+
+
 def solve(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Solve a @ x = b for square, numerically invertible a.
 
@@ -317,17 +428,7 @@ def solve(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         raise ShapeMismatchError(f"system matrix is not square: {a.shape}")
     if b.shape[0] != n:
         raise ShapeMismatchError(f"right-hand side has {b.shape[0]} rows, expected {n}")
-    if n == 0:
-        return np.zeros_like(b)
-    s = _svd(a, compute_uv=False)
-    cutoff = rank_cutoff(s, a.shape, tol)
-    smin = float(s[-1])
-    if smin <= cutoff:
-        cond = float(s[0]) / smin if smin > 0.0 else np.inf
-        raise SingularSystemError(
-            f"system matrix singular to tolerance (cond ~ {cond:.3e})", cond
-        )
-    return np.linalg.solve(a, b)
+    return solve_stack(a[None], b, tol)[0]
 
 
 def solve_right(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -337,9 +438,14 @@ def solve_right(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return solve(a.T, b.T, tol).T
 
 
-def relative_residual(deviation, scale) -> float:
-    """Spectral norm of the deviation relative to the scale matrix's norm.
+def relative_residuals(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Spectral norm of each deviation relative to its scale matrix's norm, for stacks.
 
-    A tiny floor guards division when the scale is the zero matrix.
+    A tiny floor guards division when a scale is the zero matrix.
     """
-    return op_norm2(deviation) / max(op_norm2(scale), NORM_FLOOR)
+    return op_norms2(deviations) / np.maximum(op_norms2(scales), NORM_FLOOR)
+
+
+def relative_residual(deviation, scale) -> float:
+    """Spectral norm of the deviation relative to the scale matrix's norm."""
+    return float(relative_residuals(as_matrix(deviation)[None], as_matrix(scale)[None])[0])

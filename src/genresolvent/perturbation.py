@@ -18,7 +18,7 @@ their agreement can be observed rather than assumed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,12 +123,16 @@ def perturbed_inverse(
 
 @dataclass(frozen=True)
 class SplittingChecks:
-    """Verdicts of the four equivalent stability conditions."""
+    """Verdicts of the four equivalent stability conditions.
+
+    result is the perturbed inverse the first verdict classifies.
+    """
 
     b_is_generalized: bool
     transversal: bool
     codomain_splits: bool
     domain_splits: bool
+    result: PerturbationResult = field(compare=False)
 
     def as_tuple(self) -> tuple[bool, bool, bool, bool]:
         return (self.b_is_generalized, self.transversal, self.codomain_splits, self.domain_splits)
@@ -144,7 +148,9 @@ def splitting_checks(
     """Evaluate all four stability conditions independently.
 
     They are equivalent under the smallness precondition; computing each
-    from scratch lets tests observe the equivalence numerically.
+    from scratch lets tests observe the equivalence numerically. Raises
+    PerturbationTooLargeError, as :func:`perturbed_inverse` does, when the
+    smallness precondition fails.
     """
     tbar = as_matrix(tbar)
     result = perturbed_inverse(g, tbar, tol)
@@ -157,6 +163,7 @@ def splitting_checks(
         transversal=intersection_trivial(rng_bar, ker_plus, tol),
         codomain_splits=direct_sum_check(rng_bar, ker_plus, tol),
         domain_splits=direct_sum_check(ker_bar, rng_plus, tol),
+        result=result,
     )
 
 

@@ -27,7 +27,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,17 +42,21 @@ from .geninv import (
 from .linalg import (
     DEFAULT_TOL,
     NORM_FLOOR,
+    SubspaceBasis,
     TolerancePolicy,
     as_matrix,
-    direct_sum_check,
+    chunks,
+    direct_sum_checks,
     factor,
-    intersection_trivial,
+    factors,
+    intersections_trivial,
     kernel_basis,
     numerical_rank,
     op_norm2,
-    range_basis,
+    op_norms2,
     relative_residual,
-    solve_right,
+    relative_residuals,
+    solve_right_stack,
 )
 
 RADIUS_CAP = 1e12
@@ -61,9 +65,6 @@ RADIUS_EPS = 1e-14
 PAIR_SAMPLE_LIMIT = 1600
 PAIR_FULL_MAX_POINTS = 40
 
-# Bytes held at once by one stack of resolvent-identity deviations and the
-# arrays that build and bound it, so peak memory stays flat in n and grid size.
-IDENTITY_CHUNK_BYTES = 2 << 20
 # Relative widening of the deviation norm bounds; far above the rounding of
 # the Gram product and of the SVD at every size this package handles.
 IDENTITY_BOUND_SLACK = 1e-6
@@ -90,6 +91,23 @@ class Pencil:
 
     def at(self, lam: complex) -> np.ndarray:
         return self.t - lam * self.s
+
+    def at_many(self, lams: np.ndarray) -> np.ndarray:
+        """The stack t - lams[k] * s, of shape (len(lams), m, n)."""
+        stack = np.multiply(lams[:, None, None], self.s)
+        return np.subtract(self.t, stack, out=stack)
+
+    def point_chunks(self, points: Sequence[complex], live: int) -> Iterator[np.ndarray]:
+        """The points as consecutive complex arrays, in order.
+
+        A chunk holds as many points as fit in CHUNK_BYTES when each point
+        keeps ``live`` matrices of the pencil's larger square size alive.
+        Stages build each chunk's stack inside a call, so it is freed before
+        the next chunk's is built.
+        """
+        lams = np.array(points, dtype=np.complex128)
+        for part in chunks(len(lams), live * 16 * max(self.shape) ** 2):
+            yield lams[part]
 
 
 @dataclass(frozen=True)
@@ -172,12 +190,18 @@ def _require_in_radius(f: ResolventFamily, lam: complex) -> None:
         )
 
 
+def _evaluate_stack(f: ResolventFamily, lams: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """G(lam) for points inside the disk, by one stacked right-solve against I - lam s tplus."""
+    m = f.pencil.shape[0]
+    eye = np.eye(m, dtype=np.complex128)
+    return solve_right_stack(eye - lams[:, None, None] * f.st_plus, f.g.tplus, tol)
+
+
 def evaluate(f: ResolventFamily, lam: complex, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """G(lam) by a direct solve against (I - lam s tplus); G(0) is tplus."""
     lam = complex(lam)
     _require_in_radius(f, lam)
-    m = f.pencil.shape[0]
-    return solve_right(np.eye(m, dtype=np.complex128) - lam * f.st_plus, f.g.tplus, tol)
+    return _evaluate_stack(f, np.array([lam]), tol)[0]
 
 
 def evaluate_neumann(f: ResolventFamily, lam: complex, terms: int) -> np.ndarray:
@@ -239,8 +263,8 @@ def max_identity_residual(
         if bounds[position] == 0.0 or bounds[position] < best:
             break
         i, j = pairs[position]
-        deviation = _deviations(values, points, i, values[i] @ s, [j])[0]
-        value = op_norm2(deviation) / scale_norm
+        deviation = _deviations(values, points, {i: values[i] @ s}, [(i, j)])
+        value = float(op_norms2(deviation)[0]) / scale_norm
         if value > best or (value == best and position < best_position):
             best, best_position = value, position
     return best, pairs[best_position] if best > 0.0 else None
@@ -249,15 +273,27 @@ def max_identity_residual(
 def _deviations(
     values: Sequence[np.ndarray],
     points: Sequence[complex],
-    i: int,
-    g_i_s: np.ndarray,
-    columns: Sequence[int],
+    g_s: dict[int, np.ndarray],
+    pairs: Sequence[tuple[int, int]],
 ) -> np.ndarray:
-    """Stacked G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j for j in columns; g_i_s is G_i @ s."""
-    products = g_i_s @ np.stack([values[j] for j in columns])
-    deviations = np.empty_like(products)
-    for k, j in enumerate(columns):
-        deviations[k] = values[i] - values[j] - (points[i] - points[j]) * products[k]
+    """Stacked G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j for index pairs sorted by i.
+
+    g_s maps each first index i to G_i @ s. Every operation is the per-pair
+    one, applied to the run of pairs that shares i or to the whole stack.
+    """
+    seconds = np.stack([values[j] for _, j in pairs])
+    products = np.empty_like(seconds)
+    deviations = np.empty_like(seconds)
+    firsts = [i for i, _ in pairs]
+    starts = [k for k in range(len(firsts)) if k == 0 or firsts[k] != firsts[k - 1]]
+    for lo, hi in zip(starts, starts[1:] + [len(firsts)]):
+        i = firsts[lo]
+        # matmul with out= may round differently from the per-pair product
+        products[lo:hi] = g_s[i] @ seconds[lo:hi]
+        np.subtract(values[i], seconds[lo:hi], out=deviations[lo:hi])
+    shifts = np.array([points[i] - points[j] for i, j in pairs])
+    np.multiply(shifts[:, None, None], products, out=products)
+    deviations -= products
     return deviations
 
 
@@ -269,29 +305,30 @@ def _screen_deviations(
 ) -> np.ndarray:
     """Upper bound on ||D||_2 for every pair, zero exactly where D is zero.
 
-    Pairs are grouped by first index, so G_i @ s is formed once per row, and
-    deviations are stacked at most IDENTITY_CHUNK_BYTES at a time. Each
+    Pairs are taken in order of first index, so each G_i @ s is formed
+    once, and deviations are stacked at most CHUNK_BYTES at a time. Each
     deviation is divided by its largest entry modulus before the Gram
     product, which can then neither overflow nor underflow.
     """
-    rows: dict[int, list[int]] = {}
-    for position, (i, _) in enumerate(pairs):
-        rows.setdefault(i, []).append(position)
     bounds = np.zeros(len(pairs))
-    for i, positions in rows.items():
-        # the stack of G_j, the products, the deviations and the Gram scratch
-        chunk = max(1, IDENTITY_CHUNK_BYTES // (4 * values[i].nbytes))
-        g_i_s = values[i] @ s
-        for start in range(0, len(positions), chunk):
-            part = positions[start : start + chunk]
-            stack = _deviations(values, points, i, g_i_s, [pairs[p][1] for p in part])
-            peak = np.abs(stack).max(axis=(1, 2))
-            stack /= np.where(peak > 0.0, peak, 1.0)[:, None, None]
-            adjoint = stack.conj().swapaxes(1, 2)
-            height, width = stack.shape[1:]
-            gram = adjoint @ stack if width <= height else stack @ adjoint
-            gram_norm = np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2)))
-            bounds[part] = peak * np.sqrt(gram_norm) * (1.0 + IDENTITY_BOUND_SLACK)
+    if not pairs:
+        return bounds
+    order = sorted(range(len(pairs)), key=lambda position: pairs[position][0])
+    g_s: dict[int, np.ndarray] = {}
+    # the stack of G_j, the products, the deviations and G_i @ s, then the Gram scratch
+    for chunk in chunks(len(order), 4 * values[0].nbytes):
+        part = order[chunk]
+        chunk_pairs = [pairs[p] for p in part]
+        rows = dict.fromkeys(i for i, _ in chunk_pairs)
+        g_s = {i: g_s[i] if i in g_s else values[i] @ s for i in rows}
+        stack = _deviations(values, points, g_s, chunk_pairs)
+        peak = np.abs(stack).max(axis=(1, 2))
+        stack /= np.where(peak > 0.0, peak, 1.0)[:, None, None]
+        adjoint = stack.conj().swapaxes(1, 2)
+        height, width = stack.shape[1:]
+        gram = adjoint @ stack if width <= height else stack @ adjoint
+        gram_norm = np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2)))
+        bounds[part] = peak * np.sqrt(gram_norm) * (1.0 + IDENTITY_BOUND_SLACK)
     return bounds
 
 
@@ -339,7 +376,11 @@ def check_resolvent_axioms(
     tol: TolerancePolicy = DEFAULT_TOL,
     seed: int = 0,
 ) -> ResolventAxiomReport:
-    """Verify both inverse axioms at every grid point and the identity on pairs."""
+    """Verify both inverse axioms at every grid point and the identity on pairs.
+
+    Chunk by chunk of the grid, G(lam) comes from one stacked solve and each
+    residual from one stacked norm.
+    """
     usable: list[complex] = []
     skipped: list[complex] = []
     for lam in grid.points:
@@ -347,14 +388,15 @@ def check_resolvent_axioms(
             usable.append(lam)
         else:
             skipped.append(lam)
-    values = [evaluate(f, lam, tol) for lam in usable]
+    values: list[np.ndarray] = []
     inner: list[float] = []
     outer: list[float] = []
-    for lam, g_lam in zip(usable, values):
-        a = f.pencil.at(lam)
-        ga = g_lam @ a
-        inner.append(relative_residual(a @ ga - a, a))
-        outer.append(relative_residual(ga @ g_lam - g_lam, g_lam))
+    # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a deviation
+    for lams in f.pencil.point_chunks(usable, live=6):
+        g, inner_part, outer_part = _axiom_residuals(f, lams, tol)
+        values += list(g)
+        inner += inner_part
+        outer += outer_part
     max_identity, worst = max_identity_residual(
         f.pencil.s, f.g.tplus, values, usable, pair_indices(len(usable), seed)
     )
@@ -370,6 +412,18 @@ def check_resolvent_axioms(
         skipped=tuple(skipped),
         ok=ok,
     )
+
+
+def _axiom_residuals(
+    f: ResolventFamily, lams: np.ndarray, tol: TolerancePolicy
+) -> tuple[np.ndarray, list[float], list[float]]:
+    """G(lam) and the inner and outer residuals for one chunk of points."""
+    a = f.pencil.at_many(lams)
+    g = _evaluate_stack(f, lams, tol)
+    ga = g @ a
+    inner = relative_residuals(a @ ga - a, a)
+    outer = relative_residuals(ga @ g - g, g)
+    return g, inner.tolist(), outer.tolist()
 
 
 @dataclass(frozen=True)
@@ -426,10 +480,12 @@ def existence_check(
             stacklevel=2,
         )
     ker_plus = kernel_basis(g.tplus, tol)
-    per_point = tuple(
-        (lam, intersection_trivial(range_basis(p.at(lam), tol), ker_plus, tol))
-        for lam in grid.points
-    )
+    verdicts: list[bool] = []
+    # per point: t - lam s, its u and vh, the range basis and the stacked bases
+    for lams in p.point_chunks(grid.points, live=5):
+        ranges = [a_factor.range for a_factor in factors(p.at_many(lams), tol)]
+        verdicts += intersections_trivial([(rng, ker_plus) for rng in ranges], tol)
+    per_point = tuple(zip(grid.points, verdicts))
     return ExistenceCertificate(
         verdict=all(ok for _, ok in per_point),
         per_point=per_point,
@@ -455,16 +511,25 @@ def fixed_complements_check(
             f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
             f"pencil needs ({n}, {m})"
         )
-    rows = []
-    for lam in grid.points:
-        a_factor = factor(p.at(lam), tol)
-        domain_ok = direct_sum_check(a_factor.kernel, c.e, tol)
-        codomain_ok = direct_sum_check(a_factor.range, c.f, tol)
-        rows.append((lam, domain_ok, codomain_ok))
+    rows = _split_rows(p, grid, c.e, c.f, tol)
     return FixedComplementsReport(
         per_point=tuple(rows),
         verdict=all(d and cdom for _, d, cdom in rows),
     )
+
+
+def _split_rows(
+    p: Pencil, grid: DiskGrid, e: SubspaceBasis, f: SubspaceBasis, tol: TolerancePolicy
+) -> list[tuple[complex, bool, bool]]:
+    """Per point: domain = N(t-lam s) + e, and codomain = R(t-lam s) + f."""
+    domain: list[bool] = []
+    codomain: list[bool] = []
+    # per point: t - lam s, its u and vh, the kernel and range bases, the stacked bases
+    for lams in p.point_chunks(grid.points, live=6):
+        bases = [(a_factor.kernel, a_factor.range) for a_factor in factors(p.at_many(lams), tol)]
+        domain += direct_sum_checks([(kernel, e) for kernel, _ in bases], tol)
+        codomain += direct_sum_checks([(rng, f) for _, rng in bases], tol)
+    return list(zip(grid.points, domain, codomain))
 
 
 @dataclass(frozen=True)
@@ -491,12 +556,7 @@ def direct_sum_criteria(
     _require_matching_inverse(p, g)
     tplus_factor = factor(g.tplus, tol)
     rng_plus, ker_plus = tplus_factor.range, tplus_factor.kernel
-    rows = []
-    for lam in grid.points:
-        a_factor = factor(p.at(lam), tol)
-        domain_ok = direct_sum_check(a_factor.kernel, rng_plus, tol)
-        codomain_ok = direct_sum_check(a_factor.range, ker_plus, tol)
-        rows.append((lam, domain_ok, codomain_ok))
+    rows = _split_rows(p, grid, rng_plus, ker_plus, tol)
     domain_verdict = all(d for _, d, _ in rows)
     codomain_verdict = all(c for _, _, c in rows)
     return DirectSumReport(

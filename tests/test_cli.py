@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +217,30 @@ class TestPerturbCommand:
     def test_corrupted_exits_two(self, capsys):
         code, _, _ = run(["perturb", DATA / "diag10.json", FIXTURES / "corrupted.json"], capsys)
         assert code == 2
+
+
+def test_back_to_back_calls_parse_independently(capsys):
+    """main reuses one parser per process; no call's flags reach the next one."""
+    const = [str(DATA / "const_t.json"), str(DATA / "const_s.json")]
+    calls = [
+        ["analyze", *const, "--grid-points", "9", "--rank-rtol", "1e-12"],
+        ["analyze", *const],
+        ["mp-check", *const, "--grid-points", "60", "--seed", "3"],
+        ["perturb", str(DATA / "diag10.json"), str(DATA / "tbar_outer.json")],
+        ["mp-check", *const],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+    )
+    outputs = [run(args, capsys)[:2] for args in calls]
+    for args, (code, out) in zip(calls, outputs):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "genresolvent", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), args
+    assert outputs[0][1] != outputs[1][1]
 
 
 class TestVersionCommand:

@@ -2,8 +2,9 @@
 
 The screen must return exactly what checking every pair with its own
 spectral norm returns: the same maximum (compared with ==) and the same
-first maximizing pair. A count gate caps the SVDs the two pairwise stages
-spend on a small seeded pencil; later changes may only lower its bounds.
+first maximizing pair. A count gate caps the SVD calls, and the matrices
+they factor, that the two pairwise stages spend on a small seeded pencil;
+later changes may only lower its bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from genresolvent import (
     pinv_matrix,
     relative_residual,
 )
-from genresolvent import resolvent
+from genresolvent import linalg
 from genresolvent.resolvent import max_identity_residual, pair_indices
 from helpers import framed_pencil
 
@@ -83,8 +84,8 @@ def test_chunking_does_not_change_the_result(monkeypatch, switched):
     values = [evaluate(family, lam) for lam in grid.points]
     pairs = pair_indices(len(grid.points))
     expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
-    for budget in (1, 3 * values[0].nbytes, resolvent.IDENTITY_CHUNK_BYTES):
-        monkeypatch.setattr(resolvent, "IDENTITY_CHUNK_BYTES", budget)
+    for budget in (1, 3 * values[0].nbytes, linalg.CHUNK_BYTES):
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
 
 
@@ -112,20 +113,28 @@ def test_tiny_deviations_are_not_screened_out():
 
 @pytest.mark.parametrize("switched", [False, True])
 def test_svd_count_gate(monkeypatch, switched):
-    """SVDs per pairwise stage on the seeded n=6 pencil (1350 and 1550 per-pair)."""
+    """SVDs per pairwise stage on the seeded n=6 pencil (1350 and 1550 per-pair).
+
+    A call on a (k, m, n) stack factors k matrices; the matrix bounds are the
+    counts of the per-point code (128 / 127 and 276 / 291).
+    """
     p = framed_pencil(np.random.default_rng(6), 6, 6, 3, switched=switched)
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius / 2, 25)
-    calls = [0]
+    counts = {"calls": 0, "matrices": 0}
     svd = np.linalg.svd
 
-    def counting_svd(*args, **kwargs):
-        calls[0] += 1
-        return svd(*args, **kwargs)
+    def counting_svd(a, *args, **kwargs):
+        counts["calls"] += 1
+        counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     check_resolvent_axioms(family, grid)
-    axiom_calls, calls[0] = calls[0], 0
+    axioms = dict(counts)
+    counts.update(calls=0, matrices=0)
     mp_resolvent_characterization(p, grid)
-    assert axiom_calls <= 250
-    assert calls[0] <= 450
+    assert axioms["calls"] <= 20
+    assert axioms["matrices"] <= 128
+    assert counts["calls"] <= 50
+    assert counts["matrices"] <= 291
