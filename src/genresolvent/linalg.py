@@ -18,7 +18,9 @@ makes one batched LAPACK call per stack. The single-matrix functions are
 their one-element views, so there is one code path. Batched SVDs, solves and
 products return exactly, bit for bit, what per-matrix calls return (a
 ``matmul`` written with ``out=`` need not); callers cut stacks into slices by
-:func:`chunks` so that at most CHUNK_BYTES are held at once.
+:func:`chunks`. CHUNK_BYTES is an approximate budget, not a cap: a chunk is
+sized from the caller's count of the matrices each point keeps alive, and
+copies and scratch arrays a stage makes beyond that count are not counted.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import (
 EPS = float(np.finfo(np.float64).eps)
 # Floor on a scale norm in relative residuals, so a zero scale cannot divide by 0.
 NORM_FLOOR = float(np.finfo(np.float64).tiny)
-# Bytes held at once by one stack of per-point matrices and the arrays built
-# from it, so peak memory stays flat in n and grid size.
+# Approximate bytes held at once by one stack of per-point matrices and the
+# arrays built from it, so peak memory stays flat in n and grid size.
 CHUNK_BYTES = 2 << 20
 
 
@@ -156,8 +158,13 @@ def _svd(a: np.ndarray, compute_uv: bool):
 
 
 def chunks(count: int, point_bytes: int) -> Iterator[slice]:
-    """Consecutive slices of range(count), each of at least one index and, where
-    point_bytes are held per index, of at most CHUNK_BYTES in all."""
+    """Consecutive slices of range(count), each of at least one index and,
+    at point_bytes per index, of at most CHUNK_BYTES in all.
+
+    point_bytes is the caller's estimate of what one index keeps alive, so
+    the memory a chunk really takes can exceed CHUNK_BYTES by the arrays the
+    estimate leaves out.
+    """
     step = max(1, CHUNK_BYTES // max(point_bytes, 1))
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
@@ -391,6 +398,8 @@ def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
     SVD of the stack checks invertibility first: the lowest-index matrix
     whose smallest singular value falls at or below its rank cutoff raises
     SingularSystemError carrying a condition estimate, and nothing is solved.
+    b is passed as a (1, n, r) stack: NumPy before 2.0 reads a b of one
+    dimension less than a as a stack of vectors, not as one shared matrix.
     """
     k, n, _ = a.shape
     if n == 0:
@@ -404,7 +413,7 @@ def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
         raise SingularSystemError(
             f"system matrix singular to tolerance (cond ~ {cond:.3e})", cond
         )
-    return np.linalg.solve(a, b)
+    return np.linalg.solve(a, b[None])
 
 
 def solve_right_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -102,6 +102,8 @@ class Pencil:
 
         A chunk holds as many points as fit in CHUNK_BYTES when each point
         keeps ``live`` matrices of the pencil's larger square size alive.
+        ``live`` counts a stage's main per-point arrays, not every copy or
+        scratch array it makes, so CHUNK_BYTES is an approximate budget.
         Stages build each chunk's stack inside a call, so it is freed before
         the next chunk's is built.
         """
@@ -306,7 +308,7 @@ def _screen_deviations(
     """Upper bound on ||D||_2 for every pair, zero exactly where D is zero.
 
     Pairs are taken in order of first index, so each G_i @ s is formed
-    once, and deviations are stacked at most CHUNK_BYTES at a time. Each
+    once, and deviations are stacked in chunks of about CHUNK_BYTES. Each
     deviation is divided by its largest entry modulus before the Gram
     product, which can then neither overflow nor underflow.
     """

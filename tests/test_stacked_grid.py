@@ -270,3 +270,31 @@ def test_regular_stacks_solve_like_one_matrix_at_a_time():
     for k, a in enumerate(regular):
         assert np.array_equal(x[k], np.linalg.solve(copy(a), b))
         assert np.array_equal(y[k], np.linalg.solve(copy(a.T), copy(b)).T)
+    # k == n == r: a shared square right-hand side, not a stack of k vectors.
+    square = np.random.default_rng(12).standard_normal((4, 4)) + 0j
+    assert regular.shape == (4, 4, 4)
+    x = solve_stack(regular, square)
+    y = solve_right_stack(regular, square)
+    assert x.shape == y.shape == (4, 4, 4)
+    for k, a in enumerate(regular):
+        assert np.array_equal(x[k], np.linalg.solve(copy(a), square))
+        assert np.array_equal(y[k], np.linalg.solve(copy(a.T), copy(square.T)).T)
+
+
+def test_stacked_solve_passes_the_right_hand_side_as_a_stack(monkeypatch):
+    # NumPy before 2.0 reads a b of one dimension less than a as a stack of
+    # vectors; a b of a's rank means the same on every NumPy version.
+    ranks = []
+    plain = np.linalg.solve
+
+    def solve(a, b):
+        ranks.append((a.ndim, b.ndim))
+        return plain(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    stack, b = singular_stack()
+    regular = np.delete(stack, [2, 4], axis=0)
+    solve_stack(regular, b)
+    solve_right_stack(regular, b.T)
+    linalg.solve(regular[0], b)
+    assert ranks == [(3, 3)] * 3
