@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every report the CLI writes for a fixed set of inputs.
+
+Runs ``genresolvent.cli.main`` in-process on
+
+* every ordered pair of same-shape matrices in ``data/``: ``analyze``,
+  ``mp-check``, ``perturb`` and ``spectrum --steps 21``;
+* seeded framed pencils (``instances.framed``, constant and switched
+  support): ``analyze`` and ``mp-check`` at ``--grid-points 25`` and at
+  ``--grid-points 60 --seed 3``.
+
+Each digest covers the command's exit code, standard output, standard error
+and the text of the warnings it raised. Inputs are written to a temporary
+directory and named by relative paths, so reports do not depend on where
+the script runs. One line per command, ``<sha256>  <command>``, then
+``<sha256>  total`` over all of them: two builds that print the same lines
+write byte-identical reports on these inputs.
+
+    PYTHONPATH=src python3 scripts/report_digests.py [--pencils N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import shutil
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from genresolvent import load_matrix, save_matrix
+from genresolvent.cli import main as cli_main
+from instances import framed
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+# (m, n); the larger ones cut the pairwise stage into several chunks
+SHAPES = ((4, 4), (3, 5), (6, 3), (8, 8), (24, 20))
+GRIDS = (["--grid-points", "25"], ["--grid-points", "60", "--seed", "3"])
+
+
+def run(argv: list[str]) -> str:
+    """sha256 of one in-process CLI run: exit code, stdout, stderr and warnings."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli_main(argv)
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    for part in (out.getvalue(), err.getvalue(), *(str(w.message) for w in caught)):
+        digest.update(part.encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
+def data_commands() -> list[list[str]]:
+    names = sorted(path.name for path in DATA.glob("*.json"))
+    shapes = {name: load_matrix(DATA / name).shape for name in names}
+    commands = []
+    for t, s in itertools.product(names, repeat=2):
+        if shapes[t] != shapes[s]:
+            continue
+        pair = [f"data/{t}", f"data/{s}"]
+        commands += [["analyze", *pair], ["mp-check", *pair], ["perturb", *pair],
+                     ["spectrum", *pair, "--steps", "21"]]
+    return commands
+
+
+def framed_commands(pencils: int) -> list[list[str]]:
+    commands = []
+    for (m, n), switched, seed in itertools.product(SHAPES, (False, True), range(pencils)):
+        p = framed(np.random.default_rng([seed, m, n, int(switched)]), m, n,
+                   min(m, n) - 1, switched)
+        stem = f"framed/{m}x{n}-{'switched' if switched else 'constant'}-{seed}"
+        save_matrix(p.t, f"{stem}-t.json")
+        save_matrix(p.s, f"{stem}-s.json")
+        for command, grid in itertools.product(("analyze", "mp-check"), GRIDS):
+            commands.append([command, f"{stem}-t.json", f"{stem}-s.json", *grid])
+    return commands
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pencils", type=int, default=4,
+                        help="framed pencils per shape and support (default 4)")
+    args = parser.parse_args()
+    total = hashlib.sha256()
+    home = os.getcwd()
+    work = tempfile.mkdtemp(prefix="report-digests-")
+    try:
+        shutil.copytree(DATA, Path(work) / "data")
+        os.chdir(work)
+        os.mkdir("framed")
+        for argv in data_commands() + framed_commands(args.pencils):
+            line = f"{run(argv)}  {' '.join(argv)}"
+            total.update(line.encode() + b"\n")
+            print(line)
+    finally:
+        os.chdir(home)
+        shutil.rmtree(work, ignore_errors=True)
+    print(f"{total.hexdigest()}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

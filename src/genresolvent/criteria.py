@@ -155,21 +155,24 @@ def mp_resolvent_characterization(
 
 def _mp_characterization(
     p: Pencil, grid: DiskGrid, tol: TolerancePolicy, seed: int
-) -> tuple[MPResolventReport, list[np.ndarray]]:
-    """The report of :func:`mp_resolvent_characterization` and the pseudoinverse per point."""
+) -> tuple[MPResolventReport, np.ndarray]:
+    """The report of :func:`mp_resolvent_characterization` and the stack of
+    pseudoinverses, one per grid point."""
     t_factor = factor(p.t, tol)
     t_kernel, t_range = projector(t_factor.kernel), projector(t_factor.range)
-    pinvs: list[np.ndarray] = []
+    m, n = p.shape
+    pinvs = np.empty((len(grid.points), n, m), dtype=np.complex128)
     kernel_gaps: list[float] = []
     range_gaps: list[float] = []
     max_axiom = 0.0
+    done = 0
     # per point: t - lam s, its u and vh, the pseudoinverse, the projectors
     # and their difference, and the products and deviations of the axioms
     for lams in p.point_chunks(grid.points, live=10):
-        b, kernel_part, range_part, axiom_part = _mp_point_checks(
+        pinvs[done : done + len(lams)], kernel_part, range_part, axiom_part = _mp_point_checks(
             p.at_many(lams), t_kernel, t_range, tol
         )
-        pinvs += list(b)
+        done += len(lams)
         kernel_gaps += kernel_part
         range_gaps += range_part
         for residuals in axiom_part:
@@ -259,7 +262,7 @@ def invertibility_corollary(
 
 
 def _classical_deviations(
-    a: np.ndarray, pinvs: list[np.ndarray], tol: TolerancePolicy
+    a: np.ndarray, pinvs: np.ndarray, tol: TolerancePolicy
 ) -> list[float]:
     """||a_k^+ - a_k^-1|| / cond(a_k) for one chunk of square matrices a_k.
 
@@ -267,7 +270,7 @@ def _classical_deviations(
     """
     classical = solve_stack(a, np.eye(a.shape[1], dtype=np.complex128), tol)
     cond = op_norms2(a) * op_norms2(classical)
-    return (op_norms2(np.stack(pinvs) - classical) / cond).tolist()
+    return (op_norms2(pinvs - classical) / cond).tolist()
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,8 @@ class SubspaceBasis:
     """A subspace of C^ambient_dim given by orthonormal basis columns.
 
     ``basis`` has shape (ambient_dim, dim); dim may be zero, which represents
-    the trivial subspace {0}. Orthonormality is validated at construction.
+    the trivial subspace {0}. The constructor validates orthonormality;
+    bases read off an SVD skip the check (see :class:`Factor`).
     """
 
     ambient_dim: int
@@ -121,6 +122,20 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    @classmethod
+    def _trusted(cls, basis: np.ndarray) -> SubspaceBasis:
+        """A basis known to be orthonormal, such as columns of an SVD factor.
+
+        ``basis`` must be a fresh C-contiguous complex array that nothing
+        else holds; it is frozen and stored without the ``as_matrix`` copy
+        and the orthonormality check of the public constructor.
+        """
+        basis.setflags(write=False)
+        trusted = object.__new__(cls)
+        object.__setattr__(trusted, "ambient_dim", basis.shape[0])
+        object.__setattr__(trusted, "basis", basis)
+        return trusted
 
 
 def zero_subspace(ambient_dim: int) -> SubspaceBasis:
@@ -212,8 +227,10 @@ class Factor:
     """One full SVD a = u @ diag(s) @ vh and its numerical rank.
 
     Kernel, range and pseudoinverse are views of the same factorization, so
-    a caller that needs several of them pays for one SVD. An empty matrix
-    factors with identity u and vh and rank 0.
+    a caller that needs several of them pays for one SVD. The kernel and
+    range bases are read-only copies of columns of vh^H and u, orthonormal
+    by construction and so not revalidated. An empty matrix factors with
+    identity u and vh and rank 0.
     """
 
     u: np.ndarray
@@ -224,12 +241,12 @@ class Factor:
     @property
     def kernel(self) -> SubspaceBasis:
         """Orthonormal basis of the null space N(a)."""
-        return SubspaceBasis(self.vh.shape[0], self.vh[self.rank :].conj().T)
+        return SubspaceBasis._trusted(np.conjugate(self.vh[self.rank :].T, order="C"))
 
     @property
     def range(self) -> SubspaceBasis:
         """Orthonormal basis of the range R(a)."""
-        return SubspaceBasis(self.u.shape[0], self.u[:, : self.rank])
+        return SubspaceBasis._trusted(self.u[:, : self.rank].copy())
 
     @property
     def pinv(self) -> np.ndarray:

@@ -32,13 +32,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidFamilyError, OutOfRadiusError, ShapeMismatchError
-from .geninv import (
-    ComplementPair,
-    GenInverse,
-    InverseVerdict,
-    user_supplied,
-    verify_gen_inverse,
-)
+from .geninv import ComplementPair, GenInverse, user_supplied
 from .linalg import (
     DEFAULT_TOL,
     NORM_FLOOR,
@@ -51,9 +45,9 @@ from .linalg import (
     factors,
     intersections_trivial,
     kernel_basis,
-    numerical_rank,
     op_norm2,
     op_norms2,
+    ranks_and_marginals,
     relative_residual,
     relative_residuals,
     solve_right_stack,
@@ -230,9 +224,9 @@ def resolvent_identity_residual(
     f: ResolventFamily, lam: complex, mu: complex, tol: TolerancePolicy = DEFAULT_TOL
 ) -> float:
     """Residual of G(lam) - G(mu) = (lam - mu) G(lam) s G(mu), relative to ||tplus||."""
-    values = [evaluate(f, lam, tol), evaluate(f, mu, tol)]
+    values = np.stack([evaluate(f, lam, tol), evaluate(f, mu, tol)])
     residual, _ = max_identity_residual(
-        f.pencil.s, f.g.tplus, values, [complex(lam), complex(mu)], [(0, 1)]
+        f.pencil.s, f.g.tplus, values, [complex(lam), complex(mu)], np.array([[0, 1]])
     )
     return residual
 
@@ -240,11 +234,16 @@ def resolvent_identity_residual(
 def max_identity_residual(
     s: np.ndarray,
     scale: np.ndarray,
-    values: Sequence[np.ndarray],
-    points: Sequence[complex],
-    pairs: Sequence[tuple[int, int]],
+    values: np.ndarray | Sequence[np.ndarray],
+    points: np.ndarray | Sequence[complex],
+    pairs: np.ndarray | Sequence[tuple[int, int]],
 ) -> tuple[float, tuple[int, int] | None]:
     """Worst resolvent-identity residual over index pairs into a sampled family.
+
+    ``values`` is the family as one (k, n, m) stack, G_i = values[i] at
+    points[i]; ``pairs`` is a (P, 2) integer array of indices (i, j) into
+    it. A sequence of equal-shape matrices or of index pairs is stacked into
+    that form first, at the cost of a copy.
 
     The residual of pair (i, j) is ||D||_2 / ||scale||_2 for the deviation
     D = G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j, formed exactly as a single
@@ -257,95 +256,105 @@ def max_identity_residual(
     returned residual is the exact spectral maximum and the returned pair is
     the first maximizing one in ``pairs`` order; the pair is None when every
     deviation is zero.
+
+    Memory: the screen takes the pairs in chunks of about CHUNK_BYTES,
+    counting five matrices of 16 * n * max(n, m) bytes per pair: the
+    gathered G_i, G_j and G_i @ s, their product, and one for the chunk's
+    distinct G_i @ s and the Gram scratch. Beyond the chunk it holds the
+    bounds (8 bytes per pair), the sorted pair order and one G_i @ s
+    carried into the next chunk; a sequence ``values`` adds a stacked copy
+    of the family.
     """
+    g = np.asarray(values, dtype=np.complex128)
+    lams = np.asarray(points, dtype=np.complex128)
+    index = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     scale_norm = max(op_norm2(scale), NORM_FLOOR)
-    bounds = _screen_deviations(s, values, points, pairs) / scale_norm
-    best, best_position = 0.0, len(pairs)
+    bounds = _screen_deviations(s, g, lams, index) / scale_norm
+    best, best_position = 0.0, len(index)
     for position in np.argsort(-bounds, kind="stable"):
         if bounds[position] == 0.0 or bounds[position] < best:
             break
-        i, j = pairs[position]
-        deviation = _deviations(values, points, {i: values[i] @ s}, [(i, j)])
+        pair = index[position : position + 1]
+        deviation = _deviations(g, lams, g[pair[:, 0]] @ s, pair[:, 0], pair[:, 1])
         value = float(op_norms2(deviation)[0]) / scale_norm
         if value > best or (value == best and position < best_position):
             best, best_position = value, position
-    return best, pairs[best_position] if best > 0.0 else None
+    if best == 0.0:
+        return best, None
+    i, j = index[best_position].tolist()
+    return best, (i, j)
 
 
 def _deviations(
-    values: Sequence[np.ndarray],
-    points: Sequence[complex],
-    g_s: dict[int, np.ndarray],
-    pairs: Sequence[tuple[int, int]],
+    g: np.ndarray,
+    lams: np.ndarray,
+    g_s: np.ndarray,
+    firsts: np.ndarray,
+    seconds: np.ndarray,
 ) -> np.ndarray:
-    """Stacked G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j for index pairs sorted by i.
+    """Stacked G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j for index arrays of i and j.
 
-    g_s maps each first index i to G_i @ s. Every operation is the per-pair
-    one, applied to the run of pairs that shares i or to the whole stack.
+    g_s[k] is G_i @ s for i = firsts[k]. Each product is one slice of a
+    stacked matmul of the per-pair shapes, so it has the per-pair bits.
     """
-    seconds = np.stack([values[j] for _, j in pairs])
-    products = np.empty_like(seconds)
-    deviations = np.empty_like(seconds)
-    firsts = [i for i, _ in pairs]
-    starts = [k for k in range(len(firsts)) if k == 0 or firsts[k] != firsts[k - 1]]
-    for lo, hi in zip(starts, starts[1:] + [len(firsts)]):
-        i = firsts[lo]
-        # matmul with out= may round differently from the per-pair product
-        products[lo:hi] = g_s[i] @ seconds[lo:hi]
-        np.subtract(values[i], seconds[lo:hi], out=deviations[lo:hi])
-    shifts = np.array([points[i] - points[j] for i, j in pairs])
-    np.multiply(shifts[:, None, None], products, out=products)
+    rights = g[seconds]
+    # matmul with out= may round differently from the per-pair product
+    products = g_s @ rights
+    deviations = np.subtract(g[firsts], rights, out=rights)
+    np.multiply((lams[firsts] - lams[seconds])[:, None, None], products, out=products)
     deviations -= products
     return deviations
 
 
 def _screen_deviations(
-    s: np.ndarray,
-    values: Sequence[np.ndarray],
-    points: Sequence[complex],
-    pairs: Sequence[tuple[int, int]],
+    s: np.ndarray, g: np.ndarray, lams: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
     """Upper bound on ||D||_2 for every pair, zero exactly where D is zero.
 
-    Pairs are taken in order of first index, so each G_i @ s is formed
-    once, and deviations are stacked in chunks of about CHUNK_BYTES. Each
-    deviation is divided by its largest entry modulus before the Gram
-    product, which can then neither overflow nor underflow.
+    Pairs are taken in order of first index, in chunks of about CHUNK_BYTES.
+    Each G_i @ s is formed once: per chunk for its distinct first indices,
+    and the last one is carried into the next chunk, which may start with
+    the same i. Each deviation is divided by its largest entry modulus
+    before the Gram product, which can then neither overflow nor underflow.
     """
     bounds = np.zeros(len(pairs))
-    if not pairs:
+    if not len(pairs):
         return bounds
-    order = sorted(range(len(pairs)), key=lambda position: pairs[position][0])
-    g_s: dict[int, np.ndarray] = {}
-    # the stack of G_j, the products, the deviations and G_i @ s, then the Gram scratch
-    for chunk in chunks(len(order), 4 * values[0].nbytes):
+    order = np.argsort(pairs[:, 0], kind="stable")
+    _, height, width = g.shape
+    carried: tuple[int, np.ndarray] | None = None
+    # per pair: the gathered G_i, G_j and G_i @ s and the product, and one more
+    # for the chunk's own G_i @ s, the deviation's adjoint and the Gram scratch
+    for chunk in chunks(len(order), 5 * 16 * height * max(height, width)):
         part = order[chunk]
-        chunk_pairs = [pairs[p] for p in part]
-        rows = dict.fromkeys(i for i, _ in chunk_pairs)
-        g_s = {i: g_s[i] if i in g_s else values[i] @ s for i in rows}
-        stack = _deviations(values, points, g_s, chunk_pairs)
+        firsts, seconds = pairs[part, 0], pairs[part, 1]
+        rows, inverse = np.unique(firsts, return_inverse=True)
+        fresh = rows if carried is None or rows[0] != carried[0] else rows[1:]
+        g_s = g[fresh] @ s
+        if len(fresh) < len(rows):
+            g_s = np.concatenate([carried[1][None], g_s])
+        carried = (rows[-1], g_s[-1])
+        stack = _deviations(g, lams, g_s[inverse], firsts, seconds)
         peak = np.abs(stack).max(axis=(1, 2))
         stack /= np.where(peak > 0.0, peak, 1.0)[:, None, None]
-        adjoint = stack.conj().swapaxes(1, 2)
-        height, width = stack.shape[1:]
+        adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
         gram = adjoint @ stack if width <= height else stack @ adjoint
         gram_norm = np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2)))
         bounds[part] = peak * np.sqrt(gram_norm) * (1.0 + IDENTITY_BOUND_SLACK)
     return bounds
 
 
-def pair_indices(count: int, seed: int = 0) -> list[tuple[int, int]]:
-    """Ordered index pairs for pairwise identity checks.
+def pair_indices(count: int, seed: int = 0) -> np.ndarray:
+    """Ordered index pairs for pairwise identity checks, as a (P, 2) array.
 
-    All ordered pairs for up to PAIR_FULL_MAX_POINTS points; beyond that, a
-    deterministic pseudorandom subsample of PAIR_SAMPLE_LIMIT pairs keeps the
-    quadratic cost bounded.
+    All ordered pairs, row-major, for up to PAIR_FULL_MAX_POINTS points;
+    beyond that, a deterministic pseudorandom subsample of PAIR_SAMPLE_LIMIT
+    pairs (repeats possible) keeps the quadratic cost bounded.
     """
     if count <= PAIR_FULL_MAX_POINTS:
-        return [(i, j) for i in range(count) for j in range(count)]
+        return np.indices((count, count)).reshape(2, -1).T
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
-    return [(int(i), int(j)) for i, j in draws]
+    return rng.integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
 
 
 @dataclass(frozen=True)
@@ -390,13 +399,16 @@ def check_resolvent_axioms(
             usable.append(lam)
         else:
             skipped.append(lam)
-    values: list[np.ndarray] = []
+    values = np.empty((len(usable),) + f.g.tplus.shape, dtype=np.complex128)
     inner: list[float] = []
     outer: list[float] = []
+    done = 0
     # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a deviation
     for lams in f.pencil.point_chunks(usable, live=6):
-        g, inner_part, outer_part = _axiom_residuals(f, lams, tol)
-        values += list(g)
+        g = values[done : done + len(lams)]
+        g[...] = _evaluate_stack(f, lams, tol)
+        done += len(lams)
+        inner_part, outer_part = _axiom_residuals(f.pencil.at_many(lams), g)
         inner += inner_part
         outer += outer_part
     max_identity, worst = max_identity_residual(
@@ -416,16 +428,12 @@ def check_resolvent_axioms(
     )
 
 
-def _axiom_residuals(
-    f: ResolventFamily, lams: np.ndarray, tol: TolerancePolicy
-) -> tuple[np.ndarray, list[float], list[float]]:
-    """G(lam) and the inner and outer residuals for one chunk of points."""
-    a = f.pencil.at_many(lams)
-    g = _evaluate_stack(f, lams, tol)
+def _axiom_residuals(a: np.ndarray, g: np.ndarray) -> tuple[list[float], list[float]]:
+    """The inner and outer residuals of G(lam) for one chunk a of t - lam*s."""
     ga = g @ a
     inner = relative_residuals(a @ ga - a, a)
     outer = relative_residuals(ga @ g - g, g)
-    return g, inner.tolist(), outer.tolist()
+    return inner.tolist(), outer.tolist()
 
 
 @dataclass(frozen=True)
@@ -608,35 +616,47 @@ def continuity_check(
 
     Every family member is verified to be a generalized inverse of
     t - lam*s before use; a failing member raises InvalidFamilyError naming
-    the offending point.
+    the first offending point in grid order. Every member is looked up, and
+    checked to be a matrix of the inverse's shape, before any is verified.
+    The verification, norms and ranks run chunk by chunk on stacks.
     """
     lookup = inverse_family.__getitem__ if isinstance(inverse_family, dict) else inverse_family
-    n = p.shape[1]
-    members: dict[complex, np.ndarray] = {}
-    for lam in grid.points:
+    m, n = p.shape
+    members = np.empty((len(grid.points), n, m), dtype=np.complex128)
+    for k, lam in enumerate(grid.points):
         b = as_matrix(lookup(lam))
-        _, _, verdict = verify_gen_inverse(p.at(lam), b, tol)
-        if verdict is not InverseVerdict.GENERALIZED:
+        if b.shape != (n, m):
+            raise ShapeMismatchError(
+                f"inverse of a {p.shape} matrix must have shape {(n, m)}, got {b.shape}"
+            )
+        members[k] = b
+    done = 0
+    # per point: t - lam s, the member, b (t - lam s) and the two axiom deviations
+    for lams in p.point_chunks(grid.points, live=5):
+        part = slice(done, done + len(lams))
+        failed = _failed_members(p.at_many(lams), members[part], tol)
+        if failed.size:
+            lam = grid.points[done + failed[0]]
             raise InvalidFamilyError(
                 f"family member at lam={lam} is not a generalized inverse of t - lam*s", lam
             )
-        members[lam] = b
-    b0 = members[0]
-    p0 = np.eye(n, dtype=np.complex128) - b0 @ p.at(0)
+        done += len(lams)
+    b0 = members[grid.points.index(0)]
+    eye = np.eye(n, dtype=np.complex128)
+    p0 = eye - b0 @ p.at(0)
     p0_norm = op_norm2(p0)
-    rows = []
-    for lam in grid.points:
-        b = members[lam]
-        p_lam = np.eye(n, dtype=np.complex128) - b @ p.at(lam)
-        w = np.eye(n, dtype=np.complex128) + (p_lam - p0) @ p0
-        rows.append(
-            ContinuityPointReport(
-                lam=lam,
-                deviation=op_norm2(b - b0),
-                banach_product=op_norm2(p_lam - p0) * p0_norm,
-                w_invertible=numerical_rank(w, tol) == n,
-            )
-        )
+    rows: list[ContinuityPointReport] = []
+    # per point: t - lam s, b (t - lam s), p_lam - p0, w and b - b0
+    for lams in p.point_chunks(grid.points, live=5):
+        part = slice(len(rows), len(rows) + len(lams))
+        drift = (eye - members[part] @ p.at_many(lams)) - p0
+        deviations = op_norms2(members[part] - b0).tolist()
+        banach = (op_norms2(drift) * p0_norm).tolist()
+        ranks, _ = ranks_and_marginals(eye + drift @ p0, tol)
+        rows += [
+            ContinuityPointReport(lam=lam, deviation=d, banach_product=b, w_invertible=r == n)
+            for lam, d, b, r in zip(grid.points[part], deviations, banach, ranks.tolist())
+        ]
     premises_ok = all(r.banach_product < 1.0 and r.w_invertible for r in rows)
     cert = existence_check(p, user_supplied(p.t, b0, tol), grid, tol)
     return ContinuityReport(
@@ -646,3 +666,11 @@ def continuity_check(
         existence_verdict=cert.verdict,
         conclusion_consistent=(not premises_ok) or cert.verdict,
     )
+
+
+def _failed_members(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Positions k where b[k] fails the inner or outer axiom for a[k], as in verify_gen_inverse."""
+    ba = b @ a
+    inner = relative_residuals(a @ ba - a, a)
+    outer = relative_residuals(ba @ b - b, b)
+    return np.flatnonzero(~((inner <= tol.residual_tol) & (outer <= tol.residual_tol)))

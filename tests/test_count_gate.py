@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from genresolvent import (
+    Pencil,
     build_family,
     complements_of,
+    continuity_check,
     default_grid,
     direct_sum_criteria,
     fixed_complements_check,
@@ -26,6 +28,7 @@ from genresolvent import (
     mp_inverse,
     mp_resolvent_characterization,
     perturbed_inverse,
+    pinv_matrix,
     save_matrix,
     splitting_checks,
 )
@@ -94,6 +97,17 @@ def test_invertibility_corollary_factors_each_point_once(svds):
     invertibility_corollary(np.diag([1.0, 2.0, 3.0]), default_grid(0.5, 25))
     assert svds["full"] <= 2
     assert svds["full_matrices"] <= 26
+
+
+def test_continuity_check_runs_on_stacks(svds):
+    """Member checks, norms and ranks per chunk (168 calls when taken point by point)."""
+    p = Pencil(np.diag([1.0, 2.0, 0.0]), np.diag([0.5, 0.5, 0.0]))
+    grid = default_grid(0.5, 25)
+    family = {lam: pinv_matrix(p.at(lam)) for lam in grid.points}
+    reset(svds)
+    continuity_check(p, family, grid)
+    assert svds["all"] <= 14
+    assert svds["matrices"] <= 216
 
 
 def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 The screen must return exactly what checking every pair with its own
 spectral norm returns: the same maximum (compared with ==) and the same
-first maximizing pair. A count gate caps the SVD calls, and the matrices
-they factor, that the two pairwise stages spend on a small seeded pencil;
-later changes may only lower its bounds.
+first maximizing pair, whether the family comes as one (k, n, m) stack or
+as a list and the pairs as a (P, 2) array or as tuples, and for every chunk
+budget. A count gate caps the SVD calls, and the matrices they factor, that
+the two pairwise stages spend on a small seeded pencil; later changes may
+only lower its bounds.
 """
 
 from __future__ import annotations
@@ -78,15 +80,66 @@ def test_mp_stage_matches_reference(m, n, switched, points):
 
 @pytest.mark.parametrize("switched", [False, True])
 def test_chunking_does_not_change_the_result(monkeypatch, switched):
+    """Budgets of one pair per chunk up to the default; chunks of 2 to 26
+    pairs cut the runs of 25 pairs that share a first index at every offset,
+    so G_i @ s is carried into the next chunk, or not, both ways."""
     p = pencil_for(5, 4, switched, seed=1)
     family = build_family(p, mp_inverse(p.t))
+    for points in (25, 60):
+        grid = default_grid(family.radius / 2, points)
+        values = np.stack([evaluate(family, lam) for lam in grid.points])
+        pairs = pair_indices(len(grid.points))
+        expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
+        per_pair = 5 * 16 * 4 * 5
+        budgets = [1, values[0].nbytes] + [k * per_pair for k in (2, 3, 7, 24, 25, 26, 100)]
+        for budget in budgets + [linalg.CHUNK_BYTES]:
+            monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+            got = max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs)
+            assert got == expected, budget
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_stack_and_list_families_agree(switched):
+    p = pencil_for(4, 6, switched, seed=3)
+    family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius / 2, 25)
-    values = [evaluate(family, lam) for lam in grid.points]
-    pairs = pair_indices(len(grid.points))
+    stack = np.stack([evaluate(family, lam) for lam in grid.points])
+    array_pairs = pair_indices(len(grid.points))
+    assert isinstance(array_pairs, np.ndarray) and array_pairs.shape == (625, 2)
+    tuple_pairs = [(int(i), int(j)) for i, j in array_pairs]
+    expected = reference_identity_max(p.s, family.g.tplus, list(stack), grid.points, tuple_pairs)
+    assert expected[1] is not None
+    for values in (stack, list(stack)):
+        for pairs in (array_pairs, tuple_pairs):
+            for points in (grid.points, np.array(grid.points)):
+                got = max_identity_residual(p.s, family.g.tplus, values, points, pairs)
+                assert got == expected
+                assert type(got[1][0]) is int and type(got[1][1]) is int
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_subsampled_pairs_keep_the_first_maximizing_pair(switched):
+    """At 60 points the 1600 pairs are drawn with repeats, in no order of first
+    index; of two exactly tied pairs the one first in pairs order is reported."""
+    p = pencil_for(6, 5, switched, seed=4)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, 60)
+    values = np.stack([evaluate(family, lam) for lam in grid.points])
+    pairs = pair_indices(len(grid.points), seed=3)
+    assert len(np.unique(pairs, axis=0)) < len(pairs)
     expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
-    for budget in (1, 3 * values[0].nbytes, linalg.CHUNK_BYTES):
-        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
-        assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
+    assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
+    # a copy of point j as index 60 ties the pair (i, 60) with (i, j) exactly
+    i, j = expected[1]
+    assert i != j
+    values = np.concatenate([values, values[j][None]])
+    points = grid.points + (grid.points[j],)
+    first = pairs.tolist().index([i, j])
+    for at, reported in ((first, (i, 60)), (first + 1, (i, j))):
+        tied = np.insert(pairs, at, (i, 60), axis=0)
+        got = max_identity_residual(p.s, family.g.tplus, values, points, tied)
+        assert got == reference_identity_max(p.s, family.g.tplus, values, points, tied)
+        assert got == (expected[0], reported)
 
 
 def test_zero_s_has_no_worst_pair():

@@ -14,6 +14,7 @@ from genresolvent import (
     TolerancePolicy,
     as_matrix,
     direct_sum_check,
+    factor,
     full_subspace,
     intersection_trivial,
     kernel_basis,
@@ -145,6 +146,33 @@ class TestSubspaces:
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
             SubspaceBasis(2, np.array([[1.0], [1.0]]))
+
+    def test_public_constructor_still_validates_factor_columns(self):
+        a_factor = factor(random_rank_matrix(np.random.default_rng(3), 5, 4, 2))
+        assert SubspaceBasis(5, a_factor.range.basis).dim == 2
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SubspaceBasis(5, 2.0 * a_factor.range.basis)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SubspaceBasis(4, a_factor.kernel.basis + 1e-3)
+
+    @pytest.mark.parametrize("shape,rank", [((5, 4), 2), ((3, 6), 3), ((4, 4), 0), ((0, 3), 0)])
+    def test_factor_bases_are_read_only_copies(self, shape, rank):
+        m, n = shape
+        a_factor = factor(random_rank_matrix(np.random.default_rng(4), m, n, rank))
+        kernel, rng = a_factor.kernel, a_factor.range
+        assert (kernel.ambient_dim, kernel.dim) == (n, n - rank)
+        assert (rng.ambient_dim, rng.dim) == (m, rank)
+        for basis, expected in ((kernel.basis, a_factor.vh[rank:].conj().T),
+                                (rng.basis, a_factor.u[:, :rank])):
+            assert basis.dtype == np.complex128
+            assert basis.flags.c_contiguous
+            assert not basis.flags.writeable
+            assert not np.shares_memory(basis, a_factor.u)
+            assert not np.shares_memory(basis, a_factor.vh)
+            assert np.array_equal(basis, expected)
+            if basis.size:
+                with pytest.raises(ValueError):
+                    basis[0, 0] = 1.0
 
 
 # shape -> (ambient_dim, dim) of the kernel and of the range (= column span)

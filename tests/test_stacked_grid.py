@@ -16,10 +16,13 @@ import pytest
 
 from genresolvent import (
     DEFAULT_TOL,
+    DiskGrid,
+    InvalidFamilyError,
     Pencil,
     SingularSystemError,
     build_family,
     check_resolvent_axioms,
+    continuity_check,
     default_grid,
     direct_sum_criteria,
     existence_check,
@@ -27,6 +30,7 @@ from genresolvent import (
     invertibility_corollary,
     mp_inverse,
     mp_resolvent_characterization,
+    pinv_matrix,
     rank_profile,
     rectangular_region,
 )
@@ -236,6 +240,65 @@ def test_invertibility_on_an_eigenvalue_is_infinite(budget):
     report = invertibility_corollary(np.diag([1.0, 2.0, 3.0]), default_grid(1.0, 9))
     assert report.t_invertible
     assert report.max_classical_residual == np.inf
+
+
+def continuity_rows(p, members, points, tol=DEFAULT_TOL):
+    """Per point: deviation, Banach product and w-invertibility, one matrix at a time.
+
+    Raises ValueError naming the first member that fails the inner or outer axiom.
+    """
+    n = p.shape[1]
+    for lam, b in zip(points, members):
+        a = copy(p.at(lam))
+        ba = b @ a
+        inner, outer = relative(a @ ba - a, a), relative(ba @ b - b, b)
+        if not (inner <= tol.residual_tol and outer <= tol.residual_tol):
+            raise ValueError(f"family member at lam={lam} is not a generalized inverse of t - lam*s")
+    eye = np.eye(n, dtype=np.complex128)
+    b0 = members[points.index(0)]
+    p0 = eye - b0 @ p.at(0)
+    rows = []
+    for lam, b in zip(points, members):
+        p_lam = eye - b @ p.at(lam)
+        w = eye + (p_lam - p0) @ p0
+        rows.append((lam, norm2(b - b0), norm2(p_lam - p0) * norm2(p0), rank_marginal(w)[0] == n))
+    return rows
+
+
+CONTINUITY_FAMILIES = [
+    pytest.param(lambda p, lam: pinv_matrix(p.at(lam)), id="pseudoinverses"),
+    pytest.param(lambda p, lam: mp_inverse(p.t).tplus, id="constant"),
+]
+
+
+@pytest.mark.parametrize("member", CONTINUITY_FAMILIES)
+@pytest.mark.parametrize("make", PENCILS)
+def test_continuity_check(make, member, budget):
+    p = make()
+    grid = grid_for(p)
+    members = [member(p, lam) for lam in grid.points]
+    try:
+        expected = continuity_rows(p, members, grid.points)
+    except ValueError as failure:
+        with pytest.raises(InvalidFamilyError) as raised:
+            continuity_check(p, dict(zip(grid.points, members)), grid)
+        assert str(raised.value) == str(failure)
+        return
+    report = continuity_check(p, dict(zip(grid.points, members)), grid)
+    rows = [(r.lam, r.deviation, r.banach_product, r.w_invertible) for r in report.per_point]
+    assert rows == expected
+    assert report.max_deviation == max(deviation for _, deviation, _, _ in expected)
+
+
+def test_continuity_names_the_first_bad_member_in_grid_order(budget):
+    p = Pencil(np.diag([1.0, 2.0, 0.0]), np.diag([0.5, 0.5, 0.0]))
+    grid = DiskGrid(0.5, [0.1, 0.2, 0, 0.3, 0.4])
+    bad = {0.2, 0.4}
+    family = {lam: np.zeros((3, 3)) if lam in bad else pinv_matrix(p.at(lam)) for lam in grid.points}
+    with pytest.raises(InvalidFamilyError) as raised:
+        continuity_check(p, family, grid)
+    assert raised.value.lam == 0.2
+    assert str(raised.value) == "family member at lam=(0.2+0j) is not a generalized inverse of t - lam*s"
 
 
 # --- the stacked solve -----------------------------------------------------------
