@@ -630,32 +630,31 @@ def continuity_check(
                 f"inverse of a {p.shape} matrix must have shape {(n, m)}, got {b.shape}"
             )
         members[k] = b
-    done = 0
-    # per point: t - lam s, the member, b (t - lam s) and the two axiom deviations
-    for lams in p.point_chunks(grid.points, live=5):
-        part = slice(done, done + len(lams))
-        failed = _failed_members(p.at_many(lams), members[part], tol)
-        if failed.size:
-            lam = grid.points[done + failed[0]]
-            raise InvalidFamilyError(
-                f"family member at lam={lam} is not a generalized inverse of t - lam*s", lam
-            )
-        done += len(lams)
     b0 = members[grid.points.index(0)]
     eye = np.eye(n, dtype=np.complex128)
     p0 = eye - b0 @ p.at(0)
     p0_norm = op_norm2(p0)
     rows: list[ContinuityPointReport] = []
-    # per point: t - lam s, b (t - lam s), p_lam - p0, w and b - b0
-    for lams in p.point_chunks(grid.points, live=5):
+    # per point: t - lam s, b (t - lam s), the two axiom deviations, p_lam - p0 and w
+    for lams in p.point_chunks(grid.points, live=6):
         part = slice(len(rows), len(rows) + len(lams))
-        drift = (eye - members[part] @ p.at_many(lams)) - p0
-        deviations = op_norms2(members[part] - b0).tolist()
+        a, b = p.at_many(lams), members[part]
+        ba = b @ a
+        inner = relative_residuals(a @ ba - a, a)
+        outer = relative_residuals(ba @ b - b, b)
+        failed = np.flatnonzero(~((inner <= tol.residual_tol) & (outer <= tol.residual_tol)))
+        if failed.size:
+            lam = grid.points[part][failed[0]]
+            raise InvalidFamilyError(
+                f"family member at lam={lam} is not a generalized inverse of t - lam*s", lam
+            )
+        drift = (eye - ba) - p0
+        deviations = op_norms2(b - b0).tolist()
         banach = (op_norms2(drift) * p0_norm).tolist()
         ranks, _ = ranks_and_marginals(eye + drift @ p0, tol)
         rows += [
-            ContinuityPointReport(lam=lam, deviation=d, banach_product=b, w_invertible=r == n)
-            for lam, d, b, r in zip(grid.points[part], deviations, banach, ranks.tolist())
+            ContinuityPointReport(lam=lam, deviation=d, banach_product=nb, w_invertible=r == n)
+            for lam, d, nb, r in zip(grid.points[part], deviations, banach, ranks.tolist())
         ]
     premises_ok = all(r.banach_product < 1.0 and r.w_invertible for r in rows)
     cert = existence_check(p, user_supplied(p.t, b0, tol), grid, tol)
@@ -667,10 +666,3 @@ def continuity_check(
         conclusion_consistent=(not premises_ok) or cert.verdict,
     )
 
-
-def _failed_members(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Positions k where b[k] fails the inner or outer axiom for a[k], as in verify_gen_inverse."""
-    ba = b @ a
-    inner = relative_residuals(a @ ba - a, a)
-    outer = relative_residuals(ba @ b - b, b)
-    return np.flatnonzero(~((inner <= tol.residual_tol) & (outer <= tol.residual_tol)))
