@@ -267,7 +267,7 @@ def max_identity_residual(
     """
     g = np.asarray(values, dtype=np.complex128)
     lams = np.asarray(points, dtype=np.complex128)
-    index = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    index = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
     scale_norm = max(op_norm2(scale), NORM_FLOOR)
     bounds = _screen_deviations(s, g, lams, index) / scale_norm
     best, best_position = 0.0, len(index)
