@@ -56,13 +56,10 @@ from .linalg import (
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
-    direct_sum_check,
     factor,
     full_subspace,
-    intersection_trivial,
     kernel_basis,
     numerical_rank,
-    oblique_projector,
     op_norm2,
     projector,
     range_basis,

@@ -24,11 +24,11 @@ from .linalg import (
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
-    direct_sum_check,
     factor,
     relative_residual,
     relative_residuals,
     solve,
+    split_verdicts,
 )
 
 
@@ -192,26 +192,28 @@ def geninv_from_complements(
     """
     t = as_matrix(t)
     m, n = t.shape
-    t_factor = factor(t, tol)
-    ker, rng = t_factor.kernel, t_factor.range
     if c.e.ambient_dim != n or c.f.ambient_dim != m:
         raise ShapeMismatchError(
             f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
             f"operator needs ({n}, {m})"
         )
-    if not direct_sum_check(ker, c.e, tol):
+    f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
+    _, domain, codomain = split_verdicts(t[None], c.e.basis, f_perp, tol)
+    if not domain[0]:
         raise InvalidComplementError("domain split failed: N(t) + e is not the whole domain")
-    if not direct_sum_check(rng, c.f, tol):
+    if not codomain[0]:
         raise InvalidComplementError("codomain split failed: R(t) + f is not the whole codomain")
-    r = rng.dim
+    # rank(t) == dim e: the split just checked decided the rank
+    r = c.e.dim
     if r == 0:
         tplus = np.zeros((n, m), dtype=np.complex128)
     else:
+        rng = factor(t, tol).u[:, :r]
         # coordinates of the projector onto R(t) along f: top block of [R|F]^-1
-        stacked = np.hstack([rng.basis, c.f.basis])
+        stacked = np.hstack([rng, c.f.basis])
         coords = solve(stacked, np.eye(m, dtype=np.complex128), tol)[:r]
         # t restricted to e, expressed in R(t) coordinates; square by the split
-        restricted = rng.basis.conj().T @ (t @ c.e.basis)
+        restricted = rng.conj().T @ (t @ c.e.basis)
         tplus = c.e.basis @ solve(restricted, coords, tol)
     return _checked(t, tplus, InverseKind.FROM_COMPLEMENTS, tol)
 

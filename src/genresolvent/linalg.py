@@ -5,6 +5,13 @@ spectral norms and subspace comparisons. Every operator in the package is a
 dense complex matrix (``numpy.ndarray`` of ``complex128``); this module owns
 the tolerance conventions the rest of the package inherits.
 
+:func:`split_ranks` is the one kernel behind every subspace criterion of
+the package: transversality, the two direct-sum splittings, fixed
+complements and the perturbation splittings are each a comparison of the
+numerical ranks of A, A E and F_perp^H A for fixed orthonormal bases E and
+F_perp (:func:`split_verdicts`), never of concatenated kernel and range
+bases.
+
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
 promote them to read-only complex arrays with :func:`as_matrix`.
@@ -12,30 +19,26 @@ promote them to read-only complex arrays with :func:`as_matrix`.
 The per-point stages of the package work on stacks: (k, m, n) complex128
 arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`ranks_and_marginals`,
-:func:`factors`, :func:`solve_stack`, :func:`solve_right_stack`,
-:func:`relative_residuals`) trust their input and skip ``as_matrix``; each
-makes one batched LAPACK call per stack. The single-matrix functions are
-their one-element views, so there is one code path. Batched SVDs, solves and
-products return exactly, bit for bit, what per-matrix calls return (a
-``matmul`` written with ``out=`` need not); callers cut stacks into slices by
-:func:`chunks`. CHUNK_BYTES is an approximate budget, not a cap: a chunk is
-sized from the caller's count of the matrices each point keeps alive, and
-copies and scratch arrays a stage makes beyond that count are not counted.
+:func:`factors`, :func:`split_ranks`, :func:`solve_stack`,
+:func:`solve_right_stack`, :func:`relative_residuals`) trust their input
+and skip ``as_matrix``; each makes one batched LAPACK call per stack it
+factors. The single-matrix functions are their one-element views, so there
+is one code path. Batched SVDs, solves and products return exactly, bit for
+bit, what per-matrix calls return (a ``matmul`` written with ``out=`` need
+not); callers cut stacks into slices by :func:`chunks`. CHUNK_BYTES is an
+approximate budget, not a cap: a chunk is sized from the caller's count of
+the matrices each point keeps alive, and copies and scratch arrays a stage
+makes beyond that count are not counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    FactorizationError,
-    InvalidComplementError,
-    ShapeMismatchError,
-    SingularSystemError,
-)
+from .errors import FactorizationError, ShapeMismatchError, SingularSystemError
 
 EPS = float(np.finfo(np.float64).eps)
 # Floor on a scale norm in relative residuals, so a zero scale cannot divide by 0.
@@ -249,6 +252,11 @@ class Factor:
         return SubspaceBasis._trusted(self.u[:, : self.rank].copy())
 
     @property
+    def coimage(self) -> SubspaceBasis:
+        """Orthonormal basis of N(a)^perp = R(a^H)."""
+        return SubspaceBasis._trusted(np.conjugate(self.vh[: self.rank].T, order="C"))
+
+    @property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse: values at or below the cutoff are zeroed, never inverted."""
         k = self.s.size
@@ -330,82 +338,53 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
     return op_norm2(projector(m) - projector(n))
 
 
-def _require_same_ambient(pairs: Sequence[tuple[SubspaceBasis, SubspaceBasis]]) -> None:
-    for m, n in pairs:
-        if m.ambient_dim != n.ambient_dim:
-            raise ShapeMismatchError(
-                f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
-            )
+def split_ranks(
+    stack: np.ndarray, right: np.ndarray, left: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rank(A), rank(A @ right) and rank(left^H @ A) for each A of a (k, m, n) stack.
 
-
-def intersections_trivial(
-    pairs: Sequence[tuple[SubspaceBasis, SubspaceBasis]], tol: TolerancePolicy = DEFAULT_TOL
-) -> list[bool]:
-    """For each pair, True iff the subspaces meet only at the origin.
-
-    Decided by whether the concatenated bases [M | N] have full column rank.
-    Pairs with a trivial member need no rank; the others are ranked in
-    stacks of equal shape.
+    right is (n, p) and left is (m, q), each with orthonormal columns. Each
+    rank array comes from one values-only SVD, and all three count singular
+    values above the cutoff of A itself (see :func:`ranks_and_marginals`).
+    The products restrict A to fixed subspaces, so their rounding errors are
+    on the scale of ||A||, not of their own norms: a product's own cutoff
+    would count the rounding noise of A on its numerical kernel as rank.
+    Empty matrices and products have rank 0 and are not factored.
     """
-    _require_same_ambient(pairs)
-    verdicts = [True] * len(pairs)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for index, (m, n) in enumerate(pairs):
-        if m.dim and n.dim:
-            groups.setdefault((m.ambient_dim, m.dim, n.dim), []).append(index)
-    for (ambient, left, right), indices in groups.items():
-        width = left + right
-        for part in chunks(len(indices), 16 * ambient * width):
-            members = indices[part]
-            stack = np.empty((len(members), ambient, width), dtype=np.complex128)
-            for row, index in enumerate(members):
-                stack[row, :, :left] = pairs[index][0].basis
-                stack[row, :, left:] = pairs[index][1].basis
-            ranks, _ = ranks_and_marginals(stack, tol)
-            for index, rank in zip(members, ranks):
-                verdicts[index] = bool(rank == width)
-    return verdicts
+    k, m, n = stack.shape
+    ranks = np.zeros((3, k), dtype=np.int64)
+    if k and min(m, n):
+        ranks[0], cutoffs = _ranks(_svd(stack, compute_uv=False), stack.shape, tol)
+        for row, product in ((1, stack @ right), (2, np.conjugate(left.T) @ stack)):
+            if min(product.shape[1:]):
+                s = _svd(product, compute_uv=False)
+                ranks[row] = np.count_nonzero(s > cutoffs[:, None], axis=1)
+    return ranks[0], ranks[1], ranks[2]
 
 
-def intersection_trivial(
-    m: SubspaceBasis, n: SubspaceBasis, tol: TolerancePolicy = DEFAULT_TOL
-) -> bool:
-    """True iff the subspaces meet only at the origin; see :func:`intersections_trivial`."""
-    return intersections_trivial([(m, n)], tol)[0]
+def split_verdicts(
+    stack: np.ndarray, e: np.ndarray, f_perp: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transversality and the two splittings for each A of a (k, m, n) stack.
 
+    e is an orthonormal basis of a subspace E of the domain C^n, and f_perp
+    one of the orthogonal complement of a subspace F of the codomain C^m.
+    By the rank identities
 
-def direct_sum_checks(
-    pairs: Sequence[tuple[SubspaceBasis, SubspaceBasis]], tol: TolerancePolicy = DEFAULT_TOL
-) -> list[bool]:
-    """For each pair, True iff the ambient space is the (not necessarily orthogonal) sum M + N."""
-    _require_same_ambient(pairs)
-    spanning = [m.dim + n.dim == m.ambient_dim for m, n in pairs]
-    trivial = iter(intersections_trivial([pr for pr, ok in zip(pairs, spanning) if ok], tol))
-    return [ok and next(trivial) for ok in spanning]
+        rank(A e) = dim E - dim(E meet N(A)),
+        rank(f_perp^H A) = rank(A) - dim(R(A) meet F),
 
+    each verdict compares the integers of :func:`split_ranks`, as boolean
+    arrays:
 
-def direct_sum_check(
-    m: SubspaceBasis, n: SubspaceBasis, tol: TolerancePolicy = DEFAULT_TOL
-) -> bool:
-    """True iff the ambient space is the (not necessarily orthogonal) sum M + N."""
-    return direct_sum_checks([(m, n)], tol)[0]
-
-
-def oblique_projector(
-    m: SubspaceBasis, n: SubspaceBasis, tol: TolerancePolicy = DEFAULT_TOL
-) -> np.ndarray:
-    """Projector onto M along N, for a direct sum M + N = ambient space.
-
-    Built by a block solve against the concatenated basis [M | N] rather
-    than by inverting Gram matrices, which conditions better.
+        transversal  R(A) meets F only at 0:  rank(f_perp^H A) == rank(A)
+        domain       C^n = N(A) + E, direct:  rank(A) == dim E == rank(A e)
+        codomain     C^m = R(A) + F, direct:  rank(A) + dim F == m, and transversal
     """
-    if not direct_sum_check(m, n, tol):
-        raise InvalidComplementError("subspaces do not form a direct sum of the ambient space")
-    if m.dim == 0:
-        return np.zeros((m.ambient_dim, m.ambient_dim), dtype=np.complex128)
-    stacked = np.hstack([m.basis, n.basis])
-    coeffs = solve(stacked, np.eye(m.ambient_dim, dtype=np.complex128), tol)
-    return m.basis @ coeffs[: m.dim]
+    ranks, right, left = split_ranks(stack, e, f_perp, tol)
+    transversal = left == ranks
+    domain = (ranks == e.shape[1]) & (right == e.shape[1])
+    return transversal, domain, (ranks == f_perp.shape[1]) & transversal
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

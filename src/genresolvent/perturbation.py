@@ -12,7 +12,10 @@ equivalent to either of the two splittings
     codomain = R(tbar) + N(tplus),      domain = N(tbar) + R(tplus).
 
 This module computes b, classifies it, and evaluates all four conditions so
-their agreement can be observed rather than assumed.
+their agreement can be observed rather than assumed. The three subspace
+conditions come from the one rank kernel :func:`linalg.split_ranks`, as
+comparisons of rank(tbar), rank(tbar U) and rank(V^H tbar) for orthonormal
+bases U of R(tplus) and V of N(tplus)^perp.
 """
 
 from __future__ import annotations
@@ -28,15 +31,12 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
-    direct_sum_check,
     factor,
-    intersection_trivial,
-    kernel_basis,
     op_norm2,
-    range_basis,
     relative_residual,
     solve,
     solve_right,
+    split_verdicts,
 )
 
 
@@ -72,7 +72,9 @@ def transversal(tbar, g: GenInverse, tol: TolerancePolicy = DEFAULT_TOL) -> bool
     tbar = as_matrix(tbar)
     if tbar.shape != g.t.shape:
         raise ShapeMismatchError(f"perturbed operator shape {tbar.shape} != {g.t.shape}")
-    return intersection_trivial(range_basis(tbar, tol), kernel_basis(g.tplus, tol), tol)
+    zero = np.zeros((tbar.shape[1], 0), dtype=np.complex128)
+    verdicts, _, _ = split_verdicts(tbar[None], zero, factor(g.tplus, tol).coimage.basis, tol)
+    return bool(verdicts[0])
 
 
 def perturbed_inverse(
@@ -145,24 +147,26 @@ class SplittingChecks:
 def splitting_checks(
     tbar, g: GenInverse, tol: TolerancePolicy = DEFAULT_TOL
 ) -> SplittingChecks:
-    """Evaluate all four stability conditions independently.
+    """Evaluate all four stability conditions.
 
-    They are equivalent under the smallness precondition; computing each
-    from scratch lets tests observe the equivalence numerically. Raises
+    They are equivalent under the smallness precondition. The first is read
+    off the axiom residuals of b, the other three off the ranks of
+    :func:`linalg.split_ranks` (the codomain split is transversality plus a
+    dimension count), so tests observe the equivalence numerically. Raises
     PerturbationTooLargeError, as :func:`perturbed_inverse` does, when the
     smallness precondition fails.
     """
     tbar = as_matrix(tbar)
     result = perturbed_inverse(g, tbar, tol)
-    bar_factor = factor(tbar, tol)
     plus_factor = factor(g.tplus, tol)
-    rng_bar, ker_bar = bar_factor.range, bar_factor.kernel
-    ker_plus, rng_plus = plus_factor.kernel, plus_factor.range
+    transversal, domain, codomain = split_verdicts(
+        tbar[None], plus_factor.range.basis, plus_factor.coimage.basis, tol
+    )
     return SplittingChecks(
         b_is_generalized=result.classification is PerturbationClass.GENERALIZED,
-        transversal=intersection_trivial(rng_bar, ker_plus, tol),
-        codomain_splits=direct_sum_check(rng_bar, ker_plus, tol),
-        domain_splits=direct_sum_check(ker_bar, rng_plus, tol),
+        transversal=bool(transversal[0]),
+        codomain_splits=bool(codomain[0]),
+        domain_splits=bool(domain[0]),
         result=result,
     )
 

@@ -15,7 +15,11 @@ outer axioms plus the resolvent identity
 exactly when R(t - lam*s) stays transversal to N(tplus) across the region.
 This module builds and evaluates the family, verifies the three resolvent
 conditions on sampled disk grids, and decides existence through the
-transversality, direct-sum, fixed-complement and continuity criteria.
+transversality, direct-sum, fixed-complement and continuity criteria. The
+subspace criteria share one kernel, :func:`linalg.split_ranks`: at each grid
+point they compare the numerical ranks of t - lam*s and of its products with
+fixed orthonormal bases, read off one factorization of tplus or of the
+complements, so no grid point is given a full SVD.
 
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
@@ -36,21 +40,17 @@ from .geninv import ComplementPair, GenInverse, user_supplied
 from .linalg import (
     DEFAULT_TOL,
     NORM_FLOOR,
-    SubspaceBasis,
     TolerancePolicy,
     as_matrix,
     chunks,
-    direct_sum_checks,
     factor,
-    factors,
-    intersections_trivial,
-    kernel_basis,
     op_norm2,
     op_norms2,
     ranks_and_marginals,
     relative_residual,
     relative_residuals,
     solve_right_stack,
+    split_verdicts,
 )
 
 RADIUS_CAP = 1e12
@@ -345,16 +345,22 @@ def _screen_deviations(
 
 
 def pair_indices(count: int, seed: int = 0) -> np.ndarray:
-    """Ordered index pairs for pairwise identity checks, as a (P, 2) array.
+    """Distinct ordered index pairs (i, j), i != j, for pairwise identity checks.
 
-    All ordered pairs, row-major, for up to PAIR_FULL_MAX_POINTS points;
-    beyond that, a deterministic pseudorandom subsample of PAIR_SAMPLE_LIMIT
-    pairs (repeats possible) keeps the quadratic cost bounded.
+    All of them, row-major, for up to PAIR_FULL_MAX_POINTS points; beyond
+    that, the distinct off-diagonal pairs of a deterministic pseudorandom
+    draw of PAIR_SAMPLE_LIMIT pairs, in order of first draw, which keeps the
+    quadratic cost bounded. The pairs (i, i), whose deviation is exactly
+    zero, and repeated draws cannot change the maximum or the first
+    maximizing pair, so they are left out. Returns a (P, 2) array.
     """
     if count <= PAIR_FULL_MAX_POINTS:
-        return np.indices((count, count)).reshape(2, -1).T
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
+        pairs = np.indices((count, count)).reshape(2, -1).T
+    else:
+        pairs = np.random.default_rng(seed).integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    _, first = np.unique(pairs, axis=0, return_index=True)
+    return pairs[np.sort(first)]
 
 
 @dataclass(frozen=True)
@@ -489,13 +495,10 @@ def existence_check(
             "verdicts on or outside it do not certify existence",
             stacklevel=2,
         )
-    ker_plus = kernel_basis(g.tplus, tol)
-    verdicts: list[bool] = []
-    # per point: t - lam s, its u and vh, the range basis and the stacked bases
-    for lams in p.point_chunks(grid.points, live=5):
-        ranges = [a_factor.range for a_factor in factors(p.at_many(lams), tol)]
-        verdicts += intersections_trivial([(rng, ker_plus) for rng in ranges], tol)
-    per_point = tuple(zip(grid.points, verdicts))
+    # only transversality is asked for: E = {0} is not factored
+    zero = np.zeros((p.shape[1], 0), dtype=np.complex128)
+    transversal, _, _ = _grid_verdicts(p, grid, zero, factor(g.tplus, tol).coimage.basis, tol)
+    per_point = tuple(zip(grid.points, transversal))
     return ExistenceCertificate(
         verdict=all(ok for _, ok in per_point),
         per_point=per_point,
@@ -521,25 +524,25 @@ def fixed_complements_check(
             f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
             f"pencil needs ({n}, {m})"
         )
-    rows = _split_rows(p, grid, c.e, c.f, tol)
+    f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
+    _, domain, codomain = _grid_verdicts(p, grid, c.e.basis, f_perp, tol)
+    rows = list(zip(grid.points, domain, codomain))
     return FixedComplementsReport(
         per_point=tuple(rows),
         verdict=all(d and cdom for _, d, cdom in rows),
     )
 
 
-def _split_rows(
-    p: Pencil, grid: DiskGrid, e: SubspaceBasis, f: SubspaceBasis, tol: TolerancePolicy
-) -> list[tuple[complex, bool, bool]]:
-    """Per point: domain = N(t-lam s) + e, and codomain = R(t-lam s) + f."""
-    domain: list[bool] = []
-    codomain: list[bool] = []
-    # per point: t - lam s, its u and vh, the kernel and range bases, the stacked bases
-    for lams in p.point_chunks(grid.points, live=6):
-        bases = [(a_factor.kernel, a_factor.range) for a_factor in factors(p.at_many(lams), tol)]
-        domain += direct_sum_checks([(kernel, e) for kernel, _ in bases], tol)
-        codomain += direct_sum_checks([(rng, f) for _, rng in bases], tol)
-    return list(zip(grid.points, domain, codomain))
+def _grid_verdicts(
+    p: Pencil, grid: DiskGrid, e: np.ndarray, f_perp: np.ndarray, tol: TolerancePolicy
+) -> tuple[list[bool], list[bool], list[bool]]:
+    """:func:`linalg.split_verdicts` of t - lam*s at every grid point, in grid order."""
+    columns: tuple[list[bool], list[bool], list[bool]] = ([], [], [])
+    # per point: t - lam s, its product with e and its product with f_perp^H
+    for lams in p.point_chunks(grid.points, live=3):
+        for column, verdicts in zip(columns, split_verdicts(p.at_many(lams), e, f_perp, tol)):
+            column += verdicts.tolist()
+    return columns
 
 
 @dataclass(frozen=True)
@@ -565,8 +568,10 @@ def direct_sum_criteria(
     """Check both splittings induced by g at every sampled point."""
     _require_matching_inverse(p, g)
     tplus_factor = factor(g.tplus, tol)
-    rng_plus, ker_plus = tplus_factor.range, tplus_factor.kernel
-    rows = _split_rows(p, grid, rng_plus, ker_plus, tol)
+    _, domain, codomain = _grid_verdicts(
+        p, grid, tplus_factor.range.basis, tplus_factor.coimage.basis, tol
+    )
+    rows = list(zip(grid.points, domain, codomain))
     domain_verdict = all(d for _, d, _ in rows)
     codomain_verdict = all(c for _, _, c in rows)
     return DirectSumReport(

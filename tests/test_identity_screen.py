@@ -105,7 +105,7 @@ def test_stack_and_list_families_agree(switched):
     grid = default_grid(family.radius / 2, 25)
     stack = np.stack([evaluate(family, lam) for lam in grid.points])
     array_pairs = pair_indices(len(grid.points))
-    assert isinstance(array_pairs, np.ndarray) and array_pairs.shape == (625, 2)
+    assert isinstance(array_pairs, np.ndarray) and array_pairs.shape == (600, 2)
     tuple_pairs = [(int(i), int(j)) for i, j in array_pairs]
     expected = reference_identity_max(p.s, family.g.tplus, list(stack), grid.points, tuple_pairs)
     assert expected[1] is not None
@@ -119,14 +119,14 @@ def test_stack_and_list_families_agree(switched):
 
 @pytest.mark.parametrize("switched", [False, True])
 def test_subsampled_pairs_keep_the_first_maximizing_pair(switched):
-    """At 60 points the 1600 pairs are drawn with repeats, in no order of first
+    """At 60 points the pairs are a pseudorandom sample in no order of first
     index; of two exactly tied pairs the one first in pairs order is reported."""
     p = pencil_for(6, 5, switched, seed=4)
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius / 2, 60)
     values = np.stack([evaluate(family, lam) for lam in grid.points])
     pairs = pair_indices(len(grid.points), seed=3)
-    assert len(np.unique(pairs, axis=0)) < len(pairs)
+    assert np.any(np.diff(pairs[:, 0]) < 0)
     expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
     assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
     # a copy of point j as index 60 ties the pair (i, 60) with (i, j) exactly
@@ -140,6 +140,28 @@ def test_subsampled_pairs_keep_the_first_maximizing_pair(switched):
         got = max_identity_residual(p.s, family.g.tplus, values, points, tied)
         assert got == reference_identity_max(p.s, family.g.tplus, values, points, tied)
         assert got == (expected[0], reported)
+
+
+@pytest.mark.parametrize("points,seed", [(1, 0), (25, 0), (60, 0), (60, 3)])
+def test_pair_indices_drop_only_pairs_that_cannot_be_the_worst(points, seed):
+    """The pairs (i, i) and repeated draws are left out of every ordered pair
+    (up to 40 points) or of the 1600 pseudorandom draws (beyond), the rest kept
+    in order; over the full list the maximum and first maximizing pair are
+    the same."""
+    if points <= 40:
+        drawn = [(i, j) for i in range(points) for j in range(points)]
+    else:
+        drawn = np.random.default_rng(seed).integers(0, points, size=(1600, 2)).tolist()
+    kept = list(dict.fromkeys((i, j) for i, j in drawn if i != j))
+    pairs = pair_indices(points, seed)
+    assert pairs.shape == (len(kept), 2)
+    assert [tuple(pair) for pair in pairs.tolist()] == kept
+    p = pencil_for(4, 5, True, seed=5)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, points)
+    values = [evaluate(family, lam) for lam in grid.points]
+    expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, drawn)
+    assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
 
 
 def test_zero_s_has_no_worst_pair():

@@ -13,13 +13,10 @@ from genresolvent import (
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
-    direct_sum_check,
     factor,
     full_subspace,
-    intersection_trivial,
     kernel_basis,
     numerical_rank,
-    oblique_projector,
     op_norm2,
     pinv_matrix,
     range_basis,
@@ -29,6 +26,7 @@ from genresolvent import (
     svd,
     zero_subspace,
 )
+from genresolvent.linalg import split_ranks, split_verdicts
 from helpers import complex_gaussian, random_rank_matrix
 
 seeds = st.integers(0, 2**32 - 1)
@@ -243,7 +241,31 @@ class TestGap:
         assert subspace_gap(a, c) <= subspace_gap(a, b) + subspace_gap(b, c) + 1e-12
 
 
+def orthogonal_complement(b: SubspaceBasis) -> np.ndarray:
+    return factor(b.basis.conj().T).kernel.basis
+
+
+def intersection_trivial(m: SubspaceBasis, n: SubspaceBasis) -> bool:
+    """M meets N only at 0: R(A) transversal to N for A = M's basis, by the rank kernel."""
+    ranks, _, left = split_ranks(m.basis[None], np.zeros((m.dim, 0)), orthogonal_complement(n))
+    return bool(left[0] == ranks[0])
+
+
+def direct_sum_check(m: SubspaceBasis, n: SubspaceBasis) -> bool:
+    """M + N is the whole space, direct, read both ways the rank kernel can:
+    as the codomain split with R(A) = M and F = N, and as the domain split
+    with N(A) = M and E = N. The two must agree."""
+    zero = np.zeros((m.dim, 0))
+    _, _, codomain = split_verdicts(m.basis[None], zero, orthogonal_complement(n))
+    kernel_is_m = orthogonal_complement(m).conj().T
+    _, domain, _ = split_verdicts(kernel_is_m[None], n.basis, np.zeros((kernel_is_m.shape[0], 0)))
+    assert domain[0] == codomain[0]
+    return bool(codomain[0])
+
+
 class TestIntersectionAndSums:
+    """Hand-made subspace pairs decided by ``split_ranks``, the one rank kernel."""
+
     def test_orthogonal_lines_trivial(self):
         assert intersection_trivial(E1, E2)
 
@@ -255,6 +277,7 @@ class TestIntersectionAndSums:
 
     def test_zero_subspace_always_trivial(self):
         assert intersection_trivial(E1, zero_subspace(2))
+        assert intersection_trivial(zero_subspace(2), E1)
         assert intersection_trivial(zero_subspace(2), zero_subspace(2))
 
     @settings(max_examples=25, deadline=None)
@@ -277,9 +300,14 @@ class TestIntersectionAndSums:
         e2_3 = span([0, 1, 0])
         assert not direct_sum_check(e1_3, e2_3)
 
+    def test_direct_sum_needs_a_trivial_intersection(self):
+        assert not direct_sum_check(E1, E1)
+        assert direct_sum_check(zero_subspace(2), full_subspace(2))
+        assert direct_sum_check(full_subspace(2), zero_subspace(2))
+
     @settings(max_examples=25, deadline=None)
     @given(seeds)
-    def test_oblique_projectors_resolve_vectors(self, seed):
+    def test_tilted_complement_is_a_complement(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n))
@@ -289,10 +317,18 @@ class TestIntersectionAndSums:
             + a.basis @ (0.3 * complex_gaussian(rng, (k, n - k)))
         )
         assert direct_sum_check(a, b)
-        p_a = oblique_projector(a, b)
-        p_b = oblique_projector(b, a)
-        x = complex_gaussian(rng, (n, 1))
-        assert op_norm2(x - (p_a @ x + p_b @ x)) <= 1e-10 * op_norm2(x)
+        assert direct_sum_check(b, a)
+        assert not direct_sum_check(a, subspace_from_columns(b.basis[:, 1:]))
+
+    def test_split_ranks_of_a_stack(self):
+        # A = diag(1, 0, 2) and the zero matrix; right = e1 + e2, left = (e2, e3)
+        stack = np.array([np.diag([1.0, 0.0, 2.0]), np.zeros((3, 3))], dtype=complex)
+        right = np.array([[1.0], [1.0], [0.0]], dtype=complex)
+        left = np.eye(3, dtype=complex)[:, 1:]
+        ranks, right_ranks, left_ranks = split_ranks(stack, right, left)
+        assert ranks.tolist() == [2, 0]
+        assert right_ranks.tolist() == [1, 0]
+        assert left_ranks.tolist() == [1, 0]
 
 
 class TestSolve:

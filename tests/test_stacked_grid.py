@@ -7,36 +7,58 @@ return, bit for bit, so each stage must equal the loop it replaced, kept
 here as the reference and written with plain numpy: one matrix, one SVD,
 one solve at a time. Results are compared with ==, for chunk budgets from
 one byte (one point per chunk) to the default.
+
+The subspace verdicts come from the rank kernel ``linalg.split_ranks``; the
+reference decides them the way the per-point code did, by the rank of
+concatenated kernel and range bases. The two routes agree away from the
+rank cutoff, which the hypothesis test checks, and the pinned cases show
+where they part.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genresolvent import (
     DEFAULT_TOL,
+    ComplementPair,
     DiskGrid,
+    InvalidComplementError,
     InvalidFamilyError,
     Pencil,
     SingularSystemError,
+    TolerancePolicy,
     build_family,
     check_resolvent_axioms,
     continuity_check,
     default_grid,
     direct_sum_criteria,
     existence_check,
+    factor,
+    fixed_complements_check,
     generalized_spectrum_scan,
+    geninv_from_complements,
     invertibility_corollary,
+    kernel_basis,
     mp_inverse,
     mp_resolvent_characterization,
     pinv_matrix,
+    range_basis,
     rank_profile,
     rectangular_region,
+    subspace_from_columns,
 )
 from genresolvent import linalg
-from genresolvent.linalg import NORM_FLOOR, solve_right_stack, solve_stack
-from helpers import framed_pencil
+from genresolvent.linalg import NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
+from helpers import (
+    complex_gaussian,
+    framed_pencil,
+    random_complement_inverse,
+    random_rank_matrix,
+    unitary,
+)
 
 BUDGETS = [1, 3 * 16 * 5 * 5, linalg.CHUNK_BYTES]
 
@@ -212,6 +234,145 @@ def test_transversality_and_splittings(make, budget):
     assert [ok for _, ok in certificate.per_point] == transversal
     report = direct_sum_criteria(p, g, grid)
     assert [(d, c) for _, d, c in report.per_point] == list(zip(domain, codomain))
+
+
+def kernel_route(a, e, f, tol=DEFAULT_TOL):
+    """transversal, domain and codomain verdicts of one matrix by the rank kernel."""
+    f_perp = factor(f.conj().T, tol).kernel.basis
+    verdicts = split_verdicts(copy(a)[None], e, f_perp, tol)
+    return tuple(bool(v[0]) for v in verdicts), f_perp
+
+
+def stacked_route(a, e, f, tol=DEFAULT_TOL):
+    """The same verdicts by concatenated kernel and range bases."""
+    a_factor = full_factor(a, tol)
+    kernel, rng = a_factor["kernel"], a_factor["range"]
+    verdicts = (meets_trivially(rng, f, tol), splits(kernel, e, tol), splits(rng, f, tol))
+    return verdicts, (kernel, rng)
+
+
+def basis(columns):
+    return subspace_from_columns(columns).basis
+
+
+def subspace_case(rng, kind):
+    """A matrix a, a subspace E of its domain and F of its codomain, as bases.
+
+    framed  a = t - lam s of a framed pencil inside half its disk, E and F
+            the range and kernel of an MP or tilted generalized inverse
+    tilted  a of rank r with singular values in [0.3, 2]; E and F tilted
+            from the orthogonal complements of N(a) and R(a) toward them by
+            factors from 1e-2 to 1e17, which puts the deciding singular
+            values of both routes on either side of the cutoff
+    random  the same a with random subspaces of random dimension
+    """
+    m, n = (int(x) for x in rng.integers(1, 7, 2))
+    k = min(m, n)
+    if kind == "framed":
+        switched = k > 0 and bool(rng.uniform() < 0.5)
+        p = framed_pencil(rng, m, n, int(rng.integers(0, k if switched else k + 1)), switched)
+        g = mp_inverse(p.t) if rng.uniform() < 0.5 else random_complement_inverse(rng, p.t)
+        lam = build_family(p, g).radius / 2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+        plus = full_factor(g.tplus)
+        return p.at(lam), plus["range"], plus["kernel"]
+    a = random_rank_matrix(rng, m, n, int(rng.integers(0, k + 1)))
+    if kind == "random":
+        e = basis(complex_gaussian(rng, (n, int(rng.integers(0, n + 1)))))
+        f = basis(complex_gaussian(rng, (m, int(rng.integers(0, m + 1)))))
+        return a, e, f
+    kernel, rng_a = kernel_basis(a).basis, range_basis(a).basis
+    row, left_null = range_basis(a.conj().T).basis, kernel_basis(a.conj().T).basis
+    tilts = 10.0 ** rng.uniform(-2.0, 17.0, 2)
+    e = basis(row + kernel @ (tilts[0] * complex_gaussian(rng, (kernel.shape[1], row.shape[1]))))
+    f = basis(left_null + rng_a @ (tilts[1] * complex_gaussian(rng, (rng_a.shape[1], left_null.shape[1]))))
+    return a, e, f
+
+
+def near_cutoff(matrix, cutoff, band=100.0):
+    """Whether a singular value of the matrix lies within a factor band of the cutoff."""
+    if min(matrix.shape) == 0 or cutoff == 0.0:
+        return False
+    s = np.linalg.svd(copy(matrix), compute_uv=False)
+    return bool(np.any((s >= cutoff / band) & (s <= cutoff * band)))
+
+
+def own_cutoff(matrix, tol=DEFAULT_TOL):
+    if min(matrix.shape) == 0:
+        return 0.0
+    return tol.rank_rtol * norm2(matrix) * max(matrix.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["framed", "tilted", "random"]),
+    st.sampled_from([DEFAULT_TOL, TolerancePolicy(rank_rtol=1e-10)]),
+)
+def test_rank_kernel_agrees_with_stacked_bases_off_the_cutoff(seed, kind, tol):
+    """Both routes give the same verdicts unless a deciding singular value of
+    either lies within 100x of its cutoff. The kernel ranks A, A E and
+    F_perp^H A against the cutoff of A; the reference ranks the stacked
+    bases [R(A) | F] and [N(A) | E] against their own. At the default
+    rank_rtol the rounding noise of a numerically zero singular value
+    already lies within 100x of the cutoff; at 1e-10 it lies far below, so
+    rank-deficient matrices are compared too."""
+    a, e, f = subspace_case(np.random.default_rng(seed), kind)
+    kernel_verdicts, f_perp = kernel_route(a, e, f, tol)
+    stacked_verdicts, (kernel, rng) = stacked_route(a, e, f, tol)
+    cutoff = own_cutoff(a, tol)
+    decisions = [(a, cutoff), (a @ e, cutoff), (f_perp.conj().T @ a, cutoff)]
+    decisions += [(np.hstack(pair), own_cutoff(np.hstack(pair), tol))
+                  for pair in ((rng, f), (kernel, e)) if pair[0].shape[1] and pair[1].shape[1]]
+    if any(near_cutoff(matrix, c) for matrix, c in decisions):
+        return
+    assert kernel_verdicts == stacked_verdicts
+
+
+@pytest.mark.parametrize("angle,in_band", [(1e-9, True), (1e-12, False)])
+def test_graded_range_at_a_small_angle_is_where_the_routes_differ(angle, in_band):
+    """R(A) = span(e1, e2) with sigma = (1, 1e-8), F = span((0, cos x, sin x)).
+
+    The stacked bases see unit vectors at the angle x and call R(A) and F
+    transversal; the kernel sees sigma(F_perp^H A) = (1, 1e-8 sin x), which
+    is rounding noise next to ||A||, and does not: A is within 1e-8 x of a
+    matrix whose range meets F. At x = 1e-9 the deciding value 1e-17 is
+    within 100x of the cutoff; at 1e-12 it is below it by more, so the
+    100x band of the hypothesis test holds only where the kept singular
+    values of A are of one scale, as they are there.
+    """
+    a = np.array([[1, 0], [0, 1e-8], [0, 0]], dtype=complex)
+    f = np.array([[0], [np.cos(angle)], [np.sin(angle)]], dtype=complex)
+    e = np.zeros((2, 0), dtype=complex)
+    (transversal, _, _), f_perp = kernel_route(a, e, f)
+    (reference, _, _), (_, rng) = stacked_route(a, e, f)
+    assert reference and not transversal
+    stacked = np.hstack([rng, f])
+    assert not near_cutoff(stacked, own_cutoff(stacked))
+    ranks, _, left = split_ranks(a[None], e, f_perp)
+    assert (ranks[0], left[0]) == (2, 1)
+    s = np.linalg.svd(f_perp.conj().T @ a, compute_uv=False)
+    assert s[1] == pytest.approx(1e-8 * np.sin(angle), rel=1e-3)
+    assert near_cutoff(f_perp.conj().T @ a, own_cutoff(a)) == in_band
+
+
+def test_a_kernel_is_not_its_own_complement(budget):
+    """e = N(t) and f = R(t) split nothing; in a unitary frame A e is rounding
+    noise, which a cutoff taken from A e itself, not from A, counts as rank."""
+    rng = np.random.default_rng(8)
+    u, v = unitary(rng, 4), unitary(rng, 4)
+    p = Pencil(u @ np.diag([1.0, 0.5, 0, 0]) @ v.conj().T, u @ np.diag([0.5, 0.3, 0, 0]) @ v.conj().T)
+    c = ComplementPair(kernel_basis(p.t), range_basis(p.t))
+    noise = np.linalg.svd(p.t @ c.e.basis, compute_uv=False)
+    assert 0 < noise[-1] and noise[0] < 1e-14
+    grid = grid_for(p)
+    report = fixed_complements_check(p, c, grid)
+    expected = []
+    for lam in grid.points:
+        a_factor = full_factor(p.at(lam))
+        expected.append((splits(a_factor["kernel"], c.e.basis), splits(a_factor["range"], c.f.basis)))
+    assert [(d, cd) for _, d, cd in report.per_point] == expected == [(False, False)] * len(grid.points)
+    with pytest.raises(InvalidComplementError, match="domain split failed"):
+        geninv_from_complements(p.t, c)
 
 
 @pytest.mark.parametrize("make", PENCILS)
