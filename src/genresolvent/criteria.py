@@ -20,17 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, SingularSystemError
-from .geninv import mp_axiom_residuals
+from .geninv import mp_axiom_deviations
 from .linalg import (
     DEFAULT_TOL,
+    NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
+    exact_maximum,
     factor,
     factors,
+    norm_lower_bounds,
+    norm_upper_bounds,
     numerical_rank,
     op_norms2,
     projector,
     ranks_and_marginals,
+    relative_residuals,
     solve_stack,
 )
 from .resolvent import DiskGrid, Pencil, max_identity_residual, pair_indices
@@ -128,7 +133,11 @@ class MPResolventReport:
     through the explicit resolvent formula, so the two verdicts are computed
     along genuinely different routes and must agree. max_identity_residual
     is the exact spectral maximum over the sampled pairs, relative to
-    ||(t - 0*s)^+||, found by :func:`max_identity_residual`'s screened pass.
+    ||(t - 0*s)^+||, and max_axiom_residual the exact maximum of the four
+    Moore-Penrose axiom residuals over the grid points. Both come from the
+    shared screen of :mod:`linalg`, which bounds every residual without a
+    factorization and takes exact spectral norms only of the few whose
+    bound can reach the maximum.
     """
 
     points: tuple[complex, ...]
@@ -147,8 +156,8 @@ def mp_resolvent_characterization(
 
     Each grid point is factored once; its pseudoinverse, kernel and range
     are views of that one SVD. Chunk by chunk of the grid, the points are
-    factored by one batched SVD, and the subspace gaps and Moore-Penrose
-    axiom residuals are stacked norms.
+    factored by one batched SVD, the subspace gaps are stacked norms and
+    the Moore-Penrose axiom residuals are bounded for the screen.
     """
     return _mp_characterization(p, grid, tol, seed)[0]
 
@@ -157,26 +166,46 @@ def _mp_characterization(
     p: Pencil, grid: DiskGrid, tol: TolerancePolicy, seed: int
 ) -> tuple[MPResolventReport, np.ndarray]:
     """The report of :func:`mp_resolvent_characterization` and the stack of
-    pseudoinverses, one per grid point."""
+    pseudoinverses, one per grid point.
+
+    The axiom maximum runs on the shared screen of :mod:`linalg`: per chunk,
+    each (point, axiom) residual ||D||_2 / ||X||_2 is bounded by
+    :func:`linalg.norm_upper_bounds` of D over :func:`linalg.norm_lower_bounds`
+    of X, zero where D is zero, and :func:`linalg.exact_maximum` then takes
+    exact residuals only where the bound can reach the maximum, rebuilding
+    D and X from the point's pseudoinverse through the same code.
+    """
     t_factor = factor(p.t, tol)
     t_kernel, t_range = projector(t_factor.kernel), projector(t_factor.range)
     m, n = p.shape
-    pinvs = np.empty((len(grid.points), n, m), dtype=np.complex128)
+    lams = np.array(grid.points, dtype=np.complex128)
+    pinvs = np.empty((len(lams), n, m), dtype=np.complex128)
+    axiom_bounds = np.empty((len(lams), 4))
     kernel_gaps: list[float] = []
     range_gaps: list[float] = []
-    max_axiom = 0.0
     done = 0
     # per point: t - lam s, its u and vh, the pseudoinverse, the projectors
-    # and their difference, and the products and deviations of the axioms
-    for lams in p.point_chunks(grid.points, live=10):
-        pinvs[done : done + len(lams)], kernel_part, range_part, axiom_part = _mp_point_checks(
-            p.at_many(lams), t_kernel, t_range, tol
-        )
-        done += len(lams)
-        kernel_gaps += kernel_part
-        range_gaps += range_part
-        for residuals in axiom_part:
-            max_axiom = max(max_axiom, *residuals)
+    # and their difference, the axiom products and deviations, and a scaled
+    # deviation with its adjoint
+    for chunk in p.point_chunks(grid.points, live=12):
+        part = slice(done, done + len(chunk))
+        a = p.at_many(chunk)
+        a_factors = factors(a, tol)
+        pinvs[part] = a_factors.pinvs
+        kernel_gaps += op_norms2(a_factors.kernel_projectors - t_kernel).tolist()
+        range_gaps += op_norms2(a_factors.range_projectors - t_range).tolist()
+        for axiom, (deviation, scale) in enumerate(mp_axiom_deviations(a, pinvs[part])):
+            lower = np.maximum(norm_lower_bounds(scale), NORM_FLOOR)
+            axiom_bounds[part, axiom] = norm_upper_bounds(deviation) / lower
+        done += len(chunk)
+
+    def exact(position: int) -> float:
+        point, axiom = divmod(position, 4)
+        here = slice(point, point + 1)
+        deviation, scale = mp_axiom_deviations(p.at_many(lams[here]), pinvs[here])[axiom]
+        return float(relative_residuals(deviation, scale)[0])
+
+    max_axiom, _ = exact_maximum(axiom_bounds.ravel(), exact)
     scale = pinvs[grid.points.index(0)]
     max_identity, _ = max_identity_residual(
         p.s, scale, pinvs, grid.points, pair_indices(len(grid.points), seed)
@@ -193,20 +222,6 @@ def _mp_characterization(
         identity_verdict=identity,
     )
     return report, pinvs
-
-
-def _mp_point_checks(
-    a: np.ndarray, t_kernel: np.ndarray, t_range: np.ndarray, tol: TolerancePolicy
-) -> tuple[np.ndarray, list[float], list[float], list[list[float]]]:
-    """For one chunk a of t - lam*s: the pseudoinverses, the kernel and range
-    gaps against the projectors of t, and the four MP-axiom residuals per point."""
-    a_factors = factors(a, tol)
-    b = np.stack([a_factor.pinv for a_factor in a_factors])
-    kernels = np.stack([projector(a_factor.kernel) for a_factor in a_factors]) - t_kernel
-    kernel_gaps = op_norms2(kernels).tolist()
-    ranges = np.stack([projector(a_factor.range) for a_factor in a_factors]) - t_range
-    range_gaps = op_norms2(ranges).tolist()
-    return b, kernel_gaps, range_gaps, mp_axiom_residuals(a, b).tolist()
 
 
 @dataclass(frozen=True)

@@ -103,23 +103,22 @@ class MPAxiomReport:
     ok: bool
 
 
-def mp_axiom_residuals(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Moore-Penrose axiom residuals for stacks t of shape (k, m, n) and b of (k, n, m).
+def mp_axiom_deviations(t: np.ndarray, b: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The four Moore-Penrose axioms of stacks t of shape (k, m, n) and b of (k, n, m).
 
-    Row k holds, relative as in :func:`verify_mp_axioms`, the inner, outer,
-    p-Hermitian and q-Hermitian residuals of the pair (t[k], b[k]). Stacks
+    Returns (deviation, scale) stack pairs, in the order inner, outer,
+    p-Hermitian and q-Hermitian, with p = t b and q = b t: (p t - t, t),
+    (q b - b, b), (p - p^H, p) and (q - q^H, q). An axiom's residual is
+    ||deviation||_2 / ||scale||_2, as in :func:`verify_mp_axioms`. Stacks
     are trusted: built inside the package, not validated.
     """
     p = t @ b
     q = b @ t
-    return np.stack(
-        [
-            relative_residuals(p @ t - t, t),
-            relative_residuals(q @ b - b, b),
-            relative_residuals(p - p.conj().swapaxes(1, 2), p),
-            relative_residuals(q - q.conj().swapaxes(1, 2), q),
-        ],
-        axis=1,
+    return (
+        (p @ t - t, t),
+        (q @ b - b, b),
+        (p - p.conj().swapaxes(1, 2), p),
+        (q - q.conj().swapaxes(1, 2), q),
     )
 
 
@@ -131,7 +130,10 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
         raise ShapeMismatchError(
             f"inverse of a {t.shape} matrix must have shape {(t.shape[1], t.shape[0])}, got {b.shape}"
         )
-    inner, outer, p_herm, q_herm = mp_axiom_residuals(t[None], b[None])[0].tolist()
+    inner, outer, p_herm, q_herm = (
+        float(relative_residuals(deviation, scale)[0])
+        for deviation, scale in mp_axiom_deviations(t[None], b[None])
+    )
     ok = max(inner, outer, p_herm, q_herm) <= tol.residual_tol
     return MPAxiomReport(inner, outer, p_herm, q_herm, ok)
 

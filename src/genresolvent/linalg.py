@@ -18,9 +18,10 @@ promote them to read-only complex arrays with :func:`as_matrix`.
 
 The per-point stages of the package work on stacks: (k, m, n) complex128
 arrays built inside the package, such as ``t - lams[:, None, None] * s``.
-The stack functions (:func:`op_norms2`, :func:`ranks_and_marginals`,
-:func:`factors`, :func:`split_ranks`, :func:`solve_stack`,
-:func:`solve_right_stack`, :func:`relative_residuals`) trust their input
+The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
+:func:`norm_lower_bounds`, :func:`ranks_and_marginals`, :func:`factors`,
+:func:`split_ranks`, :func:`solve_stack`, :func:`solve_right_stack`,
+:func:`relative_residuals`) trust their input
 and skip ``as_matrix``; each makes one batched LAPACK call per stack it
 factors. The single-matrix functions are their one-element views, so there
 is one code path. Batched SVDs, solves and products return exactly, bit for
@@ -29,12 +30,20 @@ not); callers cut stacks into slices by :func:`chunks`. CHUNK_BYTES is an
 approximate budget, not a cap: a chunk is sized from the caller's count of
 the matrices each point keeps alive, and copies and scratch arrays a stage
 makes beyond that count are not counted.
+
+The maxima the reports print, of resolvent-identity and Moore-Penrose
+axiom residuals, share one screen: :func:`norm_upper_bounds` and
+:func:`norm_lower_bounds` bound a stack's spectral norms without a
+factorization, and :func:`exact_maximum` takes exact norms largest bound
+first, only until no bound left can reach the best exact value. The
+maximum and its first maximizing position are those of an exact norm of
+every member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,6 +52,18 @@ from .errors import FactorizationError, ShapeMismatchError, SingularSystemError
 EPS = float(np.finfo(np.float64).eps)
 # Floor on a scale norm in relative residuals, so a zero scale cannot divide by 0.
 NORM_FLOOR = float(np.finfo(np.float64).tiny)
+# Relative widening of the norm bounds of norm_upper_bounds and
+# norm_lower_bounds past their exact-arithmetic values. Upward it covers the
+# rounding of the Gram product and of its Frobenius norm, at most a few
+# times max(m, n) * EPS relative to ||X^H X||_F, so about that times 1/2 on
+# its square root. Downward it covers the rounding of Y w against
+# ||Y||_2: at most gamma_n ||Y||_F ||w|| <= n^(3/2) * EPS * ||Y||_2 * ||w||
+# for Y scaled to unit peak, plus the rounding of the scaling and of the two
+# vector norms. Both ways it also covers the computed largest singular value
+# of the exact stage, within a modest multiple of n * EPS of ||X||_2. At
+# every size this package handles (n up to a few hundred, so n^(3/2) * EPS
+# below 1e-11) these add up to far less than NORM_BOUND_SLACK.
+NORM_BOUND_SLACK = 1e-6
 # Approximate bytes held at once by one stack of per-point matrices and the
 # arrays built from it, so peak memory stays flat in n and grid size.
 CHUNK_BYTES = 2 << 20
@@ -233,7 +254,7 @@ class Factor:
     a caller that needs several of them pays for one SVD. The kernel and
     range bases are read-only copies of columns of vh^H and u, orthonormal
     by construction and so not revalidated. An empty matrix factors with
-    identity u and vh and rank 0.
+    identity u and vh and rank 0. The one-matrix view of :class:`Factors`.
     """
 
     u: np.ndarray
@@ -244,12 +265,12 @@ class Factor:
     @property
     def kernel(self) -> SubspaceBasis:
         """Orthonormal basis of the null space N(a)."""
-        return SubspaceBasis._trusted(np.conjugate(self.vh[self.rank :].T, order="C"))
+        return SubspaceBasis._trusted(_kernel_bases(self.vh[None], self.rank)[0])
 
     @property
     def range(self) -> SubspaceBasis:
         """Orthonormal basis of the range R(a)."""
-        return SubspaceBasis._trusted(self.u[:, : self.rank].copy())
+        return SubspaceBasis._trusted(_range_bases(self.u[None], self.rank)[0])
 
     @property
     def coimage(self) -> SubspaceBasis:
@@ -259,25 +280,87 @@ class Factor:
     @property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse: values at or below the cutoff are zeroed, never inverted."""
-        k = self.s.size
-        inv_s = np.zeros(k, dtype=np.float64)
-        inv_s[: self.rank] = 1.0 / self.s[: self.rank]
-        return (self.vh.conj().T[:, :k] * inv_s) @ self.u.conj().T[:k, :]
+        return _pinvs(self.u[None], self.s[None], self.vh[None], np.array([self.rank]))[0]
 
 
-def factors(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[Factor]:
-    """Factors of every matrix of a (k, m, n) stack, read off one batched full SVD.
+@dataclass(frozen=True)
+class Factors:
+    """Full SVDs a[i] = u[i] @ diag(s[i]) @ vh[i] of a (k, m, n) stack and their ranks.
 
-    Their arrays are views into the batched result.
+    The stacked views of :class:`Factor`: every member's pseudoinverse and
+    kernel and range projectors, each formed with the operand shapes and
+    memory layouts of the one-matrix view, so each slice has its bits.
+    ``factors[i]`` is member i as a :class:`Factor`.
     """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    ranks: np.ndarray
+
+    def __getitem__(self, i: int) -> Factor:
+        return Factor(self.u[i], self.s[i], self.vh[i], int(self.ranks[i]))
+
+    @property
+    def pinvs(self) -> np.ndarray:
+        """The (k, n, m) stack of Moore-Penrose inverses."""
+        return _pinvs(self.u, self.s, self.vh, self.ranks)
+
+    @property
+    def kernel_projectors(self) -> np.ndarray:
+        """The (k, n, n) stack of orthogonal projectors onto N(a[i])."""
+        return self._projectors(self.vh, _kernel_bases)
+
+    @property
+    def range_projectors(self) -> np.ndarray:
+        """The (k, m, m) stack of orthogonal projectors onto R(a[i])."""
+        return self._projectors(self.u, _range_bases)
+
+    def _projectors(self, unitaries: np.ndarray, bases) -> np.ndarray:
+        """basis @ basis^H per member, taken over the members of each rank
+        together, so each product has its member's inner dimension."""
+        size = unitaries.shape[-1]
+        out = np.empty((len(self.ranks), size, size), dtype=np.complex128)
+        for rank in set(self.ranks.tolist()):
+            members = np.flatnonzero(self.ranks == rank)
+            out[members] = _gram_projectors(bases(unitaries[members], rank))
+        return out
+
+
+def _kernel_bases(vh: np.ndarray, rank: int) -> np.ndarray:
+    """C-contiguous (k, n, n - rank) stack of the last columns of vh[i]^H."""
+    return np.conjugate(vh[:, rank:].swapaxes(1, 2), order="C")
+
+
+def _range_bases(u: np.ndarray, rank: int) -> np.ndarray:
+    """C-contiguous (k, m, rank) stack of the first columns of u[i]."""
+    return np.array(u[:, :, :rank], order="C")
+
+
+def _gram_projectors(bases: np.ndarray) -> np.ndarray:
+    """bases[i] @ bases[i]^H for a C-contiguous (k, d, r) stack."""
+    return bases @ np.conjugate(bases).swapaxes(1, 2)
+
+
+def _pinvs(u: np.ndarray, s: np.ndarray, vh: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Pseudoinverses vh^H diag(1/s) u^H from stacked SVD factors, kept values inverted."""
+    k = s.shape[1]
+    inv_s = np.zeros(s.shape, dtype=np.float64)
+    kept = np.arange(k) < ranks[:, None]
+    inv_s[kept] = 1.0 / s[kept]
+    left = np.conjugate(vh).swapaxes(1, 2)[:, :, :k] * inv_s[:, None, :]
+    return left @ np.conjugate(u).swapaxes(1, 2)[:, :k, :]
+
+
+def factors(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Factors:
+    """Factors of every matrix of a (k, m, n) stack, read off one batched full SVD."""
     k, m, n = stack.shape
     if min(m, n) == 0:
-        empty = Factor(np.eye(m, dtype=np.complex128), np.zeros(0),
-                       np.eye(n, dtype=np.complex128), 0)
-        return [empty] * k
+        eye_m = np.broadcast_to(np.eye(m, dtype=np.complex128), (k, m, m))
+        eye_n = np.broadcast_to(np.eye(n, dtype=np.complex128), (k, n, n))
+        return Factors(eye_m, np.zeros((k, 0)), eye_n, np.zeros(k, dtype=np.int64))
     u, s, vh = _svd(stack, compute_uv=True)
-    ranks, _ = _ranks(s, stack.shape, tol)
-    return [Factor(u[i], s[i], vh[i], int(ranks[i])) for i in range(k)]
+    return Factors(u, s, vh, _ranks(s, stack.shape, tol)[0])
 
 
 def factor(a, tol: TolerancePolicy = DEFAULT_TOL) -> Factor:
@@ -317,9 +400,86 @@ def op_norm2(a) -> float:
     return float(op_norms2(as_matrix(a)[None])[0])
 
 
+def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest entry modulus of each matrix and the stack divided by it.
+
+    Zero matrices are divided by 1. A scaled matrix has entries of modulus
+    at most 1 and one of modulus 1, up to the rounding of the scaling, so
+    products of a few scaled factors can neither overflow nor lose their
+    leading terms to underflow.
+    """
+    peak = np.abs(stack).max(axis=(1, 2))
+    return peak, stack * (1.0 / np.where(peak > 0.0, peak, 1.0))[:, None, None]
+
+
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a C-contiguous (k, m, n) complex stack."""
+    return np.square(stack.view(np.float64)).sum(axis=(1, 2))
+
+
+def norm_upper_bounds(stack: np.ndarray) -> np.ndarray:
+    """Upper bounds on the spectral norms of a (k, m, n) stack, without a factorization.
+
+    The bound is the Schatten-4 norm ||X^H X||_F^(1/2) >= ||X||_2, taken on
+    the peak-scaled matrix and widened by NORM_BOUND_SLACK; it is zero
+    exactly where the matrix is zero, and at most min(m, n)^(1/4) times the
+    norm before the widening.
+    """
+    k, m, n = stack.shape
+    if k == 0 or min(m, n) == 0:
+        return np.zeros(k)
+    peak, scaled = _peak_scaled(stack)
+    adjoint = np.conjugate(scaled.swapaxes(1, 2), order="C")
+    gram = adjoint @ scaled if n <= m else scaled @ adjoint
+    return peak * np.sqrt(np.sqrt(_squared_norms(gram))) * (1.0 + NORM_BOUND_SLACK)
+
+
+def norm_lower_bounds(stack: np.ndarray) -> np.ndarray:
+    """Lower bounds on the spectral norms of a (k, m, n) stack, without a factorization.
+
+    On the peak-scaled matrix Y, start from the column y = Y e_j of largest
+    norm, taken exactly, and take one power step: w = Y^H y, and the bound
+    is ||Y w|| / ||w||. That is at least ||y|| >= ||Y||_F / sqrt(n), the
+    Rayleigh quotients of power steps on Y^H Y never falling, and w has
+    norm at least its j-th entry ||y||^2 >= 1. The bound is zero exactly
+    where the matrix is zero, and is narrowed by NORM_BOUND_SLACK.
+    """
+    k, m, n = stack.shape
+    if k == 0 or min(m, n) == 0:
+        return np.zeros(k)
+    peak, scaled = _peak_scaled(stack)
+    squares = np.square(scaled.view(np.float64)).reshape(k, m, n, 2)
+    first = scaled[np.arange(k), :, squares.sum(axis=(1, 3)).argmax(axis=1)]
+    # w^H = y^H Y, a (k, 1, n) stack of rows
+    step = np.conjugate(first)[:, None, :] @ scaled
+    image = scaled @ np.conjugate(step).swapaxes(1, 2)
+    ratio = np.sqrt(_squared_norms(image) / np.where(peak > 0.0, _squared_norms(step), 1.0))
+    return peak * ratio * (1.0 - NORM_BOUND_SLACK)
+
+
+def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int | None]:
+    """The largest exact(i) over the positions i of bounds, given 0 <= exact(i) <= bounds[i].
+
+    exact is called largest bound first, ties in position order, until the
+    next bound is zero or strictly below the best exact value: no value
+    left out can reach the maximum. A NaN bound, as of a matrix with
+    non-finite entries, counts as unbounded. Returns the maximum and the
+    first position attaining it, or (0.0, None) when every value is zero.
+    """
+    best, best_position = 0.0, None
+    order = np.argsort(-np.nan_to_num(bounds, nan=np.inf), kind="stable")
+    for position in order.tolist():
+        if bounds[position] == 0.0 or bounds[position] < best:
+            break
+        value = exact(position)
+        if value > best or (value == best > 0.0 and position < best_position):
+            best, best_position = value, position
+    return best, best_position
+
+
 def projector(b: SubspaceBasis) -> np.ndarray:
     """Orthogonal projector onto the subspace: basis @ basis^H."""
-    return b.basis @ b.basis.conj().T
+    return _gram_projectors(b.basis[None])[0]
 
 
 def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:

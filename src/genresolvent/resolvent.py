@@ -43,7 +43,9 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     chunks,
+    exact_maximum,
     factor,
+    norm_upper_bounds,
     op_norm2,
     op_norms2,
     ranks_and_marginals,
@@ -58,10 +60,6 @@ RADIUS_EPS = 1e-14
 
 PAIR_SAMPLE_LIMIT = 1600
 PAIR_FULL_MAX_POINTS = 40
-
-# Relative widening of the deviation norm bounds; far above the rounding of
-# the Gram product and of the SVD at every size this package handles.
-IDENTITY_BOUND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -247,41 +245,38 @@ def max_identity_residual(
 
     The residual of pair (i, j) is ||D||_2 / ||scale||_2 for the deviation
     D = G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j, formed exactly as a single
-    pair evaluation forms it; ||scale||_2 is computed once. A screening pass
-    bounds every deviation without a factorization, by its Schatten-4 norm
-    ||D^H D||_F^(1/2) >= ||D||_2 widened by IDENTITY_BOUND_SLACK. Exact
-    spectral norms are then taken largest bound first, rebuilding each
-    deviation through the same code, until the next bound is strictly below
-    the best exact value. No deviation left out can reach the maximum, so the
-    returned residual is the exact spectral maximum and the returned pair is
-    the first maximizing one in ``pairs`` order; the pair is None when every
+    pair evaluation forms it; ||scale||_2 is computed once. This runs on the
+    shared screen of :mod:`linalg`: :func:`linalg.norm_upper_bounds` bounds
+    every deviation without a factorization, and
+    :func:`linalg.exact_maximum` takes exact spectral norms largest bound
+    first, rebuilding each deviation through the same code, until the next
+    bound is strictly below the best exact value. So the returned residual
+    is the exact spectral maximum and the returned pair is the first
+    maximizing one in ``pairs`` order; the pair is None when every
     deviation is zero.
 
     Memory: the screen takes the pairs in chunks of about CHUNK_BYTES,
-    counting five matrices of 16 * n * max(n, m) bytes per pair: the
-    gathered G_i, G_j and G_i @ s, their product, and one for the chunk's
-    distinct G_i @ s and the Gram scratch. Beyond the chunk it holds the
-    bounds (8 bytes per pair), the sorted pair order and one G_i @ s
-    carried into the next chunk; a sequence ``values`` adds a stacked copy
-    of the family.
+    counting six matrices of 16 * n * max(n, m) bytes per pair: the
+    gathered G_i, G_j and G_i @ s, their product, the peak-scaled deviation
+    and its adjoint, and one for the chunk's distinct G_i @ s and the Gram.
+    Beyond the chunk it holds the bounds (8 bytes per pair), the sorted pair
+    order and one G_i @ s carried into the next chunk; a sequence
+    ``values`` adds a stacked copy of the family.
     """
     g = np.asarray(values, dtype=np.complex128)
     lams = np.asarray(points, dtype=np.complex128)
     index = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
     scale_norm = max(op_norm2(scale), NORM_FLOOR)
-    bounds = _screen_deviations(s, g, lams, index) / scale_norm
-    best, best_position = 0.0, len(index)
-    for position in np.argsort(-bounds, kind="stable"):
-        if bounds[position] == 0.0 or bounds[position] < best:
-            break
+
+    def exact(position: int) -> float:
         pair = index[position : position + 1]
         deviation = _deviations(g, lams, g[pair[:, 0]] @ s, pair[:, 0], pair[:, 1])
-        value = float(op_norms2(deviation)[0]) / scale_norm
-        if value > best or (value == best and position < best_position):
-            best, best_position = value, position
-    if best == 0.0:
+        return float(op_norms2(deviation)[0]) / scale_norm
+
+    best, position = exact_maximum(_screen_deviations(s, g, lams, index) / scale_norm, exact)
+    if position is None:
         return best, None
-    i, j = index[best_position].tolist()
+    i, j = index[position].tolist()
     return best, (i, j)
 
 
@@ -309,13 +304,12 @@ def _deviations(
 def _screen_deviations(
     s: np.ndarray, g: np.ndarray, lams: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
-    """Upper bound on ||D||_2 for every pair, zero exactly where D is zero.
+    """:func:`linalg.norm_upper_bounds` of every pair's deviation.
 
     Pairs are taken in order of first index, in chunks of about CHUNK_BYTES.
     Each G_i @ s is formed once: per chunk for its distinct first indices,
     and the last one is carried into the next chunk, which may start with
-    the same i. Each deviation is divided by its largest entry modulus
-    before the Gram product, which can then neither overflow nor underflow.
+    the same i.
     """
     bounds = np.zeros(len(pairs))
     if not len(pairs):
@@ -323,9 +317,10 @@ def _screen_deviations(
     order = np.argsort(pairs[:, 0], kind="stable")
     _, height, width = g.shape
     carried: tuple[int, np.ndarray] | None = None
-    # per pair: the gathered G_i, G_j and G_i @ s and the product, and one more
-    # for the chunk's own G_i @ s, the deviation's adjoint and the Gram scratch
-    for chunk in chunks(len(order), 5 * 16 * height * max(height, width)):
+    # per pair: the gathered G_i, G_j and G_i @ s, the product, the scaled
+    # deviation and its adjoint, and one more for the chunk's own G_i @ s
+    # and the Gram
+    for chunk in chunks(len(order), 6 * 16 * height * max(height, width)):
         part = order[chunk]
         firsts, seconds = pairs[part, 0], pairs[part, 1]
         rows, inverse = np.unique(firsts, return_inverse=True)
@@ -334,13 +329,7 @@ def _screen_deviations(
         if len(fresh) < len(rows):
             g_s = np.concatenate([carried[1][None], g_s])
         carried = (rows[-1], g_s[-1])
-        stack = _deviations(g, lams, g_s[inverse], firsts, seconds)
-        peak = np.abs(stack).max(axis=(1, 2))
-        stack /= np.where(peak > 0.0, peak, 1.0)[:, None, None]
-        adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
-        gram = adjoint @ stack if width <= height else stack @ adjoint
-        gram_norm = np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2)))
-        bounds[part] = peak * np.sqrt(gram_norm) * (1.0 + IDENTITY_BOUND_SLACK)
+        bounds[part] = norm_upper_bounds(_deviations(g, lams, g_s[inverse], firsts, seconds))
     return bounds
 
 

@@ -141,7 +141,7 @@ def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys
     "command,bounds",
     [
         ("analyze", {"all": 30, "matrices": 211}),
-        ("mp-check", {"full": 3, "full_matrices": 27, "all": 60, "matrices": 297}),
+        ("mp-check", {"full": 3, "full_matrices": 27, "all": 29, "matrices": 99}),
     ],
 )
 @pytest.mark.parametrize("switched", [False, True])

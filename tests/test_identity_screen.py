@@ -1,12 +1,14 @@
-"""The screened resolvent-identity stage against a plain per-pair loop.
+"""The screened resolvent-identity and axiom maxima against plain loops.
 
 The screen must return exactly what checking every pair with its own
 spectral norm returns: the same maximum (compared with ==) and the same
 first maximizing pair, whether the family comes as one (k, n, m) stack or
 as a list and the pairs as a (P, 2) array or as tuples, and for every chunk
-budget. A count gate caps the SVD calls, and the matrices they factor, that
-the two pairwise stages spend on a small seeded pencil; later changes may
-only lower its bounds.
+budget. The MP stage's axiom maximum runs on the same screen and must equal
+the maximum of the four Moore-Penrose residuals taken point by point. Count
+gates cap the SVD calls, and the matrices they factor, that the two
+pairwise stages spend on a small seeded pencil and the MP stage spends at
+n=50; later changes may only lower their bounds.
 """
 
 from __future__ import annotations
@@ -48,6 +50,25 @@ def reference_identity_max(s, scale, values, points, pairs):
     return best, worst
 
 
+def reference_axiom_maxima(p, points):
+    """The per-point loop the axiom screen replaces: four residuals, each with
+    two norms, at every point. Returns the maximum of each axiom, in the order
+    inner, outer, p-Hermitian, q-Hermitian."""
+    best = [0.0] * 4
+    for lam in points:
+        a = p.at(lam)
+        b = pinv_matrix(a)
+        pp, q = a @ b, b @ a
+        residuals = (
+            relative_residual(pp @ a - a, a),
+            relative_residual(q @ b - b, b),
+            relative_residual(pp - pp.conj().T, pp),
+            relative_residual(q - q.conj().T, q),
+        )
+        best = [max(old, new) for old, new in zip(best, residuals)]
+    return best
+
+
 def pencil_for(m, n, switched, seed=0):
     rng = np.random.default_rng([seed, m, n, int(switched)])
     return framed_pencil(rng, m, n, min(m, n) - 1, switched=switched)
@@ -76,6 +97,7 @@ def test_mp_stage_matches_reference(m, n, switched, points):
     expected = reference_identity_max(p.s, pinvs[0], pinvs, grid.points, pairs)
     assert report.max_identity_residual == expected[0]
     assert max_identity_residual(p.s, pinvs[0], pinvs, grid.points, pairs) == expected
+    assert report.max_axiom_residual == max(reference_axiom_maxima(p, grid.points))
 
 
 @pytest.mark.parametrize("switched", [False, True])
@@ -90,7 +112,7 @@ def test_chunking_does_not_change_the_result(monkeypatch, switched):
         values = np.stack([evaluate(family, lam) for lam in grid.points])
         pairs = pair_indices(len(grid.points))
         expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
-        per_pair = 5 * 16 * 4 * 5
+        per_pair = 6 * 16 * 4 * 5
         budgets = [1, values[0].nbytes] + [k * per_pair for k in (2, 3, 7, 24, 25, 26, 100)]
         for budget in budgets + [linalg.CHUNK_BYTES]:
             monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
@@ -186,16 +208,23 @@ def test_tiny_deviations_are_not_screened_out():
     assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
 
 
-@pytest.mark.parametrize("switched", [False, True])
-def test_svd_count_gate(monkeypatch, switched):
-    """SVDs per pairwise stage on the seeded n=6 pencil (1350 and 1550 per-pair).
+@pytest.mark.parametrize("scale,axiom", [(1e-160, 0), (1e150, 1)])
+def test_tiny_axiom_deviations_are_not_screened_out(scale, axiom):
+    # scaled by 1e-160 the inner deviations p t - t, and scaled by 1e150 the
+    # outer deviations q b - b, sit near 1e-176 and 1e-166: they square below
+    # the double range in a plain Gram product. On this pencil the maximum
+    # sits on that axiom at either scale.
+    p = pencil_for(4, 4, False, seed=1)
+    p = Pencil(scale * p.t, scale * p.s)
+    grid = default_grid(build_family(p, mp_inverse(p.t)).radius / 2, 9)
+    maxima = reference_axiom_maxima(p, grid.points)
+    assert max(maxima) == maxima[axiom] > 0.0
+    assert mp_resolvent_characterization(p, grid).max_axiom_residual == maxima[axiom]
 
-    A call on a (k, m, n) stack factors k matrices; the matrix bounds are the
-    counts of the per-point code (128 / 127 and 276 / 291).
-    """
-    p = framed_pencil(np.random.default_rng(6), 6, 6, 3, switched=switched)
-    family = build_family(p, mp_inverse(p.t))
-    grid = default_grid(family.radius / 2, 25)
+
+@pytest.fixture
+def svds(monkeypatch):
+    """numpy.linalg.svd calls and the matrices they factor."""
     counts = {"calls": 0, "matrices": 0}
     svd = np.linalg.svd
 
@@ -205,11 +234,37 @@ def test_svd_count_gate(monkeypatch, switched):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_svd_count_gate(svds, switched):
+    """SVDs per pairwise stage on the seeded n=6 pencil (1350 and 1550 per-pair).
+
+    A call on a (k, m, n) stack factors k matrices. The per-point code
+    factored 128 / 127 matrices in the axiom stage and 276 / 291 in the MP
+    stage, which now screens its axiom residuals too (78 / 93).
+    """
+    p = framed_pencil(np.random.default_rng(6), 6, 6, 3, switched=switched)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, 25)
+    svds.update(calls=0, matrices=0)
     check_resolvent_axioms(family, grid)
-    axioms = dict(counts)
-    counts.update(calls=0, matrices=0)
+    axioms = dict(svds)
+    svds.update(calls=0, matrices=0)
     mp_resolvent_characterization(p, grid)
     assert axioms["calls"] <= 20
     assert axioms["matrices"] <= 128
-    assert counts["calls"] <= 50
-    assert counts["matrices"] <= 291
+    assert svds["calls"] <= 23
+    assert svds["matrices"] <= 93
+
+
+def test_mp_stage_count_gate_at_n50(svds):
+    """The MP stage of an n=50 pencil factors 1 + 25 points, takes 50 gap
+    norms and 1 scale norm, and factors the few screened candidates: 96
+    matrices, against 276 with an exact norm of every axiom residual."""
+    p = framed_pencil(np.random.default_rng(1), 50, 50, 25)
+    grid = default_grid(build_family(p, mp_inverse(p.t)).radius / 2, 25)
+    svds.update(calls=0, matrices=0)
+    mp_resolvent_characterization(p, grid)
+    assert svds["matrices"] <= 100

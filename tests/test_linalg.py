@@ -26,7 +26,14 @@ from genresolvent import (
     svd,
     zero_subspace,
 )
-from genresolvent.linalg import split_ranks, split_verdicts
+from genresolvent.linalg import (
+    exact_maximum,
+    norm_lower_bounds,
+    norm_upper_bounds,
+    op_norms2,
+    split_ranks,
+    split_verdicts,
+)
 from helpers import complex_gaussian, random_rank_matrix
 
 seeds = st.integers(0, 2**32 - 1)
@@ -204,6 +211,47 @@ class TestNorm:
 
     def test_nilpotent(self):
         assert op_norm2([[0, 3], [0, 0]]) == pytest.approx(3.0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seeds,
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.sampled_from(["random", "rank-one", "rank-deficient", "with-zero", "zero"]),
+        st.sampled_from([1.0, 1e-160, 1e150]),
+    )
+    def test_screen_bounds_enclose_the_spectral_norm(self, seed, k, m, n, kind, scale):
+        """lower <= ||X||_2 <= upper against the computed SVD value, also where
+        unscaled products would underflow (1e-160) or overflow (1e150), and each
+        bound within its proven factor of the norm: sqrt(n) below, min(m, n)^(1/4)
+        above."""
+        rng = np.random.default_rng(seed)
+        rank = {"rank-one": 1, "rank-deficient": max(min(m, n) - 1, 1)}.get(kind, min(m, n))
+        stack = complex_gaussian(rng, (k, m, rank)) @ complex_gaussian(rng, (k, rank, n))
+        if kind == "with-zero":
+            stack[rng.integers(k)] = 0.0
+        elif kind == "zero":
+            stack[:] = 0.0
+        stack *= scale
+        norms = op_norms2(stack)
+        lower, upper = norm_lower_bounds(stack), norm_upper_bounds(stack)
+        assert np.all(lower <= norms) and np.all(norms <= upper)
+        assert np.all(lower >= norms / np.sqrt(n) * (1.0 - 1e-3))
+        assert np.all(upper <= norms * min(m, n) ** 0.25 * (1.0 + 1e-3))
+
+    def test_exact_maximum_takes_a_nan_bound_as_unbounded(self):
+        values = [1.0, 3.0, 2.0, 3.0]
+        called = []
+
+        def exact(position):
+            called.append(position)
+            return values[position]
+
+        bounds = np.array([1.5, np.nan, 2.5, 3.5])
+        assert exact_maximum(bounds, exact) == (3.0, 1)
+        assert called == [1, 3]
+        assert exact_maximum(np.zeros(3), exact) == (0.0, None)
 
 
 class TestGap:
