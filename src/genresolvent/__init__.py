@@ -15,7 +15,6 @@ from .criteria import (
     InvertibilityReport,
     MPResolventReport,
     RankConstancyReport,
-    RankProfile,
     ScanPoint,
     finite_rank_criterion,
     generalized_spectrum_scan,
@@ -94,6 +93,7 @@ from .resolvent import (
     FixedComplementsReport,
     Pencil,
     ProjectorPair,
+    RankProfile,
     ResolventAxiomReport,
     ResolventFamily,
     build_family,

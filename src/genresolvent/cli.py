@@ -19,7 +19,7 @@ import time
 
 from . import __version__
 from .criteria import (
-    finite_rank_criterion,
+    RankConstancyReport,
     generalized_spectrum_scan,
     mp_resolvent_characterization,
     rectangular_region,
@@ -100,7 +100,7 @@ def cmd_analyze(args) -> int:
     grid = default_grid(radius, args.grid_points)
     certificate = existence_check(pencil, g, grid, tol)
     axioms = check_resolvent_axioms(family, grid, tol, seed=args.seed)
-    finite_rank = finite_rank_criterion(pencil, grid, tol)
+    finite_rank = RankConstancyReport(certificate.profile)
     exists = certificate.verdict and axioms.ok
     report = {
         "command": "analyze",

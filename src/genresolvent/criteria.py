@@ -5,8 +5,12 @@ finite-rank, Fredholm and semi-Fredholm existence characterizations all
 collapse to the same computation: constancy of rank (equivalently nullity
 n - r, equivalently corank m - r) of t - lam*s across the sampled region,
 anchored at lam = 0. :func:`finite_rank_criterion` is therefore also the
-Fredholm and semi-Fredholm criterion; its report exposes the nullity and
-corank verdicts as views of the one rank profile. The Moore-Penrose
+Fredholm and semi-Fredholm criterion; its report exposes the rank,
+nullity and corank verdicts as views of the one rank profile. The profile
+and the spectrum scan read their ranks from the grid pass of
+:mod:`resolvent` that also decides transversality, so
+``RankConstancyReport(existence_check(...).profile)`` is the finite-rank
+report of the same grid without ranking it again. The Moore-Penrose
 characterization is sharper: the pseudoinverse family (t - lam*s)^+ is
 itself the resolvent exactly when the kernel and range subspaces stay fixed,
 and this module computes both sides of that equivalence independently so the
@@ -34,51 +38,22 @@ from .linalg import (
     numerical_rank,
     op_norms2,
     projector,
-    ranks_and_marginals,
     relative_residuals,
     solve_stack,
 )
-from .resolvent import DiskGrid, Pencil, max_identity_residual, pair_indices
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Rank, nullity and corank of t - lam*s at each sampled point.
-
-    marginal flags points whose smallest retained singular value sits within
-    a factor of 10 of the rank cutoff, i.e. where the integer rank is not a
-    robust decision.
-    """
-
-    points: tuple[complex, ...]
-    ranks: tuple[int, ...]
-    nullities: tuple[int, ...]
-    coranks: tuple[int, ...]
-    marginal: tuple[bool, ...]
-
-    def __post_init__(self):
-        lengths = {len(self.points), len(self.ranks), len(self.nullities),
-                   len(self.coranks), len(self.marginal)}
-        if len(lengths) != 1:
-            raise ValueError("profile lists must have equal length")
+from .resolvent import (
+    DiskGrid,
+    Pencil,
+    RankProfile,
+    _grid_pass,
+    max_identity_residual,
+    pair_indices,
+)
 
 
 def rank_profile(p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL) -> RankProfile:
     """Numerical rank of t - lam*s at every grid point, one values-only SVD per chunk."""
-    m, n = p.shape
-    ranks: list[int] = []
-    marginal: list[bool] = []
-    for lams in p.point_chunks(grid.points, live=1):
-        chunk_ranks, chunk_marginal = ranks_and_marginals(p.at_many(lams), tol)
-        ranks += chunk_ranks.tolist()
-        marginal += chunk_marginal.tolist()
-    return RankProfile(
-        points=tuple(grid.points),
-        ranks=tuple(ranks),
-        nullities=tuple(n - r for r in ranks),
-        coranks=tuple(m - r for r in ranks),
-        marginal=tuple(marginal),
-    )
+    return _grid_pass(p, grid.points, tol)[0]
 
 
 def _constant_from_zero(profile: RankProfile, values: tuple[int, ...]) -> bool:
@@ -88,15 +63,19 @@ def _constant_from_zero(profile: RankProfile, values: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class RankConstancyReport:
-    """Verdict of the rank-constancy existence criterion, with its profile.
+    """Verdict of the rank-constancy existence criterion, as views of its profile.
 
-    Nullity n - r and corank m - r are constant exactly when the rank r is,
-    so this report also carries the Fredholm and semi-Fredholm verdicts:
-    nullity_constant and corank_constant read the profile's own columns.
+    verdict holds when the rank is constant. Nullity n - r and corank m - r
+    are constant exactly when the rank r is, so this report also carries the
+    Fredholm and semi-Fredholm verdicts: nullity_constant and
+    corank_constant read the profile's own columns.
     """
 
-    verdict: bool
     profile: RankProfile
+
+    @property
+    def verdict(self) -> bool:
+        return _constant_from_zero(self.profile, self.profile.ranks)
 
     @property
     def nullity_constant(self) -> bool:
@@ -115,11 +94,7 @@ def finite_rank_criterion(
     Constancy is judged against the rank at lam = 0, which anchors every
     criterion in this module.
     """
-    profile = rank_profile(p, grid, tol)
-    return RankConstancyReport(
-        verdict=_constant_from_zero(profile, profile.ranks),
-        profile=profile,
-    )
+    return RankConstancyReport(rank_profile(p, grid, tol))
 
 
 @dataclass(frozen=True)
@@ -320,9 +295,7 @@ def generalized_spectrum_scan(
     points = [complex(lam) for lam in region]
     if not points:
         raise ValueError("region is empty")
-    ranks: list[int] = []
-    for lams in p.point_chunks(points, live=1):
-        ranks += ranks_and_marginals(p.at_many(lams), tol)[0].tolist()
+    ranks = _grid_pass(p, points, tol)[0].ranks
     top = max(ranks)
     return [
         ScanPoint(lam=lam, rank=r, is_drop=r < top)

@@ -25,9 +25,9 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     factor,
-    relative_residual,
     relative_residuals,
     solve,
+    split_ranks,
     split_verdicts,
 )
 
@@ -61,14 +61,25 @@ class GenInverse:
     kind: InverseKind
 
 
+def inverse_residuals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inner and outer axiom residuals of stacks a of shape (k, m, n) and b of (k, n, m).
+
+    inner = ||a (b a) - a|| / ||a|| and outer = ||(b a) b - b|| / ||b|| per
+    member, each with a tiny floor so the zero matrix is handled. Also
+    returns the stack b a, which callers may reuse. Stacks are trusted:
+    built inside the package, not validated.
+    """
+    ba = b @ a
+    return relative_residuals(a @ ba - a, a), relative_residuals(ba @ b - b, b), ba
+
+
 def verify_gen_inverse(
     t, b, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[float, float, InverseVerdict]:
     """Relative residuals of the inner and outer axioms, and the verdict.
 
-    inner = ||t b t - t|| / ||t||, outer = ||b t b - b|| / ||b||, each with a
-    tiny floor so the zero matrix is handled. The verdict compares both
-    residuals to residual_tol.
+    The one-matrix view of :func:`inverse_residuals`. The verdict compares
+    both residuals to residual_tol.
     """
     t = as_matrix(t)
     b = as_matrix(b)
@@ -76,9 +87,8 @@ def verify_gen_inverse(
         raise ShapeMismatchError(
             f"inverse of a {t.shape} matrix must have shape {(t.shape[1], t.shape[0])}, got {b.shape}"
         )
-    bt = b @ t
-    inner = relative_residual(t @ bt - t, t)
-    outer = relative_residual(bt @ b - b, b)
+    inner, outer, _ = inverse_residuals(t[None], b[None])
+    inner, outer = float(inner[0]), float(outer[0])
     inner_ok = inner <= tol.residual_tol
     outer_ok = outer <= tol.residual_tol
     if inner_ok and outer_ok:
@@ -200,7 +210,8 @@ def geninv_from_complements(
             f"operator needs ({n}, {m})"
         )
     f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
-    _, domain, codomain = split_verdicts(t[None], c.e.basis, f_perp, tol)
+    split = split_ranks(t[None], c.e.basis, f_perp, tol)
+    _, domain, codomain = split_verdicts(split, c.e.dim, f_perp.shape[1])
     if not domain[0]:
         raise InvalidComplementError("domain split failed: N(t) + e is not the whole domain")
     if not codomain[0]:

@@ -5,12 +5,14 @@ spectral norms and subspace comparisons. Every operator in the package is a
 dense complex matrix (``numpy.ndarray`` of ``complex128``); this module owns
 the tolerance conventions the rest of the package inherits.
 
-:func:`split_ranks` is the one kernel behind every subspace criterion of
-the package: transversality, the two direct-sum splittings, fixed
-complements and the perturbation splittings are each a comparison of the
-numerical ranks of A, A E and F_perp^H A for fixed orthonormal bases E and
-F_perp (:func:`split_verdicts`), never of concatenated kernel and range
-bases.
+:func:`split_ranks` is the one values-only rank kernel of the package.
+It gives the numerical rank of A, its marginal flag and, against the same
+cutoff, the ranks of A E and F_perp^H A for fixed orthonormal bases E and
+F_perp. Transversality, the two direct-sum splittings, fixed complements
+and the perturbation splittings are comparisons of those integers
+(:func:`split_verdicts`), never of concatenated kernel and range bases;
+:func:`numerical_rank`, :func:`rank_and_marginal` and the rank profiles
+and scans of the grid stages are its views with empty bases.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -19,17 +21,17 @@ promote them to read-only complex arrays with :func:`as_matrix`.
 The per-point stages of the package work on stacks: (k, m, n) complex128
 arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
-:func:`norm_lower_bounds`, :func:`ranks_and_marginals`, :func:`factors`,
-:func:`split_ranks`, :func:`solve_stack`, :func:`solve_right_stack`,
-:func:`relative_residuals`) trust their input
-and skip ``as_matrix``; each makes one batched LAPACK call per stack it
-factors. The single-matrix functions are their one-element views, so there
-is one code path. Batched SVDs, solves and products return exactly, bit for
-bit, what per-matrix calls return (a ``matmul`` written with ``out=`` need
-not); callers cut stacks into slices by :func:`chunks`. CHUNK_BYTES is an
-approximate budget, not a cap: a chunk is sized from the caller's count of
-the matrices each point keeps alive, and copies and scratch arrays a stage
-makes beyond that count are not counted.
+:func:`norm_lower_bounds`, :func:`factors`, :func:`split_ranks`,
+:func:`solve_stack`, :func:`solve_right_stack`, :func:`relative_residuals`)
+trust their input and skip ``as_matrix``; each makes one batched LAPACK
+call per stack it factors. The single-matrix functions are their
+one-element views, so there is one code path. Batched SVDs, solves and
+products return exactly, bit for bit, what per-matrix calls return (a
+``matmul`` written with ``out=`` need not); callers cut stacks into slices
+by :func:`chunks`. CHUNK_BYTES is an approximate budget, not a cap: a chunk
+is sized from the caller's count of the matrices each point keeps alive,
+and copies and scratch arrays a stage makes beyond that count are not
+counted.
 
 The maxima the reports print, of resolvent-identity and Moore-Penrose
 axiom residuals, share one screen: :func:`norm_upper_bounds` and
@@ -43,7 +45,7 @@ every member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,20 +221,9 @@ def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
     return np.count_nonzero(s > cutoffs[:, None], axis=1), cutoffs
 
 
-def ranks_and_marginals(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
-    """Numerical ranks of a (k, m, n) stack and their marginal flags, by one values-only SVD.
-
-    A rank decision is marginal when the smallest retained singular value is
-    within a factor of 10 of the cutoff, i.e. the rank would flip under a
-    modest tolerance change. Empty matrices have rank 0 and are not factored.
-    """
-    k, m, n = stack.shape
-    if k == 0 or min(m, n) == 0:
-        return np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
-    s = _svd(stack, compute_uv=False)
-    ranks, cutoffs = _ranks(s, stack.shape, tol)
-    kept = s[np.arange(k), np.maximum(ranks - 1, 0)]
-    return ranks, (ranks > 0) & (kept <= 10.0 * cutoffs)
+def empty_basis(dim: int) -> np.ndarray:
+    """The (dim, 0) basis of {0}: a :func:`split_ranks` product with it is not formed."""
+    return np.zeros((dim, 0), dtype=np.complex128)
 
 
 def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -241,8 +232,10 @@ def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
 
 
 def rank_and_marginal(a, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, bool]:
-    """Numerical rank plus a marginality flag; see :func:`ranks_and_marginals`."""
-    ranks, marginal = ranks_and_marginals(as_matrix(a)[None], tol)
+    """Numerical rank plus a marginality flag; the one-matrix view of :func:`split_ranks`."""
+    a = as_matrix(a)
+    m, n = a.shape
+    ranks, _, _, marginal = split_ranks(a[None], empty_basis(n), empty_basis(m), tol)
     return int(ranks[0]), bool(marginal[0])
 
 
@@ -500,51 +493,59 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
 
 def split_ranks(
     stack: np.ndarray, right: np.ndarray, left: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rank(A), rank(A @ right) and rank(left^H @ A) for each A of a (k, m, n) stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rank(A), rank(A @ right), rank(left^H @ A) and the marginal flag of
+    rank(A), for each A of a (k, m, n) stack.
 
-    right is (n, p) and left is (m, q), each with orthonormal columns. Each
-    rank array comes from one values-only SVD, and all three count singular
-    values above the cutoff of A itself (see :func:`ranks_and_marginals`).
-    The products restrict A to fixed subspaces, so their rounding errors are
-    on the scale of ||A||, not of their own norms: a product's own cutoff
-    would count the rounding noise of A on its numerical kernel as rank.
+    right is (n, p) and left is (m, q), each with orthonormal columns; an
+    :func:`empty_basis` asks for no product. Each rank array comes from one
+    values-only SVD, and all three count singular values above the cutoff
+    of A itself, rank_rtol * sigma_max(A) * max(m, n). The products restrict
+    A to fixed subspaces, so their rounding errors are on the scale of
+    ||A||, not of their own norms: a product's own cutoff would count the
+    rounding noise of A on its numerical kernel as rank. The rank of A is
+    marginal when its smallest kept singular value is within a factor of 10
+    of the cutoff, i.e. the rank would flip under a modest tolerance change.
     Empty matrices and products have rank 0 and are not factored.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)
+    marginal = np.zeros(k, dtype=bool)
     if k and min(m, n):
-        ranks[0], cutoffs = _ranks(_svd(stack, compute_uv=False), stack.shape, tol)
+        s = _svd(stack, compute_uv=False)
+        ranks[0], cutoffs = _ranks(s, stack.shape, tol)
+        kept = s[np.arange(k), np.maximum(ranks[0] - 1, 0)]
+        marginal = (ranks[0] > 0) & (kept <= 10.0 * cutoffs)
         for row, product in ((1, stack @ right), (2, np.conjugate(left.T) @ stack)):
             if min(product.shape[1:]):
                 s = _svd(product, compute_uv=False)
                 ranks[row] = np.count_nonzero(s > cutoffs[:, None], axis=1)
-    return ranks[0], ranks[1], ranks[2]
+    return ranks[0], ranks[1], ranks[2], marginal
 
 
 def split_verdicts(
-    stack: np.ndarray, e: np.ndarray, f_perp: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+    split: Sequence[np.ndarray], e_dim: int, f_perp_dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transversality and the two splittings for each A of a (k, m, n) stack.
+    """Transversality and the two splittings from the ranks of :func:`split_ranks`.
 
-    e is an orthonormal basis of a subspace E of the domain C^n, and f_perp
-    one of the orthogonal complement of a subspace F of the codomain C^m.
-    By the rank identities
+    split is what :func:`split_ranks` returned for right = e, an orthonormal
+    basis of a subspace E of the domain C^n, and left = f_perp, one of the
+    orthogonal complement of a subspace F of the codomain C^m; e_dim and
+    f_perp_dim are their column counts. By the rank identities
 
         rank(A e) = dim E - dim(E meet N(A)),
         rank(f_perp^H A) = rank(A) - dim(R(A) meet F),
 
-    each verdict compares the integers of :func:`split_ranks`, as boolean
-    arrays:
+    each verdict compares those integers, as boolean arrays:
 
         transversal  R(A) meets F only at 0:  rank(f_perp^H A) == rank(A)
         domain       C^n = N(A) + E, direct:  rank(A) == dim E == rank(A e)
         codomain     C^m = R(A) + F, direct:  rank(A) + dim F == m, and transversal
     """
-    ranks, right, left = split_ranks(stack, e, f_perp, tol)
+    ranks, right, left = split[:3]
     transversal = left == ranks
-    domain = (ranks == e.shape[1]) & (right == e.shape[1])
-    return transversal, domain, (ranks == f_perp.shape[1]) & transversal
+    domain = (ranks == e_dim) & (right == e_dim)
+    return transversal, domain, (ranks == f_perp_dim) & transversal
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

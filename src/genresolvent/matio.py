@@ -50,7 +50,7 @@ def load_matrix(path) -> np.ndarray:
         if field not in payload:
             raise MatrixFileError(f"{path}: missing required field '{field}'")
     rows, cols = payload["rows"], payload["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise MatrixFileError(f"{path}: 'rows' and 'cols' must be positive integers")
     _check_grid_of_numbers("re", payload["re"], rows, cols, path)
     re = np.array(payload["re"], dtype=np.float64)

@@ -31,11 +31,13 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
+    empty_basis,
     factor,
     op_norm2,
     relative_residual,
     solve,
     solve_right,
+    split_ranks,
     split_verdicts,
 )
 
@@ -72,8 +74,9 @@ def transversal(tbar, g: GenInverse, tol: TolerancePolicy = DEFAULT_TOL) -> bool
     tbar = as_matrix(tbar)
     if tbar.shape != g.t.shape:
         raise ShapeMismatchError(f"perturbed operator shape {tbar.shape} != {g.t.shape}")
-    zero = np.zeros((tbar.shape[1], 0), dtype=np.complex128)
-    verdicts, _, _ = split_verdicts(tbar[None], zero, factor(g.tplus, tol).coimage.basis, tol)
+    f_perp = factor(g.tplus, tol).coimage.basis
+    split = split_ranks(tbar[None], empty_basis(tbar.shape[1]), f_perp, tol)
+    verdicts, _, _ = split_verdicts(split, 0, f_perp.shape[1])
     return bool(verdicts[0])
 
 
@@ -159,9 +162,9 @@ def splitting_checks(
     tbar = as_matrix(tbar)
     result = perturbed_inverse(g, tbar, tol)
     plus_factor = factor(g.tplus, tol)
-    transversal, domain, codomain = split_verdicts(
-        tbar[None], plus_factor.range.basis, plus_factor.coimage.basis, tol
-    )
+    e, f_perp = plus_factor.range.basis, plus_factor.coimage.basis
+    split = split_ranks(tbar[None], e, f_perp, tol)
+    transversal, domain, codomain = split_verdicts(split, e.shape[1], f_perp.shape[1])
     return SplittingChecks(
         b_is_generalized=result.classification is PerturbationClass.GENERALIZED,
         transversal=bool(transversal[0]),

@@ -15,11 +15,16 @@ outer axioms plus the resolvent identity
 exactly when R(t - lam*s) stays transversal to N(tplus) across the region.
 This module builds and evaluates the family, verifies the three resolvent
 conditions on sampled disk grids, and decides existence through the
-transversality, direct-sum, fixed-complement and continuity criteria. The
-subspace criteria share one kernel, :func:`linalg.split_ranks`: at each grid
-point they compare the numerical ranks of t - lam*s and of its products with
-fixed orthonormal bases, read off one factorization of tplus or of the
-complements, so no grid point is given a full SVD.
+transversality, direct-sum, fixed-complement and continuity criteria.
+
+Every rank of t - lam*s at sampled points comes from one private grid pass
+over the rank kernel :func:`linalg.split_ranks`, chunk by chunk. The
+subspace criteria compare the numerical ranks of t - lam*s and of its
+products with fixed orthonormal bases, read off one factorization of tplus
+or of the complements, so no grid point is given a full SVD. The same pass
+gives the rank profiles and the spectrum scan of :mod:`criteria`, and
+:func:`existence_check` keeps the profile of the ranks it decided with, so
+transversality and rank constancy on one grid rank each point once.
 
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
@@ -36,22 +41,22 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidFamilyError, OutOfRadiusError, ShapeMismatchError
-from .geninv import ComplementPair, GenInverse, user_supplied
+from .geninv import ComplementPair, GenInverse, inverse_residuals, user_supplied
 from .linalg import (
     DEFAULT_TOL,
     NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
     chunks,
+    empty_basis,
     exact_maximum,
     factor,
     norm_upper_bounds,
     op_norm2,
     op_norms2,
-    ranks_and_marginals,
     relative_residual,
-    relative_residuals,
     solve_right_stack,
+    split_ranks,
     split_verdicts,
 )
 
@@ -403,9 +408,9 @@ def check_resolvent_axioms(
         g = values[done : done + len(lams)]
         g[...] = _evaluate_stack(f, lams, tol)
         done += len(lams)
-        inner_part, outer_part = _axiom_residuals(f.pencil.at_many(lams), g)
-        inner += inner_part
-        outer += outer_part
+        inner_part, outer_part, _ = inverse_residuals(f.pencil.at_many(lams), g)
+        inner += inner_part.tolist()
+        outer += outer_part.tolist()
     max_identity, worst = max_identity_residual(
         f.pencil.s, f.g.tplus, values, usable, pair_indices(len(usable), seed)
     )
@@ -421,14 +426,6 @@ def check_resolvent_axioms(
         skipped=tuple(skipped),
         ok=ok,
     )
-
-
-def _axiom_residuals(a: np.ndarray, g: np.ndarray) -> tuple[list[float], list[float]]:
-    """The inner and outer residuals of G(lam) for one chunk a of t - lam*s."""
-    ga = g @ a
-    inner = relative_residuals(a @ ga - a, a)
-    outer = relative_residuals(ga @ g - g, g)
-    return inner.tolist(), outer.tolist()
 
 
 @dataclass(frozen=True)
@@ -464,12 +461,39 @@ def projector_family(
 
 
 @dataclass(frozen=True)
+class RankProfile:
+    """Rank, nullity and corank of t - lam*s at each sampled point.
+
+    marginal flags points whose smallest retained singular value sits within
+    a factor of 10 of the rank cutoff, i.e. where the integer rank is not a
+    robust decision.
+    """
+
+    points: tuple[complex, ...]
+    ranks: tuple[int, ...]
+    nullities: tuple[int, ...]
+    coranks: tuple[int, ...]
+    marginal: tuple[bool, ...]
+
+    def __post_init__(self):
+        lengths = {len(self.points), len(self.ranks), len(self.nullities),
+                   len(self.coranks), len(self.marginal)}
+        if len(lengths) != 1:
+            raise ValueError("profile lists must have equal length")
+
+
+@dataclass(frozen=True)
 class ExistenceCertificate:
-    """Per-point transversality verdicts over a grid; verdict is their conjunction."""
+    """Per-point transversality verdicts over a grid; verdict is their conjunction.
+
+    profile is the rank profile of t - lam*s on the same grid, read off the
+    values-only SVDs that decide transversality.
+    """
 
     verdict: bool
     per_point: tuple[tuple[complex, bool], ...]
     criterion: str
+    profile: RankProfile
 
 
 def existence_check(
@@ -484,14 +508,14 @@ def existence_check(
             "verdicts on or outside it do not certify existence",
             stacklevel=2,
         )
-    # only transversality is asked for: E = {0} is not factored
-    zero = np.zeros((p.shape[1], 0), dtype=np.complex128)
-    transversal, _, _ = _grid_verdicts(p, grid, zero, factor(g.tplus, tol).coimage.basis, tol)
-    per_point = tuple(zip(grid.points, transversal))
+    coimage = factor(g.tplus, tol).coimage.basis
+    profile, transversal, _, _ = _grid_pass(p, grid.points, tol, f_perp=coimage)
+    per_point = tuple(zip(grid.points, transversal.tolist()))
     return ExistenceCertificate(
         verdict=all(ok for _, ok in per_point),
         per_point=per_point,
         criterion="transversality",
+        profile=profile,
     )
 
 
@@ -514,24 +538,35 @@ def fixed_complements_check(
             f"pencil needs ({n}, {m})"
         )
     f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
-    _, domain, codomain = _grid_verdicts(p, grid, c.e.basis, f_perp, tol)
-    rows = list(zip(grid.points, domain, codomain))
+    _, _, domain, codomain = _grid_pass(p, grid.points, tol, c.e.basis, f_perp)
+    rows = list(zip(grid.points, domain.tolist(), codomain.tolist()))
     return FixedComplementsReport(
         per_point=tuple(rows),
         verdict=all(d and cdom for _, d, cdom in rows),
     )
 
 
-def _grid_verdicts(
-    p: Pencil, grid: DiskGrid, e: np.ndarray, f_perp: np.ndarray, tol: TolerancePolicy
-) -> tuple[list[bool], list[bool], list[bool]]:
-    """:func:`linalg.split_verdicts` of t - lam*s at every grid point, in grid order."""
-    columns: tuple[list[bool], list[bool], list[bool]] = ([], [], [])
-    # per point: t - lam s, its product with e and its product with f_perp^H
-    for lams in p.point_chunks(grid.points, live=3):
-        for column, verdicts in zip(columns, split_verdicts(p.at_many(lams), e, f_perp, tol)):
-            column += verdicts.tolist()
-    return columns
+def _grid_pass(
+    p: Pencil, points: Sequence[complex], tol: TolerancePolicy,
+    e: np.ndarray | None = None, f_perp: np.ndarray | None = None,
+) -> tuple[RankProfile, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`linalg.split_ranks` of t - lam*s at every point, chunk by chunk, in order.
+
+    Returns the rank profile at the points and their transversality, domain
+    and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
+    and f_perp. Each defaults to the basis of {0}, whose product is not
+    formed, and a chunk counts t - lam s and each product asked for.
+    """
+    m, n = p.shape
+    e = empty_basis(n) if e is None else e
+    f_perp = empty_basis(m) if f_perp is None else f_perp
+    live = 1 + bool(e.shape[1]) + bool(f_perp.shape[1])
+    parts = [split_ranks(p.at_many(lams), e, f_perp, tol) for lams in p.point_chunks(points, live)]
+    split = [np.concatenate(column) for column in zip(*parts)]
+    ranks = split[0].tolist()
+    nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
+    profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))
+    return (profile, *split_verdicts(split, e.shape[1], f_perp.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -557,10 +592,10 @@ def direct_sum_criteria(
     """Check both splittings induced by g at every sampled point."""
     _require_matching_inverse(p, g)
     tplus_factor = factor(g.tplus, tol)
-    _, domain, codomain = _grid_verdicts(
-        p, grid, tplus_factor.range.basis, tplus_factor.coimage.basis, tol
+    _, _, domain, codomain = _grid_pass(
+        p, grid.points, tol, tplus_factor.range.basis, tplus_factor.coimage.basis
     )
-    rows = list(zip(grid.points, domain, codomain))
+    rows = list(zip(grid.points, domain.tolist(), codomain.tolist()))
     domain_verdict = all(d for _, d, _ in rows)
     codomain_verdict = all(c for _, _, c in rows)
     return DirectSumReport(
@@ -633,9 +668,7 @@ def continuity_check(
     for lams in p.point_chunks(grid.points, live=6):
         part = slice(len(rows), len(rows) + len(lams))
         a, b = p.at_many(lams), members[part]
-        ba = b @ a
-        inner = relative_residuals(a @ ba - a, a)
-        outer = relative_residuals(ba @ b - b, b)
+        inner, outer, ba = inverse_residuals(a, b)
         failed = np.flatnonzero(~((inner <= tol.residual_tol) & (outer <= tol.residual_tol)))
         if failed.size:
             lam = grid.points[part][failed[0]]
@@ -645,7 +678,7 @@ def continuity_check(
         drift = (eye - ba) - p0
         deviations = op_norms2(b - b0).tolist()
         banach = (op_norms2(drift) * p0_norm).tolist()
-        ranks, _ = ranks_and_marginals(eye + drift @ p0, tol)
+        ranks = split_ranks(eye + drift @ p0, empty_basis(n), empty_basis(n), tol)[0]
         rows += [
             ContinuityPointReport(lam=lam, deviation=d, banach_product=nb, w_invertible=r == n)
             for lam, d, nb, r in zip(grid.points[part], deviations, banach, ranks.tolist())

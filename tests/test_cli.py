@@ -11,9 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genresolvent import MatrixFileError, load_matrix, save_matrix
+from genresolvent import (
+    MatrixFileError,
+    Pencil,
+    default_grid,
+    finite_rank_criterion,
+    load_matrix,
+    save_matrix,
+)
 from genresolvent.cli import main
 import genresolvent.cli as cli_module
+from helpers import framed_pencil
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -52,6 +60,20 @@ class TestLoadMatrix:
         path.write_text('{"rows": 1, "cols": 1, "re": [[NaN]]}')
         with pytest.raises(MatrixFileError, match="non-finite"):
             load_matrix(path)
+
+    @pytest.mark.parametrize("im", [True, False], ids=["with-im", "without-im"])
+    def test_boolean_shape_rejected(self, tmp_path, capsys, im):
+        """JSON true is a Python int; as rows and cols it must not load as 1x1."""
+        payload = {"rows": True, "cols": True, "re": [[1.0]]}
+        if im:
+            payload["im"] = [[0.0]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MatrixFileError, match="positive integers"):
+            load_matrix(path)
+        code, _, err = run(["analyze", path, path], capsys)
+        assert code == 2
+        assert "positive integers" in err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixFileError, match="cannot read"):
@@ -107,6 +129,55 @@ class TestAnalyzeCommand:
         _, out, _ = run(["analyze", DATA / "const_t.json", DATA / "const_s.json"], capsys)
         report = json.loads(out)
         assert len(report["inputs"]["t"]["sha256"]) == 64
+
+
+def marginal_pencil():
+    """t - lam*s = diag(1, 1e-14 (1 - lam)): the second singular value sits
+    within 10x of the cutoff 2 eps for |1 - lam| < 0.44, so on a grid of
+    radius 0.9 the rank is marginal on part of the outer rings only."""
+    return Pencil(np.diag([1.0, 1e-14]), np.diag([0.0, 1e-14])), ["--grid-radius", "0.9"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(marginal_pencil, id="marginal"),
+        pytest.param(lambda: (Pencil(np.diag([1.0, 0.0]), np.eye(2)), []), id="rank-jump"),
+        pytest.param(lambda: (framed_pencil(np.random.default_rng(6), 6, 6, 3), []), id="framed"),
+        pytest.param(
+            lambda: (framed_pencil(np.random.default_rng(6), 5, 7, 3, switched=True), []),
+            id="framed-switched",
+        ),
+    ],
+)
+def test_analyze_rank_blocks_equal_finite_rank_criterion(case, tmp_path, capsys):
+    """analyze reads its rank profile off existence_check's ranks; they must be
+    what finite_rank_criterion computes on the same pencil and grid."""
+    pencil, flags = case()
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    save_matrix(pencil.t, paths[0])
+    save_matrix(pencil.s, paths[1])
+    _, out, _ = run(["analyze", *paths, *flags], capsys)
+    report = json.loads(out)
+    grid = default_grid(report["grid"]["radius"], len(report["grid"]["points"]))
+    expected = finite_rank_criterion(Pencil(load_matrix(paths[0]), load_matrix(paths[1])), grid)
+    profile = expected.profile
+    assert report["rank_profile"] == {
+        "ranks": list(profile.ranks),
+        "nullities": list(profile.nullities),
+        "coranks": list(profile.coranks),
+        "marginal": list(profile.marginal),
+    }
+    assert report["criteria"] == {
+        "finite_rank": {"verdict": expected.verdict},
+        "fredholm": {
+            "nullity_constant": expected.nullity_constant,
+            "corank_constant": expected.corank_constant,
+            "verdict": expected.nullity_constant or expected.corank_constant,
+        },
+    }
+    if case is marginal_pencil:
+        assert any(profile.marginal) and not all(profile.marginal)
 
 
 @pytest.mark.parametrize("command", ["analyze", "mp-check"])

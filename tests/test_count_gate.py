@@ -140,7 +140,7 @@ def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize(
     "command,bounds",
     [
-        ("analyze", {"all": 30, "matrices": 211}),
+        ("analyze", {"all": 30, "matrices": 186}),
         ("mp-check", {"full": 3, "full_matrices": 27, "all": 29, "matrices": 99}),
     ],
 )

@@ -147,6 +147,22 @@ class TestSpectrumScan:
         drops = {point.lam for point in scan if point.is_drop}
         assert drops == {1.0 + 0.0j, 2.0 + 0.0j}
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the scan marks only lattice points where the rank drops numerically, "
+        "so eigenvalues off the lattice go unmarked (ROADMAP item 3)",
+    )
+    def test_off_lattice_eigenvalues_are_marked(self):
+        """The eigenvalues 1.03 and 2.17 lie between points of the default 61x61
+        lattice (step 0.1): each must mark a drop point within one step, and
+        no drop point may lie farther from both."""
+        eigenvalues = (1.03, 2.17)
+        p = Pencil(np.diag(eigenvalues), np.eye(2))
+        scan = generalized_spectrum_scan(p, rectangular_region(-3, 3, -3, 3, 61))
+        drops = [point.lam for point in scan if point.is_drop]
+        assert all(any(abs(lam - e) <= 0.1 for lam in drops) for e in eigenvalues)
+        assert all(min(abs(lam - e) for e in eigenvalues) <= 0.1 for lam in drops)
+
     def test_constant_rank_pencil_has_no_drops(self):
         scan = generalized_spectrum_scan(CONST, rectangular_region(-2, 2, -2, 2, 21))
         assert not any(point.is_drop for point in scan)

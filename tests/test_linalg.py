@@ -20,6 +20,7 @@ from genresolvent import (
     op_norm2,
     pinv_matrix,
     range_basis,
+    rank_and_marginal,
     solve,
     subspace_from_columns,
     subspace_gap,
@@ -295,7 +296,7 @@ def orthogonal_complement(b: SubspaceBasis) -> np.ndarray:
 
 def intersection_trivial(m: SubspaceBasis, n: SubspaceBasis) -> bool:
     """M meets N only at 0: R(A) transversal to N for A = M's basis, by the rank kernel."""
-    ranks, _, left = split_ranks(m.basis[None], np.zeros((m.dim, 0)), orthogonal_complement(n))
+    ranks, _, left, _ = split_ranks(m.basis[None], np.zeros((m.dim, 0)), orthogonal_complement(n))
     return bool(left[0] == ranks[0])
 
 
@@ -303,10 +304,11 @@ def direct_sum_check(m: SubspaceBasis, n: SubspaceBasis) -> bool:
     """M + N is the whole space, direct, read both ways the rank kernel can:
     as the codomain split with R(A) = M and F = N, and as the domain split
     with N(A) = M and E = N. The two must agree."""
-    zero = np.zeros((m.dim, 0))
-    _, _, codomain = split_verdicts(m.basis[None], zero, orthogonal_complement(n))
+    zero, f_perp = np.zeros((m.dim, 0)), orthogonal_complement(n)
+    _, _, codomain = split_verdicts(split_ranks(m.basis[None], zero, f_perp), 0, f_perp.shape[1])
     kernel_is_m = orthogonal_complement(m).conj().T
-    _, domain, _ = split_verdicts(kernel_is_m[None], n.basis, np.zeros((kernel_is_m.shape[0], 0)))
+    none = np.zeros((kernel_is_m.shape[0], 0))
+    _, domain, _ = split_verdicts(split_ranks(kernel_is_m[None], n.basis, none), n.dim, 0)
     assert domain[0] == codomain[0]
     return bool(codomain[0])
 
@@ -373,10 +375,23 @@ class TestIntersectionAndSums:
         stack = np.array([np.diag([1.0, 0.0, 2.0]), np.zeros((3, 3))], dtype=complex)
         right = np.array([[1.0], [1.0], [0.0]], dtype=complex)
         left = np.eye(3, dtype=complex)[:, 1:]
-        ranks, right_ranks, left_ranks = split_ranks(stack, right, left)
+        ranks, right_ranks, left_ranks, _ = split_ranks(stack, right, left)
         assert ranks.tolist() == [2, 0]
         assert right_ranks.tolist() == [1, 0]
         assert left_ranks.tolist() == [1, 0]
+
+    def test_split_ranks_flags_a_marginal_rank(self):
+        # cutoff 2 eps for 2x2 matrices of norm 1: 1e-15 is kept, within 10x of it
+        stack = np.array(
+            [np.diag([1.0, 1e-15]), np.diag([1.0, 1e-3]), np.diag([1.0, 0.0]), np.zeros((2, 2))],
+            dtype=complex,
+        )
+        none = np.zeros((2, 0), dtype=complex)
+        ranks, right_ranks, left_ranks, marginal = split_ranks(stack, none, none)
+        assert ranks.tolist() == [2, 2, 1, 0]
+        assert marginal.tolist() == [True, False, False, False]
+        assert right_ranks.tolist() == left_ranks.tolist() == [0, 0, 0, 0]
+        assert [rank_and_marginal(a) for a in stack] == list(zip(ranks.tolist(), marginal.tolist()))
 
 
 class TestSolve:

@@ -239,7 +239,8 @@ def test_transversality_and_splittings(make, budget):
 def kernel_route(a, e, f, tol=DEFAULT_TOL):
     """transversal, domain and codomain verdicts of one matrix by the rank kernel."""
     f_perp = factor(f.conj().T, tol).kernel.basis
-    verdicts = split_verdicts(copy(a)[None], e, f_perp, tol)
+    split = split_ranks(copy(a)[None], e, f_perp, tol)
+    verdicts = split_verdicts(split, e.shape[1], f_perp.shape[1])
     return tuple(bool(v[0]) for v in verdicts), f_perp
 
 
@@ -348,7 +349,7 @@ def test_graded_range_at_a_small_angle_is_where_the_routes_differ(angle, in_band
     assert reference and not transversal
     stacked = np.hstack([rng, f])
     assert not near_cutoff(stacked, own_cutoff(stacked))
-    ranks, _, left = split_ranks(a[None], e, f_perp)
+    ranks, _, left, _ = split_ranks(a[None], e, f_perp)
     assert (ranks[0], left[0]) == (2, 1)
     s = np.linalg.svd(f_perp.conj().T @ a, compute_uv=False)
     assert s[1] == pytest.approx(1e-8 * np.sin(angle), rel=1e-3)
