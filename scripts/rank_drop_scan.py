@@ -16,6 +16,7 @@ from genresolvent import (
     generalized_spectrum_scan,
     load_matrix,
     rectangular_region,
+    scan_csv,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -46,11 +47,7 @@ def main() -> int:
         print(f"  lam = {point.lam.real:+.6g}{point.lam.imag:+.6g}j  rank {point.rank}")
 
     if args.out:
-        rows = ["re,im,rank,is_drop"]
-        rows += [
-            f"{p.lam.real!r},{p.lam.imag!r},{p.rank},{int(p.is_drop)}" for p in scan
-        ]
-        Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        Path(args.out).write_text(scan_csv(scan), encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
 

@@ -7,10 +7,12 @@ Runs ``genresolvent.cli.main`` in-process on
   ``mp-check``, ``perturb`` and ``spectrum --steps 21``;
 * seeded framed pencils (``instances.framed``, constant and switched
   support): ``analyze`` and ``mp-check`` at ``--grid-points 25`` and at
-  ``--grid-points 60 --seed 3``.
+  ``--grid-points 60 --seed 3``;
+* each command with one non-default ``--rank-rtol``, ``--residual-tol`` or
+  ``--gap-tol``, and each command with ``--out``.
 
-Each digest covers the command's exit code, standard output, standard error
-and the text of the warnings it raised. Inputs are written to a temporary
+Each digest covers the command's exit code, standard output, standard error,
+the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
 directory and named by relative paths, so reports do not depend on where
 the script runs. One line per command, ``<sha256>  <command>``, then
 ``<sha256>  total`` over all of them: two builds that print the same lines
@@ -42,6 +44,14 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 # (m, n); the larger ones cut the pairwise stage into several chunks
 SHAPES = ((4, 4), (3, 5), (6, 3), (8, 8), (24, 20))
 GRIDS = (["--grid-points", "25"], ["--grid-points", "60", "--seed", "3"])
+# one valid invocation per command, for the tolerance-flag and --out runs
+COMMANDS = {
+    "analyze": ["analyze", "data/diag12.json", "data/eye2.json"],
+    "mp-check": ["mp-check", "data/diag12.json", "data/eye2.json"],
+    "spectrum": ["spectrum", "data/diag12.json", "data/eye2.json", "--steps", "21"],
+    "perturb": ["perturb", "data/diag10.json", "data/tbar_generalized.json"],
+}
+TOLERANCES = (["--rank-rtol", "0.05"], ["--residual-tol", "1e-6"], ["--gap-tol", "1e-4"])
 
 
 def run(argv: list[str]) -> str:
@@ -54,6 +64,8 @@ def run(argv: list[str]) -> str:
     digest = hashlib.sha256(f"exit {code}\n".encode())
     for part in (out.getvalue(), err.getvalue(), *(str(w.message) for w in caught)):
         digest.update(part.encode("utf-8") + b"\0")
+    if "--out" in argv:
+        digest.update(Path(argv[argv.index("--out") + 1]).read_bytes() + b"\0")
     return digest.hexdigest()
 
 
@@ -83,6 +95,11 @@ def framed_commands(pencils: int) -> list[list[str]]:
     return commands
 
 
+def flag_commands() -> list[list[str]]:
+    commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
+    return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pencils", type=int, default=4,
@@ -95,7 +112,8 @@ def main() -> int:
         shutil.copytree(DATA, Path(work) / "data")
         os.chdir(work)
         os.mkdir("framed")
-        for argv in data_commands() + framed_commands(args.pencils):
+        os.mkdir("out")
+        for argv in data_commands() + framed_commands(args.pencils) + flag_commands():
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

@@ -71,7 +71,7 @@ from .linalg import (
     svd,
     zero_subspace,
 )
-from .matio import load_matrix, matrix_payload, save_matrix, save_report
+from .matio import load_matrix, matrix_payload, save_matrix, scan_csv
 from .perturbation import (
     EquivalenceReport,
     PerturbationClass,

@@ -3,7 +3,8 @@
 Reports are UTF-8 JSON on standard output unless --out is given; diagnostics
 go to standard error. Exit codes: 0 success/criterion holds, 1 criterion
 fails (or the perturbation is too large for perturb), 2 usage or input
-error, 3 internal contract violation (mp-check verdict disagreement).
+error (an --out file that cannot be written included), 3 internal contract
+violation (mp-check verdict disagreement).
 
 Identical inputs and flags produce byte-identical reports: keys are sorted,
 grids and pair subsampling are seeded, and timing is only included when
@@ -13,9 +14,11 @@ explicitly requested with --timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .criteria import (
@@ -26,8 +29,8 @@ from .criteria import (
 )
 from .errors import GenResolventError, PerturbationTooLargeError
 from .geninv import mp_inverse
-from .linalg import TolerancePolicy
-from .matio import file_digest, load_matrix, matrix_payload, report_text, save_report
+from .linalg import DEFAULT_TOL, TolerancePolicy
+from .matio import file_digest, load_matrix, matrix_payload, report_text, scan_csv
 from .perturbation import splitting_checks
 from .resolvent import (
     DiskGrid,
@@ -39,13 +42,20 @@ from .resolvent import (
 )
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rank-rtol", type=float, default=None,
+def _add_command(sub, name: str, help_text: str, func, operand: str = "s_path"):
+    """A subparser for name that takes T's matrix file, one more operand and the
+    tolerance flags, which default to DEFAULT_TOL's values."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("t_path")
+    parser.add_argument(operand)
+    parser.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol,
                         help="relative singular-value cutoff factor")
-    parser.add_argument("--residual-tol", type=float, default=None,
+    parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol,
                         help="relative residual bound for matrix equations")
-    parser.add_argument("--gap-tol", type=float, default=None,
+    parser.add_argument("--gap-tol", type=float, default=DEFAULT_TOL.gap_tol,
                         help="projector-gap bound for subspace equality")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
@@ -64,31 +74,49 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _tolerances(args) -> TolerancePolicy:
-    base = TolerancePolicy()
-    return TolerancePolicy(
-        rank_rtol=args.rank_rtol if args.rank_rtol is not None else base.rank_rtol,
-        residual_tol=args.residual_tol if args.residual_tol is not None else base.residual_tol,
-        gap_tol=args.gap_tol if args.gap_tol is not None else base.gap_tol,
-    )
-
-
-def _tolerance_payload(tol: TolerancePolicy) -> dict:
-    return {"rank_rtol": tol.rank_rtol, "residual_tol": tol.residual_tol,
-            "gap_tol": tol.gap_tol}
+    return TolerancePolicy(args.rank_rtol, args.residual_tol, args.gap_tol)
 
 
 def _grid_payload(grid: DiskGrid) -> dict:
     return {"radius": grid.radius, "points": list(grid.points)}
 
 
-def _emit(report: dict, args) -> None:
-    if args.out:
-        save_report(report, args.out)
-    else:
-        sys.stdout.write(report_text(report))
+def _write(text: str, out) -> None:
+    """Write a report or scan to the --out file, or to standard output without
+    one; a file that cannot be written is an input error (exit 2)."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise GenResolventError(f"{out}: cannot write: {exc.strerror}") from exc
 
 
-def cmd_analyze(args) -> int:
+def _emit(args, inputs: dict, tol: TolerancePolicy, body: dict, exit_code: int,
+          started: float) -> int:
+    """Write a JSON report: the command's own body inside the envelope every
+    report shares (command, hashed inputs, tolerances, exit code and, with
+    --timing, the seconds since started). Returns the exit code."""
+    elapsed = time.perf_counter() - started
+    report = {
+        "command": args.command,
+        "inputs": {
+            name: {"path": path, "sha256": file_digest(path)} for name, path in inputs.items()
+        },
+        "tolerances": dataclasses.asdict(tol),
+        **body,
+        "exit_code": exit_code,
+    }
+    if args.timing:
+        report["timing_seconds"] = elapsed
+    _write(report_text(report), args.out)
+    return exit_code
+
+
+def _pencil_setup(args):
+    """What analyze and mp-check share: the tolerances, the clock's start after
+    loading, the pencil, T's Moore-Penrose inverse, its family and the grid."""
     t = load_matrix(args.t_path)
     s = load_matrix(args.s_path)
     tol = _tolerances(args)
@@ -97,18 +125,15 @@ def cmd_analyze(args) -> int:
     g = mp_inverse(t, tol)
     family = build_family(pencil, g)
     radius = args.grid_radius if args.grid_radius is not None else family.radius / 2
-    grid = default_grid(radius, args.grid_points)
+    return tol, started, pencil, g, family, default_grid(radius, args.grid_points)
+
+
+def cmd_analyze(args) -> int:
+    tol, started, pencil, g, family, grid = _pencil_setup(args)
     certificate = existence_check(pencil, g, grid, tol)
     axioms = check_resolvent_axioms(family, grid, tol, seed=args.seed)
     finite_rank = RankConstancyReport(certificate.profile)
-    exists = certificate.verdict and axioms.ok
-    report = {
-        "command": "analyze",
-        "inputs": {
-            "t": {"path": args.t_path, "sha256": file_digest(args.t_path)},
-            "s": {"path": args.s_path, "sha256": file_digest(args.s_path)},
-        },
-        "tolerances": _tolerance_payload(tol),
+    body = {
         "grid": _grid_payload(grid),
         "family": {"radius": family.radius, "st_plus_norm": family.st_norm},
         "existence": {
@@ -140,23 +165,13 @@ def cmd_analyze(args) -> int:
             "marginal": list(finite_rank.profile.marginal),
         },
         "note": "verdicts certify the sampled grid points only",
-        "exit_code": 0 if exists else 1,
     }
-    if args.timing:
-        report["timing_seconds"] = time.perf_counter() - started
-    _emit(report, args)
-    return report["exit_code"]
+    exit_code = 0 if certificate.verdict and axioms.ok else 1
+    return _emit(args, {"t": args.t_path, "s": args.s_path}, tol, body, exit_code, started)
 
 
 def cmd_mp_check(args) -> int:
-    t = load_matrix(args.t_path)
-    s = load_matrix(args.s_path)
-    tol = _tolerances(args)
-    started = time.perf_counter()
-    pencil = Pencil(t, s)
-    family = build_family(pencil, mp_inverse(t, tol))
-    radius = args.grid_radius if args.grid_radius is not None else family.radius / 2
-    grid = default_grid(radius, args.grid_points)
+    tol, started, pencil, _, _, grid = _pencil_setup(args)
     mp = mp_resolvent_characterization(pencil, grid, tol, seed=args.seed)
     if mp.constancy_verdict != mp.identity_verdict:
         exit_code = 3
@@ -164,13 +179,7 @@ def cmd_mp_check(args) -> int:
         exit_code = 0
     else:
         exit_code = 1
-    report = {
-        "command": "mp-check",
-        "inputs": {
-            "t": {"path": args.t_path, "sha256": file_digest(args.t_path)},
-            "s": {"path": args.s_path, "sha256": file_digest(args.s_path)},
-        },
-        "tolerances": _tolerance_payload(tol),
+    body = {
         "grid": _grid_payload(grid),
         "kernel_gaps": list(mp.kernel_gaps),
         "range_gaps": list(mp.range_gaps),
@@ -180,11 +189,8 @@ def cmd_mp_check(args) -> int:
         "identity_verdict": mp.identity_verdict,
         "verdicts_agree": mp.constancy_verdict == mp.identity_verdict,
         "note": "verdicts certify the sampled grid points only",
-        "exit_code": exit_code,
     }
-    if args.timing:
-        report["timing_seconds"] = time.perf_counter() - started
-    _emit(report, args)
+    _emit(args, {"t": args.t_path, "s": args.s_path}, tol, body, exit_code, started)
     if exit_code == 3:
         print("mp-check: constancy and identity verdicts disagree (contract violation)",
               file=sys.stderr)
@@ -200,18 +206,7 @@ def cmd_spectrum(args) -> int:
     tol = _tolerances(args)
     pencil = Pencil(t, s)
     region = rectangular_region(args.re_min, args.re_max, args.im_min, args.im_max, args.steps)
-    scan = generalized_spectrum_scan(pencil, region, tol)
-    lines = ["re,im,rank,is_drop"]
-    lines += [
-        f"{point.lam.real!r},{point.lam.imag!r},{point.rank},{int(point.is_drop)}"
-        for point in scan
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(scan_csv(generalized_spectrum_scan(pencil, region, tol)), args.out)
     return 0
 
 
@@ -219,6 +214,7 @@ def cmd_perturb(args) -> int:
     t = load_matrix(args.t_path)
     tbar = load_matrix(args.tbar_path)
     tol = _tolerances(args)
+    started = time.perf_counter()
     g = mp_inverse(t, tol)
     try:
         checks = splitting_checks(tbar, g, tol)
@@ -226,13 +222,7 @@ def cmd_perturb(args) -> int:
         print(f"perturb: {exc}", file=sys.stderr)
         return 1
     result = checks.result
-    report = {
-        "command": "perturb",
-        "inputs": {
-            "t": {"path": args.t_path, "sha256": file_digest(args.t_path)},
-            "tbar": {"path": args.tbar_path, "sha256": file_digest(args.tbar_path)},
-        },
-        "tolerances": _tolerance_payload(tol),
+    body = {
         "b": matrix_payload(result.b),
         "classification": result.classification.value,
         "smallness": result.smallness,
@@ -245,10 +235,8 @@ def cmd_perturb(args) -> int:
             "domain_splits": checks.domain_splits,
             "agree": checks.agree,
         },
-        "exit_code": 0,
     }
-    _emit(report, args)
-    return 0
+    return _emit(args, {"t": args.t_path, "tbar": args.tbar_path}, tol, body, 0, started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,40 +246,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="existence, resolvent axioms and rank criteria")
-    pa.add_argument("t_path")
-    pa.add_argument("s_path")
+    pa = _add_command(sub, "analyze", "existence, resolvent axioms and rank criteria",
+                      cmd_analyze)
     _add_grid_flags(pa)
-    _add_tolerance_flags(pa)
     _add_output_flags(pa)
-    pa.set_defaults(func=cmd_analyze)
 
-    pm = sub.add_parser("mp-check", help="is the pseudoinverse family itself the resolvent?")
-    pm.add_argument("t_path")
-    pm.add_argument("s_path")
+    pm = _add_command(sub, "mp-check", "is the pseudoinverse family itself the resolvent?",
+                      cmd_mp_check)
     _add_grid_flags(pm)
-    _add_tolerance_flags(pm)
     _add_output_flags(pm)
-    pm.set_defaults(func=cmd_mp_check)
 
-    ps = sub.add_parser("spectrum", help="rank-drop locus over a rectangle, as CSV")
-    ps.add_argument("t_path")
-    ps.add_argument("s_path")
+    ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum)
     ps.add_argument("--re-min", type=float, default=-3.0)
     ps.add_argument("--re-max", type=float, default=3.0)
     ps.add_argument("--im-min", type=float, default=-3.0)
     ps.add_argument("--im-max", type=float, default=3.0)
     ps.add_argument("--steps", type=int, default=61, help="points per axis")
-    _add_tolerance_flags(ps)
     ps.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    ps.set_defaults(func=cmd_spectrum)
 
-    pp = sub.add_parser("perturb", help="stability of the inverse under a perturbed operator")
-    pp.add_argument("t_path")
-    pp.add_argument("tbar_path")
-    _add_tolerance_flags(pp)
+    pp = _add_command(sub, "perturb", "stability of the inverse under a perturbed operator",
+                      cmd_perturb, "tbar_path")
     _add_output_flags(pp)
-    pp.set_defaults(func=cmd_perturb)
 
     pv = sub.add_parser("version", help="print the package version")
     pv.set_defaults(func=lambda args: print(f"genresolvent {__version__}") or 0)

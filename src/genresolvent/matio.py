@@ -3,7 +3,8 @@
 Matrix files carry {"rows", "cols", "re", "im"} with "im" optional (absent
 means a real matrix). Values are plain JSON numbers, which round-trip
 exactly for anything representable in binary64. Reports are emitted as
-sorted-key JSON so identical inputs produce byte-identical output.
+sorted-key JSON so identical inputs produce byte-identical output; spectrum
+scans are emitted as CSV.
 """
 
 from __future__ import annotations
@@ -90,30 +91,27 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def jsonify(obj):
-    """Recursively convert numpy scalars, arrays and complex numbers to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+def _json_default(obj):
+    """JSON value of what the encoder does not know: numpy arrays and scalars
+    become Python lists and numbers, complex numbers {"re", "im"} objects."""
     if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def report_text(report: dict) -> str:
     """Deterministic JSON rendering of a report."""
-    return json.dumps(jsonify(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(report, default=_json_default, indent=2, sort_keys=True,
+                      ensure_ascii=False) + "\n"
 
 
-def save_report(report: dict, path) -> None:
-    """Serialize a report to a UTF-8 JSON file."""
-    Path(path).write_text(report_text(report), encoding="utf-8")
+def scan_csv(scan) -> str:
+    """CSV text of a spectrum scan: the header re,im,rank,is_drop, then one row
+    per point, coordinates as repr of the float (exact round trip)."""
+    rows = ["re,im,rank,is_drop"]
+    rows += [f"{p.lam.real!r},{p.lam.imag!r},{p.rank},{int(p.is_drop)}" for p in scan]
+    return "\n".join(rows) + "\n"

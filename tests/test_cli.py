@@ -20,11 +20,19 @@ from genresolvent import (
     save_matrix,
 )
 from genresolvent.cli import main
+from genresolvent.matio import report_text
 import genresolvent.cli as cli_module
 from helpers import framed_pencil
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# one valid invocation of each command on the shipped example matrices
+COMMANDS = {
+    "analyze": ["analyze", DATA / "const_t.json", DATA / "const_s.json"],
+    "mp-check": ["mp-check", DATA / "const_t.json", DATA / "const_s.json"],
+    "spectrum": ["spectrum", DATA / "diag12.json", DATA / "eye2.json", "--steps", "5"],
+    "perturb": ["perturb", DATA / "diag10.json", DATA / "tbar_generalized.json"],
+}
 
 
 class TestLoadMatrix:
@@ -86,6 +94,72 @@ class TestLoadMatrix:
         path = tmp_path / "m.json"
         save_matrix(values, path)
         assert np.array_equal(load_matrix(path), values)
+
+
+def test_report_text_renders_numpy_and_complex_values():
+    """report_text renders numpy scalars and arrays as JSON numbers and lists,
+    complex values as {"re", "im"} objects, tuples as lists, keys sorted."""
+    report = {
+        "flag": np.bool_(True),
+        "count": np.int64(-3),
+        "value": np.float64(0.1),
+        "z": 1.5 - 2j,
+        "nz": np.complex128(complex(0.25, 1.0)),
+        "real": np.array([[1.0, 2.5], [0.0, -1.0]]),
+        "cplx": np.array([complex(1.0, 1.0), complex(0.0, -2.0)]),
+        "pair": (1, np.float64(2.0)),
+        "nested": {"b": {"a": [np.bool_(False), None]}, "a": "\u00e9"},
+    }
+    expected = """{
+  "count": -3,
+  "cplx": [
+    {
+      "im": 1.0,
+      "re": 1.0
+    },
+    {
+      "im": -2.0,
+      "re": 0.0
+    }
+  ],
+  "flag": true,
+  "nested": {
+    "a": "\u00e9",
+    "b": {
+      "a": [
+        false,
+        null
+      ]
+    }
+  },
+  "nz": {
+    "im": 1.0,
+    "re": 0.25
+  },
+  "pair": [
+    1,
+    2.0
+  ],
+  "real": [
+    [
+      1.0,
+      2.5
+    ],
+    [
+      0.0,
+      -1.0
+    ]
+  ],
+  "value": 0.1,
+  "z": {
+    "im": -2.0,
+    "re": 1.5
+  }
+}
+"""
+    assert report_text(report) == expected
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        report_text({"x": object()})
 
 
 def run(args, capsys):
@@ -180,25 +254,51 @@ def test_analyze_rank_blocks_equal_finite_rank_criterion(case, tmp_path, capsys)
         assert any(profile.marginal) and not all(profile.marginal)
 
 
-@pytest.mark.parametrize("command", ["analyze", "mp-check"])
+TOLERANCE_SETTINGS = [
+    ("--gap-tol", "1", "gap_tol"),
+    ("--gap-tol", "nan", "gap_tol"),
+    ("--residual-tol", "1", "residual_tol"),
+    ("--residual-tol", "inf", "residual_tol"),
+    ("--rank-rtol", "1", "rank_rtol"),
+]
+GRID_SETTINGS = [
+    ("--grid-radius", "nan", "grid radius"),
+    ("--grid-radius", "inf", "grid radius"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag,value,named",
-    [
-        ("--gap-tol", "1", "gap_tol"),
-        ("--gap-tol", "nan", "gap_tol"),
-        ("--residual-tol", "1", "residual_tol"),
-        ("--residual-tol", "inf", "residual_tol"),
-        ("--rank-rtol", "1", "rank_rtol"),
-        ("--grid-radius", "nan", "grid radius"),
-        ("--grid-radius", "inf", "grid radius"),
-    ],
+    "flag,value,named,command",
+    [(*setting, command) for setting in TOLERANCE_SETTINGS
+     for command in ("analyze", "mp-check", "spectrum", "perturb")]
+    + [(*setting, command) for setting in GRID_SETTINGS for command in ("analyze", "mp-check")],
 )
 def test_settings_that_decide_nothing_exit_two(command, flag, value, named, capsys):
-    code, out, err = run(
-        [command, DATA / "const_t.json", DATA / "const_s.json", flag, value], capsys
-    )
+    code, out, err = run([*COMMANDS[command], flag, value], capsys)
     assert (code, out) == (2, "")
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "mp-check", "perturb"])
+def test_timing_adds_only_its_field(command, capsys):
+    """--timing adds timing_seconds to the report and changes nothing else."""
+    code, out, _ = run(COMMANDS[command], capsys)
+    timed_code, timed, _ = run([*COMMANDS[command], "--timing"], capsys)
+    assert "timing_seconds" not in json.loads(out)
+    report = json.loads(timed)
+    assert report.pop("timing_seconds") >= 0.0
+    assert (timed_code, report_text(report)) == (code, out)
+
+
+@pytest.mark.parametrize("command", ["analyze", "mp-check", "spectrum", "perturb"])
+def test_unwritable_out_exits_two(command, tmp_path, capsys):
+    """A report that cannot be written is an input error: exit 2, one line on
+    stderr, nothing on stdout."""
+    target = tmp_path / "missing" / "report"
+    code, out, err = run([*COMMANDS[command], "--out", target], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"genresolvent: {target}: cannot write")
+    assert err.count("\n") == 1
 
 
 class TestMpCheckCommand:

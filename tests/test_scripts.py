@@ -1,7 +1,8 @@
 """Smoke test of the experiment scripts at small sizes.
 
 Each script runs in its own interpreter, as from the command line, and must
-exit 0 with every criterion agreeing; the report digests must repeat.
+exit 0 with every criterion agreeing; the report digests must repeat, and
+the rank-drop script's CSV must equal the CLI's.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from genresolvent.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +43,17 @@ def test_report_digests_repeat():
     assert lines[-1].endswith("  total")
     assert any(line.endswith("--grid-points 60 --seed 3") for line in lines)
     assert len({line.split()[0] for line in lines}) > len(lines) // 2
+
+
+def test_rank_drop_scan_csv_equals_cli_spectrum(tmp_path):
+    """The script's --out CSV is the same bytes as genresolvent spectrum --out."""
+    pencil = [str(ROOT / "data" / "diag12.json"), str(ROOT / "data" / "eye2.json")]
+    script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
+    done = run_script("rank_drop_scan.py", [*pencil, "--steps", "9", "--out", str(script_csv)])
+    assert done.returncode == 0, done.stderr
+    assert main(["spectrum", *pencil, "--steps", "9", "--out", str(cli_csv)]) == 0
+    assert script_csv.read_bytes() == cli_csv.read_bytes()
+    assert script_csv.read_text().startswith("re,im,rank,is_drop\n")
 
 
 def run_script(script, args):
