@@ -9,7 +9,12 @@ Runs ``genresolvent.cli.main`` in-process on
   support): ``analyze`` and ``mp-check`` at ``--grid-points 25`` and at
   ``--grid-points 60 --seed 3``;
 * each command with one non-default ``--rank-rtol``, ``--residual-tol`` or
-  ``--gap-tol``, and each command with ``--out``.
+  ``--gap-tol``, and each command with ``--out``;
+* ``spectrum --steps 21`` on seeded normal pencils of order 20 that reach
+  both paths of the rank kernel's full-rank screen: one eigenvalue on a
+  lattice point and one off it (the screen certifies every chunk but the
+  one holding the first), the same pencil at ``--rank-rtol 0.5`` (the
+  screen declines every chunk), and a pencil rank-deficient everywhere.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -38,7 +43,7 @@ import numpy as np
 
 from genresolvent import load_matrix, save_matrix
 from genresolvent.cli import main as cli_main
-from instances import framed
+from instances import framed, unitary
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # (m, n); the larger ones cut the pairwise stage into several chunks
@@ -95,6 +100,31 @@ def framed_commands(pencils: int) -> list[list[str]]:
     return commands
 
 
+def spectrum_commands() -> list[list[str]]:
+    rng = np.random.default_rng(20)
+    lattice = np.linspace(-3.0, 3.0, 21)
+    # one eigenvalue on a lattice point, one 0.1 * sqrt(2) off every one,
+    # and the other 18 outside the scanned square
+    eigenvalues = np.concatenate([[complex(lattice[13], lattice[8]), 0.1 + 0.1j],
+                                  5.0 + 0.5j * np.arange(18)])
+    u = unitary(rng, 20)
+    regular = (u * eigenvalues) @ u.conj().T
+    # a common kernel: rank at most 19 at every lam
+    support = np.ones(20)
+    support[-1] = 0.0
+    deficient_t, deficient_s = (u * (eigenvalues * support)) @ u.conj().T, (u * support) @ u.conj().T
+    save_matrix(regular, "spectrum/normal-t.json")
+    save_matrix(np.eye(20), "spectrum/eye-s.json")
+    save_matrix(deficient_t, "spectrum/deficient-t.json")
+    save_matrix(deficient_s, "spectrum/deficient-s.json")
+    scan = ["--steps", "21"]
+    return [
+        ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan],
+        ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan, "--rank-rtol", "0.5"],
+        ["spectrum", "spectrum/deficient-t.json", "spectrum/deficient-s.json", *scan],
+    ]
+
+
 def flag_commands() -> list[list[str]]:
     commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
     return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
@@ -113,7 +143,9 @@ def main() -> int:
         os.chdir(work)
         os.mkdir("framed")
         os.mkdir("out")
-        for argv in data_commands() + framed_commands(args.pencils) + flag_commands():
+        os.mkdir("spectrum")
+        for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
+                     + spectrum_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

@@ -130,7 +130,7 @@ def _pencil_setup(args):
 
 def cmd_analyze(args) -> int:
     tol, started, pencil, g, family, grid = _pencil_setup(args)
-    certificate = existence_check(pencil, g, grid, tol)
+    certificate = existence_check(pencil, g, grid, tol, family=family)
     axioms = check_resolvent_axioms(family, grid, tol, seed=args.seed)
     finite_rank = RankConstancyReport(certificate.profile)
     body = {

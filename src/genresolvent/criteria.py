@@ -148,7 +148,8 @@ def _mp_characterization(
     :func:`linalg.norm_upper_bounds` of D over :func:`linalg.norm_lower_bounds`
     of X, zero where D is zero, and :func:`linalg.exact_maximum` then takes
     exact residuals only where the bound can reach the maximum, rebuilding
-    D and X from the point's pseudoinverse through the same code.
+    that one axiom's D and X from the point's pseudoinverse through the
+    same code.
     """
     t_factor = factor(p.t, tol)
     t_kernel, t_range = projector(t_factor.kernel), projector(t_factor.range)
@@ -177,7 +178,7 @@ def _mp_characterization(
     def exact(position: int) -> float:
         point, axiom = divmod(position, 4)
         here = slice(point, point + 1)
-        deviation, scale = mp_axiom_deviations(p.at_many(lams[here]), pinvs[here])[axiom]
+        (deviation, scale), = mp_axiom_deviations(p.at_many(lams[here]), pinvs[here], (axiom,))
         return float(relative_residuals(deviation, scale)[0])
 
     max_axiom, _ = exact_maximum(axiom_bounds.ravel(), exact)

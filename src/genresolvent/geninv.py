@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,23 +114,28 @@ class MPAxiomReport:
     ok: bool
 
 
-def mp_axiom_deviations(t: np.ndarray, b: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The four Moore-Penrose axioms of stacks t of shape (k, m, n) and b of (k, n, m).
+def mp_axiom_deviations(
+    t: np.ndarray, b: np.ndarray, axioms: Sequence[int] = range(4)
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Moore-Penrose axioms of stacks t of shape (k, m, n) and b of (k, n, m).
 
-    Returns (deviation, scale) stack pairs, in the order inner, outer,
-    p-Hermitian and q-Hermitian, with p = t b and q = b t: (p t - t, t),
-    (q b - b, b), (p - p^H, p) and (q - q^H, q). An axiom's residual is
+    Returns (deviation, scale) stack pairs for the axioms asked for, by
+    index into the order inner, outer, p-Hermitian and q-Hermitian, with
+    p = t b and q = b t: (p t - t, t), (q b - b, b), (p - p^H, p) and
+    (q - q^H, q). Only the products those axioms need are formed, by the
+    same operations whichever axioms are asked for. An axiom's residual is
     ||deviation||_2 / ||scale||_2, as in :func:`verify_mp_axioms`. Stacks
     are trusted: built inside the package, not validated.
     """
-    p = t @ b
-    q = b @ t
-    return (
-        (p @ t - t, t),
-        (q @ b - b, b),
-        (p - p.conj().swapaxes(1, 2), p),
-        (q - q.conj().swapaxes(1, 2), q),
+    p = t @ b if not {0, 2}.isdisjoint(axioms) else None
+    q = b @ t if not {1, 3}.isdisjoint(axioms) else None
+    forms = (
+        lambda: (p @ t - t, t),
+        lambda: (q @ b - b, b),
+        lambda: (p - p.conj().swapaxes(1, 2), p),
+        lambda: (q - q.conj().swapaxes(1, 2), q),
     )
+    return tuple(forms[axiom]() for axiom in axioms)
 
 
 def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:

@@ -14,6 +14,21 @@ and the perturbation splittings are comparisons of those integers
 :func:`numerical_rank`, :func:`rank_and_marginal` and the rank profiles
 and scans of the grid stages are its views with empty bases.
 
+Most matrices these views rank, and most systems :func:`solve_stack`
+checks, are of full rank by a wide margin, and an SVD is the dearest way
+to show it. So both first run a private full-rank screen on the whole
+stack: one Gram matrix of the smaller side per member, its diagonal
+lowered by a shift that covers the rank cutoff, the factor 10 of the
+marginal rule and every rounding error on the way (SCREEN_SLACK), and one
+batched Cholesky factorization. If it succeeds, the SVD would have given
+every member full rank, not marginal, and none is factored; if it breaks
+down on any member, or some ||A||_F^2 is near under- or overflow, the
+stack takes the SVD path unchanged, which also gives the condition number
+of a singular system. So every rank, marginal flag and singularity
+verdict is the SVD's, and a certified member carries no singular values.
+Ranks with products (:func:`split_ranks` with bases) skip the screen:
+A's own SVD sets their cutoff.
+
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
 promote them to read-only complex arrays with :func:`as_matrix`.
@@ -66,6 +81,31 @@ NORM_FLOOR = float(np.finfo(np.float64).tiny)
 # every size this package handles (n up to a few hundred, so n^(3/2) * EPS
 # below 1e-11) these add up to far less than NORM_BOUND_SLACK.
 NORM_BOUND_SLACK = 1e-6
+# Slack of the full-rank screen (_full_rank_certified), one constant for two
+# quantities. As delta, relative to ||A||_F, it bounds the error of each
+# singular value the values-only SVD returns: those are the singular values
+# of A + E with ||E||_2 a modest multiple of max(m, n) * EPS * ||A||_2
+# (backward-stable bidiagonalization and QR iteration), so by Weyl's
+# inequality each moves by at most delta * ||A||_F. As kappa, relative to
+# ||A||_F^2, it bounds the distance between the Gram matrix H = X^H X of the
+# smaller side and the matrix whose Cholesky factor the screen computes: the
+# rounding of the Gram product, within gamma_m |X^H| |X|, of 2-norm at most
+# about 4 max(m, n) * EPS * ||A||_F^2 in complex arithmetic; the backward
+# error of a Cholesky factorization that runs to completion, within
+# gamma_(p+1) |R^H| |R|, of 2-norm at most about (p + 1) * EPS * tr(H)
+# (Higham, ch. 10; Rump, BIT 46, 2006); and the rounding of the diagonal
+# shift and of ||A||_F^2 = tr(H), a few EPS more. At every size this package
+# handles (n up to a few hundred, so max(m, n) * EPS below 1e-13) each of
+# these is below 1e-11, a tenth of SCREEN_SLACK at most.
+SCREEN_SLACK = 1e-10
+# The screen runs only where ||A||_F^2 lies strictly inside this range. Above
+# its lower end the Gram's gradual underflow, at most about m * p * 2^-1074
+# in 2-norm, is negligible against kappa * ||A||_F^2; below its upper end
+# neither the Gram nor its shifted diagonal can overflow.
+SCREEN_RANGE = (float(np.finfo(np.float64).tiny) / EPS, float(np.finfo(np.float64).max) * EPS)
+# Matrices the screen keeps alive per member beside the member itself: the
+# adjoint, the Gram and the Cholesky factor (fewer entries when not square).
+SCREEN_LIVE = 3
 # Approximate bytes held at once by one stack of per-point matrices and the
 # arrays built from it, so peak memory stays flat in n and grid size.
 CHUNK_BYTES = 2 << 20
@@ -219,6 +259,42 @@ def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
     """
     cutoffs = tol.rank_rtol * s[:, 0] * max(shape[-2:])
     return np.count_nonzero(s > cutoffs[:, None], axis=1), cutoffs
+
+
+def _full_rank_certified(stack: np.ndarray, tol: TolerancePolicy) -> bool:
+    """Whether the values-only SVD would give every member A of a (k, m, n)
+    stack, min(m, n) > 0, full rank p = min(m, n) with a rank not marginal.
+
+    A proof without an SVD. The SVD's decision needs its smallest value
+    above 10 * rank_rtol * max(m, n) times its largest; computed values lie
+    within delta ||A||_F of the exact ones, and sigma_max <= ||A||_F, so
+    sigma_min(A) >= target = (10 rtol max(m, n) (1 + delta) + delta) ||A||_F
+    suffices. sigma_min(A)^2 is the smallest eigenvalue of the Gram H of the
+    smaller side, and a Cholesky factorization of the computed H less
+    (target^2 + kappa ||A||_F^2) I that runs to completion proves it is at
+    least target^2, rounding included (SCREEN_SLACK is delta and kappa).
+    False when the factorization breaks down on some member (the batched
+    call raises for the whole stack) or some ||A||_F^2 lies outside
+    SCREEN_RANGE; the caller then takes the SVD.
+    """
+    k, m, n = stack.shape
+    adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
+    gram = adjoint @ stack if n <= m else stack @ adjoint
+    # freed before the factor is allocated, which can then take its memory
+    del adjoint
+    size = gram.shape[1]
+    diagonal = gram.reshape(k, size * size)[:, :: size + 1]
+    squares = diagonal.real.sum(axis=1)
+    if not np.all((squares > SCREEN_RANGE[0]) & (squares < SCREEN_RANGE[1])):
+        return False
+    # target / ||A||_F
+    ratio = 10.0 * tol.rank_rtol * max(m, n) * (1.0 + SCREEN_SLACK) + SCREEN_SLACK
+    diagonal -= ((ratio * ratio + SCREEN_SLACK) * squares)[:, None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def empty_basis(dim: int) -> np.ndarray:
@@ -506,12 +582,17 @@ def split_ranks(
     rounding noise of A on its numerical kernel as rank. The rank of A is
     marginal when its smallest kept singular value is within a factor of 10
     of the cutoff, i.e. the rank would flip under a modest tolerance change.
-    Empty matrices and products have rank 0 and are not factored.
+    Empty matrices and products have rank 0 and are not factored. When no
+    product is asked for, the full-rank screen runs first, and a stack it
+    certifies is not factored either.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)
     marginal = np.zeros(k, dtype=bool)
-    if k and min(m, n):
+    products = right.shape[1] or left.shape[1]
+    if k and min(m, n) and not products and _full_rank_certified(stack, tol):
+        ranks[0] = min(m, n)
+    elif k and min(m, n):
         s = _svd(stack, compute_uv=False)
         ranks[0], cutoffs = _ranks(s, stack.shape, tol)
         kept = s[np.arange(k), np.maximum(ranks[0] - 1, 0)]
@@ -551,25 +632,28 @@ def split_verdicts(
 def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Solve a[k] @ x[k] = b for a (k, n, n) stack of numerically invertible matrices.
 
-    b is one (n, r) right-hand side shared by every system. One values-only
-    SVD of the stack checks invertibility first: the lowest-index matrix
-    whose smallest singular value falls at or below its rank cutoff raises
-    SingularSystemError carrying a condition estimate, and nothing is solved.
+    b is one (n, r) right-hand side shared by every system. Invertibility
+    is checked first: by the full-rank screen when it certifies the whole
+    stack, and otherwise by one values-only SVD of the stack, where the
+    lowest-index matrix whose smallest singular value falls at or below its
+    rank cutoff raises SingularSystemError carrying a condition estimate,
+    and nothing is solved.
     b is passed as a (1, n, r) stack: NumPy before 2.0 reads a b of one
     dimension less than a as a stack of vectors, not as one shared matrix.
     """
     k, n, _ = a.shape
     if n == 0:
         return np.zeros((k,) + b.shape, dtype=np.complex128)
-    s = _svd(a, compute_uv=False)
-    _, cutoffs = _ranks(s, a.shape, tol)
-    singular = np.flatnonzero(s[:, -1] <= cutoffs)
-    if singular.size:
-        top, smin = float(s[singular[0], 0]), float(s[singular[0], -1])
-        cond = top / smin if smin > 0.0 else np.inf
-        raise SingularSystemError(
-            f"system matrix singular to tolerance (cond ~ {cond:.3e})", cond
-        )
+    if not _full_rank_certified(a, tol):
+        s = _svd(a, compute_uv=False)
+        _, cutoffs = _ranks(s, a.shape, tol)
+        singular = np.flatnonzero(s[:, -1] <= cutoffs)
+        if singular.size:
+            top, smin = float(s[singular[0], 0]), float(s[singular[0], -1])
+            cond = top / smin if smin > 0.0 else np.inf
+            raise SingularSystemError(
+                f"system matrix singular to tolerance (cond ~ {cond:.3e})", cond
+            )
     return np.linalg.solve(a, b[None])
 
 

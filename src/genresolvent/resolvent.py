@@ -45,6 +45,7 @@ from .geninv import ComplementPair, GenInverse, inverse_residuals, user_supplied
 from .linalg import (
     DEFAULT_TOL,
     NORM_FLOOR,
+    SCREEN_LIVE,
     TolerancePolicy,
     as_matrix,
     chunks,
@@ -497,12 +498,24 @@ class ExistenceCertificate:
 
 
 def existence_check(
-    p: Pencil, g: GenInverse, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
+    p: Pencil,
+    g: GenInverse,
+    grid: DiskGrid,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    *,
+    family: ResolventFamily | None = None,
 ) -> ExistenceCertificate:
-    """Test R(t - lam s) transversal to N(tplus) at every sampled point."""
-    _require_matching_inverse(p, g)
-    st_norm = op_norm2(p.s @ g.tplus)
-    if grid.radius * st_norm >= 1.0:
+    """Test R(t - lam s) transversal to N(tplus) at every sampled point.
+
+    Warns when the grid reaches the disk of convergence, by ||s tplus||_2:
+    that of ``family``, build_family(p, g) already built by the caller, or
+    taken here without one.
+    """
+    if family is None:
+        family = build_family(p, g)
+    elif family.pencil is not p or family.g is not g:
+        raise ValueError("family was built for another pencil or inverse")
+    if grid.radius * family.st_norm >= 1.0:
         warnings.warn(
             "grid radius reaches the boundary of the family's disk of convergence; "
             "verdicts on or outside it do not certify existence",
@@ -555,12 +568,13 @@ def _grid_pass(
     Returns the rank profile at the points and their transversality, domain
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
-    formed, and a chunk counts t - lam s and each product asked for.
+    formed. A chunk counts t - lam s and each product asked for or, with
+    none asked for, the matrices of the full-rank screen.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
-    live = 1 + bool(e.shape[1]) + bool(f_perp.shape[1])
+    live = 1 + (bool(e.shape[1]) + bool(f_perp.shape[1]) or SCREEN_LIVE)
     parts = [split_ranks(p.at_many(lams), e, f_perp, tol) for lams in p.point_chunks(points, live)]
     split = [np.concatenate(column) for column in zip(*parts)]
     ranks = split[0].tolist()

@@ -145,3 +145,28 @@ def perturbation_instance(rng: np.random.Generator, case: str):
     else:
         raise ValueError(f"unknown case {case!r}")
     return t, t + u @ rect_diag(m, n, delta_vals) @ v.conj().T
+
+
+def normal_pencil(rng: np.random.Generator, eigenvalues) -> Pencil:
+    """T = U diag(eigenvalues) U^H for a Haar unitary U, and S = I.
+
+    The singular values of t - lam*s are |eigenvalues - lam|, up to the
+    rounding of T.
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=np.complex128)
+    n = len(eigenvalues)
+    u = unitary(rng, n)
+    return Pencil((u * eigenvalues) @ u.conj().T, np.eye(n, dtype=np.complex128))
+
+
+def off_lattice(rng: np.random.Generator, count: int, extent: float = 3.0,
+                spacing: float = 0.1, distance: float = 0.02) -> np.ndarray:
+    """Complex values inside [-extent, extent]^2, each at least distance from
+    every point of the lattice spacing * (Z + iZ)."""
+    values: list[complex] = []
+    while len(values) < count:
+        z = complex(*rng.uniform(-extent + spacing, extent - spacing, 2))
+        nearest = complex(round(z.real / spacing), round(z.imag / spacing)) * spacing
+        if abs(z - nearest) >= distance:
+            values.append(z)
+    return np.array(values)

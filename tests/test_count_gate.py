@@ -8,7 +8,9 @@ ranks, so their only full SVD is of one fixed operator. Calls and factored
 matrices are counted apart, so batching cannot hide work: a call on a
 (k, m, n) stack factors k matrices. The pencil is the seeded n=6 one of
 ``test_svd_count_gate``: rank 3, 25 grid points, constant and switched
-support. Later changes may only lower these bounds.
+support. Later changes may only lower these bounds. The spectrum scan
+ranks by the full-rank screen of :mod:`linalg` and factors only the chunks
+it cannot certify.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ from genresolvent import (
     save_matrix,
     splitting_checks,
 )
+from genresolvent import criteria, resolvent
 from genresolvent.cli import main
-from helpers import framed_pencil, perturbation_instance
+from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
+from genresolvent.linalg import SCREEN_LIVE
+from helpers import framed_pencil, normal_pencil, off_lattice, perturbation_instance
 
 
 @pytest.fixture
@@ -61,6 +66,14 @@ def svds(monkeypatch):
 
 def reset(counts):
     counts.update(all=0, full=0, matrices=0, full_matrices=0)
+
+
+def pencil_files(directory, p) -> list[str]:
+    """t and s of p saved as matrix files in directory: the CLI's two operands."""
+    paths = [str(directory / "t.json"), str(directory / "s.json")]
+    save_matrix(p.t, paths[0])
+    save_matrix(p.s, paths[1])
+    return paths
 
 
 def seeded_case(switched):
@@ -147,11 +160,78 @@ def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize("switched", [False, True])
 def test_commands(svds, command, bounds, switched, tmp_path, capsys):
     p, _, _ = seeded_case(switched)
-    paths = [str(tmp_path / "t.json"), str(tmp_path / "s.json")]
-    save_matrix(p.t, paths[0])
-    save_matrix(p.s, paths[1])
+    paths = pencil_files(tmp_path, p)
     reset(svds)
     assert main([command, *paths]) == (1 if switched else 0)
     capsys.readouterr()
     for kind, bound in bounds.items():
         assert svds[kind] <= bound, kind
+
+
+def test_spectrum_off_the_lattice_takes_no_svd(svds, tmp_path, capsys):
+    """Every point of the default 61 x 61 scan is certified full rank."""
+    p = normal_pencil(np.random.default_rng(10), off_lattice(np.random.default_rng(11), 50))
+    paths = pencil_files(tmp_path, p)
+    reset(svds)
+    assert main(["spectrum", *paths]) == 0
+    assert capsys.readouterr().out.count(",50,0\n") == 61 * 61
+    assert svds["all"] == 0
+
+
+def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):
+    region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
+    on = 1234
+    eigenvalues = np.concatenate([[region[on]], off_lattice(np.random.default_rng(12), 49)])
+    p = normal_pencil(np.random.default_rng(13), eigenvalues)
+    sizes = [len(chunk) for chunk in p.point_chunks(region, 1 + SCREEN_LIVE)]
+    holding = sizes[np.searchsorted(np.cumsum(sizes), on, side="right")]
+    reset(svds)
+    scan = generalized_spectrum_scan(p, region)
+    assert svds["all"] == 1
+    assert svds["matrices"] == holding
+    assert [k for k, point in enumerate(scan) if point.is_drop] == [on]
+
+
+def test_analyze_takes_the_norm_of_s_tplus_once(monkeypatch, tmp_path, capsys):
+    """build_family's ||s tplus||_2 also decides existence_check's radius warning."""
+    p, g, _ = seeded_case(False)
+    product = p.s @ g.tplus
+    operands = []
+    op_norm2 = resolvent.op_norm2
+
+    def recording(a):
+        operands.append(np.array(a))
+        return op_norm2(a)
+
+    monkeypatch.setattr(resolvent, "op_norm2", recording)
+    paths = pencil_files(tmp_path, p)
+    assert main(["analyze", *paths]) == 0
+    capsys.readouterr()
+    assert sum(np.array_equal(a, product) for a in operands) == 1
+
+
+def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
+    """The screen forms all four axioms per chunk; each exact candidate
+    (point, axiom) forms only its own deviation and scale."""
+    p, _, grid = seeded_case(True)
+    asked = []
+    candidates = [0]
+    deviations, exact_maximum = criteria.mp_axiom_deviations, criteria.exact_maximum
+
+    def recording(t, b, axioms=range(4)):
+        asked.append(tuple(axioms))
+        return deviations(t, b, axioms)
+
+    def counting(bounds, exact):
+        def counted(position):
+            candidates[0] += 1
+            return exact(position)
+        return exact_maximum(bounds, counted)
+
+    monkeypatch.setattr(criteria, "mp_axiom_deviations", recording)
+    monkeypatch.setattr(criteria, "exact_maximum", counting)
+    mp_resolvent_characterization(p, grid)
+    singles = [axioms for axioms in asked if axioms != tuple(range(4))]
+    assert candidates[0] > 0
+    assert len(singles) == candidates[0]
+    assert all(len(axioms) == 1 for axioms in singles)

@@ -28,7 +28,8 @@ from genresolvent import (
     verify_mp_axioms,
     zero_subspace,
 )
-from helpers import random_complement_inverse, random_rank_matrix
+from genresolvent.geninv import mp_axiom_deviations
+from helpers import complex_gaussian, random_complement_inverse, random_rank_matrix
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -179,3 +180,13 @@ class TestComplementsRoundTrip:
         assert op_norm2(g.q @ g.q - g.q) <= 1e-10
         assert subspace_gap(range_basis(g.p), range_basis(t)) <= 1e-8
         assert subspace_gap(kernel_basis(g.q), kernel_basis(t)) <= 1e-8
+
+
+def test_one_axiom_has_the_bits_it_has_among_all_four():
+    rng = np.random.default_rng(7)
+    t, b = complex_gaussian(rng, (2, 4, 3)), complex_gaussian(rng, (2, 3, 4))
+    every = mp_axiom_deviations(t, b)
+    for axiom in range(4):
+        (alone,) = mp_axiom_deviations(t, b, (axiom,))
+        for got, want in zip(alone, every[axiom]):
+            np.testing.assert_array_equal(got, want)

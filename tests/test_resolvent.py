@@ -259,6 +259,15 @@ class TestExistence:
         assert build_family(DIAG3, mp_inverse(DIAG3.t)).radius == grid.radius
         with pytest.warns(UserWarning):
             existence_check(DIAG3, mp_inverse(DIAG3.t), grid)
+        g = mp_inverse(DIAG3.t)
+        with pytest.warns(UserWarning):
+            existence_check(DIAG3, g, grid, family=build_family(DIAG3, g))
+
+    def test_family_must_be_of_the_pencil_and_inverse(self):
+        g = mp_inverse(DIAG3.t)
+        with pytest.raises(ValueError, match="another pencil or inverse"):
+            existence_check(DIAG3, g, default_grid(0.1, 9),
+                            family=build_family(DIAG3, mp_inverse(DIAG3.t)))
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
