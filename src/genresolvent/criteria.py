@@ -232,7 +232,10 @@ def invertibility_corollary(
     if invertible:
         worst = 0.0
         done = 0
-        # per point: t - lam I, its inverse, the pseudoinverse and their difference
+        # per point: t - lam I, its inverse, the pseudoinverse and their
+        # difference; the solve's full-rank screen adds at most
+        # linalg.SCREEN_LIVE to t - lam I and frees them before the inverse
+        # is built, so four covers it
         for lams in pencil.point_chunks(grid.points, live=4):
             try:
                 deviations = _classical_deviations(

@@ -27,7 +27,10 @@ stack takes the SVD path unchanged, which also gives the condition number
 of a singular system. So every rank, marginal flag and singularity
 verdict is the SVD's, and a certified member carries no singular values.
 Ranks with products (:func:`split_ranks` with bases) skip the screen:
-A's own SVD sets their cutoff.
+A's own SVD sets their cutoff. A declined screen adds its cost to the
+SVD's, so :func:`chunked_ranks`, which ranks the points of a grid pass
+chunk by chunk, screens a chunk only when the matrices before it were
+full rank: on a pencil singular at every lam it screens one matrix.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -246,9 +249,13 @@ def chunks(count: int, point_bytes: int) -> Iterator[slice]:
     the memory a chunk really takes can exceed CHUNK_BYTES by the arrays the
     estimate leaves out.
     """
-    step = max(1, CHUNK_BYTES // max(point_bytes, 1))
+    step = _chunk_length(point_bytes)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+def _chunk_length(point_bytes: int) -> int:
+    return max(1, CHUNK_BYTES // max(point_bytes, 1))
 
 
 def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
@@ -568,7 +575,11 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
 
 
 def split_ranks(
-    stack: np.ndarray, right: np.ndarray, left: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+    stack: np.ndarray,
+    right: np.ndarray,
+    left: np.ndarray,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    screen: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """rank(A), rank(A @ right), rank(left^H @ A) and the marginal flag of
     rank(A), for each A of a (k, m, n) stack.
@@ -583,14 +594,14 @@ def split_ranks(
     marginal when its smallest kept singular value is within a factor of 10
     of the cutoff, i.e. the rank would flip under a modest tolerance change.
     Empty matrices and products have rank 0 and are not factored. When no
-    product is asked for, the full-rank screen runs first, and a stack it
-    certifies is not factored either.
+    product is asked for and screen is true, the full-rank screen runs
+    first, and a stack it certifies is not factored either.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)
     marginal = np.zeros(k, dtype=bool)
     products = right.shape[1] or left.shape[1]
-    if k and min(m, n) and not products and _full_rank_certified(stack, tol):
+    if k and min(m, n) and screen and not products and _full_rank_certified(stack, tol):
         ranks[0] = min(m, n)
     elif k and min(m, n):
         s = _svd(stack, compute_uv=False)
@@ -602,6 +613,45 @@ def split_ranks(
                 s = _svd(product, compute_uv=False)
                 ranks[row] = np.count_nonzero(s > cutoffs[:, None], axis=1)
     return ranks[0], ranks[1], ranks[2], marginal
+
+
+def chunked_ranks(
+    build: Callable[[slice], np.ndarray],
+    count: int,
+    shape: tuple[int, int],
+    tol: TolerancePolicy = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks and marginal flags of count (m, n) matrices, in order.
+
+    build(part) returns the matrices of a slice part of range(count) as a
+    (k, m, n) stack; it is called on consecutive slices, chunk by chunk,
+    and each chunk is ranked by :func:`split_ranks` with no product.
+    The full-rank screen saves the SVD of a chunk it certifies, but adds
+    its Gram and Cholesky to the SVD of one it declines, so it runs on a
+    chunk only when the matrices before suggest it will certify: on the
+    first chunk when the first matrix alone passes it (a one-matrix
+    probe), and on each later one when the chunk before held a matrix of
+    full rank and not marginal. A screened chunk is sized for SCREEN_LIVE
+    more matrices per member. So on matrices rank deficient throughout,
+    such as a pencil singular at every lam, the screen runs once, on the
+    probe, and on matrices rank deficient at isolated members it runs on
+    every chunk after the probe; either way each rank is the SVD's.
+    """
+    ranks = np.zeros(count, dtype=np.int64)
+    marginal = np.zeros(count, dtype=bool)
+    m, n = shape
+    matrix_bytes = 16 * max(m, n) ** 2
+    screen = count > 0 and _full_rank_certified(build(slice(0, 1)), tol)
+    start = 0
+    while start < count:
+        step = _chunk_length((1 + SCREEN_LIVE * screen) * matrix_bytes)
+        part = slice(start, min(count, start + step))
+        ranks[part], _, _, marginal[part] = split_ranks(
+            build(part), empty_basis(n), empty_basis(m), tol, screen
+        )
+        screen = bool(np.any((ranks[part] == min(m, n)) & ~marginal[part]))
+        start = part.stop
+    return ranks, marginal
 
 
 def split_verdicts(

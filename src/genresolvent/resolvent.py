@@ -45,9 +45,9 @@ from .geninv import ComplementPair, GenInverse, inverse_residuals, user_supplied
 from .linalg import (
     DEFAULT_TOL,
     NORM_FLOOR,
-    SCREEN_LIVE,
     TolerancePolicy,
     as_matrix,
+    chunked_ranks,
     chunks,
     empty_basis,
     exact_maximum,
@@ -404,7 +404,10 @@ def check_resolvent_axioms(
     inner: list[float] = []
     outer: list[float] = []
     done = 0
-    # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a deviation
+    # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a
+    # deviation; the solve's full-rank screen adds at most linalg.SCREEN_LIVE
+    # to I - lam s tplus and frees them before the residuals are built, so six
+    # covers it
     for lams in f.pencil.point_chunks(usable, live=6):
         g = values[done : done + len(lams)]
         g[...] = _evaluate_stack(f, lams, tol)
@@ -568,15 +571,21 @@ def _grid_pass(
     Returns the rank profile at the points and their transversality, domain
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
-    formed. A chunk counts t - lam s and each product asked for or, with
-    none asked for, the matrices of the full-rank screen.
+    formed. A chunk counts t - lam s and each product asked for; with none
+    asked for, :func:`linalg.chunked_ranks` sizes the chunks and decides
+    where the full-rank screen runs.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
-    live = 1 + (bool(e.shape[1]) + bool(f_perp.shape[1]) or SCREEN_LIVE)
-    parts = [split_ranks(p.at_many(lams), e, f_perp, tol) for lams in p.point_chunks(points, live)]
-    split = [np.concatenate(column) for column in zip(*parts)]
+    live = 1 + bool(e.shape[1]) + bool(f_perp.shape[1])
+    if live > 1:
+        parts = [split_ranks(p.at_many(lams), e, f_perp, tol) for lams in p.point_chunks(points, live)]
+        split = [np.concatenate(column) for column in zip(*parts)]
+    else:
+        lams = np.array(points, dtype=np.complex128)
+        ranks, marginal = chunked_ranks(lambda part: p.at_many(lams[part]), len(lams), p.shape, tol)
+        split = [ranks, np.zeros_like(ranks), np.zeros_like(ranks), marginal]
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
     profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))

@@ -10,7 +10,8 @@ matrices are counted apart, so batching cannot hide work: a call on a
 ``test_svd_count_gate``: rank 3, 25 grid points, constant and switched
 support. Later changes may only lower these bounds. The spectrum scan
 ranks by the full-rank screen of :mod:`linalg` and factors only the chunks
-it cannot certify.
+it cannot certify; on a pencil singular at every lam it screens one point
+and factors in chunks of the size it would without the screen.
 """
 
 from __future__ import annotations
@@ -190,6 +191,38 @@ def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):
     assert svds["all"] == 1
     assert svds["matrices"] == holding
     assert [k for k, point in enumerate(scan) if point.is_drop] == [on]
+
+
+def test_spectrum_screens_again_after_a_singular_first_point(svds):
+    region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
+    eigenvalues = np.concatenate([[region[0]], off_lattice(np.random.default_rng(12), 49)])
+    p = normal_pencil(np.random.default_rng(13), eigenvalues)
+    first = len(next(p.point_chunks(region, 1)))
+    reset(svds)
+    scan = generalized_spectrum_scan(p, region)
+    assert svds["all"] == 1
+    assert svds["matrices"] == first
+    assert [k for k, point in enumerate(scan) if point.is_drop] == [0]
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_spectrum_of_a_singular_pencil_screens_one_point(svds, monkeypatch, switched):
+    p = framed_pencil(np.random.default_rng(14), 20, 20, 15, switched=switched)
+    region = rectangular_region(-2.0, 2.0, -2.0, 2.0, 61)
+    choleskys = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        choleskys.append(int(np.prod(np.shape(a)[:-2])))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    reset(svds)
+    scan = generalized_spectrum_scan(p, region)
+    assert choleskys == [1]
+    assert svds["all"] == len(list(p.point_chunks(region, 1)))
+    assert svds["matrices"] == len(region)
+    assert sum(point.is_drop for point in scan) == switched
 
 
 def test_analyze_takes_the_norm_of_s_tplus_once(monkeypatch, tmp_path, capsys):

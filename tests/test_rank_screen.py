@@ -21,6 +21,7 @@ from genresolvent.linalg import (
     EPS,
     SCREEN_SLACK,
     _full_rank_certified,
+    chunked_ranks,
     empty_basis,
     solve_stack,
     split_ranks,
@@ -97,6 +98,37 @@ def test_screen_agrees_with_the_svd(case):
     if _full_rank_certified(stack, tol):
         s = np.linalg.svd(stack, compute_uv=False)
         assert np.all(s[:, -1] > 10.0 * tol.rank_rtol * max(m, n) * s[:, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(PLACES), min_size=1, max_size=12),
+    st.sampled_from([(4, 4), (5, 3), (3, 5)]),
+    st.sampled_from(RTOLS),
+    st.integers(0, 2**32 - 1),
+)
+def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
+    """Chunks of 2 matrices screened and 8 not, so runs of full-rank and
+    deficient members switch the screen on and off between chunks."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    stack = np.stack([member(rng, m, n, rtol, place) for place in places])
+    tol = TolerancePolicy(rank_rtol=rtol)
+    built = []
+
+    def build(part):
+        built.append(part)
+        return stack[part]
+
+    with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * max(m, n) ** 2):
+        ranks, marginal = chunked_ranks(build, len(stack), shape, tol)
+    with svd_path():
+        reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
+    np.testing.assert_array_equal(ranks, reference[0])
+    np.testing.assert_array_equal(marginal, reference[3])
+    assert built[0] == slice(0, 1)
+    assert [part.start for part in built[1:]] == [0] + [part.stop for part in built[1:-1]]
+    assert built[-1].stop == len(stack)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e140])
