@@ -42,18 +42,23 @@ from .resolvent import (
 )
 
 
-def _add_command(sub, name: str, help_text: str, func, operand: str = "s_path"):
+def _add_command(sub, name: str, help_text: str, func, operand: str = "s_path",
+                 ranks_only: bool = False):
     """A subparser for name that takes T's matrix file, one more operand and the
-    tolerance flags, which default to DEFAULT_TOL's values."""
+    tolerance flags, which default to DEFAULT_TOL's values. A ranks_only
+    command reads only --rank-rtol: its other two flags default to None, and
+    the command rejects either when given."""
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("t_path")
     parser.add_argument(operand)
     parser.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol,
                         help="relative singular-value cutoff factor")
-    parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol,
-                        help="relative residual bound for matrix equations")
-    parser.add_argument("--gap-tol", type=float, default=DEFAULT_TOL.gap_tol,
-                        help="projector-gap bound for subspace equality")
+    unread = "not read by this command; giving it is an error"
+    parser.add_argument("--residual-tol", type=float,
+                        default=None if ranks_only else DEFAULT_TOL.residual_tol,
+                        help=unread if ranks_only else "relative residual bound for matrix equations")
+    parser.add_argument("--gap-tol", type=float, default=None if ranks_only else DEFAULT_TOL.gap_tol,
+                        help=unread if ranks_only else "projector-gap bound for subspace equality")
     parser.set_defaults(func=func)
     return parser
 
@@ -64,7 +69,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-points", type=int, default=25,
                         help="number of sample points including 0 (default 25)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic pair subsample")
+                        help="seed for the deterministic pair subsample (analyze draws "
+                             "pairs only where its identity bound exceeds --residual-tol)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -148,6 +154,7 @@ def cmd_analyze(args) -> int:
             "max_inner_residual": max(axioms.inner_residuals, default=0.0),
             "max_outer_residual": max(axioms.outer_residuals, default=0.0),
             "max_identity_residual": axioms.max_identity_residual,
+            "identity_method": axioms.identity_method,
             "skipped_points": list(axioms.skipped),
         },
         "criteria": {
@@ -201,9 +208,14 @@ def cmd_spectrum(args) -> int:
     if args.steps < 1:
         print("spectrum: --steps must be at least 1", file=sys.stderr)
         return 2
+    unread = [name for name in ("residual_tol", "gap_tol") if getattr(args, name) is not None]
+    if unread:
+        print(f"spectrum: {unread[0]} decides nothing in a rank scan; only rank_rtol is read",
+              file=sys.stderr)
+        return 2
     t = load_matrix(args.t_path)
     s = load_matrix(args.s_path)
-    tol = _tolerances(args)
+    tol = TolerancePolicy(rank_rtol=args.rank_rtol)
     pencil = Pencil(t, s)
     region = rectangular_region(args.re_min, args.re_max, args.im_min, args.im_max, args.steps)
     _write(scan_csv(generalized_spectrum_scan(pencil, region, tol)), args.out)
@@ -256,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(pm)
     _add_output_flags(pm)
 
-    ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum)
+    ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum,
+                      ranks_only=True)
     ps.add_argument("--re-min", type=float, default=-3.0)
     ps.add_argument("--re-max", type=float, default=3.0)
     ps.add_argument("--im-min", type=float, default=-3.0)

@@ -39,7 +39,7 @@ promote them to read-only complex arrays with :func:`as_matrix`.
 The per-point stages of the package work on stacks: (k, m, n) complex128
 arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
-:func:`norm_lower_bounds`, :func:`factors`, :func:`split_ranks`,
+:func:`norm_lower_bounds`, :func:`frobenius_norms`, :func:`factors`, :func:`split_ranks`,
 :func:`solve_stack`, :func:`solve_right_stack`, :func:`relative_residuals`)
 trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
@@ -51,13 +51,15 @@ is sized from the caller's count of the matrices each point keeps alive,
 and copies and scratch arrays a stage makes beyond that count are not
 counted.
 
-The maxima the reports print, of resolvent-identity and Moore-Penrose
-axiom residuals, share one screen: :func:`norm_upper_bounds` and
-:func:`norm_lower_bounds` bound a stack's spectral norms without a
+The exact maxima the reports print, of resolvent-identity and
+Moore-Penrose axiom residuals, share one screen: :func:`norm_upper_bounds`
+and :func:`norm_lower_bounds` bound a stack's spectral norms without a
 factorization, and :func:`exact_maximum` takes exact norms largest bound
 first, only until no bound left can reach the best exact value. The
 maximum and its first maximizing position are those of an exact norm of
-every member.
+every member. The same bounds, with :func:`frobenius_norms` for rounding
+terms, build the identity bound that decides ``analyze``'s identity
+without the pairs.
 """
 
 from __future__ import annotations
@@ -531,6 +533,16 @@ def norm_lower_bounds(stack: np.ndarray) -> np.ndarray:
     image = scaled @ np.conjugate(step).swapaxes(1, 2)
     ratio = np.sqrt(_squared_norms(image) / np.where(peak > 0.0, _squared_norms(step), 1.0))
     return peak * ratio * (1.0 - NORM_BOUND_SLACK)
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (k, m, n) stack, taken on the peak-scaled matrices
+    so that no square overflows or underflows; zero exactly where the matrix is zero."""
+    k, m, n = stack.shape
+    if k == 0 or min(m, n) == 0:
+        return np.zeros(k)
+    peak, scaled = _peak_scaled(stack)
+    return peak * np.sqrt(_squared_norms(np.ascontiguousarray(scaled)))
 
 
 def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int | None]:

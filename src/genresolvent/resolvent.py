@@ -44,6 +44,8 @@ from .errors import InvalidFamilyError, OutOfRadiusError, ShapeMismatchError
 from .geninv import ComplementPair, GenInverse, inverse_residuals, user_supplied
 from .linalg import (
     DEFAULT_TOL,
+    EPS,
+    NORM_BOUND_SLACK,
     NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
@@ -52,6 +54,8 @@ from .linalg import (
     empty_basis,
     exact_maximum,
     factor,
+    frobenius_norms,
+    norm_lower_bounds,
     norm_upper_bounds,
     op_norm2,
     op_norms2,
@@ -63,6 +67,9 @@ from .linalg import (
 
 RADIUS_CAP = 1e12
 RADIUS_EPS = 1e-14
+
+# The smallest positive double: a product in gradual underflow errs by at most half of it.
+UNDERFLOW = float(np.nextafter(0.0, 1.0))
 
 PAIR_SAMPLE_LIMIT = 1600
 PAIR_FULL_MAX_POINTS = 40
@@ -360,15 +367,20 @@ def pair_indices(count: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResolventAxiomReport:
-    """Per-point and pairwise residuals of the three resolvent conditions.
+    """Per-point residuals of the inverse axioms and the identity's deciding value.
 
     inner_residuals:   (t-lam s) G (t-lam s) = t-lam s, per grid point
     outer_residuals:   G (t-lam s) G = G, per grid point
-    max_identity_residual: worst pairwise resolvent-identity residual, the
-        exact spectral maximum over the pairs of :func:`pair_indices`;
-        :func:`max_identity_residual` screens the pairs with a norm bound
-        and factors only those whose bound could reach the maximum
-    worst_pair: first pair attaining it, None when every deviation is zero
+    max_identity_residual: the resolvent-identity value the verdict was
+        decided on, relative to ||tplus||_2; which value it is says
+        identity_method
+    identity_method: "bound" when it is the bound of :func:`_identity_bound`,
+        built from per-point solve residuals and at least the residual of
+        every ordered pair of usable points; "pairs" when that bound exceeded
+        residual_tol and it is the exact spectral maximum over the pairs of
+        :func:`pair_indices`, by :func:`max_identity_residual`
+    worst_pair: with "pairs", the first pair attaining the maximum, None when
+        every deviation is zero; always None with "bound"
     skipped: grid points outside the disk of convergence (reported, not fatal)
     Verdicts certify the sampled points only.
     """
@@ -377,6 +389,7 @@ class ResolventAxiomReport:
     inner_residuals: tuple[float, ...]
     outer_residuals: tuple[float, ...]
     max_identity_residual: float
+    identity_method: str
     worst_pair: tuple[complex, complex] | None
     skipped: tuple[complex, ...]
     ok: bool
@@ -388,10 +401,15 @@ def check_resolvent_axioms(
     tol: TolerancePolicy = DEFAULT_TOL,
     seed: int = 0,
 ) -> ResolventAxiomReport:
-    """Verify both inverse axioms at every grid point and the identity on pairs.
+    """Verify both inverse axioms at every grid point and the identity on every pair.
 
-    Chunk by chunk of the grid, G(lam) comes from one stacked solve and each
-    residual from one stacked norm.
+    Chunk by chunk of the grid, G(lam) comes from one stacked solve, each
+    axiom residual from one stacked norm and each solve residual E_k from
+    one stacked product (:func:`_solve_residual_bounds`); no stack outlives
+    its chunk. The identity is decided on :func:`_identity_bound` of every
+    ordered pair. Only where it exceeds residual_tol is the family solved
+    again, whole, and the pairs of :func:`pair_indices` (drawn with seed)
+    checked exactly, so no verdict turns false on the bound's slack.
     """
     usable: list[complex] = []
     skipped: list[complex] = []
@@ -400,25 +418,36 @@ def check_resolvent_axioms(
             usable.append(lam)
         else:
             skipped.append(lam)
-    values = np.empty((len(usable),) + f.g.tplus.shape, dtype=np.complex128)
+    residuals = np.empty(len(usable))
     inner: list[float] = []
     outer: list[float] = []
     done = 0
     # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a
     # deviation; the solve's full-rank screen adds at most linalg.SCREEN_LIVE
-    # to I - lam s tplus and frees them before the residuals are built, so six
-    # covers it
+    # to I - lam s tplus and frees them before the residuals are built, and
+    # the solve residual's difference, product and norm bound (a scaled copy,
+    # its adjoint and a Gram) are built after the axiom residuals' are freed,
+    # so six covers both
     for lams in f.pencil.point_chunks(usable, live=6):
-        g = values[done : done + len(lams)]
-        g[...] = _evaluate_stack(f, lams, tol)
-        done += len(lams)
-        inner_part, outer_part, _ = inverse_residuals(f.pencil.at_many(lams), g)
+        part = slice(done, done + len(lams))
+        g = np.ascontiguousarray(_evaluate_stack(f, lams, tol))
+        inner_part, outer_part = inverse_residuals(f.pencil.at_many(lams), g)[:2]
         inner += inner_part.tolist()
         outer += outer_part.tolist()
-    max_identity, worst = max_identity_residual(
-        f.pencil.s, f.g.tplus, values, usable, pair_indices(len(usable), seed)
-    )
-    worst_pair = None if worst is None else (usable[worst[0]], usable[worst[1]])
+        residuals[part] = _solve_residual_bounds(f, lams, g)
+        done = part.stop
+    max_identity = _identity_bound(f, np.array(usable, dtype=np.complex128), residuals)
+    method, worst_pair = "bound", None
+    if not max_identity <= tol.residual_tol:
+        # only the pairs need the whole family at once: it is solved again
+        method = "pairs"
+        values = np.concatenate(
+            [_evaluate_stack(f, lams, tol) for lams in f.pencil.point_chunks(usable, live=6)]
+        )
+        max_identity, worst = max_identity_residual(
+            f.pencil.s, f.g.tplus, values, usable, pair_indices(len(usable), seed)
+        )
+        worst_pair = None if worst is None else (usable[worst[0]], usable[worst[1]])
     worst_point = max(inner + outer, default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
     return ResolventAxiomReport(
@@ -426,10 +455,92 @@ def check_resolvent_axioms(
         inner_residuals=tuple(inner),
         outer_residuals=tuple(outer),
         max_identity_residual=max_identity,
+        identity_method=method,
         worst_pair=worst_pair,
         skipped=tuple(skipped),
         ok=ok,
     )
+
+
+def _rounding(inner: int) -> float:
+    """A bound on the relative rounding of an entry of a complex matrix product
+    of inner dimension at most inner: sqrt(2) gamma_(inner+2) <= (inner + 2)
+    * EPS / sqrt(2) (Higham, ch. 3), taken as (inner + 4) * EPS, which
+    leaves room for the rounding of the Frobenius norms and scalar
+    operations that carry it into a bound."""
+    return (inner + 4) * EPS
+
+
+def _solve_residual_bounds(f: ResolventFamily, lams: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Upper bounds on ||E_k||_2 for the computed G_k at the points lams[k], where
+
+        E_k = G_k (I - l_k C) - T+ = (G_k - T+) - l_k G_k C
+
+    is the residual of the solve that built G_k, in exact arithmetic on the
+    family's st_plus C = fl(S @ T+).
+
+    E_k is formed as fl(G_k - T+) - fl(l_k fl(G_k @ C)) and bounded by
+    :func:`linalg.norm_upper_bounds`, plus the rounding of forming it, in
+    Frobenius norms: EPS for the first difference, 2 EPS for the scaled
+    product and the last difference, and :func:`_rounding` of
+    |l_k| ||G_k||_F ||C||_F for the product. Where C has a nonzero entry,
+    a gradual underflow term covers the products' absolute errors below
+    the normal range. Each term is zero where what it bounds is exactly
+    computed, so a family that is exactly constant (C = 0, G_k = T+) has
+    bound 0.
+    """
+    m, n = f.pencil.shape
+    tplus, st_plus = f.g.tplus, f.st_plus
+    difference = g - tplus
+    product = g @ st_plus
+    product *= lams[:, None, None]
+    moduli = np.abs(lams)
+    rounding = EPS * (frobenius_norms(difference) + 2.0 * frobenius_norms(product))
+    rounding += _rounding(m) * moduli * frobenius_norms(g) * frobenius_norms(st_plus[None])[0]
+    if np.any(st_plus):
+        # sqrt(2) UNDERFLOW per product term and per scaled entry
+        rounding += 2.0 * UNDERFLOW * math.sqrt(m * n) * (moduli * m + 1.0)
+    difference -= product
+    return norm_upper_bounds(difference) + rounding
+
+
+def _identity_bound(f: ResolventFamily, lams: np.ndarray, residuals: np.ndarray) -> float:
+    """A bound on ||D_ij||_2 / ||T+||_2 over every ordered pair i != j of the
+    points lams, for the computed family G_k whose solve residuals E_k
+    have the bounds ``residuals`` (:func:`_solve_residual_bounds`); inf
+    when some point is too close to the disk's boundary for it to hold.
+
+    D_ij = G_i - G_j - (l_i - l_j) G_i S G_j is the deviation of the
+    resolvent identity. With C = st_plus, A_k = I - l_k C and
+    E_k = G_k A_k - T+, expanding G_j A_j = T+ + E_j and
+    (l_i - l_j) C = A_j - A_i gives, exactly, for any matrices G_k,
+
+        D_ij A_j = E_i - E_j - (l_i - l_j) G_i (S E_j + S T+ - C),
+
+    so ||D_ij|| <= (||E_i|| + ||E_j|| + |l_i - l_j| ||G_i|| (||S|| ||E_j|| + ||S T+ - C||))
+    * ||A_j^-1||. Here ||A_j^-1|| <= 1 / (1 - |l_j| ||C||) inside the disk,
+    G_i A_i = T+ + E_i gives ||G_i|| <= (||T+|| + ||E_i||) ||A_i^-1||, and
+    ||S T+ - C|| is C's own rounding, :func:`_rounding` of || |S| |T+| ||_F.
+    ||C||_2 is the family's st_norm widened by NORM_BOUND_SLACK, the norms
+    of S and T+ come from :func:`linalg.norm_upper_bounds` and the scale
+    ||T+||_2 from :func:`linalg.norm_lower_bounds`. The pairs are combined
+    in one (k, k) array.
+    """
+    m, n = f.pencil.shape
+    tplus, s = f.g.tplus, f.pencil.s
+    margins = 1.0 - np.abs(lams) * (f.st_norm * (1.0 + NORM_BOUND_SLACK))
+    if np.any(margins <= 0.0):
+        return math.inf
+    drift = _rounding(n) * frobenius_norms((np.abs(s) @ np.abs(tplus))[None])[0]
+    if np.any(s):
+        # sqrt(2) n UNDERFLOW per entry of C
+        drift += 2.0 * UNDERFLOW * m * n
+    g_norms = (norm_upper_bounds(tplus[None])[0] + residuals) / margins
+    gaps = np.abs(lams[:, None] - lams[None, :]) * g_norms[:, None]
+    spread = drift + norm_upper_bounds(s[None])[0] * residuals
+    bounds = (residuals[:, None] + residuals[None, :] + gaps * spread[None, :]) / margins[None, :]
+    np.fill_diagonal(bounds, 0.0)
+    return float(bounds.max(initial=0.0) / max(norm_lower_bounds(tplus[None])[0], NORM_FLOOR))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from genresolvent import (
     geninv_from_complements,
     kernel_basis,
     range_basis,
+    relative_residual,
     subspace_from_columns,
 )
 
@@ -170,3 +171,15 @@ def off_lattice(rng: np.random.Generator, count: int, extent: float = 3.0,
         if abs(z - nearest) >= distance:
             values.append(z)
     return np.array(values)
+
+
+def reference_identity_max(s, scale, values, points, pairs):
+    """The per-pair loop the identity screen replaces: one deviation, one norm
+    per pair. Returns the largest residual and the first pair attaining it."""
+    best, worst = 0.0, None
+    for i, j in pairs:
+        deviation = values[i] - values[j] - (points[i] - points[j]) * (values[i] @ s @ values[j])
+        res = relative_residual(deviation, scale)
+        if res > best:
+            best, worst = res, (i, j)
+    return best, worst

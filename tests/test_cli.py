@@ -14,9 +14,11 @@ import pytest
 from genresolvent import (
     MatrixFileError,
     Pencil,
+    build_family,
     default_grid,
     finite_rank_criterion,
     load_matrix,
+    mp_inverse,
     save_matrix,
 )
 from genresolvent.cli import main
@@ -204,6 +206,23 @@ class TestAnalyzeCommand:
         report = json.loads(out)
         assert len(report["inputs"]["t"]["sha256"]) == 64
 
+    @pytest.mark.parametrize("reach,method", [(0.5, "bound"), (1 - 1e-9, "pairs")])
+    def test_identity_method_names_the_deciding_value(self, reach, method, tmp_path, capsys):
+        """The per-point bound decides the identity unless it exceeds
+        residual_tol, as on a grid reaching the disk's boundary; then the
+        exact pairwise maximum does."""
+        pencil = framed_pencil(np.random.default_rng(5), 5, 4, 3)
+        paths = [tmp_path / "t.json", tmp_path / "s.json"]
+        save_matrix(pencil.t, paths[0])
+        save_matrix(pencil.s, paths[1])
+        radius = build_family(pencil, mp_inverse(pencil.t)).radius * reach
+        _, out, _ = run(["analyze", *paths, "--grid-radius", repr(radius)], capsys)
+        axioms = json.loads(out)["axioms"]
+        assert axioms["identity_method"] == method
+        assert axioms["skipped_points"] == []
+        if method == "bound":
+            assert 0.0 < axioms["max_identity_residual"] <= 1e-10
+
 
 def marginal_pencil():
     """t - lam*s = diag(1, 1e-14 (1 - lam)): the second singular value sits
@@ -359,6 +378,25 @@ class TestSpectrumCommand:
         )
         assert code == 2
         assert "--steps" in err
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--residual-tol", "1e-6", "residual_tol"),
+        ("--residual-tol", "1e-10", "residual_tol"),
+        ("--gap-tol", "1e-4", "gap_tol"),
+        ("--gap-tol", "1e-8", "gap_tol"),
+    ])
+    def test_tolerances_the_scan_does_not_read_exit_two(self, flag, value, named, capsys):
+        """The scan reads only rank_rtol: a residual or gap tolerance, even its
+        default value, is rejected with one stderr line naming the setting."""
+        code, out, err = run([*COMMANDS["spectrum"], flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert named in err
+        assert err.count("\n") == 1
+
+    def test_rank_rtol_still_decides_the_scan(self, capsys):
+        code, out, _ = run([*COMMANDS["spectrum"], "--rank-rtol", "0.5"], capsys)
+        assert code == 0
+        assert out != run(COMMANDS["spectrum"], capsys)[1]
 
 
 class TestPerturbCommand:

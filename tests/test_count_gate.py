@@ -16,6 +16,7 @@ and factors in chunks of the size it would without the screen.
 
 from __future__ import annotations
 
+import json
 import sys
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize(
     "command,bounds",
     [
-        ("analyze", {"all": 30, "matrices": 186}),
+        ("analyze", {"all": 13, "matrices": 157}),
         ("mp-check", {"full": 3, "full_matrices": 27, "all": 29, "matrices": 99}),
     ],
 )
@@ -268,3 +269,39 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
     assert candidates[0] > 0
     assert len(singles) == candidates[0]
     assert all(len(axioms) == 1 for axioms in singles)
+
+
+@pytest.mark.parametrize(
+    "switched,mp_bounds",
+    [
+        (False, {"all": 50, "full": 9, "matrices": 102, "full_matrices": 27}),
+        (True, {"all": 47, "full": 9, "matrices": 99, "full_matrices": 27}),
+    ],
+)
+def test_analyze_decides_the_identity_without_pairs(svds, monkeypatch, tmp_path, capsys,
+                                                    switched, mp_bounds):
+    """At n = 50 and default tolerances the per-point bound decides analyze's
+    identity: no pair is drawn and no deviation screened, and analyze takes
+    25 SVD calls on 157 matrices (27 / 29 calls and 159 / 161 matrices with
+    the pairwise stage). mp-check keeps its pairwise screen and its counts."""
+    p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=switched)
+    paths = pencil_files(tmp_path, p)
+    calls = {"pair_indices": 0, "_screen_deviations": 0}
+    for module, name in ((resolvent, "pair_indices"), (criteria, "pair_indices"),
+                         (resolvent, "_screen_deviations")):
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    reset(svds)
+    assert main(["analyze", *paths]) == (1 if switched else 0)
+    assert json.loads(capsys.readouterr().out)["axioms"]["identity_method"] == "bound"
+    assert calls == {"pair_indices": 0, "_screen_deviations": 0}
+    assert svds["all"] <= 25
+    assert svds["matrices"] <= 157
+    reset(svds)
+    assert main(["mp-check", *paths]) == (1 if switched else 0)
+    capsys.readouterr()
+    assert calls["pair_indices"] == 1 and calls["_screen_deviations"] >= 1
+    for kind, bound in mp_bounds.items():
+        assert svds[kind] <= bound, kind

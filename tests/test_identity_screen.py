@@ -4,7 +4,9 @@ The screen must return exactly what checking every pair with its own
 spectral norm returns: the same maximum (compared with ==) and the same
 first maximizing pair, whether the family comes as one (k, n, m) stack or
 as a list and the pairs as a (P, 2) array or as tuples, and for every chunk
-budget. The MP stage's axiom maximum runs on the same screen and must equal
+budget. The axiom stage runs the screen only where its per-point identity
+bound exceeds residual_tol (``tests/test_identity_bound.py``), so its tests
+here ask for a residual_tol no bound meets. The MP stage's axiom maximum runs on the same screen and must equal
 the maximum of the four Moore-Penrose residuals taken point by point. Count
 gates cap the SVD calls, and the matrices they factor, that the two
 pairwise stages spend on a small seeded pencil and the MP stage spends at
@@ -27,9 +29,13 @@ from genresolvent import (
     pinv_matrix,
     relative_residual,
 )
-from genresolvent import linalg
+from genresolvent import TolerancePolicy, linalg
 from genresolvent.resolvent import max_identity_residual, pair_indices
-from helpers import framed_pencil
+from helpers import framed_pencil, reference_identity_max
+
+# a residual_tol no per-point bound meets: the axiom stage takes its exact
+# pairwise path
+EXACT = TolerancePolicy(residual_tol=1e-300)
 
 CASES = [
     (m, n, switched, points)
@@ -37,17 +43,6 @@ CASES = [
     for switched in (False, True)
     for points in (25, 60)
 ]
-
-
-def reference_identity_max(s, scale, values, points, pairs):
-    """The per-pair loop the screen replaces: one deviation, one norm per pair."""
-    best, worst = 0.0, None
-    for i, j in pairs:
-        deviation = values[i] - values[j] - (points[i] - points[j]) * (values[i] @ s @ values[j])
-        res = relative_residual(deviation, scale)
-        if res > best:
-            best, worst = res, (i, j)
-    return best, worst
 
 
 def reference_axiom_maxima(p, points):
@@ -76,13 +71,16 @@ def pencil_for(m, n, switched, seed=0):
 
 @pytest.mark.parametrize("m,n,switched,points", CASES)
 def test_axiom_stage_matches_reference(m, n, switched, points):
+    """The exact pairwise path of the axiom stage, which decides the identity
+    wherever its per-point bound exceeds residual_tol: here always."""
     p = pencil_for(m, n, switched)
     family = build_family(p, mp_inverse(p.t))
-    report = check_resolvent_axioms(family, default_grid(family.radius / 2, points))
+    report = check_resolvent_axioms(family, default_grid(family.radius / 2, points), EXACT)
     values = [evaluate(family, lam) for lam in report.points]
     best, worst = reference_identity_max(
         p.s, family.g.tplus, values, report.points, pair_indices(len(report.points))
     )
+    assert report.identity_method == "pairs"
     assert report.max_identity_residual == best
     assert report.worst_pair == (report.points[worst[0]], report.points[worst[1]])
 
@@ -104,7 +102,8 @@ def test_mp_stage_matches_reference(m, n, switched, points):
 def test_chunking_does_not_change_the_result(monkeypatch, switched):
     """Budgets of one pair per chunk up to the default; chunks of 2 to 26
     pairs cut the runs of 25 pairs that share a first index at every offset,
-    so G_i @ s is carried into the next chunk, or not, both ways."""
+    so G_i @ s is carried into the next chunk, or not, both ways. The axiom
+    stage, on its exact pairwise path, chunks its grid by the same budget."""
     p = pencil_for(5, 4, switched, seed=1)
     family = build_family(p, mp_inverse(p.t))
     for points in (25, 60):
@@ -112,12 +111,15 @@ def test_chunking_does_not_change_the_result(monkeypatch, switched):
         values = np.stack([evaluate(family, lam) for lam in grid.points])
         pairs = pair_indices(len(grid.points))
         expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
+        worst_pair = (grid.points[expected[1][0]], grid.points[expected[1][1]])
         per_pair = 6 * 16 * 4 * 5
         budgets = [1, values[0].nbytes] + [k * per_pair for k in (2, 3, 7, 24, 25, 26, 100)]
         for budget in budgets + [linalg.CHUNK_BYTES]:
             monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
             got = max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs)
             assert got == expected, budget
+            report = check_resolvent_axioms(family, grid, EXACT)
+            assert (report.max_identity_residual, report.worst_pair) == (expected[0], worst_pair)
 
 
 @pytest.mark.parametrize("switched", [False, True])
