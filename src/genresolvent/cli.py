@@ -42,23 +42,18 @@ from .resolvent import (
 )
 
 
-def _add_command(sub, name: str, help_text: str, func, operand: str = "s_path",
-                 ranks_only: bool = False):
+def _add_command(sub, name: str, help_text: str, func, operand: str = "s_path"):
     """A subparser for name that takes T's matrix file, one more operand and the
-    tolerance flags, which default to DEFAULT_TOL's values. A ranks_only
-    command reads only --rank-rtol: its other two flags default to None, and
-    the command rejects either when given."""
+    tolerance flags, which default to DEFAULT_TOL's values."""
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("t_path")
     parser.add_argument(operand)
     parser.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol,
                         help="relative singular-value cutoff factor")
-    unread = "not read by this command; giving it is an error"
-    parser.add_argument("--residual-tol", type=float,
-                        default=None if ranks_only else DEFAULT_TOL.residual_tol,
-                        help=unread if ranks_only else "relative residual bound for matrix equations")
-    parser.add_argument("--gap-tol", type=float, default=None if ranks_only else DEFAULT_TOL.gap_tol,
-                        help=unread if ranks_only else "projector-gap bound for subspace equality")
+    parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol,
+                        help="relative residual bound for matrix equations")
+    parser.add_argument("--gap-tol", type=float, default=DEFAULT_TOL.gap_tol,
+                        help="projector-gap bound for subspace equality")
     parser.set_defaults(func=func)
     return parser
 
@@ -268,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(pm)
     _add_output_flags(pm)
 
-    ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum,
-                      ranks_only=True)
+    ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum)
+    # a rank scan reads only --rank-rtol; cmd_spectrum rejects the other two when given
+    ps.set_defaults(residual_tol=None, gap_tol=None)
     ps.add_argument("--re-min", type=float, default=-3.0)
     ps.add_argument("--re-max", type=float, default=3.0)
     ps.add_argument("--im-min", type=float, default=-3.0)

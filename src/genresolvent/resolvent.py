@@ -405,11 +405,13 @@ def check_resolvent_axioms(
 
     Chunk by chunk of the grid, G(lam) comes from one stacked solve, each
     axiom residual from one stacked norm and each solve residual E_k from
-    one stacked product (:func:`_solve_residual_bounds`); no stack outlives
-    its chunk. The identity is decided on :func:`_identity_bound` of every
-    ordered pair. Only where it exceeds residual_tol is the family solved
-    again, whole, and the pairs of :func:`pair_indices` (drawn with seed)
-    checked exactly, so no verdict turns false on the bound's slack.
+    one stacked product (:func:`_solve_residual_bounds`). The identity is
+    decided on :func:`_identity_bound` of every ordered pair. Only where it
+    exceeds residual_tol are the pairs of :func:`pair_indices` (drawn with
+    seed) checked exactly on the kept family, so no verdict turns false on
+    the bound's slack. A grid that reaches the bound's margin, which only
+    the disk's boundary does, skips the solve residuals and goes to the
+    pairs directly.
     """
     usable: list[complex] = []
     skipped: list[complex] = []
@@ -418,6 +420,10 @@ def check_resolvent_axioms(
             usable.append(lam)
         else:
             skipped.append(lam)
+    lams = np.array(usable, dtype=np.complex128)
+    margins = _margins(f, lams)
+    bounded = bool(np.all(margins > 0.0))
+    values = np.empty((len(usable),) + f.g.tplus.shape, dtype=np.complex128)
     residuals = np.empty(len(usable))
     inner: list[float] = []
     outer: list[float] = []
@@ -428,22 +434,20 @@ def check_resolvent_axioms(
     # the solve residual's difference, product and norm bound (a scaled copy,
     # its adjoint and a Gram) are built after the axiom residuals' are freed,
     # so six covers both
-    for lams in f.pencil.point_chunks(usable, live=6):
-        part = slice(done, done + len(lams))
-        g = np.ascontiguousarray(_evaluate_stack(f, lams, tol))
-        inner_part, outer_part = inverse_residuals(f.pencil.at_many(lams), g)[:2]
+    for chunk in f.pencil.point_chunks(usable, live=6):
+        part = slice(done, done + len(chunk))
+        g = values[part]
+        g[...] = _evaluate_stack(f, chunk, tol)
+        inner_part, outer_part = inverse_residuals(f.pencil.at_many(chunk), g)[:2]
         inner += inner_part.tolist()
         outer += outer_part.tolist()
-        residuals[part] = _solve_residual_bounds(f, lams, g)
+        if bounded:
+            residuals[part] = _solve_residual_bounds(f, chunk, g)
         done = part.stop
-    max_identity = _identity_bound(f, np.array(usable, dtype=np.complex128), residuals)
+    max_identity = _identity_bound(f, lams, margins, residuals) if bounded else math.inf
     method, worst_pair = "bound", None
     if not max_identity <= tol.residual_tol:
-        # only the pairs need the whole family at once: it is solved again
         method = "pairs"
-        values = np.concatenate(
-            [_evaluate_stack(f, lams, tol) for lams in f.pencil.point_chunks(usable, live=6)]
-        )
         max_identity, worst = max_identity_residual(
             f.pencil.s, f.g.tplus, values, usable, pair_indices(len(usable), seed)
         )
@@ -504,11 +508,21 @@ def _solve_residual_bounds(f: ResolventFamily, lams: np.ndarray, g: np.ndarray) 
     return norm_upper_bounds(difference) + rounding
 
 
-def _identity_bound(f: ResolventFamily, lams: np.ndarray, residuals: np.ndarray) -> float:
+def _margins(f: ResolventFamily, lams: np.ndarray) -> np.ndarray:
+    """Lower bounds on 1 - |l_k| ||C||_2 (C = st_plus), with ||C||_2 the
+    family's st_norm widened by NORM_BOUND_SLACK. Where one is not positive,
+    the point is too close to the disk's boundary for :func:`_identity_bound`
+    to hold."""
+    return 1.0 - np.abs(lams) * (f.st_norm * (1.0 + NORM_BOUND_SLACK))
+
+
+def _identity_bound(
+    f: ResolventFamily, lams: np.ndarray, margins: np.ndarray, residuals: np.ndarray
+) -> float:
     """A bound on ||D_ij||_2 / ||T+||_2 over every ordered pair i != j of the
-    points lams, for the computed family G_k whose solve residuals E_k
-    have the bounds ``residuals`` (:func:`_solve_residual_bounds`); inf
-    when some point is too close to the disk's boundary for it to hold.
+    points lams, whose :func:`_margins` are all positive, for the computed
+    family G_k whose solve residuals E_k have the bounds ``residuals``
+    (:func:`_solve_residual_bounds`).
 
     D_ij = G_i - G_j - (l_i - l_j) G_i S G_j is the deviation of the
     resolvent identity. With C = st_plus, A_k = I - l_k C and
@@ -518,19 +532,15 @@ def _identity_bound(f: ResolventFamily, lams: np.ndarray, residuals: np.ndarray)
         D_ij A_j = E_i - E_j - (l_i - l_j) G_i (S E_j + S T+ - C),
 
     so ||D_ij|| <= (||E_i|| + ||E_j|| + |l_i - l_j| ||G_i|| (||S|| ||E_j|| + ||S T+ - C||))
-    * ||A_j^-1||. Here ||A_j^-1|| <= 1 / (1 - |l_j| ||C||) inside the disk,
-    G_i A_i = T+ + E_i gives ||G_i|| <= (||T+|| + ||E_i||) ||A_i^-1||, and
-    ||S T+ - C|| is C's own rounding, :func:`_rounding` of || |S| |T+| ||_F.
-    ||C||_2 is the family's st_norm widened by NORM_BOUND_SLACK, the norms
-    of S and T+ come from :func:`linalg.norm_upper_bounds` and the scale
-    ||T+||_2 from :func:`linalg.norm_lower_bounds`. The pairs are combined
-    in one (k, k) array.
+    * ||A_j^-1||. Here ||A_j^-1|| <= 1 / margins[j], G_i A_i = T+ + E_i
+    gives ||G_i|| <= (||T+|| + ||E_i||) ||A_i^-1||, and ||S T+ - C|| is C's
+    own rounding, :func:`_rounding` of || |S| |T+| ||_F. The norms of S and
+    T+ come from :func:`linalg.norm_upper_bounds` and the scale ||T+||_2
+    from :func:`linalg.norm_lower_bounds`. The pairs are combined in one
+    (k, k) array.
     """
     m, n = f.pencil.shape
     tplus, s = f.g.tplus, f.pencil.s
-    margins = 1.0 - np.abs(lams) * (f.st_norm * (1.0 + NORM_BOUND_SLACK))
-    if np.any(margins <= 0.0):
-        return math.inf
     drift = _rounding(n) * frobenius_norms((np.abs(s) @ np.abs(tplus))[None])[0]
     if np.any(s):
         # sqrt(2) n UNDERFLOW per entry of C

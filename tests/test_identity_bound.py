@@ -14,6 +14,7 @@ over the pairs of ``pair_indices``, as the pairwise stage did.
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -62,8 +63,7 @@ def all_pairs_maximum(s, tplus, values, points) -> float:
 
 def recorded(perturb=None):
     """A patch of resolvent._evaluate_stack that applies perturb(f, lams, g)
-    to each chunk's family, in place, and keeps every chunk it returned. The
-    stage solves the family a second time where it takes the pairs."""
+    to each chunk's family, in place, and keeps every chunk it returned."""
     chunks = []
     evaluate_stack = resolvent._evaluate_stack
 
@@ -111,11 +111,14 @@ def test_bound_covers_every_ordered_pair(case):
     patch, chunks = recorded(perturb)
     with patch:
         report = check_resolvent_axioms(family, grid, LOOSE)
-    # the first pass, the one the bound was built from
-    values = np.concatenate(chunks)[: len(report.points)]
+    values = np.concatenate(chunks)
     exact = all_pairs_maximum(p.s, family.g.tplus, values, report.points)
     lams = np.array(report.points, dtype=np.complex128)
-    bound = resolvent._identity_bound(family, lams, resolvent._solve_residual_bounds(family, lams, values))
+    margins = resolvent._margins(family, lams)
+    bound = math.inf
+    if np.all(margins > 0.0):
+        residuals = resolvent._solve_residual_bounds(family, lams, values)
+        bound = resolvent._identity_bound(family, lams, margins, residuals)
     assert bound >= exact
     if report.identity_method == "bound":
         assert report.max_identity_residual == bound
@@ -187,13 +190,15 @@ def test_one_perturbed_member_fails():
         for k in np.flatnonzero(lams == target):
             g[k] += 1e-6 * complex_gaussian(np.random.default_rng(3), g[k].shape)
 
-    patch, _ = recorded(perturb)
+    patch, chunks = recorded(perturb)
     with patch:
         report = check_resolvent_axioms(family, grid)
     assert not report.ok
     assert report.identity_method == "pairs"
     assert report.max_identity_residual > 1e-8
     assert target in report.worst_pair
+    # the pairs are checked on the family the bound was built from, not a second solve
+    assert sum(map(len, chunks)) == len(report.points)
 
 
 def test_tilted_member_fails_on_the_identity_alone():
@@ -227,10 +232,15 @@ def test_tilted_member_fails_on_the_identity_alone():
 @pytest.mark.parametrize("points,seed", [(25, 0), (60, 3)])
 def test_grid_at_the_disk_boundary_takes_the_exact_pairs(switched, points, seed):
     """At |l| = (1 - 1e-9) / ||s tplus||, within the widening of ||s tplus||,
-    no bound holds, so the stage returns the exact pairwise maximum."""
+    no bound holds, so the stage returns the exact pairwise maximum without
+    forming the solve residuals."""
     p, family, _ = seeded(switched)
     grid = default_grid(family.radius * (1 - 1e-9), points)
-    report = check_resolvent_axioms(family, grid, seed=seed)
+    with mock.patch.object(
+        resolvent, "_solve_residual_bounds", wraps=resolvent._solve_residual_bounds
+    ) as residuals:
+        report = check_resolvent_axioms(family, grid, seed=seed)
+    assert residuals.call_count == 0
     assert report.points == grid.points
     assert report.identity_method == "pairs"
     values = [resolvent.evaluate(family, lam) for lam in grid.points]
