@@ -106,5 +106,4 @@ from .resolvent import (
     existence_check,
     fixed_complements_check,
     projector_family,
-    resolvent_identity_residual,
 )

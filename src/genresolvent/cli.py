@@ -29,7 +29,7 @@ from .criteria import (
 )
 from .errors import GenResolventError, PerturbationTooLargeError
 from .geninv import mp_inverse
-from .linalg import DEFAULT_TOL, TolerancePolicy
+from .linalg import TolerancePolicy
 from .matio import file_digest, load_matrix, matrix_payload, report_text, scan_csv
 from .perturbation import splitting_checks
 from .resolvent import (
@@ -42,18 +42,23 @@ from .resolvent import (
 )
 
 
+# the tolerances each command reads; _tolerances rejects any other one when given
+READS = {"analyze": ("rank_rtol", "residual_tol"), "perturb": ("rank_rtol", "residual_tol"),
+         "mp-check": ("rank_rtol", "residual_tol", "gap_tol"), "spectrum": ("rank_rtol",)}
+
+
 def _add_command(sub, name: str, help_text: str, func, operand: str = "s_path"):
     """A subparser for name that takes T's matrix file, one more operand and the
-    tolerance flags, which default to DEFAULT_TOL's values."""
+    tolerance flags; a flag not given reads None."""
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("t_path")
     parser.add_argument(operand)
-    parser.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol,
+    parser.add_argument("--rank-rtol", type=float,
                         help="relative singular-value cutoff factor")
-    parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol,
-                        help="relative residual bound for matrix equations")
-    parser.add_argument("--gap-tol", type=float, default=DEFAULT_TOL.gap_tol,
-                        help="projector-gap bound for subspace equality")
+    parser.add_argument("--residual-tol", type=float,
+                        help="relative residual bound for matrix equations (not spectrum)")
+    parser.add_argument("--gap-tol", type=float,
+                        help="projector-gap bound for subspace equality (mp-check only)")
     parser.set_defaults(func=func)
     return parser
 
@@ -64,8 +69,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-points", type=int, default=25,
                         help="number of sample points including 0 (default 25)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic pair subsample (analyze draws "
-                             "pairs only where its identity bound exceeds --residual-tol)")
+                        help="seed for the deterministic pair subsample, drawn only where "
+                             "the identity bound exceeds --residual-tol")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +80,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _tolerances(args) -> TolerancePolicy:
-    return TolerancePolicy(args.rank_rtol, args.residual_tol, args.gap_tol)
+    """The tolerances given on the command line, the others at DEFAULT_TOL's
+    values. One the command does not read would decide nothing: when given,
+    it is an input error (exit 2) naming the setting."""
+    given = {name: value for name in ("rank_rtol", "residual_tol", "gap_tol")
+             if (value := getattr(args, name)) is not None}
+    unread = [name for name in given if name not in READS[args.command]]
+    if unread:
+        raise GenResolventError(f"{args.command}: {unread[0]} decides nothing here; "
+                                f"it reads only {' and '.join(READS[args.command])}")
+    return TolerancePolicy(**given)
 
 
 def _grid_payload(grid: DiskGrid) -> dict:
@@ -186,6 +200,7 @@ def cmd_mp_check(args) -> int:
         "kernel_gaps": list(mp.kernel_gaps),
         "range_gaps": list(mp.range_gaps),
         "max_identity_residual": mp.max_identity_residual,
+        "identity_method": mp.identity_method,
         "max_axiom_residual": mp.max_axiom_residual,
         "constancy_verdict": mp.constancy_verdict,
         "identity_verdict": mp.identity_verdict,
@@ -203,14 +218,9 @@ def cmd_spectrum(args) -> int:
     if args.steps < 1:
         print("spectrum: --steps must be at least 1", file=sys.stderr)
         return 2
-    unread = [name for name in ("residual_tol", "gap_tol") if getattr(args, name) is not None]
-    if unread:
-        print(f"spectrum: {unread[0]} decides nothing in a rank scan; only rank_rtol is read",
-              file=sys.stderr)
-        return 2
+    tol = _tolerances(args)
     t = load_matrix(args.t_path)
     s = load_matrix(args.s_path)
-    tol = TolerancePolicy(rank_rtol=args.rank_rtol)
     pencil = Pencil(t, s)
     region = rectangular_region(args.re_min, args.re_max, args.im_min, args.im_max, args.steps)
     _write(scan_csv(generalized_spectrum_scan(pencil, region, tol)), args.out)
@@ -264,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pm)
 
     ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum)
-    # a rank scan reads only --rank-rtol; cmd_spectrum rejects the other two when given
-    ps.set_defaults(residual_tol=None, gap_tol=None)
     ps.add_argument("--re-min", type=float, default=-3.0)
     ps.add_argument("--re-max", type=float, default=3.0)
     ps.add_argument("--im-min", type=float, default=-3.0)

@@ -41,14 +41,7 @@ from .linalg import (
     relative_residuals,
     solve_stack,
 )
-from .resolvent import (
-    DiskGrid,
-    Pencil,
-    RankProfile,
-    _grid_pass,
-    max_identity_residual,
-    pair_indices,
-)
+from .resolvent import DiskGrid, Pencil, RankProfile, _decide_identity, _grid_pass
 
 
 def rank_profile(p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL) -> RankProfile:
@@ -103,22 +96,33 @@ class MPResolventReport:
 
     kernel_gaps / range_gaps measure subspace drift of N(t-lam s), R(t-lam s)
     against lam = 0; constancy_verdict demands all gaps stay under gap_tol.
-    identity_verdict checks the resolvent identity pairwise on the
-    pointwise-computed pseudoinverse family itself (plus its axioms), never
-    through the explicit resolvent formula, so the two verdicts are computed
-    along genuinely different routes and must agree. max_identity_residual
-    is the exact spectral maximum over the sampled pairs, relative to
-    ||(t - 0*s)^+||, and max_axiom_residual the exact maximum of the four
-    Moore-Penrose axiom residuals over the grid points. Both come from the
-    shared screen of :mod:`linalg`, which bounds every residual without a
-    factorization and takes exact spectral norms only of the few whose
-    bound can reach the maximum.
+    identity_verdict checks the resolvent identity on the pointwise-computed
+    pseudoinverse family itself (plus its axioms), never through the
+    explicit resolvent formula, so the two verdicts are computed along
+    genuinely different routes and must agree.
+
+    max_identity_residual: the identity value the verdict was decided on,
+        relative to ||(t - 0*s)^+||, from the decision ``analyze`` uses too
+        (:func:`resolvent._decide_identity`), anchored at the member at
+        lam = 0; which value it is says identity_method
+    identity_method: "bound" when it is the bound on every ordered pair of
+        grid points built from the per-point deviations of the pairs (k, 0),
+        at most residual_tol; "pairs" when that bound exceeded residual_tol,
+        or a point's deviation alone did, and it is the exact spectral
+        maximum over the pairs of :func:`resolvent.pair_indices`
+    max_axiom_residual: the exact maximum of the four Moore-Penrose axiom
+        residuals over the grid points
+
+    The exact maxima come from the shared screen of :mod:`linalg`, which
+    bounds every residual without a factorization and takes exact spectral
+    norms only of the few whose bound can reach the maximum.
     """
 
     points: tuple[complex, ...]
     kernel_gaps: tuple[float, ...]
     range_gaps: tuple[float, ...]
     max_identity_residual: float
+    identity_method: str
     max_axiom_residual: float
     constancy_verdict: bool
     identity_verdict: bool
@@ -132,7 +136,8 @@ def mp_resolvent_characterization(
     Each grid point is factored once; its pseudoinverse, kernel and range
     are views of that one SVD. Chunk by chunk of the grid, the points are
     factored by one batched SVD, the subspace gaps are stacked norms and
-    the Moore-Penrose axiom residuals are bounded for the screen.
+    the Moore-Penrose axiom residuals are bounded for the screen. seed
+    draws the identity's pairs where its bound does not decide it.
     """
     return _mp_characterization(p, grid, tol, seed)[0]
 
@@ -182,10 +187,7 @@ def _mp_characterization(
         return float(relative_residuals(deviation, scale)[0])
 
     max_axiom, _ = exact_maximum(axiom_bounds.ravel(), exact)
-    scale = pinvs[grid.points.index(0)]
-    max_identity, _ = max_identity_residual(
-        p.s, scale, pinvs, grid.points, pair_indices(len(grid.points), seed)
-    )
+    max_identity, method, _ = _decide_identity(p.s, pinvs, lams, tol, seed)
     constancy = all(g <= tol.gap_tol for g in kernel_gaps + range_gaps)
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
     report = MPResolventReport(
@@ -193,6 +195,7 @@ def _mp_characterization(
         kernel_gaps=tuple(kernel_gaps),
         range_gaps=tuple(range_gaps),
         max_identity_residual=max_identity,
+        identity_method=method,
         max_axiom_residual=max_axiom,
         constancy_verdict=constancy,
         identity_verdict=identity,

@@ -155,11 +155,16 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
 
 
 def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePolicy) -> GenInverse:
+    """The verified pair (t, b); raises InvalidInverseError when b fails an axiom.
+    A Moore-Penrose inverse that fails is t's own, computed here, so the error
+    names residual_tol: below that inverse's rounding no inverse of t meets it."""
     inner, outer, verdict = verify_gen_inverse(t, b, tol)
     if verdict is not InverseVerdict.GENERALIZED:
+        failing = (f"the Moore-Penrose inverse of T misses residual_tol {tol.residual_tol:.3e}"
+                   if kind is InverseKind.MOORE_PENROSE
+                   else "candidate fails the generalized-inverse axioms")
         raise InvalidInverseError(
-            f"candidate fails the generalized-inverse axioms "
-            f"(inner residual {inner:.3e}, outer residual {outer:.3e})"
+            f"{failing} (inner residual {inner:.3e}, outer residual {outer:.3e})"
         )
     return GenInverse(t=t, tplus=b, p=t @ b, q=b @ t, kind=kind)
 

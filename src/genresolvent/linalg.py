@@ -58,8 +58,8 @@ factorization, and :func:`exact_maximum` takes exact norms largest bound
 first, only until no bound left can reach the best exact value. The
 maximum and its first maximizing position are those of an exact norm of
 every member. The same bounds, with :func:`frobenius_norms` for rounding
-terms, build the identity bound that decides ``analyze``'s identity
-without the pairs.
+terms, build the identity bound that decides the identity of both
+``analyze`` and ``mp-check`` without the pairs.
 """
 
 from __future__ import annotations

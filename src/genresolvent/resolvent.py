@@ -17,6 +17,12 @@ This module builds and evaluates the family, verifies the three resolvent
 conditions on sampled disk grids, and decides existence through the
 transversality, direct-sum, fixed-complement and continuity criteria.
 
+The resolvent identity of a sampled family is decided in one place,
+:func:`_decide_identity`, for this family and for the pointwise
+pseudoinverses of :mod:`criteria` alike: a bound on every ordered pair from
+one residual per point, anchored at the member at lam = 0, and the exact
+maximum over sampled pairs only where that bound exceeds residual_tol.
+
 Every rank of t - lam*s at sampled points comes from one private grid pass
 over the rank kernel :func:`linalg.split_ranks`, chunk by chunk. The
 subspace criteria compare the numerical ranks of t - lam*s and of its
@@ -231,17 +237,6 @@ def evaluate_neumann(f: ResolventFamily, lam: complex, terms: int) -> np.ndarray
     return total
 
 
-def resolvent_identity_residual(
-    f: ResolventFamily, lam: complex, mu: complex, tol: TolerancePolicy = DEFAULT_TOL
-) -> float:
-    """Residual of G(lam) - G(mu) = (lam - mu) G(lam) s G(mu), relative to ||tplus||."""
-    values = np.stack([evaluate(f, lam, tol), evaluate(f, mu, tol)])
-    residual, _ = max_identity_residual(
-        f.pencil.s, f.g.tplus, values, [complex(lam), complex(mu)], np.array([[0, 1]])
-    )
-    return residual
-
-
 def max_identity_residual(
     s: np.ndarray,
     scale: np.ndarray,
@@ -374,11 +369,11 @@ class ResolventAxiomReport:
     max_identity_residual: the resolvent-identity value the verdict was
         decided on, relative to ||tplus||_2; which value it is says
         identity_method
-    identity_method: "bound" when it is the bound of :func:`_identity_bound`,
-        built from per-point solve residuals and at least the residual of
-        every ordered pair of usable points; "pairs" when that bound exceeded
-        residual_tol and it is the exact spectral maximum over the pairs of
-        :func:`pair_indices`, by :func:`max_identity_residual`
+    identity_method: as :func:`_decide_identity` decided it: "bound" when it
+        is the bound built from per-point solve residuals, at least the
+        residual of every ordered pair of usable points; "pairs" when that
+        bound exceeded residual_tol and it is the exact spectral maximum
+        over the pairs of :func:`pair_indices`, by :func:`max_identity_residual`
     worst_pair: with "pairs", the first pair attaining the maximum, None when
         every deviation is zero; always None with "bound"
     skipped: grid points outside the disk of convergence (reported, not fatal)
@@ -403,15 +398,12 @@ def check_resolvent_axioms(
 ) -> ResolventAxiomReport:
     """Verify both inverse axioms at every grid point and the identity on every pair.
 
-    Chunk by chunk of the grid, G(lam) comes from one stacked solve, each
-    axiom residual from one stacked norm and each solve residual E_k from
-    one stacked product (:func:`_solve_residual_bounds`). The identity is
-    decided on :func:`_identity_bound` of every ordered pair. Only where it
-    exceeds residual_tol are the pairs of :func:`pair_indices` (drawn with
-    seed) checked exactly on the kept family, so no verdict turns false on
-    the bound's slack. A grid that reaches the bound's margin, which only
-    the disk's boundary does, skips the solve residuals and goes to the
-    pairs directly.
+    Chunk by chunk of the grid, G(lam) comes from one stacked solve and each
+    axiom residual from one stacked norm. The identity is decided by
+    :func:`_decide_identity` on the kept family, whose member at lam = 0 is
+    tplus itself: on the bound of every ordered pair where it meets
+    residual_tol, and otherwise on the pairs of :func:`pair_indices` (drawn
+    with seed), so no verdict turns false on the bound's slack.
     """
     usable: list[complex] = []
     skipped: list[complex] = []
@@ -420,38 +412,23 @@ def check_resolvent_axioms(
             usable.append(lam)
         else:
             skipped.append(lam)
-    lams = np.array(usable, dtype=np.complex128)
-    margins = _margins(f, lams)
-    bounded = bool(np.all(margins > 0.0))
     values = np.empty((len(usable),) + f.g.tplus.shape, dtype=np.complex128)
-    residuals = np.empty(len(usable))
     inner: list[float] = []
     outer: list[float] = []
     done = 0
     # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a
     # deviation; the solve's full-rank screen adds at most linalg.SCREEN_LIVE
-    # to I - lam s tplus and frees them before the residuals are built, and
-    # the solve residual's difference, product and norm bound (a scaled copy,
-    # its adjoint and a Gram) are built after the axiom residuals' are freed,
-    # so six covers both
+    # to I - lam s tplus and frees them before the residuals are built
     for chunk in f.pencil.point_chunks(usable, live=6):
         part = slice(done, done + len(chunk))
-        g = values[part]
-        g[...] = _evaluate_stack(f, chunk, tol)
-        inner_part, outer_part = inverse_residuals(f.pencil.at_many(chunk), g)[:2]
+        values[part] = _evaluate_stack(f, chunk, tol)
+        inner_part, outer_part = inverse_residuals(f.pencil.at_many(chunk), values[part])[:2]
         inner += inner_part.tolist()
         outer += outer_part.tolist()
-        if bounded:
-            residuals[part] = _solve_residual_bounds(f, chunk, g)
         done = part.stop
-    max_identity = _identity_bound(f, lams, margins, residuals) if bounded else math.inf
-    method, worst_pair = "bound", None
-    if not max_identity <= tol.residual_tol:
-        method = "pairs"
-        max_identity, worst = max_identity_residual(
-            f.pencil.s, f.g.tplus, values, usable, pair_indices(len(usable), seed)
-        )
-        worst_pair = None if worst is None else (usable[worst[0]], usable[worst[1]])
+    max_identity, method, worst = _decide_identity(
+        f.pencil.s, values, np.array(usable, dtype=np.complex128), tol, seed, f.st_norm
+    )
     worst_point = max(inner + outer, default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
     return ResolventAxiomReport(
@@ -460,10 +437,65 @@ def check_resolvent_axioms(
         outer_residuals=tuple(outer),
         max_identity_residual=max_identity,
         identity_method=method,
-        worst_pair=worst_pair,
+        worst_pair=None if worst is None else (usable[worst[0]], usable[worst[1]]),
         skipped=tuple(skipped),
         ok=ok,
     )
+
+
+def _decide_identity(
+    s: np.ndarray, values: np.ndarray, lams: np.ndarray, tol: TolerancePolicy, seed: int,
+    st_norm: float | None = None,
+) -> tuple[float, str, tuple[int, int] | None]:
+    """Decide the resolvent identity G_i - G_j = (l_i - l_j) G_i S G_j on a
+    sampled family: the (k, n, m) stack values, G_k = values[k] at lams[k],
+    one of which is 0.
+
+    The family is anchored at its member G_0 at lam = 0, with C = fl(S G_0):
+    the solve residuals E_k = G_k (I - l_k C) - G_0 are bounded chunk by
+    chunk (:func:`_solve_residual_bounds`), and :func:`_identity_bound`
+    turns them into a bound on every ordered pair's deviation relative to
+    ||G_0||_2. The lemma behind it holds for any matrices G_k, so the same
+    decision serves the explicit family, whose G_0 is tplus and E_k the
+    residual of the solve that built G_k, and the pointwise pseudoinverses,
+    whose E_k is the deviation of the pair (k, 0).
+
+    Returns the deciding value, "bound" or "pairs", and with "pairs" the
+    first maximizing pair of indices (None when every deviation is zero).
+    "bound" when the bound is at most residual_tol; otherwise the exact
+    spectral maximum over the pairs of :func:`pair_indices` (drawn with
+    seed), by :func:`max_identity_residual` with scale G_0. The bound needs
+    every 1 - |l_k| ||C||_2 positive, ||C||_2 widened by NORM_BOUND_SLACK:
+    given as st_norm, a grid that reaches the disk's boundary goes to the
+    pairs at once; without it, ||C||_2 is taken only after the residuals
+    pass. A residual above residual_tol * ||G_0||_2 (the bound's scale) ends
+    the pass: with two or more points every pair through it has a bound
+    above residual_tol, since every margin is at most 1.
+    """
+    def margins(norm: float) -> np.ndarray:
+        """Lower bounds on 1 - |l_k| ||C||_2, from ||C||_2 widened by NORM_BOUND_SLACK."""
+        return 1.0 - np.abs(lams) * (norm * (1.0 + NORM_BOUND_SLACK))
+
+    anchor = values[np.flatnonzero(lams == 0)[0]]
+    st_plus = s @ anchor
+    bound = math.inf
+    if st_norm is None or np.all(margins(st_norm) > 0.0):
+        residuals = np.empty(len(lams))
+        scale = max(norm_lower_bounds(anchor[None])[0], NORM_FLOOR)
+        # per point: the difference, the product, and the norm bound's scaled
+        # copy, its adjoint and the Gram
+        for part in chunks(len(lams), 5 * 16 * max(anchor.shape) ** 2):
+            residuals[part] = _solve_residual_bounds(s, anchor, st_plus, lams[part], values[part])
+            if len(lams) > 1 and np.any(residuals[part] / scale > tol.residual_tol):
+                break
+        else:
+            point_margins = margins(op_norm2(st_plus) if st_norm is None else st_norm)
+            if np.all(point_margins > 0.0):
+                bound = _identity_bound(s, anchor, lams, point_margins, residuals)
+    if bound <= tol.residual_tol:
+        return bound, "bound", None
+    best, worst = max_identity_residual(s, anchor, values, lams, pair_indices(len(lams), seed))
+    return best, "pairs", worst
 
 
 def _rounding(inner: int) -> float:
@@ -475,13 +507,15 @@ def _rounding(inner: int) -> float:
     return (inner + 4) * EPS
 
 
-def _solve_residual_bounds(f: ResolventFamily, lams: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Upper bounds on ||E_k||_2 for the computed G_k at the points lams[k], where
+def _solve_residual_bounds(
+    s: np.ndarray, tplus: np.ndarray, st_plus: np.ndarray, lams: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Upper bounds on ||E_k||_2 for the matrices G_k = g[k] at the points lams[k], where
 
         E_k = G_k (I - l_k C) - T+ = (G_k - T+) - l_k G_k C
 
-    is the residual of the solve that built G_k, in exact arithmetic on the
-    family's st_plus C = fl(S @ T+).
+    is, for G_k solved from (I - l_k C), the residual of that solve, in
+    exact arithmetic on C = st_plus = fl(S @ T+).
 
     E_k is formed as fl(G_k - T+) - fl(l_k fl(G_k @ C)) and bounded by
     :func:`linalg.norm_upper_bounds`, plus the rounding of forming it, in
@@ -493,8 +527,7 @@ def _solve_residual_bounds(f: ResolventFamily, lams: np.ndarray, g: np.ndarray) 
     computed, so a family that is exactly constant (C = 0, G_k = T+) has
     bound 0.
     """
-    m, n = f.pencil.shape
-    tplus, st_plus = f.g.tplus, f.st_plus
+    m, n = s.shape
     difference = g - tplus
     product = g @ st_plus
     product *= lams[:, None, None]
@@ -508,26 +541,19 @@ def _solve_residual_bounds(f: ResolventFamily, lams: np.ndarray, g: np.ndarray) 
     return norm_upper_bounds(difference) + rounding
 
 
-def _margins(f: ResolventFamily, lams: np.ndarray) -> np.ndarray:
-    """Lower bounds on 1 - |l_k| ||C||_2 (C = st_plus), with ||C||_2 the
-    family's st_norm widened by NORM_BOUND_SLACK. Where one is not positive,
-    the point is too close to the disk's boundary for :func:`_identity_bound`
-    to hold."""
-    return 1.0 - np.abs(lams) * (f.st_norm * (1.0 + NORM_BOUND_SLACK))
-
-
 def _identity_bound(
-    f: ResolventFamily, lams: np.ndarray, margins: np.ndarray, residuals: np.ndarray
+    s: np.ndarray, tplus: np.ndarray, lams: np.ndarray, margins: np.ndarray,
+    residuals: np.ndarray,
 ) -> float:
     """A bound on ||D_ij||_2 / ||T+||_2 over every ordered pair i != j of the
-    points lams, whose :func:`_margins` are all positive, for the computed
-    family G_k whose solve residuals E_k have the bounds ``residuals``
-    (:func:`_solve_residual_bounds`).
+    points lams, for matrices G_k whose residuals E_k = G_k A_k - T+ have
+    the bounds ``residuals`` (:func:`_solve_residual_bounds`), where
+    margins[k] > 0 is a lower bound on 1 - |l_k| ||C||_2.
 
     D_ij = G_i - G_j - (l_i - l_j) G_i S G_j is the deviation of the
-    resolvent identity. With C = st_plus, A_k = I - l_k C and
-    E_k = G_k A_k - T+, expanding G_j A_j = T+ + E_j and
-    (l_i - l_j) C = A_j - A_i gives, exactly, for any matrices G_k,
+    resolvent identity. With C = fl(S T+) and A_k = I - l_k C, expanding
+    G_j A_j = T+ + E_j and (l_i - l_j) C = A_j - A_i gives, exactly, for
+    any matrices G_k,
 
         D_ij A_j = E_i - E_j - (l_i - l_j) G_i (S E_j + S T+ - C),
 
@@ -539,8 +565,7 @@ def _identity_bound(
     from :func:`linalg.norm_lower_bounds`. The pairs are combined in one
     (k, k) array.
     """
-    m, n = f.pencil.shape
-    tplus, s = f.g.tplus, f.pencil.s
+    m, n = s.shape
     drift = _rounding(n) * frobenius_norms((np.abs(s) @ np.abs(tplus))[None])[0]
     if np.any(s):
         # sqrt(2) n UNDERFLOW per entry of C

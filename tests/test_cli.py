@@ -85,6 +85,24 @@ class TestLoadMatrix:
         assert code == 2
         assert "positive integers" in err
 
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            ([[1.0]], "top-level value"),
+            ({"rows": 2, "cols": 1, "re": [[1.0]]}, "field 're' must be a list of 2 rows"),
+            ({"rows": 1, "cols": 1, "re": [[True]]}, "field 're' row 0 column 0"),
+            ({"rows": 1, "cols": 2, "re": [[1.0, "2"]]}, "field 're' row 0 column 1"),
+        ],
+        ids=["array", "row-count", "true-entry", "string-entry"],
+    )
+    def test_malformed_payload_exits_two_naming_the_field(self, tmp_path, capsys, payload,
+                                                          named):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(["analyze", path, path], capsys)
+        assert (code, out) == (2, "")
+        assert named in err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixFileError, match="cannot read"):
             load_matrix(tmp_path / "absent.json")
@@ -296,6 +314,35 @@ def test_settings_that_decide_nothing_exit_two(command, flag, value, named, caps
     code, out, err = run([*COMMANDS[command], flag, value], capsys)
     assert (code, out) == (2, "")
     assert named in err
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e-8", "1e-15"])
+@pytest.mark.parametrize("command", ["analyze", "perturb"])
+def test_gap_tol_exits_two_where_nothing_reads_it(command, value, capsys):
+    """Only mp-check's constancy verdict reads gap_tol: analyze and perturb
+    reject it, even at its default value, with one stderr line naming it."""
+    code, out, err = run([*COMMANDS[command], "--gap-tol", value], capsys)
+    assert (code, out) == (2, "")
+    assert "gap_tol" in err
+    assert err.count("\n") == 1
+    _, out, _ = run([*COMMANDS["mp-check"], "--gap-tol", value], capsys)
+    assert json.loads(out)["tolerances"]["gap_tol"] == float(value)
+
+
+@pytest.mark.parametrize("command", ["analyze", "mp-check"])
+def test_tolerance_below_the_rounding_of_t_plus_names_it(command, tmp_path, capsys):
+    """No inverse of T meets a residual_tol below the rounding of T's own
+    Moore-Penrose inverse: an input error (exit 2) that names the setting,
+    not a candidate the caller never gave."""
+    pencil = framed_pencil(np.random.default_rng(5), 5, 4, 3)
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    save_matrix(pencil.t, paths[0])
+    save_matrix(pencil.s, paths[1])
+    code, out, err = run([command, *paths, "--residual-tol", "1e-16"], capsys)
+    assert (code, out) == (2, "")
+    assert "residual_tol" in err and "Moore-Penrose inverse" in err
+    assert "candidate" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["analyze", "mp-check", "perturb"])

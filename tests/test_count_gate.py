@@ -274,7 +274,7 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
 @pytest.mark.parametrize(
     "switched,mp_bounds",
     [
-        (False, {"all": 50, "full": 9, "matrices": 102, "full_matrices": 27}),
+        (False, {"all": 49, "full": 9, "matrices": 101, "full_matrices": 27}),
         (True, {"all": 47, "full": 9, "matrices": 99, "full_matrices": 27}),
     ],
 )
@@ -283,25 +283,35 @@ def test_analyze_decides_the_identity_without_pairs(svds, monkeypatch, tmp_path,
     """At n = 50 and default tolerances the per-point bound decides analyze's
     identity: no pair is drawn and no deviation screened, and analyze takes
     25 SVD calls on 157 matrices (27 / 29 calls and 159 / 161 matrices with
-    the pairwise stage). mp-check keeps its pairwise screen and its counts."""
+    the pairwise stage). mp-check decides on the same bound where the
+    pseudoinverses are the resolvent, constant support, at 49 calls on 101
+    matrices (50 and 102 with the pairwise stage). On switched support its
+    first chunk of per-point residuals already exceeds the tolerance, so it
+    goes to the pairs after that one chunk and takes no norm of s G_0."""
     p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=switched)
     paths = pencil_files(tmp_path, p)
-    calls = {"pair_indices": 0, "_screen_deviations": 0}
-    for module, name in ((resolvent, "pair_indices"), (criteria, "pair_indices"),
-                         (resolvent, "_screen_deviations")):
-        def counting(*args, _name=name, _fn=getattr(module, name)):
+    calls = {"pair_indices": 0, "_screen_deviations": 0, "_solve_residual_bounds": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(resolvent, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(resolvent, name, counting)
     reset(svds)
     assert main(["analyze", *paths]) == (1 if switched else 0)
     assert json.loads(capsys.readouterr().out)["axioms"]["identity_method"] == "bound"
-    assert calls == {"pair_indices": 0, "_screen_deviations": 0}
+    assert (calls["pair_indices"], calls["_screen_deviations"]) == (0, 0)
     assert svds["all"] <= 25
     assert svds["matrices"] <= 157
+    calls.update(dict.fromkeys(calls, 0))
     reset(svds)
     assert main(["mp-check", *paths]) == (1 if switched else 0)
-    capsys.readouterr()
-    assert calls["pair_indices"] == 1 and calls["_screen_deviations"] >= 1
+    method = json.loads(capsys.readouterr().out)["identity_method"]
+    if switched:
+        assert method == "pairs"
+        assert calls["pair_indices"] == 1 and calls["_screen_deviations"] >= 1
+        assert calls["_solve_residual_bounds"] == 1
+    else:
+        assert method == "bound"
+        assert (calls["pair_indices"], calls["_screen_deviations"]) == (0, 0)
     for kind, bound in mp_bounds.items():
         assert svds[kind] <= bound, kind

@@ -109,6 +109,12 @@ class TestVerification:
         _, _, verdict = verify_gen_inverse(np.diag([1.0, 0.1]), np.diag([1.0, 0.0]))
         assert verdict is InverseVerdict.OUTER_ONLY
 
+    def test_inner_only(self):
+        # t b t = t while b t b = diag(1, 0) != b
+        inner, outer, verdict = verify_gen_inverse(np.diag([1.0, 0.0]), np.eye(2))
+        assert inner == 0.0 and outer > 0.5
+        assert verdict is InverseVerdict.INNER_ONLY
+
     def test_zero_candidate_is_outer_only(self):
         _, _, verdict = verify_gen_inverse(np.diag([1.0, 0.5]), np.zeros((2, 2)))
         assert verdict is InverseVerdict.OUTER_ONLY

@@ -1,15 +1,18 @@
-"""The axiom stage's resolvent-identity bound against the pairs it covers.
+"""The resolvent-identity bound against the pairs it covers.
 
-``check_resolvent_axioms`` decides the identity G_i - G_j = (l_i - l_j)
-G_i S G_j on a bound built from the solve residuals of the computed family,
-one per point. The bound must be at least the residual of every ordered
-pair of usable points, each deviation formed in extended precision from
-the same float64 G_k: for accurate families, for families whose members
-are perturbed, at extreme entry scales and close to the boundary of the
-disk of convergence. A family with one wrong member must fail. Where the
-bound exceeds residual_tol (a grid reaching the boundary, a tiny
-tolerance) the stage must return the exact maximum and first worst pair
-over the pairs of ``pair_indices``, as the pairwise stage did.
+``check_resolvent_axioms`` and ``mp_resolvent_characterization`` decide the
+identity G_i - G_j = (l_i - l_j) G_i S G_j on a bound built from per-point
+residuals E_k = G_k (I - l_k C) - G_0 of the family they computed, anchored
+at its member G_0 at lam = 0 (tplus for the explicit family). The bound must
+be at least the residual of every ordered pair of usable points, each
+deviation formed in extended precision from the same float64 G_k: for the
+explicit family, accurate or with perturbed members, and for the pointwise
+pseudoinverses, at extreme entry scales and close to the boundary of the
+disk of convergence. Each report prints that bound whenever it was decided
+on it. A family with one wrong member must fail. Where the bound exceeds
+residual_tol (a grid reaching the boundary, a tiny tolerance) the stage
+must return the exact maximum and first worst pair over the pairs of
+``pair_indices``, as the pairwise stage did.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from genresolvent import (
     mp_inverse,
     op_norm2,
 )
-from genresolvent import resolvent
-from genresolvent.linalg import NORM_FLOOR, op_norms2
+from genresolvent import criteria, resolvent
+from genresolvent.linalg import NORM_BOUND_SLACK, NORM_FLOOR, op_norms2
 from genresolvent.resolvent import pair_indices
 from helpers import (
     complex_gaussian,
@@ -59,6 +62,21 @@ def all_pairs_maximum(s, tplus, values, points) -> float:
     deviations = g[:, None] - g[None, :] - (lams[:, None] - lams[None, :])[:, :, None, None] * products
     norms = op_norms2(deviations.astype(np.complex128).reshape(k * k, n, m))
     return float(norms.max()) / max(op_norm2(tplus), NORM_FLOOR)
+
+
+def identity_bound(s, values, lams, st_norm=None) -> float:
+    """The bound the identity decision builds on the family values at lams,
+    anchored at its member at lam = 0, or inf where a point's margin is not
+    positive; ||s G_0||_2 is taken here unless st_norm gives it."""
+    anchor = values[np.flatnonzero(lams == 0)[0]]
+    st_plus = s @ anchor
+    if st_norm is None:
+        st_norm = op_norm2(st_plus)
+    margins = 1.0 - np.abs(lams) * (st_norm * (1.0 + NORM_BOUND_SLACK))
+    if not np.all(margins > 0.0):
+        return math.inf
+    residuals = resolvent._solve_residual_bounds(s, anchor, st_plus, lams, values)
+    return resolvent._identity_bound(s, anchor, lams, margins, residuals)
 
 
 def recorded(perturb=None):
@@ -111,21 +129,37 @@ def test_bound_covers_every_ordered_pair(case):
     patch, chunks = recorded(perturb)
     with patch:
         report = check_resolvent_axioms(family, grid, LOOSE)
-    values = np.concatenate(chunks)
-    exact = all_pairs_maximum(p.s, family.g.tplus, values, report.points)
+    # C-contiguous like the stack the stage keeps (a solve returns a transposed view)
+    values = np.ascontiguousarray(np.concatenate(chunks))
     lams = np.array(report.points, dtype=np.complex128)
-    margins = resolvent._margins(family, lams)
-    bound = math.inf
-    if np.all(margins > 0.0):
-        residuals = resolvent._solve_residual_bounds(family, lams, values)
-        bound = resolvent._identity_bound(family, lams, margins, residuals)
-    assert bound >= exact
+    anchor = values[np.flatnonzero(lams == 0)[0]]
+    if noise == 0.0:
+        assert np.array_equal(anchor, family.g.tplus)
+    bound = identity_bound(p.s, values, lams, family.st_norm)
+    assert bound >= all_pairs_maximum(p.s, anchor, values, report.points)
     if report.identity_method == "bound":
         assert report.max_identity_residual == bound
         assert report.worst_pair is None
     if noise == 0.0 and fraction <= 0.5:
         assert report.identity_method == "bound"
         assert bound <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+def test_bound_covers_every_ordered_pair_of_pseudoinverses(case):
+    """mp-check's family (t - lam s)^+, anchored at t^+ = G_0: its residuals
+    E_k are the deviations of the pairs (k, 0), and the bound built from
+    them covers every pair."""
+    p, fraction, points, _, _ = case
+    radius = build_family(p, mp_inverse(p.t)).radius
+    grid = default_grid(min(radius * fraction, 1e6), points)
+    report, pinvs = criteria._mp_characterization(p, grid, LOOSE, 0)
+    lams = np.array(grid.points, dtype=np.complex128)
+    bound = identity_bound(p.s, pinvs, lams)
+    assert bound >= all_pairs_maximum(p.s, pinvs[grid.points.index(0)], pinvs, grid.points)
+    if report.identity_method == "bound":
+        assert report.max_identity_residual == bound
 
 
 def test_bound_is_attained_by_aligned_residuals():

@@ -4,9 +4,10 @@ The screen must return exactly what checking every pair with its own
 spectral norm returns: the same maximum (compared with ==) and the same
 first maximizing pair, whether the family comes as one (k, n, m) stack or
 as a list and the pairs as a (P, 2) array or as tuples, and for every chunk
-budget. The axiom stage runs the screen only where its per-point identity
-bound exceeds residual_tol (``tests/test_identity_bound.py``), so its tests
-here ask for a residual_tol no bound meets. The MP stage's axiom maximum runs on the same screen and must equal
+budget. Both stages run the pairwise screen only where their per-point
+identity bound exceeds residual_tol (``tests/test_identity_bound.py``), so
+their tests here ask for a residual_tol no bound meets. The MP stage's
+axiom maximum runs on the same screen and must equal
 the maximum of the four Moore-Penrose residuals taken point by point. Count
 gates cap the SVD calls, and the matrices they factor, that the two
 pairwise stages spend on a small seeded pencil and the MP stage spends at
@@ -87,12 +88,16 @@ def test_axiom_stage_matches_reference(m, n, switched, points):
 
 @pytest.mark.parametrize("m,n,switched,points", CASES)
 def test_mp_stage_matches_reference(m, n, switched, points):
+    """The exact pairwise path of the MP stage, which decides the identity
+    wherever its per-point bound exceeds residual_tol: here always. The
+    axiom maximum does not depend on the tolerance."""
     p = pencil_for(m, n, switched)
     grid = default_grid(build_family(p, mp_inverse(p.t)).radius / 2, points)
-    report = mp_resolvent_characterization(p, grid)
+    report = mp_resolvent_characterization(p, grid, EXACT)
     pinvs = [pinv_matrix(p.at(lam)) for lam in grid.points]
     pairs = pair_indices(len(grid.points))
     expected = reference_identity_max(p.s, pinvs[0], pinvs, grid.points, pairs)
+    assert report.identity_method == "pairs"
     assert report.max_identity_residual == expected[0]
     assert max_identity_residual(p.s, pinvs[0], pinvs, grid.points, pairs) == expected
     assert report.max_axiom_residual == max(reference_axiom_maxima(p, grid.points))

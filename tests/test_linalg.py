@@ -153,6 +153,19 @@ class TestSubspaces:
         with pytest.raises(ValueError):
             SubspaceBasis(2, np.array([[1.0], [1.0]]))
 
+    @pytest.mark.parametrize(
+        "ambient,basis,message",
+        [
+            (3, np.eye(2), "basis has 2 rows, ambient is 3"),
+            (1, np.eye(2), "basis has 2 rows, ambient is 1"),
+            (2, np.ones((2, 3)) / np.sqrt(2), "more basis columns than ambient dimension"),
+        ],
+        ids=["fewer-rows", "more-rows", "more-columns"],
+    )
+    def test_shape_enforced(self, ambient, basis, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            SubspaceBasis(ambient, basis)
+
     def test_public_constructor_still_validates_factor_columns(self):
         a_factor = factor(random_rank_matrix(np.random.default_rng(3), 5, 4, 2))
         assert SubspaceBasis(5, a_factor.range.basis).dim == 2

@@ -56,6 +56,32 @@ def test_rank_drop_scan_csv_equals_cli_spectrum(tmp_path):
     assert script_csv.read_text().startswith("re,im,rank,is_drop\n")
 
 
+def test_code_lines_count_only_lines_with_code(tmp_path):
+    """Blank, comment and docstring lines do not count; a code line with a
+    trailing comment, both lines of a string value and each line of a
+    bracketed expression that holds code do."""
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import math  # a trailing comment\n"
+        "\n"
+        "\n"
+        "def area(r):\n"
+        '    """One line."""\n'
+        '    text = """not a\n'
+        'docstring"""\n'
+        "    return (math.pi\n"
+        "            # inside the bracket\n"
+        "            * r ** 2)\n"
+    )
+    done = run_script("code_lines.py", [str(source)])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"6  {source}", "6  total"]
+
+
 def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
