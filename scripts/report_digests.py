@@ -14,7 +14,10 @@ Runs ``genresolvent.cli.main`` in-process on
   both paths of the rank kernel's full-rank screen: one eigenvalue on a
   lattice point and one off it (the screen certifies every chunk but the
   one holding the first), the same pencil at ``--rank-rtol 0.5`` (the
-  screen declines every chunk), and a pencil rank-deficient everywhere.
+  screen declines every chunk), a pencil rank-deficient everywhere, and
+  one with an eigenvalue on the region's first point, -3 - 3i (the
+  one-matrix probe declines, so a long unscreened chunk fills the rank
+  pass's workspace before screened chunks reuse it).
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -113,7 +116,9 @@ def spectrum_commands() -> list[list[str]]:
     support = np.ones(20)
     support[-1] = 0.0
     deficient_t, deficient_s = (u * (eigenvalues * support)) @ u.conj().T, (u * support) @ u.conj().T
+    corner = (u * np.concatenate([[-3.0 - 3.0j], eigenvalues[1:]])) @ u.conj().T
     save_matrix(regular, "spectrum/normal-t.json")
+    save_matrix(corner, "spectrum/corner-t.json")
     save_matrix(np.eye(20), "spectrum/eye-s.json")
     save_matrix(deficient_t, "spectrum/deficient-t.json")
     save_matrix(deficient_s, "spectrum/deficient-s.json")
@@ -122,6 +127,7 @@ def spectrum_commands() -> list[list[str]]:
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan],
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan, "--rank-rtol", "0.5"],
         ["spectrum", "spectrum/deficient-t.json", "spectrum/deficient-s.json", *scan],
+        ["spectrum", "spectrum/corner-t.json", "spectrum/eye-s.json", *scan],
     ]
 
 

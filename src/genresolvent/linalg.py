@@ -270,7 +270,9 @@ def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
     return np.count_nonzero(s > cutoffs[:, None], axis=1), cutoffs
 
 
-def _full_rank_certified(stack: np.ndarray, tol: TolerancePolicy) -> bool:
+def _full_rank_certified(
+    stack: np.ndarray, tol: TolerancePolicy, gram: np.ndarray | None = None
+) -> bool:
     """Whether the values-only SVD would give every member A of a (k, m, n)
     stack, min(m, n) > 0, full rank p = min(m, n) with a rank not marginal.
 
@@ -285,10 +287,15 @@ def _full_rank_certified(stack: np.ndarray, tol: TolerancePolicy) -> bool:
     False when the factorization breaks down on some member (the batched
     call raises for the whole stack) or some ||A||_F^2 lies outside
     SCREEN_RANGE; the caller then takes the SVD.
+
+    The Gram is written into gram, a C-contiguous (k, p, p) array that
+    overlaps no input, when given; otherwise it is allocated. kappa covers
+    its rounding in any order of summation. Either way the adjoint and the
+    Cholesky factor are allocated here.
     """
     k, m, n = stack.shape
     adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
-    gram = adjoint @ stack if n <= m else stack @ adjoint
+    gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
     # freed before the factor is allocated, which can then take its memory
     del adjoint
     size = gram.shape[1]
@@ -484,10 +491,12 @@ def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Zero matrices are divided by 1. A scaled matrix has entries of modulus
     at most 1 and one of modulus 1, up to the rounding of the scaling, so
     products of a few scaled factors can neither overflow nor lose their
-    leading terms to underflow.
+    leading terms to underflow. The scaled stack is C-contiguous, whatever
+    the memory order of the input, so it can be viewed as real pairs.
     """
     peak = np.abs(stack).max(axis=(1, 2))
-    return peak, stack * (1.0 / np.where(peak > 0.0, peak, 1.0))[:, None, None]
+    scale = 1.0 / np.where(peak > 0.0, peak, 1.0)
+    return peak, np.multiply(stack, scale[:, None, None], order="C")
 
 
 def _squared_norms(stack: np.ndarray) -> np.ndarray:
@@ -542,7 +551,7 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     if k == 0 or min(m, n) == 0:
         return np.zeros(k)
     peak, scaled = _peak_scaled(stack)
-    return peak * np.sqrt(_squared_norms(np.ascontiguousarray(scaled)))
+    return peak * np.sqrt(_squared_norms(scaled))
 
 
 def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int | None]:
@@ -628,40 +637,66 @@ def split_ranks(
 
 
 def chunked_ranks(
-    build: Callable[[slice], np.ndarray],
+    build: Callable[[slice, np.ndarray], np.ndarray],
     count: int,
     shape: tuple[int, int],
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerical ranks and marginal flags of count (m, n) matrices, in order.
 
-    build(part) returns the matrices of a slice part of range(count) as a
-    (k, m, n) stack; it is called on consecutive slices, chunk by chunk,
-    and each chunk is ranked by :func:`split_ranks` with no product.
-    The full-rank screen saves the SVD of a chunk it certifies, but adds
-    its Gram and Cholesky to the SVD of one it declines, so it runs on a
-    chunk only when the matrices before suggest it will certify: on the
-    first chunk when the first matrix alone passes it (a one-matrix
+    build(part, out) returns the matrices of a slice part of range(count)
+    as a (k, m, n) stack, written into out, a C-contiguous (k, m, n) view
+    of the pass's workspace; it is called on consecutive slices, chunk by
+    chunk, and each chunk is ranked as by :func:`split_ranks` with no
+    product. The full-rank screen saves the SVD of a chunk it certifies,
+    but adds its Gram and Cholesky to the SVD of one it declines, so it
+    runs on a chunk only when the matrices before suggest it will certify:
+    on the first chunk when the first matrix alone passes it (a one-matrix
     probe), and on each later one when the chunk before held a matrix of
     full rank and not marginal. A screened chunk is sized for SCREEN_LIVE
     more matrices per member. So on matrices rank deficient throughout,
     such as a pencil singular at every lam, the screen runs once, on the
     probe, and on matrices rank deficient at isolated members it runs on
     every chunk after the probe; either way each rank is the SVD's.
+
+    The workspace is allocated once per pass and holds the longest chunk's
+    stack, or a screened chunk's stack and its Gram. Chunk arrays freed
+    and allocated again at every chunk would be returned to the operating
+    system and faulted back in each time by a fresh process's allocator;
+    only the screen's adjoint and Cholesky factor still are allocated per
+    chunk, the factor taking the memory the adjoint leaves.
     """
     ranks = np.zeros(count, dtype=np.int64)
     marginal = np.zeros(count, dtype=bool)
     m, n = shape
+    p = min(m, n)
     matrix_bytes = 16 * max(m, n) ** 2
-    screen = count > 0 and _full_rank_certified(build(slice(0, 1)), tol)
+    longest, screened = (
+        min(count, _chunk_length(live * matrix_bytes)) for live in (1, 1 + SCREEN_LIVE)
+    )
+    work = np.empty(max(longest * m * n, screened * (m * n + p * p)), dtype=np.complex128)
+
+    def built(part: slice) -> np.ndarray:
+        k = part.stop - part.start
+        return build(part, work[: k * m * n].reshape(k, m, n))
+
+    def certified(stack: np.ndarray) -> bool:
+        k = len(stack)
+        gram = work[k * m * n : k * (m * n + p * p)].reshape(k, p, p)
+        return _full_rank_certified(stack, tol, gram)
+
+    screen = count > 0 and certified(built(slice(0, 1)))
     start = 0
     while start < count:
-        step = _chunk_length((1 + SCREEN_LIVE * screen) * matrix_bytes)
-        part = slice(start, min(count, start + step))
-        ranks[part], _, _, marginal[part] = split_ranks(
-            build(part), empty_basis(n), empty_basis(m), tol, screen
-        )
-        screen = bool(np.any((ranks[part] == min(m, n)) & ~marginal[part]))
+        part = slice(start, min(count, start + (screened if screen else longest)))
+        stack = built(part)
+        if screen and certified(stack):
+            ranks[part] = p
+        else:
+            ranks[part], _, _, marginal[part] = split_ranks(
+                stack, empty_basis(n), empty_basis(m), tol, screen=False
+            )
+        screen = bool(np.any((ranks[part] == p) & ~marginal[part]))
         start = part.stop
     return ranks, marginal
 

@@ -103,9 +103,9 @@ class Pencil:
     def at(self, lam: complex) -> np.ndarray:
         return self.t - lam * self.s
 
-    def at_many(self, lams: np.ndarray) -> np.ndarray:
-        """The stack t - lams[k] * s, of shape (len(lams), m, n)."""
-        stack = np.multiply(lams[:, None, None], self.s)
+    def at_many(self, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The stack t - lams[k] * s, of shape (len(lams), m, n), written into out when given."""
+        stack = np.multiply(lams[:, None, None], self.s, out=out)
         return np.subtract(self.t, stack, out=stack)
 
     def point_chunks(self, points: Sequence[complex], live: int) -> Iterator[np.ndarray]:
@@ -116,7 +116,9 @@ class Pencil:
         ``live`` counts a stage's main per-point arrays, not every copy or
         scratch array it makes, so CHUNK_BYTES is an approximate budget.
         Stages build each chunk's stack inside a call, so it is freed before
-        the next chunk's is built.
+        the next chunk's is built. Rank passes with no product do not use
+        these chunks: :func:`linalg.chunked_ranks` sizes theirs and builds
+        each into one workspace it keeps for the whole pass.
         """
         lams = np.array(points, dtype=np.complex128)
         for part in chunks(len(lams), live * 16 * max(self.shape) ** 2):
@@ -718,8 +720,9 @@ def _grid_pass(
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
     formed. A chunk counts t - lam s and each product asked for; with none
-    asked for, :func:`linalg.chunked_ranks` sizes the chunks and decides
-    where the full-rank screen runs.
+    asked for, :func:`linalg.chunked_ranks` sizes the chunks, builds each
+    into the workspace it passes to the build callback and decides where
+    the full-rank screen runs.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
@@ -730,7 +733,9 @@ def _grid_pass(
         split = [np.concatenate(column) for column in zip(*parts)]
     else:
         lams = np.array(points, dtype=np.complex128)
-        ranks, marginal = chunked_ranks(lambda part: p.at_many(lams[part]), len(lams), p.shape, tol)
+        ranks, marginal = chunked_ranks(
+            lambda part, out: p.at_many(lams[part], out), len(lams), p.shape, tol
+        )
         split = [ranks, np.zeros_like(ranks), np.zeros_like(ranks), marginal]
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)

@@ -29,6 +29,7 @@ from genresolvent import (
 )
 from genresolvent.linalg import (
     exact_maximum,
+    frobenius_norms,
     norm_lower_bounds,
     norm_upper_bounds,
     op_norms2,
@@ -253,6 +254,13 @@ class TestNorm:
         assert np.all(lower <= norms) and np.all(norms <= upper)
         assert np.all(lower >= norms / np.sqrt(n) * (1.0 - 1e-3))
         assert np.all(upper <= norms * min(m, n) ** 0.25 * (1.0 + 1e-3))
+
+    @pytest.mark.parametrize("bound", [norm_lower_bounds, norm_upper_bounds, frobenius_norms])
+    def test_bounds_read_a_stack_whose_last_axis_is_not_contiguous(self, bound):
+        """A transposed view, as solve_right_stack returns, is bounded as its
+        C-contiguous copy is."""
+        view = complex_gaussian(np.random.default_rng(5), (3, 5, 4)).swapaxes(1, 2)
+        np.testing.assert_array_equal(bound(view), bound(np.ascontiguousarray(view)))
 
     def test_exact_maximum_takes_a_nan_bound_as_unbounded(self):
         values = [1.0, 3.0, 2.0, 3.0]

@@ -9,6 +9,11 @@ own threshold, at entry scales inside and outside the range it runs on.
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +32,8 @@ from genresolvent.linalg import (
     split_ranks,
 )
 from helpers import complex_gaussian, rect_diag, unitary
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RTOLS = (EPS, 1e-8, 1e-3, 0.05, 0.5)
 # 1e-160 and 1e150 put ||A||_F^2 outside SCREEN_RANGE; 1e+-140 stay inside
@@ -67,7 +74,7 @@ def stacks(draw):
 
 def svd_path():
     """The screen switched off: every stack takes the values-only SVD."""
-    return mock.patch.object(linalg, "_full_rank_certified", lambda stack, tol: False)
+    return mock.patch.object(linalg, "_full_rank_certified", lambda stack, tol, gram=None: False)
 
 
 def solve_outcome(a, tol):
@@ -116,9 +123,10 @@ def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
     tol = TolerancePolicy(rank_rtol=rtol)
     built = []
 
-    def build(part):
+    def build(part, out):
         built.append(part)
-        return stack[part]
+        out[...] = stack[part]
+        return out
 
     with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * max(m, n) ** 2):
         ranks, marginal = chunked_ranks(build, len(stack), shape, tol)
@@ -129,6 +137,56 @@ def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
     assert built[0] == slice(0, 1)
     assert [part.start for part in built[1:]] == [0] + [part.stop for part in built[1:-1]]
     assert built[-1].stop == len(stack)
+
+
+def test_chunked_ranks_build_every_chunk_into_one_workspace():
+    """The probe, screened chunks of 2 and an unscreened chunk of 8 (after a
+    screened chunk of deficient members) are all written to the same memory."""
+    rng = np.random.default_rng(6)
+    places = [1e12, 1e12, 0.0, 0.0] + [1e12] * 10
+    stack = np.stack([member(rng, 4, 4, EPS, place) for place in places])
+    built, addresses = [], []
+
+    def build(part, out):
+        built.append(part)
+        addresses.append(out.__array_interface__["data"][0])
+        assert out.flags.c_contiguous and out.shape == (part.stop - part.start, 4, 4)
+        out[...] = stack[part]
+        return out
+
+    with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * 4 ** 2):
+        ranks, marginal = chunked_ranks(build, len(stack), (4, 4), TolerancePolicy())
+    assert built == [slice(0, 1), slice(0, 2), slice(2, 4), slice(4, 12), slice(12, 14)]
+    assert len(set(addresses)) == 1
+    assert ranks.tolist() == [4, 4, 3, 3] + [4] * 10
+    assert not marginal.any()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+def test_a_fresh_process_scan_does_not_fault_through_its_chunks():
+    """A one-shot 61 x 61 scan at n = 50 keeps its chunk memory: an allocator
+    that trims freed chunks back to the system faults every chunk in again,
+    about 60,000 minor faults where a kept workspace takes a few hundred."""
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from helpers import normal_pencil, off_lattice\n"
+        "from genresolvent.criteria import generalized_spectrum_scan, rectangular_region\n"
+        "rng = np.random.default_rng(1)\n"
+        "p = normal_pencil(rng, off_lattice(rng, 50))\n"
+        "region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "generalized_spectrum_scan(p, region)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 10_000
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e140])
