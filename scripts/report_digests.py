@@ -17,7 +17,10 @@ Runs ``genresolvent.cli.main`` in-process on
   screen declines every chunk), a pencil rank-deficient everywhere, and
   one with an eigenvalue on the region's first point, -3 - 3i (the
   one-matrix probe declines, so a long unscreened chunk fills the rank
-  pass's workspace before screened chunks reuse it).
+  pass's workspace before screened chunks reuse it);
+* ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
+  on the default 25-point grid: its rank pass, which forms a product, is
+  cut into chunks of 16 and 9 points.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -131,6 +134,17 @@ def spectrum_commands() -> list[list[str]]:
     ]
 
 
+def chunked_commands() -> list[list[str]]:
+    commands = []
+    for switched in (False, True):
+        p = framed(np.random.default_rng([0, 64, 64, int(switched)]), 64, 64, 63, switched)
+        stem = f"framed/64x64-{'switched' if switched else 'constant'}"
+        save_matrix(p.t, f"{stem}-t.json")
+        save_matrix(p.s, f"{stem}-s.json")
+        commands.append(["analyze", f"{stem}-t.json", f"{stem}-s.json"])
+    return commands
+
+
 def flag_commands() -> list[list[str]]:
     commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
     return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
@@ -151,7 +165,7 @@ def main() -> int:
         os.mkdir("out")
         os.mkdir("spectrum")
         for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
-                     + spectrum_commands()):
+                     + spectrum_commands() + chunked_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

@@ -11,13 +11,16 @@ cutoff, the ranks of A E and F_perp^H A for fixed orthonormal bases E and
 F_perp. Transversality, the two direct-sum splittings, fixed complements
 and the perturbation splittings are comparisons of those integers
 (:func:`split_verdicts`), never of concatenated kernel and range bases;
-:func:`numerical_rank`, :func:`rank_and_marginal` and the rank profiles
-and scans of the grid stages are its views with empty bases.
+:func:`numerical_rank` and :func:`rank_and_marginal` are its one-matrix
+views with empty bases. :func:`chunked_ranks` is the one grid rank pass:
+it runs the kernel chunk by chunk on the stacks a caller builds into its
+workspace, for the rank profiles, scans and subspace criteria of the grid
+stages.
 
-Most matrices these views rank, and most systems :func:`solve_stack`
-checks, are of full rank by a wide margin, and an SVD is the dearest way
-to show it. So both first run a private full-rank screen on the whole
-stack: one Gram matrix of the smaller side per member, its diagonal
+Most matrices a grid pass ranks without a product, and most systems
+:func:`solve_stack` checks, are of full rank by a wide margin, and an SVD
+is the dearest way to show it. So both first run a private full-rank
+screen: one Gram matrix of the smaller side per member, its diagonal
 lowered by a shift that covers the rank cutoff, the factor 10 of the
 marginal rule and every rounding error on the way (SCREEN_SLACK), and one
 batched Cholesky factorization. If it succeeds, the SVD would have given
@@ -26,11 +29,11 @@ down on any member, or some ||A||_F^2 is near under- or overflow, the
 stack takes the SVD path unchanged, which also gives the condition number
 of a singular system. So every rank, marginal flag and singularity
 verdict is the SVD's, and a certified member carries no singular values.
-Ranks with products (:func:`split_ranks` with bases) skip the screen:
-A's own SVD sets their cutoff. A declined screen adds its cost to the
-SVD's, so :func:`chunked_ranks`, which ranks the points of a grid pass
-chunk by chunk, screens a chunk only when the matrices before it were
-full rank: on a pencil singular at every lam it screens one matrix.
+Ranks with products skip the screen: A's own SVD sets their cutoff. A
+declined screen adds its cost to the SVD's, so :func:`chunked_ranks`
+screens a chunk only when the matrices before it were full rank: on a
+pencil singular at every lam it screens one matrix. :func:`split_ranks`
+itself never screens, so a single matrix is always factored.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -488,15 +491,22 @@ def op_norm2(a) -> float:
 def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The largest entry modulus of each matrix and the stack divided by it.
 
-    Zero matrices are divided by 1. A scaled matrix has entries of modulus
+    Zero matrices stay zero. A scaled matrix has entries of modulus
     at most 1 and one of modulus 1, up to the rounding of the scaling, so
     products of a few scaled factors can neither overflow nor lose their
-    leading terms to underflow. The scaled stack is C-contiguous, whatever
-    the memory order of the input, so it can be viewed as real pairs.
+    leading terms to underflow. A matrix is multiplied by the reciprocal of
+    its peak, except where the peak is subnormal and the reciprocal could
+    overflow: such a matrix is divided by its peak. The scaled stack is
+    C-contiguous, whatever the memory order of the input, so it can be
+    viewed as real pairs.
     """
     peak = np.abs(stack).max(axis=(1, 2))
-    scale = 1.0 / np.where(peak > 0.0, peak, 1.0)
-    return peak, np.multiply(stack, scale[:, None, None], order="C")
+    scaled = np.multiply(stack, (1.0 / np.maximum(peak, NORM_FLOOR))[:, None, None], order="C")
+    if peak.min() < NORM_FLOOR:
+        # real and imaginary parts apart: a complex division takes the reciprocal too
+        for k in np.flatnonzero((peak > 0.0) & (peak < NORM_FLOOR)):
+            scaled[k] = stack[k].real / peak[k] + 1j * (stack[k].imag / peak[k])
+    return peak, scaled
 
 
 def _squared_norms(stack: np.ndarray) -> np.ndarray:
@@ -600,7 +610,6 @@ def split_ranks(
     right: np.ndarray,
     left: np.ndarray,
     tol: TolerancePolicy = DEFAULT_TOL,
-    screen: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """rank(A), rank(A @ right), rank(left^H @ A) and the marginal flag of
     rank(A), for each A of a (k, m, n) stack.
@@ -614,17 +623,14 @@ def split_ranks(
     rounding noise of A on its numerical kernel as rank. The rank of A is
     marginal when its smallest kept singular value is within a factor of 10
     of the cutoff, i.e. the rank would flip under a modest tolerance change.
-    Empty matrices and products have rank 0 and are not factored. When no
-    product is asked for and screen is true, the full-rank screen runs
-    first, and a stack it certifies is not factored either.
+    Empty matrices and products have rank 0 and are not factored. Every
+    other stack is factored: the full-rank screen runs in
+    :func:`chunked_ranks`, not here.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)
     marginal = np.zeros(k, dtype=bool)
-    products = right.shape[1] or left.shape[1]
-    if k and min(m, n) and screen and not products and _full_rank_certified(stack, tol):
-        ranks[0] = min(m, n)
-    elif k and min(m, n):
+    if k and min(m, n):
         s = _svd(stack, compute_uv=False)
         ranks[0], cutoffs = _ranks(s, stack.shape, tol)
         kept = s[np.arange(k), np.maximum(ranks[0] - 1, 0)]
@@ -641,39 +647,49 @@ def chunked_ranks(
     count: int,
     shape: tuple[int, int],
     tol: TolerancePolicy = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical ranks and marginal flags of count (m, n) matrices, in order.
+    right: np.ndarray | None = None,
+    left: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`split_ranks` of count (m, n) matrices, chunk by chunk, in order.
 
     build(part, out) returns the matrices of a slice part of range(count)
     as a (k, m, n) stack, written into out, a C-contiguous (k, m, n) view
     of the pass's workspace; it is called on consecutive slices, chunk by
-    chunk, and each chunk is ranked as by :func:`split_ranks` with no
-    product. The full-rank screen saves the SVD of a chunk it certifies,
-    but adds its Gram and Cholesky to the SVD of one it declines, so it
-    runs on a chunk only when the matrices before suggest it will certify:
-    on the first chunk when the first matrix alone passes it (a one-matrix
-    probe), and on each later one when the chunk before held a matrix of
-    full rank and not marginal. A screened chunk is sized for SCREEN_LIVE
-    more matrices per member. So on matrices rank deficient throughout,
-    such as a pencil singular at every lam, the screen runs once, on the
-    probe, and on matrices rank deficient at isolated members it runs on
-    every chunk after the probe; either way each rank is the SVD's.
+    chunk. right and left default to :func:`empty_basis`, which asks for
+    no product. A chunk counts one matrix per member and one more per
+    product asked for, as :func:`chunks` sizes them.
+
+    Without a product, the full-rank screen saves the SVD of a chunk it
+    certifies, but adds its Gram and Cholesky to the SVD of one it
+    declines, so it runs on a chunk only when the matrices before suggest
+    it will certify: on the first chunk when the first matrix alone passes
+    it (a one-matrix probe), and on each later one when the chunk before
+    held a matrix of full rank and not marginal. A screened chunk is sized
+    for SCREEN_LIVE more matrices per member. So on matrices rank
+    deficient throughout, such as a pencil singular at every lam, the
+    screen runs once, on the probe, and on matrices rank deficient at
+    isolated members it runs on every chunk after the probe; either way
+    each rank is the SVD's. With a product the screen never runs: A's own
+    SVD sets the products' cutoff.
 
     The workspace is allocated once per pass and holds the longest chunk's
-    stack, or a screened chunk's stack and its Gram. Chunk arrays freed
-    and allocated again at every chunk would be returned to the operating
-    system and faulted back in each time by a fresh process's allocator;
-    only the screen's adjoint and Cholesky factor still are allocated per
-    chunk, the factor taking the memory the adjoint leaves.
+    stack, and, when the screen can run, a screened chunk's stack and its
+    Gram. Chunk arrays freed and allocated again at every chunk would be
+    returned to the operating system and faulted back in each time by a
+    fresh process's allocator; only the screen's adjoint and Cholesky
+    factor, and the products and singular values of an SVD, still are
+    allocated per chunk.
     """
-    ranks = np.zeros(count, dtype=np.int64)
-    marginal = np.zeros(count, dtype=bool)
     m, n = shape
+    right = empty_basis(n) if right is None else right
+    left = empty_basis(m) if left is None else left
+    products = bool(right.shape[1]) + bool(left.shape[1])
+    ranks = np.zeros((3, count), dtype=np.int64)
+    marginal = np.zeros(count, dtype=bool)
     p = min(m, n)
     matrix_bytes = 16 * max(m, n) ** 2
-    longest, screened = (
-        min(count, _chunk_length(live * matrix_bytes)) for live in (1, 1 + SCREEN_LIVE)
-    )
+    longest = min(count, _chunk_length((1 + products) * matrix_bytes))
+    screened = 0 if products else min(count, _chunk_length((1 + SCREEN_LIVE) * matrix_bytes))
     work = np.empty(max(longest * m * n, screened * (m * n + p * p)), dtype=np.complex128)
 
     def built(part: slice) -> np.ndarray:
@@ -685,20 +701,19 @@ def chunked_ranks(
         gram = work[k * m * n : k * (m * n + p * p)].reshape(k, p, p)
         return _full_rank_certified(stack, tol, gram)
 
-    screen = count > 0 and certified(built(slice(0, 1)))
+    screen = count > 0 and not products and certified(built(slice(0, 1)))
     start = 0
     while start < count:
         part = slice(start, min(count, start + (screened if screen else longest)))
         stack = built(part)
         if screen and certified(stack):
-            ranks[part] = p
+            ranks[0, part] = p
         else:
-            ranks[part], _, _, marginal[part] = split_ranks(
-                stack, empty_basis(n), empty_basis(m), tol, screen=False
-            )
-        screen = bool(np.any((ranks[part] == p) & ~marginal[part]))
+            split = split_ranks(stack, right, left, tol)
+            ranks[:, part], marginal[part] = split[:3], split[3]
+        screen = not products and bool(np.any((ranks[0, part] == p) & ~marginal[part]))
         start = part.stop
-    return ranks, marginal
+    return ranks[0], ranks[1], ranks[2], marginal
 
 
 def split_verdicts(

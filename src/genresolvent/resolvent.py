@@ -23,14 +23,15 @@ pseudoinverses of :mod:`criteria` alike: a bound on every ordered pair from
 one residual per point, anchored at the member at lam = 0, and the exact
 maximum over sampled pairs only where that bound exceeds residual_tol.
 
-Every rank of t - lam*s at sampled points comes from one private grid pass
-over the rank kernel :func:`linalg.split_ranks`, chunk by chunk. The
-subspace criteria compare the numerical ranks of t - lam*s and of its
-products with fixed orthonormal bases, read off one factorization of tplus
-or of the complements, so no grid point is given a full SVD. The same pass
-gives the rank profiles and the spectrum scan of :mod:`criteria`, and
-:func:`existence_check` keeps the profile of the ranks it decided with, so
-transversality and rank constancy on one grid rank each point once.
+Every rank of t - lam*s at sampled points comes from one private grid pass,
+one call of :func:`linalg.chunked_ranks`, chunk by chunk, over the rank
+kernel :func:`linalg.split_ranks`. The subspace criteria compare the
+numerical ranks of t - lam*s and of its products with fixed orthonormal
+bases, read off one factorization of tplus or of the complements, so no
+grid point is given a full SVD. The same pass gives the rank profiles and
+the spectrum scan of :mod:`criteria`, and :func:`existence_check` keeps
+the profile of the ranks it decided with, so transversality and rank
+constancy on one grid rank each point once.
 
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
@@ -116,8 +117,8 @@ class Pencil:
         ``live`` counts a stage's main per-point arrays, not every copy or
         scratch array it makes, so CHUNK_BYTES is an approximate budget.
         Stages build each chunk's stack inside a call, so it is freed before
-        the next chunk's is built. Rank passes with no product do not use
-        these chunks: :func:`linalg.chunked_ranks` sizes theirs and builds
+        the next chunk's is built. Rank passes do not use these chunks:
+        :func:`linalg.chunked_ranks` sizes theirs the same way and builds
         each into one workspace it keeps for the whole pass.
         """
         lams = np.array(points, dtype=np.complex128)
@@ -283,7 +284,10 @@ def max_identity_residual(
         deviation = _deviations(g, lams, g[pair[:, 0]] @ s, pair[:, 0], pair[:, 1])
         return float(op_norms2(deviation)[0]) / scale_norm
 
-    best, position = exact_maximum(_screen_deviations(s, g, lams, index) / scale_norm, exact)
+    # +inf, where a deviation overflows against a floored scale, exceeds every bound
+    with np.errstate(over="ignore"):
+        bounds = _screen_deviations(s, g, lams, index) / scale_norm
+    best, position = exact_maximum(bounds, exact)
     if position is None:
         return best, None
     i, j = index[position].tolist()
@@ -488,8 +492,10 @@ def _decide_identity(
         # copy, its adjoint and the Gram
         for part in chunks(len(lams), 5 * 16 * max(anchor.shape) ** 2):
             residuals[part] = _solve_residual_bounds(s, anchor, st_plus, lams[part], values[part])
-            if len(lams) > 1 and np.any(residuals[part] / scale > tol.residual_tol):
-                break
+            # +inf, where a residual overflows against the floored scale, exceeds residual_tol
+            with np.errstate(over="ignore"):
+                if len(lams) > 1 and np.any(residuals[part] / scale > tol.residual_tol):
+                    break
         else:
             point_margins = margins(op_norm2(st_plus) if st_norm is None else st_norm)
             if np.all(point_margins > 0.0):
@@ -577,7 +583,9 @@ def _identity_bound(
     spread = drift + norm_upper_bounds(s[None])[0] * residuals
     bounds = (residuals[:, None] + residuals[None, :] + gaps * spread[None, :]) / margins[None, :]
     np.fill_diagonal(bounds, 0.0)
-    return float(bounds.max(initial=0.0) / max(norm_lower_bounds(tplus[None])[0], NORM_FLOOR))
+    # +inf, where the bound overflows against a floored scale, exceeds residual_tol
+    with np.errstate(over="ignore"):
+        return float(bounds.max(initial=0.0) / max(norm_lower_bounds(tplus[None])[0], NORM_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -714,29 +722,21 @@ def _grid_pass(
     p: Pencil, points: Sequence[complex], tol: TolerancePolicy,
     e: np.ndarray | None = None, f_perp: np.ndarray | None = None,
 ) -> tuple[RankProfile, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`linalg.split_ranks` of t - lam*s at every point, chunk by chunk, in order.
+    """:func:`linalg.chunked_ranks` of t - lam*s at the points, in order.
 
     Returns the rank profile at the points and their transversality, domain
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
-    formed. A chunk counts t - lam s and each product asked for; with none
-    asked for, :func:`linalg.chunked_ranks` sizes the chunks, builds each
-    into the workspace it passes to the build callback and decides where
-    the full-rank screen runs.
+    formed. :func:`linalg.chunked_ranks` sizes the chunks, builds each into
+    the workspace it passes to the build callback and, when no product is
+    asked for, decides where the full-rank screen runs.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
-    live = 1 + bool(e.shape[1]) + bool(f_perp.shape[1])
-    if live > 1:
-        parts = [split_ranks(p.at_many(lams), e, f_perp, tol) for lams in p.point_chunks(points, live)]
-        split = [np.concatenate(column) for column in zip(*parts)]
-    else:
-        lams = np.array(points, dtype=np.complex128)
-        ranks, marginal = chunked_ranks(
-            lambda part, out: p.at_many(lams[part], out), len(lams), p.shape, tol
-        )
-        split = [ranks, np.zeros_like(ranks), np.zeros_like(ranks), marginal]
+    lams = np.array(points, dtype=np.complex128)
+    split = chunked_ranks(lambda part, out: p.at_many(lams[part], out), len(lams), (m, n), tol,
+                          e, f_perp)
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
     profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))

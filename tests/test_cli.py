@@ -499,6 +499,33 @@ def test_back_to_back_calls_parse_independently(capsys):
     assert outputs[0][1] != outputs[1][1]
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_mp_check_of_a_vanishing_pencil_writes_nothing_to_stderr(scale, tmp_path):
+    """T = 0 and S = scale * I: the pointwise pseudoinverses are of order
+    1/scale while the anchor T+ = 0 has its norm floored at NORM_FLOOR, so
+    the identity quotients overflow. +inf is their "exceeds tolerance"
+    value; no NumPy warning reaches stderr, and no peak scaling makes NaN."""
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    save_matrix(np.zeros((4, 4)), paths[0])
+    save_matrix(scale * np.eye(4), paths[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "genresolvent", "mp-check",
+         *map(str, paths)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr == ""
+    assert done.returncode == 1
+    report = json.loads(done.stdout)
+    assert report["identity_method"] == "pairs"
+    assert report["max_identity_residual"] == np.inf
+    assert report["identity_verdict"] is False
+
+
 class TestVersionCommand:
     def test_prints_version(self, capsys):
         code, out, _ = run(["version"], capsys)

@@ -262,6 +262,21 @@ class TestNorm:
         view = complex_gaussian(np.random.default_rng(5), (3, 5, 4)).swapaxes(1, 2)
         np.testing.assert_array_equal(bound(view), bound(np.ascontiguousarray(view)))
 
+    @pytest.mark.parametrize("bound", [norm_lower_bounds, norm_upper_bounds, frobenius_norms])
+    def test_bounds_of_a_matrix_with_a_subnormal_peak(self, bound):
+        """The reciprocal of a subnormal peak can overflow, so such a matrix is
+        divided by its peak: its bound is finite, no NaN or overflow arises,
+        and it is the bound of the same matrix scaled exactly into the normal
+        range. The other members keep their bounds bit for bit."""
+        normal = complex_gaussian(np.random.default_rng(6), (4, 3))
+        stack = np.stack([normal, normal * 1e-310, np.zeros((4, 3))])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            bounds = bound(stack)
+        lifted = bound(stack[1:2] * 2.0**600)[0] / 2.0**600
+        assert bounds[0] == bound(normal[None])[0]
+        assert 0.0 < bounds[1] == pytest.approx(lifted, rel=1e-12)
+        assert bounds[2] == 0.0
+
     def test_exact_maximum_takes_a_nan_bound_as_unbounded(self):
         values = [1.0, 3.0, 2.0, 3.0]
         called = []

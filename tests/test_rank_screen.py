@@ -5,6 +5,8 @@ and singularity verdict must be the one the values-only SVD would give. The
 stacks here put the smallest singular value at exact rank deficiency, at
 the rank cutoff, at 10x the cutoff (the marginal rule) and at the screen's
 own threshold, at entry scales inside and outside the range it runs on.
+The screen runs in the grid rank pass, ``chunked_ranks``, and in
+``solve_stack``; ``split_ranks`` itself always takes the SVD.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genresolvent import SingularSystemError, TolerancePolicy
+from genresolvent import Pencil, SingularSystemError, TolerancePolicy
 from genresolvent import linalg
 from genresolvent.linalg import (
     EPS,
@@ -77,6 +79,22 @@ def svd_path():
     return mock.patch.object(linalg, "_full_rank_certified", lambda stack, tol, gram=None: False)
 
 
+def copying(stack, built=None, addresses=None):
+    """A chunked_ranks build callback that copies stack[part] into the
+    workspace, recording each part and the address it was written to."""
+
+    def build(part, out):
+        if built is not None:
+            built.append(part)
+        if addresses is not None:
+            addresses.append(out.__array_interface__["data"][0])
+        assert out.flags.c_contiguous and out.shape == (part.stop - part.start,) + stack.shape[1:]
+        out[...] = stack[part]
+        return out
+
+    return build
+
+
 def solve_outcome(a, tol):
     b = np.eye(a.shape[1], dtype=np.complex128)
     try:
@@ -90,10 +108,10 @@ def solve_outcome(a, tol):
 def test_screen_agrees_with_the_svd(case):
     stack, tol = case
     k, m, n = stack.shape
-    screened = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
+    screened = chunked_ranks(copying(stack), k, (m, n), tol)
     solved = solve_outcome(stack, tol) if m == n else None
     with svd_path():
-        reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
+        reference = chunked_ranks(copying(stack), k, (m, n), tol)
         solved_reference = solve_outcome(stack, tol) if m == n else None
     for got, want in zip(screened, reference):
         np.testing.assert_array_equal(got, want)
@@ -122,14 +140,8 @@ def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
     stack = np.stack([member(rng, m, n, rtol, place) for place in places])
     tol = TolerancePolicy(rank_rtol=rtol)
     built = []
-
-    def build(part, out):
-        built.append(part)
-        out[...] = stack[part]
-        return out
-
     with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * max(m, n) ** 2):
-        ranks, marginal = chunked_ranks(build, len(stack), shape, tol)
+        ranks, _, _, marginal = chunked_ranks(copying(stack, built), len(stack), shape, tol)
     with svd_path():
         reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
     np.testing.assert_array_equal(ranks, reference[0])
@@ -146,20 +158,44 @@ def test_chunked_ranks_build_every_chunk_into_one_workspace():
     places = [1e12, 1e12, 0.0, 0.0] + [1e12] * 10
     stack = np.stack([member(rng, 4, 4, EPS, place) for place in places])
     built, addresses = [], []
-
-    def build(part, out):
-        built.append(part)
-        addresses.append(out.__array_interface__["data"][0])
-        assert out.flags.c_contiguous and out.shape == (part.stop - part.start, 4, 4)
-        out[...] = stack[part]
-        return out
-
     with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * 4 ** 2):
-        ranks, marginal = chunked_ranks(build, len(stack), (4, 4), TolerancePolicy())
+        ranks, _, _, marginal = chunked_ranks(
+            copying(stack, built, addresses), len(stack), (4, 4), TolerancePolicy()
+        )
     assert built == [slice(0, 1), slice(0, 2), slice(2, 4), slice(4, 12), slice(12, 14)]
     assert len(set(addresses)) == 1
     assert ranks.tolist() == [4, 4, 3, 3] + [4] * 10
     assert not marginal.any()
+
+
+@pytest.mark.parametrize("sides", ["right", "left", "both"])
+def test_chunked_ranks_with_products_never_screen(sides):
+    """A pass with products cuts chunks for one matrix per member and one
+    per product, as Pencil.point_chunks cuts them, builds each into one
+    workspace, never runs the screen and returns split_ranks of the whole
+    stack, full-rank runs included."""
+    m, n = 5, 4
+    rng = np.random.default_rng(8)
+    places = [1e12, 1e12, 0.0, 10.0, 1e12, 0.5, 1e12, 1e12, 1e12, 0.0, 1e12, 2.0, 1e12]
+    stack = np.stack([member(rng, m, n, EPS, place) for place in places])
+    right = unitary(rng, n)[:, :2] if sides != "left" else empty_basis(n)
+    left = unitary(rng, m)[:, :3] if sides != "right" else empty_basis(m)
+    products = (sides != "left") + (sides != "right")
+    built, addresses = [], []
+    with mock.patch.object(linalg, "CHUNK_BYTES", 6 * 16 * max(m, n) ** 2), \
+            mock.patch.object(linalg, "_full_rank_certified",
+                              wraps=linalg._full_rank_certified) as screen:
+        split = chunked_ranks(copying(stack, built, addresses), len(stack), (m, n),
+                              TolerancePolicy(), right, left)
+        lengths = [len(chunk) for chunk in Pencil(stack[0], stack[0]).point_chunks(
+            range(len(stack)), 1 + products)]
+    assert screen.call_count == 0
+    for got, want in zip(split, split_ranks(stack, right, left)):
+        np.testing.assert_array_equal(got, want)
+    assert [part.stop - part.start for part in built] == lengths
+    assert len(lengths) > 2
+    assert [part.start for part in built] == [0] + [part.stop for part in built[:-1]]
+    assert len(set(addresses)) == 1
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
