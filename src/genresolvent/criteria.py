@@ -41,7 +41,7 @@ from .linalg import (
     relative_residuals,
     solve_stack,
 )
-from .resolvent import DiskGrid, Pencil, RankProfile, _decide_identity, _grid_pass
+from .resolvent import DiskGrid, Pencil, RankProfile, _decide_identity, _grid_pass, _point_stage
 
 
 def rank_profile(p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL) -> RankProfile:
@@ -158,27 +158,23 @@ def _mp_characterization(
     """
     t_factor = factor(p.t, tol)
     t_kernel, t_range = projector(t_factor.kernel), projector(t_factor.range)
-    m, n = p.shape
     lams = np.array(grid.points, dtype=np.complex128)
-    pinvs = np.empty((len(lams), n, m), dtype=np.complex128)
-    axiom_bounds = np.empty((len(lams), 4))
-    kernel_gaps: list[float] = []
-    range_gaps: list[float] = []
-    done = 0
+
+    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
+        a_factors = factors(a, tol)
+        pinvs = a_factors.pinvs
+        kernel_gaps = op_norms2(a_factors.kernel_projectors - t_kernel)
+        range_gaps = op_norms2(a_factors.range_projectors - t_range)
+        bounds = np.empty((len(a), 4))
+        for axiom, (deviation, scale) in enumerate(mp_axiom_deviations(a, pinvs)):
+            lower = np.maximum(norm_lower_bounds(scale), NORM_FLOOR)
+            bounds[:, axiom] = norm_upper_bounds(deviation) / lower
+        return pinvs, kernel_gaps, range_gaps, bounds
+
     # per point: t - lam s, its u and vh, the pseudoinverse, the projectors
     # and their difference, the axiom products and deviations, and a scaled
     # deviation with its adjoint
-    for chunk in p.point_chunks(grid.points, live=12):
-        part = slice(done, done + len(chunk))
-        a = p.at_many(chunk)
-        a_factors = factors(a, tol)
-        pinvs[part] = a_factors.pinvs
-        kernel_gaps += op_norms2(a_factors.kernel_projectors - t_kernel).tolist()
-        range_gaps += op_norms2(a_factors.range_projectors - t_range).tolist()
-        for axiom, (deviation, scale) in enumerate(mp_axiom_deviations(a, pinvs[part])):
-            lower = np.maximum(norm_lower_bounds(scale), NORM_FLOOR)
-            axiom_bounds[part, axiom] = norm_upper_bounds(deviation) / lower
-        done += len(chunk)
+    pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 12, stage)
 
     def exact(position: int) -> float:
         point, axiom = divmod(position, 4)
@@ -188,12 +184,12 @@ def _mp_characterization(
 
     max_axiom, _ = exact_maximum(axiom_bounds.ravel(), exact)
     max_identity, method, _ = _decide_identity(p.s, pinvs, lams, tol, seed)
-    constancy = all(g <= tol.gap_tol for g in kernel_gaps + range_gaps)
+    constancy = all(g <= tol.gap_tol for g in kernel_gaps.tolist() + range_gaps.tolist())
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
     report = MPResolventReport(
         points=tuple(grid.points),
-        kernel_gaps=tuple(kernel_gaps),
-        range_gaps=tuple(range_gaps),
+        kernel_gaps=tuple(kernel_gaps.tolist()),
+        range_gaps=tuple(range_gaps.tolist()),
         max_identity_residual=max_identity,
         identity_method=method,
         max_axiom_residual=max_axiom,
@@ -231,43 +227,31 @@ def invertibility_corollary(
     pencil = Pencil(t, np.eye(n, dtype=np.complex128))
     report, pinvs = _mp_characterization(pencil, grid, tol, seed=0)
     invertible = numerical_rank(t, tol) == n
+
+    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray]:
+        """||a_k^+ - a_k^-1|| / cond(a_k); raises SingularSystemError when
+        some a_k is singular to tolerance."""
+        classical = solve_stack(a, np.eye(n, dtype=np.complex128), tol)
+        cond = op_norms2(a) * op_norms2(classical)
+        return (op_norms2(pinvs[part] - classical) / cond,)
+
     worst: float | None = None
     if invertible:
-        worst = 0.0
-        done = 0
         # per point: t - lam I, its inverse, the pseudoinverse and their
         # difference; the solve's full-rank screen adds at most
         # linalg.SCREEN_LIVE to t - lam I and frees them before the inverse
         # is built, so four covers it
-        for lams in pencil.point_chunks(grid.points, live=4):
-            try:
-                deviations = _classical_deviations(
-                    pencil.at_many(lams), pinvs[done : done + len(lams)], tol
-                )
-            except SingularSystemError:
-                worst = np.inf
-                break
-            done += len(lams)
-            for value in deviations:
-                worst = max(worst, value)
+        try:
+            deviations, = _point_stage(pencil, grid.points, 4, stage)
+            worst = max(0.0, *deviations.tolist())
+        except SingularSystemError:
+            worst = np.inf
     return InvertibilityReport(
         mp_resolvent_ok=report.constancy_verdict and report.identity_verdict,
         t_invertible=invertible,
         max_classical_residual=worst,
         mp_report=report,
     )
-
-
-def _classical_deviations(
-    a: np.ndarray, pinvs: np.ndarray, tol: TolerancePolicy
-) -> list[float]:
-    """||a_k^+ - a_k^-1|| / cond(a_k) for one chunk of square matrices a_k.
-
-    Raises SingularSystemError when some a_k is singular to tolerance.
-    """
-    classical = solve_stack(a, np.eye(a.shape[1], dtype=np.complex128), tol)
-    cond = op_norms2(a) * op_norms2(classical)
-    return (op_norms2(pinvs - classical) / cond).tolist()
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,14 @@ trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
 one-element views, so there is one code path. Batched SVDs, solves and
 products return exactly, bit for bit, what per-matrix calls return (a
-``matmul`` written with ``out=`` need not); callers cut stacks into slices
-by :func:`chunks`. CHUNK_BYTES is an approximate budget, not a cap: a chunk
-is sized from the caller's count of the matrices each point keeps alive,
-and copies and scratch arrays a stage makes beyond that count are not
-counted.
+``matmul`` written with ``out=`` need not). Every pass over t - lam*s at
+sampled points runs through one of two drivers, which cut the points into
+chunks by :func:`chunks` and have the caller build each chunk's stack into
+one workspace kept for the pass: :func:`chunked_ranks` for the rank
+passes, and :func:`chunked_stage` for every other per-point stage, whose
+count of the matrices it keeps alive per point is the driver's one sizing
+argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
+scratch arrays a stage makes beyond that count are not counted.
 
 The exact maxima the reports print, of resolvent-identity and
 Moore-Penrose axiom residuals, share one screen: :func:`norm_upper_bounds`
@@ -714,6 +717,39 @@ def chunked_ranks(
         screen = not products and bool(np.any((ranks[0, part] == p) & ~marginal[part]))
         start = part.stop
     return ranks[0], ranks[1], ranks[2], marginal
+
+
+def chunked_stage(
+    build: Callable[[slice, np.ndarray], np.ndarray],
+    count: int,
+    shape: tuple[int, int],
+    live: int,
+    stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
+) -> tuple[np.ndarray, ...]:
+    """A per-point stage over count (m, n) matrices, chunk by chunk, in order.
+
+    build(part, out) returns the matrices of a slice part of range(count)
+    as a (k, m, n) stack written into out, a C-contiguous view of the pass's
+    one workspace, as in :func:`chunked_ranks`; stage(part, a) returns a
+    tuple of arrays with one entry per member of a along their first axis.
+    Each result is joined over the chunks into one array of count entries.
+    A chunk is sized, by :func:`chunks`, for live matrices of the larger
+    square size per member: the main arrays the stage keeps per point, not
+    every copy or scratch array it makes. The workspace holds the longest
+    chunk's stack, which a stage must not keep past its call. count >= 1.
+    """
+    m, n = shape
+    point_bytes = live * 16 * max(m, n) ** 2
+    work = np.empty(min(count, _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
+    joined: tuple[np.ndarray, ...] = ()
+    for part in chunks(count, point_bytes):
+        k = part.stop - part.start
+        results = stage(part, build(part, work[: k * m * n].reshape(k, m, n)))
+        if not joined:
+            joined = tuple(np.empty((count,) + r.shape[1:], dtype=r.dtype) for r in results)
+        for out, result in zip(joined, results):
+            out[part] = result
+    return joined
 
 
 def split_verdicts(

@@ -33,6 +33,13 @@ the spectrum scan of :mod:`criteria`, and :func:`existence_check` keeps
 the profile of the ranks it decided with, so transversality and rank
 constancy on one grid rank each point once.
 
+Every other per-point stage, here and in :mod:`criteria` (the axiom
+residuals, the continuity probe, the pseudoinverse characterization and
+the invertibility corollary), is a stage function run by the one driver
+:func:`linalg.chunked_stage`, sized by the one count of matrices the
+stage keeps alive per point. Both drivers build each chunk of t - lam*s
+into one workspace kept for the whole pass.
+
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
 """
@@ -43,7 +50,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +64,7 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     chunked_ranks,
+    chunked_stage,
     chunks,
     empty_basis,
     exact_maximum,
@@ -108,22 +116,6 @@ class Pencil:
         """The stack t - lams[k] * s, of shape (len(lams), m, n), written into out when given."""
         stack = np.multiply(lams[:, None, None], self.s, out=out)
         return np.subtract(self.t, stack, out=stack)
-
-    def point_chunks(self, points: Sequence[complex], live: int) -> Iterator[np.ndarray]:
-        """The points as consecutive complex arrays, in order.
-
-        A chunk holds as many points as fit in CHUNK_BYTES when each point
-        keeps ``live`` matrices of the pencil's larger square size alive.
-        ``live`` counts a stage's main per-point arrays, not every copy or
-        scratch array it makes, so CHUNK_BYTES is an approximate budget.
-        Stages build each chunk's stack inside a call, so it is freed before
-        the next chunk's is built. Rank passes do not use these chunks:
-        :func:`linalg.chunked_ranks` sizes theirs the same way and builds
-        each into one workspace it keeps for the whole pass.
-        """
-        lams = np.array(points, dtype=np.complex128)
-        for part in chunks(len(lams), live * 16 * max(self.shape) ** 2):
-            yield lams[part]
 
 
 @dataclass(frozen=True)
@@ -418,29 +410,23 @@ def check_resolvent_axioms(
             usable.append(lam)
         else:
             skipped.append(lam)
-    values = np.empty((len(usable),) + f.g.tplus.shape, dtype=np.complex128)
-    inner: list[float] = []
-    outer: list[float] = []
-    done = 0
+    lams = np.array(usable, dtype=np.complex128)
+
+    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
+        g = _evaluate_stack(f, lams[part], tol)
+        return (g, *inverse_residuals(a, g)[:2])
+
     # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a
     # deviation; the solve's full-rank screen adds at most linalg.SCREEN_LIVE
     # to I - lam s tplus and frees them before the residuals are built
-    for chunk in f.pencil.point_chunks(usable, live=6):
-        part = slice(done, done + len(chunk))
-        values[part] = _evaluate_stack(f, chunk, tol)
-        inner_part, outer_part = inverse_residuals(f.pencil.at_many(chunk), values[part])[:2]
-        inner += inner_part.tolist()
-        outer += outer_part.tolist()
-        done = part.stop
-    max_identity, method, worst = _decide_identity(
-        f.pencil.s, values, np.array(usable, dtype=np.complex128), tol, seed, f.st_norm
-    )
-    worst_point = max(inner + outer, default=0.0)
+    values, inner, outer = _point_stage(f.pencil, lams, 6, stage)
+    max_identity, method, worst = _decide_identity(f.pencil.s, values, lams, tol, seed, f.st_norm)
+    worst_point = max(inner.tolist() + outer.tolist(), default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
     return ResolventAxiomReport(
         points=tuple(usable),
-        inner_residuals=tuple(inner),
-        outer_residuals=tuple(outer),
+        inner_residuals=tuple(inner.tolist()),
+        outer_residuals=tuple(outer.tolist()),
         max_identity_residual=max_identity,
         identity_method=method,
         worst_pair=None if worst is None else (usable[worst[0]], usable[worst[1]]),
@@ -718,6 +704,15 @@ def fixed_complements_check(
     )
 
 
+def _point_stage(
+    p: Pencil, points: Sequence[complex], live: int,
+    stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
+) -> tuple[np.ndarray, ...]:
+    """:func:`linalg.chunked_stage` of t - lam*s at the points, in order."""
+    lams = np.asarray(points, dtype=np.complex128)
+    return chunked_stage(lambda part, out: p.at_many(lams[part], out), len(lams), p.shape, live, stage)
+
+
 def _grid_pass(
     p: Pencil, points: Sequence[complex], tol: TolerancePolicy,
     e: np.ndarray | None = None, f_perp: np.ndarray | None = None,
@@ -837,11 +832,9 @@ def continuity_check(
     eye = np.eye(n, dtype=np.complex128)
     p0 = eye - b0 @ p.at(0)
     p0_norm = op_norm2(p0)
-    rows: list[ContinuityPointReport] = []
-    # per point: t - lam s, b (t - lam s), the two axiom deviations, p_lam - p0 and w
-    for lams in p.point_chunks(grid.points, live=6):
-        part = slice(len(rows), len(rows) + len(lams))
-        a, b = p.at_many(lams), members[part]
+
+    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
+        b = members[part]
         inner, outer, ba = inverse_residuals(a, b)
         failed = np.flatnonzero(~((inner <= tol.residual_tol) & (outer <= tol.residual_tol)))
         if failed.size:
@@ -850,13 +843,15 @@ def continuity_check(
                 f"family member at lam={lam} is not a generalized inverse of t - lam*s", lam
             )
         drift = (eye - ba) - p0
-        deviations = op_norms2(b - b0).tolist()
-        banach = (op_norms2(drift) * p0_norm).tolist()
-        ranks = split_ranks(eye + drift @ p0, empty_basis(n), empty_basis(n), tol)[0]
-        rows += [
-            ContinuityPointReport(lam=lam, deviation=d, banach_product=nb, w_invertible=r == n)
-            for lam, d, nb, r in zip(grid.points[part], deviations, banach, ranks.tolist())
-        ]
+        w_ranks = split_ranks(eye + drift @ p0, empty_basis(n), empty_basis(n), tol)[0]
+        return op_norms2(b - b0), op_norms2(drift) * p0_norm, w_ranks
+
+    # per point: t - lam s, b (t - lam s), the two axiom deviations, p_lam - p0 and w
+    deviations, banach, ranks = _point_stage(p, grid.points, 6, stage)
+    rows = [
+        ContinuityPointReport(lam=lam, deviation=d, banach_product=nb, w_invertible=r == n)
+        for lam, d, nb, r in zip(grid.points, deviations.tolist(), banach.tolist(), ranks.tolist())
+    ]
     premises_ok = all(r.banach_product < 1.0 and r.w_invertible for r in rows)
     cert = existence_check(p, user_supplied(p.t, b0, tol), grid, tol)
     return ContinuityReport(

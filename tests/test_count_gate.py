@@ -42,7 +42,7 @@ from genresolvent import (
 from genresolvent import criteria, resolvent
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
-from genresolvent.linalg import SCREEN_LIVE
+from genresolvent.linalg import SCREEN_LIVE, chunks
 from helpers import framed_pencil, normal_pencil, off_lattice, perturbation_instance
 
 
@@ -185,7 +185,8 @@ def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):
     on = 1234
     eigenvalues = np.concatenate([[region[on]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
-    sizes = [len(chunk) for chunk in p.point_chunks(region, 1 + SCREEN_LIVE)]
+    sizes = [part.stop - part.start
+             for part in chunks(len(region), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)]
     holding = sizes[np.searchsorted(np.cumsum(sizes), on, side="right")]
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
@@ -198,7 +199,7 @@ def test_spectrum_screens_again_after_a_singular_first_point(svds):
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
     eigenvalues = np.concatenate([[region[0]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
-    first = len(next(p.point_chunks(region, 1)))
+    first = next(chunks(len(region), 16 * max(p.shape) ** 2)).stop
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert svds["all"] == 1
@@ -221,7 +222,7 @@ def test_spectrum_of_a_singular_pencil_screens_one_point(svds, monkeypatch, swit
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert choleskys == [1]
-    assert svds["all"] == len(list(p.point_chunks(region, 1)))
+    assert svds["all"] == len(list(chunks(len(region), 16 * max(p.shape) ** 2)))
     assert svds["matrices"] == len(region)
     assert sum(point.is_drop for point in scan) == switched
 

@@ -150,7 +150,8 @@ class TestSpectrumScan:
     @pytest.mark.xfail(
         strict=True,
         reason="the scan marks only lattice points where the rank drops numerically, "
-        "so eigenvalues off the lattice go unmarked (ROADMAP item 3)",
+        "so eigenvalues off the lattice go unmarked (ROADMAP: make the spectrum scan "
+        "correct off the lattice)",
     )
     def test_off_lattice_eigenvalues_are_marked(self):
         """The eigenvalues 1.03 and 2.17 lie between points of the default 61x61

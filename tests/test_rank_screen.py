@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genresolvent import Pencil, SingularSystemError, TolerancePolicy
+from genresolvent import SingularSystemError, TolerancePolicy
 from genresolvent import linalg
 from genresolvent.linalg import (
     EPS,
@@ -171,7 +171,7 @@ def test_chunked_ranks_build_every_chunk_into_one_workspace():
 @pytest.mark.parametrize("sides", ["right", "left", "both"])
 def test_chunked_ranks_with_products_never_screen(sides):
     """A pass with products cuts chunks for one matrix per member and one
-    per product, as Pencil.point_chunks cuts them, builds each into one
+    per product, as linalg.chunks cuts them, builds each into one
     workspace, never runs the screen and returns split_ranks of the whole
     stack, full-rank runs included."""
     m, n = 5, 4
@@ -187,8 +187,8 @@ def test_chunked_ranks_with_products_never_screen(sides):
                               wraps=linalg._full_rank_certified) as screen:
         split = chunked_ranks(copying(stack, built, addresses), len(stack), (m, n),
                               TolerancePolicy(), right, left)
-        lengths = [len(chunk) for chunk in Pencil(stack[0], stack[0]).point_chunks(
-            range(len(stack)), 1 + products)]
+        lengths = [part.stop - part.start
+                   for part in linalg.chunks(len(stack), (1 + products) * 16 * max(m, n) ** 2)]
     assert screen.call_count == 0
     for got, want in zip(split, split_ranks(stack, right, left)):
         np.testing.assert_array_equal(got, want)

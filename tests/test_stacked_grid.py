@@ -50,7 +50,7 @@ from genresolvent import (
     rectangular_region,
     subspace_from_columns,
 )
-from genresolvent import linalg
+from genresolvent import linalg, resolvent
 from genresolvent.linalg import NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
 from helpers import (
     complex_gaussian,
@@ -461,6 +461,82 @@ def test_continuity_names_the_first_bad_member_in_grid_order(budget):
         continuity_check(p, family, grid)
     assert raised.value.lam == 0.2
     assert str(raised.value) == "family member at lam=(0.2+0j) is not a generalized inverse of t - lam*s"
+
+
+# --- the per-point stage driver ---------------------------------------------------
+
+
+def stage_spy(monkeypatch, p, points):
+    """Wrap every stage the driver runs: per driver call, record each slice the
+    stage receives and each stack's owner and data address, and check the
+    stack against t - lam*s."""
+    calls = []
+    driver = resolvent.chunked_stage
+    lams = np.array(points, dtype=np.complex128)
+
+    def spying(build, count, shape, live, stage):
+        seen = []
+        calls.append((count, shape, seen))
+
+        def spied(part, a):
+            assert np.array_equal(a, p.at_many(lams[part]))
+            seen.append((part, a.base, a.__array_interface__["data"][0]))
+            return stage(part, a)
+
+        return driver(build, count, shape, live, spied)
+
+    monkeypatch.setattr(resolvent, "chunked_stage", spying)
+    return calls
+
+
+def shifted_pencil():
+    t = np.diag([1.0, 2.0, 3.0]) + 0.1 * np.triu(np.ones((3, 3)), 1)
+    return Pencil(t, np.eye(3))
+
+
+def run_axioms(p, grid):
+    check_resolvent_axioms(build_family(p, mp_inverse(p.t)), grid)
+
+
+def run_invertibility(p, grid):
+    invertibility_corollary(p.t, grid)
+
+
+def run_continuity(p, grid):
+    continuity_check(p, {lam: pinv_matrix(p.at(lam)) for lam in grid.points}, grid)
+
+
+# each stage with the live-matrix counts of its driver calls, in call order
+STAGE_RUNS = [
+    pytest.param(lambda: pencil_for(3, 3, False), run_axioms, [6], id="resolvent-axioms"),
+    pytest.param(lambda: pencil_for(3, 3, False), mp_resolvent_characterization, [12],
+                 id="mp-characterization"),
+    pytest.param(shifted_pencil, run_invertibility, [12, 4], id="invertibility"),
+    pytest.param(lambda: pencil_for(3, 3, False), run_continuity, [6], id="continuity"),
+]
+
+
+# BUDGETS cut a 3 x 3 pencil's 60 points into chunks of 1 or all 60 at every
+# live count. The last cuts chunks of 11, 22 and 33 points for 12, 6 and 4
+# matrices, and other lengths for every live count one off from those.
+@pytest.mark.parametrize("chunk_bytes", BUDGETS + [132 * 16 * 3 ** 2])
+@pytest.mark.parametrize("make,run,lives", STAGE_RUNS)
+def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, chunk_bytes, monkeypatch):
+    """Each stage is handed the slices linalg.chunks cuts for its own live
+    count, and every stack of one pass is a view of the same workspace."""
+    p = make()
+    grid = grid_for(p, 60)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    calls = stage_spy(monkeypatch, p, grid.points)
+    run(p, grid)
+    assert len(calls) == len(lives)
+    for (count, shape, seen), live in zip(calls, lives):
+        assert (count, shape) == (len(grid.points), p.shape)
+        parts = linalg.chunks(count, live * 16 * max(shape) ** 2)
+        assert [part for part, _, _ in seen] == list(parts)
+        assert seen[0][1] is not None
+        assert all(base is seen[0][1] for _, base, _ in seen)
+        assert len({address for _, _, address in seen}) == 1
 
 
 # --- the stacked solve -----------------------------------------------------------
