@@ -20,7 +20,9 @@ Runs ``genresolvent.cli.main`` in-process on
   pass's workspace before screened chunks reuse it);
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
-  cut into chunks of 16 and 9 points.
+  cut into chunks of 16 and 9 points;
+* ``mp-check`` on a pencil whose t is the 3 x 3 zero matrix, of rank 0, so
+  the subspace gaps take their rank-0 branch.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -145,6 +147,12 @@ def chunked_commands() -> list[list[str]]:
     return commands
 
 
+def rank_zero_commands() -> list[list[str]]:
+    save_matrix(np.zeros((3, 3)), "framed/zero-t.json")
+    save_matrix(np.diag([1.0, 2.0, 0.0]), "framed/zero-s.json")
+    return [["mp-check", "framed/zero-t.json", "framed/zero-s.json"]]
+
+
 def flag_commands() -> list[list[str]]:
     commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
     return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
@@ -165,7 +173,7 @@ def main() -> int:
         os.mkdir("out")
         os.mkdir("spectrum")
         for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
-                     + spectrum_commands() + chunked_commands()):
+                     + spectrum_commands() + chunked_commands() + rank_zero_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

@@ -37,7 +37,6 @@ from .linalg import (
     norm_upper_bounds,
     numerical_rank,
     op_norms2,
-    projector,
     relative_residuals,
     solve_stack,
 )
@@ -95,7 +94,12 @@ class MPResolventReport:
     """Two independent views of whether (t - lam*s)^+ is the resolvent.
 
     kernel_gaps / range_gaps measure subspace drift of N(t-lam s), R(t-lam s)
-    against lam = 0; constancy_verdict demands all gaps stay under gap_tol.
+    against lam = 0, as the gaps ||P_lam - P_0||_2 of their orthogonal
+    projectors, read off the point's SVD and t's (:meth:`linalg.Factors.gaps`):
+    where rank(t - lam s) equals rank(t) = r, the norms of V_0[:r] V_lam[r:]^H
+    and of U_0[:, r:]^H U_lam[:, :r], at most 1; exactly 1 where the ranks
+    differ.
+    constancy_verdict demands all gaps stay under gap_tol.
     identity_verdict checks the resolvent identity on the pointwise-computed
     pseudoinverse family itself (plus its axioms), never through the
     explicit resolvent formula, so the two verdicts are computed along
@@ -135,9 +139,10 @@ def mp_resolvent_characterization(
 
     Each grid point is factored once; its pseudoinverse, kernel and range
     are views of that one SVD. Chunk by chunk of the grid, the points are
-    factored by one batched SVD, the subspace gaps are stacked norms and
-    the Moore-Penrose axiom residuals are bounded for the screen. seed
-    draws the identity's pairs where its bound does not decide it.
+    factored by one batched SVD, the subspace gaps are stacked norms of
+    products of its factors with t's, and the Moore-Penrose axiom residuals
+    are bounded for the screen. seed draws the identity's pairs where its
+    bound does not decide it.
     """
     return _mp_characterization(p, grid, tol, seed)[0]
 
@@ -157,24 +162,25 @@ def _mp_characterization(
     same code.
     """
     t_factor = factor(p.t, tol)
-    t_kernel, t_range = projector(t_factor.kernel), projector(t_factor.range)
     lams = np.array(grid.points, dtype=np.complex128)
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
         a_factors = factors(a, tol)
         pinvs = a_factors.pinvs
-        kernel_gaps = op_norms2(a_factors.kernel_projectors - t_kernel)
-        range_gaps = op_norms2(a_factors.range_projectors - t_range)
+        kernel_gaps, range_gaps = a_factors.gaps(t_factor)
+        # the axiom bounds need neither u nor vh
+        del a_factors
         bounds = np.empty((len(a), 4))
         for axiom, (deviation, scale) in enumerate(mp_axiom_deviations(a, pinvs)):
             lower = np.maximum(norm_lower_bounds(scale), NORM_FLOOR)
             bounds[:, axiom] = norm_upper_bounds(deviation) / lower
         return pinvs, kernel_gaps, range_gaps, bounds
 
-    # per point: t - lam s, its u and vh, the pseudoinverse, the projectors
-    # and their difference, the axiom products and deviations, and a scaled
-    # deviation with its adjoint
-    pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 12, stage)
+    # per point, at the axiom bounds: t - lam s, the pseudoinverse, the two
+    # axiom products, the four deviations, and a scaled deviation with its
+    # adjoint; before them, u and vh, with the copies and products the gaps
+    # take of them, hold fewer
+    pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 10, stage)
 
     def exact(position: int) -> float:
         point, axiom = divmod(position, 4)

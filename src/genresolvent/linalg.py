@@ -356,12 +356,12 @@ class Factor:
     @property
     def kernel(self) -> SubspaceBasis:
         """Orthonormal basis of the null space N(a)."""
-        return SubspaceBasis._trusted(_kernel_bases(self.vh[None], self.rank)[0])
+        return SubspaceBasis._trusted(np.conjugate(self.vh[self.rank :].T, order="C"))
 
     @property
     def range(self) -> SubspaceBasis:
         """Orthonormal basis of the range R(a)."""
-        return SubspaceBasis._trusted(_range_bases(self.u[None], self.rank)[0])
+        return SubspaceBasis._trusted(np.array(self.u[:, : self.rank], order="C"))
 
     @property
     def coimage(self) -> SubspaceBasis:
@@ -378,9 +378,10 @@ class Factor:
 class Factors:
     """Full SVDs a[i] = u[i] @ diag(s[i]) @ vh[i] of a (k, m, n) stack and their ranks.
 
-    The stacked views of :class:`Factor`: every member's pseudoinverse and
-    kernel and range projectors, each formed with the operand shapes and
-    memory layouts of the one-matrix view, so each slice has its bits.
+    The stacked views of :class:`Factor`: every member's pseudoinverse,
+    formed with the operand shapes and memory layouts of the one-matrix
+    view, so each slice has its bits, and every member's kernel and range
+    gaps from an anchor's, read off the same factors without a projector.
     ``factors[i]`` is member i as a :class:`Factor`.
     """
 
@@ -397,40 +398,28 @@ class Factors:
         """The (k, n, m) stack of Moore-Penrose inverses."""
         return _pinvs(self.u, self.s, self.vh, self.ranks)
 
-    @property
-    def kernel_projectors(self) -> np.ndarray:
-        """The (k, n, n) stack of orthogonal projectors onto N(a[i])."""
-        return self._projectors(self.vh, _kernel_bases)
+    def gaps(self, anchor: Factor) -> tuple[np.ndarray, np.ndarray]:
+        """Gaps ||P_i - P||_2 of N(a[i]) and of R(a[i]) from the anchor's kernel and range.
 
-    @property
-    def range_projectors(self) -> np.ndarray:
-        """The (k, m, m) stack of orthogonal projectors onto R(a[i])."""
-        return self._projectors(self.u, _range_bases)
-
-    def _projectors(self, unitaries: np.ndarray, bases) -> np.ndarray:
-        """basis @ basis^H per member, taken over the members of each rank
-        together, so each product has its member's inner dimension."""
-        size = unitaries.shape[-1]
-        out = np.empty((len(self.ranks), size, size), dtype=np.complex128)
-        for rank in set(self.ranks.tolist()):
-            members = np.flatnonzero(self.ranks == rank)
-            out[members] = _gram_projectors(bases(unitaries[members], rank))
-        return out
-
-
-def _kernel_bases(vh: np.ndarray, rank: int) -> np.ndarray:
-    """C-contiguous (k, n, n - rank) stack of the last columns of vh[i]^H."""
-    return np.conjugate(vh[:, rank:].swapaxes(1, 2), order="C")
-
-
-def _range_bases(u: np.ndarray, rank: int) -> np.ndarray:
-    """C-contiguous (k, m, rank) stack of the first columns of u[i]."""
-    return np.array(u[:, :, :rank], order="C")
-
-
-def _gram_projectors(bases: np.ndarray) -> np.ndarray:
-    """bases[i] @ bases[i]^H for a C-contiguous (k, d, r) stack."""
-    return bases @ np.conjugate(bases).swapaxes(1, 2)
+        For subspaces of equal dimension the gap is the norm of one
+        subspace's basis projected onto the other's orthogonal complement
+        (Golub & Van Loan, §2.5.3), and the SVDs hold both. Where rank(a[i])
+        equals the anchor's rank r, the kernel gap is the norm of the
+        r x (n - r) product anchor.vh[:r] @ vh[i][r:]^H and the range gap
+        that of the (m - r) x r product anchor.u[:, r:]^H @ u[i][:, :r],
+        each stack from one :func:`op_norms2` call, and clipped at 1, which
+        rounding can pass on near orthogonal subspaces. A member whose vh
+        (or u) has the anchor's bits has kernel (or range) gap 0 and is not
+        factored. Where the ranks differ, both gaps are 1.
+        """
+        r = anchor.rank
+        equal = self.ranks == r
+        kernel, range_ = np.where(equal, 0.0, 1.0), np.where(equal, 0.0, 1.0)
+        moved = equal & np.any(self.vh != anchor.vh, axis=(1, 2))
+        kernel[moved] = op_norms2(anchor.vh[:r] @ np.conjugate(self.vh[moved, r:]).swapaxes(1, 2))
+        moved = equal & np.any(self.u != anchor.u, axis=(1, 2))
+        range_[moved] = op_norms2(np.conjugate(anchor.u[:, r:]).T @ self.u[moved, :, :r])
+        return np.minimum(kernel, 1.0), np.minimum(range_, 1.0)
 
 
 def _pinvs(u: np.ndarray, s: np.ndarray, vh: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -589,7 +578,7 @@ def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[fl
 
 def projector(b: SubspaceBasis) -> np.ndarray:
     """Orthogonal projector onto the subspace: basis @ basis^H."""
-    return _gram_projectors(b.basis[None])[0]
+    return b.basis @ np.conjugate(b.basis).T
 
 
 def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
@@ -603,6 +592,8 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
         raise ShapeMismatchError(
             f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
         )
+    if m.dim != n.dim:
+        return 1.0
     if m.ambient_dim == 0:
         return 0.0
     return op_norm2(projector(m) - projector(n))

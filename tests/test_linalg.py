@@ -308,6 +308,20 @@ class TestGap:
     def test_dimension_mismatch_gives_one(self):
         assert subspace_gap(full_subspace(2), E1) == pytest.approx(1.0)
 
+    def test_unequal_dimensions_give_exactly_one(self):
+        """The projector difference of subspaces of unequal dimension has
+        norm 1 in exact arithmetic; computed, it rounds to either side."""
+        rng = np.random.default_rng(17)
+        unequal = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            a, b = (subspace_from_columns(complex_gaussian(rng, (n, int(rng.integers(0, n + 1)))))
+                    for _ in range(2))
+            if a.dim != b.dim:
+                unequal += 1
+                assert subspace_gap(a, b) == 1.0, (a.dim, b.dim)
+        assert unequal > 200
+
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             subspace_gap(E1, span([0, 0, 1]))

@@ -12,7 +12,8 @@ The subspace verdicts come from the rank kernel ``linalg.split_ranks``; the
 reference decides them the way the per-point code did, by the rank of
 concatenated kernel and range bases. The two routes agree away from the
 rank cutoff, which the hypothesis test checks, and the pinned cases show
-where they part.
+where they part. The Moore-Penrose subspace gaps are also checked against
+their definition, a projector difference, within its rounding.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from genresolvent import (
     subspace_from_columns,
 )
 from genresolvent import linalg, resolvent
-from genresolvent.linalg import NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
+from genresolvent.linalg import EPS, NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
 from helpers import (
     complex_gaussian,
     framed_pencil,
+    generic_full_pencil,
     random_complement_inverse,
     random_rank_matrix,
     unitary,
@@ -99,10 +101,26 @@ def full_factor(a, tol=DEFAULT_TOL):
     inv_s = np.zeros(k)
     inv_s[:r] = 1.0 / s[:r]
     return {
+        "u": u,
+        "vh": vh,
+        "rank": r,
         "kernel": copy(vh[r:].conj().T),
         "range": copy(u[:, :r]),
         "pinv": (vh.conj().T[:, :k] * inv_s) @ u.conj().T[:k, :],
     }
+
+
+def gaps(a_factor, t_factor):
+    """Kernel and range gaps from t's subspaces: 1 where the ranks differ;
+    else 0 where the factor has t's bits, and otherwise the norm of a
+    complement of one subspace applied to the other's basis, at most 1."""
+    r = t_factor["rank"]
+    if a_factor["rank"] != r:
+        return 1.0, 1.0
+    v0, u0, vh, u = t_factor["vh"], t_factor["u"], a_factor["vh"], a_factor["u"]
+    kernel = 0.0 if np.array_equal(vh, v0) else min(norm2(v0[:r] @ vh[r:].conj().T), 1.0)
+    rng = 0.0 if np.array_equal(u, u0) else min(norm2(u0[:, r:].conj().T @ u[:, :r]), 1.0)
+    return kernel, rng
 
 
 def projector(basis):
@@ -202,8 +220,9 @@ def test_mp_characterization(make, budget):
     for lam in grid.points:
         a = p.at(lam)
         a_factor = full_factor(a)
-        kernel_gaps.append(norm2(projector(a_factor["kernel"]) - projector(t_factor["kernel"])))
-        range_gaps.append(norm2(projector(a_factor["range"]) - projector(t_factor["range"])))
+        kernel, rng = gaps(a_factor, t_factor)
+        kernel_gaps.append(kernel)
+        range_gaps.append(rng)
         b = a_factor["pinv"]
         pp, q = a @ b, b @ a
         max_axiom = max(
@@ -216,6 +235,60 @@ def test_mp_characterization(make, budget):
     assert report.kernel_gaps == tuple(kernel_gaps)
     assert report.range_gaps == tuple(range_gaps)
     assert report.max_axiom_residual == max_axiom
+
+
+def moving_pencil(rng, m, n, rank, moves):
+    """t = X Y^H of the given rank and s = X Z^H, whose kernel moves with
+    lam while its range stays R(X), or s = W Y^H, the other way round."""
+    x, y = complex_gaussian(rng, (m, rank)), complex_gaussian(rng, (n, rank))
+    if moves == "kernel":
+        return Pencil(x @ y.conj().T, x @ complex_gaussian(rng, (n, rank)).conj().T)
+    return Pencil(x @ y.conj().T, complex_gaussian(rng, (m, rank)) @ y.conj().T)
+
+
+GAP_PENCILS = [
+    pytest.param(lambda rng: framed_pencil(rng, 5, 5, 4), id="square-constant"),
+    pytest.param(lambda rng: framed_pencil(rng, 6, 4, 2, switched=True), id="tall-switched"),
+    pytest.param(lambda rng: framed_pencil(rng, 4, 4, 0), id="rank-zero-square"),
+    pytest.param(lambda rng: framed_pencil(rng, 3, 5, 0, switched=True), id="rank-zero-wide"),
+    pytest.param(lambda rng: generic_full_pencil(rng, 4, 4), id="full-rank-square"),
+    pytest.param(lambda rng: generic_full_pencil(rng, 3, 6), id="full-rank-wide"),
+    pytest.param(lambda rng: generic_full_pencil(rng, 6, 3), id="full-rank-tall"),
+    pytest.param(lambda rng: moving_pencil(rng, 6, 4, 2, "kernel"), id="kernel-moves"),
+    pytest.param(lambda rng: moving_pencil(rng, 4, 6, 2, "range"), id="range-moves"),
+    # N(t - lam s) = span((1e-9, lam)) turns near orthogonal to N(t) = span(e1):
+    # the product's computed norm at lam = -(1 + 1j) / (2 sqrt(2)) is 1 + EPS
+    pytest.param(lambda rng: Pencil(np.array([[0, 1e-9], [0, 0]]), np.diag([1.0, 0.0])),
+                 id="near-orthogonal-kernels"),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", GAP_PENCILS)
+def test_mp_gaps_against_their_projectors(make, seed):
+    """The gaps read off the SVDs against their definition ||P_lam - P_0||_2,
+    the norm of a projector difference formed point by point: within
+    4 max(m, n) EPS where the ranks are equal, exactly 1 where they differ,
+    exactly 0 at lam = 0, and never above 1. The formed difference rounds
+    by up to about 2 max(m, n) EPS itself at these sizes: for square t of
+    full rank it reads near 1e-15 where both products are empty and the
+    gap is exactly 0."""
+    p = make(np.random.default_rng([seed, 23]))
+    grid = default_grid(0.5, 25)
+    report = mp_resolvent_characterization(p, grid)
+    t_factor = full_factor(p.t)
+    slack = 4 * max(p.shape) * EPS
+    for lam, kernel, rng in zip(grid.points, report.kernel_gaps, report.range_gaps):
+        a_factor = full_factor(p.at(lam))
+        assert max(kernel, rng) <= 1.0
+        if lam == 0:
+            assert kernel == rng == 0.0
+        elif a_factor["rank"] != t_factor["rank"]:
+            assert kernel == rng == 1.0
+        else:
+            for gap, space in ((kernel, "kernel"), (rng, "range")):
+                definition = norm2(projector(a_factor[space]) - projector(t_factor[space]))
+                assert abs(gap - definition) <= slack, (lam, space)
 
 
 @pytest.mark.parametrize("make", PENCILS)
@@ -509,15 +582,15 @@ def run_continuity(p, grid):
 # each stage with the live-matrix counts of its driver calls, in call order
 STAGE_RUNS = [
     pytest.param(lambda: pencil_for(3, 3, False), run_axioms, [6], id="resolvent-axioms"),
-    pytest.param(lambda: pencil_for(3, 3, False), mp_resolvent_characterization, [12],
+    pytest.param(lambda: pencil_for(3, 3, False), mp_resolvent_characterization, [10],
                  id="mp-characterization"),
-    pytest.param(shifted_pencil, run_invertibility, [12, 4], id="invertibility"),
+    pytest.param(shifted_pencil, run_invertibility, [10, 4], id="invertibility"),
     pytest.param(lambda: pencil_for(3, 3, False), run_continuity, [6], id="continuity"),
 ]
 
 
 # BUDGETS cut a 3 x 3 pencil's 60 points into chunks of 1 or all 60 at every
-# live count. The last cuts chunks of 11, 22 and 33 points for 12, 6 and 4
+# live count. The last cuts chunks of 13, 22 and 33 points for 10, 6 and 4
 # matrices, and other lengths for every live count one off from those.
 @pytest.mark.parametrize("chunk_bytes", BUDGETS + [132 * 16 * 3 ** 2])
 @pytest.mark.parametrize("make,run,lives", STAGE_RUNS)
