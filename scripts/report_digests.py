@@ -16,8 +16,8 @@ Runs ``genresolvent.cli.main`` in-process on
   one holding the first), the same pencil at ``--rank-rtol 0.5`` (the
   screen declines every chunk), a pencil rank-deficient everywhere, and
   one with an eigenvalue on the region's first point, -3 - 3i (the
-  one-matrix probe declines, so a long unscreened chunk fills the rank
-  pass's workspace before screened chunks reuse it);
+  one-matrix probe declines, so the first chunk takes the SVD unscreened
+  and the screen runs again from the next);
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
   cut into chunks of 16 and 9 points;

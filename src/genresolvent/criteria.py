@@ -174,13 +174,15 @@ def _mp_characterization(
         for axiom, (deviation, scale) in enumerate(mp_axiom_deviations(a, pinvs)):
             lower = np.maximum(norm_lower_bounds(scale), NORM_FLOOR)
             bounds[:, axiom] = norm_upper_bounds(deviation) / lower
+            # dropped before the next deviation is formed
+            del deviation
         return pinvs, kernel_gaps, range_gaps, bounds
 
     # per point, at the axiom bounds: t - lam s, the pseudoinverse, the two
-    # axiom products, the four deviations, and a scaled deviation with its
+    # axiom products, one deviation, and its scaled copy with that copy's
     # adjoint; before them, u and vh, with the copies and products the gaps
     # take of them, hold fewer
-    pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 10, stage)
+    pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 7, stage)
 
     def exact(position: int) -> float:
         point, axiom = divmod(position, 4)

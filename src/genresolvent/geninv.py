@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,14 +116,16 @@ class MPAxiomReport:
 
 def mp_axiom_deviations(
     t: np.ndarray, b: np.ndarray, axioms: Sequence[int] = range(4)
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Moore-Penrose axioms of stacks t of shape (k, m, n) and b of (k, n, m).
 
-    Returns (deviation, scale) stack pairs for the axioms asked for, by
+    Yields (deviation, scale) stack pairs for the axioms asked for, by
     index into the order inner, outer, p-Hermitian and q-Hermitian, with
     p = t b and q = b t: (p t - t, t), (q b - b, b), (p - p^H, p) and
-    (q - q^H, q). Only the products those axioms need are formed, by the
-    same operations whichever axioms are asked for. An axiom's residual is
+    (q - q^H, q), one at a time: a deviation is formed when its pair is
+    drawn, so a caller that drops each before drawing the next holds one.
+    Only the products those axioms need are formed, by the same operations
+    whichever axioms are asked for. An axiom's residual is
     ||deviation||_2 / ||scale||_2, as in :func:`verify_mp_axioms`. Stacks
     are trusted: built inside the package, not validated.
     """
@@ -135,7 +137,8 @@ def mp_axiom_deviations(
         lambda: (p - p.conj().swapaxes(1, 2), p),
         lambda: (q - q.conj().swapaxes(1, 2), q),
     )
-    return tuple(forms[axiom]() for axiom in axioms)
+    for axiom in axioms:
+        yield forms[axiom]()
 
 
 def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:

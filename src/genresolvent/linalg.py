@@ -12,10 +12,10 @@ F_perp. Transversality, the two direct-sum splittings, fixed complements
 and the perturbation splittings are comparisons of those integers
 (:func:`split_verdicts`), never of concatenated kernel and range bases;
 :func:`numerical_rank` and :func:`rank_and_marginal` are its one-matrix
-views with empty bases. :func:`chunked_ranks` is the one grid rank pass:
-it runs the kernel chunk by chunk on the stacks a caller builds into its
-workspace, for the rank profiles, scans and subspace criteria of the grid
-stages.
+views with empty bases. :func:`rank_stage` is the one grid rank stage: it
+runs the kernel chunk by chunk, for the rank profiles, scans and subspace
+criteria of the grid stages, and :func:`chunked_ranks` is that stage run on
+the stacks a caller builds.
 
 Most matrices a grid pass ranks without a product, and most systems
 :func:`solve_stack` checks, are of full rank by a wide margin, and an SVD
@@ -30,10 +30,14 @@ stack takes the SVD path unchanged, which also gives the condition number
 of a singular system. So every rank, marginal flag and singularity
 verdict is the SVD's, and a certified member carries no singular values.
 Ranks with products skip the screen: A's own SVD sets their cutoff. A
-declined screen adds its cost to the SVD's, so :func:`chunked_ranks`
-screens a chunk only when the matrices before it were full rank: on a
-pencil singular at every lam it screens one matrix. :func:`split_ranks`
-itself never screens, so a single matrix is always factored.
+declined screen adds its cost to the SVD's, so the rank stage screens a
+chunk only when the matrices before it were full rank: the first chunk
+when its first matrix alone passes (a one-matrix probe), a later one when
+the chunk before held a member of full rank, not marginal. On a pencil
+singular at every lam it screens one matrix. Every chunk of a rank pass
+without a product is sized for the screen's SCREEN_LIVE matrices beside
+each member, screened or not. :func:`split_ranks` itself never screens, so
+a single matrix is always factored.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -49,11 +53,11 @@ call per stack it factors. The single-matrix functions are their
 one-element views, so there is one code path. Batched SVDs, solves and
 products return exactly, bit for bit, what per-matrix calls return (a
 ``matmul`` written with ``out=`` need not). Every pass over t - lam*s at
-sampled points runs through one of two drivers, which cut the points into
-chunks by :func:`chunks` and have the caller build each chunk's stack into
-one workspace kept for the pass: :func:`chunked_ranks` for the rank
-passes, and :func:`chunked_stage` for every other per-point stage, whose
-count of the matrices it keeps alive per point is the driver's one sizing
+sampled points runs through one driver, :func:`chunked_stage`: it cuts the
+points into chunks by :func:`chunks`, has the caller build each chunk's
+stack into one workspace kept for the pass, and runs a stage function on
+each, the rank passes' :func:`rank_stage` among them. The count of the
+matrices a stage keeps alive per point is the driver's one sizing
 argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
 
@@ -585,8 +589,8 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
     """Gap ||P_M - P_N||_2 between two subspaces of the same ambient space.
 
     Zero iff the subspaces are equal; equals the sine of the largest
-    principal angle when the dimensions match, and exactly 1 when they
-    differ.
+    principal angle when the dimensions match, clipped at 1, which rounding
+    can pass on near orthogonal subspaces, and exactly 1 when they differ.
     """
     if m.ambient_dim != n.ambient_dim:
         raise ShapeMismatchError(
@@ -596,7 +600,7 @@ def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
         return 1.0
     if m.ambient_dim == 0:
         return 0.0
-    return op_norm2(projector(m) - projector(n))
+    return min(op_norm2(projector(m) - projector(n)), 1.0)
 
 
 def split_ranks(
@@ -619,7 +623,7 @@ def split_ranks(
     of the cutoff, i.e. the rank would flip under a modest tolerance change.
     Empty matrices and products have rank 0 and are not factored. Every
     other stack is factored: the full-rank screen runs in
-    :func:`chunked_ranks`, not here.
+    :func:`rank_stage`, not here.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)
@@ -636,6 +640,60 @@ def split_ranks(
     return ranks[0], ranks[1], ranks[2], marginal
 
 
+def rank_stage(
+    shape: tuple[int, int],
+    tol: TolerancePolicy = DEFAULT_TOL,
+    right: np.ndarray | None = None,
+    left: np.ndarray | None = None,
+) -> tuple[int, Callable[[slice, np.ndarray], tuple[np.ndarray, ...]]]:
+    """The live count and stage of a :func:`chunked_stage` rank pass over
+    (m, n) matrices: :func:`split_ranks`, or the full-rank screen, on each chunk.
+
+    right and left default to :func:`empty_basis`, which asks for no
+    product. A chunk counts one matrix per member and one more per product
+    asked for or, without a product, SCREEN_LIVE more for the screen. The
+    stage keeps the screen's state from chunk to chunk, so it serves one
+    pass.
+
+    Without a product, the full-rank screen saves the SVD of a chunk it
+    certifies, but adds its Gram and Cholesky to the SVD of one it
+    declines, so it runs on a chunk only when the matrices before suggest
+    it will certify: on the first chunk when its first matrix alone passes
+    it (a one-matrix probe), and on each later one when the chunk before
+    held a matrix of full rank and not marginal. So on matrices rank
+    deficient throughout, such as a pencil singular at every lam, the
+    screen runs once, on the probe, and on matrices rank deficient at
+    isolated members it runs on every chunk after the probe; either way
+    each rank is the SVD's. With a product the screen never runs: A's own
+    SVD sets the products' cutoff. The stage writes every Gram of its pass
+    into one array, allocated at the first chunk, the longest; only the
+    screen's adjoint and Cholesky factor, and the products and singular
+    values of an SVD, are allocated per chunk.
+    """
+    m, n = shape
+    right = empty_basis(n) if right is None else right
+    left = empty_basis(m) if left is None else left
+    products = bool(right.shape[1]) + bool(left.shape[1])
+    p = min(m, n)
+    screen, gram = False, None
+
+    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
+        nonlocal screen, gram
+        k = len(a)
+        if part.start == 0:
+            # the first chunk is the longest, and its first matrix the probe
+            gram = np.empty((0 if products else k, p, p), dtype=np.complex128)
+            screen = not products and _full_rank_certified(a[:1], tol, gram[:1])
+        if screen and _full_rank_certified(a, tol, gram[:k]):
+            return (np.full(k, p, dtype=np.int64), *np.zeros((2, k), dtype=np.int64),
+                    np.zeros(k, dtype=bool))
+        split = split_ranks(a, right, left, tol)
+        screen = not products and bool(np.any((split[0] == p) & ~split[3]))
+        return split
+
+    return 1 + (products or SCREEN_LIVE), stage
+
+
 def chunked_ranks(
     build: Callable[[slice, np.ndarray], np.ndarray],
     count: int,
@@ -644,70 +702,11 @@ def chunked_ranks(
     right: np.ndarray | None = None,
     left: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`split_ranks` of count (m, n) matrices, chunk by chunk, in order.
-
-    build(part, out) returns the matrices of a slice part of range(count)
-    as a (k, m, n) stack, written into out, a C-contiguous (k, m, n) view
-    of the pass's workspace; it is called on consecutive slices, chunk by
-    chunk. right and left default to :func:`empty_basis`, which asks for
-    no product. A chunk counts one matrix per member and one more per
-    product asked for, as :func:`chunks` sizes them.
-
-    Without a product, the full-rank screen saves the SVD of a chunk it
-    certifies, but adds its Gram and Cholesky to the SVD of one it
-    declines, so it runs on a chunk only when the matrices before suggest
-    it will certify: on the first chunk when the first matrix alone passes
-    it (a one-matrix probe), and on each later one when the chunk before
-    held a matrix of full rank and not marginal. A screened chunk is sized
-    for SCREEN_LIVE more matrices per member. So on matrices rank
-    deficient throughout, such as a pencil singular at every lam, the
-    screen runs once, on the probe, and on matrices rank deficient at
-    isolated members it runs on every chunk after the probe; either way
-    each rank is the SVD's. With a product the screen never runs: A's own
-    SVD sets the products' cutoff.
-
-    The workspace is allocated once per pass and holds the longest chunk's
-    stack, and, when the screen can run, a screened chunk's stack and its
-    Gram. Chunk arrays freed and allocated again at every chunk would be
-    returned to the operating system and faulted back in each time by a
-    fresh process's allocator; only the screen's adjoint and Cholesky
-    factor, and the products and singular values of an SVD, still are
-    allocated per chunk.
+    """:func:`split_ranks` of count (m, n) matrices, chunk by chunk, in order:
+    the :func:`rank_stage` for right and left, run by :func:`chunked_stage`
+    on the matrices build writes into its workspace. count >= 1.
     """
-    m, n = shape
-    right = empty_basis(n) if right is None else right
-    left = empty_basis(m) if left is None else left
-    products = bool(right.shape[1]) + bool(left.shape[1])
-    ranks = np.zeros((3, count), dtype=np.int64)
-    marginal = np.zeros(count, dtype=bool)
-    p = min(m, n)
-    matrix_bytes = 16 * max(m, n) ** 2
-    longest = min(count, _chunk_length((1 + products) * matrix_bytes))
-    screened = 0 if products else min(count, _chunk_length((1 + SCREEN_LIVE) * matrix_bytes))
-    work = np.empty(max(longest * m * n, screened * (m * n + p * p)), dtype=np.complex128)
-
-    def built(part: slice) -> np.ndarray:
-        k = part.stop - part.start
-        return build(part, work[: k * m * n].reshape(k, m, n))
-
-    def certified(stack: np.ndarray) -> bool:
-        k = len(stack)
-        gram = work[k * m * n : k * (m * n + p * p)].reshape(k, p, p)
-        return _full_rank_certified(stack, tol, gram)
-
-    screen = count > 0 and not products and certified(built(slice(0, 1)))
-    start = 0
-    while start < count:
-        part = slice(start, min(count, start + (screened if screen else longest)))
-        stack = built(part)
-        if screen and certified(stack):
-            ranks[0, part] = p
-        else:
-            split = split_ranks(stack, right, left, tol)
-            ranks[:, part], marginal[part] = split[:3], split[3]
-        screen = not products and bool(np.any((ranks[0, part] == p) & ~marginal[part]))
-        start = part.stop
-    return ranks[0], ranks[1], ranks[2], marginal
+    return chunked_stage(build, count, shape, *rank_stage(shape, tol, right, left))
 
 
 def chunked_stage(
@@ -721,13 +720,17 @@ def chunked_stage(
 
     build(part, out) returns the matrices of a slice part of range(count)
     as a (k, m, n) stack written into out, a C-contiguous view of the pass's
-    one workspace, as in :func:`chunked_ranks`; stage(part, a) returns a
-    tuple of arrays with one entry per member of a along their first axis.
-    Each result is joined over the chunks into one array of count entries.
-    A chunk is sized, by :func:`chunks`, for live matrices of the larger
-    square size per member: the main arrays the stage keeps per point, not
-    every copy or scratch array it makes. The workspace holds the longest
-    chunk's stack, which a stage must not keep past its call. count >= 1.
+    one workspace; it is called on consecutive slices, chunk by chunk.
+    stage(part, a) returns a tuple of arrays with one entry per member of a
+    along their first axis. Each result is joined over the chunks into one
+    array of count entries. A chunk is sized, by :func:`chunks`, for live
+    matrices of the larger square size per member: the main arrays the
+    stage keeps per point, not every copy or scratch array it makes. The
+    workspace holds the longest chunk's stack, which a stage must not keep
+    past its call. It is allocated once per pass: chunk arrays freed and
+    allocated again at every chunk would be returned to the operating
+    system and faulted back in each time by a fresh process's allocator.
+    count >= 1.
     """
     m, n = shape
     point_bytes = live * 16 * max(m, n) ** 2

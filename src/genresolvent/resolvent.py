@@ -24,8 +24,8 @@ one residual per point, anchored at the member at lam = 0, and the exact
 maximum over sampled pairs only where that bound exceeds residual_tol.
 
 Every rank of t - lam*s at sampled points comes from one private grid pass,
-one call of :func:`linalg.chunked_ranks`, chunk by chunk, over the rank
-kernel :func:`linalg.split_ranks`. The subspace criteria compare the
+whose stage, :func:`linalg.rank_stage`, runs the rank kernel
+:func:`linalg.split_ranks` chunk by chunk. The subspace criteria compare the
 numerical ranks of t - lam*s and of its products with fixed orthonormal
 bases, read off one factorization of tplus or of the complements, so no
 grid point is given a full SVD. The same pass gives the rank profiles and
@@ -35,10 +35,11 @@ constancy on one grid rank each point once.
 
 Every other per-point stage, here and in :mod:`criteria` (the axiom
 residuals, the continuity probe, the pseudoinverse characterization and
-the invertibility corollary), is a stage function run by the one driver
-:func:`linalg.chunked_stage`, sized by the one count of matrices the
-stage keeps alive per point. Both drivers build each chunk of t - lam*s
-into one workspace kept for the whole pass.
+the invertibility corollary), is a stage function too. Every stage is run
+by the one driver :func:`linalg.chunked_stage`, through
+:func:`_point_stage`, sized by the one count of matrices the stage keeps
+alive per point; t - lam*s is built there, each chunk into one workspace
+kept for the whole pass.
 
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
@@ -63,7 +64,6 @@ from .linalg import (
     NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
-    chunked_ranks,
     chunked_stage,
     chunks,
     empty_basis,
@@ -74,6 +74,7 @@ from .linalg import (
     norm_upper_bounds,
     op_norm2,
     op_norms2,
+    rank_stage,
     relative_residual,
     solve_right_stack,
     split_ranks,
@@ -717,21 +718,19 @@ def _grid_pass(
     p: Pencil, points: Sequence[complex], tol: TolerancePolicy,
     e: np.ndarray | None = None, f_perp: np.ndarray | None = None,
 ) -> tuple[RankProfile, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`linalg.chunked_ranks` of t - lam*s at the points, in order.
+    """The :func:`linalg.rank_stage` of t - lam*s at the points, in order.
 
     Returns the rank profile at the points and their transversality, domain
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
-    formed. :func:`linalg.chunked_ranks` sizes the chunks, builds each into
-    the workspace it passes to the build callback and, when no product is
-    asked for, decides where the full-rank screen runs.
+    formed. The stage runs through :func:`_point_stage`, sized for the
+    products it forms or, with none, for the full-rank screen, and decides
+    where the screen runs.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
-    lams = np.array(points, dtype=np.complex128)
-    split = chunked_ranks(lambda part, out: p.at_many(lams[part], out), len(lams), (m, n), tol,
-                          e, f_perp)
+    split = _point_stage(p, points, *rank_stage(p.shape, tol, e, f_perp))
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
     profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))

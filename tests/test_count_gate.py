@@ -11,7 +11,7 @@ matrices are counted apart, so batching cannot hide work: a call on a
 support. Later changes may only lower these bounds. The spectrum scan
 ranks by the full-rank screen of :mod:`linalg` and factors only the chunks
 it cannot certify; on a pencil singular at every lam it screens one point
-and factors in chunks of the size it would without the screen.
+and factors every chunk, each of the screened size.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def test_spectrum_screens_again_after_a_singular_first_point(svds):
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
     eigenvalues = np.concatenate([[region[0]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
-    first = next(chunks(len(region), 16 * max(p.shape) ** 2)).stop
+    first = next(chunks(len(region), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)).stop
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert svds["all"] == 1
@@ -222,7 +222,7 @@ def test_spectrum_of_a_singular_pencil_screens_one_point(svds, monkeypatch, swit
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert choleskys == [1]
-    assert svds["all"] == len(list(chunks(len(region), 16 * max(p.shape) ** 2)))
+    assert svds["all"] == len(list(chunks(len(region), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)))
     assert svds["matrices"] == len(region)
     assert sum(point.is_drop for point in scan) == switched
 

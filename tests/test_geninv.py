@@ -191,7 +191,7 @@ class TestComplementsRoundTrip:
 def test_one_axiom_has_the_bits_it_has_among_all_four():
     rng = np.random.default_rng(7)
     t, b = complex_gaussian(rng, (2, 4, 3)), complex_gaussian(rng, (2, 3, 4))
-    every = mp_axiom_deviations(t, b)
+    every = list(mp_axiom_deviations(t, b))
     for axiom in range(4):
         (alone,) = mp_axiom_deviations(t, b, (axiom,))
         for got, want in zip(alone, every[axiom]):

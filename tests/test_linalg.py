@@ -36,7 +36,7 @@ from genresolvent.linalg import (
     split_ranks,
     split_verdicts,
 )
-from helpers import complex_gaussian, random_rank_matrix
+from helpers import complex_gaussian, random_rank_matrix, unitary
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -321,6 +321,17 @@ class TestGap:
                 unequal += 1
                 assert subspace_gap(a, b) == 1.0, (a.dim, b.dim)
         assert unequal > 200
+
+    def test_orthogonal_subspaces_of_equal_dimension_give_at_most_one(self):
+        """Their projector difference has norm 1 in exact arithmetic, and
+        computed it often rounds above; a gap never exceeds 1."""
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            d = int(rng.integers(1, n // 2 + 1))
+            q = unitary(rng, n)
+            gap = subspace_gap(SubspaceBasis(n, q[:, :d]), SubspaceBasis(n, q[:, d : 2 * d]))
+            assert 1.0 - 1e-12 <= gap <= 1.0, (n, d)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -5,8 +5,10 @@ and singularity verdict must be the one the values-only SVD would give. The
 stacks here put the smallest singular value at exact rank deficiency, at
 the rank cutoff, at 10x the cutoff (the marginal rule) and at the screen's
 own threshold, at entry scales inside and outside the range it runs on.
-The screen runs in the grid rank pass, ``chunked_ranks``, and in
-``solve_stack``; ``split_ranks`` itself always takes the SVD.
+The screen runs in the grid rank pass, the stage ``rank_stage`` that
+``chunked_ranks`` hands to ``chunked_stage``, and in ``solve_stack``;
+``split_ranks`` itself always takes the SVD. Without a product every chunk
+of the rank pass has the screened length, screened or not.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from genresolvent import SingularSystemError, TolerancePolicy
 from genresolvent import linalg
 from genresolvent.linalg import (
     EPS,
+    SCREEN_LIVE,
     SCREEN_SLACK,
     _full_rank_certified,
     chunked_ranks,
@@ -133,37 +136,47 @@ def test_screen_agrees_with_the_svd(case):
     st.integers(0, 2**32 - 1),
 )
 def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
-    """Chunks of 2 matrices screened and 8 not, so runs of full-rank and
+    """Chunks of 2 matrices, screened or not, so runs of full-rank and
     deficient members switch the screen on and off between chunks."""
     m, n = shape
     rng = np.random.default_rng(seed)
     stack = np.stack([member(rng, m, n, rtol, place) for place in places])
     tol = TolerancePolicy(rank_rtol=rtol)
     built = []
-    with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * max(m, n) ** 2):
+    with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2):
         ranks, _, _, marginal = chunked_ranks(copying(stack, built), len(stack), shape, tol)
     with svd_path():
         reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
     np.testing.assert_array_equal(ranks, reference[0])
     np.testing.assert_array_equal(marginal, reference[3])
-    assert built[0] == slice(0, 1)
-    assert [part.start for part in built[1:]] == [0] + [part.stop for part in built[1:-1]]
-    assert built[-1].stop == len(stack)
+    assert built == [slice(start, min(start + 2, len(stack))) for start in range(0, len(stack), 2)]
 
 
 def test_chunked_ranks_build_every_chunk_into_one_workspace():
-    """The probe, screened chunks of 2 and an unscreened chunk of 8 (after a
-    screened chunk of deficient members) are all written to the same memory."""
+    """Screened chunks of 2, the one-matrix probe on the first, and an
+    unscreened chunk (after a screened chunk of deficient members) are all
+    built into the same memory, and every Gram into one array."""
     rng = np.random.default_rng(6)
     places = [1e12, 1e12, 0.0, 0.0] + [1e12] * 10
     stack = np.stack([member(rng, 4, 4, EPS, place) for place in places])
-    built, addresses = [], []
-    with mock.patch.object(linalg, "CHUNK_BYTES", 8 * 16 * 4 ** 2):
+    built, addresses, screened, grams = [], [], [], []
+    certified = linalg._full_rank_certified
+
+    def spying(stack, tol, gram=None):
+        grams.append(gram.__array_interface__["data"][0])
+        screened.append((len(stack), certified(stack, tol, gram)))
+        return screened[-1][1]
+
+    with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 4 ** 2), \
+            mock.patch.object(linalg, "_full_rank_certified", spying):
         ranks, _, _, marginal = chunked_ranks(
             copying(stack, built, addresses), len(stack), (4, 4), TolerancePolicy()
         )
-    assert built == [slice(0, 1), slice(0, 2), slice(2, 4), slice(4, 12), slice(12, 14)]
+    assert built == [slice(start, start + 2) for start in range(0, 14, 2)]
     assert len(set(addresses)) == 1
+    # the probe, two screened chunks, the unscreened one, then four screened
+    assert screened == [(1, True), (2, True), (2, False)] + [(2, True)] * 4
+    assert len(set(grams)) == 1
     assert ranks.tolist() == [4, 4, 3, 3] + [4] * 10
     assert not marginal.any()
 

@@ -579,28 +579,60 @@ def run_continuity(p, grid):
     continuity_check(p, {lam: pinv_matrix(p.at(lam)) for lam in grid.points}, grid)
 
 
-# each stage with the live-matrix counts of its driver calls, in call order
+def run_scan(p, grid):
+    generalized_spectrum_scan(p, grid.points)
+
+
+def run_existence(p, grid):
+    existence_check(p, mp_inverse(p.t), grid)
+
+
+def run_direct_sums(p, grid):
+    direct_sum_criteria(p, mp_inverse(p.t), grid)
+
+
+# each stage with the live-matrix counts of its driver calls, in call order,
+# and the number of screened rank passes among them
 STAGE_RUNS = [
-    pytest.param(lambda: pencil_for(3, 3, False), run_axioms, [6], id="resolvent-axioms"),
-    pytest.param(lambda: pencil_for(3, 3, False), mp_resolvent_characterization, [10],
+    pytest.param(lambda: pencil_for(3, 3, False), run_axioms, [6], 0, id="resolvent-axioms"),
+    pytest.param(lambda: pencil_for(3, 3, False), mp_resolvent_characterization, [7], 0,
                  id="mp-characterization"),
-    pytest.param(shifted_pencil, run_invertibility, [10, 4], id="invertibility"),
-    pytest.param(lambda: pencil_for(3, 3, False), run_continuity, [6], id="continuity"),
+    pytest.param(shifted_pencil, run_invertibility, [7, 4], 0, id="invertibility"),
+    # continuity_check ends with existence_check, a rank pass with one product
+    pytest.param(lambda: pencil_for(3, 3, False), run_continuity, [6, 2], 0, id="continuity"),
+    # shifted_pencil is invertible on the grid, so the screen certifies every chunk
+    pytest.param(shifted_pencil, rank_profile, [4], 1, id="rank-profile"),
+    pytest.param(shifted_pencil, run_scan, [4], 1, id="spectrum-scan"),
+    pytest.param(lambda: pencil_for(3, 3, False), run_existence, [2], 0, id="existence"),
+    pytest.param(lambda: pencil_for(3, 3, False), run_direct_sums, [3], 0, id="direct-sums"),
 ]
 
 
-# BUDGETS cut a 3 x 3 pencil's 60 points into chunks of 1 or all 60 at every
-# live count. The last cuts chunks of 13, 22 and 33 points for 10, 6 and 4
-# matrices, and other lengths for every live count one off from those.
+# BUDGETS cut a 3 x 3 pencil's 60 points into chunks of 1 to 4 points or all
+# 60 at these live counts. The last cuts chunks of 18, 22, 33 and 44 points
+# for 7, 6, 4 and 3 matrices, all 60 at once for 2, and other lengths for
+# every live count one off from those.
 @pytest.mark.parametrize("chunk_bytes", BUDGETS + [132 * 16 * 3 ** 2])
-@pytest.mark.parametrize("make,run,lives", STAGE_RUNS)
-def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, chunk_bytes, monkeypatch):
+@pytest.mark.parametrize("make,run,lives,screened", STAGE_RUNS)
+def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, screened, chunk_bytes,
+                                                      monkeypatch):
     """Each stage is handed the slices linalg.chunks cuts for its own live
-    count, and every stack of one pass is a view of the same workspace."""
+    count, and every stack of one pass is a view of the same workspace. A
+    screened rank pass writes every Gram, the probe's included, into one
+    array."""
     p = make()
     grid = grid_for(p, 60)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
     calls = stage_spy(monkeypatch, p, grid.points)
+    grams = []
+    certified = linalg._full_rank_certified
+
+    def spying(stack, tol, gram=None):
+        if gram is not None:
+            grams.append(gram.__array_interface__["data"][0])
+        return certified(stack, tol, gram)
+
+    monkeypatch.setattr(linalg, "_full_rank_certified", spying)
     run(p, grid)
     assert len(calls) == len(lives)
     for (count, shape, seen), live in zip(calls, lives):
@@ -610,6 +642,9 @@ def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, chunk_by
         assert seen[0][1] is not None
         assert all(base is seen[0][1] for _, base, _ in seen)
         assert len({address for _, _, address in seen}) == 1
+    assert len(set(grams)) == screened
+    # the probe and every chunk
+    assert len(grams) == screened * (1 + len(calls[0][2]))
 
 
 # --- the stacked solve -----------------------------------------------------------
