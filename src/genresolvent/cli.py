@@ -131,21 +131,20 @@ def _emit(args, inputs: dict, tol: TolerancePolicy, body: dict, exit_code: int,
 
 def _pencil_setup(args):
     """What analyze and mp-check share: the tolerances, the clock's start after
-    loading, the pencil, T's Moore-Penrose inverse, its family and the grid."""
+    loading, the family of the pencil and of T's Moore-Penrose inverse, and
+    the grid."""
     t = load_matrix(args.t_path)
     s = load_matrix(args.s_path)
     tol = _tolerances(args)
     started = time.perf_counter()
-    pencil = Pencil(t, s)
-    g = mp_inverse(t, tol)
-    family = build_family(pencil, g)
+    family = build_family(Pencil(t, s), mp_inverse(t, tol))
     radius = args.grid_radius if args.grid_radius is not None else family.radius / 2
-    return tol, started, pencil, g, family, default_grid(radius, args.grid_points)
+    return tol, started, family, default_grid(radius, args.grid_points)
 
 
 def cmd_analyze(args) -> int:
-    tol, started, pencil, g, family, grid = _pencil_setup(args)
-    certificate = existence_check(pencil, g, grid, tol, family=family)
+    tol, started, family, grid = _pencil_setup(args)
+    certificate = existence_check(family, grid, tol)
     axioms = check_resolvent_axioms(family, grid, tol, seed=args.seed)
     finite_rank = RankConstancyReport(certificate.profile)
     body = {
@@ -187,8 +186,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mp_check(args) -> int:
-    tol, started, pencil, _, _, grid = _pencil_setup(args)
-    mp = mp_resolvent_characterization(pencil, grid, tol, seed=args.seed)
+    tol, started, family, grid = _pencil_setup(args)
+    mp = mp_resolvent_characterization(family.pencil, grid, tol, seed=args.seed)
     if mp.constancy_verdict != mp.identity_verdict:
         exit_code = 3
     elif mp.constancy_verdict:

@@ -14,8 +14,8 @@ and the perturbation splittings are comparisons of those integers
 :func:`numerical_rank` and :func:`rank_and_marginal` are its one-matrix
 views with empty bases. :func:`rank_stage` is the one grid rank stage: it
 runs the kernel chunk by chunk, for the rank profiles, scans and subspace
-criteria of the grid stages, and :func:`chunked_ranks` is that stage run on
-the stacks a caller builds.
+criteria of the grid stages, and a rank pass is that stage run by
+:func:`chunked_stage`, as every other grid stage is.
 
 Most matrices a grid pass ranks without a product, and most systems
 :func:`solve_stack` checks, are of full rank by a wide margin, and an SVD
@@ -642,15 +642,17 @@ def split_ranks(
 
 def rank_stage(
     shape: tuple[int, int],
-    tol: TolerancePolicy = DEFAULT_TOL,
-    right: np.ndarray | None = None,
-    left: np.ndarray | None = None,
+    tol: TolerancePolicy,
+    right: np.ndarray,
+    left: np.ndarray,
 ) -> tuple[int, Callable[[slice, np.ndarray], tuple[np.ndarray, ...]]]:
     """The live count and stage of a :func:`chunked_stage` rank pass over
     (m, n) matrices: :func:`split_ranks`, or the full-rank screen, on each chunk.
 
-    right and left default to :func:`empty_basis`, which asks for no
-    product. A chunk counts one matrix per member and one more per product
+    right and left are the bases of :func:`split_ranks`; an
+    :func:`empty_basis` asks for no product. So a rank pass is
+    ``chunked_stage(build, count, shape, *rank_stage(shape, tol, right, left))``.
+    A chunk counts one matrix per member and one more per product
     asked for or, without a product, SCREEN_LIVE more for the screen. The
     stage keeps the screen's state from chunk to chunk, so it serves one
     pass.
@@ -670,11 +672,8 @@ def rank_stage(
     screen's adjoint and Cholesky factor, and the products and singular
     values of an SVD, are allocated per chunk.
     """
-    m, n = shape
-    right = empty_basis(n) if right is None else right
-    left = empty_basis(m) if left is None else left
     products = bool(right.shape[1]) + bool(left.shape[1])
-    p = min(m, n)
+    p = min(shape)
     screen, gram = False, None
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -692,21 +691,6 @@ def rank_stage(
         return split
 
     return 1 + (products or SCREEN_LIVE), stage
-
-
-def chunked_ranks(
-    build: Callable[[slice, np.ndarray], np.ndarray],
-    count: int,
-    shape: tuple[int, int],
-    tol: TolerancePolicy = DEFAULT_TOL,
-    right: np.ndarray | None = None,
-    left: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`split_ranks` of count (m, n) matrices, chunk by chunk, in order:
-    the :func:`rank_stage` for right and left, run by :func:`chunked_stage`
-    on the matrices build writes into its workspace. count >= 1.
-    """
-    return chunked_stage(build, count, shape, *rank_stage(shape, tol, right, left))
 
 
 def chunked_stage(

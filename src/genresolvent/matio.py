@@ -19,7 +19,8 @@ from .errors import MatrixFileError
 from .linalg import as_matrix
 
 
-def _check_grid_of_numbers(name: str, grid, rows: int, cols: int, path) -> None:
+def _float_grid(name: str, grid, rows: int, cols: int, path) -> np.ndarray:
+    """The rows x cols array of field name's JSON numbers, as float64."""
     if not isinstance(grid, list) or len(grid) != rows:
         raise MatrixFileError(f"{path}: field '{name}' must be a list of {rows} rows")
     for i, row in enumerate(grid):
@@ -32,6 +33,12 @@ def _check_grid_of_numbers(name: str, grid, rows: int, cols: int, path) -> None:
                 raise MatrixFileError(
                     f"{path}: field '{name}' row {i} column {j} is not a number"
                 )
+    try:
+        return np.array(grid, dtype=np.float64)
+    except OverflowError as exc:
+        raise MatrixFileError(
+            f"{path}: field '{name}' holds an integer too large for a float"
+        ) from exc
 
 
 def load_matrix(path) -> np.ndarray:
@@ -41,10 +48,15 @@ def load_matrix(path) -> np.ndarray:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFileError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # ValueError: a JSONDecodeError, or an integer past Python's digit limit
+    except ValueError as exc:
         raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MatrixFileError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise MatrixFileError(f"{path}: top-level value must be an object")
     for field in ("rows", "cols", "re"):
@@ -53,11 +65,9 @@ def load_matrix(path) -> np.ndarray:
     rows, cols = payload["rows"], payload["cols"]
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise MatrixFileError(f"{path}: 'rows' and 'cols' must be positive integers")
-    _check_grid_of_numbers("re", payload["re"], rows, cols, path)
-    re = np.array(payload["re"], dtype=np.float64)
+    re = _float_grid("re", payload["re"], rows, cols, path)
     if "im" in payload and payload["im"] is not None:
-        _check_grid_of_numbers("im", payload["im"], rows, cols, path)
-        im = np.array(payload["im"], dtype=np.float64)
+        im = _float_grid("im", payload["im"], rows, cols, path)
     else:
         im = np.zeros((rows, cols), dtype=np.float64)
     values = re + 1j * im

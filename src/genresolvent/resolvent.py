@@ -172,18 +172,16 @@ class ResolventFamily:
     radius: float
 
 
-def _require_matching_inverse(p: Pencil, g: GenInverse) -> None:
-    if not np.array_equal(g.t, p.t):
-        raise ShapeMismatchError("the inverse was built for a different operator than pencil.t")
-
-
 def build_family(p: Pencil, g: GenInverse) -> ResolventFamily:
     """Assemble the resolvent family and its disk of convergence.
 
     The radius is 1/||s @ tplus||_2, capped at RADIUS_CAP when the product
-    vanishes (constant family, infinite radius in exact arithmetic).
+    vanishes (constant family, infinite radius in exact arithmetic). This is
+    the one place that checks that g is an inverse of p.t: every criterion
+    of an inverse takes its family.
     """
-    _require_matching_inverse(p, g)
+    if not np.array_equal(g.t, p.t):
+        raise ShapeMismatchError("the inverse was built for a different operator than pencil.t")
     st_plus = p.s @ g.tplus
     st_norm = op_norm2(st_plus)
     radius = RADIUS_CAP if st_norm <= RADIUS_EPS else min(RADIUS_CAP, 1.0 / st_norm)
@@ -644,31 +642,24 @@ class ExistenceCertificate:
 
 
 def existence_check(
-    p: Pencil,
-    g: GenInverse,
+    f: ResolventFamily,
     grid: DiskGrid,
     tol: TolerancePolicy = DEFAULT_TOL,
-    *,
-    family: ResolventFamily | None = None,
 ) -> ExistenceCertificate:
-    """Test R(t - lam s) transversal to N(tplus) at every sampled point.
+    """Test R(t - lam s) transversal to N(tplus) at every sampled point, for
+    the pencil and inverse of the family f.
 
-    Warns when the grid reaches the disk of convergence, by ||s tplus||_2:
-    that of ``family``, build_family(p, g) already built by the caller, or
-    taken here without one.
+    Warns when the grid reaches the family's disk of convergence, by the
+    ||s tplus||_2 that :func:`build_family` took.
     """
-    if family is None:
-        family = build_family(p, g)
-    elif family.pencil is not p or family.g is not g:
-        raise ValueError("family was built for another pencil or inverse")
-    if grid.radius * family.st_norm >= 1.0:
+    if grid.radius * f.st_norm >= 1.0:
         warnings.warn(
             "grid radius reaches the boundary of the family's disk of convergence; "
             "verdicts on or outside it do not certify existence",
             stacklevel=2,
         )
-    coimage = factor(g.tplus, tol).coimage.basis
-    profile, transversal, _, _ = _grid_pass(p, grid.points, tol, f_perp=coimage)
+    coimage = factor(f.g.tplus, tol).coimage.basis
+    profile, transversal, _, _ = _grid_pass(f.pencil, grid.points, tol, f_perp=coimage)
     per_point = tuple(zip(grid.points, transversal.tolist()))
     return ExistenceCertificate(
         verdict=all(ok for _, ok in per_point),
@@ -755,13 +746,13 @@ class DirectSumReport:
 
 
 def direct_sum_criteria(
-    p: Pencil, g: GenInverse, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
+    f: ResolventFamily, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
 ) -> DirectSumReport:
-    """Check both splittings induced by g at every sampled point."""
-    _require_matching_inverse(p, g)
-    tplus_factor = factor(g.tplus, tol)
+    """Check both splittings induced by the inverse of the family f at every
+    sampled point of its pencil."""
+    tplus_factor = factor(f.g.tplus, tol)
     _, _, domain, codomain = _grid_pass(
-        p, grid.points, tol, tplus_factor.range.basis, tplus_factor.coimage.basis
+        f.pencil, grid.points, tol, tplus_factor.range.basis, tplus_factor.coimage.basis
     )
     rows = list(zip(grid.points, domain.tolist(), codomain.tolist()))
     domain_verdict = all(d for _, d, _ in rows)
@@ -852,7 +843,7 @@ def continuity_check(
         for lam, d, nb, r in zip(grid.points, deviations.tolist(), banach.tolist(), ranks.tolist())
     ]
     premises_ok = all(r.banach_product < 1.0 and r.w_invertible for r in rows)
-    cert = existence_check(p, user_supplied(p.t, b0, tol), grid, tol)
+    cert = existence_check(build_family(p, user_supplied(p.t, b0, tol)), grid, tol)
     return ContinuityReport(
         per_point=tuple(rows),
         max_deviation=max(r.deviation for r in rows),

@@ -104,18 +104,16 @@ def test_criterion_1_resolvent_axiom_suite():
 
 def test_criterion_2_counterexample_detection():
     grid = default_grid(0.25, 25)
-    g = mp_inverse(BROKEN.t)
+    family = build_family(BROKEN, mp_inverse(BROKEN.t))
     mp_report = mp_resolvent_characterization(BROKEN, grid)
     rank_report = finite_rank_criterion(BROKEN, grid)
     rejects = {
-        "existence": not existence_check(BROKEN, g, grid).verdict,
+        "existence": not existence_check(family, grid).verdict,
         "finite_rank": not rank_report.verdict,
         "fredholm": not (rank_report.nullity_constant or rank_report.corank_constant),
         "mp_resolvent": not mp_report.constancy_verdict and not mp_report.identity_verdict,
     }
-    axiom_report = check_resolvent_axioms(
-        build_family(BROKEN, g), DiskGrid(0.5, [0, 0.01])
-    )
+    axiom_report = check_resolvent_axioms(family, DiskGrid(0.5, [0, 0.01]))
     residual = axiom_report.inner_residuals[axiom_report.points.index(0.01)]
     ok = all(rejects.values()) and residual >= 1e-3
     announce(2, ok, f"all four verdicts false, condition-1 residual {residual:.4f} >= 1e-3")
@@ -127,19 +125,16 @@ def test_criterion_3_criterion_web_equivalence():
     trues = 0
     total = 0
     for pencil, rng in criterion_pencils():
-        g_mp = mp_inverse(pencil.t)
-        g_alt = random_complement_inverse(rng, pencil.t)
-        radius = 0.5 * min(
-            build_family(pencil, g_mp).radius, build_family(pencil, g_alt).radius
-        )
-        grid = default_grid(radius, 25)
+        mp = build_family(pencil, mp_inverse(pencil.t))
+        alt = build_family(pencil, random_complement_inverse(rng, pencil.t))
+        grid = default_grid(0.5 * min(mp.radius, alt.radius), 25)
         rank_report = finite_rank_criterion(pencil, grid)
         verdicts = (
             rank_report.verdict,
             rank_report.nullity_constant or rank_report.corank_constant,
-            existence_check(pencil, g_mp, grid).verdict,
-            existence_check(pencil, g_alt, grid).verdict,
-            direct_sum_criteria(pencil, g_mp, grid).verdict,
+            existence_check(mp, grid).verdict,
+            existence_check(alt, grid).verdict,
+            direct_sum_criteria(mp, grid).verdict,
         )
         total += 1
         agreements += len(set(verdicts)) == 1

@@ -103,6 +103,33 @@ class TestLoadMatrix:
         assert (code, out) == (2, "")
         assert named in err
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            (b'{"rows": 1, "cols": 1, "re": [[1' + b"0" * 399 + b"]]}",
+             "field 're' holds an integer too large for a float"),
+            (b'{"rows": 1, "cols": 1, "re": [[1.0]], "im": [[-1' + b"0" * 399 + b"]]}",
+             "field 'im' holds an integer too large for a float"),
+            (b'{"rows": 1, "cols": 1, "re": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+             "invalid JSON: nested too deeply"),
+            (b"\xff\xfe{}", "not UTF-8 text"),
+        ],
+        ids=["re-overflow", "im-overflow", "deep-nesting", "not-utf-8"],
+    )
+    def test_unreadable_file_exits_two_naming_it(self, tmp_path, capsys, command, content,
+                                                 named):
+        """A file whose text or numbers Python cannot read is an input error
+        of every command: one stderr line naming the file, exit 2."""
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(MatrixFileError, match=named):
+            load_matrix(path)
+        code, out, err = run([command, path, path], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"genresolvent: {path}: ")
+        assert named in err and err.count("\n") == 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixFileError, match="cannot read"):
             load_matrix(tmp_path / "absent.json")

@@ -88,11 +88,12 @@ def seeded_case(switched):
 def test_per_point_stages_factor_each_point_once(svds, switched):
     p, g, grid = seeded_case(switched)
     complements = complements_of(g)
+    family = build_family(p, g)
     stages = {
         "mp_resolvent_characterization": (lambda: mp_resolvent_characterization(p, grid), 2, 26),
         # one factor of tplus, or of the complement f, and no per-point bases
-        "existence_check": (lambda: existence_check(p, g, grid), 1, 1),
-        "direct_sum_criteria": (lambda: direct_sum_criteria(p, g, grid), 1, 1),
+        "existence_check": (lambda: existence_check(family, grid), 1, 1),
+        "direct_sum_criteria": (lambda: direct_sum_criteria(family, grid), 1, 1),
         "fixed_complements_check": (lambda: fixed_complements_check(p, complements, grid), 1, 1),
     }
     for name, (stage, calls, matrices) in stages.items():

@@ -193,13 +193,13 @@ class TestCriterionWeb:
         m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         rank = int(rng.integers(1, min(m, n) + (0 if switched else 1)))
         p = framed_pencil(rng, m, n, rank, switched=switched)
-        g = mp_inverse(p.t)
-        grid = default_grid(build_family(p, g).radius / 2, 9)
+        family = build_family(p, mp_inverse(p.t))
+        grid = default_grid(family.radius / 2, 9)
         rank = finite_rank_criterion(p, grid)
         verdicts = {
             rank.verdict,
             rank.nullity_constant or rank.corank_constant,
-            existence_check(p, g, grid).verdict,
+            existence_check(family, grid).verdict,
         }
         assert len(verdicts) == 1
         assert verdicts == {not switched}

@@ -5,10 +5,10 @@ and singularity verdict must be the one the values-only SVD would give. The
 stacks here put the smallest singular value at exact rank deficiency, at
 the rank cutoff, at 10x the cutoff (the marginal rule) and at the screen's
 own threshold, at entry scales inside and outside the range it runs on.
-The screen runs in the grid rank pass, the stage ``rank_stage`` that
-``chunked_ranks`` hands to ``chunked_stage``, and in ``solve_stack``;
-``split_ranks`` itself always takes the SVD. Without a product every chunk
-of the rank pass has the screened length, screened or not.
+The screen runs in the grid rank pass, ``chunked_stage`` run on the stage
+of ``rank_stage``, and in ``solve_stack``; ``split_ranks`` itself always
+takes the SVD. Without a product every chunk of the rank pass has the
+screened length, screened or not.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from genresolvent.linalg import (
     SCREEN_LIVE,
     SCREEN_SLACK,
     _full_rank_certified,
-    chunked_ranks,
+    chunked_stage,
     empty_basis,
+    rank_stage,
     solve_stack,
     split_ranks,
 )
@@ -82,8 +83,13 @@ def svd_path():
     return mock.patch.object(linalg, "_full_rank_certified", lambda stack, tol, gram=None: False)
 
 
+def no_products(m, n):
+    """The right and left bases of a rank pass that forms no product."""
+    return empty_basis(n), empty_basis(m)
+
+
 def copying(stack, built=None, addresses=None):
-    """A chunked_ranks build callback that copies stack[part] into the
+    """A chunked_stage build callback that copies stack[part] into the
     workspace, recording each part and the address it was written to."""
 
     def build(part, out):
@@ -111,10 +117,12 @@ def solve_outcome(a, tol):
 def test_screen_agrees_with_the_svd(case):
     stack, tol = case
     k, m, n = stack.shape
-    screened = chunked_ranks(copying(stack), k, (m, n), tol)
+    stage = rank_stage((m, n), tol, *no_products(m, n))
+    screened = chunked_stage(copying(stack), k, (m, n), *stage)
     solved = solve_outcome(stack, tol) if m == n else None
     with svd_path():
-        reference = chunked_ranks(copying(stack), k, (m, n), tol)
+        stage = rank_stage((m, n), tol, *no_products(m, n))
+        reference = chunked_stage(copying(stack), k, (m, n), *stage)
         solved_reference = solve_outcome(stack, tol) if m == n else None
     for got, want in zip(screened, reference):
         np.testing.assert_array_equal(got, want)
@@ -144,7 +152,8 @@ def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
     tol = TolerancePolicy(rank_rtol=rtol)
     built = []
     with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2):
-        ranks, _, _, marginal = chunked_ranks(copying(stack, built), len(stack), shape, tol)
+        ranks, _, _, marginal = chunked_stage(copying(stack, built), len(stack), shape,
+                                              *rank_stage(shape, tol, *no_products(m, n)))
     with svd_path():
         reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
     np.testing.assert_array_equal(ranks, reference[0])
@@ -169,8 +178,9 @@ def test_chunked_ranks_build_every_chunk_into_one_workspace():
 
     with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 4 ** 2), \
             mock.patch.object(linalg, "_full_rank_certified", spying):
-        ranks, _, _, marginal = chunked_ranks(
-            copying(stack, built, addresses), len(stack), (4, 4), TolerancePolicy()
+        ranks, _, _, marginal = chunked_stage(
+            copying(stack, built, addresses), len(stack), (4, 4),
+            *rank_stage((4, 4), TolerancePolicy(), *no_products(4, 4)),
         )
     assert built == [slice(start, start + 2) for start in range(0, 14, 2)]
     assert len(set(addresses)) == 1
@@ -198,8 +208,8 @@ def test_chunked_ranks_with_products_never_screen(sides):
     with mock.patch.object(linalg, "CHUNK_BYTES", 6 * 16 * max(m, n) ** 2), \
             mock.patch.object(linalg, "_full_rank_certified",
                               wraps=linalg._full_rank_certified) as screen:
-        split = chunked_ranks(copying(stack, built, addresses), len(stack), (m, n),
-                              TolerancePolicy(), right, left)
+        split = chunked_stage(copying(stack, built, addresses), len(stack), (m, n),
+                              *rank_stage((m, n), TolerancePolicy(), right, left))
         lengths = [part.stop - part.start
                    for part in linalg.chunks(len(stack), (1 + products) * 16 * max(m, n) ** 2)]
     assert screen.call_count == 0

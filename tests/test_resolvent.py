@@ -242,38 +242,30 @@ class TestProjectorFamily:
 
 class TestExistence:
     def test_constant_rank_pencil(self):
-        cert = existence_check(CONST, mp_inverse(CONST.t), DiskGrid(2.0, [0, 1.0, 2.0j]))
+        cert = existence_check(family_of(CONST), DiskGrid(2.0, [0, 1.0, 2.0j]))
         assert cert.verdict
         assert cert.criterion == "transversality"
 
     def test_shifted_projector_fails(self):
-        cert = existence_check(BROKEN, mp_inverse(BROKEN.t), DiskGrid(0.5, [0, 0.01]))
+        cert = existence_check(family_of(BROKEN), DiskGrid(0.5, [0, 0.01]))
         assert not cert.verdict
         per = dict(cert.per_point)
         assert per[0] is True and per[0.01] is False
 
     def test_zero_s_always_exists(self):
         p = Pencil(np.diag([1.0, 0.0]), np.zeros((2, 2)))
-        cert = existence_check(p, mp_inverse(p.t), default_grid(1.0, 9))
+        cert = existence_check(family_of(p), default_grid(1.0, 9))
         assert cert.verdict
 
     def test_warns_beyond_family_radius(self):
         with pytest.warns(UserWarning):
-            existence_check(BROKEN, mp_inverse(BROKEN.t), DiskGrid(2.0, [0, 2.0]))
+            existence_check(family_of(BROKEN), DiskGrid(2.0, [0, 2.0]))
         # a grid reaching the family radius exactly: its outer ring is skipped
         grid = default_grid(0.5, 25)
-        assert build_family(DIAG3, mp_inverse(DIAG3.t)).radius == grid.radius
+        fam = family_of(DIAG3)
+        assert fam.radius == grid.radius
         with pytest.warns(UserWarning):
-            existence_check(DIAG3, mp_inverse(DIAG3.t), grid)
-        g = mp_inverse(DIAG3.t)
-        with pytest.warns(UserWarning):
-            existence_check(DIAG3, g, grid, family=build_family(DIAG3, g))
-
-    def test_family_must_be_of_the_pencil_and_inverse(self):
-        g = mp_inverse(DIAG3.t)
-        with pytest.raises(ValueError, match="another pencil or inverse"):
-            existence_check(DIAG3, g, default_grid(0.1, 9),
-                            family=build_family(DIAG3, mp_inverse(DIAG3.t)))
+            existence_check(fam, grid)
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
@@ -283,12 +275,10 @@ class TestExistence:
         p = framed_pencil(rng, m, n, int(rng.integers(1, min(m, n) + 1)))
         g1 = mp_inverse(p.t)
         g2 = random_complement_inverse(rng, p.t)
-        radius = 0.5 * min(
-            build_family(p, g1).radius, build_family(p, g2).radius
-        )
-        grid = default_grid(radius, 9)
-        assert existence_check(p, g1, grid).verdict
-        assert existence_check(p, g2, grid).verdict
+        f1, f2 = build_family(p, g1), build_family(p, g2)
+        grid = default_grid(0.5 * min(f1.radius, f2.radius), 9)
+        assert existence_check(f1, grid).verdict
+        assert existence_check(f2, grid).verdict
 
 
 class TestFixedComplements:
@@ -316,21 +306,21 @@ class TestFixedComplements:
 
 class TestDirectSumCriteria:
     def test_constant_rank_pencil(self):
-        report = direct_sum_criteria(CONST, mp_inverse(CONST.t), DiskGrid(2.0, [0, 1.0]))
+        report = direct_sum_criteria(family_of(CONST), DiskGrid(2.0, [0, 1.0]))
         assert report.verdict and report.domain_verdict and report.codomain_verdict
 
     def test_shifted_projector(self):
-        report = direct_sum_criteria(BROKEN, mp_inverse(BROKEN.t), DiskGrid(0.5, [0, 0.2]))
+        report = direct_sum_criteria(family_of(BROKEN), DiskGrid(0.5, [0, 0.2]))
         assert not report.verdict
 
     def test_zero_s(self):
         p = Pencil(np.diag([1.0, 0.0]), np.zeros((2, 2)))
-        assert direct_sum_criteria(p, mp_inverse(p.t), default_grid(1.0, 9)).verdict
+        assert direct_sum_criteria(family_of(p), default_grid(1.0, 9)).verdict
 
     def test_matches_existence_verdict(self):
         for p, grid in ((CONST, DiskGrid(2.0, [0, 1.0])), (BROKEN, DiskGrid(0.5, [0, 0.2]))):
-            g = mp_inverse(p.t)
-            assert direct_sum_criteria(p, g, grid).verdict == existence_check(p, g, grid).verdict
+            fam = family_of(p)
+            assert direct_sum_criteria(fam, grid).verdict == existence_check(fam, grid).verdict
 
 
 class TestContinuity:

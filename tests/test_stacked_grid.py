@@ -303,9 +303,10 @@ def test_transversality_and_splittings(make, budget):
         transversal.append(meets_trivially(a_factor["range"], plus["kernel"]))
         domain.append(splits(a_factor["kernel"], plus["range"]))
         codomain.append(splits(a_factor["range"], plus["kernel"]))
-    certificate = existence_check(p, g, grid)
+    family = build_family(p, g)
+    certificate = existence_check(family, grid)
     assert [ok for _, ok in certificate.per_point] == transversal
-    report = direct_sum_criteria(p, g, grid)
+    report = direct_sum_criteria(family, grid)
     assert [(d, c) for _, d, c in report.per_point] == list(zip(domain, codomain))
 
 
@@ -584,11 +585,11 @@ def run_scan(p, grid):
 
 
 def run_existence(p, grid):
-    existence_check(p, mp_inverse(p.t), grid)
+    existence_check(build_family(p, mp_inverse(p.t)), grid)
 
 
 def run_direct_sums(p, grid):
-    direct_sum_criteria(p, mp_inverse(p.t), grid)
+    direct_sum_criteria(build_family(p, mp_inverse(p.t)), grid)
 
 
 # each stage with the live-matrix counts of its driver calls, in call order,
