@@ -20,7 +20,6 @@ from .criteria import (
     generalized_spectrum_scan,
     invertibility_corollary,
     mp_resolvent_characterization,
-    rank_profile,
     rectangular_region,
 )
 from .errors import (
@@ -90,7 +89,6 @@ from .resolvent import (
     DirectSumReport,
     DiskGrid,
     ExistenceCertificate,
-    FixedComplementsReport,
     Pencil,
     ProjectorPair,
     RankProfile,

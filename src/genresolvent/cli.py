@@ -69,8 +69,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-points", type=int, default=25,
                         help="number of sample points including 0 (default 25)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic pair subsample, drawn only where "
-                             "the identity bound exceeds --residual-tol")
+                        help="non-negative seed for the deterministic pair subsample, drawn "
+                             "only where the identity bound exceeds --residual-tol")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -152,7 +152,7 @@ def cmd_analyze(args) -> int:
         "family": {"radius": family.radius, "st_plus_norm": family.st_norm},
         "existence": {
             "verdict": certificate.verdict,
-            "criterion": certificate.criterion,
+            "criterion": "transversality",
             "per_point": [
                 {"lambda": lam, "transversal": ok} for lam, ok in certificate.per_point
             ],

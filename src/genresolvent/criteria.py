@@ -6,7 +6,7 @@ collapse to the same computation: constancy of rank (equivalently nullity
 n - r, equivalently corank m - r) of t - lam*s across the sampled region,
 anchored at lam = 0. :func:`finite_rank_criterion` is therefore also the
 Fredholm and semi-Fredholm criterion; its report exposes the rank,
-nullity and corank verdicts as views of the one rank profile. The profile
+nullity and corank verdicts as views of the one rank profile. That profile
 and the spectrum scan read their ranks from the grid pass of
 :mod:`resolvent` that also decides transversality, so
 ``RankConstancyReport(existence_check(...).profile)`` is the finite-rank
@@ -19,6 +19,7 @@ agreement is a genuine cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,6 @@ from .linalg import (
     solve_stack,
 )
 from .resolvent import DiskGrid, Pencil, RankProfile, _decide_identity, _grid_pass, _point_stage
-
-
-def rank_profile(p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL) -> RankProfile:
-    """Numerical rank of t - lam*s at every grid point, one values-only SVD per chunk."""
-    return _grid_pass(p, grid.points, tol)[0]
 
 
 def _constant_from_zero(profile: RankProfile, values: tuple[int, ...]) -> bool:
@@ -86,7 +82,7 @@ def finite_rank_criterion(
     Constancy is judged against the rank at lam = 0, which anchors every
     criterion in this module.
     """
-    return RankConstancyReport(rank_profile(p, grid, tol))
+    return RankConstancyReport(_grid_pass(p, grid.points, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -277,6 +273,9 @@ def rectangular_region(
     """Row-major rectangular sampling of the complex plane, steps points per axis."""
     if steps < 1:
         raise ValueError("region needs at least one step per axis")
+    for name, bound in (("re_min", re_min), ("re_max", re_max), ("im_min", im_min), ("im_max", im_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"region bound {name} must be finite, got {bound!r}")
     res = np.linspace(re_min, re_max, steps)
     ims = np.linspace(im_min, im_max, steps)
     return tuple(complex(re, im) for im in ims for re in res)

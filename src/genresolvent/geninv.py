@@ -48,17 +48,14 @@ class InverseVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class GenInverse:
-    """A verified pair (t, tplus) with its cached projectors.
+    """A verified pair (t, tplus) and the kind of inverse tplus is.
 
-    p = t @ tplus projects the codomain onto R(t); q = tplus @ t projects
-    the domain along N(t). Construction goes through the factory functions,
-    which reject candidates violating the inner or outer axiom.
+    Construction goes through the factory functions, which reject
+    candidates violating the inner or outer axiom.
     """
 
     t: np.ndarray
     tplus: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
     kind: InverseKind
 
 
@@ -169,7 +166,7 @@ def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePoli
         raise InvalidInverseError(
             f"{failing} (inner residual {inner:.3e}, outer residual {outer:.3e})"
         )
-    return GenInverse(t=t, tplus=b, p=t @ b, q=b @ t, kind=kind)
+    return GenInverse(t=t, tplus=b, kind=kind)
 
 
 def pinv_matrix(t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

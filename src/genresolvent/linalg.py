@@ -305,7 +305,9 @@ def _full_rank_certified(
     """
     k, m, n = stack.shape
     adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
-    gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
+    # a Gram that overflows holds inf or nan on its diagonal, which SCREEN_RANGE declines
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
     # freed before the factor is allocated, which can then take its memory
     del adjoint
     size = gram.shape[1]

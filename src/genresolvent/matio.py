@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatrixFileError
-from .linalg import as_matrix
+from .linalg import as_matrix, frobenius_norms
 
 
 def _float_grid(name: str, grid, rows: int, cols: int, path) -> np.ndarray:
@@ -73,6 +73,11 @@ def load_matrix(path) -> np.ndarray:
     values = re + 1j * im
     if not np.all(np.isfinite(values)):
         raise MatrixFileError(f"{path}: matrix contains non-finite entries")
+    # inf where the norm overflows: every rank cutoff and residual scale would be inf too
+    with np.errstate(over="ignore"):
+        norm = frobenius_norms(values[None])[0]
+    if not np.isfinite(norm):
+        raise MatrixFileError(f"{path}: matrix norm exceeds the largest float")
     return as_matrix(values)
 
 

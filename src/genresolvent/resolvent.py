@@ -28,9 +28,11 @@ whose stage, :func:`linalg.rank_stage`, runs the rank kernel
 :func:`linalg.split_ranks` chunk by chunk. The subspace criteria compare the
 numerical ranks of t - lam*s and of its products with fixed orthonormal
 bases, read off one factorization of tplus or of the complements, so no
-grid point is given a full SVD. The same pass gives the rank profiles and
-the spectrum scan of :mod:`criteria`, and :func:`existence_check` keeps
-the profile of the ranks it decided with, so transversality and rank
+grid point is given a full SVD. The direct sums of an inverse and of
+fixed complements are one check of a pair of bases, with one report,
+:class:`DirectSumReport`. The same pass gives the rank profile and the
+spectrum scan of :mod:`criteria`, and :func:`existence_check` keeps the
+profile of the ranks it decided with, so transversality and rank
 constancy on one grid rank each point once.
 
 Every other per-point stage, here and in :mod:`criteria` (the axiom
@@ -455,7 +457,8 @@ def _decide_identity(
     first maximizing pair of indices (None when every deviation is zero).
     "bound" when the bound is at most residual_tol; otherwise the exact
     spectral maximum over the pairs of :func:`pair_indices` (drawn with
-    seed), by :func:`max_identity_residual` with scale G_0. The bound needs
+    seed), by :func:`max_identity_residual` with scale G_0. A negative seed
+    raises ValueError whichever way the identity is decided. The bound needs
     every 1 - |l_k| ||C||_2 positive, ||C||_2 widened by NORM_BOUND_SLACK:
     given as st_norm, a grid that reaches the disk's boundary goes to the
     pairs at once; without it, ||C||_2 is taken only after the residuals
@@ -463,6 +466,9 @@ def _decide_identity(
     the pass: with two or more points every pair through it has a bound
     above residual_tol, since every margin is at most 1.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
     def margins(norm: float) -> np.ndarray:
         """Lower bounds on 1 - |l_k| ||C||_2, from ||C||_2 widened by NORM_BOUND_SLACK."""
         return 1.0 - np.abs(lams) * (norm * (1.0 + NORM_BOUND_SLACK))
@@ -637,7 +643,6 @@ class ExistenceCertificate:
 
     verdict: bool
     per_point: tuple[tuple[complex, bool], ...]
-    criterion: str
     profile: RankProfile
 
 
@@ -664,35 +669,7 @@ def existence_check(
     return ExistenceCertificate(
         verdict=all(ok for _, ok in per_point),
         per_point=per_point,
-        criterion="transversality",
         profile=profile,
-    )
-
-
-@dataclass(frozen=True)
-class FixedComplementsReport:
-    """Per-point verdicts that one fixed pair (e, f) splits kernel and range."""
-
-    per_point: tuple[tuple[complex, bool, bool], ...]
-    verdict: bool
-
-
-def fixed_complements_check(
-    p: Pencil, c: ComplementPair, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
-) -> FixedComplementsReport:
-    """Check domain = N(t-lam s) + e and codomain = R(t-lam s) + f on the grid."""
-    m, n = p.shape
-    if c.e.ambient_dim != n or c.f.ambient_dim != m:
-        raise ShapeMismatchError(
-            f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
-            f"pencil needs ({n}, {m})"
-        )
-    f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
-    _, _, domain, codomain = _grid_pass(p, grid.points, tol, c.e.basis, f_perp)
-    rows = list(zip(grid.points, domain.tolist(), codomain.tolist()))
-    return FixedComplementsReport(
-        per_point=tuple(rows),
-        verdict=all(d and cdom for _, d, cdom in rows),
     )
 
 
@@ -730,13 +707,17 @@ def _grid_pass(
 
 @dataclass(frozen=True)
 class DirectSumReport:
-    """Per-point splitting verdicts for one generalized inverse.
+    """Per-point verdicts that a pair of subspaces E, F splits the domain and
+    codomain of t - lam*s.
 
-    domain_splits:   domain = N(t-lam s) + R(tplus)
-    codomain_splits: codomain = R(t-lam s) + N(tplus)
+    domain_splits:   domain = N(t-lam s) + E
+    codomain_splits: codomain = R(t-lam s) + F
 
-    The for-every-inverse flavor of the criterion is obtained by invoking
-    this again with further inverses and conjoining the verdicts.
+    :func:`direct_sum_criteria` takes an inverse's own E = R(tplus) and
+    F = N(tplus); :func:`fixed_complements_check` takes one fixed
+    ComplementPair (e, f). For an inverse, the for-every-inverse flavor of
+    the criterion is obtained by invoking this again with further inverses
+    and conjoining the verdicts.
     """
 
     per_point: tuple[tuple[complex, bool, bool], ...]
@@ -745,24 +726,41 @@ class DirectSumReport:
     verdict: bool
 
 
+def _direct_sums(
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy, e: np.ndarray, f_perp: np.ndarray
+) -> DirectSumReport:
+    """The :class:`DirectSumReport` of E = span(e) and F = span(f_perp)^perp, by one grid pass."""
+    _, _, domain, codomain = _grid_pass(p, grid.points, tol, e, f_perp)
+    domain_verdict, codomain_verdict = bool(domain.all()), bool(codomain.all())
+    return DirectSumReport(
+        per_point=tuple(zip(grid.points, domain.tolist(), codomain.tolist())),
+        domain_verdict=domain_verdict,
+        codomain_verdict=codomain_verdict,
+        verdict=domain_verdict and codomain_verdict,
+    )
+
+
 def direct_sum_criteria(
     f: ResolventFamily, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
 ) -> DirectSumReport:
     """Check both splittings induced by the inverse of the family f at every
     sampled point of its pencil."""
     tplus_factor = factor(f.g.tplus, tol)
-    _, _, domain, codomain = _grid_pass(
-        f.pencil, grid.points, tol, tplus_factor.range.basis, tplus_factor.coimage.basis
-    )
-    rows = list(zip(grid.points, domain.tolist(), codomain.tolist()))
-    domain_verdict = all(d for _, d, _ in rows)
-    codomain_verdict = all(c for _, _, c in rows)
-    return DirectSumReport(
-        per_point=tuple(rows),
-        domain_verdict=domain_verdict,
-        codomain_verdict=codomain_verdict,
-        verdict=domain_verdict and codomain_verdict,
-    )
+    return _direct_sums(f.pencil, grid, tol, tplus_factor.range.basis, tplus_factor.coimage.basis)
+
+
+def fixed_complements_check(
+    p: Pencil, c: ComplementPair, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
+) -> DirectSumReport:
+    """Check domain = N(t-lam s) + e and codomain = R(t-lam s) + f on the grid."""
+    m, n = p.shape
+    if c.e.ambient_dim != n or c.f.ambient_dim != m:
+        raise ShapeMismatchError(
+            f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
+            f"pencil needs ({n}, {m})"
+        )
+    f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
+    return _direct_sums(p, grid, tol, c.e.basis, f_perp)
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,17 @@ class TestLoadMatrix:
             (b'{"rows": 1, "cols": 1, "re": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
              "invalid JSON: nested too deeply"),
             (b"\xff\xfe{}", "not UTF-8 text"),
+            (b'{"rows": 1, "cols": 2, "re": [[1.7e308, 1.7e308]]}',
+             "matrix norm exceeds the largest float"),
         ],
-        ids=["re-overflow", "im-overflow", "deep-nesting", "not-utf-8"],
+        ids=["re-overflow", "im-overflow", "deep-nesting", "not-utf-8", "norm-overflow"],
     )
     def test_unreadable_file_exits_two_naming_it(self, tmp_path, capsys, command, content,
                                                  named):
-        """A file whose text or numbers Python cannot read is an input error
-        of every command: one stderr line naming the file, exit 2."""
+        """A file whose text or numbers Python cannot read, or whose matrix has
+        a norm beyond the largest float (so every rank cutoff and residual
+        scale would be inf), is an input error of every command: one stderr
+        line naming the file, exit 2."""
         path = tmp_path / "m.json"
         path.write_bytes(content)
         with pytest.raises(MatrixFileError, match=named):
@@ -328,6 +332,12 @@ TOLERANCE_SETTINGS = [
 GRID_SETTINGS = [
     ("--grid-radius", "nan", "grid radius"),
     ("--grid-radius", "inf", "grid radius"),
+    ("--seed", "-1", "seed must be non-negative, got -1"),
+]
+REGION_SETTINGS = [
+    ("--re-min", "nan", "region bound re_min must be finite, got nan"),
+    ("--re-max", "inf", "region bound re_max must be finite, got inf"),
+    ("--im-max", "nan", "region bound im_max must be finite, got nan"),
 ]
 
 
@@ -335,12 +345,14 @@ GRID_SETTINGS = [
     "flag,value,named,command",
     [(*setting, command) for setting in TOLERANCE_SETTINGS
      for command in ("analyze", "mp-check", "spectrum", "perturb")]
-    + [(*setting, command) for setting in GRID_SETTINGS for command in ("analyze", "mp-check")],
+    + [(*setting, command) for setting in GRID_SETTINGS for command in ("analyze", "mp-check")]
+    + [(*setting, "spectrum") for setting in REGION_SETTINGS],
 )
 def test_settings_that_decide_nothing_exit_two(command, flag, value, named, capsys):
     code, out, err = run([*COMMANDS[command], flag, value], capsys)
     assert (code, out) == (2, "")
     assert named in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0.5", "1e-8", "1e-15"])

@@ -18,7 +18,6 @@ from genresolvent import (
     build_family,
     mp_inverse,
     mp_resolvent_characterization,
-    rank_profile,
     rectangular_region,
 )
 from helpers import framed_pencil
@@ -32,23 +31,23 @@ GRID = DiskGrid(0.5, [0, 0.1, 0.25, 0.1j, -0.2])
 
 class TestRankProfile:
     def test_constant_rank_pencil(self):
-        profile = rank_profile(CONST, GRID)
+        profile = finite_rank_criterion(CONST, GRID).profile
         assert profile.ranks == (1, 1, 1, 1, 1)
         assert profile.nullities == (1, 1, 1, 1, 1)
         assert profile.coranks == (1, 1, 1, 1, 1)
 
     def test_rank_jump(self):
-        profile = rank_profile(BROKEN, GRID)
+        profile = finite_rank_criterion(BROKEN, GRID).profile
         assert profile.ranks[0] == 1
         assert all(r == 2 for r in profile.ranks[1:])
 
     def test_zero_s(self):
         p = Pencil(np.diag([1.0, 0.0]), np.zeros((2, 2)))
-        assert set(rank_profile(p, GRID).ranks) == {1}
+        assert set(finite_rank_criterion(p, GRID).profile.ranks) == {1}
 
     def test_anchor_at_zero_matches_t(self):
         for p in (CONST, BROKEN):
-            profile = rank_profile(p, GRID)
+            profile = finite_rank_criterion(p, GRID).profile
             from genresolvent import numerical_rank
 
             assert profile.ranks[profile.points.index(0)] == numerical_rank(p.t)
@@ -56,7 +55,7 @@ class TestRankProfile:
     def test_marginal_flag(self):
         # second singular value sits between the cutoff and 10x the cutoff
         p = Pencil(np.diag([1.0, 3e-15]), np.zeros((2, 2)))
-        profile = rank_profile(p, DiskGrid(1.0, [0]))
+        profile = finite_rank_criterion(p, DiskGrid(1.0, [0])).profile
         assert profile.ranks == (2,)
         assert profile.marginal == (True,)
 
@@ -146,6 +145,15 @@ class TestSpectrumScan:
         scan = generalized_spectrum_scan(p, rectangular_region(-3, 3, -3, 3, 61))
         drops = {point.lam for point in scan if point.is_drop}
         assert drops == {1.0 + 0.0j, 2.0 + 0.0j}
+
+    def test_scan_of_a_pencil_whose_gram_overflows_keeps_its_ranks(self):
+        """Scaled by 1e160, every Gram of the full-rank screen overflows; the
+        screen declines it without a warning and the SVD ranks as before."""
+        p = Pencil(np.diag([1.0, 2.0]), np.eye(2))
+        region = rectangular_region(-3, 3, -3, 3, 7)
+        scaled = generalized_spectrum_scan(Pencil(1e160 * p.t, 1e160 * p.s), region)
+        assert scaled == generalized_spectrum_scan(p, region)
+        assert {point.lam for point in scaled if point.is_drop} == {1.0 + 0.0j, 2.0 + 0.0j}
 
     @pytest.mark.xfail(
         strict=True,

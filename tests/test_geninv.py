@@ -182,10 +182,11 @@ class TestComplementsRoundTrip:
         rng = np.random.default_rng(seed)
         t = random_rank_matrix(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
         g = random_complement_inverse(rng, t)
-        assert op_norm2(g.p @ g.p - g.p) <= 1e-10
-        assert op_norm2(g.q @ g.q - g.q) <= 1e-10
-        assert subspace_gap(range_basis(g.p), range_basis(t)) <= 1e-8
-        assert subspace_gap(kernel_basis(g.q), kernel_basis(t)) <= 1e-8
+        p, q = t @ g.tplus, g.tplus @ t
+        assert op_norm2(p @ p - p) <= 1e-10
+        assert op_norm2(q @ q - q) <= 1e-10
+        assert subspace_gap(range_basis(p), range_basis(t)) <= 1e-8
+        assert subspace_gap(kernel_basis(q), kernel_basis(t)) <= 1e-8
 
 
 def test_one_axiom_has_the_bits_it_has_among_all_four():

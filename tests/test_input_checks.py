@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from genresolvent import (
     ShapeMismatchError,
     SubspaceBasis,
     build_family,
+    check_resolvent_axioms,
     continuity_check,
     default_grid,
     evaluate_neumann,
@@ -19,6 +22,8 @@ from genresolvent import (
     full_subspace,
     geninv_from_complements,
     mp_inverse,
+    mp_resolvent_characterization,
+    rectangular_region,
     solve,
     transversal,
     verify_mp_axioms,
@@ -29,6 +34,16 @@ EYE2 = np.eye(2)
 PENCIL = Pencil(np.diag([1.0, 0.0]), EYE2)
 # complements in C^3 and C^2, where a 2 x 2 operator needs C^2 and C^2
 MISPLACED = ComplementPair(e=full_subspace(3), f=zero_subspace(2))
+# the identity of PENCIL's family is decided by its bound, that of its
+# pseudoinverses on pairs: all of them up to 40 points, a seeded draw beyond
+FAMILY = build_family(PENCIL, mp_inverse(PENCIL.t))
+SEEDED = [
+    pytest.param(lambda points: check_resolvent_axioms(FAMILY, default_grid(0.5, points), seed=-1),
+                 id="check_resolvent_axioms"),
+    pytest.param(lambda points: mp_resolvent_characterization(PENCIL, default_grid(0.5, points),
+                                                              seed=-1),
+                 id="mp_resolvent_characterization"),
+]
 
 CHECKS = [
     pytest.param(lambda: verify_mp_axioms(np.ones((2, 3)), np.ones((2, 3))),
@@ -52,6 +67,12 @@ CHECKS = [
                  ValueError, "at least one term", id="evaluate_neumann"),
     pytest.param(lambda: RankProfile((0j, 0.5), (1,), (1,), (1,), (False,)),
                  ValueError, "equal length", id="RankProfile"),
+    pytest.param(lambda: rectangular_region(0.0, math.inf, 0.0, 1.0, 3),
+                 ValueError, "region bound re_max must be finite, got inf",
+                 id="rectangular_region-inf"),
+    pytest.param(lambda: rectangular_region(0.0, 1.0, math.nan, 1.0, 3),
+                 ValueError, "region bound im_min must be finite, got nan",
+                 id="rectangular_region-nan"),
 ]
 
 
@@ -61,3 +82,12 @@ def test_input_check_raises_its_error_naming_the_fault(call, error, fragment):
         call()
     assert type(raised.value) is error
     assert fragment in str(raised.value)
+
+
+@pytest.mark.parametrize("points", [9, 60], ids=["all-pairs", "drawn-pairs"])
+@pytest.mark.parametrize("call", SEEDED)
+def test_negative_seed_raises_on_every_grid(call, points):
+    """The seed is checked where it enters the identity decision, whether or
+    not the decision draws pairs with it."""
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        call(points)

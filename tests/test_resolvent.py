@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from genresolvent import (
     RADIUS_CAP,
     ComplementPair,
+    DirectSumReport,
     DiskGrid,
     InvalidFamilyError,
     OutOfRadiusError,
@@ -192,8 +193,8 @@ class TestProjectorFamily:
     def test_at_zero(self):
         fam = family_of(DIAG3)
         pair = projector_family(fam, 0)
-        assert np.allclose(pair.p_lambda, fam.g.p)
-        assert np.allclose(pair.q_lambda, fam.g.q)
+        assert np.allclose(pair.p_lambda, fam.g.t @ fam.g.tplus)
+        assert np.allclose(pair.q_lambda, fam.g.tplus @ fam.g.t)
 
     def test_constant_family(self):
         fam = family_of(CONST)
@@ -244,7 +245,6 @@ class TestExistence:
     def test_constant_rank_pencil(self):
         cert = existence_check(family_of(CONST), DiskGrid(2.0, [0, 1.0, 2.0j]))
         assert cert.verdict
-        assert cert.criterion == "transversality"
 
     def test_shifted_projector_fails(self):
         cert = existence_check(family_of(BROKEN), DiskGrid(0.5, [0, 0.01]))
@@ -302,6 +302,18 @@ class TestFixedComplements:
         p = Pencil(np.diag([1.0, 0.0]), np.zeros((2, 2)))
         pair = complements_of(mp_inverse(p.t))
         assert fixed_complements_check(p, pair, default_grid(1.0, 9)).verdict
+
+    @pytest.mark.parametrize("p", [CONST, BROKEN], ids=["constant", "shifted-projector"])
+    def test_complements_of_an_inverse_give_its_direct_sum_report(self, p):
+        """The pair (R(tplus), N(tplus)) as fixed complements gives the report
+        of the inverse's own splittings."""
+        from genresolvent import complements_of
+
+        grid = DiskGrid(0.5, [0, 0.2, 0.4j])
+        family = family_of(p)
+        report = fixed_complements_check(p, complements_of(family.g), grid)
+        assert type(report) is DirectSumReport
+        assert report == direct_sum_criteria(family, grid)
 
 
 class TestDirectSumCriteria:

@@ -83,9 +83,11 @@ def test_code_lines_count_only_lines_with_code(tmp_path):
 
 
 def run_script(script, args):
+    """Run a script in its own interpreter, where a RuntimeWarning is an error
+    as it is in this suite's own process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )

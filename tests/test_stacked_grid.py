@@ -38,6 +38,7 @@ from genresolvent import (
     direct_sum_criteria,
     existence_check,
     factor,
+    finite_rank_criterion,
     fixed_complements_check,
     generalized_spectrum_scan,
     geninv_from_complements,
@@ -47,7 +48,6 @@ from genresolvent import (
     mp_resolvent_characterization,
     pinv_matrix,
     range_basis,
-    rank_profile,
     rectangular_region,
     subspace_from_columns,
 )
@@ -204,7 +204,7 @@ def test_resolvent_axiom_residuals(make, budget):
 def test_rank_profile(make, budget):
     p = make()
     grid = grid_for(p, 60)
-    profile = rank_profile(p, grid)
+    profile = finite_rank_criterion(p, grid).profile
     expected = [rank_marginal(p.at(lam)) for lam in grid.points]
     assert profile.ranks == tuple(r for r, _ in expected)
     assert profile.marginal == tuple(near for _, near in expected)
@@ -602,7 +602,8 @@ STAGE_RUNS = [
     # continuity_check ends with existence_check, a rank pass with one product
     pytest.param(lambda: pencil_for(3, 3, False), run_continuity, [6, 2], 0, id="continuity"),
     # shifted_pencil is invertible on the grid, so the screen certifies every chunk
-    pytest.param(shifted_pencil, rank_profile, [4], 1, id="rank-profile"),
+    pytest.param(shifted_pencil, lambda p, grid: finite_rank_criterion(p, grid).profile, [4], 1,
+                 id="rank-profile"),
     pytest.param(shifted_pencil, run_scan, [4], 1, id="spectrum-scan"),
     pytest.param(lambda: pencil_for(3, 3, False), run_existence, [2], 0, id="existence"),
     pytest.param(lambda: pencil_for(3, 3, False), run_direct_sums, [3], 0, id="direct-sums"),
