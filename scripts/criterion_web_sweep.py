@@ -4,10 +4,13 @@
 For each pencil the sweep evaluates four verdicts on a shared grid inside
 both convergence disks: rank constancy (which is also nullity and corank
 constancy), transversality for the pseudoinverse, transversality for a
-second inverse built from tilted complements, and the direct-sum
+second inverse built from randomly tilted complements, and the direct-sum
 splittings. The theory says they coincide; the sweep reports the empirical
 agreement table. Each pencil takes three grid passes: rank constancy is
-read off the ranks of the pseudoinverse's transversality pass.
+read off the ranks of the pseudoinverse's transversality pass. The pencils
+come from the test suite's generators:
+
+    PYTHONPATH=src:tests python3 scripts/criterion_web_sweep.py [--pencils N]
 """
 
 from __future__ import annotations
@@ -18,30 +21,14 @@ from collections import Counter
 import numpy as np
 
 from genresolvent import (
-    ComplementPair,
     RankConstancyReport,
     build_family,
     default_grid,
     direct_sum_criteria,
     existence_check,
-    geninv_from_complements,
-    kernel_basis,
     mp_inverse,
-    range_basis,
-    subspace_from_columns,
 )
-from instances import cgauss, framed
-
-
-def tilted_inverse(rng, t):
-    ker = kernel_basis(t)
-    row = range_basis(t.conj().T)
-    left = kernel_basis(t.conj().T)
-    rng_b = range_basis(t)
-    r = rng_b.dim
-    e = subspace_from_columns(row.basis + ker.basis @ (0.3 * cgauss(rng, (ker.dim, r))))
-    f = subspace_from_columns(left.basis + rng_b.basis @ (0.3 * cgauss(rng, (r, left.dim))))
-    return geninv_from_complements(t, ComplementPair(e, f))
+from helpers import framed_pencil, random_complement_inverse
 
 
 def main() -> int:
@@ -50,6 +37,12 @@ def main() -> int:
     parser.add_argument("--max-dim", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.pencils < 1:
+        parser.error("--pencils must be at least 1")
+    if args.max_dim < 2:
+        parser.error("--max-dim must be at least 2")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     rng = np.random.default_rng(args.seed)
     patterns: Counter[tuple[bool, ...]] = Counter()
@@ -59,9 +52,9 @@ def main() -> int:
         k = min(m, n)
         switched = bool(rng.uniform() < 0.5)
         rank = int(rng.integers(1, k if switched else k + 1))
-        pencil = framed(rng, m, n, rank, switched)
+        pencil = framed_pencil(rng, m, n, rank, switched)
         mp = build_family(pencil, mp_inverse(pencil.t))
-        alt = build_family(pencil, tilted_inverse(rng, pencil.t))
+        alt = build_family(pencil, random_complement_inverse(rng, pencil.t))
         grid = default_grid(0.5 * min(mp.radius, alt.radius), 25)
         transversal_mp = existence_check(mp, grid)
         patterns[(

@@ -5,8 +5,8 @@ Runs ``genresolvent.cli.main`` in-process on
 
 * every ordered pair of same-shape matrices in ``data/``: ``analyze``,
   ``mp-check``, ``perturb`` and ``spectrum --steps 21``;
-* seeded framed pencils (``instances.framed``, constant and switched
-  support): ``analyze`` and ``mp-check`` at ``--grid-points 25`` and at
+* seeded framed pencils (the test suite's ``helpers.framed_pencil``,
+  constant and switched support): ``analyze`` and ``mp-check`` at ``--grid-points 25`` and at
   ``--grid-points 60 --seed 3``;
 * each command with one non-default ``--rank-rtol``, ``--residual-tol`` or
   ``--gap-tol``, and each command with ``--out``;
@@ -31,7 +31,7 @@ the script runs. One line per command, ``<sha256>  <command>``, then
 ``<sha256>  total`` over all of them: two builds that print the same lines
 write byte-identical reports on these inputs.
 
-    PYTHONPATH=src python3 scripts/report_digests.py [--pencils N]
+    PYTHONPATH=src:tests python3 scripts/report_digests.py [--pencils N]
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from genresolvent import load_matrix, save_matrix
 from genresolvent.cli import main as cli_main
-from instances import framed, unitary
+from helpers import framed_pencil, unitary
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # (m, n); the larger ones cut the pairwise stage into several chunks
@@ -98,7 +98,7 @@ def data_commands() -> list[list[str]]:
 def framed_commands(pencils: int) -> list[list[str]]:
     commands = []
     for (m, n), switched, seed in itertools.product(SHAPES, (False, True), range(pencils)):
-        p = framed(np.random.default_rng([seed, m, n, int(switched)]), m, n,
+        p = framed_pencil(np.random.default_rng([seed, m, n, int(switched)]), m, n,
                    min(m, n) - 1, switched)
         stem = f"framed/{m}x{n}-{'switched' if switched else 'constant'}-{seed}"
         save_matrix(p.t, f"{stem}-t.json")
@@ -139,7 +139,7 @@ def spectrum_commands() -> list[list[str]]:
 def chunked_commands() -> list[list[str]]:
     commands = []
     for switched in (False, True):
-        p = framed(np.random.default_rng([0, 64, 64, int(switched)]), 64, 64, 63, switched)
+        p = framed_pencil(np.random.default_rng([0, 64, 64, int(switched)]), 64, 64, 63, switched)
         stem = f"framed/64x64-{'switched' if switched else 'constant'}"
         save_matrix(p.t, f"{stem}-t.json")
         save_matrix(p.s, f"{stem}-s.json")

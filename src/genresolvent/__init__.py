@@ -59,14 +59,12 @@ from .linalg import (
     kernel_basis,
     numerical_rank,
     op_norm2,
-    projector,
     range_basis,
     rank_and_marginal,
     relative_residual,
     solve,
     solve_right,
     subspace_from_columns,
-    subspace_gap,
     svd,
     zero_subspace,
 )
@@ -100,7 +98,6 @@ from .resolvent import (
     default_grid,
     direct_sum_criteria,
     evaluate,
-    evaluate_neumann,
     existence_check,
     fixed_complements_check,
     projector_family,

@@ -273,10 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pm)
 
     ps = _add_command(sub, "spectrum", "rank-drop locus over a rectangle, as CSV", cmd_spectrum)
-    ps.add_argument("--re-min", type=float, default=-3.0)
-    ps.add_argument("--re-max", type=float, default=3.0)
-    ps.add_argument("--im-min", type=float, default=-3.0)
-    ps.add_argument("--im-max", type=float, default=3.0)
+    # argparse reads a separate value such as -1e1 or -inf as a flag: the
+    # help names the --flag=value form, which reads any value
+    for bound, default in (("re-min", -3.0), ("re-max", 3.0), ("im-min", -3.0), ("im-max", 3.0)):
+        ps.add_argument(f"--{bound}", type=float, default=default,
+                        help=f"finite region bound (default {default:g}); give a negative "
+                             f"value as --{bound}=-1e1")
     ps.add_argument("--steps", type=int, default=61, help="points per axis")
     ps.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 

@@ -1,7 +1,7 @@
 """Dense complex linear algebra substrate.
 
-Factorizations, numerical rank, orthonormal subspace bases, projectors,
-spectral norms and subspace comparisons. Every operator in the package is a
+Factorizations, numerical rank, orthonormal subspace bases, spectral norms
+and subspace comparisons. Every operator in the package is a
 dense complex matrix (``numpy.ndarray`` of ``complex128``); this module owns
 the tolerance conventions the rest of the package inherits.
 
@@ -580,29 +580,6 @@ def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[fl
         if value > best or (value == best > 0.0 and position < best_position):
             best, best_position = value, position
     return best, best_position
-
-
-def projector(b: SubspaceBasis) -> np.ndarray:
-    """Orthogonal projector onto the subspace: basis @ basis^H."""
-    return b.basis @ np.conjugate(b.basis).T
-
-
-def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
-    """Gap ||P_M - P_N||_2 between two subspaces of the same ambient space.
-
-    Zero iff the subspaces are equal; equals the sine of the largest
-    principal angle when the dimensions match, clipped at 1, which rounding
-    can pass on near orthogonal subspaces, and exactly 1 when they differ.
-    """
-    if m.ambient_dim != n.ambient_dim:
-        raise ShapeMismatchError(
-            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
-        )
-    if m.dim != n.dim:
-        return 1.0
-    if m.ambient_dim == 0:
-        return 0.0
-    return min(op_norm2(projector(m) - projector(n)), 1.0)
 
 
 def split_ranks(

@@ -213,26 +213,6 @@ def evaluate(f: ResolventFamily, lam: complex, tol: TolerancePolicy = DEFAULT_TO
     return _evaluate_stack(f, np.array([lam]), tol)[0]
 
 
-def evaluate_neumann(f: ResolventFamily, lam: complex, terms: int) -> np.ndarray:
-    """Partial geometric sum of G(lam): sum_k lam^k tplus (s tplus)^k.
-
-    Exists solely as an independent cross-check of :func:`evaluate`; the
-    truncation error is bounded by ||tplus|| r^terms / (1-r) with
-    r = |lam| ||s tplus||.
-    """
-    if terms < 1:
-        raise ValueError("the partial sum needs at least one term")
-    lam = complex(lam)
-    _require_in_radius(f, lam)
-    term = f.g.tplus
-    total = term.copy()
-    step = lam * f.st_plus
-    for _ in range(terms - 1):
-        term = term @ step
-        total += term
-    return total
-
-
 def max_identity_residual(
     s: np.ndarray,
     scale: np.ndarray,

@@ -1,4 +1,5 @@
-"""Shared random-instance generators for the test suite.
+"""Random-instance generators and test references, shared by the test suite
+and the experiment scripts, which run with this directory on PYTHONPATH.
 
 Structured pencils are built in a common singular frame T = U D V^H,
 S = U E V^H so that the singular values of t - lam*s are |d_i - lam*e_i|
@@ -13,6 +14,12 @@ cutoff:
 Generic Gaussian instances (full-rank t) are also clean: inside the disk
 of convergence the rank can neither drop (outer-inverse argument) nor
 exceed min(m, n).
+
+The references at the end (subspace bases and gaps, the Neumann series of a
+resolvent family) are the definitions the package's own routes are checked
+against. This module imports from ``genresolvent`` only names that earlier
+commits also export: CI's report-digest job runs the scripts, and so this
+module, against the package of the base commit.
 """
 
 from __future__ import annotations
@@ -24,8 +31,12 @@ from genresolvent import (
     DEFAULT_TOL,
     GenInverse,
     Pencil,
+    ResolventFamily,
+    ShapeMismatchError,
+    SubspaceBasis,
     geninv_from_complements,
     kernel_basis,
+    op_norm2,
     range_basis,
     relative_residual,
     subspace_from_columns,
@@ -183,3 +194,47 @@ def reference_identity_max(s, scale, values, points, pairs):
         if res > best:
             best, worst = res, (i, j)
     return best, worst
+
+
+def span(*columns) -> SubspaceBasis:
+    """The subspace spanned by the given columns."""
+    return subspace_from_columns(np.column_stack([np.asarray(c, dtype=complex) for c in columns]))
+
+
+def projector(b: SubspaceBasis) -> np.ndarray:
+    """Orthogonal projector onto the subspace: basis @ basis^H."""
+    return b.basis @ np.conjugate(b.basis).T
+
+
+def subspace_gap(m: SubspaceBasis, n: SubspaceBasis) -> float:
+    """Gap ||P_M - P_N||_2 between two subspaces of the same ambient space.
+
+    Zero iff the subspaces are equal; equals the sine of the largest
+    principal angle when the dimensions match, clipped at 1, which rounding
+    can pass on near orthogonal subspaces, and exactly 1 when they differ.
+    """
+    if m.ambient_dim != n.ambient_dim:
+        raise ShapeMismatchError(
+            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
+        )
+    if m.dim != n.dim:
+        return 1.0
+    if m.ambient_dim == 0:
+        return 0.0
+    return min(op_norm2(projector(m) - projector(n)), 1.0)
+
+
+def evaluate_neumann(f: ResolventFamily, lam: complex, terms: int) -> np.ndarray:
+    """Partial geometric sum of G(lam): sum_k lam^k tplus (s tplus)^k, for
+    terms >= 1 and lam inside the disk of convergence.
+
+    The independent cross-check of ``evaluate``; the truncation error is
+    bounded by ||tplus|| r^terms / (1-r) with r = |lam| ||s tplus||.
+    """
+    term = f.g.tplus
+    total = term.copy()
+    step = complex(lam) * f.st_plus
+    for _ in range(terms - 1):
+        term = term @ step
+        total += term
+    return total

@@ -23,7 +23,6 @@ from genresolvent import (
     default_grid,
     direct_sum_criteria,
     evaluate,
-    evaluate_neumann,
     existence_check,
     finite_rank_criterion,
     invertibility_corollary,
@@ -37,6 +36,7 @@ from genresolvent import (
 )
 from helpers import (
     complex_gaussian,
+    evaluate_neumann,
     framed_pencil,
     generic_full_pencil,
     perturbation_instance,

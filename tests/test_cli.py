@@ -484,6 +484,21 @@ class TestSpectrumCommand:
         assert code == 0
         assert out != run(COMMANDS["spectrum"], capsys)[1]
 
+    def test_negative_bound_reads_in_either_form(self, capsys):
+        """A plain negative number may follow its flag; argparse takes a
+        separate -1e1 for a flag, but --re-min=-1e1 reads it as the number
+        and writes the CSV that --re-min -10 writes."""
+        code, out, err = run([*COMMANDS["spectrum"], "--re-min", "-10"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("-10.0,-3.0,")
+        assert run([*COMMANDS["spectrum"], "--re-min=-1e1"], capsys) == (0, out, "")
+
+    def test_negative_infinite_bound_exits_two(self, capsys):
+        code, out, err = run([*COMMANDS["spectrum"], "--re-min=-inf"], capsys)
+        assert (code, out) == (2, "")
+        assert "re_min" in err
+        assert err.count("\n") == 1
+
 
 class TestPerturbCommand:
     def test_generalized_case(self, capsys):

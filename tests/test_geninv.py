@@ -21,24 +21,24 @@ from genresolvent import (
     op_norm2,
     range_basis,
     relative_residual,
-    subspace_from_columns,
-    subspace_gap,
     user_supplied,
     verify_gen_inverse,
     verify_mp_axioms,
     zero_subspace,
 )
 from genresolvent.geninv import mp_axiom_deviations
-from helpers import complex_gaussian, random_complement_inverse, random_rank_matrix
+from helpers import (
+    complex_gaussian,
+    random_complement_inverse,
+    random_rank_matrix,
+    span,
+    subspace_gap,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
 T_RANK1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 B_OBLIQUE = np.array([[1.0, 0.0], [1.0, 0.0]])
-
-
-def span(*columns):
-    return subspace_from_columns(np.column_stack([np.asarray(c, dtype=complex) for c in columns]))
 
 
 class TestMoorePenrose:

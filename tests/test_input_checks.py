@@ -17,7 +17,6 @@ from genresolvent import (
     check_resolvent_axioms,
     continuity_check,
     default_grid,
-    evaluate_neumann,
     fixed_complements_check,
     full_subspace,
     geninv_from_complements,
@@ -63,8 +62,6 @@ CHECKS = [
                  ValueError, "ambient dimension must be non-negative", id="SubspaceBasis"),
     pytest.param(lambda: default_grid(1.0, 0),
                  ValueError, "at least one point", id="default_grid"),
-    pytest.param(lambda: evaluate_neumann(build_family(PENCIL, mp_inverse(PENCIL.t)), 0.1, 0),
-                 ValueError, "at least one term", id="evaluate_neumann"),
     pytest.param(lambda: RankProfile((0j, 0.5), (1,), (1,), (1,), (False,)),
                  ValueError, "equal length", id="RankProfile"),
     pytest.param(lambda: rectangular_region(0.0, math.inf, 0.0, 1.0, 3),

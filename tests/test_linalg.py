@@ -23,7 +23,6 @@ from genresolvent import (
     rank_and_marginal,
     solve,
     subspace_from_columns,
-    subspace_gap,
     svd,
     zero_subspace,
 )
@@ -36,13 +35,9 @@ from genresolvent.linalg import (
     split_ranks,
     split_verdicts,
 )
-from helpers import complex_gaussian, random_rank_matrix, unitary
+from helpers import complex_gaussian, random_rank_matrix, span, subspace_gap, unitary
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def span(*columns) -> SubspaceBasis:
-    return subspace_from_columns(np.column_stack([np.asarray(c, dtype=complex) for c in columns]))
 
 
 E1 = span([1, 0])

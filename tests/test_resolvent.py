@@ -21,7 +21,6 @@ from genresolvent import (
     default_grid,
     direct_sum_criteria,
     evaluate,
-    evaluate_neumann,
     existence_check,
     fixed_complements_check,
     full_subspace,
@@ -31,18 +30,18 @@ from genresolvent import (
     pinv_matrix,
     projector_family,
     range_basis,
-    subspace_from_columns,
-    subspace_gap,
     zero_subspace,
 )
 from genresolvent.resolvent import max_identity_residual
-from helpers import framed_pencil, random_complement_inverse
+from helpers import (
+    evaluate_neumann,
+    framed_pencil,
+    random_complement_inverse,
+    span,
+    subspace_gap,
+)
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def span(*columns):
-    return subspace_from_columns(np.column_stack([np.asarray(c, dtype=complex) for c in columns]))
 
 
 # constant family: s @ tplus = 0, G(lam) = tplus for every lam

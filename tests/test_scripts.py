@@ -1,8 +1,9 @@
 """Smoke test of the experiment scripts at small sizes.
 
-Each script runs in its own interpreter, as from the command line, and must
-exit 0 with every criterion agreeing; the report digests must repeat, and
-the rank-drop script's CSV must equal the CLI's.
+Each script runs in its own interpreter, as from the command line, with
+``src`` and ``tests`` on PYTHONPATH, and must exit 0 with every criterion
+agreeing; the report digests must repeat, and a sweep given arguments under
+which it would check nothing or crash exits 2 with one error line.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from genresolvent.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("criterion_web_sweep.py", ["--pencils", "20"], "instances with internal disagreement: 0"),
         ("perturbation_sweep.py", ["--instances", "30"], "four-way agreement:        30/30"),
-        ("rank_drop_scan.py", ["--steps", "25"], "drop points:     2"),
     ],
 )
 def test_script_runs(script, args, expected):
@@ -45,15 +43,25 @@ def test_report_digests_repeat():
     assert len({line.split()[0] for line in lines}) > len(lines) // 2
 
 
-def test_rank_drop_scan_csv_equals_cli_spectrum(tmp_path):
-    """The script's --out CSV is the same bytes as genresolvent spectrum --out."""
-    pencil = [str(ROOT / "data" / "diag12.json"), str(ROOT / "data" / "eye2.json")]
-    script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
-    done = run_script("rank_drop_scan.py", [*pencil, "--steps", "9", "--out", str(script_csv)])
-    assert done.returncode == 0, done.stderr
-    assert main(["spectrum", *pencil, "--steps", "9", "--out", str(cli_csv)]) == 0
-    assert script_csv.read_bytes() == cli_csv.read_bytes()
-    assert script_csv.read_text().startswith("re,im,rank,is_drop\n")
+@pytest.mark.parametrize(
+    "script,args,named",
+    [
+        ("criterion_web_sweep.py", ["--pencils", "0"], "--pencils"),
+        ("criterion_web_sweep.py", ["--seed", "-1"], "--seed"),
+        ("criterion_web_sweep.py", ["--max-dim", "1"], "--max-dim"),
+        ("perturbation_sweep.py", ["--instances", "0"], "--instances"),
+        ("perturbation_sweep.py", ["--seed", "-1"], "--seed"),
+    ],
+)
+def test_sweep_rejects_arguments_that_check_nothing_or_crash(script, args, named):
+    """No pencils or instances would pass the gate unchecked, and a negative
+    seed or a dimension bound under 2 would end in a traceback: each exits 2
+    with one error line naming the flag, after the usage."""
+    done = run_script(script, args)
+    assert (done.returncode, done.stdout) == (2, "")
+    error = done.stderr.splitlines()[-1]
+    assert error.startswith(f"{script}: error: {named} ")
+    assert "Traceback" not in done.stderr
 
 
 def test_code_lines_count_only_lines_with_code(tmp_path):
@@ -86,7 +94,9 @@ def run_script(script, args):
     """Run a script in its own interpreter, where a RuntimeWarning is an error
     as it is in this suite's own process."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")])
+    )
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,

@@ -30,6 +30,7 @@ from genresolvent import (
     InvalidFamilyError,
     Pencil,
     SingularSystemError,
+    SubspaceBasis,
     TolerancePolicy,
     build_family,
     check_resolvent_axioms,
@@ -57,6 +58,7 @@ from helpers import (
     complex_gaussian,
     framed_pencil,
     generic_full_pencil,
+    projector,
     random_complement_inverse,
     random_rank_matrix,
     unitary,
@@ -121,10 +123,6 @@ def gaps(a_factor, t_factor):
     kernel = 0.0 if np.array_equal(vh, v0) else min(norm2(v0[:r] @ vh[r:].conj().T), 1.0)
     rng = 0.0 if np.array_equal(u, u0) else min(norm2(u0[:, r:].conj().T @ u[:, :r]), 1.0)
     return kernel, rng
-
-
-def projector(basis):
-    return basis @ basis.conj().T
 
 
 def meets_trivially(m, n, tol=DEFAULT_TOL):
@@ -287,7 +285,9 @@ def test_mp_gaps_against_their_projectors(make, seed):
             assert kernel == rng == 1.0
         else:
             for gap, space in ((kernel, "kernel"), (rng, "range")):
-                definition = norm2(projector(a_factor[space]) - projector(t_factor[space]))
+                a_space, t_space = (SubspaceBasis(len(f[space]), f[space])
+                                    for f in (a_factor, t_factor))
+                definition = norm2(projector(a_space) - projector(t_space))
                 assert abs(gap - definition) <= slack, (lam, space)
 
 
