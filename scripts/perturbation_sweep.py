@@ -52,7 +52,9 @@ def main() -> int:
     print(f"instances:                 {args.instances}")
     print(f"four-way agreement:        {agree}/{args.instances}")
     print(f"generalized outcomes:      {generalized}")
-    print(f"worst deviation / bound:   {worst_bound_quotient:.4f} (must be <= 1)")
+    # at full precision: a rounded 0.999997 would print as the gate value 1
+    print(f"worst deviation / bound:   {worst_bound_quotient!r} "
+          f"(margin {1.0 - worst_bound_quotient!r}, must be <= 1)")
     return 0 if agree == args.instances and worst_bound_quotient <= 1.0 else 1
 
 

@@ -56,15 +56,12 @@ from .linalg import (
     as_matrix,
     factor,
     full_subspace,
-    kernel_basis,
     numerical_rank,
     op_norm2,
-    range_basis,
     rank_and_marginal,
     relative_residual,
     solve,
     solve_right,
-    subspace_from_columns,
     svd,
     zero_subspace,
 )

@@ -7,8 +7,10 @@ R(T) and Q = B T along N(T), and hence the direct sums
     domain  = N(T) + R(B),      codomain = N(B) + R(T).
 
 Conversely a choice of complements (E for N(T), F for R(T)) determines a
-unique generalized inverse with R(B) = E, N(B) = F; the Moore-Penrose
-inverse is the choice of orthogonal complements.
+unique generalized inverse with R(B) = E, N(B) = F, given by Urquhart's
+formula B = E (F_perp^H T E)^-1 F_perp^H for bases E of E and F_perp of
+F's orthogonal complement; the Moore-Penrose inverse is the choice of
+orthogonal complements.
 """
 
 from __future__ import annotations
@@ -196,11 +198,24 @@ class ComplementPair:
 
     e lives in the domain and complements N(t); f lives in the codomain and
     complements R(t). Validity is relative to t and is checked where the
-    pair is consumed.
+    pair is consumed; :meth:`bases` is the one check of a pair's ambient
+    dimensions.
     """
 
     e: SubspaceBasis
     f: SubspaceBasis
+
+    def bases(self, shape: tuple[int, int], tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal bases of e and of f's orthogonal complement, for an
+        operator of the given (m, n) shape; raises ShapeMismatchError unless
+        e lies in C^n and f in C^m."""
+        m, n = shape
+        if self.e.ambient_dim != n or self.f.ambient_dim != m:
+            raise ShapeMismatchError(
+                f"complements have ambient ({self.e.ambient_dim}, {self.f.ambient_dim}), "
+                f"operator needs ({n}, {m})"
+            )
+        return self.e.basis, factor(self.f.basis.conj().T, tol).kernel.basis
 
 
 def geninv_from_complements(
@@ -208,37 +223,21 @@ def geninv_from_complements(
 ) -> GenInverse:
     """The generalized inverse determined by complements of N(t) and R(t).
 
-    t restricted to e is a bijection onto R(t); the inverse composes that
-    bijection's inverse with the projector onto R(t) along f, yielding the
-    unique generalized inverse with range e and kernel f. Solving the square
-    restricted system avoids ever inverting the rank-deficient t itself.
+    Urquhart's formula tplus = E (F_perp^H t E)^-1 F_perp^H, with E a basis
+    of e and F_perp one of f's orthogonal complement: the unique generalized
+    inverse with range e and kernel f. Once both splits hold, F_perp^H t E
+    is square and invertible, so the inverse costs one r x r solve.
     """
     t = as_matrix(t)
-    m, n = t.shape
-    if c.e.ambient_dim != n or c.f.ambient_dim != m:
-        raise ShapeMismatchError(
-            f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
-            f"operator needs ({n}, {m})"
-        )
-    f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
-    split = split_ranks(t[None], c.e.basis, f_perp, tol)
+    e, f_perp = c.bases(t.shape, tol)
+    split = split_ranks(t[None], e, f_perp, tol)
     _, domain, codomain = split_verdicts(split, c.e.dim, f_perp.shape[1])
     if not domain[0]:
         raise InvalidComplementError("domain split failed: N(t) + e is not the whole domain")
     if not codomain[0]:
         raise InvalidComplementError("codomain split failed: R(t) + f is not the whole codomain")
-    # rank(t) == dim e: the split just checked decided the rank
-    r = c.e.dim
-    if r == 0:
-        tplus = np.zeros((n, m), dtype=np.complex128)
-    else:
-        rng = factor(t, tol).u[:, :r]
-        # coordinates of the projector onto R(t) along f: top block of [R|F]^-1
-        stacked = np.hstack([rng, c.f.basis])
-        coords = solve(stacked, np.eye(m, dtype=np.complex128), tol)[:r]
-        # t restricted to e, expressed in R(t) coordinates; square by the split
-        restricted = rng.conj().T @ (t @ c.e.basis)
-        tplus = c.e.basis @ solve(restricted, coords, tol)
+    f_perp_h = f_perp.conj().T
+    tplus = e @ solve(f_perp_h @ t @ e, f_perp_h, tol)
     return _checked(t, tplus, InverseKind.FROM_COMPLEMENTS, tol)
 
 

@@ -1,9 +1,10 @@
 """Dense complex linear algebra substrate.
 
-Factorizations, numerical rank, orthonormal subspace bases, spectral norms
-and subspace comparisons. Every operator in the package is a
-dense complex matrix (``numpy.ndarray`` of ``complex128``); this module owns
-the tolerance conventions the rest of the package inherits.
+Factorizations, numerical rank, orthonormal subspace bases (each a view of
+one :func:`factor`), spectral norms and subspace comparisons. Every
+operator in the package is a dense complex matrix (``numpy.ndarray`` of
+``complex128``); this module owns the tolerance conventions the rest of
+the package inherits.
 
 :func:`split_ranks` is the one values-only rank kernel of the package.
 It gives the numerical rank of A, its marginal flag and, against the same
@@ -229,11 +230,6 @@ def full_subspace(ambient_dim: int) -> SubspaceBasis:
     return SubspaceBasis(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
 
-def subspace_from_columns(columns, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the span of arbitrary (possibly dependent) columns."""
-    return factor(columns, tol).range
-
-
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full singular value decomposition a = u @ diag(s) @ vh.
 
@@ -452,16 +448,6 @@ def factors(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Factors:
 def factor(a, tol: TolerancePolicy = DEFAULT_TOL) -> Factor:
     """Full SVD of a with the shared rank cutoff applied."""
     return factors(as_matrix(a)[None], tol)[0]
-
-
-def kernel_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the null space N(a)."""
-    return factor(a, tol).kernel
-
-
-def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the range R(a)."""
-    return factor(a, tol).range
 
 
 def op_norms2(stack: np.ndarray) -> np.ndarray:

@@ -87,10 +87,10 @@ def matrix_payload(a) -> dict:
     payload = {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "re": [[float(v.real) for v in row] for row in a],
+        "re": a.real.tolist(),
     }
     if np.any(a.imag):
-        payload["im"] = [[float(v.imag) for v in row] for row in a]
+        payload["im"] = a.imag.tolist()
     return payload
 
 

@@ -733,14 +733,7 @@ def fixed_complements_check(
     p: Pencil, c: ComplementPair, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
 ) -> DirectSumReport:
     """Check domain = N(t-lam s) + e and codomain = R(t-lam s) + f on the grid."""
-    m, n = p.shape
-    if c.e.ambient_dim != n or c.f.ambient_dim != m:
-        raise ShapeMismatchError(
-            f"complements have ambient ({c.e.ambient_dim}, {c.f.ambient_dim}), "
-            f"pencil needs ({n}, {m})"
-        )
-    f_perp = factor(c.f.basis.conj().T, tol).kernel.basis
-    return _direct_sums(p, grid, tol, c.e.basis, f_perp)
+    return _direct_sums(p, grid, tol, *c.bases(p.shape, tol))
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,10 @@ from genresolvent import (
     ResolventFamily,
     ShapeMismatchError,
     SubspaceBasis,
+    factor,
     geninv_from_complements,
-    kernel_basis,
     op_norm2,
-    range_basis,
     relative_residual,
-    subspace_from_columns,
 )
 
 
@@ -102,24 +100,27 @@ def random_rank_matrix(rng: np.random.Generator, m: int, n: int, rank: int) -> n
     return u @ rect_diag(m, n, d) @ v.conj().T
 
 
-def random_complement_inverse(
+def random_complements(
     rng: np.random.Generator, t: np.ndarray, scale: float = 0.3, tol=DEFAULT_TOL
-) -> GenInverse:
-    """A generalized inverse from randomly tilted complements of N(t), R(t)."""
-    ker = kernel_basis(t, tol)
-    row = range_basis(t.conj().T, tol)
-    left_null = kernel_basis(t.conj().T, tol)
-    rng_basis = range_basis(t, tol)
+) -> ComplementPair:
+    """Complements of N(t) and R(t), the orthogonal ones tilted toward N(t)
+    and R(t) by Gaussian factors of the given scale."""
+    t_factor, th_factor = factor(t, tol), factor(t.conj().T, tol)
+    ker, rng_basis = t_factor.kernel, t_factor.range
+    row, left_null = th_factor.range, th_factor.kernel
     r = rng_basis.dim
     n = t.shape[1]
     m = t.shape[0]
     e_cols = row.basis + ker.basis @ (scale * complex_gaussian(rng, (n - r, r)))
     f_cols = left_null.basis + rng_basis.basis @ (scale * complex_gaussian(rng, (r, m - r)))
-    pair = ComplementPair(
-        e=subspace_from_columns(e_cols, tol),
-        f=subspace_from_columns(f_cols, tol),
-    )
-    return geninv_from_complements(t, pair, tol)
+    return ComplementPair(e=factor(e_cols, tol).range, f=factor(f_cols, tol).range)
+
+
+def random_complement_inverse(
+    rng: np.random.Generator, t: np.ndarray, scale: float = 0.3, tol=DEFAULT_TOL
+) -> GenInverse:
+    """A generalized inverse from randomly tilted complements of N(t), R(t)."""
+    return geninv_from_complements(t, random_complements(rng, t, scale, tol), tol)
 
 
 def perturbation_instance(rng: np.random.Generator, case: str):
@@ -198,7 +199,7 @@ def reference_identity_max(s, scale, values, points, pairs):
 
 def span(*columns) -> SubspaceBasis:
     """The subspace spanned by the given columns."""
-    return subspace_from_columns(np.column_stack([np.asarray(c, dtype=complex) for c in columns]))
+    return factor(np.column_stack([np.asarray(c, dtype=complex) for c in columns])).range
 
 
 def projector(b: SubspaceBasis) -> np.ndarray:

@@ -31,6 +31,7 @@ from genresolvent import (
     direct_sum_criteria,
     existence_check,
     fixed_complements_check,
+    geninv_from_complements,
     invertibility_corollary,
     mp_inverse,
     mp_resolvent_characterization,
@@ -43,7 +44,14 @@ from genresolvent import criteria, resolvent
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.linalg import SCREEN_LIVE, chunks
-from helpers import framed_pencil, normal_pencil, off_lattice, perturbation_instance
+from helpers import (
+    framed_pencil,
+    normal_pencil,
+    off_lattice,
+    perturbation_instance,
+    random_complements,
+    random_rank_matrix,
+)
 
 
 @pytest.fixture
@@ -111,6 +119,28 @@ def test_splitting_checks_factor_each_operator_once(svds):
     splitting_checks(tbar, g)
     assert svds["full"] <= 1
     assert svds["full_matrices"] <= 1
+
+
+def test_inverse_of_complements_takes_one_factor_and_one_solve_of_size_r(svds, monkeypatch):
+    """Urquhart's formula e (f_perp^H t e)^-1 f_perp^H: the one full SVD is
+    of f^H, for f_perp, and the one solve is r x r (the construction through
+    the stack [R(t) | f] took 2 full SVDs and an m x m solve besides)."""
+    rng = np.random.default_rng(6)
+    t = random_rank_matrix(rng, 8, 6, 4)
+    c = random_complements(rng, t)
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    reset(svds)
+    geninv_from_complements(t, c)
+    assert svds["full"] <= 1
+    assert svds["full_matrices"] <= 1
+    assert shapes == [(4, 4)]
 
 
 def test_invertibility_corollary_factors_each_point_once(svds):

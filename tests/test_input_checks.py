@@ -52,7 +52,7 @@ CHECKS = [
     pytest.param(lambda: transversal(np.eye(3), mp_inverse(EYE2)),
                  ShapeMismatchError, "perturbed operator shape (3, 3)", id="transversal"),
     pytest.param(lambda: fixed_complements_check(PENCIL, MISPLACED, default_grid(0.5, 9)),
-                 ShapeMismatchError, "pencil needs (2, 2)", id="fixed_complements_check"),
+                 ShapeMismatchError, "operator needs (2, 2)", id="fixed_complements_check"),
     pytest.param(lambda: continuity_check(PENCIL, lambda lam: np.ones((2, 3)),
                                           default_grid(0.5, 9)),
                  ShapeMismatchError, "must have shape (2, 2), got (2, 3)", id="continuity_check"),

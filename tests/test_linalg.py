@@ -15,14 +15,11 @@ from genresolvent import (
     as_matrix,
     factor,
     full_subspace,
-    kernel_basis,
     numerical_rank,
     op_norm2,
     pinv_matrix,
-    range_basis,
     rank_and_marginal,
     solve,
-    subspace_from_columns,
     svd,
     zero_subspace,
 )
@@ -124,23 +121,22 @@ class TestRank:
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(0, min(m, n) + 1))
         a = random_rank_matrix(rng, m, n, rank)
-        assert numerical_rank(a) + kernel_basis(a).dim == n
+        assert numerical_rank(a) + factor(a).kernel.dim == n
 
 
 class TestSubspaces:
     def test_kernel_range_diagonal(self):
         a = np.diag([1.0, 0.0])
-        assert subspace_gap(kernel_basis(a), E2) <= 1e-12
-        assert subspace_gap(range_basis(a), E1) <= 1e-12
+        assert subspace_gap(factor(a).kernel, E2) <= 1e-12
+        assert subspace_gap(factor(a).range, E1) <= 1e-12
 
     def test_invertible_has_trivial_kernel(self):
         a = complex_gaussian(np.random.default_rng(1), (4, 4))
-        assert kernel_basis(a).dim == 0
-        assert range_basis(a).dim == 4
+        assert factor(a).kernel.dim == 0
+        assert factor(a).range.dim == 4
 
     def test_rank_one_symmetric(self):
-        ker = kernel_basis(DIAG_HALVES)
-        rng_b = range_basis(DIAG_HALVES)
+        ker, rng_b = factor(DIAG_HALVES).kernel, factor(DIAG_HALVES).range
         assert subspace_gap(ker, span([1, -1])) <= 1e-12
         assert subspace_gap(rng_b, span([1, 1])) <= 1e-12
         assert op_norm2(DIAG_HALVES @ ker.basis) <= 1e-12
@@ -204,9 +200,9 @@ def test_empty_and_zero_matrices(shape):
     """The kernel of 0x3 is all of C^3, the range of 3x0 is {0} in C^3, and so on."""
     a = np.zeros(shape)
     kernel, rng = EMPTY_AND_ZERO[shape]
-    assert (kernel_basis(a).ambient_dim, kernel_basis(a).dim) == kernel
-    assert (range_basis(a).ambient_dim, range_basis(a).dim) == rng
-    assert (subspace_from_columns(a).ambient_dim, subspace_from_columns(a).dim) == rng
+    a_factor = factor(a)
+    assert (a_factor.kernel.ambient_dim, a_factor.kernel.dim) == kernel
+    assert (a_factor.range.ambient_dim, a_factor.range.dim) == rng
     b = pinv_matrix(a)
     assert b.shape == shape[::-1]
     assert not np.any(b)
@@ -310,7 +306,7 @@ class TestGap:
         unequal = 0
         for _ in range(300):
             n = int(rng.integers(2, 9))
-            a, b = (subspace_from_columns(complex_gaussian(rng, (n, int(rng.integers(0, n + 1)))))
+            a, b = (factor(complex_gaussian(rng, (n, int(rng.integers(0, n + 1))))).range
                     for _ in range(2))
             if a.dim != b.dim:
                 unequal += 1
@@ -338,7 +334,7 @@ class TestGap:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         subs = [
-            range_basis(random_rank_matrix(rng, n, n, int(rng.integers(0, n + 1))))
+            factor(random_rank_matrix(rng, n, n, int(rng.integers(0, n + 1)))).range
             for _ in range(3)
         ]
         a, b, c = subs
@@ -391,8 +387,8 @@ class TestIntersectionAndSums:
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
-        a = range_basis(random_rank_matrix(rng, n, n, int(rng.integers(0, n + 1))))
-        b = range_basis(random_rank_matrix(rng, n, n, int(rng.integers(0, n + 1))))
+        a = factor(random_rank_matrix(rng, n, n, int(rng.integers(0, n + 1)))).range
+        b = factor(random_rank_matrix(rng, n, n, int(rng.integers(0, n + 1)))).range
         assert intersection_trivial(a, b) == intersection_trivial(b, a)
 
     def test_direct_sum_standard_axes(self):
@@ -417,14 +413,13 @@ class TestIntersectionAndSums:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n))
-        a = subspace_from_columns(complex_gaussian(rng, (n, k)))
-        b = subspace_from_columns(
-            kernel_basis(a.basis.conj().T).basis
-            + a.basis @ (0.3 * complex_gaussian(rng, (k, n - k)))
-        )
+        a = factor(complex_gaussian(rng, (n, k))).range
+        b = factor(
+            factor(a.basis.conj().T).kernel.basis + a.basis @ (0.3 * complex_gaussian(rng, (k, n - k)))
+        ).range
         assert direct_sum_check(a, b)
         assert direct_sum_check(b, a)
-        assert not direct_sum_check(a, subspace_from_columns(b.basis[:, 1:]))
+        assert not direct_sum_check(a, factor(b.basis[:, 1:]).range)
 
     def test_split_ranks_of_a_stack(self):
         # A = diag(1, 0, 2) and the zero matrix; right = e1 + e2, left = (e2, e3)

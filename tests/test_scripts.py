@@ -31,6 +31,19 @@ def test_script_runs(script, args, expected):
     assert expected in done.stdout
 
 
+def test_perturbation_sweep_prints_its_gate_value_unrounded():
+    """The printed quotient reads back as the float the gate compared, its
+    margin 1 - q is printed beside it, and it is at most 1 whenever the
+    sweep exits 0."""
+    done = run_script("perturbation_sweep.py", ["--instances", "30"])
+    (line,) = [line for line in done.stdout.splitlines() if line.startswith("worst deviation / bound:")]
+    printed = line.split(":", 1)[1].split()[0]
+    quotient = float(printed)
+    assert repr(quotient) == printed
+    assert f"(margin {1.0 - quotient!r}, must be <= 1)" in line
+    assert done.returncode != 0 or quotient <= 1.0
+
+
 def test_report_digests_repeat():
     """Two runs print the same digest per command and the same total."""
     runs = [run_script("report_digests.py", ["--pencils", "1"]) for _ in range(2)]

@@ -44,13 +44,10 @@ from genresolvent import (
     generalized_spectrum_scan,
     geninv_from_complements,
     invertibility_corollary,
-    kernel_basis,
     mp_inverse,
     mp_resolvent_characterization,
     pinv_matrix,
-    range_basis,
     rectangular_region,
-    subspace_from_columns,
 )
 from genresolvent import linalg, resolvent
 from genresolvent.linalg import EPS, NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
@@ -327,7 +324,7 @@ def stacked_route(a, e, f, tol=DEFAULT_TOL):
 
 
 def basis(columns):
-    return subspace_from_columns(columns).basis
+    return factor(columns).range.basis
 
 
 def subspace_case(rng, kind):
@@ -355,8 +352,9 @@ def subspace_case(rng, kind):
         e = basis(complex_gaussian(rng, (n, int(rng.integers(0, n + 1)))))
         f = basis(complex_gaussian(rng, (m, int(rng.integers(0, m + 1)))))
         return a, e, f
-    kernel, rng_a = kernel_basis(a).basis, range_basis(a).basis
-    row, left_null = range_basis(a.conj().T).basis, kernel_basis(a.conj().T).basis
+    a_factor, ah_factor = factor(a), factor(a.conj().T)
+    kernel, rng_a = a_factor.kernel.basis, a_factor.range.basis
+    row, left_null = ah_factor.range.basis, ah_factor.kernel.basis
     tilts = 10.0 ** rng.uniform(-2.0, 17.0, 2)
     e = basis(row + kernel @ (tilts[0] * complex_gaussian(rng, (kernel.shape[1], row.shape[1]))))
     f = basis(left_null + rng_a @ (tilts[1] * complex_gaussian(rng, (rng_a.shape[1], left_null.shape[1]))))
@@ -436,7 +434,8 @@ def test_a_kernel_is_not_its_own_complement(budget):
     rng = np.random.default_rng(8)
     u, v = unitary(rng, 4), unitary(rng, 4)
     p = Pencil(u @ np.diag([1.0, 0.5, 0, 0]) @ v.conj().T, u @ np.diag([0.5, 0.3, 0, 0]) @ v.conj().T)
-    c = ComplementPair(kernel_basis(p.t), range_basis(p.t))
+    t_factor = factor(p.t)
+    c = ComplementPair(t_factor.kernel, t_factor.range)
     noise = np.linalg.svd(p.t @ c.e.basis, compute_uv=False)
     assert 0 < noise[-1] and noise[0] < 1e-14
     grid = grid_for(p)
