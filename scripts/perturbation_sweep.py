@@ -17,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from genresolvent import mp_inverse, op_norm2, splitting_checks
+from genresolvent import mp_inverse, op_norm2, perturbed_inverse
 from helpers import perturbation_instance
 
 
@@ -39,10 +39,9 @@ def main() -> int:
         case = ("aligned", "switched", "full")[i % 3]
         t, tbar = perturbation_instance(rng, case)
         g = mp_inverse(t)
-        checks = splitting_checks(tbar, g)
-        result = checks.result
-        agree += checks.agree
-        generalized += checks.b_is_generalized
+        result = perturbed_inverse(g, tbar)
+        agree += result.agree
+        generalized += result.b_is_generalized
         bound = op_norm2(g.tplus) ** 2 * op_norm2(tbar - t) / (1 - result.smallness)
         if bound > 0:
             worst_bound_quotient = max(

@@ -68,13 +68,10 @@ from .linalg import (
 from .matio import load_matrix, matrix_payload, save_matrix, scan_csv
 from .perturbation import (
     EquivalenceReport,
-    PerturbationClass,
     PerturbationResult,
-    SplittingChecks,
     equivalence_check,
     perturbed_inverse,
     smallness_of,
-    splitting_checks,
     transversal,
 )
 from .resolvent import (

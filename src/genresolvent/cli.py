@@ -31,7 +31,7 @@ from .errors import GenResolventError, PerturbationTooLargeError
 from .geninv import mp_inverse
 from .linalg import TolerancePolicy
 from .matio import file_digest, load_matrix, matrix_payload, report_text, scan_csv
-from .perturbation import splitting_checks
+from .perturbation import perturbed_inverse
 from .resolvent import (
     DiskGrid,
     Pencil,
@@ -233,11 +233,10 @@ def cmd_perturb(args) -> int:
     started = time.perf_counter()
     g = mp_inverse(t, tol)
     try:
-        checks = splitting_checks(tbar, g, tol)
+        result = perturbed_inverse(g, tbar, tol)
     except PerturbationTooLargeError as exc:
         print(f"perturb: {exc}", file=sys.stderr)
         return 1
-    result = checks.result
     body = {
         "b": matrix_payload(result.b),
         "classification": result.classification.value,
@@ -245,11 +244,11 @@ def cmd_perturb(args) -> int:
         "inner_residual": result.inner_residual,
         "outer_residual": result.outer_residual,
         "splitting_checks": {
-            "b_is_generalized": checks.b_is_generalized,
-            "transversal": checks.transversal,
-            "codomain_splits": checks.codomain_splits,
-            "domain_splits": checks.domain_splits,
-            "agree": checks.agree,
+            "b_is_generalized": result.b_is_generalized,
+            "transversal": result.transversal,
+            "codomain_splits": result.codomain_splits,
+            "domain_splits": result.domain_splits,
+            "agree": result.agree,
         },
     }
     return _emit(args, {"t": args.t_path, "tbar": args.tbar_path}, tol, body, 0, started)

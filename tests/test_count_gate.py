@@ -38,7 +38,6 @@ from genresolvent import (
     perturbed_inverse,
     pinv_matrix,
     save_matrix,
-    splitting_checks,
 )
 from genresolvent import criteria, resolvent
 from genresolvent.cli import main
@@ -111,14 +110,17 @@ def test_per_point_stages_factor_each_point_once(svds, switched):
         assert svds["full_matrices"] <= matrices, name
 
 
-def test_splitting_checks_factor_each_operator_once(svds):
-    """Only tplus is factored with bases; tbar is ranked values-only."""
-    t, tbar = perturbation_instance(np.random.default_rng(6), "aligned")
+@pytest.mark.parametrize("case", ["aligned", "switched", "full"])
+def test_perturbed_inverse_factors_each_operator_once(svds, case):
+    """Only tplus is factored with bases; tbar is ranked values-only, and the
+    norms, residuals and three rank verdicts take 12 SVD calls in all."""
+    t, tbar = perturbation_instance(np.random.default_rng(6), case)
     g = mp_inverse(t)
     reset(svds)
-    splitting_checks(tbar, g)
+    perturbed_inverse(g, tbar)
     assert svds["full"] <= 1
     assert svds["full_matrices"] <= 1
+    assert svds["all"] <= 12
 
 
 def test_inverse_of_complements_takes_one_factor_and_one_solve_of_size_r(svds, monkeypatch):

@@ -17,6 +17,7 @@ from genresolvent import (
     check_resolvent_axioms,
     continuity_check,
     default_grid,
+    equivalence_check,
     fixed_complements_check,
     full_subspace,
     geninv_from_complements,
@@ -35,7 +36,8 @@ PENCIL = Pencil(np.diag([1.0, 0.0]), EYE2)
 MISPLACED = ComplementPair(e=full_subspace(3), f=zero_subspace(2))
 # the identity of PENCIL's family is decided by its bound, that of its
 # pseudoinverses on pairs: all of them up to 40 points, a seeded draw beyond
-FAMILY = build_family(PENCIL, mp_inverse(PENCIL.t))
+G_DIAG = mp_inverse(PENCIL.t)
+FAMILY = build_family(PENCIL, G_DIAG)
 SEEDED = [
     pytest.param(lambda points: check_resolvent_axioms(FAMILY, default_grid(0.5, points), seed=-1),
                  id="check_resolvent_axioms"),
@@ -51,6 +53,17 @@ CHECKS = [
                  ShapeMismatchError, "operator needs (2, 2)", id="geninv_from_complements"),
     pytest.param(lambda: transversal(np.eye(3), mp_inverse(EYE2)),
                  ShapeMismatchError, "perturbed operator shape (3, 3)", id="transversal"),
+    # tbar's shape is checked before ||tbar - t|| is taken, where a (1, 2)
+    # tbar broadcasts against t; no deviation exceeds a NaN bound
+    pytest.param(lambda: equivalence_check(np.array([[5.0, 5.0]]), G_DIAG, G_DIAG, 0.1),
+                 ShapeMismatchError, "perturbed operator shape (1, 2) != (2, 2)",
+                 id="equivalence_check-broadcast"),
+    pytest.param(lambda: equivalence_check(np.eye(3), G_DIAG, G_DIAG, 0.1),
+                 ShapeMismatchError, "perturbed operator shape (3, 3) != (2, 2)",
+                 id="equivalence_check-shape"),
+    pytest.param(lambda: equivalence_check(PENCIL.t, G_DIAG, G_DIAG, math.nan),
+                 ValueError, "perturbation_bound must be a number or inf, got nan",
+                 id="equivalence_check-nan-bound"),
     pytest.param(lambda: fixed_complements_check(PENCIL, MISPLACED, default_grid(0.5, 9)),
                  ShapeMismatchError, "operator needs (2, 2)", id="fixed_complements_check"),
     pytest.param(lambda: continuity_check(PENCIL, lambda lam: np.ones((2, 3)),

@@ -1,4 +1,9 @@
-"""Tests for the perturbed-inverse formula and its equivalences."""
+"""Tests for the perturbed-inverse formula and its equivalences.
+
+perturbed_inverse returns b, its InverseVerdict and the verdicts of the
+four equivalent stability conditions in one result; the tests check each
+verdict on hand-made cases and their agreement on random ones.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genresolvent import (
-    PerturbationClass,
+    InverseVerdict,
     PerturbationTooLargeError,
     ShapeMismatchError,
     mp_inverse,
@@ -15,7 +20,6 @@ from genresolvent import (
     equivalence_check,
     perturbed_inverse,
     smallness_of,
-    splitting_checks,
     solve,
     transversal,
     user_supplied,
@@ -42,18 +46,18 @@ class TestPerturbedInverse:
     def test_zero_perturbation(self):
         result = perturbed_inverse(G_DIAG, np.diag([1.0, 0.0]))
         assert np.allclose(result.b, G_DIAG.tplus)
-        assert result.classification is PerturbationClass.GENERALIZED
+        assert result.classification is InverseVerdict.GENERALIZED
         assert result.smallness == 0.0
 
     def test_scaled_diagonal(self):
         result = perturbed_inverse(G_DIAG, np.diag([1.1, 0.0]))
         assert np.allclose(result.b, np.diag([1 / 1.1, 0.0]))
-        assert result.classification is PerturbationClass.GENERALIZED
+        assert result.classification is InverseVerdict.GENERALIZED
 
     def test_rank_increase_gives_outer_only(self):
         result = perturbed_inverse(G_DIAG, np.diag([1.0, 0.1]))
         assert np.allclose(result.b, np.diag([1.0, 0.0]))
-        assert result.classification is PerturbationClass.OUTER_ONLY
+        assert result.classification is InverseVerdict.OUTER_ONLY
 
     def test_too_large_rejected(self):
         with pytest.raises(PerturbationTooLargeError) as err:
@@ -64,7 +68,7 @@ class TestPerturbedInverse:
         for tbar in (np.diag([1.1, 0.0]), np.diag([1.0, 0.1]), np.array([[1, 0.05], [0, 0.0]])):
             result = perturbed_inverse(G_DIAG, tbar)
             expected = transversal(tbar, G_DIAG)
-            assert (result.classification is PerturbationClass.GENERALIZED) == expected
+            assert (result.classification is InverseVerdict.GENERALIZED) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(seeds, st.sampled_from(["aligned", "switched", "full"]))
@@ -92,27 +96,26 @@ class TestPerturbedInverse:
         assert op_norm2(result.b - g.tplus) <= bound * (1 + 1e-8)
 
 
-class TestSplittingChecks:
+class TestStabilityVerdicts:
     def test_unperturbed_all_true(self):
-        checks = splitting_checks(np.diag([1.0, 0.0]), G_DIAG)
-        assert checks.as_tuple() == (True, True, True, True)
+        result = perturbed_inverse(G_DIAG, np.diag([1.0, 0.0]))
+        assert result.as_tuple() == (True, True, True, True)
 
     def test_rank_increase_all_false(self):
-        checks = splitting_checks(np.diag([1.0, 0.1]), G_DIAG)
-        assert checks.as_tuple() == (False, False, False, False)
-        assert checks.agree
+        result = perturbed_inverse(G_DIAG, np.diag([1.0, 0.1]))
+        assert result.as_tuple() == (False, False, False, False)
+        assert result.agree
 
     def test_sheared_perturbation_all_true(self):
-        checks = splitting_checks(np.array([[1.0, 0.05], [0.0, 0.0]]), G_DIAG)
-        assert checks.as_tuple() == (True, True, True, True)
+        result = perturbed_inverse(G_DIAG, np.array([[1.0, 0.05], [0.0, 0.0]]))
+        assert result.as_tuple() == (True, True, True, True)
 
     @settings(max_examples=30, deadline=None)
     @given(seeds, st.sampled_from(["aligned", "switched", "full"]))
     def test_four_way_agreement(self, seed, case):
         rng = np.random.default_rng(seed)
         t, tbar = perturbation_instance(rng, case)
-        checks = splitting_checks(tbar, mp_inverse(t))
-        assert checks.agree
+        assert perturbed_inverse(mp_inverse(t), tbar).agree
 
 
 class TestEquivalence:
