@@ -161,6 +161,7 @@ def cmd_analyze(args) -> int:
             "ok": axioms.ok,
             "max_inner_residual": max(axioms.inner_residuals, default=0.0),
             "max_outer_residual": max(axioms.outer_residuals, default=0.0),
+            "axiom_method": axioms.axiom_method,
             "max_identity_residual": axioms.max_identity_residual,
             "identity_method": axioms.identity_method,
             "skipped_points": list(axioms.skipped),
@@ -201,6 +202,7 @@ def cmd_mp_check(args) -> int:
         "max_identity_residual": mp.max_identity_residual,
         "identity_method": mp.identity_method,
         "max_axiom_residual": mp.max_axiom_residual,
+        "axiom_method": mp.axiom_method,
         "constancy_verdict": mp.constancy_verdict,
         "identity_verdict": mp.identity_verdict,
         "verdicts_agree": mp.constancy_verdict == mp.identity_verdict,

@@ -28,17 +28,15 @@ from .errors import ShapeMismatchError, SingularSystemError
 from .geninv import mp_axiom_deviations
 from .linalg import (
     DEFAULT_TOL,
-    NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
     exact_maximum,
     factor,
     factors,
-    norm_lower_bounds,
-    norm_upper_bounds,
     numerical_rank,
     op_norms2,
     relative_residuals,
+    residual_bounds,
     solve_stack,
 )
 from .resolvent import DiskGrid, Pencil, RankProfile, _decide_identity, _grid_pass, _point_stage
@@ -110,12 +108,14 @@ class MPResolventReport:
         at most residual_tol; "pairs" when that bound exceeded residual_tol,
         or a point's deviation alone did, and it is the exact spectral
         maximum over the pairs of :func:`resolvent.pair_indices`
-    max_axiom_residual: the exact maximum of the four Moore-Penrose axiom
-        residuals over the grid points
-
-    The exact maxima come from the shared screen of :mod:`linalg`, which
-    bounds every residual without a factorization and takes exact spectral
-    norms only of the few whose bound can reach the maximum.
+    max_axiom_residual: the value the four Moore-Penrose axioms over the
+        grid points were decided on; which value it is says axiom_method
+    axiom_method: "bound" when it is the largest of the bounds on every
+        (point, axiom) residual (:func:`linalg.residual_bounds`), at most
+        residual_tol; "exact" when that bound exceeded residual_tol and it
+        is the exact maximum, from the shared screen of :mod:`linalg`,
+        which takes exact spectral norms only of the few residuals whose
+        bound can reach the maximum
     """
 
     points: tuple[complex, ...]
@@ -124,6 +124,7 @@ class MPResolventReport:
     max_identity_residual: float
     identity_method: str
     max_axiom_residual: float
+    axiom_method: str
     constancy_verdict: bool
     identity_verdict: bool
 
@@ -137,7 +138,8 @@ def mp_resolvent_characterization(
     are views of that one SVD. Chunk by chunk of the grid, the points are
     factored by one batched SVD, the subspace gaps are stacked norms of
     products of its factors with t's, and the Moore-Penrose axiom residuals
-    are bounded for the screen. seed draws the identity's pairs where its
+    are bounded; exact residuals are taken only where the largest bound
+    exceeds residual_tol. seed draws the identity's pairs where its
     bound does not decide it.
     """
     return _mp_characterization(p, grid, tol, seed)[0]
@@ -149,13 +151,14 @@ def _mp_characterization(
     """The report of :func:`mp_resolvent_characterization` and the stack of
     pseudoinverses, one per grid point.
 
-    The axiom maximum runs on the shared screen of :mod:`linalg`: per chunk,
-    each (point, axiom) residual ||D||_2 / ||X||_2 is bounded by
-    :func:`linalg.norm_upper_bounds` of D over :func:`linalg.norm_lower_bounds`
-    of X, zero where D is zero, and :func:`linalg.exact_maximum` then takes
-    exact residuals only where the bound can reach the maximum, rebuilding
-    that one axiom's D and X from the point's pseudoinverse through the
-    same code.
+    The axioms are decided bound first: per chunk, each (point, axiom)
+    residual ||D||_2 / ||X||_2 is bounded by :func:`linalg.residual_bounds`,
+    zero where D is zero. Where the largest bound is at most residual_tol,
+    it decides the axioms and is the value reported. Otherwise
+    :func:`linalg.exact_maximum` takes exact residuals only where the bound
+    can reach the maximum, rebuilding that one axiom's D and X from the
+    point's pseudoinverse through the same code, so no verdict rests on a
+    bound's slack.
     """
     t_factor = factor(p.t, tol)
     lams = np.array(grid.points, dtype=np.complex128)
@@ -168,8 +171,7 @@ def _mp_characterization(
         del a_factors
         bounds = np.empty((len(a), 4))
         for axiom, (deviation, scale) in enumerate(mp_axiom_deviations(a, pinvs)):
-            lower = np.maximum(norm_lower_bounds(scale), NORM_FLOOR)
-            bounds[:, axiom] = norm_upper_bounds(deviation) / lower
+            bounds[:, axiom] = residual_bounds(deviation, scale)
             # dropped before the next deviation is formed
             del deviation
         return pinvs, kernel_gaps, range_gaps, bounds
@@ -186,7 +188,12 @@ def _mp_characterization(
         (deviation, scale), = mp_axiom_deviations(p.at_many(lams[here]), pinvs[here], (axiom,))
         return float(relative_residuals(deviation, scale)[0])
 
-    max_axiom, _ = exact_maximum(axiom_bounds.ravel(), exact)
+    top = float(axiom_bounds.max(initial=0.0))
+    # a NaN bound, as of non-finite entries, fails the comparison too
+    if top <= tol.residual_tol:
+        max_axiom, axiom_method = top, "bound"
+    else:
+        max_axiom, axiom_method = exact_maximum(axiom_bounds.ravel(), exact)[0], "exact"
     max_identity, method, _ = _decide_identity(p.s, pinvs, lams, tol, seed)
     constancy = all(g <= tol.gap_tol for g in kernel_gaps.tolist() + range_gaps.tolist())
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
@@ -197,6 +204,7 @@ def _mp_characterization(
         max_identity_residual=max_identity,
         identity_method=method,
         max_axiom_residual=max_axiom,
+        axiom_method=axiom_method,
         constancy_verdict=constancy,
         identity_verdict=identity,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,16 +61,21 @@ class GenInverse:
     kind: InverseKind
 
 
-def inverse_residuals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def inverse_residuals(
+    a: np.ndarray, b: np.ndarray, measure: Callable[[np.ndarray, np.ndarray], Any] = relative_residuals
+) -> tuple[Any, Any, np.ndarray]:
     """Inner and outer axiom residuals of stacks a of shape (k, m, n) and b of (k, n, m).
 
     inner = ||a (b a) - a|| / ||a|| and outer = ||(b a) b - b|| / ||b|| per
-    member, each with a tiny floor so the zero matrix is handled. Also
-    returns the stack b a, which callers may reuse. Stacks are trusted:
-    built inside the package, not validated.
+    member, each with a tiny floor so the zero matrix is handled, as
+    measure(deviation, scale) takes them: exactly by default, or bound first
+    by :func:`linalg.bounded_residuals` with its limit bound. Each deviation
+    is dropped before the next is formed. Also returns the stack b a, which
+    callers may reuse.
+    Stacks are trusted: built inside the package, not validated.
     """
     ba = b @ a
-    return relative_residuals(a @ ba - a, a), relative_residuals(ba @ b - b, b), ba
+    return measure(a @ ba - a, a), measure(ba @ b - b, b), ba
 
 
 def verify_gen_inverse(

@@ -48,7 +48,8 @@ The per-point stages of the package work on stacks: (k, m, n) complex128
 arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
 :func:`norm_lower_bounds`, :func:`frobenius_norms`, :func:`factors`, :func:`split_ranks`,
-:func:`solve_stack`, :func:`solve_right_stack`, :func:`relative_residuals`)
+:func:`solve_stack`, :func:`solve_right_stack`, :func:`relative_residuals`,
+:func:`residual_bounds`, :func:`bounded_residuals`)
 trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
 one-element views, so there is one code path. Batched SVDs, solves and
@@ -62,15 +63,21 @@ matrices a stage keeps alive per point is the driver's one sizing
 argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
 
-The exact maxima the reports print, of resolvent-identity and
-Moore-Penrose axiom residuals, share one screen: :func:`norm_upper_bounds`
-and :func:`norm_lower_bounds` bound a stack's spectral norms without a
-factorization, and :func:`exact_maximum` takes exact norms largest bound
-first, only until no bound left can reach the best exact value. The
-maximum and its first maximizing position are those of an exact norm of
-every member. The same bounds, with :func:`frobenius_norms` for rounding
-terms, build the identity bound that decides the identity of both
-``analyze`` and ``mp-check`` without the pairs.
+The residuals the reports print are decided bound first.
+:func:`norm_upper_bounds` and :func:`norm_lower_bounds` bound a stack's
+spectral norms without a factorization, and :func:`residual_bounds` turns
+them into bounds on relative residuals. A bound at most residual_tol
+decides its residual, and the report prints it; :func:`bounded_residuals`
+takes the exact value of every other member, so no verdict rests on a
+bound's slack. Where a report prints an exact maximum, of
+resolvent-identity or Moore-Penrose axiom residuals, :func:`exact_maximum`
+takes exact norms largest bound first, only until no bound left can reach
+the best exact value: the maximum and its first maximizing position are
+those of an exact norm of every member. The same bounds, with
+:func:`frobenius_norms` for rounding terms, build the identity bound that
+decides the identity of both ``analyze`` and ``mp-check`` without the
+pairs; where it does not, the pairs' screen bounds each deviation by its
+Frobenius norm and forms a Gram only where that can reach the maximum.
 """
 
 from __future__ import annotations
@@ -540,7 +547,10 @@ def norm_lower_bounds(stack: np.ndarray) -> np.ndarray:
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norms of a (k, m, n) stack, taken on the peak-scaled matrices
-    so that no square overflows or underflows; zero exactly where the matrix is zero."""
+    so that no square overflows or underflows; zero exactly where the matrix is zero.
+
+    ||X||_2 <= ||X||_F <= sqrt(min(m, n)) ||X||_2 (Golub & Van Loan, §2.3),
+    so each is an upper bound on the spectral norm without a product."""
     k, m, n = stack.shape
     if k == 0 or min(m, n) == 0:
         return np.zeros(k)
@@ -785,6 +795,31 @@ def relative_residuals(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray
     A tiny floor guards division when a scale is the zero matrix.
     """
     return op_norms2(deviations) / np.maximum(op_norms2(scales), NORM_FLOOR)
+
+
+def residual_bounds(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Upper bounds on :func:`relative_residuals` without a factorization:
+    :func:`norm_upper_bounds` of each deviation over :func:`norm_lower_bounds`
+    of its scale, floored as there; zero exactly where the deviation is zero."""
+    return norm_upper_bounds(deviations) / np.maximum(norm_lower_bounds(scales), NORM_FLOOR)
+
+
+def bounded_residuals(
+    deviations: np.ndarray, scales: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative residuals decided bound first, and the mask of the exact ones.
+
+    Each value is the member's :func:`residual_bounds` where that is at most
+    limit, and its exact :func:`relative_residuals` where the bound exceeds
+    limit or is NaN. So every value is at least the exact residual, every
+    value above limit is exact, and each comparison with limit gives the
+    exact verdict: none rests on the bound's slack.
+    """
+    values = residual_bounds(deviations, scales)
+    exact = ~(values <= limit)
+    if exact.any():
+        values[exact] = relative_residuals(deviations[exact], scales[exact])
+    return values, exact
 
 
 def relative_residual(deviation, scale) -> float:

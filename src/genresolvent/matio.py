@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MatrixFileError
 from .linalg import as_matrix, frobenius_norms
+
+
+_NUMBER_TYPES = {int, float}
 
 
 def _float_grid(name: str, grid, rows: int, cols: int, path) -> np.ndarray:
@@ -28,11 +32,15 @@ def _float_grid(name: str, grid, rows: int, cols: int, path) -> np.ndarray:
             raise MatrixFileError(
                 f"{path}: field '{name}' row {i} must be a list of {cols} numbers"
             )
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MatrixFileError(
-                    f"{path}: field '{name}' row {i} column {j} is not a number"
-                )
+    # one pass in C over the entries' types (JSON numbers are exactly int or
+    # float, true and false are bool); the walk in Python only names a bad one
+    if not set(map(type, chain.from_iterable(grid))) <= _NUMBER_TYPES:
+        for i, row in enumerate(grid):
+            for j, value in enumerate(row):
+                if type(value) not in _NUMBER_TYPES:
+                    raise MatrixFileError(
+                        f"{path}: field '{name}' row {i} column {j} is not a number"
+                    )
     try:
         return np.array(grid, dtype=np.float64)
     except OverflowError as exc:

@@ -53,6 +53,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ from .linalg import (
     NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
+    bounded_residuals,
     chunked_stage,
     chunks,
     empty_basis,
@@ -230,19 +232,22 @@ def max_identity_residual(
     The residual of pair (i, j) is ||D||_2 / ||scale||_2 for the deviation
     D = G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j, formed exactly as a single
     pair evaluation forms it; ||scale||_2 is computed once. This runs on the
-    shared screen of :mod:`linalg`: :func:`linalg.norm_upper_bounds` bounds
-    every deviation without a factorization, and
-    :func:`linalg.exact_maximum` takes exact spectral norms largest bound
-    first, rebuilding each deviation through the same code, until the next
-    bound is strictly below the best exact value. So the returned residual
-    is the exact spectral maximum and the returned pair is the first
-    maximizing one in ``pairs`` order; the pair is None when every
-    deviation is zero.
+    shared screen of :mod:`linalg`: every deviation is bounded without a
+    factorization, by its Frobenius norm, or by the tighter
+    :func:`linalg.norm_upper_bounds` where that can reach the maximum
+    (:func:`_screen_deviations`), and :func:`linalg.exact_maximum` takes
+    exact spectral norms largest bound first, rebuilding each deviation
+    through the same code, until the next bound is strictly below the best
+    exact value. So the returned residual is the exact spectral maximum and
+    the returned pair is the first maximizing one in ``pairs`` order; the
+    pair is None when every deviation is zero.
 
     Memory: the screen takes the pairs in chunks of about CHUNK_BYTES,
     counting six matrices of 16 * n * max(n, m) bytes per pair: the
     gathered G_i, G_j and G_i @ s, their product, the peak-scaled deviation
     and its adjoint, and one for the chunk's distinct G_i @ s and the Gram.
+    The copy of the deviations the Gram bounds is taken after the gathered
+    matrices and the product are freed.
     Beyond the chunk it holds the bounds (8 bytes per pair), the sorted pair
     order and one G_i @ s carried into the next chunk; a sequence
     ``values`` adds a stacked copy of the family.
@@ -291,7 +296,16 @@ def _deviations(
 def _screen_deviations(
     s: np.ndarray, g: np.ndarray, lams: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
-    """:func:`linalg.norm_upper_bounds` of every pair's deviation.
+    """Upper bounds on the spectral norm of every pair's deviation D.
+
+    Each bound is ||D||_F, by :func:`linalg.frobenius_norms`, widened by
+    NORM_BOUND_SLACK, or :func:`linalg.norm_upper_bounds` of D where that
+    Frobenius bound reaches a running lower bound on the largest spectral
+    norm: the largest ||D||_F / sqrt(min(n, m)) so far, narrowed by
+    NORM_BOUND_SLACK (||D||_2 >= ||D||_F / sqrt(rank D)). A pair left with
+    its Frobenius bound lies strictly below some pair's exact norm, so
+    :func:`linalg.exact_maximum` never takes its exact norm, and returns the
+    maximum and first pair it returns with the Gram bound of every pair.
 
     Pairs are taken in order of first index, in chunks of about CHUNK_BYTES.
     Each G_i @ s is formed once: per chunk for its distinct first indices,
@@ -303,10 +317,13 @@ def _screen_deviations(
         return bounds
     order = np.argsort(pairs[:, 0], kind="stable")
     _, height, width = g.shape
+    shrink = (1.0 - NORM_BOUND_SLACK) / math.sqrt(min(height, width))
+    lower = 0.0
     carried: tuple[int, np.ndarray] | None = None
     # per pair: the gathered G_i, G_j and G_i @ s, the product, the scaled
     # deviation and its adjoint, and one more for the chunk's own G_i @ s
-    # and the Gram
+    # and the Gram; the copy of the deviations the Gram bounds is taken
+    # after the gathered G_i and the product are freed
     for chunk in chunks(len(order), 6 * 16 * height * max(height, width)):
         part = order[chunk]
         firsts, seconds = pairs[part, 0], pairs[part, 1]
@@ -316,7 +333,15 @@ def _screen_deviations(
         if len(fresh) < len(rows):
             g_s = np.concatenate([carried[1][None], g_s])
         carried = (rows[-1], g_s[-1])
-        bounds[part] = norm_upper_bounds(_deviations(g, lams, g_s[inverse], firsts, seconds))
+        deviations = _deviations(g, lams, g_s[inverse], firsts, seconds)
+        frobenius = frobenius_norms(deviations)
+        lower = max(lower, np.fmax.reduce(frobenius, initial=0.0) * shrink)
+        chunk_bounds = frobenius * (1.0 + NORM_BOUND_SLACK)
+        # a NaN norm, of a deviation with non-finite entries, takes the Gram
+        near = ~(chunk_bounds < lower)
+        if near.any():
+            chunk_bounds[near] = norm_upper_bounds(deviations[near])
+        bounds[part] = chunk_bounds
     return bounds
 
 
@@ -345,6 +370,13 @@ class ResolventAxiomReport:
 
     inner_residuals:   (t-lam s) G (t-lam s) = t-lam s, per grid point
     outer_residuals:   G (t-lam s) G = G, per grid point
+        each the value its verdict was decided on, by
+        :func:`linalg.bounded_residuals`: a bound on the relative residual,
+        at least the exact one, where that bound is at most residual_tol, and
+        otherwise the exact spectral value
+    axiom_method: "bound" when every inner and outer residual is its bound;
+        "exact" when some bound exceeded residual_tol and those residuals
+        are exact
     max_identity_residual: the resolvent-identity value the verdict was
         decided on, relative to ||tplus||_2; which value it is says
         identity_method
@@ -362,6 +394,7 @@ class ResolventAxiomReport:
     points: tuple[complex, ...]
     inner_residuals: tuple[float, ...]
     outer_residuals: tuple[float, ...]
+    axiom_method: str
     max_identity_residual: float
     identity_method: str
     worst_pair: tuple[complex, complex] | None
@@ -378,7 +411,9 @@ def check_resolvent_axioms(
     """Verify both inverse axioms at every grid point and the identity on every pair.
 
     Chunk by chunk of the grid, G(lam) comes from one stacked solve and each
-    axiom residual from one stacked norm. The identity is decided by
+    axiom residual from one stacked norm bound, or, where that bound exceeds
+    residual_tol, from the exact norms of the points it does not decide
+    (:func:`linalg.bounded_residuals`). The identity is decided by
     :func:`_decide_identity` on the kept family, whose member at lam = 0 is
     tplus itself: on the bound of every ordered pair where it meets
     residual_tol, and otherwise on the pairs of :func:`pair_indices` (drawn
@@ -395,12 +430,14 @@ def check_resolvent_axioms(
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
         g = _evaluate_stack(f, lams[part], tol)
-        return (g, *inverse_residuals(a, g)[:2])
+        inner, outer, _ = inverse_residuals(a, g, partial(bounded_residuals, limit=tol.residual_tol))
+        return (g, *inner, *outer)
 
-    # per point: t - lam s, I - lam s tplus, G, G (t - lam s), a product and a
-    # deviation; the solve's full-rank screen adds at most linalg.SCREEN_LIVE
-    # to I - lam s tplus and frees them before the residuals are built
-    values, inner, outer = _point_stage(f.pencil, lams, 6, stage)
+    # per point: t - lam s, G, G (t - lam s), one deviation, and the norm
+    # bound's scaled copy, its adjoint and Gram; the solve's I - lam s tplus
+    # and its full-rank screen (linalg.SCREEN_LIVE more) are freed before the
+    # residuals are built
+    values, inner, inner_exact, outer, outer_exact = _point_stage(f.pencil, lams, 7, stage)
     max_identity, method, worst = _decide_identity(f.pencil.s, values, lams, tol, seed, f.st_norm)
     worst_point = max(inner.tolist() + outer.tolist(), default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
@@ -408,6 +445,7 @@ def check_resolvent_axioms(
         points=tuple(usable),
         inner_residuals=tuple(inner.tolist()),
         outer_residuals=tuple(outer.tolist()),
+        axiom_method="exact" if inner_exact.any() or outer_exact.any() else "bound",
         max_identity_residual=max_identity,
         identity_method=method,
         worst_pair=None if worst is None else (usable[worst[0]], usable[worst[1]]),

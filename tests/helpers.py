@@ -34,6 +34,7 @@ from genresolvent import (
     ResolventFamily,
     ShapeMismatchError,
     SubspaceBasis,
+    TolerancePolicy,
     factor,
     geninv_from_complements,
     op_norm2,
@@ -183,6 +184,11 @@ def off_lattice(rng: np.random.Generator, count: int, extent: float = 3.0,
         if abs(z - nearest) >= distance:
             values.append(z)
     return np.array(values)
+
+
+# a residual_tol that no bound on a nonzero residual meets: the grid stages
+# take their exact paths, for the identity and for the inverse axioms
+EXACT = TolerancePolicy(residual_tol=1e-300)
 
 
 def reference_identity_max(s, scale, values, points, pairs):

@@ -44,6 +44,7 @@ from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.linalg import SCREEN_LIVE, chunks
 from helpers import (
+    EXACT,
     framed_pencil,
     normal_pencil,
     off_lattice,
@@ -188,8 +189,8 @@ def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize(
     "command,bounds",
     [
-        ("analyze", {"all": 13, "matrices": 157}),
-        ("mp-check", {"full": 3, "full_matrices": 27, "all": 29, "matrices": 99}),
+        ("analyze", {"all": 11, "matrices": 105}),
+        ("mp-check", {"full": 3, "full_matrices": 27, "all": 25, "matrices": 81}),
     ],
 )
 @pytest.mark.parametrize("switched", [False, True])
@@ -280,7 +281,8 @@ def test_analyze_takes_the_norm_of_s_tplus_once(monkeypatch, tmp_path, capsys):
 
 def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
     """The screen forms all four axioms per chunk; each exact candidate
-    (point, axiom) forms only its own deviation and scale."""
+    (point, axiom) forms only its own deviation and scale. Under a
+    residual_tol no bound meets, the exact stage runs."""
     p, _, grid = seeded_case(True)
     asked = []
     candidates = [0]
@@ -298,7 +300,7 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
 
     monkeypatch.setattr(criteria, "mp_axiom_deviations", recording)
     monkeypatch.setattr(criteria, "exact_maximum", counting)
-    mp_resolvent_characterization(p, grid)
+    mp_resolvent_characterization(p, grid, EXACT)
     singles = [axioms for axioms in asked if axioms != tuple(range(4))]
     assert candidates[0] > 0
     assert len(singles) == candidates[0]
@@ -308,20 +310,24 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
 @pytest.mark.parametrize(
     "switched,mp_bounds",
     [
-        (False, {"all": 49, "full": 9, "matrices": 101, "full_matrices": 27}),
-        (True, {"all": 47, "full": 9, "matrices": 99, "full_matrices": 27}),
+        (False, {"all": 20, "full": 6, "matrices": 81, "full_matrices": 27}),
+        (True, {"all": 28, "full": 6, "matrices": 49, "full_matrices": 27}),
     ],
 )
 def test_analyze_decides_the_identity_without_pairs(svds, monkeypatch, tmp_path, capsys,
                                                     switched, mp_bounds):
     """At n = 50 and default tolerances the per-point bound decides analyze's
-    identity: no pair is drawn and no deviation screened, and analyze takes
-    25 SVD calls on 157 matrices (27 / 29 calls and 159 / 161 matrices with
-    the pairwise stage). mp-check decides on the same bound where the
-    pseudoinverses are the resolvent, constant support, at 49 calls on 101
-    matrices (50 and 102 with the pairwise stage). On switched support its
-    first chunk of per-point residuals already exceeds the tolerance, so it
-    goes to the pairs after that one chunk and takes no norm of s G_0."""
+    identity: no pair is drawn and no deviation screened. The axiom residuals
+    take an SVD only where their bound exceeds the tolerance: nowhere on
+    constant support, where analyze takes 9 SVD calls on 57 matrices (25 on
+    157 with an exact norm of every residual), and at the points where the
+    switched pencil fails, 17 calls on 105 matrices. mp-check decides on the
+    same bound where the pseudoinverses are the resolvent, constant support,
+    at 20 calls on 81 matrices (40 and 101 with exact axiom maxima). On
+    switched support its first chunk of per-point residuals already exceeds
+    the tolerance, so it goes to the pairs after that one chunk and takes no
+    norm of s G_0."""
+    analyze_bounds = {"all": 17, "matrices": 105} if switched else {"all": 9, "matrices": 57}
     p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=switched)
     paths = pencil_files(tmp_path, p)
     calls = {"pair_indices": 0, "_screen_deviations": 0, "_solve_residual_bounds": 0}
@@ -332,20 +338,56 @@ def test_analyze_decides_the_identity_without_pairs(svds, monkeypatch, tmp_path,
         monkeypatch.setattr(resolvent, name, counting)
     reset(svds)
     assert main(["analyze", *paths]) == (1 if switched else 0)
-    assert json.loads(capsys.readouterr().out)["axioms"]["identity_method"] == "bound"
+    axioms = json.loads(capsys.readouterr().out)["axioms"]
+    assert axioms["identity_method"] == "bound"
+    assert axioms["axiom_method"] == ("exact" if switched else "bound")
     assert (calls["pair_indices"], calls["_screen_deviations"]) == (0, 0)
-    assert svds["all"] <= 25
-    assert svds["matrices"] <= 157
+    for kind, bound in analyze_bounds.items():
+        assert svds[kind] <= bound, kind
     calls.update(dict.fromkeys(calls, 0))
     reset(svds)
     assert main(["mp-check", *paths]) == (1 if switched else 0)
-    method = json.loads(capsys.readouterr().out)["identity_method"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["axiom_method"] == "bound"
     if switched:
-        assert method == "pairs"
+        assert report["identity_method"] == "pairs"
         assert calls["pair_indices"] == 1 and calls["_screen_deviations"] >= 1
         assert calls["_solve_residual_bounds"] == 1
     else:
-        assert method == "bound"
+        assert report["identity_method"] == "bound"
         assert (calls["pair_indices"], calls["_screen_deviations"]) == (0, 0)
     for kind, bound in mp_bounds.items():
         assert svds[kind] <= bound, kind
+
+
+def test_identity_screen_forms_a_gram_only_for_pairs_through_zero(monkeypatch, tmp_path, capsys):
+    """On the switched n = 50 pencil the pseudoinverses away from lam = 0
+    meet the identity among themselves to rounding, and only the pairs
+    through lam = 0 deviate by order 1. The screen bounds every other pair
+    by its Frobenius norm, below its running lower bound on the maximum, so
+    norm_upper_bounds receives at most the 2 (k - 1) deviations of the pairs
+    through lam = 0, not all k (k - 1)."""
+    p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=True)
+    paths = pencil_files(tmp_path, p)
+    received, screening = [], [False]
+    upper, screen = resolvent.norm_upper_bounds, resolvent._screen_deviations
+
+    def recording(stack):
+        if screening[0]:
+            received.append(len(stack))
+        return upper(stack)
+
+    def screened(*args):
+        screening[0] = True
+        try:
+            return screen(*args)
+        finally:
+            screening[0] = False
+
+    monkeypatch.setattr(resolvent, "norm_upper_bounds", recording)
+    monkeypatch.setattr(resolvent, "_screen_deviations", screened)
+    assert main(["mp-check", *paths]) == 1
+    report = json.loads(capsys.readouterr().out)
+    k = len(report["grid"]["points"])
+    assert report["identity_method"] == "pairs"
+    assert 0 < sum(received) <= 2 * (k - 1)

@@ -6,9 +6,10 @@ first maximizing pair, whether the family comes as one (k, n, m) stack or
 as a list and the pairs as a (P, 2) array or as tuples, and for every chunk
 budget. Both stages run the pairwise screen only where their per-point
 identity bound exceeds residual_tol (``tests/test_identity_bound.py``), so
-their tests here ask for a residual_tol no bound meets. The MP stage's
-axiom maximum runs on the same screen and must equal
-the maximum of the four Moore-Penrose residuals taken point by point. Count
+their tests here ask for a residual_tol no bound meets. Under that
+tolerance the MP stage's axiom maximum runs on the same screen and must
+equal the maximum of the four Moore-Penrose residuals taken point by
+point; at the default tolerance its bound decides. Count
 gates cap the SVD calls, and the matrices they factor, that the two
 pairwise stages spend on a small seeded pencil and the MP stage spends at
 n=50; later changes may only lower their bounds.
@@ -30,13 +31,9 @@ from genresolvent import (
     pinv_matrix,
     relative_residual,
 )
-from genresolvent import TolerancePolicy, linalg
+from genresolvent import DEFAULT_TOL, linalg
 from genresolvent.resolvent import max_identity_residual, pair_indices
-from helpers import framed_pencil, reference_identity_max
-
-# a residual_tol no per-point bound meets: the axiom stage takes its exact
-# pairwise path
-EXACT = TolerancePolicy(residual_tol=1e-300)
+from helpers import EXACT, framed_pencil, reference_identity_max
 
 CASES = [
     (m, n, switched, points)
@@ -226,7 +223,12 @@ def test_tiny_axiom_deviations_are_not_screened_out(scale, axiom):
     grid = default_grid(build_family(p, mp_inverse(p.t)).radius / 2, 9)
     maxima = reference_axiom_maxima(p, grid.points)
     assert max(maxima) == maxima[axiom] > 0.0
-    assert mp_resolvent_characterization(p, grid).max_axiom_residual == maxima[axiom]
+    exact = mp_resolvent_characterization(p, grid, EXACT)
+    assert (exact.max_axiom_residual, exact.axiom_method) == (maxima[axiom], "exact")
+    # nor does the bound that decides at the default tolerance lose them
+    bounded = mp_resolvent_characterization(p, grid)
+    assert bounded.axiom_method == "bound"
+    assert maxima[axiom] <= bounded.max_axiom_residual <= DEFAULT_TOL.residual_tol
 
 
 @pytest.fixture

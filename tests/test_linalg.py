@@ -24,11 +24,14 @@ from genresolvent import (
     zero_subspace,
 )
 from genresolvent.linalg import (
+    bounded_residuals,
     exact_maximum,
     frobenius_norms,
     norm_lower_bounds,
     norm_upper_bounds,
     op_norms2,
+    relative_residuals,
+    residual_bounds,
     split_ranks,
     split_verdicts,
 )
@@ -267,6 +270,26 @@ class TestNorm:
         assert bounds[0] == bound(normal[None])[0]
         assert 0.0 < bounds[1] == pytest.approx(lifted, rel=1e-12)
         assert bounds[2] == 0.0
+
+    def test_bounded_residuals_are_exact_only_where_the_bound_exceeds_the_limit(self):
+        """Each member keeps its bound where that is at most the limit and
+        otherwise takes its exact relative residual, bit for bit; the mask
+        names the exact ones. The limit sits strictly between member 3's
+        exact residual and its bound, so that member is exact and passes."""
+        rng = np.random.default_rng(7)
+        scales = complex_gaussian(rng, (6, 5, 4))
+        deviations = complex_gaussian(rng, (6, 5, 4)) * np.logspace(-12, -2, 6)[:, None, None]
+        deviations[1] = 0.0
+        bounds = residual_bounds(deviations, scales)
+        exact = relative_residuals(deviations, scales)
+        assert np.all(exact <= bounds)
+        assert exact[3] < bounds[3]
+        limit = (exact[3] + bounds[3]) / 2
+        values, taken = bounded_residuals(deviations, scales, limit)
+        np.testing.assert_array_equal(taken, bounds > limit)
+        np.testing.assert_array_equal(values, np.where(taken, exact, bounds))
+        assert taken[3] and values[3] <= limit
+        assert values[1] == 0.0 and not taken[1]
 
     def test_exact_maximum_takes_a_nan_bound_as_unbounded(self):
         values = [1.0, 3.0, 2.0, 3.0]

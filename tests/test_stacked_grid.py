@@ -52,6 +52,7 @@ from genresolvent import (
 from genresolvent import linalg, resolvent
 from genresolvent.linalg import EPS, NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
 from helpers import (
+    EXACT,
     complex_gaussian,
     framed_pencil,
     generic_full_pencil,
@@ -179,20 +180,38 @@ def budget(request, monkeypatch):
 # --- stages --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", PENCILS)
-def test_resolvent_axiom_residuals(make, budget):
-    p = make()
-    family = build_family(p, mp_inverse(p.t))
-    report = check_resolvent_axioms(family, grid_for(p))
+def axiom_references(family, points):
+    """The exact inner and outer residuals of the explicit family, point by point."""
     inner, outer = [], []
-    for lam in report.points:
+    for lam in points:
         g = evaluate(family, lam)
-        a = p.at(lam)
+        a = family.pencil.at(lam)
         ga = g @ a
         inner.append(relative(a @ ga - a, a))
         outer.append(relative(ga @ g - g, g))
-    assert report.inner_residuals == tuple(inner)
-    assert report.outer_residuals == tuple(outer)
+    return inner, outer
+
+
+@pytest.mark.parametrize("make", PENCILS)
+def test_resolvent_axiom_residuals(make, budget):
+    """Under a residual_tol no bound meets, every residual is exact and equals
+    the per-point reference bit for bit. At the default tolerance each is its
+    bound, between the reference and residual_tol, except where that bound
+    exceeds residual_tol: there it is the reference itself."""
+    p = make()
+    family = build_family(p, mp_inverse(p.t))
+    grid = grid_for(p)
+    exact = check_resolvent_axioms(family, grid, EXACT)
+    inner, outer = axiom_references(family, exact.points)
+    assert exact.inner_residuals == tuple(inner)
+    assert exact.outer_residuals == tuple(outer)
+    assert exact.axiom_method == ("exact" if any(inner + outer) else "bound")
+    report = check_resolvent_axioms(family, grid)
+    tol = DEFAULT_TOL.residual_tol
+    for value, reference in zip(report.inner_residuals + report.outer_residuals, inner + outer):
+        assert reference <= value
+        assert value <= tol or value == reference
+    assert report.axiom_method == ("exact" if max(inner + outer) > tol else "bound")
 
 
 @pytest.mark.parametrize("make", PENCILS)
@@ -207,9 +226,12 @@ def test_rank_profile(make, budget):
 
 @pytest.mark.parametrize("make", PENCILS)
 def test_mp_characterization(make, budget):
+    """Under a residual_tol no bound meets, the axiom maximum is exact and
+    equals the per-point reference bit for bit; at the default tolerance the
+    largest bound decides, between the reference and residual_tol."""
     p = make()
     grid = grid_for(p)
-    report = mp_resolvent_characterization(p, grid)
+    report = mp_resolvent_characterization(p, grid, EXACT)
     t_factor = full_factor(p.t)
     kernel_gaps, range_gaps, max_axiom = [], [], 0.0
     for lam in grid.points:
@@ -230,6 +252,57 @@ def test_mp_characterization(make, budget):
     assert report.kernel_gaps == tuple(kernel_gaps)
     assert report.range_gaps == tuple(range_gaps)
     assert report.max_axiom_residual == max_axiom
+    assert report.axiom_method == ("exact" if max_axiom > 0.0 else "bound")
+    bounded = mp_resolvent_characterization(p, grid)
+    assert (bounded.kernel_gaps, bounded.range_gaps) == (report.kernel_gaps, report.range_gaps)
+    assert bounded.axiom_method == "bound"
+    assert max_axiom <= bounded.max_axiom_residual <= DEFAULT_TOL.residual_tol
+
+
+def constant_family_pencil(n, seed):
+    """t of rank n - 1 with s = 0: the family is constant, so every identity
+    deviation is exactly zero and the axioms alone decide, at any residual_tol."""
+    rng = np.random.default_rng([seed, n, 8])
+    return Pencil(framed_pencil(rng, n, n, n - 1).t, np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n,seed", [(8, 0), (20, 1), (32, 0)])
+def test_no_axiom_verdict_of_analyze_rests_on_slack(n, seed):
+    """A residual_tol strictly between the exact axiom residuals and the
+    largest bound: each residual whose bound exceeds it is exact, the method
+    reads "exact" and the axioms pass."""
+    p = constant_family_pencil(n, seed)
+    family = build_family(p, mp_inverse(p.t))
+    grid = grid_for(p)
+    exact = check_resolvent_axioms(family, grid, EXACT)
+    bounded = check_resolvent_axioms(family, grid)
+    references = exact.inner_residuals + exact.outer_residuals
+    bounds = bounded.inner_residuals + bounded.outer_residuals
+    assert bounded.axiom_method == "bound"
+    tol = (max(references) + max(bounds)) / 2
+    assert max(references) < tol < max(bounds)
+    report = check_resolvent_axioms(family, grid, TolerancePolicy(residual_tol=tol))
+    assert report.ok
+    assert report.axiom_method == "exact"
+    assert report.max_identity_residual == 0.0
+    values = report.inner_residuals + report.outer_residuals
+    for value, reference, bound in zip(values, references, bounds):
+        assert value == (reference if bound > tol else bound)
+
+
+@pytest.mark.parametrize("n,seed", [(8, 0), (20, 1), (32, 0)])
+def test_no_axiom_verdict_of_mp_check_rests_on_slack(n, seed):
+    """As for analyze: between the exact Moore-Penrose axiom maximum and its
+    bound, the maximum is exact and the verdicts hold."""
+    p = constant_family_pencil(n, seed)
+    grid = grid_for(p)
+    reference = mp_resolvent_characterization(p, grid, EXACT).max_axiom_residual
+    bound = mp_resolvent_characterization(p, grid).max_axiom_residual
+    tol = (reference + bound) / 2
+    assert reference < tol < bound
+    report = mp_resolvent_characterization(p, grid, TolerancePolicy(residual_tol=tol))
+    assert report.identity_verdict and report.constancy_verdict
+    assert (report.axiom_method, report.max_axiom_residual) == ("exact", reference)
 
 
 def moving_pencil(rng, m, n, rank, moves):
@@ -594,7 +667,7 @@ def run_direct_sums(p, grid):
 # each stage with the live-matrix counts of its driver calls, in call order,
 # and the number of screened rank passes among them
 STAGE_RUNS = [
-    pytest.param(lambda: pencil_for(3, 3, False), run_axioms, [6], 0, id="resolvent-axioms"),
+    pytest.param(lambda: pencil_for(3, 3, False), run_axioms, [7], 0, id="resolvent-axioms"),
     pytest.param(lambda: pencil_for(3, 3, False), mp_resolvent_characterization, [7], 0,
                  id="mp-characterization"),
     pytest.param(shifted_pencil, run_invertibility, [7, 4], 0, id="invertibility"),
