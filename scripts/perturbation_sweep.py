@@ -2,13 +2,15 @@
 """Empirics for the perturbed-inverse formula.
 
 Draws random (t, tbar) pairs with contraction product below 0.9, then
-records: the rate at which the four stability conditions agree, the worst
-deviation between the two factorizations of the formula, and the worst
+prints: how many pairs have the four stability conditions agree, how many
+perturbed inverses are generalized inverses of tbar, and the worst
 quotient of ||b - tplus|| against its geometric-series bound
-||tplus||^2 ||dt|| / (1 - smallness). The pairs come from the test suite's
-generators:
+||tplus||^2 ||dt|| / (1 - smallness). It exits 1 unless every pair agrees
+and the quotient is at most 1. The two factorizations of the formula are
+cross-checked inside each ``perturbed_inverse`` call, which raises where
+they disagree. The pairs come from the test suite's generators:
 
-    PYTHONPATH=src:tests python3 scripts/perturbation_sweep.py [--instances N]
+    PYTHONPATH=src:tests python3 scripts/perturbation_sweep.py [--instances N] [--seed N]
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ agreement is a genuine cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -130,7 +131,7 @@ class MPResolventReport:
 
 
 def mp_resolvent_characterization(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL, seed: int = 0
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
 ) -> MPResolventReport:
     """Evaluate both sides of the pseudoinverse-resolvent equivalence.
 
@@ -139,14 +140,15 @@ def mp_resolvent_characterization(
     factored by one batched SVD, the subspace gaps are stacked norms of
     products of its factors with t's, and the Moore-Penrose axiom residuals
     are bounded; exact residuals are taken only where the largest bound
-    exceeds residual_tol. seed draws the identity's pairs where its
-    bound does not decide it.
+    exceeds residual_tol. The identity is decided by
+    :func:`resolvent._decide_identity`, on the fixed pairs of
+    :func:`resolvent.pair_indices` where its bound does not decide it.
     """
-    return _mp_characterization(p, grid, tol, seed)[0]
+    return _mp_characterization(p, grid, tol)[0]
 
 
 def _mp_characterization(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy, seed: int
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy
 ) -> tuple[MPResolventReport, np.ndarray]:
     """The report of :func:`mp_resolvent_characterization` and the stack of
     pseudoinverses, one per grid point.
@@ -194,7 +196,7 @@ def _mp_characterization(
         max_axiom, axiom_method = top, "bound"
     else:
         max_axiom, axiom_method = exact_maximum(axiom_bounds.ravel(), exact)[0], "exact"
-    max_identity, method, _ = _decide_identity(p.s, pinvs, lams, tol, seed)
+    max_identity, method, _ = _decide_identity(p.s, pinvs, lams, tol)
     constancy = all(g <= tol.gap_tol for g in kernel_gaps.tolist() + range_gaps.tolist())
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
     report = MPResolventReport(
@@ -237,7 +239,7 @@ def invertibility_corollary(
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatchError(f"invertibility needs a square matrix, got {t.shape}")
     pencil = Pencil(t, np.eye(n, dtype=np.complex128))
-    report, pinvs = _mp_characterization(pencil, grid, tol, seed=0)
+    report, pinvs = _mp_characterization(pencil, grid, tol)
     invertible = numerical_rank(t, tol) == n
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray]:
@@ -296,11 +298,15 @@ def generalized_spectrum_scan(
 
     A point is a drop point when its rank falls below the maximum rank seen
     anywhere in the region (the generic value). For a pencil (t, I) with
-    normal t these are exactly the sampled eigenvalues.
+    normal t these are exactly the sampled eigenvalues. An empty region or
+    a non-finite point raises ValueError.
     """
     points = [complex(lam) for lam in region]
     if not points:
         raise ValueError("region is empty")
+    for lam in points:
+        if not cmath.isfinite(lam):
+            raise ValueError(f"scan point {lam} is not finite")
     ranks = _grid_pass(p, points, tol)[0].ranks
     top = max(ranks)
     return [

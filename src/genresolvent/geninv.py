@@ -78,6 +78,14 @@ def inverse_residuals(
     return measure(a @ ba - a, a), measure(ba @ b - b, b), ba
 
 
+def _check_inverse_shape(shape: tuple[int, int], inverse_shape: tuple[int, ...]) -> None:
+    """Raise ShapeMismatchError unless inverse_shape is that of an inverse of
+    a matrix of the given shape: (n, m) for (m, n)."""
+    if inverse_shape != shape[::-1]:
+        raise ShapeMismatchError(f"inverse of a {shape} matrix must have shape "
+                                 f"{shape[::-1]}, got {inverse_shape}")
+
+
 def verify_gen_inverse(
     t, b, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[float, float, InverseVerdict]:
@@ -88,10 +96,7 @@ def verify_gen_inverse(
     """
     t = as_matrix(t)
     b = as_matrix(b)
-    if b.shape != (t.shape[1], t.shape[0]):
-        raise ShapeMismatchError(
-            f"inverse of a {t.shape} matrix must have shape {(t.shape[1], t.shape[0])}, got {b.shape}"
-        )
+    _check_inverse_shape(t.shape, b.shape)
     inner, outer, _ = inverse_residuals(t[None], b[None])
     inner, outer = float(inner[0]), float(outer[0])
     inner_ok = inner <= tol.residual_tol
@@ -149,10 +154,7 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
     """Check t b t = t, b t b = b and Hermitian-ness of t b and b t."""
     t = as_matrix(t)
     b = as_matrix(b)
-    if b.shape != (t.shape[1], t.shape[0]):
-        raise ShapeMismatchError(
-            f"inverse of a {t.shape} matrix must have shape {(t.shape[1], t.shape[0])}, got {b.shape}"
-        )
+    _check_inverse_shape(t.shape, b.shape)
     inner, outer, p_herm, q_herm = (
         float(relative_residuals(deviation, scale)[0])
         for deviation, scale in mp_axiom_deviations(t[None], b[None])

@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidFamilyError, OutOfRadiusError, ShapeMismatchError
-from .geninv import ComplementPair, GenInverse, inverse_residuals, user_supplied
+from .geninv import ComplementPair, GenInverse, _check_inverse_shape, inverse_residuals, user_supplied
 from .linalg import (
     DEFAULT_TOL,
     EPS,
@@ -125,7 +125,7 @@ class Pencil:
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Sample points in a closed disk around 0; 0 itself is always present."""
+    """Finite sample points in a closed disk around 0; 0 itself is always present."""
 
     radius: float
     points: tuple[complex, ...]
@@ -134,6 +134,9 @@ class DiskGrid:
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"grid radius must be positive and finite, got {self.radius!r}")
         pts = tuple(complex(p) for p in self.points)
+        for p in pts:
+            if not cmath.isfinite(p):
+                raise ValueError(f"grid point {p} is not finite")
         if not any(p == 0 for p in pts):
             pts = (0j,) + pts
         object.__setattr__(self, "points", pts)
@@ -345,20 +348,21 @@ def _screen_deviations(
     return bounds
 
 
-def pair_indices(count: int, seed: int = 0) -> np.ndarray:
+def pair_indices(count: int) -> np.ndarray:
     """Distinct ordered index pairs (i, j), i != j, for pairwise identity checks.
 
     All of them, row-major, for up to PAIR_FULL_MAX_POINTS points; beyond
-    that, the distinct off-diagonal pairs of a deterministic pseudorandom
-    draw of PAIR_SAMPLE_LIMIT pairs, in order of first draw, which keeps the
-    quadratic cost bounded. The pairs (i, i), whose deviation is exactly
+    that, the distinct off-diagonal pairs of a pseudorandom draw of
+    PAIR_SAMPLE_LIMIT pairs from the fixed generator default_rng(0), in
+    order of first draw, which keeps the quadratic cost bounded; the pairs
+    depend on count alone. The pairs (i, i), whose deviation is exactly
     zero, and repeated draws cannot change the maximum or the first
     maximizing pair, so they are left out. Returns a (P, 2) array.
     """
     if count <= PAIR_FULL_MAX_POINTS:
         pairs = np.indices((count, count)).reshape(2, -1).T
     else:
-        pairs = np.random.default_rng(seed).integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
+        pairs = np.random.default_rng(0).integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     _, first = np.unique(pairs, axis=0, return_index=True)
     return pairs[np.sort(first)]
@@ -406,7 +410,6 @@ def check_resolvent_axioms(
     f: ResolventFamily,
     grid: DiskGrid,
     tol: TolerancePolicy = DEFAULT_TOL,
-    seed: int = 0,
 ) -> ResolventAxiomReport:
     """Verify both inverse axioms at every grid point and the identity on every pair.
 
@@ -416,8 +419,8 @@ def check_resolvent_axioms(
     (:func:`linalg.bounded_residuals`). The identity is decided by
     :func:`_decide_identity` on the kept family, whose member at lam = 0 is
     tplus itself: on the bound of every ordered pair where it meets
-    residual_tol, and otherwise on the pairs of :func:`pair_indices` (drawn
-    with seed), so no verdict turns false on the bound's slack.
+    residual_tol, and otherwise on the pairs of :func:`pair_indices`, so no
+    verdict turns false on the bound's slack.
     """
     usable: list[complex] = []
     skipped: list[complex] = []
@@ -438,7 +441,7 @@ def check_resolvent_axioms(
     # and its full-rank screen (linalg.SCREEN_LIVE more) are freed before the
     # residuals are built
     values, inner, inner_exact, outer, outer_exact = _point_stage(f.pencil, lams, 7, stage)
-    max_identity, method, worst = _decide_identity(f.pencil.s, values, lams, tol, seed, f.st_norm)
+    max_identity, method, worst = _decide_identity(f.pencil.s, values, lams, tol, f.st_norm)
     worst_point = max(inner.tolist() + outer.tolist(), default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
     return ResolventAxiomReport(
@@ -455,7 +458,7 @@ def check_resolvent_axioms(
 
 
 def _decide_identity(
-    s: np.ndarray, values: np.ndarray, lams: np.ndarray, tol: TolerancePolicy, seed: int,
+    s: np.ndarray, values: np.ndarray, lams: np.ndarray, tol: TolerancePolicy,
     st_norm: float | None = None,
 ) -> tuple[float, str, tuple[int, int] | None]:
     """Decide the resolvent identity G_i - G_j = (l_i - l_j) G_i S G_j on a
@@ -474,9 +477,8 @@ def _decide_identity(
     Returns the deciding value, "bound" or "pairs", and with "pairs" the
     first maximizing pair of indices (None when every deviation is zero).
     "bound" when the bound is at most residual_tol; otherwise the exact
-    spectral maximum over the pairs of :func:`pair_indices` (drawn with
-    seed), by :func:`max_identity_residual` with scale G_0. A negative seed
-    raises ValueError whichever way the identity is decided. The bound needs
+    spectral maximum over the pairs of :func:`pair_indices`, by
+    :func:`max_identity_residual` with scale G_0. The bound needs
     every 1 - |l_k| ||C||_2 positive, ||C||_2 widened by NORM_BOUND_SLACK:
     given as st_norm, a grid that reaches the disk's boundary goes to the
     pairs at once; without it, ||C||_2 is taken only after the residuals
@@ -484,9 +486,6 @@ def _decide_identity(
     the pass: with two or more points every pair through it has a bound
     above residual_tol, since every margin is at most 1.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-
     def margins(norm: float) -> np.ndarray:
         """Lower bounds on 1 - |l_k| ||C||_2, from ||C||_2 widened by NORM_BOUND_SLACK."""
         return 1.0 - np.abs(lams) * (norm * (1.0 + NORM_BOUND_SLACK))
@@ -511,7 +510,7 @@ def _decide_identity(
                 bound = _identity_bound(s, anchor, lams, point_margins, residuals)
     if bound <= tol.residual_tol:
         return bound, "bound", None
-    best, worst = max_identity_residual(s, anchor, values, lams, pair_indices(len(lams), seed))
+    best, worst = max_identity_residual(s, anchor, values, lams, pair_indices(len(lams)))
     return best, "pairs", worst
 
 
@@ -822,10 +821,7 @@ def continuity_check(
     members = np.empty((len(grid.points), n, m), dtype=np.complex128)
     for k, lam in enumerate(grid.points):
         b = as_matrix(lookup(lam))
-        if b.shape != (n, m):
-            raise ShapeMismatchError(
-                f"inverse of a {p.shape} matrix must have shape {(n, m)}, got {b.shape}"
-            )
+        _check_inverse_shape(p.shape, b.shape)
         members[k] = b
     b0 = members[grid.points.index(0)]
     eye = np.eye(n, dtype=np.complex128)

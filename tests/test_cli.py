@@ -332,7 +332,6 @@ TOLERANCE_SETTINGS = [
 GRID_SETTINGS = [
     ("--grid-radius", "nan", "grid radius"),
     ("--grid-radius", "inf", "grid radius"),
-    ("--seed", "-1", "seed must be non-negative, got -1"),
 ]
 REGION_SETTINGS = [
     ("--re-min", "nan", "region bound re_min must be finite, got nan"),
@@ -535,7 +534,7 @@ def test_back_to_back_calls_parse_independently(capsys):
     calls = [
         ["analyze", *const, "--grid-points", "9", "--rank-rtol", "1e-12"],
         ["analyze", *const],
-        ["mp-check", *const, "--grid-points", "60", "--seed", "3"],
+        ["mp-check", *const, "--grid-points", "60"],
         ["perturb", str(DATA / "diag10.json"), str(DATA / "tbar_outer.json")],
         ["mp-check", *const],
     ]
@@ -578,6 +577,29 @@ def test_mp_check_of_a_vanishing_pencil_writes_nothing_to_stderr(scale, tmp_path
     assert report["identity_method"] == "pairs"
     assert report["max_identity_residual"] == np.inf
     assert report["identity_verdict"] is False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the identity's pairs through lam = 1/3, where ||G|| is about 1e6, are measured "
+    "against ||G_0|| of about 3 alone, so max_identity_residual reads 1.21e-10 against "
+    "residual_tol 1e-10 (ROADMAP: verdict margins, diagnostics and an opt-in trace)",
+)
+def test_mp_check_of_an_invertible_pencil_near_an_eigenvalue_keeps_its_contract(
+    tmp_path, capsys
+):
+    """t = diag(1/3 + 1e-6, 2.5, -2.5i, 3) and s = I on the grid of radius 1:
+    t - lam I is invertible at every point of default_grid(1.0, 25), so
+    (t - lam I)^+ is the classical resolvent there and both verdicts hold.
+    The command must not exit 3, whose constancy verdict holds and whose
+    identity verdict fails."""
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    save_matrix(np.diag([1 / 3 + 1e-6, 2.5, -2.5j, 3.0]), paths[0])
+    save_matrix(np.eye(4), paths[1])
+    code, out, _ = run(["mp-check", *paths, "--grid-radius", "1"], capsys)
+    report = json.loads(out)
+    assert report["constancy_verdict"] is True
+    assert code != 3, (report["identity_method"], report["max_identity_residual"])
 
 
 class TestVersionCommand:

@@ -151,7 +151,7 @@ def test_subsampled_pairs_keep_the_first_maximizing_pair(switched):
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius / 2, 60)
     values = np.stack([evaluate(family, lam) for lam in grid.points])
-    pairs = pair_indices(len(grid.points), seed=3)
+    pairs = pair_indices(len(grid.points))
     assert np.any(np.diff(pairs[:, 0]) < 0)
     expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
     assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
@@ -168,18 +168,18 @@ def test_subsampled_pairs_keep_the_first_maximizing_pair(switched):
         assert got == (expected[0], reported)
 
 
-@pytest.mark.parametrize("points,seed", [(1, 0), (25, 0), (60, 0), (60, 3)])
-def test_pair_indices_drop_only_pairs_that_cannot_be_the_worst(points, seed):
+@pytest.mark.parametrize("points", [1, 25, 60])
+def test_pair_indices_drop_only_pairs_that_cannot_be_the_worst(points):
     """The pairs (i, i) and repeated draws are left out of every ordered pair
-    (up to 40 points) or of the 1600 pseudorandom draws (beyond), the rest kept
-    in order; over the full list the maximum and first maximizing pair are
-    the same."""
+    (up to 40 points) or of the 1600 pseudorandom draws of default_rng(0)
+    (beyond), the rest kept in order; over the full list the maximum and
+    first maximizing pair are the same."""
     if points <= 40:
         drawn = [(i, j) for i in range(points) for j in range(points)]
     else:
-        drawn = np.random.default_rng(seed).integers(0, points, size=(1600, 2)).tolist()
+        drawn = np.random.default_rng(0).integers(0, points, size=(1600, 2)).tolist()
     kept = list(dict.fromkeys((i, j) for i, j in drawn if i != j))
-    pairs = pair_indices(points, seed)
+    pairs = pair_indices(points)
     assert pairs.shape == (len(kept), 2)
     assert [tuple(pair) for pair in pairs.tolist()] == kept
     p = pencil_for(4, 5, True, seed=5)

@@ -1,28 +1,30 @@
-"""Input checks of the library functions, each with its error type and message."""
+"""Input checks of the library functions, each with its error type and message,
+and no check of the package written as an ``assert`` statement."""
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from genresolvent import (
     ComplementPair,
+    DiskGrid,
     Pencil,
     RankProfile,
     ShapeMismatchError,
     SubspaceBasis,
-    build_family,
-    check_resolvent_axioms,
     continuity_check,
     default_grid,
     equivalence_check,
     fixed_complements_check,
     full_subspace,
+    generalized_spectrum_scan,
     geninv_from_complements,
     mp_inverse,
-    mp_resolvent_characterization,
     rectangular_region,
     solve,
     transversal,
@@ -34,17 +36,7 @@ EYE2 = np.eye(2)
 PENCIL = Pencil(np.diag([1.0, 0.0]), EYE2)
 # complements in C^3 and C^2, where a 2 x 2 operator needs C^2 and C^2
 MISPLACED = ComplementPair(e=full_subspace(3), f=zero_subspace(2))
-# the identity of PENCIL's family is decided by its bound, that of its
-# pseudoinverses on pairs: all of them up to 40 points, a seeded draw beyond
 G_DIAG = mp_inverse(PENCIL.t)
-FAMILY = build_family(PENCIL, G_DIAG)
-SEEDED = [
-    pytest.param(lambda points: check_resolvent_axioms(FAMILY, default_grid(0.5, points), seed=-1),
-                 id="check_resolvent_axioms"),
-    pytest.param(lambda points: mp_resolvent_characterization(PENCIL, default_grid(0.5, points),
-                                                              seed=-1),
-                 id="mp_resolvent_characterization"),
-]
 
 CHECKS = [
     pytest.param(lambda: verify_mp_axioms(np.ones((2, 3)), np.ones((2, 3))),
@@ -75,6 +67,13 @@ CHECKS = [
                  ValueError, "ambient dimension must be non-negative", id="SubspaceBasis"),
     pytest.param(lambda: default_grid(1.0, 0),
                  ValueError, "at least one point", id="default_grid"),
+    # a NaN modulus passes every comparison with the radius, and the SVD of
+    # t - lam s at a non-finite lam does not converge
+    pytest.param(lambda: DiskGrid(1.0, (0.5, complex("nan"))),
+                 ValueError, "grid point (nan+0j) is not finite", id="DiskGrid-nan"),
+    pytest.param(lambda: generalized_spectrum_scan(PENCIL, [0.5, complex("inf")]),
+                 ValueError, "scan point (inf+0j) is not finite",
+                 id="generalized_spectrum_scan-inf"),
     pytest.param(lambda: RankProfile((0j, 0.5), (1,), (1,), (1,), (False,)),
                  ValueError, "equal length", id="RankProfile"),
     pytest.param(lambda: rectangular_region(0.0, math.inf, 0.0, 1.0, 3),
@@ -94,10 +93,16 @@ def test_input_check_raises_its_error_naming_the_fault(call, error, fragment):
     assert fragment in str(raised.value)
 
 
-@pytest.mark.parametrize("points", [9, 60], ids=["all-pairs", "drawn-pairs"])
-@pytest.mark.parametrize("call", SEEDED)
-def test_negative_seed_raises_on_every_grid(call, points):
-    """The seed is checked where it enters the identity decision, whether or
-    not the decision draws pairs with it."""
-    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-        call(points)
+
+def test_no_check_of_the_package_is_an_assert_statement():
+    """python -O strips assert statements, so a check written as one would
+    pass unchecked there: every check raises its error explicitly."""
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "genresolvent").glob("*.py"))
+    assert sources
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

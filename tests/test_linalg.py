@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from genresolvent import (
     DEFAULT_TOL,
+    FactorizationError,
     ShapeMismatchError,
     SingularSystemError,
     SubspaceBasis,
@@ -89,6 +90,16 @@ class TestSvd:
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatchError):
             svd(np.zeros((0, 2)))
+
+    def test_non_convergence_raises_factorization_error(self, monkeypatch):
+        """LAPACK's failure to converge is the package's FactorizationError,
+        its message kept, not NumPy's LinAlgError."""
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(FactorizationError, match="svd did not converge: SVD did not converge"):
+            svd(np.eye(2))
 
     @settings(max_examples=30, deadline=None)
     @given(seeds, st.integers(1, 8), st.integers(1, 8))
@@ -214,6 +225,15 @@ def test_empty_and_zero_matrices(shape):
 class TestNorm:
     def test_identity(self):
         assert op_norm2(np.eye(3)) == 1.0
+
+    @pytest.mark.parametrize("bound", [norm_upper_bounds, norm_lower_bounds, frobenius_norms])
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0)])
+    def test_empty_stacks_have_zero_bounds(self, bound, shape):
+        """No matrices give no bounds, and matrices with no entries bound zero,
+        without forming a peak-scaled copy."""
+        got = bound(np.zeros(shape, dtype=np.complex128))
+        assert got.shape == (shape[0],)
+        assert not got.any()
 
     def test_diagonal(self):
         assert op_norm2(np.diag([1.0, 2.0])) == 2.0

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genresolvent.perturbation as perturbation
 from genresolvent import (
+    GenResolventError,
     InverseVerdict,
     PerturbationTooLargeError,
     ShapeMismatchError,
@@ -63,6 +65,23 @@ class TestPerturbedInverse:
         with pytest.raises(PerturbationTooLargeError) as err:
             perturbed_inverse(G_DIAG, np.diag([5.0, 0.0]))
         assert err.value.smallness == pytest.approx(4.0)
+
+    def test_disagreeing_factorizations_raise(self, monkeypatch):
+        """The right factorization tplus (I + dt tplus)^-1 is checked against the
+        left one; a solve that returns something else is a contract fault."""
+        monkeypatch.setattr(perturbation, "solve_right", lambda a, b, tol: 2.0 * b)
+        with pytest.raises(GenResolventError, match="left and right factorizations disagree"):
+            perturbed_inverse(G_DIAG, np.diag([1.1, 0.0]))
+
+    @pytest.mark.parametrize("verdict", [InverseVerdict.INNER_ONLY, InverseVerdict.NEITHER])
+    def test_failing_outer_axiom_raises(self, monkeypatch, verdict):
+        """Every admissible perturbation keeps the outer axiom; a verdict
+        without it is a contract fault naming the outer residual."""
+        monkeypatch.setattr(perturbation, "verify_gen_inverse",
+                            lambda t, b, tol: (0.0, 0.5, verdict))
+        with pytest.raises(GenResolventError,
+                           match=r"unexpectedly fails the outer axiom \(residual 5\.000e-01\)"):
+            perturbed_inverse(G_DIAG, np.diag([1.1, 0.0]))
 
     def test_classification_matches_transversality(self):
         for tbar in (np.diag([1.1, 0.0]), np.diag([1.0, 0.1]), np.array([[1, 0.05], [0, 0.0]])):
