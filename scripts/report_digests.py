@@ -7,7 +7,7 @@ Runs ``genresolvent.cli.main`` in-process on
   ``mp-check``, ``perturb`` and ``spectrum --steps 21``;
 * seeded framed pencils (the test suite's ``helpers.framed_pencil``,
   constant and switched support): ``analyze`` and ``mp-check`` at ``--grid-points 25`` and at
-  ``--grid-points 60``, beyond the 40 points up to which the identity takes every pair;
+  ``--grid-points 60``;
 * each command with one non-default ``--rank-rtol``, ``--residual-tol`` or
   ``--gap-tol``, and each command with ``--out``;
 * ``spectrum --steps 21`` on seeded normal pencils of order 20 that reach
@@ -29,7 +29,12 @@ Runs ``genresolvent.cli.main`` in-process on
   tolerance lies between the command's exact axiom residuals and their
   largest bound (7e-15 between 6.2e-15 and 8.2e-15, 1e-14 between 8.4e-15
   and 1.2e-14, with OpenBLAS), so the grid passes on exact values where a
-  bound exceeds the tolerance.
+  bound exceeds the tolerance;
+* t = diag(1/3 + 1e-6, 2.5, -2.5i, 3) with s = I: ``analyze --grid-radius
+  0.3333333`` at ``--grid-points 25`` and ``60``, where the identity's
+  bound leaves pairs of points near 1/3 undecided, the pairs through
+  lam = 0 pass and those undecided pairs decide, and ``mp-check
+  --grid-radius 1``.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -61,7 +66,7 @@ from genresolvent.cli import main as cli_main
 from helpers import framed_pencil, unitary
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-# (m, n); the larger ones cut the pairwise stage into several chunks
+# (m, n); the larger ones cut the identity's pairs into several chunks
 SHAPES = ((4, 4), (3, 5), (6, 3), (8, 8), (24, 20))
 GRIDS = (["--grid-points", "25"], ["--grid-points", "60"])
 # one valid invocation per command, for the tolerance-flag and --out runs
@@ -167,6 +172,14 @@ def slack_commands() -> list[list[str]]:
             ["mp-check", *pair, "--residual-tol", "1e-14"]]
 
 
+def near_eigenvalue_commands() -> list[list[str]]:
+    save_matrix(np.diag([1 / 3 + 1e-6, 2.5, -2.5j, 3.0]), "framed/near-eigenvalue-t.json")
+    save_matrix(np.eye(4), "framed/eye4.json")
+    pair = ["framed/near-eigenvalue-t.json", "framed/eye4.json"]
+    return [["analyze", *pair, "--grid-radius", "0.3333333", *grid] for grid in GRIDS] + [
+        ["mp-check", *pair, "--grid-radius", "1"]]
+
+
 def flag_commands() -> list[list[str]]:
     commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
     return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
@@ -188,7 +201,7 @@ def main() -> int:
         os.mkdir("spectrum")
         for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
                      + spectrum_commands() + chunked_commands() + rank_zero_commands()
-                     + slack_commands()):
+                     + slack_commands() + near_eigenvalue_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

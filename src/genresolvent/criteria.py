@@ -40,7 +40,8 @@ from .linalg import (
     residual_bounds,
     solve_stack,
 )
-from .resolvent import DiskGrid, Pencil, RankProfile, _decide_identity, _grid_pass, _point_stage
+from .identity import decide_identity
+from .resolvent import DiskGrid, Pencil, RankProfile, _grid_pass, _point_stage
 
 
 def _constant_from_zero(profile: RankProfile, values: tuple[int, ...]) -> bool:
@@ -102,13 +103,16 @@ class MPResolventReport:
 
     max_identity_residual: the identity value the verdict was decided on,
         relative to ||(t - 0*s)^+||, from the decision ``analyze`` uses too
-        (:func:`resolvent._decide_identity`), anchored at the member at
-        lam = 0; which value it is says identity_method
-    identity_method: "bound" when it is the bound on every ordered pair of
-        grid points built from the per-point deviations of the pairs (k, 0),
-        at most residual_tol; "pairs" when that bound exceeded residual_tol,
-        or a point's deviation alone did, and it is the exact spectral
-        maximum over the pairs of :func:`resolvent.pair_indices`
+        (:func:`identity.decide_identity`), anchored at the member at
+        lam = 0: at most residual_tol, it is at least the residual of every
+        ordered pair of grid points; above it, the exact residual of one
+        pair, a certified lower bound on their maximum
+    identity_method: "bound" when the bound on every ordered pair of grid
+        points built from the per-point deviations of the pairs (k, 0)
+        decided, at most residual_tol; "pairs" when that bound exceeded
+        residual_tol, or a point's deviation alone did, and exact residuals
+        decided, of the pairs through lam = 0 and then of every other pair
+        whose bound exceeded it
     max_axiom_residual: the value the four Moore-Penrose axioms over the
         grid points were decided on; which value it is says axiom_method
     axiom_method: "bound" when it is the largest of the bounds on every
@@ -141,8 +145,9 @@ def mp_resolvent_characterization(
     products of its factors with t's, and the Moore-Penrose axiom residuals
     are bounded; exact residuals are taken only where the largest bound
     exceeds residual_tol. The identity is decided by
-    :func:`resolvent._decide_identity`, on the fixed pairs of
-    :func:`resolvent.pair_indices` where its bound does not decide it.
+    :func:`identity.decide_identity`: by its bound on every ordered pair
+    where that meets residual_tol, and otherwise by exact residuals, of the
+    pairs through lam = 0 first, on every pair the bound leaves undecided.
     """
     return _mp_characterization(p, grid, tol)[0]
 
@@ -196,7 +201,7 @@ def _mp_characterization(
         max_axiom, axiom_method = top, "bound"
     else:
         max_axiom, axiom_method = exact_maximum(axiom_bounds.ravel(), exact)[0], "exact"
-    max_identity, method, _ = _decide_identity(p.s, pinvs, lams, tol)
+    max_identity, method, _ = decide_identity(p.s, pinvs, lams, tol)
     constancy = all(g <= tol.gap_tol for g in kernel_gaps.tolist() + range_gaps.tolist())
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
     report = MPResolventReport(

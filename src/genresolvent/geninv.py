@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .linalg import (
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
+    bounded_residuals,
     factor,
     relative_residuals,
     solve,
@@ -165,10 +167,17 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
 
 def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePolicy) -> GenInverse:
     """The verified pair (t, b); raises InvalidInverseError when b fails an axiom.
-    A Moore-Penrose inverse that fails is t's own, computed here, so the error
-    names residual_tol: below that inverse's rounding no inverse of t meets it."""
-    inner, outer, verdict = verify_gen_inverse(t, b, tol)
-    if verdict is not InverseVerdict.GENERALIZED:
+    Both axioms are decided bound first (:func:`linalg.bounded_residuals`),
+    so a failing residual in the message is exact and a passing one may be
+    its bound. A Moore-Penrose inverse that fails is t's own, computed here,
+    so the error names residual_tol: below that inverse's rounding no
+    inverse of t meets it."""
+    _check_inverse_shape(t.shape, b.shape)
+    (inner, _), (outer, _), _ = inverse_residuals(
+        t[None], b[None], partial(bounded_residuals, limit=tol.residual_tol)
+    )
+    inner, outer = float(inner[0]), float(outer[0])
+    if not (inner <= tol.residual_tol and outer <= tol.residual_tol):
         failing = (f"the Moore-Penrose inverse of T misses residual_tol {tol.residual_tol:.3e}"
                    if kind is InverseKind.MOORE_PENROSE
                    else "candidate fails the generalized-inverse axioms")

@@ -18,10 +18,11 @@ conditions on sampled disk grids, and decides existence through the
 transversality, direct-sum, fixed-complement and continuity criteria.
 
 The resolvent identity of a sampled family is decided in one place,
-:func:`_decide_identity`, for this family and for the pointwise
+:func:`identity.decide_identity`, for this family and for the pointwise
 pseudoinverses of :mod:`criteria` alike: a bound on every ordered pair from
-one residual per point, anchored at the member at lam = 0, and the exact
-maximum over sampled pairs only where that bound exceeds residual_tol.
+one residual per point, anchored at the member at lam = 0, and exact
+residuals, first of the pairs through lam = 0 and then of every other pair,
+only where a bound exceeds residual_tol.
 
 Every rank of t - lam*s at sampled points comes from one private grid pass,
 whose stage, :func:`linalg.rank_stage`, runs the rank kernel
@@ -60,22 +61,15 @@ import numpy as np
 
 from .errors import InvalidFamilyError, OutOfRadiusError, ShapeMismatchError
 from .geninv import ComplementPair, GenInverse, _check_inverse_shape, inverse_residuals, user_supplied
+from .identity import decide_identity
 from .linalg import (
     DEFAULT_TOL,
-    EPS,
-    NORM_BOUND_SLACK,
-    NORM_FLOOR,
     TolerancePolicy,
     as_matrix,
     bounded_residuals,
     chunked_stage,
-    chunks,
     empty_basis,
-    exact_maximum,
     factor,
-    frobenius_norms,
-    norm_lower_bounds,
-    norm_upper_bounds,
     op_norm2,
     op_norms2,
     rank_stage,
@@ -87,12 +81,6 @@ from .linalg import (
 
 RADIUS_CAP = 1e12
 RADIUS_EPS = 1e-14
-
-# The smallest positive double: a product in gradual underflow errs by at most half of it.
-UNDERFLOW = float(np.nextafter(0.0, 1.0))
-
-PAIR_SAMPLE_LIMIT = 1600
-PAIR_FULL_MAX_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -218,156 +206,6 @@ def evaluate(f: ResolventFamily, lam: complex, tol: TolerancePolicy = DEFAULT_TO
     return _evaluate_stack(f, np.array([lam]), tol)[0]
 
 
-def max_identity_residual(
-    s: np.ndarray,
-    scale: np.ndarray,
-    values: np.ndarray | Sequence[np.ndarray],
-    points: np.ndarray | Sequence[complex],
-    pairs: np.ndarray | Sequence[tuple[int, int]],
-) -> tuple[float, tuple[int, int] | None]:
-    """Worst resolvent-identity residual over index pairs into a sampled family.
-
-    ``values`` is the family as one (k, n, m) stack, G_i = values[i] at
-    points[i]; ``pairs`` is a (P, 2) integer array of indices (i, j) into
-    it. A sequence of equal-shape matrices or of index pairs is stacked into
-    that form first, at the cost of a copy.
-
-    The residual of pair (i, j) is ||D||_2 / ||scale||_2 for the deviation
-    D = G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j, formed exactly as a single
-    pair evaluation forms it; ||scale||_2 is computed once. This runs on the
-    shared screen of :mod:`linalg`: every deviation is bounded without a
-    factorization, by its Frobenius norm, or by the tighter
-    :func:`linalg.norm_upper_bounds` where that can reach the maximum
-    (:func:`_screen_deviations`), and :func:`linalg.exact_maximum` takes
-    exact spectral norms largest bound first, rebuilding each deviation
-    through the same code, until the next bound is strictly below the best
-    exact value. So the returned residual is the exact spectral maximum and
-    the returned pair is the first maximizing one in ``pairs`` order; the
-    pair is None when every deviation is zero.
-
-    Memory: the screen takes the pairs in chunks of about CHUNK_BYTES,
-    counting six matrices of 16 * n * max(n, m) bytes per pair: the
-    gathered G_i, G_j and G_i @ s, their product, the peak-scaled deviation
-    and its adjoint, and one for the chunk's distinct G_i @ s and the Gram.
-    The copy of the deviations the Gram bounds is taken after the gathered
-    matrices and the product are freed.
-    Beyond the chunk it holds the bounds (8 bytes per pair), the sorted pair
-    order and one G_i @ s carried into the next chunk; a sequence
-    ``values`` adds a stacked copy of the family.
-    """
-    g = np.asarray(values, dtype=np.complex128)
-    lams = np.asarray(points, dtype=np.complex128)
-    index = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    scale_norm = max(op_norm2(scale), NORM_FLOOR)
-
-    def exact(position: int) -> float:
-        pair = index[position : position + 1]
-        deviation = _deviations(g, lams, g[pair[:, 0]] @ s, pair[:, 0], pair[:, 1])
-        return float(op_norms2(deviation)[0]) / scale_norm
-
-    # +inf, where a deviation overflows against a floored scale, exceeds every bound
-    with np.errstate(over="ignore"):
-        bounds = _screen_deviations(s, g, lams, index) / scale_norm
-    best, position = exact_maximum(bounds, exact)
-    if position is None:
-        return best, None
-    i, j = index[position].tolist()
-    return best, (i, j)
-
-
-def _deviations(
-    g: np.ndarray,
-    lams: np.ndarray,
-    g_s: np.ndarray,
-    firsts: np.ndarray,
-    seconds: np.ndarray,
-) -> np.ndarray:
-    """Stacked G_i - G_j - (l_i - l_j) (G_i @ s) @ G_j for index arrays of i and j.
-
-    g_s[k] is G_i @ s for i = firsts[k]. Each product is one slice of a
-    stacked matmul of the per-pair shapes, so it has the per-pair bits.
-    """
-    rights = g[seconds]
-    # matmul with out= may round differently from the per-pair product
-    products = g_s @ rights
-    deviations = np.subtract(g[firsts], rights, out=rights)
-    np.multiply((lams[firsts] - lams[seconds])[:, None, None], products, out=products)
-    deviations -= products
-    return deviations
-
-
-def _screen_deviations(
-    s: np.ndarray, g: np.ndarray, lams: np.ndarray, pairs: np.ndarray
-) -> np.ndarray:
-    """Upper bounds on the spectral norm of every pair's deviation D.
-
-    Each bound is ||D||_F, by :func:`linalg.frobenius_norms`, widened by
-    NORM_BOUND_SLACK, or :func:`linalg.norm_upper_bounds` of D where that
-    Frobenius bound reaches a running lower bound on the largest spectral
-    norm: the largest ||D||_F / sqrt(min(n, m)) so far, narrowed by
-    NORM_BOUND_SLACK (||D||_2 >= ||D||_F / sqrt(rank D)). A pair left with
-    its Frobenius bound lies strictly below some pair's exact norm, so
-    :func:`linalg.exact_maximum` never takes its exact norm, and returns the
-    maximum and first pair it returns with the Gram bound of every pair.
-
-    Pairs are taken in order of first index, in chunks of about CHUNK_BYTES.
-    Each G_i @ s is formed once: per chunk for its distinct first indices,
-    and the last one is carried into the next chunk, which may start with
-    the same i.
-    """
-    bounds = np.zeros(len(pairs))
-    if not len(pairs):
-        return bounds
-    order = np.argsort(pairs[:, 0], kind="stable")
-    _, height, width = g.shape
-    shrink = (1.0 - NORM_BOUND_SLACK) / math.sqrt(min(height, width))
-    lower = 0.0
-    carried: tuple[int, np.ndarray] | None = None
-    # per pair: the gathered G_i, G_j and G_i @ s, the product, the scaled
-    # deviation and its adjoint, and one more for the chunk's own G_i @ s
-    # and the Gram; the copy of the deviations the Gram bounds is taken
-    # after the gathered G_i and the product are freed
-    for chunk in chunks(len(order), 6 * 16 * height * max(height, width)):
-        part = order[chunk]
-        firsts, seconds = pairs[part, 0], pairs[part, 1]
-        rows, inverse = np.unique(firsts, return_inverse=True)
-        fresh = rows if carried is None or rows[0] != carried[0] else rows[1:]
-        g_s = g[fresh] @ s
-        if len(fresh) < len(rows):
-            g_s = np.concatenate([carried[1][None], g_s])
-        carried = (rows[-1], g_s[-1])
-        deviations = _deviations(g, lams, g_s[inverse], firsts, seconds)
-        frobenius = frobenius_norms(deviations)
-        lower = max(lower, np.fmax.reduce(frobenius, initial=0.0) * shrink)
-        chunk_bounds = frobenius * (1.0 + NORM_BOUND_SLACK)
-        # a NaN norm, of a deviation with non-finite entries, takes the Gram
-        near = ~(chunk_bounds < lower)
-        if near.any():
-            chunk_bounds[near] = norm_upper_bounds(deviations[near])
-        bounds[part] = chunk_bounds
-    return bounds
-
-
-def pair_indices(count: int) -> np.ndarray:
-    """Distinct ordered index pairs (i, j), i != j, for pairwise identity checks.
-
-    All of them, row-major, for up to PAIR_FULL_MAX_POINTS points; beyond
-    that, the distinct off-diagonal pairs of a pseudorandom draw of
-    PAIR_SAMPLE_LIMIT pairs from the fixed generator default_rng(0), in
-    order of first draw, which keeps the quadratic cost bounded; the pairs
-    depend on count alone. The pairs (i, i), whose deviation is exactly
-    zero, and repeated draws cannot change the maximum or the first
-    maximizing pair, so they are left out. Returns a (P, 2) array.
-    """
-    if count <= PAIR_FULL_MAX_POINTS:
-        pairs = np.indices((count, count)).reshape(2, -1).T
-    else:
-        pairs = np.random.default_rng(0).integers(0, count, size=(PAIR_SAMPLE_LIMIT, 2))
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    _, first = np.unique(pairs, axis=0, return_index=True)
-    return pairs[np.sort(first)]
-
-
 @dataclass(frozen=True)
 class ResolventAxiomReport:
     """Per-point residuals of the inverse axioms and the identity's deciding value.
@@ -382,15 +220,17 @@ class ResolventAxiomReport:
         "exact" when some bound exceeded residual_tol and those residuals
         are exact
     max_identity_residual: the resolvent-identity value the verdict was
-        decided on, relative to ||tplus||_2; which value it is says
-        identity_method
-    identity_method: as :func:`_decide_identity` decided it: "bound" when it
-        is the bound built from per-point solve residuals, at least the
-        residual of every ordered pair of usable points; "pairs" when that
-        bound exceeded residual_tol and it is the exact spectral maximum
-        over the pairs of :func:`pair_indices`, by :func:`max_identity_residual`
-    worst_pair: with "pairs", the first pair attaining the maximum, None when
-        every deviation is zero; always None with "bound"
+        decided on, relative to ||tplus||_2: at most residual_tol, it is at
+        least the residual of every ordered pair of usable points; above
+        it, the exact residual of worst_pair
+    identity_method: as :func:`identity.decide_identity` decided it:
+        "bound" when the bound built from per-point solve residuals decided
+        every pair; "pairs" when that bound exceeded residual_tol and
+        exact residuals decided, of the pairs through lam = 0 and then of
+        every other pair whose bound exceeded it
+    worst_pair: the pair whose exact residual is max_identity_residual,
+        where that exceeds residual_tol, the first in row-major order of the
+        points; otherwise None
     skipped: grid points outside the disk of convergence (reported, not fatal)
     Verdicts certify the sampled points only.
     """
@@ -417,10 +257,11 @@ def check_resolvent_axioms(
     axiom residual from one stacked norm bound, or, where that bound exceeds
     residual_tol, from the exact norms of the points it does not decide
     (:func:`linalg.bounded_residuals`). The identity is decided by
-    :func:`_decide_identity` on the kept family, whose member at lam = 0 is
-    tplus itself: on the bound of every ordered pair where it meets
-    residual_tol, and otherwise on the pairs of :func:`pair_indices`, so no
-    verdict turns false on the bound's slack.
+    :func:`identity.decide_identity` on the kept family, whose member at
+    lam = 0 is tplus itself: on the bound of every ordered pair where it
+    meets residual_tol, and otherwise on exact residuals, of the pairs
+    through lam = 0 and then of every pair the bound leaves undecided, so no
+    verdict turns false on the bound's slack and none rests on a sample.
     """
     usable: list[complex] = []
     skipped: list[complex] = []
@@ -441,7 +282,7 @@ def check_resolvent_axioms(
     # and its full-rank screen (linalg.SCREEN_LIVE more) are freed before the
     # residuals are built
     values, inner, inner_exact, outer, outer_exact = _point_stage(f.pencil, lams, 7, stage)
-    max_identity, method, worst = _decide_identity(f.pencil.s, values, lams, tol, f.st_norm)
+    max_identity, method, worst = decide_identity(f.pencil.s, values, lams, tol, f.st_norm)
     worst_point = max(inner.tolist() + outer.tolist(), default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
     return ResolventAxiomReport(
@@ -455,145 +296,6 @@ def check_resolvent_axioms(
         skipped=tuple(skipped),
         ok=ok,
     )
-
-
-def _decide_identity(
-    s: np.ndarray, values: np.ndarray, lams: np.ndarray, tol: TolerancePolicy,
-    st_norm: float | None = None,
-) -> tuple[float, str, tuple[int, int] | None]:
-    """Decide the resolvent identity G_i - G_j = (l_i - l_j) G_i S G_j on a
-    sampled family: the (k, n, m) stack values, G_k = values[k] at lams[k],
-    one of which is 0.
-
-    The family is anchored at its member G_0 at lam = 0, with C = fl(S G_0):
-    the solve residuals E_k = G_k (I - l_k C) - G_0 are bounded chunk by
-    chunk (:func:`_solve_residual_bounds`), and :func:`_identity_bound`
-    turns them into a bound on every ordered pair's deviation relative to
-    ||G_0||_2. The lemma behind it holds for any matrices G_k, so the same
-    decision serves the explicit family, whose G_0 is tplus and E_k the
-    residual of the solve that built G_k, and the pointwise pseudoinverses,
-    whose E_k is the deviation of the pair (k, 0).
-
-    Returns the deciding value, "bound" or "pairs", and with "pairs" the
-    first maximizing pair of indices (None when every deviation is zero).
-    "bound" when the bound is at most residual_tol; otherwise the exact
-    spectral maximum over the pairs of :func:`pair_indices`, by
-    :func:`max_identity_residual` with scale G_0. The bound needs
-    every 1 - |l_k| ||C||_2 positive, ||C||_2 widened by NORM_BOUND_SLACK:
-    given as st_norm, a grid that reaches the disk's boundary goes to the
-    pairs at once; without it, ||C||_2 is taken only after the residuals
-    pass. A residual above residual_tol * ||G_0||_2 (the bound's scale) ends
-    the pass: with two or more points every pair through it has a bound
-    above residual_tol, since every margin is at most 1.
-    """
-    def margins(norm: float) -> np.ndarray:
-        """Lower bounds on 1 - |l_k| ||C||_2, from ||C||_2 widened by NORM_BOUND_SLACK."""
-        return 1.0 - np.abs(lams) * (norm * (1.0 + NORM_BOUND_SLACK))
-
-    anchor = values[np.flatnonzero(lams == 0)[0]]
-    st_plus = s @ anchor
-    bound = math.inf
-    if st_norm is None or np.all(margins(st_norm) > 0.0):
-        residuals = np.empty(len(lams))
-        scale = max(norm_lower_bounds(anchor[None])[0], NORM_FLOOR)
-        # per point: the difference, the product, and the norm bound's scaled
-        # copy, its adjoint and the Gram
-        for part in chunks(len(lams), 5 * 16 * max(anchor.shape) ** 2):
-            residuals[part] = _solve_residual_bounds(s, anchor, st_plus, lams[part], values[part])
-            # +inf, where a residual overflows against the floored scale, exceeds residual_tol
-            with np.errstate(over="ignore"):
-                if len(lams) > 1 and np.any(residuals[part] / scale > tol.residual_tol):
-                    break
-        else:
-            point_margins = margins(op_norm2(st_plus) if st_norm is None else st_norm)
-            if np.all(point_margins > 0.0):
-                bound = _identity_bound(s, anchor, lams, point_margins, residuals)
-    if bound <= tol.residual_tol:
-        return bound, "bound", None
-    best, worst = max_identity_residual(s, anchor, values, lams, pair_indices(len(lams)))
-    return best, "pairs", worst
-
-
-def _rounding(inner: int) -> float:
-    """A bound on the relative rounding of an entry of a complex matrix product
-    of inner dimension at most inner: sqrt(2) gamma_(inner+2) <= (inner + 2)
-    * EPS / sqrt(2) (Higham, ch. 3), taken as (inner + 4) * EPS, which
-    leaves room for the rounding of the Frobenius norms and scalar
-    operations that carry it into a bound."""
-    return (inner + 4) * EPS
-
-
-def _solve_residual_bounds(
-    s: np.ndarray, tplus: np.ndarray, st_plus: np.ndarray, lams: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Upper bounds on ||E_k||_2 for the matrices G_k = g[k] at the points lams[k], where
-
-        E_k = G_k (I - l_k C) - T+ = (G_k - T+) - l_k G_k C
-
-    is, for G_k solved from (I - l_k C), the residual of that solve, in
-    exact arithmetic on C = st_plus = fl(S @ T+).
-
-    E_k is formed as fl(G_k - T+) - fl(l_k fl(G_k @ C)) and bounded by
-    :func:`linalg.norm_upper_bounds`, plus the rounding of forming it, in
-    Frobenius norms: EPS for the first difference, 2 EPS for the scaled
-    product and the last difference, and :func:`_rounding` of
-    |l_k| ||G_k||_F ||C||_F for the product. Where C has a nonzero entry,
-    a gradual underflow term covers the products' absolute errors below
-    the normal range. Each term is zero where what it bounds is exactly
-    computed, so a family that is exactly constant (C = 0, G_k = T+) has
-    bound 0.
-    """
-    m, n = s.shape
-    difference = g - tplus
-    product = g @ st_plus
-    product *= lams[:, None, None]
-    moduli = np.abs(lams)
-    rounding = EPS * (frobenius_norms(difference) + 2.0 * frobenius_norms(product))
-    rounding += _rounding(m) * moduli * frobenius_norms(g) * frobenius_norms(st_plus[None])[0]
-    if np.any(st_plus):
-        # sqrt(2) UNDERFLOW per product term and per scaled entry
-        rounding += 2.0 * UNDERFLOW * math.sqrt(m * n) * (moduli * m + 1.0)
-    difference -= product
-    return norm_upper_bounds(difference) + rounding
-
-
-def _identity_bound(
-    s: np.ndarray, tplus: np.ndarray, lams: np.ndarray, margins: np.ndarray,
-    residuals: np.ndarray,
-) -> float:
-    """A bound on ||D_ij||_2 / ||T+||_2 over every ordered pair i != j of the
-    points lams, for matrices G_k whose residuals E_k = G_k A_k - T+ have
-    the bounds ``residuals`` (:func:`_solve_residual_bounds`), where
-    margins[k] > 0 is a lower bound on 1 - |l_k| ||C||_2.
-
-    D_ij = G_i - G_j - (l_i - l_j) G_i S G_j is the deviation of the
-    resolvent identity. With C = fl(S T+) and A_k = I - l_k C, expanding
-    G_j A_j = T+ + E_j and (l_i - l_j) C = A_j - A_i gives, exactly, for
-    any matrices G_k,
-
-        D_ij A_j = E_i - E_j - (l_i - l_j) G_i (S E_j + S T+ - C),
-
-    so ||D_ij|| <= (||E_i|| + ||E_j|| + |l_i - l_j| ||G_i|| (||S|| ||E_j|| + ||S T+ - C||))
-    * ||A_j^-1||. Here ||A_j^-1|| <= 1 / margins[j], G_i A_i = T+ + E_i
-    gives ||G_i|| <= (||T+|| + ||E_i||) ||A_i^-1||, and ||S T+ - C|| is C's
-    own rounding, :func:`_rounding` of || |S| |T+| ||_F. The norms of S and
-    T+ come from :func:`linalg.norm_upper_bounds` and the scale ||T+||_2
-    from :func:`linalg.norm_lower_bounds`. The pairs are combined in one
-    (k, k) array.
-    """
-    m, n = s.shape
-    drift = _rounding(n) * frobenius_norms((np.abs(s) @ np.abs(tplus))[None])[0]
-    if np.any(s):
-        # sqrt(2) n UNDERFLOW per entry of C
-        drift += 2.0 * UNDERFLOW * m * n
-    g_norms = (norm_upper_bounds(tplus[None])[0] + residuals) / margins
-    gaps = np.abs(lams[:, None] - lams[None, :]) * g_norms[:, None]
-    spread = drift + norm_upper_bounds(s[None])[0] * residuals
-    bounds = (residuals[:, None] + residuals[None, :] + gaps * spread[None, :]) / margins[None, :]
-    np.fill_diagonal(bounds, 0.0)
-    # +inf, where the bound overflows against a floored scale, exceeds residual_tol
-    with np.errstate(over="ignore"):
-        return float(bounds.max(initial=0.0) / max(norm_lower_bounds(tplus[None])[0], NORM_FLOOR))
 
 
 @dataclass(frozen=True)

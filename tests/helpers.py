@@ -191,9 +191,17 @@ def off_lattice(rng: np.random.Generator, count: int, extent: float = 3.0,
 EXACT = TolerancePolicy(residual_tol=1e-300)
 
 
+def ordered_pairs(count, through=None):
+    """Every ordered pair (i, j), i != j, of count points, in row-major order;
+    with through, only the pairs of which it is one index."""
+    return [(i, j) for i in range(count) for j in range(count)
+            if i != j and (through is None or through in (i, j))]
+
+
 def reference_identity_max(s, scale, values, points, pairs):
-    """The per-pair loop the identity screen replaces: one deviation, one norm
-    per pair. Returns the largest residual and the first pair attaining it."""
+    """The per-pair loop the identity decision's exact pairs replace: one
+    deviation, one norm per pair. Returns the largest residual and the first
+    pair attaining it."""
     best, worst = 0.0, None
     for i, j in pairs:
         deviation = values[i] - values[j] - (points[i] - points[j]) * (values[i] @ s @ values[j])

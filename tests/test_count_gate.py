@@ -39,7 +39,7 @@ from genresolvent import (
     pinv_matrix,
     save_matrix,
 )
-from genresolvent import criteria, resolvent
+from genresolvent import criteria, identity, resolvent
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.linalg import SCREEN_LIVE, chunks
@@ -307,6 +307,35 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
     assert all(len(axioms) == 1 for axioms in singles)
 
 
+@pytest.fixture
+def formed(monkeypatch):
+    """Pairs whose identity deviation is formed: per call of
+    identity._pairs_maximum, the pairs it bounds, and every call of
+    identity._deviations, which forms the bounded stacks and, one pair at a
+    time, each deviation formed again for an exact norm; and the calls of
+    the per-point pass, identity._solve_residual_bounds."""
+    counts = {"bounded": [], "formed": [], "passes": 0}
+    pairs_maximum, deviations = identity._pairs_maximum, identity._deviations
+    residuals = identity._solve_residual_bounds
+
+    def bounding(s, g, lams, pairs, scale, limit):
+        counts["bounded"].append(len(pairs))
+        return pairs_maximum(s, g, lams, pairs, scale, limit)
+
+    def forming(g, lams, g_s, firsts, seconds):
+        counts["formed"].append(len(firsts))
+        return deviations(g, lams, g_s, firsts, seconds)
+
+    def passing(*args):
+        counts["passes"] += 1
+        return residuals(*args)
+
+    monkeypatch.setattr(identity, "_pairs_maximum", bounding)
+    monkeypatch.setattr(identity, "_deviations", forming)
+    monkeypatch.setattr(identity, "_solve_residual_bounds", passing)
+    return counts
+
+
 @pytest.mark.parametrize(
     "switched,mp_bounds",
     [
@@ -314,80 +343,69 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
         (True, {"all": 28, "full": 6, "matrices": 49, "full_matrices": 27}),
     ],
 )
-def test_analyze_decides_the_identity_without_pairs(svds, monkeypatch, tmp_path, capsys,
+def test_analyze_decides_the_identity_without_pairs(svds, formed, tmp_path, capsys,
                                                     switched, mp_bounds):
     """At n = 50 and default tolerances the per-point bound decides analyze's
-    identity: no pair is drawn and no deviation screened. The axiom residuals
-    take an SVD only where their bound exceeds the tolerance: nowhere on
-    constant support, where analyze takes 9 SVD calls on 57 matrices (25 on
-    157 with an exact norm of every residual), and at the points where the
-    switched pencil fails, 17 calls on 105 matrices. mp-check decides on the
-    same bound where the pseudoinverses are the resolvent, constant support,
-    at 20 calls on 81 matrices (40 and 101 with exact axiom maxima). On
+    identity: no pair's deviation is formed. The axiom residuals take an SVD
+    only where their bound exceeds the tolerance: nowhere on constant
+    support, where analyze takes 9 SVD calls on 57 matrices (25 on 157 with
+    an exact norm of every residual), and at the points where the switched
+    pencil fails, 17 calls on 105 matrices. mp-check decides on the same
+    bound where the pseudoinverses are the resolvent, constant support, at
+    20 calls on 81 matrices (40 and 101 with exact axiom maxima). On
     switched support its first chunk of per-point residuals already exceeds
-    the tolerance, so it goes to the pairs after that one chunk and takes no
-    norm of s G_0."""
+    the tolerance, so it goes to the pairs through lam = 0 after that one
+    chunk, takes no norm of s G_0, and fails there."""
     analyze_bounds = {"all": 17, "matrices": 105} if switched else {"all": 9, "matrices": 57}
     p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=switched)
     paths = pencil_files(tmp_path, p)
-    calls = {"pair_indices": 0, "_screen_deviations": 0, "_solve_residual_bounds": 0}
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(resolvent, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(resolvent, name, counting)
     reset(svds)
     assert main(["analyze", *paths]) == (1 if switched else 0)
     axioms = json.loads(capsys.readouterr().out)["axioms"]
     assert axioms["identity_method"] == "bound"
     assert axioms["axiom_method"] == ("exact" if switched else "bound")
-    assert (calls["pair_indices"], calls["_screen_deviations"]) == (0, 0)
+    assert formed["formed"] == []
     for kind, bound in analyze_bounds.items():
         assert svds[kind] <= bound, kind
-    calls.update(dict.fromkeys(calls, 0))
+    formed.update(bounded=[], formed=[], passes=0)
     reset(svds)
     assert main(["mp-check", *paths]) == (1 if switched else 0)
     report = json.loads(capsys.readouterr().out)
     assert report["axiom_method"] == "bound"
     if switched:
+        k = len(report["grid"]["points"])
         assert report["identity_method"] == "pairs"
-        assert calls["pair_indices"] == 1 and calls["_screen_deviations"] >= 1
-        assert calls["_solve_residual_bounds"] == 1
+        assert formed["bounded"] == [2 * (k - 1)]
+        assert formed["passes"] == 1
     else:
         assert report["identity_method"] == "bound"
-        assert (calls["pair_indices"], calls["_screen_deviations"]) == (0, 0)
+        assert formed["formed"] == []
     for kind, bound in mp_bounds.items():
         assert svds[kind] <= bound, kind
 
 
-def test_identity_screen_forms_a_gram_only_for_pairs_through_zero(monkeypatch, tmp_path, capsys):
+def test_identity_forms_deviations_only_for_pairs_through_zero(formed, tmp_path, capsys):
     """On the switched n = 50 pencil the pseudoinverses away from lam = 0
     meet the identity among themselves to rounding, and only the pairs
-    through lam = 0 deviate by order 1. The screen bounds every other pair
-    by its Frobenius norm, below its running lower bound on the maximum, so
-    norm_upper_bounds receives at most the 2 (k - 1) deviations of the pairs
-    through lam = 0, not all k (k - 1)."""
+    through lam = 0 deviate by order 1, so mp-check fails on them and forms
+    no other pair's deviation: it bounds the 2 (k - 1) deviations of the
+    pairs through lam = 0 in stacks, and forms one of them again for each
+    exact norm, at most k - 1 of them (16 on this pencil), not all k (k - 1)
+    pairs as a check of every pair would."""
     p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=True)
     paths = pencil_files(tmp_path, p)
-    received, screening = [], [False]
-    upper, screen = resolvent.norm_upper_bounds, resolvent._screen_deviations
-
-    def recording(stack):
-        if screening[0]:
-            received.append(len(stack))
-        return upper(stack)
-
-    def screened(*args):
-        screening[0] = True
-        try:
-            return screen(*args)
-        finally:
-            screening[0] = False
-
-    monkeypatch.setattr(resolvent, "norm_upper_bounds", recording)
-    monkeypatch.setattr(resolvent, "_screen_deviations", screened)
     assert main(["mp-check", *paths]) == 1
     report = json.loads(capsys.readouterr().out)
     k = len(report["grid"]["points"])
     assert report["identity_method"] == "pairs"
-    assert 0 < sum(received) <= 2 * (k - 1)
+    assert formed["bounded"] == [2 * (k - 1)]
+    # the stacks come first, then the single pairs of the exact norms
+    calls, stacked = iter(formed["formed"]), 0
+    while stacked < 2 * (k - 1):
+        stacked += next(calls)
+    singles = list(calls)
+    assert stacked == 2 * (k - 1)
+    assert 0 < len(singles) <= k - 1
+    assert set(singles) == {1}
+
+

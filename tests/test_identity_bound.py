@@ -11,13 +11,12 @@ pseudoinverses, at extreme entry scales and close to the boundary of the
 disk of convergence. Each report prints that bound whenever it was decided
 on it. A family with one wrong member must fail. Where the bound exceeds
 residual_tol (a grid reaching the boundary, a tiny tolerance) the stage
-must return the exact maximum and first worst pair over the pairs of
-``pair_indices``, as the pairwise stage did.
+decides on exact pairs (``tests/test_identity_screen.py``): those through
+lam = 0, then only those the bound leaves undecided.
 """
 
 from __future__ import annotations
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -34,13 +33,13 @@ from genresolvent import (
     mp_inverse,
     op_norm2,
 )
-from genresolvent import criteria, resolvent
+from genresolvent import criteria, identity, resolvent
 from genresolvent.linalg import NORM_BOUND_SLACK, NORM_FLOOR, op_norms2
-from genresolvent.resolvent import pair_indices
 from helpers import (
     complex_gaussian,
     framed_pencil,
     generic_full_pencil,
+    ordered_pairs,
     reference_identity_max,
     unitary,
 )
@@ -64,19 +63,22 @@ def all_pairs_maximum(s, tplus, values, points) -> float:
     return float(norms.max()) / max(op_norm2(tplus), NORM_FLOOR)
 
 
+def margins_of(lams, st_norm) -> np.ndarray:
+    """The identity bound's lower bounds on 1 - |l_k| ||s G_0||_2."""
+    return 1.0 - np.abs(lams) * (st_norm * (1.0 + NORM_BOUND_SLACK))
+
+
 def identity_bound(s, values, lams, st_norm=None) -> float:
-    """The bound the identity decision builds on the family values at lams,
-    anchored at its member at lam = 0, or inf where a point's margin is not
-    positive; ||s G_0||_2 is taken here unless st_norm gives it."""
+    """The largest of the bounds the identity decision builds on the family
+    values at lams, anchored at its member at lam = 0, inf where a point's
+    margin is not positive; ||s G_0||_2 is taken here unless st_norm gives it."""
     anchor = values[np.flatnonzero(lams == 0)[0]]
     st_plus = s @ anchor
     if st_norm is None:
         st_norm = op_norm2(st_plus)
-    margins = 1.0 - np.abs(lams) * (st_norm * (1.0 + NORM_BOUND_SLACK))
-    if not np.all(margins > 0.0):
-        return math.inf
-    residuals = resolvent._solve_residual_bounds(s, anchor, st_plus, lams, values)
-    return resolvent._identity_bound(s, anchor, lams, margins, residuals)
+    residuals = identity._solve_residual_bounds(s, anchor, st_plus, lams, values)
+    bounds = identity._identity_bound(s, anchor, lams, margins_of(lams, st_norm), residuals)
+    return float(bounds.max(initial=0.0))
 
 
 def recorded(perturb=None):
@@ -266,23 +268,37 @@ def test_tilted_member_fails_on_the_identity_alone():
 @pytest.mark.parametrize("points", [25, 60])
 def test_grid_at_the_disk_boundary_takes_the_exact_pairs(switched, points):
     """At |l| = (1 - 1e-9) / ||s tplus||, within the widening of ||s tplus||,
-    no bound holds, so the stage returns the exact pairwise maximum without
-    forming the solve residuals."""
+    the outer ring's margins are not positive, so no pair through it has a
+    bound. The stage decides the pairs through lam = 0 and then exactly the
+    pairs through a point without a margin: every other pair keeps the
+    bound of the per-point pass, which runs once. The value covers every
+    ordered pair."""
     p, family, _ = seeded(switched)
     grid = default_grid(family.radius * (1 - 1e-9), points)
+    decided = []
+    pairs_maximum = identity._pairs_maximum
+
+    def recording(s, g, lams, pairs, scale, limit):
+        decided.append([tuple(pair) for pair in pairs.tolist()])
+        return pairs_maximum(s, g, lams, pairs, scale, limit)
+
     with mock.patch.object(
-        resolvent, "_solve_residual_bounds", wraps=resolvent._solve_residual_bounds
-    ) as residuals:
+        identity, "_solve_residual_bounds", wraps=identity._solve_residual_bounds
+    ) as residuals, mock.patch.object(identity, "_pairs_maximum", recording):
         report = check_resolvent_axioms(family, grid)
-    assert residuals.call_count == 0
+    assert residuals.call_count >= 1
     assert report.points == grid.points
     assert report.identity_method == "pairs"
+    lams = np.array(grid.points)
+    outside = np.flatnonzero(~(margins_of(lams, family.st_norm) > 0.0))
+    assert len(outside) == (8 if points == 25 else 3)
+    undecided = [(i, j) for i, j in ordered_pairs(points) if 0 not in (i, j)
+                 and (i in outside or j in outside)]
+    assert decided == [ordered_pairs(points, 0), undecided]
     values = [resolvent.evaluate(family, lam) for lam in grid.points]
-    best, worst = reference_identity_max(
-        p.s, family.g.tplus, values, grid.points, pair_indices(len(grid.points))
-    )
-    assert report.max_identity_residual == best
-    assert report.worst_pair == (grid.points[worst[0]], grid.points[worst[1]])
+    best, _ = reference_identity_max(p.s, family.g.tplus, values, grid.points, ordered_pairs(points))
+    assert best <= report.max_identity_residual <= 1e-10
+    assert report.worst_pair is None
 
 
 def test_skipped_points_are_outside_the_bound():

@@ -1,18 +1,19 @@
-"""The screened resolvent-identity and axiom maxima against plain loops.
+"""The identity decision's exact pairs and the axiom maxima against plain loops.
 
-The screen must return exactly what checking every pair with its own
-spectral norm returns: the same maximum (compared with ==) and the same
-first maximizing pair, whether the family comes as one (k, n, m) stack or
-as a list and the pairs as a (P, 2) array or as tuples, and for every chunk
-budget. Both stages run the pairwise screen only where their per-point
-identity bound exceeds residual_tol (``tests/test_identity_bound.py``), so
-their tests here ask for a residual_tol no bound meets. Under that
-tolerance the MP stage's axiom maximum runs on the same screen and must
-equal the maximum of the four Moore-Penrose residuals taken point by
-point; at the default tolerance its bound decides. Count
-gates cap the SVD calls, and the matrices they factor, that the two
-pairwise stages spend on a small seeded pencil and the MP stage spends at
-n=50; later changes may only lower their bounds.
+Where the per-point identity bound exceeds residual_tol
+(``tests/test_identity_bound.py``), the decision forms the deviations of
+the pairs through lam = 0 and must return exactly what checking each of
+them with its own spectral norm returns: the same maximum (compared with
+==) and the same first maximizing pair in row-major order, for every chunk
+budget. Where those pass, it must decide every other pair the bound leaves
+undecided: a passing value at least every pair's residual, a failing one
+the exact maximum over every ordered pair. The tests of the exact paths ask
+for a residual_tol no bound meets. Under that tolerance the MP stage's
+axiom maximum runs on the shared screen of :mod:`linalg` and must equal the
+maximum of the four Moore-Penrose residuals taken point by point; at the
+default tolerance its bound decides. Count gates cap the SVD calls, and the
+matrices they factor, that the two stages spend on a small seeded pencil
+and the MP stage spends at n=50; later changes may only lower their bounds.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from genresolvent import (
     relative_residual,
 )
 from genresolvent import DEFAULT_TOL, linalg
-from genresolvent.resolvent import max_identity_residual, pair_indices
-from helpers import EXACT, framed_pencil, reference_identity_max
+from genresolvent.identity import decide_identity
+from helpers import EXACT, framed_pencil, ordered_pairs, reference_identity_max
 
 CASES = [
     (m, n, switched, points)
@@ -69,14 +70,15 @@ def pencil_for(m, n, switched, seed=0):
 
 @pytest.mark.parametrize("m,n,switched,points", CASES)
 def test_axiom_stage_matches_reference(m, n, switched, points):
-    """The exact pairwise path of the axiom stage, which decides the identity
-    wherever its per-point bound exceeds residual_tol: here always."""
+    """The exact path of the axiom stage, which decides the identity wherever
+    its per-point bound exceeds residual_tol: here always, and the pairs
+    through lam = 0 fail it."""
     p = pencil_for(m, n, switched)
     family = build_family(p, mp_inverse(p.t))
     report = check_resolvent_axioms(family, default_grid(family.radius / 2, points), EXACT)
     values = [evaluate(family, lam) for lam in report.points]
     best, worst = reference_identity_max(
-        p.s, family.g.tplus, values, report.points, pair_indices(len(report.points))
+        p.s, family.g.tplus, values, report.points, ordered_pairs(len(report.points), 0)
     )
     assert report.identity_method == "pairs"
     assert report.max_identity_residual == best
@@ -85,109 +87,115 @@ def test_axiom_stage_matches_reference(m, n, switched, points):
 
 @pytest.mark.parametrize("m,n,switched,points", CASES)
 def test_mp_stage_matches_reference(m, n, switched, points):
-    """The exact pairwise path of the MP stage, which decides the identity
-    wherever its per-point bound exceeds residual_tol: here always. The
-    axiom maximum does not depend on the tolerance."""
+    """The exact path of the MP stage, which decides the identity wherever its
+    per-point bound exceeds residual_tol: here always. The axiom maximum
+    does not depend on the tolerance."""
     p = pencil_for(m, n, switched)
     grid = default_grid(build_family(p, mp_inverse(p.t)).radius / 2, points)
     report = mp_resolvent_characterization(p, grid, EXACT)
     pinvs = [pinv_matrix(p.at(lam)) for lam in grid.points]
-    pairs = pair_indices(len(grid.points))
-    expected = reference_identity_max(p.s, pinvs[0], pinvs, grid.points, pairs)
+    expected = reference_identity_max(p.s, pinvs[0], pinvs, grid.points, ordered_pairs(points, 0))
     assert report.identity_method == "pairs"
     assert report.max_identity_residual == expected[0]
-    assert max_identity_residual(p.s, pinvs[0], pinvs, grid.points, pairs) == expected
+    lams = np.array(grid.points)
+    assert decide_identity(p.s, np.stack(pinvs), lams, EXACT) == (*expected[:1], "pairs", expected[1])
     assert report.max_axiom_residual == max(reference_axiom_maxima(p, grid.points))
+
+
+@pytest.mark.parametrize("m,n,switched,points", CASES)
+def test_pairs_the_bound_leaves_undecided_are_decided(m, n, switched, points):
+    """At (1 - 1e-9) of the disk's radius the outer ring's margins are not
+    positive, so the bound leaves every pair through it undecided, while the
+    explicit family meets the identity to rounding. Those pairs are decided
+    all the same: the value is at least every ordered pair's residual, and
+    the verdict is the one every pair gives."""
+    p = pencil_for(m, n, switched)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius * (1 - 1e-9), points)
+    report = check_resolvent_axioms(family, grid)
+    values = [evaluate(family, lam) for lam in grid.points]
+    best, _ = reference_identity_max(p.s, family.g.tplus, values, grid.points, ordered_pairs(points))
+    assert report.identity_method == "pairs"
+    assert report.max_identity_residual >= best
+    tol = DEFAULT_TOL.residual_tol
+    assert (report.max_identity_residual <= tol) == (best <= tol)
+    assert report.worst_pair is None
+
+
+@pytest.mark.parametrize("points", [25, 60])
+def test_a_pair_away_from_zero_fails_with_the_maximum_over_every_pair(points):
+    """t = diag(1/3 + 1e-6, 2.5, -2.5i, 3), s = I on the grid of radius
+    0.3333333, just inside lam = 1/3 + 1e-6: the pairs through lam = 0 meet
+    the identity to rounding, but pairs of points near 1/3, where ||G|| is
+    about 1e6, miss it against ||G_0||. Only the pairs the bound leaves
+    undecided can show that, and their exact maximum is the maximum over
+    every ordered pair, named by its first pair in row-major order."""
+    p = Pencil(np.diag([1 / 3 + 1e-6, 2.5, -2.5j, 3.0]), np.eye(4))
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(0.3333333, points)
+    report = check_resolvent_axioms(family, grid)
+    values = [evaluate(family, lam) for lam in grid.points]
+    zero = reference_identity_max(p.s, family.g.tplus, values, grid.points, ordered_pairs(points, 0))
+    best, worst = reference_identity_max(
+        p.s, family.g.tplus, values, grid.points, ordered_pairs(points)
+    )
+    assert zero[0] <= DEFAULT_TOL.residual_tol < best
+    assert report.identity_method == "pairs"
+    assert report.max_identity_residual == best
+    assert report.worst_pair == (grid.points[worst[0]], grid.points[worst[1]])
 
 
 @pytest.mark.parametrize("switched", [False, True])
 def test_chunking_does_not_change_the_result(monkeypatch, switched):
     """Budgets of one pair per chunk up to the default; chunks of 2 to 26
-    pairs cut the runs of 25 pairs that share a first index at every offset,
-    so G_i @ s is carried into the next chunk, or not, both ways. The axiom
-    stage, on its exact pairwise path, chunks its grid by the same budget."""
+    pairs cut the 2 (k - 1) pairs through lam = 0, whose first index is 0
+    for the first k - 1 of them and then runs through every other point, at
+    every offset. The boundary grid decides its undecided pairs in chunks of
+    the same budget. The axiom stage, on its exact path, chunks its grid by
+    the same budget."""
     p = pencil_for(5, 4, switched, seed=1)
     family = build_family(p, mp_inverse(p.t))
+    per_pair = 6 * 16 * 4 * 5
     for points in (25, 60):
         grid = default_grid(family.radius / 2, points)
+        boundary = default_grid(family.radius * (1 - 1e-9), points)
+        lams = np.array(grid.points)
         values = np.stack([evaluate(family, lam) for lam in grid.points])
-        pairs = pair_indices(len(grid.points))
-        expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
+        expected = reference_identity_max(p.s, family.g.tplus, values, grid.points,
+                                          ordered_pairs(points, 0))
         worst_pair = (grid.points[expected[1][0]], grid.points[expected[1][1]])
-        per_pair = 6 * 16 * 4 * 5
+        at_boundary = check_resolvent_axioms(family, boundary)
         budgets = [1, values[0].nbytes] + [k * per_pair for k in (2, 3, 7, 24, 25, 26, 100)]
         for budget in budgets + [linalg.CHUNK_BYTES]:
             monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
-            got = max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs)
-            assert got == expected, budget
+            assert decide_identity(p.s, values, lams, EXACT) == (expected[0], "pairs", expected[1])
             report = check_resolvent_axioms(family, grid, EXACT)
             assert (report.max_identity_residual, report.worst_pair) == (expected[0], worst_pair)
+            assert check_resolvent_axioms(family, boundary) == at_boundary
 
 
 @pytest.mark.parametrize("switched", [False, True])
-def test_stack_and_list_families_agree(switched):
-    p = pencil_for(4, 6, switched, seed=3)
-    family = build_family(p, mp_inverse(p.t))
-    grid = default_grid(family.radius / 2, 25)
-    stack = np.stack([evaluate(family, lam) for lam in grid.points])
-    array_pairs = pair_indices(len(grid.points))
-    assert isinstance(array_pairs, np.ndarray) and array_pairs.shape == (600, 2)
-    tuple_pairs = [(int(i), int(j)) for i, j in array_pairs]
-    expected = reference_identity_max(p.s, family.g.tplus, list(stack), grid.points, tuple_pairs)
-    assert expected[1] is not None
-    for values in (stack, list(stack)):
-        for pairs in (array_pairs, tuple_pairs):
-            for points in (grid.points, np.array(grid.points)):
-                got = max_identity_residual(p.s, family.g.tplus, values, points, pairs)
-                assert got == expected
-                assert type(got[1][0]) is int and type(got[1][1]) is int
-
-
-@pytest.mark.parametrize("switched", [False, True])
-def test_subsampled_pairs_keep_the_first_maximizing_pair(switched):
-    """At 60 points the pairs are a pseudorandom sample in no order of first
-    index; of two exactly tied pairs the one first in pairs order is reported."""
+def test_tied_pairs_report_the_first_in_row_major_order(switched):
+    """A copy of the worst pair's member away from lam = 0 ties the pair
+    through its copy with the worst pair exactly; of the two, the one first
+    in row-major order of the indices is reported, whether the copy comes
+    before or after the original."""
     p = pencil_for(6, 5, switched, seed=4)
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius / 2, 60)
     values = np.stack([evaluate(family, lam) for lam in grid.points])
-    pairs = pair_indices(len(grid.points))
-    assert np.any(np.diff(pairs[:, 0]) < 0)
-    expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
-    assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
-    # a copy of point j as index 60 ties the pair (i, 60) with (i, j) exactly
-    i, j = expected[1]
-    assert i != j
-    values = np.concatenate([values, values[j][None]])
-    points = grid.points + (grid.points[j],)
-    first = pairs.tolist().index([i, j])
-    for at, reported in ((first, (i, 60)), (first + 1, (i, j))):
-        tied = np.insert(pairs, at, (i, 60), axis=0)
-        got = max_identity_residual(p.s, family.g.tplus, values, points, tied)
-        assert got == reference_identity_max(p.s, family.g.tplus, values, points, tied)
-        assert got == (expected[0], reported)
-
-
-@pytest.mark.parametrize("points", [1, 25, 60])
-def test_pair_indices_drop_only_pairs_that_cannot_be_the_worst(points):
-    """The pairs (i, i) and repeated draws are left out of every ordered pair
-    (up to 40 points) or of the 1600 pseudorandom draws of default_rng(0)
-    (beyond), the rest kept in order; over the full list the maximum and
-    first maximizing pair are the same."""
-    if points <= 40:
-        drawn = [(i, j) for i in range(points) for j in range(points)]
-    else:
-        drawn = np.random.default_rng(0).integers(0, points, size=(1600, 2)).tolist()
-    kept = list(dict.fromkeys((i, j) for i, j in drawn if i != j))
-    pairs = pair_indices(points)
-    assert pairs.shape == (len(kept), 2)
-    assert [tuple(pair) for pair in pairs.tolist()] == kept
-    p = pencil_for(4, 5, True, seed=5)
-    family = build_family(p, mp_inverse(p.t))
-    grid = default_grid(family.radius / 2, points)
-    values = [evaluate(family, lam) for lam in grid.points]
-    expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, drawn)
-    assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
+    lams = np.array(grid.points)
+    best, (i, j) = decide_identity(p.s, values, lams, EXACT)[::2]
+    member = j if i == 0 else i
+    assert member != 0
+    for at in (1, len(lams)):
+        tied_values = np.insert(values, at, values[member], axis=0)
+        tied_lams = np.insert(lams, at, lams[member])
+        original = member + (at <= member)
+        copy_pair = (0, at) if i == 0 else (at, 0)
+        original_pair = (0, original) if i == 0 else (original, 0)
+        expected = min(copy_pair, original_pair)
+        assert decide_identity(p.s, tied_values, tied_lams, EXACT) == (best, "pairs", expected)
 
 
 def test_zero_s_has_no_worst_pair():
@@ -205,11 +213,11 @@ def test_tiny_deviations_are_not_screened_out():
     p = pencil_for(4, 4, True, seed=2)
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius / 2, 9)
-    values = [1e-160 * evaluate(family, lam) for lam in grid.points]
-    pairs = pair_indices(len(grid.points))
-    expected = reference_identity_max(p.s, family.g.tplus, values, grid.points, pairs)
+    values = np.stack([1e-160 * evaluate(family, lam) for lam in grid.points])
+    expected = reference_identity_max(p.s, values[0], values, grid.points, ordered_pairs(9, 0))
     assert expected[0] > 0.0
-    assert max_identity_residual(p.s, family.g.tplus, values, grid.points, pairs) == expected
+    decided = decide_identity(p.s, values, np.array(grid.points), DEFAULT_TOL)
+    assert decided == (expected[0], "pairs", expected[1])
 
 
 @pytest.mark.parametrize("scale,axiom", [(1e-160, 0), (1e150, 1)])
@@ -248,7 +256,7 @@ def svds(monkeypatch):
 
 @pytest.mark.parametrize("switched", [False, True])
 def test_svd_count_gate(svds, switched):
-    """SVDs per pairwise stage on the seeded n=6 pencil (1350 and 1550 per-pair).
+    """SVDs per grid stage on the seeded n=6 pencil (1350 and 1550 per-pair).
 
     A call on a (k, m, n) stack factors k matrices. The per-point code
     factored 128 / 127 matrices in the axiom stage and 276 / 291 in the MP

@@ -29,9 +29,10 @@ from genresolvent import (
     op_norm2,
     pinv_matrix,
     projector_family,
+    relative_residual,
     zero_subspace,
 )
-from genresolvent.resolvent import max_identity_residual
+from genresolvent.identity import _deviations
 from helpers import (
     evaluate_neumann,
     framed_pencil,
@@ -144,9 +145,13 @@ class TestNeumannOracle:
 
 
 def pair_residual(fam, lam, mu) -> float:
-    """The identity residual of the one pair (lam, mu), relative to ||tplus||."""
+    """The identity residual of the one pair (lam, mu), relative to ||tplus||,
+    its deviation formed by the identity decision's own kernel."""
     values = np.stack([evaluate(fam, lam), evaluate(fam, mu)])
-    return max_identity_residual(fam.pencil.s, fam.g.tplus, values, [lam, mu], [(0, 1)])[0]
+    first, second = np.array([0]), np.array([1])
+    deviation = _deviations(values, np.array([lam, mu], dtype=complex), values[:1] @ fam.pencil.s,
+                            first, second)
+    return relative_residual(deviation[0], fam.g.tplus)
 
 
 class TestResolventIdentity:
