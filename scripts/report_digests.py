@@ -27,8 +27,8 @@ Runs ``genresolvent.cli.main`` in-process on
   ``--residual-tol 1e-14`` on the framed 64 x 64 constant t with s = 0,
   whose family is constant, so every identity deviation is zero: each
   tolerance lies between the command's exact axiom residuals and their
-  largest bound (7e-15 between 6.2e-15 and 8.2e-15, 1e-14 between 8.4e-15
-  and 1.2e-14, with OpenBLAS), so the grid passes on exact values where a
+  largest bound (7e-15 between 6.2e-15 and 1.3e-14, 1e-14 between 8.4e-15
+  and 2.5e-14, with OpenBLAS), so the grid passes on exact values where a
   bound exceeds the tolerance;
 * t = diag(1/3 + 1e-6, 2.5, -2.5i, 3) with s = I: ``analyze --grid-radius
   0.3333333`` at ``--grid-points 25`` and ``60``, where the identity's

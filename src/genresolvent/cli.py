@@ -7,8 +7,8 @@ error (an --out file that cannot be written included), 3 internal contract
 violation (mp-check verdict disagreement).
 
 Identical inputs and flags produce byte-identical reports: keys are sorted,
-grids and the pairs the resolvent identity samples beyond 40 points are
-fixed, and timing is only included when explicitly requested with --timing.
+grids are fixed, and timing is only included when explicitly requested
+with --timing.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_mp_check(args) -> int:
     tol, started, family, grid = _pencil_setup(args)
-    mp = mp_resolvent_characterization(family.pencil, grid, tol)
+    mp = mp_resolvent_characterization(family.pencil, grid, tol, family.st_norm)
     if mp.constancy_verdict != mp.identity_verdict:
         exit_code = 3
     elif mp.constancy_verdict:

@@ -31,7 +31,7 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
-    exact_maximum,
+    decided_maximum,
     factor,
     factors,
     numerical_rank,
@@ -118,9 +118,9 @@ class MPResolventReport:
     axiom_method: "bound" when it is the largest of the bounds on every
         (point, axiom) residual (:func:`linalg.residual_bounds`), at most
         residual_tol; "exact" when that bound exceeded residual_tol and it
-        is the exact maximum, from the shared screen of :mod:`linalg`,
-        which takes exact spectral norms only of the few residuals whose
-        bound can reach the maximum
+        is the exact maximum, from :func:`linalg.decided_maximum`, which
+        takes exact spectral norms only of the few residuals whose bound can
+        reach the maximum
     """
 
     points: tuple[complex, ...]
@@ -135,7 +135,7 @@ class MPResolventReport:
 
 
 def mp_resolvent_characterization(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL, st_norm: float | None = None
 ) -> MPResolventReport:
     """Evaluate both sides of the pseudoinverse-resolvent equivalence.
 
@@ -148,24 +148,27 @@ def mp_resolvent_characterization(
     :func:`identity.decide_identity`: by its bound on every ordered pair
     where that meets residual_tol, and otherwise by exact residuals, of the
     pairs through lam = 0 first, on every pair the bound leaves undecided.
+    st_norm, when given, is ||s t^+||_2 for the Moore-Penrose inverse t^+
+    of t, as :func:`resolvent.build_family` took it: the norm of s times
+    the pseudoinverse at lam = 0, which the identity's bound then does not
+    take again.
     """
-    return _mp_characterization(p, grid, tol)[0]
+    return _mp_characterization(p, grid, tol, st_norm)[0]
 
 
 def _mp_characterization(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy, st_norm: float | None = None
 ) -> tuple[MPResolventReport, np.ndarray]:
     """The report of :func:`mp_resolvent_characterization` and the stack of
     pseudoinverses, one per grid point.
 
     The axioms are decided bound first: per chunk, each (point, axiom)
     residual ||D||_2 / ||X||_2 is bounded by :func:`linalg.residual_bounds`,
-    zero where D is zero. Where the largest bound is at most residual_tol,
-    it decides the axioms and is the value reported. Otherwise
-    :func:`linalg.exact_maximum` takes exact residuals only where the bound
-    can reach the maximum, rebuilding that one axiom's D and X from the
-    point's pseudoinverse through the same code, so no verdict rests on a
-    bound's slack.
+    zero where D is zero. :func:`linalg.decided_maximum` reports the largest
+    bound where that is at most residual_tol, and otherwise takes exact
+    residuals only where the bound can reach the maximum, rebuilding that
+    one axiom's D and X from the point's pseudoinverse through the same
+    code, so no verdict rests on a bound's slack.
     """
     t_factor = factor(p.t, tol)
     lams = np.array(grid.points, dtype=np.complex128)
@@ -184,8 +187,8 @@ def _mp_characterization(
         return pinvs, kernel_gaps, range_gaps, bounds
 
     # per point, at the axiom bounds: t - lam s, the pseudoinverse, the two
-    # axiom products, one deviation, and its scaled copy with that copy's
-    # adjoint; before them, u and vh, with the copies and products the gaps
+    # axiom products, one deviation, and the bounds' scaled copy and its
+    # squares; before them, u and vh, with the copies and products the gaps
     # take of them, hold fewer
     pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 7, stage)
 
@@ -195,13 +198,8 @@ def _mp_characterization(
         (deviation, scale), = mp_axiom_deviations(p.at_many(lams[here]), pinvs[here], (axiom,))
         return float(relative_residuals(deviation, scale)[0])
 
-    top = float(axiom_bounds.max(initial=0.0))
-    # a NaN bound, as of non-finite entries, fails the comparison too
-    if top <= tol.residual_tol:
-        max_axiom, axiom_method = top, "bound"
-    else:
-        max_axiom, axiom_method = exact_maximum(axiom_bounds.ravel(), exact)[0], "exact"
-    max_identity, method, _ = decide_identity(p.s, pinvs, lams, tol)
+    max_axiom, axiom_method, _ = decided_maximum(axiom_bounds, tol.residual_tol, exact)
+    max_identity, method, _ = decide_identity(p.s, pinvs, lams, tol, st_norm)
     constancy = all(g <= tol.gap_tol for g in kernel_gaps.tolist() + range_gaps.tolist())
     identity = max_identity <= tol.residual_tol and max_axiom <= tol.residual_tol
     report = MPResolventReport(

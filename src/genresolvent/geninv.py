@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -28,9 +27,9 @@ from .linalg import (
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
-    bounded_residuals,
     factor,
     relative_residuals,
+    residual_bounds,
     solve,
     split_ranks,
     split_verdicts,
@@ -71,7 +70,8 @@ def inverse_residuals(
     inner = ||a (b a) - a|| / ||a|| and outer = ||(b a) b - b|| / ||b|| per
     member, each with a tiny floor so the zero matrix is handled, as
     measure(deviation, scale) takes them: exactly by default, or bound first
-    by :func:`linalg.bounded_residuals` with its limit bound. Each deviation
+    by :func:`linalg.bounded_residuals` with its limit bound, or by any
+    stacked measure such as :func:`linalg.residual_bounds`. Each deviation
     is dropped before the next is formed. Also returns the stack b a, which
     callers may reuse.
     Stacks are trusted: built inside the package, not validated.
@@ -167,15 +167,15 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
 
 def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePolicy) -> GenInverse:
     """The verified pair (t, b); raises InvalidInverseError when b fails an axiom.
-    Both axioms are decided bound first (:func:`linalg.bounded_residuals`),
-    so a failing residual in the message is exact and a passing one may be
-    its bound. A Moore-Penrose inverse that fails is t's own, computed here,
-    so the error names residual_tol: below that inverse's rounding no
-    inverse of t meets it."""
+    Both axioms are decided bound first (:func:`linalg.residual_bounds`),
+    and exactly where a bound exceeds residual_tol, so the residuals in the
+    message are exact. A Moore-Penrose inverse that fails is t's own,
+    computed here, so the error names residual_tol: below that inverse's
+    rounding no inverse of t meets it."""
     _check_inverse_shape(t.shape, b.shape)
-    (inner, _), (outer, _), _ = inverse_residuals(
-        t[None], b[None], partial(bounded_residuals, limit=tol.residual_tol)
-    )
+    inner, outer, _ = inverse_residuals(t[None], b[None], residual_bounds)
+    if not (inner[0] <= tol.residual_tol and outer[0] <= tol.residual_tol):
+        inner, outer, _ = inverse_residuals(t[None], b[None])
     inner, outer = float(inner[0]), float(outer[0])
     if not (inner <= tol.residual_tol and outer <= tol.residual_tol):
         failing = (f"the Moore-Penrose inverse of T misses residual_tol {tol.residual_tol:.3e}"

@@ -36,7 +36,7 @@ from .linalg import (
     NORM_FLOOR,
     TolerancePolicy,
     chunks,
-    exact_maximum,
+    decided_maximum,
     frobenius_norms,
     norm_lower_bounds,
     norm_upper_bounds,
@@ -109,8 +109,8 @@ def _pair_bounds(
     count = len(lams)
     residuals = np.empty(count)
     scale = max(norm_lower_bounds(anchor[None])[0], NORM_FLOOR)
-    # per point: the difference, the product, and the norm bound's scaled
-    # copy, its adjoint and the Gram
+    # per point: the difference, the product, and the Frobenius norm's
+    # moduli, scaled copy and squares
     for part in chunks(count, 5 * 16 * max(anchor.shape) ** 2):
         residuals[part] = _solve_residual_bounds(s, anchor, st_plus, lams[part], values[part])
         # +inf, where a residual overflows against the floored scale, exceeds limit
@@ -128,11 +128,12 @@ def _pairs_maximum(
     limit: float,
 ) -> tuple[float, tuple[int, int] | None]:
     """The residuals ||D_ij||_2 / scale of the (P, 2) index pairs into the
-    family g decided bound first: the largest :func:`linalg.norm_upper_bounds`
-    of the deviations where that is at most limit, and otherwise their exact
-    maximum by :func:`linalg.exact_maximum`, which rebuilds each deviation it
-    needs through the same code, with the first pair attaining it in pairs
-    order (None when every deviation is zero).
+    family g decided bound first by :func:`linalg.decided_maximum`: the
+    largest :func:`linalg.norm_upper_bounds` of the deviations where that is
+    at most limit, and otherwise their exact maximum, which rebuilds each
+    deviation it needs through the same code, with the first pair attaining
+    it in pairs order (None when the bound decides or every deviation is
+    zero).
 
     The deviations are bounded in chunks of about CHUNK_BYTES, counting six
     matrices of 16 * n * max(n, m) bytes per pair: while they are formed,
@@ -150,16 +151,13 @@ def _pairs_maximum(
             deviations = _deviations(g, lams, (g[rows] @ s)[inverse], firsts, seconds)
             bounds[part] = norm_upper_bounds(deviations)
         bounds /= scale
-    top = float(bounds.max(initial=0.0))
-    if top <= limit:
-        return top, None
 
     def exact(position: int) -> float:
         pair = pairs[position : position + 1]
         deviation = _deviations(g, lams, g[pair[:, 0]] @ s, pair[:, 0], pair[:, 1])
         return float(op_norms2(deviation)[0]) / scale
 
-    best, position = exact_maximum(bounds, exact)
+    best, _, position = decided_maximum(bounds, limit, exact)
     return best, None if position is None else (int(pairs[position, 0]), int(pairs[position, 1]))
 
 
@@ -203,11 +201,11 @@ def _solve_residual_bounds(
     is, for G_k solved from (I - l_k C), the residual of that solve, in
     exact arithmetic on C = st_plus = fl(S @ T+).
 
-    E_k is formed as fl(G_k - T+) - fl(l_k fl(G_k @ C)) and bounded by
-    :func:`linalg.norm_upper_bounds`, plus the rounding of forming it, in
-    Frobenius norms: EPS for the first difference, 2 EPS for the scaled
-    product and the last difference, and :func:`_rounding` of
-    |l_k| ||G_k||_F ||C||_F for the product. Where C has a nonzero entry,
+    E_k is formed as fl(G_k - T+) - fl(l_k fl(G_k @ C)) and bounded by its
+    :func:`linalg.frobenius_norms`, widened by NORM_BOUND_SLACK, plus the
+    rounding of forming it, in Frobenius norms: EPS for the first
+    difference, 2 EPS for the scaled product and the last difference, and
+    :func:`_rounding` of |l_k| ||G_k||_F ||C||_F for the product. Where C has a nonzero entry,
     a gradual underflow term covers the products' absolute errors below
     the normal range. Each term is zero where what it bounds is exactly
     computed, so a family that is exactly constant (C = 0, G_k = T+) has
@@ -224,7 +222,7 @@ def _solve_residual_bounds(
         # sqrt(2) UNDERFLOW per product term and per scaled entry
         rounding += 2.0 * UNDERFLOW * math.sqrt(m * n) * (moduli * m + 1.0)
     difference -= product
-    return norm_upper_bounds(difference) + rounding
+    return frobenius_norms(difference) * (1.0 + NORM_BOUND_SLACK) + rounding
 
 
 def _identity_bound(

@@ -49,7 +49,7 @@ arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
 :func:`norm_lower_bounds`, :func:`frobenius_norms`, :func:`factors`, :func:`split_ranks`,
 :func:`solve_stack`, :func:`solve_right_stack`, :func:`relative_residuals`,
-:func:`residual_bounds`, :func:`bounded_residuals`)
+:func:`residual_bounds`, :func:`residual_lower_bounds`, :func:`bounded_residuals`)
 trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
 one-element views, so there is one code path. Batched SVDs, solves and
@@ -63,21 +63,25 @@ matrices a stage keeps alive per point is the driver's one sizing
 argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
 
-The residuals the reports print are decided bound first.
-:func:`norm_upper_bounds` and :func:`norm_lower_bounds` bound a stack's
-spectral norms without a factorization, and :func:`residual_bounds` turns
-them into bounds on relative residuals. A bound at most residual_tol
-decides its residual, and the report prints it; :func:`bounded_residuals`
-takes the exact value of every other member, so no verdict rests on a
-bound's slack. Where a report prints an exact maximum, of
-resolvent-identity or Moore-Penrose axiom residuals, :func:`exact_maximum`
-takes exact norms largest bound first, only until no bound left can reach
-the best exact value: the maximum and its first maximizing position are
-those of an exact norm of every member. The same bounds, with
-:func:`frobenius_norms` for rounding terms, build the identity bound that
-decides the identity of both ``analyze`` and ``mp-check`` without the
-pairs; where it does not, the pairs' screen bounds each deviation by its
-Frobenius norm and forms a Gram only where that can reach the maximum.
+The residuals the reports print are decided bound first, in O(mn) work
+per matrix. :func:`residual_bounds` bounds each relative residual from
+above by the deviation's :func:`frobenius_norms`, since
+||D||_2 <= ||D||_F (Golub & Van Loan, §2.3), over the scale's
+:func:`norm_lower_bounds`; :func:`residual_lower_bounds` bounds it from
+below the other way round. :func:`bounded_residuals` takes an upper bound
+at most residual_tol as the value, certifies a failing residual by a lower
+bound above it, and takes the exact value only where neither decides, so
+no verdict rests on a bound's slack. Where a report prints a maximum of
+residuals, :func:`decided_maximum` prints the largest upper bound if that
+is at most residual_tol, and otherwise the exact maximum of
+:func:`exact_maximum`, which takes exact norms largest bound first, one
+at a time, only until no bound left can reach the best exact value: the
+maximum and its first maximizing position are those of an exact norm of
+every member. :func:`norm_upper_bounds`, a tighter bound that forms a
+Gram matrix, prunes the exact maximum over the resolvent identity's pairs.
+The same bounds, with :func:`frobenius_norms` for rounding terms, build
+the identity bound that decides the identity of both ``analyze`` and
+``mp-check`` without the pairs.
 """
 
 from __future__ import annotations
@@ -92,17 +96,19 @@ from .errors import FactorizationError, ShapeMismatchError, SingularSystemError
 EPS = float(np.finfo(np.float64).eps)
 # Floor on a scale norm in relative residuals, so a zero scale cannot divide by 0.
 NORM_FLOOR = float(np.finfo(np.float64).tiny)
-# Relative widening of the norm bounds of norm_upper_bounds and
-# norm_lower_bounds past their exact-arithmetic values. Upward it covers the
-# rounding of the Gram product and of its Frobenius norm, at most a few
-# times max(m, n) * EPS relative to ||X^H X||_F, so about that times 1/2 on
-# its square root. Downward it covers the rounding of Y w against
+# Relative widening of the norm bounds past their exact-arithmetic values:
+# of norm_upper_bounds, norm_lower_bounds and of a computed Frobenius norm
+# taken as a bound on a spectral norm. Upward it covers the rounding of a
+# sum of squares, at most m * n * EPS relative, so about half that on its
+# square root, and for norm_upper_bounds that of the Gram product before
+# it. Downward it covers the rounding of Y w against
 # ||Y||_2: at most gamma_n ||Y||_F ||w|| <= n^(3/2) * EPS * ||Y||_2 * ||w||
 # for Y scaled to unit peak, plus the rounding of the scaling and of the two
 # vector norms. Both ways it also covers the computed largest singular value
 # of the exact stage, within a modest multiple of n * EPS of ||X||_2. At
-# every size this package handles (n up to a few hundred, so n^(3/2) * EPS
-# below 1e-11) these add up to far less than NORM_BOUND_SLACK.
+# every size this package handles (n up to a few hundred, so m * n * EPS
+# and n^(3/2) * EPS below 1e-10) these add up to far less than
+# NORM_BOUND_SLACK.
 NORM_BOUND_SLACK = 1e-6
 # Slack of the full-rank screen (_full_rank_certified), one constant for two
 # quantities. As delta, relative to ||A||_F, it bounds the error of each
@@ -511,7 +517,9 @@ def norm_upper_bounds(stack: np.ndarray) -> np.ndarray:
     The bound is the Schatten-4 norm ||X^H X||_F^(1/2) >= ||X||_2, taken on
     the peak-scaled matrix and widened by NORM_BOUND_SLACK; it is zero
     exactly where the matrix is zero, and at most min(m, n)^(1/4) times the
-    norm before the widening.
+    norm before the widening. Its Gram matrix costs a product, so it bounds
+    only where tightness saves SVDs: the pairs whose exact maximum the
+    identity takes, and the fixed s and tplus of the identity's bound.
     """
     k, m, n = stack.shape
     if k == 0 or min(m, n) == 0:
@@ -536,8 +544,9 @@ def norm_lower_bounds(stack: np.ndarray) -> np.ndarray:
     if k == 0 or min(m, n) == 0:
         return np.zeros(k)
     peak, scaled = _peak_scaled(stack)
-    squares = np.square(scaled.view(np.float64)).reshape(k, m, n, 2)
-    first = scaled[np.arange(k), :, squares.sum(axis=(1, 3)).argmax(axis=1)]
+    # squared column norms: the rows summed first, in contiguous passes, then each (re, im) pair
+    columns = np.square(scaled.view(np.float64)).sum(axis=1).reshape(k, n, 2).sum(axis=2)
+    first = scaled[np.arange(k), :, columns.argmax(axis=1)]
     # w^H = y^H Y, a (k, 1, n) stack of rows
     step = np.conjugate(first)[:, None, :] @ scaled
     image = scaled @ np.conjugate(step).swapaxes(1, 2)
@@ -798,28 +807,65 @@ def relative_residuals(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray
 
 
 def residual_bounds(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Upper bounds on :func:`relative_residuals` without a factorization:
-    :func:`norm_upper_bounds` of each deviation over :func:`norm_lower_bounds`
-    of its scale, floored as there; zero exactly where the deviation is zero."""
-    return norm_upper_bounds(deviations) / np.maximum(norm_lower_bounds(scales), NORM_FLOOR)
+    """Upper bounds on :func:`relative_residuals` in O(mn) work per member:
+    :func:`frobenius_norms` of each deviation, widened by NORM_BOUND_SLACK,
+    over :func:`norm_lower_bounds` of its scale, floored as there; zero
+    exactly where the deviation is zero. ||D||_2 <= ||D||_F <= sqrt(min(m, n))
+    ||D||_2, so no Gram matrix is needed."""
+    upper = frobenius_norms(deviations) * (1.0 + NORM_BOUND_SLACK)
+    return upper / np.maximum(norm_lower_bounds(scales), NORM_FLOOR)
+
+
+def residual_lower_bounds(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Lower bounds on :func:`relative_residuals` without a factorization:
+    :func:`norm_lower_bounds` of each deviation over :func:`frobenius_norms`
+    of its scale, widened by NORM_BOUND_SLACK and floored as there."""
+    upper = frobenius_norms(scales) * (1.0 + NORM_BOUND_SLACK)
+    return norm_lower_bounds(deviations) / np.maximum(upper, NORM_FLOOR)
 
 
 def bounded_residuals(
     deviations: np.ndarray, scales: np.ndarray, limit: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relative residuals decided bound first, and the mask of the exact ones.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relative residuals decided bound first, their :func:`residual_bounds`
+    and the mask of the exact ones.
 
     Each value is the member's :func:`residual_bounds` where that is at most
-    limit, and its exact :func:`relative_residuals` where the bound exceeds
-    limit or is NaN. So every value is at least the exact residual, every
-    value above limit is exact, and each comparison with limit gives the
-    exact verdict: none rests on the bound's slack.
+    limit; where it exceeds limit or is NaN, its
+    :func:`residual_lower_bounds` where that exceeds limit, which certifies
+    the residual failing; and its exact :func:`relative_residuals` where
+    neither bound decides. So every value at most limit is at least the
+    exact residual, every value above limit is at most the exact one, and
+    each comparison with limit gives the exact verdict: none rests on a
+    bound's slack.
     """
-    values = residual_bounds(deviations, scales)
-    exact = ~(values <= limit)
+    bounds = residual_bounds(deviations, scales)
+    values, over = bounds.copy(), np.flatnonzero(~(bounds <= limit))
+    exact = np.zeros(len(bounds), dtype=bool)
+    if over.size:
+        values[over] = residual_lower_bounds(deviations[over], scales[over])
+        exact[over] = ~(values[over] > limit)
     if exact.any():
         values[exact] = relative_residuals(deviations[exact], scales[exact])
-    return values, exact
+    return values, bounds, exact
+
+
+def decided_maximum(
+    bounds: np.ndarray, limit: float, exact: Callable[[int], float]
+) -> tuple[float, str, int | None]:
+    """The maximum of residuals with the upper bounds ``bounds``, as a report
+    prints it, its method and the first position attaining it.
+
+    Where every bound is at most limit, the largest bound, "bound" and None;
+    otherwise, or where a bound is NaN, their exact maximum and its position
+    by :func:`exact_maximum`, which calls exact(i) on the raveled positions,
+    one at a time, only where a bound can reach it, and "exact".
+    """
+    top = float(bounds.max(initial=0.0))
+    if top <= limit:
+        return top, "bound", None
+    best, position = exact_maximum(bounds.ravel(), exact)
+    return best, "exact", position
 
 
 def relative_residual(deviation, scale) -> float:

@@ -68,12 +68,14 @@ from .linalg import (
     as_matrix,
     bounded_residuals,
     chunked_stage,
+    decided_maximum,
     empty_basis,
     factor,
     op_norm2,
     op_norms2,
     rank_stage,
     relative_residual,
+    relative_residuals,
     solve_right_stack,
     split_ranks,
     split_verdicts,
@@ -213,12 +215,15 @@ class ResolventAxiomReport:
     inner_residuals:   (t-lam s) G (t-lam s) = t-lam s, per grid point
     outer_residuals:   G (t-lam s) G = G, per grid point
         each the value its verdict was decided on, by
-        :func:`linalg.bounded_residuals`: a bound on the relative residual,
-        at least the exact one, where that bound is at most residual_tol, and
-        otherwise the exact spectral value
-    axiom_method: "bound" when every inner and outer residual is its bound;
-        "exact" when some bound exceeded residual_tol and those residuals
-        are exact
+        :func:`linalg.bounded_residuals`: at most residual_tol, an upper
+        bound on the relative residual; above it, a certified lower bound or
+        the exact residual. Where an axiom's largest bound exceeds
+        residual_tol, the points :func:`linalg.decided_maximum` took exactly
+        hold their exact residuals, so the largest value of each axiom is
+        its exact maximum over the grid; otherwise it is the largest bound
+    axiom_method: "bound" when every inner and outer bound is at most
+        residual_tol; "exact" when some bound exceeded it and that axiom's
+        largest value is its exact maximum
     max_identity_residual: the resolvent-identity value the verdict was
         decided on, relative to ||tplus||_2: at most residual_tol, it is at
         least the residual of every ordered pair of usable points; above
@@ -254,9 +259,12 @@ def check_resolvent_axioms(
     """Verify both inverse axioms at every grid point and the identity on every pair.
 
     Chunk by chunk of the grid, G(lam) comes from one stacked solve and each
-    axiom residual from one stacked norm bound, or, where that bound exceeds
-    residual_tol, from the exact norms of the points it does not decide
-    (:func:`linalg.bounded_residuals`). The identity is decided by
+    axiom residual from O(mn) norm bounds: an upper bound where it meets
+    residual_tol, a certified lower bound where that fails it, and the exact
+    norm only where neither decides (:func:`linalg.bounded_residuals`).
+    Where an axiom's largest upper bound exceeds residual_tol, its exact
+    maximum is taken by :func:`linalg.decided_maximum`, one point at a time
+    and only at the points whose bound can reach it. The identity is decided by
     :func:`identity.decide_identity` on the kept family, whose member at
     lam = 0 is tplus itself: on the bound of every ordered pair where it
     meets residual_tol, and otherwise on exact residuals, of the pairs
@@ -277,11 +285,25 @@ def check_resolvent_axioms(
         inner, outer, _ = inverse_residuals(a, g, partial(bounded_residuals, limit=tol.residual_tol))
         return (g, *inner, *outer)
 
+    def exact(axiom: int, decided: np.ndarray, known: np.ndarray, k: int) -> float:
+        """The exact residual of one axiom at point k, by the operations of
+        :func:`geninv.inverse_residuals`, so it has the stage's bits."""
+        if not known[k]:
+            a, g = f.pencil.at_many(lams[k : k + 1]), values[k : k + 1]
+            ga = g @ a
+            pair = (a @ ga - a, a) if axiom == 0 else (ga @ g - g, g)
+            decided[k], known[k] = relative_residuals(*pair)[0], True
+        return float(decided[k])
+
     # per point: t - lam s, G, G (t - lam s), one deviation, and the norm
-    # bound's scaled copy, its adjoint and Gram; the solve's I - lam s tplus
-    # and its full-rank screen (linalg.SCREEN_LIVE more) are freed before the
+    # bounds' scaled copy and its squares, with the copy of failing
+    # deviations the lower bound takes; the solve's I - lam s tplus and its
+    # full-rank screen (linalg.SCREEN_LIVE more) are freed before the
     # residuals are built
-    values, inner, inner_exact, outer, outer_exact = _point_stage(f.pencil, lams, 7, stage)
+    values, *axioms = _point_stage(f.pencil, lams, 7, stage)
+    methods = [decided_maximum(bounds, tol.residual_tol, partial(exact, axiom, decided, known))[1]
+               for axiom, (decided, bounds, known) in enumerate((axioms[:3], axioms[3:]))]
+    inner, outer = axioms[0], axioms[3]
     max_identity, method, worst = decide_identity(f.pencil.s, values, lams, tol, f.st_norm)
     worst_point = max(inner.tolist() + outer.tolist(), default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
@@ -289,7 +311,7 @@ def check_resolvent_axioms(
         points=tuple(usable),
         inner_residuals=tuple(inner.tolist()),
         outer_residuals=tuple(outer.tolist()),
-        axiom_method="exact" if inner_exact.any() or outer_exact.any() else "bound",
+        axiom_method="exact" if "exact" in methods else "bound",
         max_identity_residual=max_identity,
         identity_method=method,
         worst_pair=None if worst is None else (usable[worst[0]], usable[worst[1]]),

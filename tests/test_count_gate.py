@@ -39,7 +39,7 @@ from genresolvent import (
     pinv_matrix,
     save_matrix,
 )
-from genresolvent import criteria, identity, resolvent
+from genresolvent import criteria, identity, linalg, resolvent
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.linalg import SCREEN_LIVE, chunks
@@ -189,8 +189,8 @@ def test_perturb_command_computes_the_inverse_once(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize(
     "command,bounds",
     [
-        ("analyze", {"all": 11, "matrices": 105}),
-        ("mp-check", {"full": 3, "full_matrices": 27, "all": 25, "matrices": 81}),
+        ("analyze", {"all": 7, "matrices": 55}),
+        ("mp-check", {"full": 3, "full_matrices": 27, "all": 21, "matrices": 76}),
     ],
 )
 @pytest.mark.parametrize("switched", [False, True])
@@ -279,6 +279,81 @@ def test_analyze_takes_the_norm_of_s_tplus_once(monkeypatch, tmp_path, capsys):
     assert sum(np.array_equal(a, product) for a in operands) == 1
 
 
+def test_mp_check_takes_the_norm_of_s_tplus_once(monkeypatch, tmp_path, capsys):
+    """mp-check hands build_family's ||s tplus||_2 to the identity's bound,
+    whose anchor, the pseudoinverse at lam = 0, is tplus bit for bit."""
+    p, g, grid = seeded_case(False)
+    product = p.s @ g.tplus
+    assert np.array_equal(criteria._mp_characterization(p, grid, EXACT)[1][0], g.tplus)
+    operands = []
+    for module in (resolvent, identity):
+        def recording(a, op_norm2=module.op_norm2):
+            operands.append(np.array(a))
+            return op_norm2(a)
+        monkeypatch.setattr(module, "op_norm2", recording)
+    paths = pencil_files(tmp_path, p)
+    assert main(["mp-check", *paths]) == 0
+    assert json.loads(capsys.readouterr().out)["identity_method"] == "bound"
+    assert sum(np.array_equal(a, product) for a in operands) == 1
+
+
+@pytest.mark.parametrize("n,seed", [(6, 6), (50, 1)])
+def test_passing_commands_bound_no_per_point_stack_by_a_gram(monkeypatch, tmp_path, capsys,
+                                                             n, seed):
+    """Every per-point residual of a passing analyze and mp-check is bounded
+    in O(mn) work: norm_upper_bounds, which forms a Gram matrix, bounds only
+    the fixed s and tplus of the identity's bound."""
+    p = framed_pencil(np.random.default_rng(seed), n, n, n // 2)
+    tplus = mp_inverse(p.t).tplus
+    operands = []
+    for module in (linalg, identity):
+        def recording(stack, upper=module.norm_upper_bounds):
+            operands.append(np.array(stack))
+            return upper(stack)
+        monkeypatch.setattr(module, "norm_upper_bounds", recording)
+    paths = pencil_files(tmp_path, p)
+    for command in ("analyze", "mp-check"):
+        operands.clear()
+        assert main([command, *paths]) == 0
+        capsys.readouterr()
+        assert operands
+        assert all(len(a) == 1 and (np.array_equal(a[0], p.s) or np.array_equal(a[0], tplus))
+                   for a in operands), command
+
+
+def test_failing_analyze_takes_exact_norms_only_where_a_bound_reaches_the_maximum(
+        monkeypatch, tmp_path, capsys):
+    """On the switched n = 50 pencil the inner axiom fails at 24 of the 25
+    points, each certified by a lower bound, and the printed maximum is
+    exact: its exact norms, one point at a time, are those of the points
+    whose upper bound reaches that maximum, 5 here, not all 24."""
+    p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=True)
+    g = mp_inverse(p.t)
+    family = build_family(p, g)
+    lams = default_grid(family.radius / 2, 25).points
+    scales = []
+    for module in (resolvent, linalg):
+        def recording(deviations, scale, measure=module.relative_residuals):
+            scales.extend(np.array(scale))
+            return measure(deviations, scale)
+        monkeypatch.setattr(module, "relative_residuals", recording)
+    paths = pencil_files(tmp_path, p)
+    assert main(["analyze", *paths]) == 1
+    axioms = json.loads(capsys.readouterr().out)["axioms"]
+    exact = [k for scale in scales for k, lam in enumerate(lams) if np.array_equal(scale, p.at(lam))]
+    assert len(exact) == len(scales)
+    bounds, residuals = [], []
+    for lam in lams:
+        a = p.at(lam)
+        ga = np.linalg.solve((np.eye(50) - lam * family.st_plus).T, g.tplus.T).T @ a
+        bounds.append(linalg.residual_bounds((a @ ga - a)[None], a[None])[0])
+        residuals.append(linalg.relative_residuals((a @ ga - a)[None], a[None])[0])
+    assert sum(r > 1e-10 for r in residuals) == 24
+    assert axioms["max_inner_residual"] == pytest.approx(max(residuals), rel=1e-12)
+    assert sorted(exact) == [k for k, b in enumerate(bounds) if b >= max(residuals)]
+    assert len(exact) == 5
+
+
 def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
     """The screen forms all four axioms per chunk; each exact candidate
     (point, axiom) forms only its own deviation and scale. Under a
@@ -286,20 +361,20 @@ def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):
     p, _, grid = seeded_case(True)
     asked = []
     candidates = [0]
-    deviations, exact_maximum = criteria.mp_axiom_deviations, criteria.exact_maximum
+    deviations, decided_maximum = criteria.mp_axiom_deviations, criteria.decided_maximum
 
     def recording(t, b, axioms=range(4)):
         asked.append(tuple(axioms))
         return deviations(t, b, axioms)
 
-    def counting(bounds, exact):
+    def counting(bounds, limit, exact):
         def counted(position):
             candidates[0] += 1
             return exact(position)
-        return exact_maximum(bounds, counted)
+        return decided_maximum(bounds, limit, counted)
 
     monkeypatch.setattr(criteria, "mp_axiom_deviations", recording)
-    monkeypatch.setattr(criteria, "exact_maximum", counting)
+    monkeypatch.setattr(criteria, "decided_maximum", counting)
     mp_resolvent_characterization(p, grid, EXACT)
     singles = [axioms for axioms in asked if axioms != tuple(range(4))]
     assert candidates[0] > 0
@@ -339,24 +414,26 @@ def formed(monkeypatch):
 @pytest.mark.parametrize(
     "switched,mp_bounds",
     [
-        (False, {"all": 20, "full": 6, "matrices": 81, "full_matrices": 27}),
-        (True, {"all": 28, "full": 6, "matrices": 49, "full_matrices": 27}),
+        (False, {"all": 15, "full": 6, "matrices": 76, "full_matrices": 27}),
+        (True, {"all": 24, "full": 6, "matrices": 45, "full_matrices": 27}),
     ],
 )
 def test_analyze_decides_the_identity_without_pairs(svds, formed, tmp_path, capsys,
                                                     switched, mp_bounds):
     """At n = 50 and default tolerances the per-point bound decides analyze's
     identity: no pair's deviation is formed. The axiom residuals take an SVD
-    only where their bound exceeds the tolerance: nowhere on constant
-    support, where analyze takes 9 SVD calls on 57 matrices (25 on 157 with
-    an exact norm of every residual), and at the points where the switched
-    pencil fails, 17 calls on 105 matrices. mp-check decides on the same
-    bound where the pseudoinverses are the resolvent, constant support, at
-    20 calls on 81 matrices (40 and 101 with exact axiom maxima). On
+    only where no bound decides them or a bound can reach the printed
+    maximum: nowhere on constant support, where analyze takes 5 SVD calls
+    on 53 matrices (25 on 157 with an exact norm of every residual), and at
+    the 5 points of the switched pencil whose bound reaches its maximum,
+    15 calls on 63 matrices (17 on 105 when every failing point was exact).
+    mp-check decides on the same bound where the pseudoinverses are the
+    resolvent, constant support, at 15 calls on 76 matrices (40 and 101
+    with exact axiom maxima). On
     switched support its first chunk of per-point residuals already exceeds
     the tolerance, so it goes to the pairs through lam = 0 after that one
     chunk, takes no norm of s G_0, and fails there."""
-    analyze_bounds = {"all": 17, "matrices": 105} if switched else {"all": 9, "matrices": 57}
+    analyze_bounds = {"all": 15, "matrices": 63} if switched else {"all": 5, "matrices": 53}
     p = framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=switched)
     paths = pencil_files(tmp_path, p)
     reset(svds)

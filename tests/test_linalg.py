@@ -24,6 +24,7 @@ from genresolvent import (
     svd,
     zero_subspace,
 )
+from genresolvent import linalg
 from genresolvent.linalg import (
     bounded_residuals,
     exact_maximum,
@@ -33,6 +34,7 @@ from genresolvent.linalg import (
     op_norms2,
     relative_residuals,
     residual_bounds,
+    residual_lower_bounds,
     split_ranks,
     split_verdicts,
 )
@@ -291,25 +293,79 @@ class TestNorm:
         assert 0.0 < bounds[1] == pytest.approx(lifted, rel=1e-12)
         assert bounds[2] == 0.0
 
-    def test_bounded_residuals_are_exact_only_where_the_bound_exceeds_the_limit(self):
-        """Each member keeps its bound where that is at most the limit and
-        otherwise takes its exact relative residual, bit for bit; the mask
-        names the exact ones. The limit sits strictly between member 3's
-        exact residual and its bound, so that member is exact and passes."""
+    def test_bounded_residuals_are_exact_only_where_neither_bound_decides(self):
+        """Each member keeps its upper bound where that is at most the limit,
+        takes its lower bound where that exceeds the limit, and otherwise its
+        exact relative residual, bit for bit; the mask names the exact ones.
+        The first limit sits strictly between member 3's exact residual and
+        its upper bound, so that member is exact and passes; the second
+        between member 4's lower bound and its exact residual, so that member
+        is exact and fails."""
         rng = np.random.default_rng(7)
         scales = complex_gaussian(rng, (6, 5, 4))
         deviations = complex_gaussian(rng, (6, 5, 4)) * np.logspace(-12, -2, 6)[:, None, None]
         deviations[1] = 0.0
         bounds = residual_bounds(deviations, scales)
+        lower = residual_lower_bounds(deviations, scales)
         exact = relative_residuals(deviations, scales)
-        assert np.all(exact <= bounds)
-        assert exact[3] < bounds[3]
-        limit = (exact[3] + bounds[3]) / 2
-        values, taken = bounded_residuals(deviations, scales, limit)
-        np.testing.assert_array_equal(taken, bounds > limit)
-        np.testing.assert_array_equal(values, np.where(taken, exact, bounds))
-        assert taken[3] and values[3] <= limit
-        assert values[1] == 0.0 and not taken[1]
+        assert np.all(lower <= exact) and np.all(exact <= bounds)
+        assert exact[3] < bounds[3] and lower[4] < exact[4]
+        for limit, member in (((exact[3] + bounds[3]) / 2, 3), ((lower[4] + exact[4]) / 2, 4)):
+            values, got, taken = bounded_residuals(deviations, scales, limit)
+            np.testing.assert_array_equal(got, bounds)
+            np.testing.assert_array_equal(taken, (bounds > limit) & ~(lower > limit))
+            assert np.flatnonzero(taken).tolist() == [member]
+            np.testing.assert_array_equal(
+                values, np.where(bounds <= limit, bounds, np.where(lower > limit, lower, exact)))
+            assert values[1] == 0.0 and not taken[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.integers(1, 4), st.integers(1, 6), st.integers(0, 4),
+           st.sampled_from(["random", "rank-one", "tall", "wide", "subnormal"]))
+    def test_residual_bounds_enclose_the_relative_residuals(self, seed, k, side, extra, kind):
+        """residual_lower_bounds <= relative_residuals <= residual_bounds
+        against the computed SVD values, on random, rank-one, tall and wide
+        stacks, and where a subnormal peak takes _peak_scaled's division:
+        one member's deviation and scale both subnormal, another's deviation
+        alone."""
+        rng = np.random.default_rng(seed)
+        shapes = {"tall": (side + extra, side), "wide": (side, side + extra)}
+        m, n = shapes.get(kind, (side, side + extra // 2))
+        rank = 1 if kind == "rank-one" else min(m, n)
+        deviations = complex_gaussian(rng, (k, m, rank)) @ complex_gaussian(rng, (k, rank, n))
+        scales = complex_gaussian(rng, (k, m, n))
+        if kind == "subnormal":
+            deviations[0] *= 1e-310
+            scales[0] *= 1e-310
+            deviations[-1] *= 1e-310
+        exact = relative_residuals(deviations, scales)
+        assert np.all(residual_lower_bounds(deviations, scales) <= exact)
+        assert np.all(exact <= residual_bounds(deviations, scales))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.integers(1, 4), st.integers(1, 7), st.integers(1, 7),
+           st.sampled_from(["random", "rank-one", "subnormal"]))
+    def test_lower_bounds_start_from_a_column_of_largest_norm(self, seed, k, m, n, kind):
+        """On untied inputs norm_lower_bounds is, bit for bit, its power step
+        from the column of largest norm that one strided sum over the rows
+        and the (re, im) pairs at once picks, also where a subnormal peak
+        takes _peak_scaled's division."""
+        rng = np.random.default_rng(seed)
+        rank = 1 if kind == "rank-one" else min(m, n)
+        stack = complex_gaussian(rng, (k, m, rank)) @ complex_gaussian(rng, (k, rank, n))
+        if kind == "subnormal":
+            stack[0] *= 1e-310
+        peak, scaled = linalg._peak_scaled(stack)
+        squares = np.square(scaled.view(np.float64)).reshape(k, m, n, 2).sum(axis=(1, 3))
+        first = scaled[np.arange(k), :, squares.argmax(axis=1)]
+        step = np.conjugate(first)[:, None, :] @ scaled
+        image = scaled @ np.conjugate(step).swapaxes(1, 2)
+        ratio = np.sqrt(linalg._squared_norms(image) / linalg._squared_norms(step))
+        reference = peak * ratio * (1.0 - linalg.NORM_BOUND_SLACK)
+        ordered = np.sort(squares, axis=1)
+        untied = (n == 1) | (ordered[:, -1] - ordered[:, -2 % n] > 1e-12 * ordered[:, -1])
+        assert untied.any()
+        np.testing.assert_array_equal(norm_lower_bounds(stack)[untied], reference[untied])
 
     def test_exact_maximum_takes_a_nan_bound_as_unbounded(self):
         values = [1.0, 3.0, 2.0, 3.0]

@@ -192,26 +192,39 @@ def axiom_references(family, points):
     return inner, outer
 
 
+def assert_decided_against(report, references, limit):
+    """Each value at most limit is at least its reference; each above it is at
+    most its reference: a certified lower bound, or the reference itself."""
+    values = report.inner_residuals + report.outer_residuals
+    for value, reference in zip(values, references[0] + references[1]):
+        assert reference <= value if value <= limit else value <= reference
+
+
 @pytest.mark.parametrize("make", PENCILS)
 def test_resolvent_axiom_residuals(make, budget):
-    """Under a residual_tol no bound meets, every residual is exact and equals
-    the per-point reference bit for bit. At the default tolerance each is its
-    bound, between the reference and residual_tol, except where that bound
-    exceeds residual_tol: there it is the reference itself."""
+    """Against the per-point reference, under a residual_tol no bound meets
+    (EXACT) and at the default one: every value is decided on the right
+    side of its reference, and each axiom's largest value is the reference
+    maximum bit for bit wherever some bound exceeds residual_tol, as every
+    nonzero bound does under EXACT. An axiom whose bounds all meet the
+    default tolerance reports its largest bound, between the reference
+    maximum and residual_tol."""
     p = make()
     family = build_family(p, mp_inverse(p.t))
     grid = grid_for(p)
-    exact = check_resolvent_axioms(family, grid, EXACT)
-    inner, outer = axiom_references(family, exact.points)
-    assert exact.inner_residuals == tuple(inner)
-    assert exact.outer_residuals == tuple(outer)
-    assert exact.axiom_method == ("exact" if any(inner + outer) else "bound")
-    report = check_resolvent_axioms(family, grid)
-    tol = DEFAULT_TOL.residual_tol
-    for value, reference in zip(report.inner_residuals + report.outer_residuals, inner + outer):
-        assert reference <= value
-        assert value <= tol or value == reference
-    assert report.axiom_method == ("exact" if max(inner + outer) > tol else "bound")
+    for tol in (EXACT, DEFAULT_TOL):
+        report = check_resolvent_axioms(family, grid, tol)
+        references = axiom_references(family, report.points)
+        limit = tol.residual_tol
+        assert_decided_against(report, references, limit)
+        for values, reference in zip((report.inner_residuals, report.outer_residuals), references):
+            if tol is EXACT or max(values) > limit:
+                assert max(values) == max(reference)
+            else:
+                assert max(reference) <= max(values) <= limit
+        every = references[0] + references[1]
+        exact = any(every) if tol is EXACT else max(every) > limit
+        assert report.axiom_method == ("exact" if exact else "bound")
 
 
 @pytest.mark.parametrize("make", PENCILS)
@@ -269,25 +282,27 @@ def constant_family_pencil(n, seed):
 @pytest.mark.parametrize("n,seed", [(8, 0), (20, 1), (32, 0)])
 def test_no_axiom_verdict_of_analyze_rests_on_slack(n, seed):
     """A residual_tol strictly between the exact axiom residuals and the
-    largest bound: each residual whose bound exceeds it is exact, the method
-    reads "exact" and the axioms pass."""
+    largest bound: every value meets it on the right side of its reference,
+    the method reads "exact", the axioms pass, and an axiom whose largest
+    bound exceeds the tolerance reports the reference maximum bit for bit."""
     p = constant_family_pencil(n, seed)
     family = build_family(p, mp_inverse(p.t))
     grid = grid_for(p)
-    exact = check_resolvent_axioms(family, grid, EXACT)
     bounded = check_resolvent_axioms(family, grid)
-    references = exact.inner_residuals + exact.outer_residuals
-    bounds = bounded.inner_residuals + bounded.outer_residuals
+    references = axiom_references(family, bounded.points)
+    bounds = (bounded.inner_residuals, bounded.outer_residuals)
     assert bounded.axiom_method == "bound"
-    tol = (max(references) + max(bounds)) / 2
-    assert max(references) < tol < max(bounds)
+    top, top_bound = max(references[0] + references[1]), max(bounds[0] + bounds[1])
+    tol = (top + top_bound) / 2
+    assert top < tol < top_bound
     report = check_resolvent_axioms(family, grid, TolerancePolicy(residual_tol=tol))
     assert report.ok
     assert report.axiom_method == "exact"
     assert report.max_identity_residual == 0.0
-    values = report.inner_residuals + report.outer_residuals
-    for value, reference, bound in zip(values, references, bounds):
-        assert value == (reference if bound > tol else bound)
+    assert_decided_against(report, references, tol)
+    decided = (report.inner_residuals, report.outer_residuals)
+    for values, reference, bound in zip(decided, references, bounds):
+        assert max(values) == (max(reference) if max(bound) > tol else max(bound))
 
 
 @pytest.mark.parametrize("n,seed", [(8, 0), (20, 1), (32, 0)])
