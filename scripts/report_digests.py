@@ -18,6 +18,9 @@ Runs ``genresolvent.cli.main`` in-process on
   one with an eigenvalue on the region's first point, -3 - 3i (the
   one-matrix probe declines, so the first chunk takes the SVD unscreened
   and the screen runs again from the next);
+* ``spectrum --steps 61`` on that normal pencil and on one with an
+  eigenvalue on a point of the 61 x 61 lattice and one 1e-3 off another,
+  where the full-rank cover certifies boxes of many points;
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
   cut into chunks of 16 and 9 points;
@@ -134,8 +137,12 @@ def spectrum_commands() -> list[list[str]]:
     support[-1] = 0.0
     deficient_t, deficient_s = (u * (eigenvalues * support)) @ u.conj().T, (u * support) @ u.conj().T
     corner = (u * np.concatenate([[-3.0 - 3.0j], eigenvalues[1:]])) @ u.conj().T
+    fine = np.linspace(-3.0, 3.0, 61)
+    near = (u * np.concatenate([[complex(fine[40], fine[25]), complex(fine[20], fine[33]) + 1e-3],
+                                eigenvalues[2:]])) @ u.conj().T
     save_matrix(regular, "spectrum/normal-t.json")
     save_matrix(corner, "spectrum/corner-t.json")
+    save_matrix(near, "spectrum/near-t.json")
     save_matrix(np.eye(20), "spectrum/eye-s.json")
     save_matrix(deficient_t, "spectrum/deficient-t.json")
     save_matrix(deficient_s, "spectrum/deficient-s.json")
@@ -145,6 +152,8 @@ def spectrum_commands() -> list[list[str]]:
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan, "--rank-rtol", "0.5"],
         ["spectrum", "spectrum/deficient-t.json", "spectrum/deficient-s.json", *scan],
         ["spectrum", "spectrum/corner-t.json", "spectrum/eye-s.json", *scan],
+        ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", "--steps", "61"],
+        ["spectrum", "spectrum/near-t.json", "spectrum/eye-s.json", "--steps", "61"],
     ]
 
 

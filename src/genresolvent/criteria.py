@@ -283,14 +283,21 @@ class ScanPoint:
 def rectangular_region(
     re_min: float, re_max: float, im_min: float, im_max: float, steps: int
 ) -> tuple[complex, ...]:
-    """Row-major rectangular sampling of the complex plane, steps points per axis."""
+    """Row-major rectangular sampling of the complex plane, steps points per axis.
+
+    Each axis is ``numpy.linspace`` of its bounds. Where the width between
+    two finite bounds overflows, the axis is that of the halved bounds,
+    doubled: scaling by 2 is exact, so it holds the points linspace would
+    give in exact arithmetic up to its own rounding, each finite.
+    """
     if steps < 1:
         raise ValueError("region needs at least one step per axis")
     for name, bound in (("re_min", re_min), ("re_max", re_max), ("im_min", im_min), ("im_max", im_max)):
         if not math.isfinite(bound):
             raise ValueError(f"region bound {name} must be finite, got {bound!r}")
-    res = np.linspace(re_min, re_max, steps)
-    ims = np.linspace(im_min, im_max, steps)
+    res, ims = (np.linspace(low, high, steps) if math.isfinite(high - low)
+                else 2.0 * np.linspace(low / 2.0, high / 2.0, steps)
+                for low, high in ((float(re_min), float(re_max)), (float(im_min), float(im_max))))
     return tuple(complex(re, im) for im in ims for re in res)
 
 

@@ -40,6 +40,19 @@ without a product is sized for the screen's SCREEN_LIVE matrices beside
 each member, screened or not. :func:`split_ranks` itself never screens, so
 a single matrix is always factored.
 
+A grid pass without a product ranks t - lam s at points where full rank
+holds on whole disks, not only at the points: by Weyl's inequality
+(Golub & Van Loan, Cor. 8.6.2) sigma_p(t - lam s) falls by at most
+|lam - mu| ||s||_2 from its value at mu. So :func:`full_rank_cover` proves
+full rank, not marginal, box by box in front of the rank stage: one
+Cholesky factorization at each box's anchor, its diagonal lowered by the
+screen's target for every point of the box plus the box's radius times a
+bound on ||s||_2 (:func:`norm_upper_bounds` with COVER_SQUARINGS, no SVD)
+and the rounding of forming t - lam s. A box that fails splits into
+quadrants, and the rank stage ranks only the points no box covers, so
+every eigenvalue of the pencil in the region lies in a box left out. The
+cover starts only where the rank stage's one-matrix probe passes.
+
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
 promote them to read-only complex arrays with :func:`as_matrix`.
@@ -79,6 +92,8 @@ at a time, only until no bound left can reach the best exact value: the
 maximum and its first maximizing position are those of an exact norm of
 every member. :func:`norm_upper_bounds`, a tighter bound that forms a
 Gram matrix, prunes the exact maximum over the resolvent identity's pairs.
+Each bound scales a matrix by its peak entry only where its squares could
+over- or underflow (:func:`_scaled_where_needed`).
 The same bounds, with :func:`frobenius_norms` for rounding terms, build
 the identity bound that decides the identity of both ``analyze`` and
 ``mp-check`` without the pairs.
@@ -101,14 +116,16 @@ NORM_FLOOR = float(np.finfo(np.float64).tiny)
 # taken as a bound on a spectral norm. Upward it covers the rounding of a
 # sum of squares, at most m * n * EPS relative, so about half that on its
 # square root, and for norm_upper_bounds that of the Gram product before
-# it. Downward it covers the rounding of Y w against
-# ||Y||_2: at most gamma_n ||Y||_F ||w|| <= n^(3/2) * EPS * ||Y||_2 * ||w||
-# for Y scaled to unit peak, plus the rounding of the scaling and of the two
-# vector norms. Both ways it also covers the computed largest singular value
-# of the exact stage, within a modest multiple of n * EPS of ||X||_2. At
-# every size this package handles (n up to a few hundred, so m * n * EPS
-# and n^(3/2) * EPS below 1e-10) these add up to far less than
-# NORM_BOUND_SLACK.
+# it and of each squaring: a power H of unit Frobenius norm squares within
+# gamma_p ||H||_F^2, about p * EPS, against ||H^2||_2 >= 1 / p, so p^2 * EPS
+# relative, which the roots taken after only shrink. Downward it covers
+# the rounding of Y w against ||Y||_2: at most
+# gamma_n ||Y||_F ||w|| <= n^(3/2) * EPS * ||Y||_2 * ||w||, plus the
+# rounding of any scaling and of the two vector norms. Both ways it also
+# covers the computed largest singular value of the exact stage, within a
+# modest multiple of n * EPS of ||X||_2. At every size this package
+# handles (n up to a few hundred, so m * n * EPS, n^(3/2) * EPS and
+# p^2 * EPS below 1e-10) these add up to far less than NORM_BOUND_SLACK.
 NORM_BOUND_SLACK = 1e-6
 # Slack of the full-rank screen (_full_rank_certified), one constant for two
 # quantities. As delta, relative to ||A||_F, it bounds the error of each
@@ -135,6 +152,10 @@ SCREEN_RANGE = (float(np.finfo(np.float64).tiny) / EPS, float(np.finfo(np.float6
 # Matrices the screen keeps alive per member beside the member itself: the
 # adjoint, the Gram and the Cholesky factor (fewer entries when not square).
 SCREEN_LIVE = 3
+# Squarings of the Gram matrix in the bound on ||s||_2 that full_rank_cover
+# takes from norm_upper_bounds: the Schatten-128 norm of s, at most
+# min(m, n)^(1/128) times ||s||_2 (3.1% above it at min(m, n) = 50).
+COVER_SQUARINGS = 5
 # Approximate bytes held at once by one stack of per-point matrices and the
 # arrays built from it, so peak memory stays flat in n and grid size.
 CHUNK_BYTES = 2 << 20
@@ -289,6 +310,35 @@ def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
     return np.count_nonzero(s > cutoffs[:, None], axis=1), cutoffs
 
 
+def _screen_grams(stack: np.ndarray, gram: np.ndarray | None = None):
+    """The Gram matrix H of the smaller side of each member of a (k, m, n)
+    stack, its diagonal as a writable view and ||A||_F^2, the real part of
+    its trace, as the full-rank screen takes them.
+
+    H is written into gram, a C-contiguous (k, p, p) array that overlaps no
+    input, when given; otherwise it is allocated. The adjoint is allocated
+    here and freed before the caller's Cholesky factor is. A Gram that
+    overflows holds inf or nan on its diagonal, which SCREEN_RANGE declines.
+    """
+    k, m, n = stack.shape
+    adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
+    del adjoint
+    size = gram.shape[1]
+    diagonal = gram.reshape(k, size * size)[:, :: size + 1]
+    return gram, diagonal, diagonal.real.sum(axis=1)
+
+
+def _in_screen_range(squares: np.ndarray) -> np.ndarray:
+    return (squares > SCREEN_RANGE[0]) & (squares < SCREEN_RANGE[1])
+
+
+def _screen_ratio(shape: tuple[int, ...], tol: TolerancePolicy) -> float:
+    """The full-rank screen's target over ||A||_F for (m, n) matrices."""
+    return 10.0 * tol.rank_rtol * max(shape[-2:]) * (1.0 + SCREEN_SLACK) + SCREEN_SLACK
+
+
 def _full_rank_certified(
     stack: np.ndarray, tol: TolerancePolicy, gram: np.ndarray | None = None
 ) -> bool:
@@ -307,25 +357,13 @@ def _full_rank_certified(
     call raises for the whole stack) or some ||A||_F^2 lies outside
     SCREEN_RANGE; the caller then takes the SVD.
 
-    The Gram is written into gram, a C-contiguous (k, p, p) array that
-    overlaps no input, when given; otherwise it is allocated. kappa covers
-    its rounding in any order of summation. Either way the adjoint and the
-    Cholesky factor are allocated here.
+    The Gram is written into gram when given (see :func:`_screen_grams`);
+    kappa covers its rounding in any order of summation.
     """
-    k, m, n = stack.shape
-    adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
-    # a Gram that overflows holds inf or nan on its diagonal, which SCREEN_RANGE declines
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
-    # freed before the factor is allocated, which can then take its memory
-    del adjoint
-    size = gram.shape[1]
-    diagonal = gram.reshape(k, size * size)[:, :: size + 1]
-    squares = diagonal.real.sum(axis=1)
-    if not np.all((squares > SCREEN_RANGE[0]) & (squares < SCREEN_RANGE[1])):
+    gram, diagonal, squares = _screen_grams(stack, gram)
+    if not np.all(_in_screen_range(squares)):
         return False
-    # target / ||A||_F
-    ratio = 10.0 * tol.rank_rtol * max(m, n) * (1.0 + SCREEN_SLACK) + SCREEN_SLACK
+    ratio = _screen_ratio(stack.shape, tol)
     diagonal -= ((ratio * ratio + SCREEN_SLACK) * squares)[:, None]
     try:
         np.linalg.cholesky(gram)
@@ -506,65 +544,103 @@ def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return peak, scaled
 
 
+def _scaled_where_needed(stack: np.ndarray, power: int):
+    """Factors f, a C-contiguous stack Y with each matrix X = f Y, and the
+    squared Frobenius norms of Y.
+
+    Where ||X||_F^(2 power) lies strictly inside SCREEN_RANGE, no sum of
+    squares of a product of power matrices of X's size and norm overflows,
+    and underflow loses only terms far below its leading ones: there Y = X
+    and f = 1, so a C-contiguous stack that needs no scaling is not copied
+    (f is then the float 1.0). Elsewhere f and Y are :func:`_peak_scaled`'s
+    peak and scaled matrix.
+    """
+    stack = np.ascontiguousarray(stack)
+    with np.errstate(over="ignore"):
+        squares = _squared_norms(stack)
+    low, high = (bound ** (1.0 / power) for bound in SCREEN_RANGE)
+    if low < squares.min() and squares.max() < high:
+        return 1.0, stack, squares
+    far = np.flatnonzero(~((squares > low) & (squares < high)))
+    factors, stack = np.ones(len(stack)), stack.copy()
+    factors[far], stack[far] = _peak_scaled(stack[far])
+    squares[far] = _squared_norms(stack[far])
+    return factors, stack, squares
+
+
 def _squared_norms(stack: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of a C-contiguous (k, m, n) complex stack."""
     return np.square(stack.view(np.float64)).sum(axis=(1, 2))
 
 
-def norm_upper_bounds(stack: np.ndarray) -> np.ndarray:
+def norm_upper_bounds(stack: np.ndarray, squarings: int = 0) -> np.ndarray:
     """Upper bounds on the spectral norms of a (k, m, n) stack, without a factorization.
 
-    The bound is the Schatten-4 norm ||X^H X||_F^(1/2) >= ||X||_2, taken on
-    the peak-scaled matrix and widened by NORM_BOUND_SLACK; it is zero
-    exactly where the matrix is zero, and at most min(m, n)^(1/4) times the
-    norm before the widening. Its Gram matrix costs a product, so it bounds
-    only where tightness saves SVDs: the pairs whose exact maximum the
-    identity takes, and the fixed s and tplus of the identity's bound.
+    The bound is the Schatten-2^(squarings + 2) norm
+    ||(X^H X)^(2^squarings)||_F^(1/2^(squarings + 1)) >= ||X||_2, taken on
+    the matrix scaled where needed (:func:`_scaled_where_needed`) and widened
+    by NORM_BOUND_SLACK; it is zero exactly where the matrix is zero, and at
+    most min(m, n)^(1/2^(squarings + 2)) times the norm before the widening.
+    The Gram matrix is squared in place of the power, each square divided
+    by its Frobenius norm first, so no power overflows or underflows, and
+    the norms are multiplied back under their roots. Its Gram matrix costs a
+    product, so it bounds only where tightness saves work: the pairs whose
+    exact maximum the identity takes, the fixed s and tplus of the
+    identity's bound, and ||s||_2 of :func:`full_rank_cover`.
     """
     k, m, n = stack.shape
     if k == 0 or min(m, n) == 0:
         return np.zeros(k)
-    peak, scaled = _peak_scaled(stack)
+    factors, scaled, _ = _scaled_where_needed(stack, 2)
     adjoint = np.conjugate(scaled.swapaxes(1, 2), order="C")
     gram = adjoint @ scaled if n <= m else scaled @ adjoint
-    return peak * np.sqrt(np.sqrt(_squared_norms(gram))) * (1.0 + NORM_BOUND_SLACK)
+    squares = _squared_norms(gram)
+    bound = np.sqrt(np.sqrt(squares))
+    for level in range(1, squarings + 1):
+        gram /= np.maximum(np.sqrt(squares), NORM_FLOOR)[:, None, None]
+        gram = gram @ gram
+        squares = _squared_norms(gram)
+        bound *= squares ** (0.5 ** (level + 2))
+    return factors * bound * (1.0 + NORM_BOUND_SLACK)
 
 
 def norm_lower_bounds(stack: np.ndarray) -> np.ndarray:
     """Lower bounds on the spectral norms of a (k, m, n) stack, without a factorization.
 
-    On the peak-scaled matrix Y, start from the column y = Y e_j of largest
-    norm, taken exactly, and take one power step: w = Y^H y, and the bound
-    is ||Y w|| / ||w||. That is at least ||y|| >= ||Y||_F / sqrt(n), the
-    Rayleigh quotients of power steps on Y^H Y never falling, and w has
-    norm at least its j-th entry ||y||^2 >= 1. The bound is zero exactly
-    where the matrix is zero, and is narrowed by NORM_BOUND_SLACK.
+    On the matrix Y scaled where needed (:func:`_scaled_where_needed`), start
+    from the column y = Y e_j of largest norm, taken exactly, and take one
+    power step: w = Y^H y, and the bound is ||Y w|| / ||w||. That is at
+    least ||y|| >= ||Y||_F / sqrt(n), the Rayleigh quotients of power steps
+    on Y^H Y never falling, and w has norm at least its j-th entry
+    ||y||^2 > 0. The bound is zero exactly where the matrix is zero, and is
+    narrowed by NORM_BOUND_SLACK.
     """
     k, m, n = stack.shape
     if k == 0 or min(m, n) == 0:
         return np.zeros(k)
-    peak, scaled = _peak_scaled(stack)
+    factors, scaled, squares = _scaled_where_needed(stack, 3)
     # squared column norms: the rows summed first, in contiguous passes, then each (re, im) pair
     columns = np.square(scaled.view(np.float64)).sum(axis=1).reshape(k, n, 2).sum(axis=2)
     first = scaled[np.arange(k), :, columns.argmax(axis=1)]
     # w^H = y^H Y, a (k, 1, n) stack of rows
     step = np.conjugate(first)[:, None, :] @ scaled
     image = scaled @ np.conjugate(step).swapaxes(1, 2)
-    ratio = np.sqrt(_squared_norms(image) / np.where(peak > 0.0, _squared_norms(step), 1.0))
-    return peak * ratio * (1.0 - NORM_BOUND_SLACK)
+    ratio = np.sqrt(_squared_norms(image) / np.where(squares > 0.0, _squared_norms(step), 1.0))
+    return factors * ratio * (1.0 - NORM_BOUND_SLACK)
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (k, m, n) stack, taken on the peak-scaled matrices
-    so that no square overflows or underflows; zero exactly where the matrix is zero.
+    """Frobenius norms of a (k, m, n) stack, taken on the matrices scaled
+    where needed (:func:`_scaled_where_needed`), so that no square overflows
+    or underflows; zero exactly where the matrix is zero.
 
     ||X||_2 <= ||X||_F <= sqrt(min(m, n)) ||X||_2 (Golub & Van Loan, §2.3),
     so each is an upper bound on the spectral norm without a product."""
     k, m, n = stack.shape
     if k == 0 or min(m, n) == 0:
         return np.zeros(k)
-    peak, scaled = _peak_scaled(stack)
-    return peak * np.sqrt(_squared_norms(scaled))
+    factors, _, squares = _scaled_where_needed(stack, 1)
+    return factors * np.sqrt(squares)
 
 
 def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int | None]:
@@ -629,6 +705,8 @@ def rank_stage(
     tol: TolerancePolicy,
     right: np.ndarray,
     left: np.ndarray,
+    probe: bool = True,
+    grams: np.ndarray | None = None,
 ) -> tuple[int, Callable[[slice, np.ndarray], tuple[np.ndarray, ...]]]:
     """The live count and stage of a :func:`chunked_stage` rank pass over
     (m, n) matrices: :func:`split_ranks`, or the full-rank screen, on each chunk.
@@ -650,9 +728,12 @@ def rank_stage(
     deficient throughout, such as a pencil singular at every lam, the
     screen runs once, on the probe, and on matrices rank deficient at
     isolated members it runs on every chunk after the probe; either way
-    each rank is the SVD's. With a product the screen never runs: A's own
+    each rank is the SVD's. probe False says the caller has taken that
+    probe and it failed (:func:`full_rank_cover`): the first chunk then
+    takes the SVD without it. With a product the screen never runs: A's own
     SVD sets the products' cutoff. The stage writes every Gram of its pass
-    into one array, allocated at the first chunk, the longest; only the
+    into one array, allocated at the first chunk, the longest, or grams
+    when given (the Gram array of :func:`rank_workspace`); only the
     screen's adjoint and Cholesky factor, and the products and singular
     values of an SVD, are allocated per chunk.
     """
@@ -665,8 +746,10 @@ def rank_stage(
         k = len(a)
         if part.start == 0:
             # the first chunk is the longest, and its first matrix the probe
-            gram = np.empty((0 if products else k, p, p), dtype=np.complex128)
-            screen = not products and _full_rank_certified(a[:1], tol, gram[:1])
+            gram = grams
+            if grams is None:
+                gram = np.empty((0 if products else k, p, p), dtype=np.complex128)
+            screen = not products and probe and _full_rank_certified(a[:1], tol, gram[:1])
         if screen and _full_rank_certified(a, tol, gram[:k]):
             return (np.full(k, p, dtype=np.int64), *np.zeros((2, k), dtype=np.int64),
                     np.zeros(k, dtype=bool))
@@ -677,12 +760,153 @@ def rank_stage(
     return 1 + (products or SCREEN_LIVE), stage
 
 
+def pencil_values(t: np.ndarray, s: np.ndarray, lams: np.ndarray, out: np.ndarray | None = None):
+    """The (k, m, n) stack t - lams[i] * s, written into out when given."""
+    stack = np.multiply(lams[:, None, None], s, out=out)
+    return np.subtract(t, stack, out=stack)
+
+
+def rank_workspace(count: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk workspace and the Gram array of a rank pass without a
+    product over count (m, n) matrices, for :func:`full_rank_cover` and then
+    :func:`chunked_stage` and :func:`rank_stage` over the points it leaves
+    out: one (k m n,) and one (k, p, p) complex array, k the pass's chunk
+    length. Held for the whole pass, the cover's chunk memory is the rank
+    stage's too."""
+    m, n = shape
+    length = min(count, _chunk_length((1 + SCREEN_LIVE) * 16 * max(m, n) ** 2))
+    p = min(m, n)
+    work = np.empty(length * m * n, dtype=np.complex128)
+    return work, np.empty((length, p, p), dtype=np.complex128)
+
+
+def full_rank_cover(
+    t: np.ndarray, s: np.ndarray, lams: np.ndarray, tol: TolerancePolicy,
+    work: np.ndarray, grams: np.ndarray,
+) -> tuple[np.ndarray, bool]:
+    """The mask of the points lams at which the values-only SVD would give
+    fl(t - lam s), as :func:`pencil_values` builds it, full rank
+    p = min(m, n), not marginal, proved box by box without an SVD; and
+    whether the first point passed the one-matrix probe of
+    :func:`rank_stage`. A rank pass without a product ranks only the points
+    left out, with ``rank_stage(..., probe=...)``, so each rank and marginal
+    flag is the SVD's.
+
+    The cover starts only where the probe, the full-rank screen of the
+    first point alone, passes: on a pencil singular at every lam it costs
+    that one Cholesky factorization, as the rank stage's own probe did.
+    Then the points are cut into boxes, first their bounding box, then
+    quadrants of it. Each box of two points or more is decided by one
+    anchor mu, its point nearest the box's centre. By Weyl's inequality
+    (Golub & Van Loan, Cor. 8.6.2), for lam in the box
+
+        sigma_p(fl(t - lam s)) >= sigma_p(fl(t - mu s)) - |lam - mu| beta - e(lam) - e(mu),
+
+    where beta >= ||s||_2 is the Schatten bound of
+    :func:`norm_upper_bounds`, and e(x) = 4 EPS (||t||_F + |x| ||s||_F)
+    bounds ||fl(t - x s) - (t - x s)||_2: the complex product rounds within
+    sqrt(2) EPS |x| |s_ij| and the difference within EPS / 2 of its value,
+    entry by entry. So sigma_p(fl(t - mu s)) >= c, with
+
+        c = radius beta + 2 e_max + ratio F,  F = ||fl(t - mu s)||_F + radius ||s||_F + 2 e_max,
+
+    radius the largest |lam - mu| and e_max the largest e(lam) in the box,
+    gives every point of the box sigma_p >= ratio ||fl(t - lam s)||_F, F
+    bounding that norm, which is the target of :func:`_full_rank_certified`
+    (ratio is its ratio); and so the SVD's verdict, full rank and not
+    marginal. c, widened by NORM_BOUND_SLACK for its own rounding (and for
+    any underflow in the products, far below c where ||fl(t - mu s)||_F^2
+    lies in SCREEN_RANGE), is proved at the anchor as the screen proves its
+    target: one Cholesky factorization of the anchor's Gram less
+    (c^2 + kappa ||fl(t - mu s)||_F^2) I, each box its own call. A box
+    whose Cholesky breaks down, or that cannot pass (c^2 p is at least the
+    Gram's trace, or some ||t - lam s||_F is near overflow, which also keeps
+    every point built here finite), splits into the quadrants of its
+    bounding box. Single points, and a box whose points do not spread over
+    its quadrants, such as repeated points, are left out.
+
+    Each level's anchors are built chunk by chunk into work and their Grams
+    written into grams, the arrays of ``rank_workspace(len(lams), t.shape)``,
+    which a rank pass then hands the rank stage after the cover, so it
+    allocates its chunk memory once.
+    """
+    k = len(lams)
+    m, n = t.shape
+    p = min(m, n)
+    certified = np.zeros(k, dtype=bool)
+
+    def build(points: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = work[: len(points) * m * n].reshape(len(points), m, n)
+            return pencil_values(t, s, points, out)
+
+    if not (p and _full_rank_certified(build(lams[:1]), tol, grams[:1])):
+        return certified, False
+    certified[0] = True
+    ratio = _screen_ratio((m, n), tol)
+    widen = 1.0 + NORM_BOUND_SLACK
+    t_norm, s_norm = frobenius_norms(np.stack([t, s])) * widen
+    beta = norm_upper_bounds(s[None], COVER_SQUARINGS)[0]
+    # the box of each point at this level, -1 once certified or left out
+    box, count = np.zeros(k, dtype=np.intp), 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while count:
+            points = np.flatnonzero(box >= 0)
+            z, at = lams[points], box[points]
+            sizes = np.bincount(at, minlength=count)
+            # the midpoint of each box's bounding box
+            centre = [_per_box(np.minimum, np.inf, at, part, count) / 2
+                      + _per_box(np.maximum, -np.inf, at, part, count) / 2
+                      for part in (z.real, z.imag)]
+            distance = np.abs(z - (centre[0] + 1j * centre[1])[at])
+            nearest = distance == _per_box(np.minimum, np.inf, at, distance, count)[at]
+            mu = lams[_per_box(np.minimum, k, at[nearest], points[nearest], count)]
+            radius = _per_box(np.maximum, 0.0, at, np.abs(z - mu[at]), count)
+            reach = t_norm + _per_box(np.maximum, 0.0, at, np.abs(z), count) * s_norm
+            rounding = 4.0 * EPS * reach
+            # c less ratio ||fl(t - mu s)||_F, and a bound on that norm
+            base = radius * beta + 2.0 * rounding + ratio * (radius * s_norm + 2.0 * rounding)
+            anchor_norm = t_norm + np.abs(mu) * s_norm + rounding
+            eligible = np.flatnonzero((sizes > 1) & (reach < SCREEN_RANGE[1] ** 0.5)
+                                      & (base * base * p < anchor_norm * anchor_norm))
+            passed = np.zeros(count, dtype=bool)
+            for part in chunks(len(eligible), (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2):
+                boxes = eligible[part]
+                gram, diagonal, squares = _screen_grams(build(mu[boxes]), grams[: len(boxes)])
+                c = (base[boxes] + ratio * np.sqrt(squares) * widen) * widen
+                for i in np.flatnonzero(_in_screen_range(squares) & (c * c * p < squares)).tolist():
+                    diagonal[i] -= c[i] * c[i] + SCREEN_SLACK * squares[i]
+                    try:
+                        np.linalg.cholesky(gram[i])
+                    except np.linalg.LinAlgError:
+                        continue
+                    passed[boxes[i]] = True
+            certified[points[passed[at]]] = True
+            # the quadrants of two points or more of each box left, numbered
+            # box by box; a box whose points fall in one quadrant is left out
+            keys = 4 * at + (z.real > centre[0][at]) + 2 * (z.imag > centre[1][at])
+            children = np.bincount(keys, minlength=4 * count)
+            kept = (children > 1) & (children < np.repeat(sizes, 4)) & np.repeat(~passed, 4)
+            box[points] = np.where(kept[keys], np.cumsum(kept)[keys] - 1, -1)
+            count = int(np.count_nonzero(kept))
+    return certified, True
+
+
+def _per_box(ufunc: np.ufunc, start, boxes: np.ndarray, values: np.ndarray, count: int):
+    """ufunc reduced over the values of each of count boxes, from start;
+    boxes[i] is the box of values[i]."""
+    reduced = np.full(count, start, dtype=values.dtype)
+    ufunc.at(reduced, boxes, values)
+    return reduced
+
+
 def chunked_stage(
     build: Callable[[slice, np.ndarray], np.ndarray],
     count: int,
     shape: tuple[int, int],
     live: int,
     stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """A per-point stage over count (m, n) matrices, chunk by chunk, in order.
 
@@ -698,11 +922,14 @@ def chunked_stage(
     past its call. It is allocated once per pass: chunk arrays freed and
     allocated again at every chunk would be returned to the operating
     system and faulted back in each time by a fresh process's allocator.
+    work, when given, is that workspace, held by the caller: a flat complex
+    array of at least the longest chunk's entries (:func:`rank_workspace`).
     count >= 1.
     """
     m, n = shape
     point_bytes = live * 16 * max(m, n) ** 2
-    work = np.empty(min(count, _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
+    if work is None:
+        work = np.empty(min(count, _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
     joined: tuple[np.ndarray, ...] = ()
     for part in chunks(count, point_bytes):
         k = part.stop - part.start

@@ -26,10 +26,12 @@ only where a bound exceeds residual_tol.
 
 Every rank of t - lam*s at sampled points comes from one private grid pass,
 whose stage, :func:`linalg.rank_stage`, runs the rank kernel
-:func:`linalg.split_ranks` chunk by chunk. The subspace criteria compare the
-numerical ranks of t - lam*s and of its products with fixed orthonormal
-bases, read off one factorization of tplus or of the complements, so no
-grid point is given a full SVD. The direct sums of an inverse and of
+:func:`linalg.split_ranks` chunk by chunk; a pass without a product ranks
+only the points :func:`linalg.full_rank_cover` leaves out, every other one
+being proved of full rank, not marginal, box by box. The subspace criteria
+compare the numerical ranks of t - lam*s and of its products with fixed
+orthonormal bases, read off one factorization of tplus or of the
+complements, so no grid point is given a full SVD. The direct sums of an inverse and of
 fixed complements are one check of a pair of bases, with one report,
 :class:`DirectSumReport`. The same pass gives the rank profile and the
 spectrum scan of :mod:`criteria`, and :func:`existence_check` keeps the
@@ -71,9 +73,12 @@ from .linalg import (
     decided_maximum,
     empty_basis,
     factor,
+    full_rank_cover,
     op_norm2,
     op_norms2,
+    pencil_values,
     rank_stage,
+    rank_workspace,
     relative_residual,
     relative_residuals,
     solve_right_stack,
@@ -109,8 +114,7 @@ class Pencil:
 
     def at_many(self, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The stack t - lams[k] * s, of shape (len(lams), m, n), written into out when given."""
-        stack = np.multiply(lams[:, None, None], self.s, out=out)
-        return np.subtract(self.t, stack, out=stack)
+        return pencil_values(self.t, self.s, lams, out)
 
 
 @dataclass(frozen=True)
@@ -432,14 +436,42 @@ def _grid_pass(
     Returns the rank profile at the points and their transversality, domain
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
-    formed. The stage runs through :func:`_point_stage`, sized for the
-    products it forms or, with none, for the full-rank screen, and decides
-    where the screen runs.
+    formed. Without a product, :func:`linalg.full_rank_cover` first proves
+    full rank, not marginal, box by box, and the stage ranks only the
+    points it leaves out, in their order, in the cover's workspace. The
+    stage runs through :func:`linalg.chunked_stage`, sized for the products
+    it forms or, with none, for the full-rank screen. A point where
+    t - lam*s is not finite raises ValueError naming it.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
-    split = _point_stage(p, points, *rank_stage(p.shape, tol, e, f_perp))
+    lams = np.asarray(points, dtype=np.complex128)
+    certified, probe = np.zeros(len(lams), dtype=bool), True
+    work = grams = None
+    if not (e.shape[1] or f_perp.shape[1]):
+        work, grams = rank_workspace(len(lams), p.shape)
+        certified, probe = full_rank_cover(p.t, p.s, lams, tol, work, grams)
+    rest = lams[~certified]
+
+    def build(part: slice, out: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = p.at_many(rest[part], out)
+        finite = np.isfinite(a).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"t - lam*s is not finite at lam = {rest[part][np.argmin(finite)]}")
+        return a
+
+    split = ()
+    if len(rest):
+        live, stage = rank_stage(p.shape, tol, e, f_perp, probe, grams)
+        split = chunked_stage(build, len(rest), p.shape, live, stage, work)
+    if len(rest) < len(lams):
+        # the certified points: full rank, not marginal, and no product
+        k, ranked = len(lams), split
+        split = (np.full(k, min(m, n)), *np.zeros((2, k), dtype=np.int64), np.zeros(k, dtype=bool))
+        for joined, part in zip(split, ranked):
+            joined[~certified] = part
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
     profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))

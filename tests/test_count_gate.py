@@ -9,9 +9,12 @@ matrices are counted apart, so batching cannot hide work: a call on a
 (k, m, n) stack factors k matrices. The pencil is the seeded n=6 one of
 ``test_svd_count_gate``: rank 3, 25 grid points, constant and switched
 support. Later changes may only lower these bounds. The spectrum scan
-ranks by the full-rank screen of :mod:`linalg` and factors only the chunks
-it cannot certify; on a pencil singular at every lam it screens one point
-and factors every chunk, each of the screened size.
+proves full rank box by box by the full-rank cover of :mod:`linalg`, one
+Cholesky factorization per box, ranks only the points the cover leaves out
+by the full-rank screen, and factors only the chunks of those the screen
+cannot certify; on a pencil singular at every lam the cover stops at its
+one-point probe, and the scan factors every chunk, each of the screened
+size.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ def svds(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+@pytest.fixture
+def choleskys(monkeypatch):
+    """The number of matrices of each numpy.linalg.cholesky call."""
+    counts = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     return counts
 
 
@@ -214,14 +231,32 @@ def test_spectrum_off_the_lattice_takes_no_svd(svds, tmp_path, capsys):
     assert svds["all"] == 0
 
 
+def test_spectrum_off_the_lattice_factors_at_most_a_third_of_its_points(svds, choleskys):
+    """The cover proves full rank box by box: 551 Cholesky factorizations,
+    of 792 matrices in all, where the screen alone factored every one of the
+    3721 points, and still no SVD."""
+    p = normal_pencil(np.random.default_rng(10), off_lattice(np.random.default_rng(11), 50))
+    region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
+    reset(svds)
+    scan = generalized_spectrum_scan(p, region)
+    assert all(point.rank == 50 for point in scan)
+    assert svds["all"] == 0
+    assert sum(choleskys) <= len(region) // 3
+
+
 def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):
+    """The rank pass chunks only the points the cover leaves out, and takes
+    one SVD, of the chunk of those that holds the eigenvalue."""
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
     on = 1234
     eigenvalues = np.concatenate([[region[on]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
+    certified, _ = linalg.full_rank_cover(p.t, p.s, np.array(region), linalg.DEFAULT_TOL,
+                                          *linalg.rank_workspace(len(region), p.shape))
+    left = np.flatnonzero(~certified)
     sizes = [part.stop - part.start
-             for part in chunks(len(region), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)]
-    holding = sizes[np.searchsorted(np.cumsum(sizes), on, side="right")]
+             for part in chunks(len(left), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)]
+    holding = sizes[np.searchsorted(np.cumsum(sizes), np.searchsorted(left, on), side="right")]
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert svds["all"] == 1
@@ -242,17 +277,9 @@ def test_spectrum_screens_again_after_a_singular_first_point(svds):
 
 
 @pytest.mark.parametrize("switched", [False, True])
-def test_spectrum_of_a_singular_pencil_screens_one_point(svds, monkeypatch, switched):
+def test_spectrum_of_a_singular_pencil_screens_one_point(svds, choleskys, switched):
     p = framed_pencil(np.random.default_rng(14), 20, 20, 15, switched=switched)
     region = rectangular_region(-2.0, 2.0, -2.0, 2.0, 61)
-    choleskys = []
-    cholesky = np.linalg.cholesky
-
-    def counting_cholesky(a, *args, **kwargs):
-        choleskys.append(int(np.prod(np.shape(a)[:-2])))
-        return cholesky(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert choleskys == [1]

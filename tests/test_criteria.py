@@ -192,6 +192,16 @@ class TestSpectrumScan:
         region = rectangular_region(0, 1, 0, 1, 2)
         assert region == (0j, 1 + 0j, 1j, 1 + 1j)
 
+    def test_region_wider_than_the_largest_float_is_exact(self):
+        """The width 2e308 overflows, so each axis is built from halved
+        bounds: its points are exact and finite, and no warning is raised."""
+        huge = np.finfo(np.float64).max
+        assert rectangular_region(-1e308, 1e308, -huge, huge, 3) == tuple(
+            complex(re, im) for im in (-huge, 0.0, huge) for re in (-1e308, 0.0, 1e308))
+        assert rectangular_region(-1e308, 1e308, 0.0, 1.0, 5)[:5] == (-1e308, -5e307, 0j, 5e307, 1e308)
+        assert rectangular_region(0.0, 1.0, 0.0, 1.0, 5) == tuple(
+            complex(re, im) for im in np.linspace(0.0, 1.0, 5) for re in np.linspace(0.0, 1.0, 5))
+
 
 class TestCriterionWeb:
     @settings(max_examples=20, deadline=None)

@@ -1,0 +1,271 @@
+"""The full-rank cover of linalg against the rank pass it stands in front of.
+
+A point the cover certifies is not ranked, so every rank and marginal flag
+of a product-free grid pass must be the one the pass gives with the cover
+switched off, at every point: the scans compare ScanPoint for ScanPoint and
+the finite-rank profiles compare rank and marginal flag for flag. The
+pencils put eigenvalues on lattice points and just off them, keep a rank
+deficiency at every lam, are rectangular, have s = 0, are scaled near
+under- and overflow, or are the Jordan block J_30, whose rank drops far
+below the cutoff's reach; the regions include a single point, a single
+row, repeated points and points in no order.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genresolvent import DiskGrid, Pencil, TolerancePolicy, finite_rank_criterion, save_matrix
+from genresolvent import linalg, resolvent
+from genresolvent.cli import main
+from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
+from genresolvent.linalg import EPS, SCREEN_LIVE, rank_workspace
+from helpers import framed_pencil, normal_pencil, off_lattice, unitary
+
+ROOT = Path(__file__).resolve().parent.parent
+LATTICE = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
+
+
+def full_rank_cover(t, s, lams, tol=TolerancePolicy()):
+    """linalg.full_rank_cover in a workspace of its own."""
+    lams = np.asarray(lams, dtype=np.complex128)
+    return linalg.full_rank_cover(t, s, lams, tol, *rank_workspace(len(lams), t.shape))
+
+
+def no_cover(t, s, lams, tol, *workspace):
+    """The cover switched off: every point is ranked by the pass, which takes its own probe."""
+    return np.zeros(len(lams), dtype=bool), True
+
+
+def on_and_off_pencil(scale=1.0):
+    """Order 20: one eigenvalue on a lattice point, one 1e-3 off another,
+    the rest off the lattice."""
+    eigenvalues = np.concatenate([[LATTICE[1234], LATTICE[2500] + 1e-3],
+                                  off_lattice(np.random.default_rng(21), 18)])
+    p = normal_pencil(np.random.default_rng(22), eigenvalues)
+    return Pencil(p.t * scale, p.s * scale)
+
+
+def jordan(n, similar=False):
+    t = np.eye(n, k=1, dtype=np.complex128)
+    if similar:
+        q = unitary(np.random.default_rng(23), n)
+        t = q @ t @ q.conj().T
+    return Pencil(t, np.eye(n))
+
+
+def full_rank_t_zero_s():
+    t = framed_pencil(np.random.default_rng(24), 9, 9, 9).t
+    return Pencil(t, np.zeros((9, 9)))
+
+
+def unordered():
+    return tuple(np.random.default_rng(25).permutation(np.array(LATTICE)).tolist())
+
+
+PENCILS = {
+    "on-and-off-lattice": on_and_off_pencil,
+    "scaled-1e150": lambda: on_and_off_pencil(1e150),
+    "scaled-1e-150": lambda: on_and_off_pencil(1e-150),
+    "framed-full": lambda: framed_pencil(np.random.default_rng(26), 12, 12, 12),
+    "framed-deficient": lambda: framed_pencil(np.random.default_rng(27), 12, 12, 9),
+    "framed-switched": lambda: framed_pencil(np.random.default_rng(28), 12, 12, 9, switched=True),
+    "wide": lambda: framed_pencil(np.random.default_rng(29), 8, 12, 8),
+    "tall": lambda: framed_pencil(np.random.default_rng(30), 12, 8, 8),
+    "zero-s": full_rank_t_zero_s,
+    "zero-s-singular-t": lambda: Pencil(np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))),
+    "jordan-30": lambda: jordan(30),
+    "jordan-30-similar": lambda: jordan(30, similar=True),
+}
+
+REGIONS = {
+    "lattice": lambda: LATTICE,
+    "unit-square": lambda: rectangular_region(-1.0, 1.0, -1.0, 1.0, 41),
+    "single-point": lambda: (LATTICE[1234],),
+    "single-row": lambda: LATTICE[1830:1891],
+    "repeated-points": lambda: LATTICE[1000:1400] + LATTICE[1300:1200:-1] + (LATTICE[1234],) * 5,
+    "unordered": unordered,
+}
+
+# the pencils the cover certifies much of on every region; those whose probe
+# fails, so that the cover stays off, on one row; J_30 on [-1, 1]^2
+CASES = [pytest.param(pencil, region, id=f"{pencil}-{region}")
+         for pencil, regions in (
+             ("on-and-off-lattice", REGIONS),
+             ("framed-full", ("lattice", "repeated-points")),
+             ("wide", ("lattice", "unordered")),
+             ("tall", ("lattice", "single-point")),
+             ("zero-s", ("lattice", "single-row")),
+             ("scaled-1e150", ("single-row",)),
+             ("scaled-1e-150", ("single-row",)),
+             ("framed-deficient", ("single-row",)),
+             ("framed-switched", ("single-row",)),
+             ("zero-s-singular-t", ("single-row",)),
+             ("jordan-30", ("unit-square",)),
+             ("jordan-30-similar", ("unit-square",)),
+         )
+         for region in regions]
+
+
+def both_ways(monkeypatch, run):
+    """run() with the cover and with it switched off."""
+    covered = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(resolvent, "full_rank_cover", no_cover)
+        plain = run()
+    return covered, plain
+
+
+@pytest.mark.parametrize("pencil,region", CASES)
+def test_cover_gives_the_ranks_of_the_plain_pass(monkeypatch, pencil, region):
+    p, points = PENCILS[pencil](), REGIONS[region]()
+    grid = DiskGrid(max(abs(lam) for lam in points) + 1.0, points)
+    for tol in (TolerancePolicy(), TolerancePolicy(rank_rtol=1e-3)):
+        covered, plain = both_ways(monkeypatch, lambda: generalized_spectrum_scan(p, points, tol))
+        assert covered == plain
+        covered, plain = both_ways(monkeypatch, lambda: finite_rank_criterion(p, grid, tol).profile)
+        assert covered == plain
+
+
+@pytest.mark.parametrize("pencil,least", [("on-and-off-lattice", 0.9), ("framed-full", 0.5),
+                                          ("wide", 0.5), ("tall", 0.5), ("zero-s", 1.0),
+                                          ("jordan-30-similar", 0.2)])
+def test_cover_certifies_most_points_away_from_the_spectrum(pencil, least):
+    """The comparisons above are not vacuous: the cover decides most points."""
+    p = PENCILS[pencil]()
+    region = REGIONS["unit-square" if pencil.startswith("jordan") else "lattice"]()
+    certified, probed = full_rank_cover(p.t, p.s, region)
+    assert probed
+    assert certified.mean() >= least
+
+
+@pytest.mark.parametrize("pencil", ["framed-deficient", "framed-switched", "zero-s-singular-t",
+                                    "scaled-1e150", "scaled-1e-150"])
+def test_cover_starts_only_after_its_probe_passes(pencil):
+    """Rank deficient at every lam, or with ||A||_F^2 outside SCREEN_RANGE:
+    the one-matrix probe fails, and the cover certifies nothing."""
+    p = PENCILS[pencil]()
+    certified, probed = full_rank_cover(p.t, p.s, LATTICE)
+    assert not probed
+    assert not certified.any()
+
+
+@st.composite
+def near_spectra(draw):
+    """A normal pencil (t, alpha I) whose eigenvalues sit on points of a
+    small lattice and at 10^-e from them, and that lattice, in a random order."""
+    steps = draw(st.integers(1, 9))
+    extent = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    region = np.array(rectangular_region(-extent, extent, -extent / 2, extent, steps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 7))
+    offsets = [draw(st.sampled_from([0.0, 1e-14, 1e-8, 1e-3, 0.3])) for _ in range(n)]
+    picks = rng.integers(0, len(region), n)
+    eigenvalues = region[picks] + np.array(offsets) * extent * np.exp(2j * np.pi * rng.uniform(size=n))
+    alpha = draw(st.sampled_from([1.0, 0.01, 7.0]))
+    p = normal_pencil(rng, eigenvalues * alpha)
+    order = rng.permutation(len(region)) if draw(st.booleans()) else np.arange(len(region))
+    rtol = draw(st.sampled_from([EPS, 1e-8, 1e-3, 0.5]))
+    return Pencil(p.t, p.s * alpha), tuple(region[order].tolist()), TolerancePolicy(rank_rtol=rtol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_spectra())
+def test_cover_agrees_near_eigenvalues(case):
+    p, region, tol = case
+    covered = generalized_spectrum_scan(p, region, tol)
+    original = resolvent.full_rank_cover
+    resolvent.full_rank_cover = no_cover
+    try:
+        plain = generalized_spectrum_scan(p, region, tol)
+    finally:
+        resolvent.full_rank_cover = original
+    assert covered == plain
+
+
+def test_cover_and_the_rank_pass_after_it_share_one_workspace(monkeypatch):
+    """Chunks of two: every level's anchors, and then every chunk of the
+    points the cover leaves out, are built into the same memory, and every
+    Gram, the cover's and the screen's, is written into one array."""
+    p = on_and_off_pencil()
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 20 ** 2)
+    certified, _ = full_rank_cover(p.t, p.s, LATTICE)
+    built, addresses, grams = [], [], []
+    build, screen_grams = linalg.pencil_values, linalg._screen_grams
+
+    def building(t, s, lams, out=None):
+        built.extend(lams.tolist())
+        addresses.append((len(lams), out.__array_interface__["data"][0]))
+        return build(t, s, lams, out)
+
+    def forming(stack, gram=None):
+        grams.append(gram.__array_interface__["data"][0])
+        return screen_grams(stack, gram)
+
+    for module in (linalg, resolvent):
+        monkeypatch.setattr(module, "pencil_values", building)
+    monkeypatch.setattr(linalg, "_screen_grams", forming)
+    scan = generalized_spectrum_scan(p, LATTICE)
+    assert certified.mean() > 0.9
+    assert set(np.array(LATTICE)[~certified].tolist()) <= set(built)
+    # the cover's probe first, then chunks of at most two
+    assert addresses[0][0] == 1 and max(length for length, _ in addresses) == 2
+    assert len({address for _, address in addresses}) == 1
+    assert len(set(grams)) == 1
+    assert [point.is_drop for point in scan].count(True) == 1
+
+
+def test_cover_certifies_no_point_where_the_pencil_overflows():
+    """t - lam s overflows at lam = -1e308 with s = 10 I: those points stay
+    out of the cover, which raises no floating-point warning."""
+    lams = np.array(rectangular_region(-1e308, 0.0, -3.0, 3.0, 3))
+    certified, probed = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams)
+    assert not probed
+    assert not certified.any()
+    # from a finite first point the cover starts, and still leaves them out
+    certified, probed = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams[::-1])
+    assert probed
+    assert not certified[np.abs(lams[::-1].real) > 1e300].any()
+
+
+def test_scan_where_the_pencil_overflows_raises_naming_the_point():
+    """10 * lam overflows at lam = -1e308 and -5e307: the first of them in
+    the region's order is named."""
+    p = Pencil(np.diag([1.0, 2.0]), 10.0 * np.eye(2))
+    region = rectangular_region(-1e308, 0.0, -3.0, 3.0, 3)
+    for points, first in ((region, "(-1e+308-3j)"), (region[::-1], "(-5e+307+3j)")):
+        with pytest.raises(ValueError) as raised:
+            generalized_spectrum_scan(p, points)
+        assert str(raised.value) == f"t - lam*s is not finite at lam = {first}"
+
+
+def test_spectrum_command_exits_2_where_the_pencil_overflows(tmp_path, capsys):
+    save_matrix(np.diag([1.0, 2.0]), str(tmp_path / "t.json"))
+    save_matrix(10.0 * np.eye(2), str(tmp_path / "s.json"))
+    assert main(["spectrum", str(tmp_path / "t.json"), str(tmp_path / "s.json"),
+                 "--re-min=-1e308", "--re-max=0", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "genresolvent: t - lam*s is not finite at lam = (-1e+308-3j)\n"
+
+
+def test_spectrum_over_a_region_wider_than_the_largest_float_runs_in_a_fresh_process():
+    """The region's width overflows, not its points: the lattice is exact
+    and finite, the pencil stays finite on it, and no warning is printed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "genresolvent", "spectrum", str(ROOT / "data" / "diag12.json"),
+         str(ROOT / "data" / "eye2.json"), "--re-min=-1e308", "--re-max=1e308", "--steps", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [row.split(",") for row in done.stdout.splitlines()[1:]]
+    assert [float(row[0]) for row in rows[:3]] == [-1e308, 0.0, 1e308]
+    assert [row[2] for row in rows] == ["2"] * 9

@@ -74,6 +74,13 @@ CHECKS = [
     pytest.param(lambda: generalized_spectrum_scan(PENCIL, [0.5, complex("inf")]),
                  ValueError, "scan point (inf+0j) is not finite",
                  id="generalized_spectrum_scan-inf"),
+    # the region's width and t - lam s at lam = -1e308 overflow: the lattice
+    # is built without overflow, and the rank pass names the first point
+    # where t - lam s is not finite
+    pytest.param(lambda: generalized_spectrum_scan(Pencil(np.diag([1.0, 2.0]), 10.0 * EYE2),
+                                                   rectangular_region(-1e308, 1e308, 0.0, 0.0, 3)),
+                 ValueError, "t - lam*s is not finite at lam = (-1e+308+0j)",
+                 id="generalized_spectrum_scan-overflow"),
     pytest.param(lambda: RankProfile((0j, 0.5), (1,), (1,), (1,), (False,)),
                  ValueError, "equal length", id="RankProfile"),
     pytest.param(lambda: rectangular_region(0.0, math.inf, 0.0, 1.0, 3),

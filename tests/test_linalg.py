@@ -256,7 +256,7 @@ class TestNorm:
         """lower <= ||X||_2 <= upper against the computed SVD value, also where
         unscaled products would underflow (1e-160) or overflow (1e150), and each
         bound within its proven factor of the norm: sqrt(n) below, min(m, n)^(1/4)
-        above."""
+        above, and min(m, n)^(1/128) for the full-rank cover's Schatten bound."""
         rng = np.random.default_rng(seed)
         rank = {"rank-one": 1, "rank-deficient": max(min(m, n) - 1, 1)}.get(kind, min(m, n))
         stack = complex_gaussian(rng, (k, m, rank)) @ complex_gaussian(rng, (k, rank, n))
@@ -270,6 +270,9 @@ class TestNorm:
         assert np.all(lower <= norms) and np.all(norms <= upper)
         assert np.all(lower >= norms / np.sqrt(n) * (1.0 - 1e-3))
         assert np.all(upper <= norms * min(m, n) ** 0.25 * (1.0 + 1e-3))
+        schatten = norm_upper_bounds(stack, linalg.COVER_SQUARINGS)
+        assert np.all(norms <= schatten)
+        assert np.all(schatten <= norms * min(m, n) ** (1 / 128) * (1.0 + 1e-3))
 
     @pytest.mark.parametrize("bound", [norm_lower_bounds, norm_upper_bounds, frobenius_norms])
     def test_bounds_read_a_stack_whose_last_axis_is_not_contiguous(self, bound):
@@ -348,14 +351,17 @@ class TestNorm:
     def test_lower_bounds_start_from_a_column_of_largest_norm(self, seed, k, m, n, kind):
         """On untied inputs norm_lower_bounds is, bit for bit, its power step
         from the column of largest norm that one strided sum over the rows
-        and the (re, im) pairs at once picks, also where a subnormal peak
-        takes _peak_scaled's division."""
+        and the (re, im) pairs at once picks, on the matrices scaled where
+        needed: unscaled where ||X||_F^6 lies inside SCREEN_RANGE, and where
+        a subnormal peak takes _peak_scaled's division."""
         rng = np.random.default_rng(seed)
         rank = 1 if kind == "rank-one" else min(m, n)
         stack = complex_gaussian(rng, (k, m, rank)) @ complex_gaussian(rng, (k, rank, n))
         if kind == "subnormal":
             stack[0] *= 1e-310
-        peak, scaled = linalg._peak_scaled(stack)
+        peak, scaled, _ = linalg._scaled_where_needed(stack, 3)
+        unscaled = np.broadcast_to(peak, (k,)) == 1.0
+        assert unscaled[1:].all() and unscaled[0] == (kind != "subnormal")
         squares = np.square(scaled.view(np.float64)).reshape(k, m, n, 2).sum(axis=(1, 3))
         first = scaled[np.arange(k), :, squares.argmax(axis=1)]
         step = np.conjugate(first)[:, None, :] @ scaled

@@ -635,7 +635,7 @@ def stage_spy(monkeypatch, p, points):
     driver = resolvent.chunked_stage
     lams = np.array(points, dtype=np.complex128)
 
-    def spying(build, count, shape, live, stage):
+    def spying(build, count, shape, live, stage, work=None):
         seen = []
         calls.append((count, shape, seen))
 
@@ -644,7 +644,7 @@ def stage_spy(monkeypatch, p, points):
             seen.append((part, a.base, a.__array_interface__["data"][0]))
             return stage(part, a)
 
-        return driver(build, count, shape, live, spied)
+        return driver(build, count, shape, live, spied, work)
 
     monkeypatch.setattr(resolvent, "chunked_stage", spying)
     return calls
@@ -708,10 +708,14 @@ def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, screened
     """Each stage is handed the slices linalg.chunks cuts for its own live
     count, and every stack of one pass is a view of the same workspace. A
     screened rank pass writes every Gram, the probe's included, into one
-    array."""
+    array. The full-rank cover is switched off, so a pass without a product
+    ranks every point (the cover, and the workspace it shares with the pass,
+    are checked in test_full_rank_cover.py)."""
     p = make()
     grid = grid_for(p, 60)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(resolvent, "full_rank_cover",
+                        lambda t, s, lams, tol, *workspace: (np.zeros(len(lams), dtype=bool), True))
     calls = stage_spy(monkeypatch, p, grid.points)
     grams = []
     certified = linalg._full_rank_certified
