@@ -16,8 +16,9 @@ Runs ``genresolvent.cli.main`` in-process on
   one holding the first), the same pencil at ``--rank-rtol 0.5`` (the
   screen declines every chunk), a pencil rank-deficient everywhere, and
   one with an eigenvalue on the region's first point, -3 - 3i (the
-  one-matrix probe declines, so the first chunk takes the SVD unscreened
-  and the screen runs again from the next);
+  full-rank cover's one-matrix probe declines, so the cover certifies no
+  point, the rank pass takes the SVD of its first chunk unscreened and
+  the screen runs again from the next);
 * ``spectrum --steps 61`` on that normal pencil and on one with an
   eigenvalue on a point of the 61 x 61 lattice and one 1e-3 off another,
   where the full-rank cover certifies boxes of many points;
@@ -37,7 +38,10 @@ Runs ``genresolvent.cli.main`` in-process on
   0.3333333`` at ``--grid-points 25`` and ``60``, where the identity's
   bound leaves pairs of points near 1/3 undecided, the pairs through
   lam = 0 pass and those undecided pairs decide, and ``mp-check
-  --grid-radius 1``.
+  --grid-radius 1``;
+* ``mp-check --grid-radius 5e307`` on diag(1, 2) with s = 10 I, where
+  t - lam s overflows on the grid's outer rings: the command exits 2
+  naming the first such point.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -189,6 +193,11 @@ def near_eigenvalue_commands() -> list[list[str]]:
         ["mp-check", *pair, "--grid-radius", "1"]]
 
 
+def overflow_commands() -> list[list[str]]:
+    save_matrix(10.0 * np.eye(2), "framed/ten-eye2.json")
+    return [["mp-check", "data/diag12.json", "framed/ten-eye2.json", "--grid-radius", "5e307"]]
+
+
 def flag_commands() -> list[list[str]]:
     commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
     return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
@@ -210,7 +219,7 @@ def main() -> int:
         os.mkdir("spectrum")
         for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
                      + spectrum_commands() + chunked_commands() + rank_zero_commands()
-                     + slack_commands() + near_eigenvalue_commands()):
+                     + slack_commands() + near_eigenvalue_commands() + overflow_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

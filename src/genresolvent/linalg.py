@@ -33,12 +33,12 @@ verdict is the SVD's, and a certified member carries no singular values.
 Ranks with products skip the screen: A's own SVD sets their cutoff. A
 declined screen adds its cost to the SVD's, so the rank stage screens a
 chunk only when the matrices before it were full rank: the first chunk
-when its first matrix alone passes (a one-matrix probe), a later one when
-the chunk before held a member of full rank, not marginal. On a pencil
-singular at every lam it screens one matrix. Every chunk of a rank pass
-without a product is sized for the screen's SCREEN_LIVE matrices beside
-each member, screened or not. :func:`split_ranks` itself never screens, so
-a single matrix is always factored.
+when the full-rank cover's one-matrix probe passed, a later one when the
+chunk before held a member of full rank, not marginal. On a pencil
+singular at every lam only that probe is screened. Every chunk of a
+rank pass without a product is sized for the screen's SCREEN_LIVE matrices
+beside each member, screened or not. :func:`split_ranks` itself never
+screens, so a single matrix is always factored.
 
 A grid pass without a product ranks t - lam s at points where full rank
 holds on whole disks, not only at the points: by Weyl's inequality
@@ -51,7 +51,8 @@ bound on ||s||_2 (:func:`norm_upper_bounds` with COVER_SQUARINGS, no SVD)
 and the rounding of forming t - lam s. A box that fails splits into
 quadrants, and the rank stage ranks only the points no box covers, so
 every eigenvalue of the pencil in the region lies in a box left out. The
-cover starts only where the rank stage's one-matrix probe passes.
+cover starts only where its one-matrix probe, the screen of the first
+point, passes, and it builds its anchors in its own chunk loop.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -67,13 +68,16 @@ trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
 one-element views, so there is one code path. Batched SVDs, solves and
 products return exactly, bit for bit, what per-matrix calls return (a
-``matmul`` written with ``out=`` need not). Every pass over t - lam*s at
-sampled points runs through one driver, :func:`chunked_stage`: it cuts the
-points into chunks by :func:`chunks`, has the caller build each chunk's
-stack into one workspace kept for the pass, and runs a stage function on
-each, the rank passes' :func:`rank_stage` among them. The count of the
-matrices a stage keeps alive per point is the driver's one sizing
-argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
+``matmul`` written with ``out=`` need not). Every per-point stage over
+t - lam*s at sampled points runs through one driver, :func:`chunked_stage`:
+it cuts the points into chunks by :func:`chunks`, has the caller build each
+chunk's stack into one workspace kept for the pass, and runs a stage
+function on each: the rank passes' :func:`rank_stage`, the axiom
+residuals, the continuity probe, the pseudoinverse characterization and
+the invertibility corollary. :func:`full_rank_cover`, which runs before
+a rank pass and is no stage, builds its anchors in its own chunk loop.
+The count of the matrices a stage keeps alive per point is the driver's
+one sizing argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
 
 The residuals the reports print are decided bound first, in O(mn) work
@@ -705,8 +709,7 @@ def rank_stage(
     tol: TolerancePolicy,
     right: np.ndarray,
     left: np.ndarray,
-    probe: bool = True,
-    grams: np.ndarray | None = None,
+    screen: bool = True,
 ) -> tuple[int, Callable[[slice, np.ndarray], tuple[np.ndarray, ...]]]:
     """The live count and stage of a :func:`chunked_stage` rank pass over
     (m, n) matrices: :func:`split_ranks`, or the full-rank screen, on each chunk.
@@ -722,37 +725,33 @@ def rank_stage(
     Without a product, the full-rank screen saves the SVD of a chunk it
     certifies, but adds its Gram and Cholesky to the SVD of one it
     declines, so it runs on a chunk only when the matrices before suggest
-    it will certify: on the first chunk when its first matrix alone passes
-    it (a one-matrix probe), and on each later one when the chunk before
-    held a matrix of full rank and not marginal. So on matrices rank
-    deficient throughout, such as a pencil singular at every lam, the
-    screen runs once, on the probe, and on matrices rank deficient at
-    isolated members it runs on every chunk after the probe; either way
-    each rank is the SVD's. probe False says the caller has taken that
-    probe and it failed (:func:`full_rank_cover`): the first chunk then
-    takes the SVD without it. With a product the screen never runs: A's own
-    SVD sets the products' cutoff. The stage writes every Gram of its pass
-    into one array, allocated at the first chunk, the longest, or grams
-    when given (the Gram array of :func:`rank_workspace`); only the
-    screen's adjoint and Cholesky factor, and the products and singular
-    values of an SVD, are allocated per chunk.
+    it will certify: on the first chunk when screen is true, and on each
+    later one when the chunk before held a matrix of full rank and not
+    marginal. A grid pass sets screen to whether :func:`full_rank_cover`
+    certified any point, which is whether the cover's one-matrix probe
+    passed. So on matrices rank deficient throughout, such as a pencil
+    singular at every lam, the screen never runs after that probe, and on
+    matrices rank deficient at isolated members it runs on every chunk
+    after one of full rank; either way each rank is the SVD's. With a
+    product the screen never runs: A's own SVD sets the products' cutoff.
+    The stage writes every Gram of its pass into one array, allocated at
+    the first chunk it screens; only the screen's adjoint and Cholesky
+    factor, and the products and singular values of an SVD, are allocated
+    per chunk.
     """
     products = bool(right.shape[1]) + bool(left.shape[1])
     p = min(shape)
-    screen, gram = False, None
+    screen, gram = screen and not products, None
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal screen, gram
         k = len(a)
-        if part.start == 0:
-            # the first chunk is the longest, and its first matrix the probe
-            gram = grams
-            if grams is None:
-                gram = np.empty((0 if products else k, p, p), dtype=np.complex128)
-            screen = not products and probe and _full_rank_certified(a[:1], tol, gram[:1])
-        if screen and _full_rank_certified(a, tol, gram[:k]):
-            return (np.full(k, p, dtype=np.int64), *np.zeros((2, k), dtype=np.int64),
-                    np.zeros(k, dtype=bool))
+        if screen:
+            # allocated at the first chunk screened: no later chunk is longer
+            gram = np.empty((k, p, p), dtype=np.complex128) if gram is None else gram
+            if _full_rank_certified(a, tol, gram[:k]):
+                return (np.full(k, p, dtype=np.int64), *np.zeros((2, k), dtype=np.int64),
+                        np.zeros(k, dtype=bool))
         split = split_ranks(a, right, left, tol)
         screen = not products and bool(np.any((split[0] == p) & ~split[3]))
         return split
@@ -766,35 +765,20 @@ def pencil_values(t: np.ndarray, s: np.ndarray, lams: np.ndarray, out: np.ndarra
     return np.subtract(t, stack, out=stack)
 
 
-def rank_workspace(count: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk workspace and the Gram array of a rank pass without a
-    product over count (m, n) matrices, for :func:`full_rank_cover` and then
-    :func:`chunked_stage` and :func:`rank_stage` over the points it leaves
-    out: one (k m n,) and one (k, p, p) complex array, k the pass's chunk
-    length. Held for the whole pass, the cover's chunk memory is the rank
-    stage's too."""
-    m, n = shape
-    length = min(count, _chunk_length((1 + SCREEN_LIVE) * 16 * max(m, n) ** 2))
-    p = min(m, n)
-    work = np.empty(length * m * n, dtype=np.complex128)
-    return work, np.empty((length, p, p), dtype=np.complex128)
-
-
 def full_rank_cover(
-    t: np.ndarray, s: np.ndarray, lams: np.ndarray, tol: TolerancePolicy,
-    work: np.ndarray, grams: np.ndarray,
-) -> tuple[np.ndarray, bool]:
+    t: np.ndarray, s: np.ndarray, lams: np.ndarray, tol: TolerancePolicy
+) -> np.ndarray:
     """The mask of the points lams at which the values-only SVD would give
     fl(t - lam s), as :func:`pencil_values` builds it, full rank
-    p = min(m, n), not marginal, proved box by box without an SVD; and
-    whether the first point passed the one-matrix probe of
-    :func:`rank_stage`. A rank pass without a product ranks only the points
-    left out, with ``rank_stage(..., probe=...)``, so each rank and marginal
-    flag is the SVD's.
+    p = min(m, n), not marginal, proved box by box without an SVD. A rank
+    pass without a product ranks only the points left out, so each rank
+    and marginal flag is the SVD's.
 
-    The cover starts only where the probe, the full-rank screen of the
+    The cover starts only where its probe, the full-rank screen of the
     first point alone, passes: on a pencil singular at every lam it costs
-    that one Cholesky factorization, as the rank stage's own probe did.
+    that one Cholesky factorization. So it certifies some point exactly
+    when the probe passed, the first point among them, and the rank stage
+    after it screens its first chunk on that (``rank_stage(..., screen=)``).
     Then the points are cut into boxes, first their bounding box, then
     quadrants of it. Each box of two points or more is decided by one
     anchor mu, its point nearest the box's centre. By Weyl's inequality
@@ -825,15 +809,18 @@ def full_rank_cover(
     bounding box. Single points, and a box whose points do not spread over
     its quadrants, such as repeated points, are left out.
 
-    Each level's anchors are built chunk by chunk into work and their Grams
-    written into grams, the arrays of ``rank_workspace(len(lams), t.shape)``,
-    which a rank pass then hands the rank stage after the cover, so it
-    allocates its chunk memory once.
+    Each level's anchors are built in the cover's own chunk loop, sized as
+    a rank pass without a product sizes its chunks, into one workspace, and
+    their Grams written into one array, both allocated once per call.
     """
     k = len(lams)
     m, n = t.shape
     p = min(m, n)
     certified = np.zeros(k, dtype=bool)
+    point_bytes = (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2
+    length = min(k, _chunk_length(point_bytes))
+    work = np.empty(length * m * n, dtype=np.complex128)
+    grams = np.empty((length, p, p), dtype=np.complex128)
 
     def build(points: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -841,7 +828,7 @@ def full_rank_cover(
             return pencil_values(t, s, points, out)
 
     if not (p and _full_rank_certified(build(lams[:1]), tol, grams[:1])):
-        return certified, False
+        return certified
     certified[0] = True
     ratio = _screen_ratio((m, n), tol)
     widen = 1.0 + NORM_BOUND_SLACK
@@ -870,7 +857,7 @@ def full_rank_cover(
             eligible = np.flatnonzero((sizes > 1) & (reach < SCREEN_RANGE[1] ** 0.5)
                                       & (base * base * p < anchor_norm * anchor_norm))
             passed = np.zeros(count, dtype=bool)
-            for part in chunks(len(eligible), (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2):
+            for part in chunks(len(eligible), point_bytes):
                 boxes = eligible[part]
                 gram, diagonal, squares = _screen_grams(build(mu[boxes]), grams[: len(boxes)])
                 c = (base[boxes] + ratio * np.sqrt(squares) * widen) * widen
@@ -889,7 +876,7 @@ def full_rank_cover(
             kept = (children > 1) & (children < np.repeat(sizes, 4)) & np.repeat(~passed, 4)
             box[points] = np.where(kept[keys], np.cumsum(kept)[keys] - 1, -1)
             count = int(np.count_nonzero(kept))
-    return certified, True
+    return certified
 
 
 def _per_box(ufunc: np.ufunc, start, boxes: np.ndarray, values: np.ndarray, count: int):
@@ -906,7 +893,6 @@ def chunked_stage(
     shape: tuple[int, int],
     live: int,
     stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
-    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """A per-point stage over count (m, n) matrices, chunk by chunk, in order.
 
@@ -919,17 +905,16 @@ def chunked_stage(
     matrices of the larger square size per member: the main arrays the
     stage keeps per point, not every copy or scratch array it makes. The
     workspace holds the longest chunk's stack, which a stage must not keep
-    past its call. It is allocated once per pass: chunk arrays freed and
-    allocated again at every chunk would be returned to the operating
+    past its call. It is allocated here, once per pass: chunk arrays freed
+    and allocated again at every chunk would be returned to the operating
     system and faulted back in each time by a fresh process's allocator.
-    work, when given, is that workspace, held by the caller: a flat complex
-    array of at least the longest chunk's entries (:func:`rank_workspace`).
-    count >= 1.
+    Every grid stage of the package, the rank passes' :func:`rank_stage`
+    among them, runs here; :func:`full_rank_cover` runs its own chunk loop.
+    With count 0 no chunk is built and the result is the empty tuple.
     """
     m, n = shape
     point_bytes = live * 16 * max(m, n) ** 2
-    if work is None:
-        work = np.empty(min(count, _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
+    work = np.empty(min(count, _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
     joined: tuple[np.ndarray, ...] = ()
     for part in chunks(count, point_bytes):
         k = part.stop - part.start

@@ -43,8 +43,9 @@ residuals, the continuity probe, the pseudoinverse characterization and
 the invertibility corollary), is a stage function too. Every stage is run
 by the one driver :func:`linalg.chunked_stage`, through
 :func:`_point_stage`, sized by the one count of matrices the stage keeps
-alive per point; t - lam*s is built there, each chunk into one workspace
-kept for the whole pass.
+alive per point, the rank passes included; t - lam*s is built there, each
+chunk into one workspace kept for the whole pass, and a point where it is
+not finite is rejected there, by name, for every stage.
 
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
@@ -78,7 +79,6 @@ from .linalg import (
     op_norms2,
     pencil_values,
     rank_stage,
-    rank_workspace,
     relative_residual,
     relative_residuals,
     solve_right_stack,
@@ -422,9 +422,23 @@ def _point_stage(
     p: Pencil, points: Sequence[complex], live: int,
     stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
 ) -> tuple[np.ndarray, ...]:
-    """:func:`linalg.chunked_stage` of t - lam*s at the points, in order."""
+    """:func:`linalg.chunked_stage` of t - lam*s at the points, in order.
+
+    This is the one builder of t - lam*s for every grid stage: each chunk
+    is built into the pass's one workspace, and a point where t - lam*s is
+    not finite raises ValueError naming the first such point in order.
+    """
     lams = np.asarray(points, dtype=np.complex128)
-    return chunked_stage(lambda part, out: p.at_many(lams[part], out), len(lams), p.shape, live, stage)
+
+    def build(part: slice, out: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = p.at_many(lams[part], out)
+        finite = np.isfinite(a).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"t - lam*s is not finite at lam = {lams[part][np.argmin(finite)]}")
+        return a
+
+    return chunked_stage(build, len(lams), p.shape, live, stage)
 
 
 def _grid_pass(
@@ -437,41 +451,26 @@ def _grid_pass(
     and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
     and f_perp. Each defaults to the basis of {0}, whose product is not
     formed. Without a product, :func:`linalg.full_rank_cover` first proves
-    full rank, not marginal, box by box, and the stage ranks only the
-    points it leaves out, in their order, in the cover's workspace. The
-    stage runs through :func:`linalg.chunked_stage`, sized for the products
-    it forms or, with none, for the full-rank screen. A point where
-    t - lam*s is not finite raises ValueError naming it.
+    full rank, not marginal, box by box; the points it leaves out, all of
+    them with a product, are ranked through :func:`_point_stage`, in their
+    order, and the stage screens its first chunk exactly when the cover
+    certified a point. Certified and ranked points are written into one
+    set of result arrays.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
     lams = np.asarray(points, dtype=np.complex128)
-    certified, probe = np.zeros(len(lams), dtype=bool), True
-    work = grams = None
+    k = len(lams)
+    certified = np.zeros(k, dtype=bool)
     if not (e.shape[1] or f_perp.shape[1]):
-        work, grams = rank_workspace(len(lams), p.shape)
-        certified, probe = full_rank_cover(p.t, p.s, lams, tol, work, grams)
-    rest = lams[~certified]
-
-    def build(part: slice, out: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = p.at_many(rest[part], out)
-        finite = np.isfinite(a).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"t - lam*s is not finite at lam = {rest[part][np.argmin(finite)]}")
-        return a
-
-    split = ()
-    if len(rest):
-        live, stage = rank_stage(p.shape, tol, e, f_perp, probe, grams)
-        split = chunked_stage(build, len(rest), p.shape, live, stage, work)
-    if len(rest) < len(lams):
-        # the certified points: full rank, not marginal, and no product
-        k, ranked = len(lams), split
-        split = (np.full(k, min(m, n)), *np.zeros((2, k), dtype=np.int64), np.zeros(k, dtype=bool))
-        for joined, part in zip(split, ranked):
-            joined[~certified] = part
+        certified = full_rank_cover(p.t, p.s, lams, tol)
+    rest = ~certified
+    # a certified point: full rank, not marginal, and no product
+    split = (np.full(k, min(m, n)), *np.zeros((2, k), dtype=np.int64), np.zeros(k, dtype=bool))
+    stage = rank_stage(p.shape, tol, e, f_perp, bool(certified.any()))
+    for joined, ranked in zip(split, _point_stage(p, lams[rest], *stage)):
+        joined[rest] = ranked
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
     profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))

@@ -424,6 +424,25 @@ class TestMpCheckCommand:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_grid_where_the_pencil_overflows_exits_two_naming_the_point(self, tmp_path):
+        """s = 10 I: 10 * lam overflows on the outer rings of the grid of
+        radius 5e307. In a fresh process with every RuntimeWarning shown, the
+        command prints only the first such point in grid order."""
+        save_matrix(10.0 * np.eye(2), tmp_path / "s.json")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "genresolvent", "mp-check",
+             str(DATA / "diag12.json"), str(tmp_path / "s.json"), "--grid-radius", "5e307"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "genresolvent: t - lam*s is not finite at lam = (3.333333333333333e+307+0j)\n"
+        )
+
     def test_disagreement_exits_three(self, capsys, monkeypatch):
         real = cli_module.mp_resolvent_characterization
 
@@ -646,6 +665,33 @@ def test_analyze_of_an_invertible_pencil_near_an_eigenvalue_passes(tmp_path, cap
     report = json.loads(out)
     assert report["existence"]["verdict"] is True
     assert code == 0, (report["axioms"]["identity_method"], report["axioms"]["max_identity_residual"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the identity's bound forms G(lam) @ (s @ t+) and its pair products before "
+    "scaling them by lam_i - lam_j, so they overflow where ||t+||^2 ||s|| exceeds the "
+    "largest float, and the SVD of the non-finite result does not converge (ROADMAP: "
+    "measure the resolvent identity per pair)",
+)
+@pytest.mark.parametrize("command", ["analyze", "mp-check"])
+def test_a_pencil_of_tiny_norm_gets_its_verdict(command, tmp_path):
+    """t = 1e-300 I and s = I: t - lam s is invertible on the default grid,
+    G(lam), about 1e300 I, is finite and is the classical resolvent, so every
+    verdict holds. The command must exit 0 with nothing on stderr."""
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    save_matrix(1e-300 * np.eye(2), paths[0])
+    save_matrix(np.eye(2), paths[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "genresolvent", command,
+         *map(str, paths)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestVersionCommand:

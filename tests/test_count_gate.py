@@ -12,9 +12,12 @@ support. Later changes may only lower these bounds. The spectrum scan
 proves full rank box by box by the full-rank cover of :mod:`linalg`, one
 Cholesky factorization per box, ranks only the points the cover leaves out
 by the full-rank screen, and factors only the chunks of those the screen
-cannot certify; on a pencil singular at every lam the cover stops at its
-one-point probe, and the scan factors every chunk, each of the screened
-size.
+cannot certify. The rank pass screens its first chunk only when the
+cover's one-point probe passed, which is when the cover certified a point,
+and takes no probe of its own: on a pencil singular at every lam that
+probe is the one Cholesky factorization, and the scan factors every
+chunk, each of the screened size; after a singular first point the cover
+certifies nothing and the first chunk takes the SVD.
 """
 
 from __future__ import annotations
@@ -251,8 +254,7 @@ def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):
     on = 1234
     eigenvalues = np.concatenate([[region[on]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
-    certified, _ = linalg.full_rank_cover(p.t, p.s, np.array(region), linalg.DEFAULT_TOL,
-                                          *linalg.rank_workspace(len(region), p.shape))
+    certified = linalg.full_rank_cover(p.t, p.s, np.array(region), linalg.DEFAULT_TOL)
     left = np.flatnonzero(~certified)
     sizes = [part.stop - part.start
              for part in chunks(len(left), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)]

@@ -26,7 +26,7 @@ from genresolvent import DiskGrid, Pencil, TolerancePolicy, finite_rank_criterio
 from genresolvent import linalg, resolvent
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
-from genresolvent.linalg import EPS, SCREEN_LIVE, rank_workspace
+from genresolvent.linalg import EPS, SCREEN_LIVE
 from helpers import framed_pencil, normal_pencil, off_lattice, unitary
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,14 +34,13 @@ LATTICE = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
 
 
 def full_rank_cover(t, s, lams, tol=TolerancePolicy()):
-    """linalg.full_rank_cover in a workspace of its own."""
-    lams = np.asarray(lams, dtype=np.complex128)
-    return linalg.full_rank_cover(t, s, lams, tol, *rank_workspace(len(lams), t.shape))
+    """linalg.full_rank_cover of a sequence of points."""
+    return linalg.full_rank_cover(t, s, np.asarray(lams, dtype=np.complex128), tol)
 
 
-def no_cover(t, s, lams, tol, *workspace):
-    """The cover switched off: every point is ranked by the pass, which takes its own probe."""
-    return np.zeros(len(lams), dtype=bool), True
+def no_cover(t, s, lams, tol):
+    """The cover switched off: every point is ranked by the pass, whose first chunk takes the SVD."""
+    return np.zeros(len(lams), dtype=bool)
 
 
 def on_and_off_pencil(scale=1.0):
@@ -141,8 +140,9 @@ def test_cover_certifies_most_points_away_from_the_spectrum(pencil, least):
     """The comparisons above are not vacuous: the cover decides most points."""
     p = PENCILS[pencil]()
     region = REGIONS["unit-square" if pencil.startswith("jordan") else "lattice"]()
-    certified, probed = full_rank_cover(p.t, p.s, region)
-    assert probed
+    certified = full_rank_cover(p.t, p.s, region)
+    # the first point is the probe's
+    assert certified[0]
     assert certified.mean() >= least
 
 
@@ -152,9 +152,7 @@ def test_cover_starts_only_after_its_probe_passes(pencil):
     """Rank deficient at every lam, or with ||A||_F^2 outside SCREEN_RANGE:
     the one-matrix probe fails, and the cover certifies nothing."""
     p = PENCILS[pencil]()
-    certified, probed = full_rank_cover(p.t, p.s, LATTICE)
-    assert not probed
-    assert not certified.any()
+    assert not full_rank_cover(p.t, p.s, LATTICE).any()
 
 
 @st.composite
@@ -190,35 +188,46 @@ def test_cover_agrees_near_eigenvalues(case):
     assert covered == plain
 
 
-def test_cover_and_the_rank_pass_after_it_share_one_workspace(monkeypatch):
-    """Chunks of two: every level's anchors, and then every chunk of the
-    points the cover leaves out, are built into the same memory, and every
-    Gram, the cover's and the screen's, is written into one array."""
+def test_cover_and_the_rank_pass_after_it_each_build_into_one_workspace(monkeypatch):
+    """Chunks of two: the cover's probe and every level's anchors are built
+    into one workspace of the cover's, and their Grams written into one
+    array; the rank pass then builds every chunk of the points the cover
+    leaves out, and only those, in their order, into one workspace of its
+    own, and writes the Grams of the chunks it screens into one array."""
     p = on_and_off_pencil()
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 20 ** 2)
-    certified, _ = full_rank_cover(p.t, p.s, LATTICE)
-    built, addresses, grams = [], [], []
+    certified = full_rank_cover(p.t, p.s, LATTICE)
+    builds = {"cover": [], "pass": []}
+    grams = {"cover": set(), "pass": set()}
+    built, owners = [], []
     build, screen_grams = linalg.pencil_values, linalg._screen_grams
 
-    def building(t, s, lams, out=None):
-        built.extend(lams.tolist())
-        addresses.append((len(lams), out.__array_interface__["data"][0]))
-        return build(t, s, lams, out)
+    def building(owner):
+        def into(t, s, lams, out=None):
+            owners.append(owner)
+            builds[owner].append((len(lams), out.__array_interface__["data"][0]))
+            if owner == "pass":
+                built.extend(lams.tolist())
+            return build(t, s, lams, out)
+
+        return into
 
     def forming(stack, gram=None):
-        grams.append(gram.__array_interface__["data"][0])
+        grams[owners[-1]].add(gram.__array_interface__["data"][0])
         return screen_grams(stack, gram)
 
-    for module in (linalg, resolvent):
-        monkeypatch.setattr(module, "pencil_values", building)
+    monkeypatch.setattr(linalg, "pencil_values", building("cover"))
+    monkeypatch.setattr(resolvent, "pencil_values", building("pass"))
     monkeypatch.setattr(linalg, "_screen_grams", forming)
     scan = generalized_spectrum_scan(p, LATTICE)
     assert certified.mean() > 0.9
-    assert set(np.array(LATTICE)[~certified].tolist()) <= set(built)
+    assert built == np.array(LATTICE)[~certified].tolist()
     # the cover's probe first, then chunks of at most two
-    assert addresses[0][0] == 1 and max(length for length, _ in addresses) == 2
-    assert len({address for _, address in addresses}) == 1
-    assert len(set(grams)) == 1
+    assert builds["cover"][0][0] == 1
+    for owner in ("cover", "pass"):
+        assert max(length for length, _ in builds[owner]) == 2
+        assert len({address for _, address in builds[owner]}) == 1
+        assert len(grams[owner]) == 1
     assert [point.is_drop for point in scan].count(True) == 1
 
 
@@ -226,12 +235,10 @@ def test_cover_certifies_no_point_where_the_pencil_overflows():
     """t - lam s overflows at lam = -1e308 with s = 10 I: those points stay
     out of the cover, which raises no floating-point warning."""
     lams = np.array(rectangular_region(-1e308, 0.0, -3.0, 3.0, 3))
-    certified, probed = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams)
-    assert not probed
-    assert not certified.any()
+    assert not full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams).any()
     # from a finite first point the cover starts, and still leaves them out
-    certified, probed = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams[::-1])
-    assert probed
+    certified = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams[::-1])
+    assert certified[0]
     assert not certified[np.abs(lams[::-1].real) > 1e300].any()
 
 

@@ -25,6 +25,7 @@ from genresolvent import (
     generalized_spectrum_scan,
     geninv_from_complements,
     mp_inverse,
+    mp_resolvent_characterization,
     rectangular_region,
     solve,
     transversal,
@@ -37,6 +38,11 @@ PENCIL = Pencil(np.diag([1.0, 0.0]), EYE2)
 # complements in C^3 and C^2, where a 2 x 2 operator needs C^2 and C^2
 MISPLACED = ComplementPair(e=full_subspace(3), f=zero_subspace(2))
 G_DIAG = mp_inverse(PENCIL.t)
+# 10 * lam overflows on the outer two rings of the grid of radius 5e307: the
+# stages that build t - lam s name the first such point in grid order
+OVERFLOWING = Pencil(np.diag([1.0, 2.0]), 10.0 * EYE2)
+OVERFLOW_GRID = default_grid(5e307)
+OVERFLOW_POINT = "t - lam*s is not finite at lam = (3.333333333333333e+307+0j)"
 
 CHECKS = [
     pytest.param(lambda: verify_mp_axioms(np.ones((2, 3)), np.ones((2, 3))),
@@ -81,6 +87,10 @@ CHECKS = [
                                                    rectangular_region(-1e308, 1e308, 0.0, 0.0, 3)),
                  ValueError, "t - lam*s is not finite at lam = (-1e+308+0j)",
                  id="generalized_spectrum_scan-overflow"),
+    pytest.param(lambda: mp_resolvent_characterization(OVERFLOWING, OVERFLOW_GRID),
+                 ValueError, OVERFLOW_POINT, id="mp_resolvent_characterization-overflow"),
+    pytest.param(lambda: continuity_check(OVERFLOWING, lambda lam: EYE2, OVERFLOW_GRID),
+                 ValueError, OVERFLOW_POINT, id="continuity_check-overflow"),
     pytest.param(lambda: RankProfile((0j, 0.5), (1,), (1,), (1,), (False,)),
                  ValueError, "equal length", id="RankProfile"),
     pytest.param(lambda: rectangular_region(0.0, math.inf, 0.0, 1.0, 3),

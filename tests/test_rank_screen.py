@@ -7,7 +7,8 @@ the rank cutoff, at 10x the cutoff (the marginal rule) and at the screen's
 own threshold, at entry scales inside and outside the range it runs on.
 The screen runs in the grid rank pass, ``chunked_stage`` run on the stage
 of ``rank_stage``, and in ``solve_stack``; ``split_ranks`` itself always
-takes the SVD. Without a product every chunk of the rank pass has the
+takes the SVD. ``rank_stage`` screens its first chunk by default, as a grid
+pass has it do when the full-rank cover's probe passed. Without a product every chunk of the rank pass has the
 screened length, screened or not.
 """
 
@@ -162,9 +163,9 @@ def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
 
 
 def test_chunked_ranks_build_every_chunk_into_one_workspace():
-    """Screened chunks of 2, the one-matrix probe on the first, and an
-    unscreened chunk (after a screened chunk of deficient members) are all
-    built into the same memory, and every Gram into one array."""
+    """Screened chunks of 2, the first among them, and an unscreened chunk
+    (after a screened chunk of deficient members) are all built into the
+    same memory, and every Gram into one array."""
     rng = np.random.default_rng(6)
     places = [1e12, 1e12, 0.0, 0.0] + [1e12] * 10
     stack = np.stack([member(rng, 4, 4, EPS, place) for place in places])
@@ -184,8 +185,8 @@ def test_chunked_ranks_build_every_chunk_into_one_workspace():
         )
     assert built == [slice(start, start + 2) for start in range(0, 14, 2)]
     assert len(set(addresses)) == 1
-    # the probe, two screened chunks, the unscreened one, then four screened
-    assert screened == [(1, True), (2, True), (2, False)] + [(2, True)] * 4
+    # two screened chunks, the unscreened one, then four screened
+    assert screened == [(2, True), (2, False)] + [(2, True)] * 4
     assert len(set(grams)) == 1
     assert ranks.tolist() == [4, 4, 3, 3] + [4] * 10
     assert not marginal.any()

@@ -635,7 +635,7 @@ def stage_spy(monkeypatch, p, points):
     driver = resolvent.chunked_stage
     lams = np.array(points, dtype=np.complex128)
 
-    def spying(build, count, shape, live, stage, work=None):
+    def spying(build, count, shape, live, stage):
         seen = []
         calls.append((count, shape, seen))
 
@@ -644,7 +644,7 @@ def stage_spy(monkeypatch, p, points):
             seen.append((part, a.base, a.__array_interface__["data"][0]))
             return stage(part, a)
 
-        return driver(build, count, shape, live, spied, work)
+        return driver(build, count, shape, live, spied)
 
     monkeypatch.setattr(resolvent, "chunked_stage", spying)
     return calls
@@ -707,15 +707,16 @@ def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, screened
                                                       monkeypatch):
     """Each stage is handed the slices linalg.chunks cuts for its own live
     count, and every stack of one pass is a view of the same workspace. A
-    screened rank pass writes every Gram, the probe's included, into one
-    array. The full-rank cover is switched off, so a pass without a product
-    ranks every point (the cover, and the workspace it shares with the pass,
-    are checked in test_full_rank_cover.py)."""
+    screened rank pass writes every Gram into one array. The full-rank
+    cover is switched off, so a pass without a product ranks every point
+    and, the cover having certified none, takes the SVD of its first chunk
+    and screens every chunk after it (the cover, and the rank pass after
+    it, are checked in test_full_rank_cover.py)."""
     p = make()
     grid = grid_for(p, 60)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(resolvent, "full_rank_cover",
-                        lambda t, s, lams, tol, *workspace: (np.zeros(len(lams), dtype=bool), True))
+                        lambda t, s, lams, tol: np.zeros(len(lams), dtype=bool))
     calls = stage_spy(monkeypatch, p, grid.points)
     grams = []
     certified = linalg._full_rank_certified
@@ -735,9 +736,9 @@ def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, screened
         assert seen[0][1] is not None
         assert all(base is seen[0][1] for _, base, _ in seen)
         assert len({address for _, _, address in seen}) == 1
-    assert len(set(grams)) == screened
-    # the probe and every chunk
-    assert len(grams) == screened * (1 + len(calls[0][2]))
+    # every chunk but the first
+    assert len(grams) == screened * (len(calls[0][2]) - 1)
+    assert len(set(grams)) == min(len(grams), 1)
 
 
 # --- the stacked solve -----------------------------------------------------------
