@@ -11,14 +11,14 @@ Runs ``genresolvent.cli.main`` in-process on
 * each command with one non-default ``--rank-rtol``, ``--residual-tol`` or
   ``--gap-tol``, and each command with ``--out``;
 * ``spectrum --steps 21`` on seeded normal pencils of order 20 that reach
-  both paths of the rank kernel's full-rank screen: one eigenvalue on a
-  lattice point and one off it (the screen certifies every chunk but the
-  one holding the first), the same pencil at ``--rank-rtol 0.5`` (the
-  screen declines every chunk), a pencil rank-deficient everywhere, and
-  one with an eigenvalue on the region's first point, -3 - 3i (the
-  full-rank cover's one-matrix probe declines, so the cover certifies no
-  point, the rank pass takes the SVD of its first chunk unscreened and
-  the screen runs again from the next);
+  both paths of the full-rank screen in ``linalg.grid_ranks``, the one
+  rank pass: one eigenvalue on a lattice point and one off it (the screen
+  certifies every chunk but the one holding the first), the same pencil
+  at ``--rank-rtol 0.5`` (the screen declines every chunk), a pencil
+  rank-deficient everywhere, and one with an eigenvalue on the region's
+  first point, -3 - 3i (the full-rank cover's one-matrix probe declines,
+  so the cover certifies no point, ``grid_ranks`` takes the SVD of its
+  first chunk unscreened and the screen runs again from the next);
 * ``spectrum --steps 61`` on that normal pencil and on one with an
   eigenvalue on a point of the 61 x 61 lattice and one 1e-3 off another,
   where the full-rank cover certifies boxes of many points;

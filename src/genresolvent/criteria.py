@@ -7,8 +7,8 @@ n - r, equivalently corank m - r) of t - lam*s across the sampled region,
 anchored at lam = 0. :func:`finite_rank_criterion` is therefore also the
 Fredholm and semi-Fredholm criterion; its report exposes the rank,
 nullity and corank verdicts as views of the one rank profile. That profile
-and the spectrum scan read their ranks from the grid pass of
-:mod:`resolvent` that also decides transversality, so
+and the spectrum scan read their ranks from :func:`resolvent.grid_pass`,
+which also decides transversality, so
 ``RankConstancyReport(existence_check(...).profile)`` is the finite-rank
 report of the same grid without ranking it again. The Moore-Penrose
 characterization is sharper: the pseudoinverse family (t - lam*s)^+ is
@@ -31,17 +31,19 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
+    chunked_stage,
     decided_maximum,
     factor,
     factors,
     numerical_rank,
     op_norms2,
+    pencil_values,
     relative_residuals,
     residual_bounds,
     solve_stack,
 )
 from .identity import decide_identity
-from .resolvent import DiskGrid, Pencil, RankProfile, _grid_pass, _point_stage
+from .resolvent import DiskGrid, Pencil, RankProfile, grid_pass
 
 
 def _constant_from_zero(profile: RankProfile, values: tuple[int, ...]) -> bool:
@@ -82,7 +84,7 @@ def finite_rank_criterion(
     Constancy is judged against the rank at lam = 0, which anchors every
     criterion in this module.
     """
-    return RankConstancyReport(_grid_pass(p, grid.points, tol)[0])
+    return RankConstancyReport(grid_pass(p, grid.points, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -190,12 +192,13 @@ def _mp_characterization(
     # axiom products, one deviation, and the bounds' scaled copy and its
     # squares; before them, u and vh, with the copies and products the gaps
     # take of them, hold fewer
-    pinvs, kernel_gaps, range_gaps, axiom_bounds = _point_stage(p, lams, 7, stage)
+    pinvs, kernel_gaps, range_gaps, axiom_bounds = chunked_stage(p.t, p.s, lams, 7, stage)
 
     def exact(position: int) -> float:
         point, axiom = divmod(position, 4)
         here = slice(point, point + 1)
-        (deviation, scale), = mp_axiom_deviations(p.at_many(lams[here]), pinvs[here], (axiom,))
+        a = pencil_values(p.t, p.s, lams[here])
+        (deviation, scale), = mp_axiom_deviations(a, pinvs[here], (axiom,))
         return float(relative_residuals(deviation, scale)[0])
 
     max_axiom, axiom_method, _ = decided_maximum(axiom_bounds, tol.residual_tol, exact)
@@ -258,8 +261,9 @@ def invertibility_corollary(
         # difference; the solve's full-rank screen adds at most
         # linalg.SCREEN_LIVE to t - lam I and frees them before the inverse
         # is built, so four covers it
+        lams = np.array(grid.points, dtype=np.complex128)
         try:
-            deviations, = _point_stage(pencil, grid.points, 4, stage)
+            deviations, = chunked_stage(pencil.t, pencil.s, lams, 4, stage)
             worst = max(0.0, *deviations.tolist())
         except SingularSystemError:
             worst = np.inf
@@ -317,7 +321,7 @@ def generalized_spectrum_scan(
     for lam in points:
         if not cmath.isfinite(lam):
             raise ValueError(f"scan point {lam} is not finite")
-    ranks = _grid_pass(p, points, tol)[0].ranks
+    ranks = grid_pass(p, points, tol)[0].ranks
     top = max(ranks)
     return [
         ScanPoint(lam=lam, rank=r, is_drop=r < top)

@@ -80,7 +80,7 @@ def inverse_residuals(
     return measure(a @ ba - a, a), measure(ba @ b - b, b), ba
 
 
-def _check_inverse_shape(shape: tuple[int, int], inverse_shape: tuple[int, ...]) -> None:
+def check_inverse_shape(shape: tuple[int, int], inverse_shape: tuple[int, ...]) -> None:
     """Raise ShapeMismatchError unless inverse_shape is that of an inverse of
     a matrix of the given shape: (n, m) for (m, n)."""
     if inverse_shape != shape[::-1]:
@@ -98,7 +98,7 @@ def verify_gen_inverse(
     """
     t = as_matrix(t)
     b = as_matrix(b)
-    _check_inverse_shape(t.shape, b.shape)
+    check_inverse_shape(t.shape, b.shape)
     inner, outer, _ = inverse_residuals(t[None], b[None])
     inner, outer = float(inner[0]), float(outer[0])
     inner_ok = inner <= tol.residual_tol
@@ -156,7 +156,7 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
     """Check t b t = t, b t b = b and Hermitian-ness of t b and b t."""
     t = as_matrix(t)
     b = as_matrix(b)
-    _check_inverse_shape(t.shape, b.shape)
+    check_inverse_shape(t.shape, b.shape)
     inner, outer, p_herm, q_herm = (
         float(relative_residuals(deviation, scale)[0])
         for deviation, scale in mp_axiom_deviations(t[None], b[None])
@@ -172,7 +172,7 @@ def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePoli
     message are exact. A Moore-Penrose inverse that fails is t's own,
     computed here, so the error names residual_tol: below that inverse's
     rounding no inverse of t meets it."""
-    _check_inverse_shape(t.shape, b.shape)
+    check_inverse_shape(t.shape, b.shape)
     inner, outer, _ = inverse_residuals(t[None], b[None], residual_bounds)
     if not (inner[0] <= tol.residual_tol and outer[0] <= tol.residual_tol):
         inner, outer, _ = inverse_residuals(t[None], b[None])

@@ -13,10 +13,10 @@ F_perp. Transversality, the two direct-sum splittings, fixed complements
 and the perturbation splittings are comparisons of those integers
 (:func:`split_verdicts`), never of concatenated kernel and range bases;
 :func:`numerical_rank` and :func:`rank_and_marginal` are its one-matrix
-views with empty bases. :func:`rank_stage` is the one grid rank stage: it
-runs the kernel chunk by chunk, for the rank profiles, scans and subspace
-criteria of the grid stages, and a rank pass is that stage run by
-:func:`chunked_stage`, as every other grid stage is.
+views with empty bases. :func:`grid_ranks` owns every rank of t - lam s at
+sampled points, for the rank profiles, scans and subspace criteria: it
+runs the kernel chunk by chunk through :func:`chunked_stage`, as every
+other grid stage runs, behind the full-rank cover and screen below.
 
 Most matrices a grid pass ranks without a product, and most systems
 :func:`solve_stack` checks, are of full rank by a wide margin, and an SVD
@@ -31,8 +31,8 @@ stack takes the SVD path unchanged, which also gives the condition number
 of a singular system. So every rank, marginal flag and singularity
 verdict is the SVD's, and a certified member carries no singular values.
 Ranks with products skip the screen: A's own SVD sets their cutoff. A
-declined screen adds its cost to the SVD's, so the rank stage screens a
-chunk only when the matrices before it were full rank: the first chunk
+declined screen adds its cost to the SVD's, so :func:`grid_ranks` screens
+a chunk only when the matrices before it were full rank: the first chunk
 when the full-rank cover's one-matrix probe passed, a later one when the
 chunk before held a member of full rank, not marginal. On a pencil
 singular at every lam only that probe is screened. Every chunk of a
@@ -44,15 +44,16 @@ A grid pass without a product ranks t - lam s at points where full rank
 holds on whole disks, not only at the points: by Weyl's inequality
 (Golub & Van Loan, Cor. 8.6.2) sigma_p(t - lam s) falls by at most
 |lam - mu| ||s||_2 from its value at mu. So :func:`full_rank_cover` proves
-full rank, not marginal, box by box in front of the rank stage: one
+full rank, not marginal, box by box in front of the rank pass: one
 Cholesky factorization at each box's anchor, its diagonal lowered by the
 screen's target for every point of the box plus the box's radius times a
 bound on ||s||_2 (:func:`norm_upper_bounds` with COVER_SQUARINGS, no SVD)
 and the rounding of forming t - lam s. A box that fails splits into
-quadrants, and the rank stage ranks only the points no box covers, so
-every eigenvalue of the pencil in the region lies in a box left out. The
-cover starts only where its one-matrix probe, the screen of the first
-point, passes, and it builds its anchors in its own chunk loop.
+quadrants, and :func:`grid_ranks` ranks only the points no box covers,
+so every eigenvalue of the pencil in the region lies in a box left out.
+The cover starts only where its one-matrix probe, the screen of the first
+point, passes, and it builds its anchors in its own chunk loop, into a
+workspace and Gram array of its own.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -70,12 +71,13 @@ one-element views, so there is one code path. Batched SVDs, solves and
 products return exactly, bit for bit, what per-matrix calls return (a
 ``matmul`` written with ``out=`` need not). Every per-point stage over
 t - lam*s at sampled points runs through one driver, :func:`chunked_stage`:
-it cuts the points into chunks by :func:`chunks`, has the caller build each
-chunk's stack into one workspace kept for the pass, and runs a stage
-function on each: the rank passes' :func:`rank_stage`, the axiom
-residuals, the continuity probe, the pseudoinverse characterization and
-the invertibility corollary. :func:`full_rank_cover`, which runs before
-a rank pass and is no stage, builds its anchors in its own chunk loop.
+it cuts the points into chunks by :func:`chunks`, builds each chunk's stack
+by :func:`pencil_values` into one workspace kept for the pass, rejects a
+point where it is not finite by name, and runs a stage function on each:
+the rank passes of :func:`grid_ranks`, the axiom residuals, the continuity
+probe, the pseudoinverse characterization and the invertibility
+corollary. :func:`full_rank_cover`, which runs before a rank pass without
+a product, builds its anchors in its own chunk loop.
 The count of the matrices a stage keeps alive per point is the driver's
 one sizing argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
@@ -687,7 +689,7 @@ def split_ranks(
     of the cutoff, i.e. the rank would flip under a modest tolerance change.
     Empty matrices and products have rank 0 and are not factored. Every
     other stack is factored: the full-rank screen runs in
-    :func:`rank_stage`, not here.
+    :func:`grid_ranks`, not here.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)
@@ -702,61 +704,6 @@ def split_ranks(
                 s = _svd(product, compute_uv=False)
                 ranks[row] = np.count_nonzero(s > cutoffs[:, None], axis=1)
     return ranks[0], ranks[1], ranks[2], marginal
-
-
-def rank_stage(
-    shape: tuple[int, int],
-    tol: TolerancePolicy,
-    right: np.ndarray,
-    left: np.ndarray,
-    screen: bool = True,
-) -> tuple[int, Callable[[slice, np.ndarray], tuple[np.ndarray, ...]]]:
-    """The live count and stage of a :func:`chunked_stage` rank pass over
-    (m, n) matrices: :func:`split_ranks`, or the full-rank screen, on each chunk.
-
-    right and left are the bases of :func:`split_ranks`; an
-    :func:`empty_basis` asks for no product. So a rank pass is
-    ``chunked_stage(build, count, shape, *rank_stage(shape, tol, right, left))``.
-    A chunk counts one matrix per member and one more per product
-    asked for or, without a product, SCREEN_LIVE more for the screen. The
-    stage keeps the screen's state from chunk to chunk, so it serves one
-    pass.
-
-    Without a product, the full-rank screen saves the SVD of a chunk it
-    certifies, but adds its Gram and Cholesky to the SVD of one it
-    declines, so it runs on a chunk only when the matrices before suggest
-    it will certify: on the first chunk when screen is true, and on each
-    later one when the chunk before held a matrix of full rank and not
-    marginal. A grid pass sets screen to whether :func:`full_rank_cover`
-    certified any point, which is whether the cover's one-matrix probe
-    passed. So on matrices rank deficient throughout, such as a pencil
-    singular at every lam, the screen never runs after that probe, and on
-    matrices rank deficient at isolated members it runs on every chunk
-    after one of full rank; either way each rank is the SVD's. With a
-    product the screen never runs: A's own SVD sets the products' cutoff.
-    The stage writes every Gram of its pass into one array, allocated at
-    the first chunk it screens; only the screen's adjoint and Cholesky
-    factor, and the products and singular values of an SVD, are allocated
-    per chunk.
-    """
-    products = bool(right.shape[1]) + bool(left.shape[1])
-    p = min(shape)
-    screen, gram = screen and not products, None
-
-    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
-        nonlocal screen, gram
-        k = len(a)
-        if screen:
-            # allocated at the first chunk screened: no later chunk is longer
-            gram = np.empty((k, p, p), dtype=np.complex128) if gram is None else gram
-            if _full_rank_certified(a, tol, gram[:k]):
-                return (np.full(k, p, dtype=np.int64), *np.zeros((2, k), dtype=np.int64),
-                        np.zeros(k, dtype=bool))
-        split = split_ranks(a, right, left, tol)
-        screen = not products and bool(np.any((split[0] == p) & ~split[3]))
-        return split
-
-    return 1 + (products or SCREEN_LIVE), stage
 
 
 def pencil_values(t: np.ndarray, s: np.ndarray, lams: np.ndarray, out: np.ndarray | None = None):
@@ -777,8 +724,8 @@ def full_rank_cover(
     The cover starts only where its probe, the full-rank screen of the
     first point alone, passes: on a pencil singular at every lam it costs
     that one Cholesky factorization. So it certifies some point exactly
-    when the probe passed, the first point among them, and the rank stage
-    after it screens its first chunk on that (``rank_stage(..., screen=)``).
+    when the probe passed, the first point among them, and the rank pass
+    of :func:`grid_ranks` after it screens its first chunk on that.
     Then the points are cut into boxes, first their bounding box, then
     quadrants of it. Each box of two points or more is decided by one
     anchor mu, its point nearest the box's centre. By Weyl's inequality
@@ -888,42 +835,113 @@ def _per_box(ufunc: np.ufunc, start, boxes: np.ndarray, values: np.ndarray, coun
 
 
 def chunked_stage(
-    build: Callable[[slice, np.ndarray], np.ndarray],
-    count: int,
-    shape: tuple[int, int],
+    t: np.ndarray,
+    s: np.ndarray,
+    lams: np.ndarray,
     live: int,
     stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
 ) -> tuple[np.ndarray, ...]:
-    """A per-point stage over count (m, n) matrices, chunk by chunk, in order.
+    """A per-point stage over t - lam s at the points lams, chunk by chunk, in order.
 
-    build(part, out) returns the matrices of a slice part of range(count)
-    as a (k, m, n) stack written into out, a C-contiguous view of the pass's
-    one workspace; it is called on consecutive slices, chunk by chunk.
+    Each chunk, a slice part of range(len(lams)), is built by
+    :func:`pencil_values` as a (k, m, n) stack into a C-contiguous view of
+    the pass's one workspace; a chunk where t - lam s is not finite raises
+    ValueError naming its first such point, so the first in order.
     stage(part, a) returns a tuple of arrays with one entry per member of a
-    along their first axis. Each result is joined over the chunks into one
-    array of count entries. A chunk is sized, by :func:`chunks`, for live
+    along their first axis. Each result is joined over the chunks into one array of
+    len(lams) entries. A chunk is sized, by :func:`chunks`, for live
     matrices of the larger square size per member: the main arrays the
     stage keeps per point, not every copy or scratch array it makes. The
     workspace holds the longest chunk's stack, which a stage must not keep
     past its call. It is allocated here, once per pass: chunk arrays freed
     and allocated again at every chunk would be returned to the operating
     system and faulted back in each time by a fresh process's allocator.
-    Every grid stage of the package, the rank passes' :func:`rank_stage`
+    Every grid stage of the package, the rank passes of :func:`grid_ranks`
     among them, runs here; :func:`full_rank_cover` runs its own chunk loop.
-    With count 0 no chunk is built and the result is the empty tuple.
+    With no point no chunk is built and the result is the empty tuple.
     """
-    m, n = shape
+    m, n = t.shape
     point_bytes = live * 16 * max(m, n) ** 2
-    work = np.empty(min(count, _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
+    work = np.empty(min(len(lams), _chunk_length(point_bytes)) * m * n, dtype=np.complex128)
     joined: tuple[np.ndarray, ...] = ()
-    for part in chunks(count, point_bytes):
+    for part in chunks(len(lams), point_bytes):
         k = part.stop - part.start
-        results = stage(part, build(part, work[: k * m * n].reshape(k, m, n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = pencil_values(t, s, lams[part], work[: k * m * n].reshape(k, m, n))
+        finite = np.isfinite(a).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"t - lam*s is not finite at lam = {lams[part][np.argmin(finite)]}")
+        results = stage(part, a)
         if not joined:
-            joined = tuple(np.empty((count,) + r.shape[1:], dtype=r.dtype) for r in results)
+            joined = tuple(np.empty((len(lams),) + r.shape[1:], dtype=r.dtype) for r in results)
         for out, result in zip(joined, results):
             out[part] = result
     return joined
+
+
+def _full_rank(k: int, p: int) -> tuple[np.ndarray, ...]:
+    """The arrays of :func:`split_ranks` for k matrices of full rank p, not
+    marginal, with no product."""
+    return np.full(k, p, dtype=np.int64), *np.zeros((2, k), dtype=np.int64), np.zeros(k, dtype=bool)
+
+
+def grid_ranks(
+    t: np.ndarray,
+    s: np.ndarray,
+    lams: np.ndarray,
+    right: np.ndarray,
+    left: np.ndarray,
+    tol: TolerancePolicy,
+) -> tuple[np.ndarray, ...]:
+    """The four arrays of :func:`split_ranks` of t - lam s at every point
+    lams, in order: the one rank pass of the package.
+
+    right and left are the bases of :func:`split_ranks`; an
+    :func:`empty_basis` asks for no product. With a product, the pass is
+    :func:`split_ranks` run by :func:`chunked_stage`, each chunk sized for
+    one matrix per member and one per product, and never screened: A's own
+    SVD sets the products' cutoff. Without one, :func:`full_rank_cover`
+    first proves full rank, not marginal, box by box, and the pass ranks
+    only the points it leaves out, in their order, in chunks sized for
+    SCREEN_LIVE matrices beside each member, screened or not.
+
+    The full-rank screen saves the SVD of a chunk it certifies but adds its
+    Gram and Cholesky to the SVD of one it declines, so it runs on a chunk
+    only when the matrices before suggest it will certify: on the first
+    chunk when the cover certified a point, which is when the cover's
+    one-matrix probe passed, and on each later one when the chunk before
+    held a matrix of full rank and not marginal. So on a pencil singular at
+    every lam the screen never runs after that probe, and on one rank
+    deficient at isolated points it runs on every chunk after one of full
+    rank; either way each rank and marginal flag is the SVD's. Every Gram
+    of the pass is written into one array, allocated at the first chunk
+    screened; only the screen's adjoint and Cholesky factor, and the
+    singular values of an SVD, are allocated per chunk.
+    """
+    products = bool(right.shape[1]) + bool(left.shape[1])
+    if products:
+        return chunked_stage(t, s, lams, 1 + products,
+                             lambda part, a: split_ranks(a, right, left, tol))
+    p = min(t.shape)
+    certified = full_rank_cover(t, s, lams, tol)
+    screen, gram = bool(certified.any()), None
+
+    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
+        nonlocal screen, gram
+        if screen:
+            # allocated at the first chunk screened: no later chunk is longer
+            gram = np.empty((len(a), p, p), dtype=np.complex128) if gram is None else gram
+            if _full_rank_certified(a, tol, gram[: len(a)]):
+                return _full_rank(len(a), p)
+        split = split_ranks(a, right, left, tol)
+        screen = bool(np.any((split[0] == p) & ~split[3]))
+        return split
+
+    rest = ~certified
+    split = _full_rank(len(lams), p)
+    for joined, ranked in zip(split, chunked_stage(t, s, lams[rest], 1 + SCREEN_LIVE, stage)):
+        joined[rest] = ranked
+    return split
 
 
 def split_verdicts(

@@ -24,8 +24,9 @@ one residual per point, anchored at the member at lam = 0, and exact
 residuals, first of the pairs through lam = 0 and then of every other pair,
 only where a bound exceeds residual_tol.
 
-Every rank of t - lam*s at sampled points comes from one private grid pass,
-whose stage, :func:`linalg.rank_stage`, runs the rank kernel
+Every rank of t - lam*s at sampled points comes from :func:`grid_pass`,
+the rank profile and :func:`linalg.split_verdicts` of the one rank pass
+:func:`linalg.grid_ranks`, which runs the rank kernel
 :func:`linalg.split_ranks` chunk by chunk; a pass without a product ranks
 only the points :func:`linalg.full_rank_cover` leaves out, every other one
 being proved of full rank, not marginal, box by box. The subspace criteria
@@ -41,11 +42,11 @@ constancy on one grid rank each point once.
 Every other per-point stage, here and in :mod:`criteria` (the axiom
 residuals, the continuity probe, the pseudoinverse characterization and
 the invertibility corollary), is a stage function too. Every stage is run
-by the one driver :func:`linalg.chunked_stage`, through
-:func:`_point_stage`, sized by the one count of matrices the stage keeps
-alive per point, the rank passes included; t - lam*s is built there, each
-chunk into one workspace kept for the whole pass, and a point where it is
-not finite is rejected there, by name, for every stage.
+by the one driver :func:`linalg.chunked_stage`, sized by the one count of
+matrices the stage keeps alive per point, the rank passes included;
+t - lam*s is built there, each chunk into one workspace kept for the
+whole pass, and a point where it is not finite is rejected there, by
+name, for every stage.
 
 All grid verdicts certify the sampled points only; no interpolation between
 samples is claimed.
@@ -63,7 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidFamilyError, OutOfRadiusError, ShapeMismatchError
-from .geninv import ComplementPair, GenInverse, _check_inverse_shape, inverse_residuals, user_supplied
+from .geninv import ComplementPair, GenInverse, check_inverse_shape, inverse_residuals, user_supplied
 from .identity import decide_identity
 from .linalg import (
     DEFAULT_TOL,
@@ -74,11 +75,10 @@ from .linalg import (
     decided_maximum,
     empty_basis,
     factor,
-    full_rank_cover,
+    grid_ranks,
     op_norm2,
     op_norms2,
     pencil_values,
-    rank_stage,
     relative_residual,
     relative_residuals,
     solve_right_stack,
@@ -112,10 +112,6 @@ class Pencil:
     def at(self, lam: complex) -> np.ndarray:
         return self.t - lam * self.s
 
-    def at_many(self, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The stack t - lams[k] * s, of shape (len(lams), m, n), written into out when given."""
-        return pencil_values(self.t, self.s, lams, out)
-
 
 @dataclass(frozen=True)
 class DiskGrid:
@@ -145,7 +141,10 @@ def default_grid(radius: float, points: int = 25) -> DiskGrid:
     """0 plus concentric rings of 8 points out to the given radius.
 
     25 points means three full rings; other counts fill rings of 8 and put
-    the remainder on the outermost ring.
+    the remainder on the outermost ring. Where a ring's radius overflows as
+    radius * ring / rings, it is that of the halved radius, doubled:
+    scaling by 2 is exact, so every ring radius that does not overflow
+    keeps its bits.
     """
     if points < 1:
         raise ValueError("grid needs at least one point")
@@ -156,6 +155,8 @@ def default_grid(radius: float, points: int = 25) -> DiskGrid:
     for ring in range(1, rings + 1):
         count = min(8, remaining - placed)
         r = radius * ring / rings
+        if not math.isfinite(r):
+            r = 2.0 * (radius / 2.0 * ring / rings)
         for j in range(count):
             pts.append(r * cmath.exp(2j * math.pi * j / count))
         placed += count
@@ -293,7 +294,7 @@ def check_resolvent_axioms(
         """The exact residual of one axiom at point k, by the operations of
         :func:`geninv.inverse_residuals`, so it has the stage's bits."""
         if not known[k]:
-            a, g = f.pencil.at_many(lams[k : k + 1]), values[k : k + 1]
+            a, g = pencil_values(f.pencil.t, f.pencil.s, lams[k : k + 1]), values[k : k + 1]
             ga = g @ a
             pair = (a @ ga - a, a) if axiom == 0 else (ga @ g - g, g)
             decided[k], known[k] = relative_residuals(*pair)[0], True
@@ -304,7 +305,7 @@ def check_resolvent_axioms(
     # deviations the lower bound takes; the solve's I - lam s tplus and its
     # full-rank screen (linalg.SCREEN_LIVE more) are freed before the
     # residuals are built
-    values, *axioms = _point_stage(f.pencil, lams, 7, stage)
+    values, *axioms = chunked_stage(f.pencil.t, f.pencil.s, lams, 7, stage)
     methods = [decided_maximum(bounds, tol.residual_tol, partial(exact, axiom, decided, known))[1]
                for axiom, (decided, bounds, known) in enumerate((axioms[:3], axioms[3:]))]
     inner, outer = axioms[0], axioms[3]
@@ -409,7 +410,7 @@ def existence_check(
             stacklevel=2,
         )
     coimage = factor(f.g.tplus, tol).coimage.basis
-    profile, transversal, _, _ = _grid_pass(f.pencil, grid.points, tol, f_perp=coimage)
+    profile, transversal, _, _ = grid_pass(f.pencil, grid.points, tol, f_perp=coimage)
     per_point = tuple(zip(grid.points, transversal.tolist()))
     return ExistenceCertificate(
         verdict=all(ok for _, ok in per_point),
@@ -418,59 +419,21 @@ def existence_check(
     )
 
 
-def _point_stage(
-    p: Pencil, points: Sequence[complex], live: int,
-    stage: Callable[[slice, np.ndarray], Sequence[np.ndarray]],
-) -> tuple[np.ndarray, ...]:
-    """:func:`linalg.chunked_stage` of t - lam*s at the points, in order.
-
-    This is the one builder of t - lam*s for every grid stage: each chunk
-    is built into the pass's one workspace, and a point where t - lam*s is
-    not finite raises ValueError naming the first such point in order.
-    """
-    lams = np.asarray(points, dtype=np.complex128)
-
-    def build(part: slice, out: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = p.at_many(lams[part], out)
-        finite = np.isfinite(a).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"t - lam*s is not finite at lam = {lams[part][np.argmin(finite)]}")
-        return a
-
-    return chunked_stage(build, len(lams), p.shape, live, stage)
-
-
-def _grid_pass(
+def grid_pass(
     p: Pencil, points: Sequence[complex], tol: TolerancePolicy,
     e: np.ndarray | None = None, f_perp: np.ndarray | None = None,
 ) -> tuple[RankProfile, np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`linalg.rank_stage` of t - lam*s at the points, in order.
+    """The rank profile of t - lam*s at the points, in order, and their
+    transversality, domain and codomain verdicts
+    (:func:`linalg.split_verdicts`) for the bases e and f_perp, from the one
+    rank pass :func:`linalg.grid_ranks`.
 
-    Returns the rank profile at the points and their transversality, domain
-    and codomain verdicts (:func:`linalg.split_verdicts`) for the bases e
-    and f_perp. Each defaults to the basis of {0}, whose product is not
-    formed. Without a product, :func:`linalg.full_rank_cover` first proves
-    full rank, not marginal, box by box; the points it leaves out, all of
-    them with a product, are ranked through :func:`_point_stage`, in their
-    order, and the stage screens its first chunk exactly when the cover
-    certified a point. Certified and ranked points are written into one
-    set of result arrays.
+    Each basis defaults to the basis of {0}, whose product is not formed.
     """
     m, n = p.shape
     e = empty_basis(n) if e is None else e
     f_perp = empty_basis(m) if f_perp is None else f_perp
-    lams = np.asarray(points, dtype=np.complex128)
-    k = len(lams)
-    certified = np.zeros(k, dtype=bool)
-    if not (e.shape[1] or f_perp.shape[1]):
-        certified = full_rank_cover(p.t, p.s, lams, tol)
-    rest = ~certified
-    # a certified point: full rank, not marginal, and no product
-    split = (np.full(k, min(m, n)), *np.zeros((2, k), dtype=np.int64), np.zeros(k, dtype=bool))
-    stage = rank_stage(p.shape, tol, e, f_perp, bool(certified.any()))
-    for joined, ranked in zip(split, _point_stage(p, lams[rest], *stage)):
-        joined[rest] = ranked
+    split = grid_ranks(p.t, p.s, np.asarray(points, dtype=np.complex128), e, f_perp, tol)
     ranks = split[0].tolist()
     nullities, coranks = tuple(n - r for r in ranks), tuple(m - r for r in ranks)
     profile = RankProfile(tuple(points), tuple(ranks), nullities, coranks, tuple(split[3].tolist()))
@@ -502,7 +465,7 @@ def _direct_sums(
     p: Pencil, grid: DiskGrid, tol: TolerancePolicy, e: np.ndarray, f_perp: np.ndarray
 ) -> DirectSumReport:
     """The :class:`DirectSumReport` of E = span(e) and F = span(f_perp)^perp, by one grid pass."""
-    _, _, domain, codomain = _grid_pass(p, grid.points, tol, e, f_perp)
+    _, _, domain, codomain = grid_pass(p, grid.points, tol, e, f_perp)
     domain_verdict, codomain_verdict = bool(domain.all()), bool(codomain.all())
     return DirectSumReport(
         per_point=tuple(zip(grid.points, domain.tolist(), codomain.tolist())),
@@ -576,7 +539,7 @@ def continuity_check(
     members = np.empty((len(grid.points), n, m), dtype=np.complex128)
     for k, lam in enumerate(grid.points):
         b = as_matrix(lookup(lam))
-        _check_inverse_shape(p.shape, b.shape)
+        check_inverse_shape(p.shape, b.shape)
         members[k] = b
     b0 = members[grid.points.index(0)]
     eye = np.eye(n, dtype=np.complex128)
@@ -597,7 +560,8 @@ def continuity_check(
         return op_norms2(b - b0), op_norms2(drift) * p0_norm, w_ranks
 
     # per point: t - lam s, b (t - lam s), the two axiom deviations, p_lam - p0 and w
-    deviations, banach, ranks = _point_stage(p, grid.points, 6, stage)
+    lams = np.array(grid.points, dtype=np.complex128)
+    deviations, banach, ranks = chunked_stage(p.t, p.s, lams, 6, stage)
     rows = [
         ContinuityPointReport(lam=lam, deviation=d, banach_product=nb, w_invertible=r == n)
         for lam, d, nb, r in zip(grid.points, deviations.tolist(), banach.tolist(), ranks.tolist())

@@ -9,15 +9,16 @@ matrices are counted apart, so batching cannot hide work: a call on a
 (k, m, n) stack factors k matrices. The pencil is the seeded n=6 one of
 ``test_svd_count_gate``: rank 3, 25 grid points, constant and switched
 support. Later changes may only lower these bounds. The spectrum scan
-proves full rank box by box by the full-rank cover of :mod:`linalg`, one
-Cholesky factorization per box, ranks only the points the cover leaves out
-by the full-rank screen, and factors only the chunks of those the screen
-cannot certify. The rank pass screens its first chunk only when the
-cover's one-point probe passed, which is when the cover certified a point,
-and takes no probe of its own: on a pencil singular at every lam that
-probe is the one Cholesky factorization, and the scan factors every
-chunk, each of the screened size; after a singular first point the cover
-certifies nothing and the first chunk takes the SVD.
+takes its ranks from ``linalg.grid_ranks``, the one rank pass: the
+full-rank cover proves full rank box by box, one Cholesky factorization
+per box, and the pass ranks only the points the cover leaves out, by the
+full-rank screen, factoring only the chunks the screen cannot certify. It
+screens its first chunk only when the cover's one-point probe passed,
+which is when the cover certified a point, and takes no probe of its own:
+on a pencil singular at every lam that probe is the one Cholesky
+factorization, and the scan factors every chunk, each of the screened
+size; after a singular first point the cover certifies nothing and the
+first chunk takes the SVD.
 """
 
 from __future__ import annotations

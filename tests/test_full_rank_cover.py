@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genresolvent import DiskGrid, Pencil, TolerancePolicy, finite_rank_criterion, save_matrix
-from genresolvent import linalg, resolvent
+from genresolvent import linalg
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.linalg import EPS, SCREEN_LIVE
@@ -117,7 +117,7 @@ def both_ways(monkeypatch, run):
     """run() with the cover and with it switched off."""
     covered = run()
     with monkeypatch.context() as patch:
-        patch.setattr(resolvent, "full_rank_cover", no_cover)
+        patch.setattr(linalg, "full_rank_cover", no_cover)
         plain = run()
     return covered, plain
 
@@ -179,12 +179,12 @@ def near_spectra(draw):
 def test_cover_agrees_near_eigenvalues(case):
     p, region, tol = case
     covered = generalized_spectrum_scan(p, region, tol)
-    original = resolvent.full_rank_cover
-    resolvent.full_rank_cover = no_cover
+    original = linalg.full_rank_cover
+    linalg.full_rank_cover = no_cover
     try:
         plain = generalized_spectrum_scan(p, region, tol)
     finally:
-        resolvent.full_rank_cover = original
+        linalg.full_rank_cover = original
     assert covered == plain
 
 
@@ -200,24 +200,27 @@ def test_cover_and_the_rank_pass_after_it_each_build_into_one_workspace(monkeypa
     builds = {"cover": [], "pass": []}
     grams = {"cover": set(), "pass": set()}
     built, owners = [], []
-    build, screen_grams = linalg.pencil_values, linalg._screen_grams
+    build, screen_grams, cover = linalg.pencil_values, linalg._screen_grams, linalg.full_rank_cover
 
-    def building(owner):
-        def into(t, s, lams, out=None):
-            owners.append(owner)
-            builds[owner].append((len(lams), out.__array_interface__["data"][0]))
-            if owner == "pass":
-                built.extend(lams.tolist())
-            return build(t, s, lams, out)
+    def covering(*args):
+        owners.append("cover")
+        try:
+            return cover(*args)
+        finally:
+            owners.append("pass")
 
-        return into
+    def building(t, s, lams, out=None):
+        builds[owners[-1]].append((len(lams), out.__array_interface__["data"][0]))
+        if owners[-1] == "pass":
+            built.extend(lams.tolist())
+        return build(t, s, lams, out)
 
     def forming(stack, gram=None):
         grams[owners[-1]].add(gram.__array_interface__["data"][0])
         return screen_grams(stack, gram)
 
-    monkeypatch.setattr(linalg, "pencil_values", building("cover"))
-    monkeypatch.setattr(resolvent, "pencil_values", building("pass"))
+    monkeypatch.setattr(linalg, "full_rank_cover", covering)
+    monkeypatch.setattr(linalg, "pencil_values", building)
     monkeypatch.setattr(linalg, "_screen_grams", forming)
     scan = generalized_spectrum_scan(p, LATTICE)
     assert certified.mean() > 0.9

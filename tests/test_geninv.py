@@ -115,6 +115,13 @@ class TestVerification:
         assert inner == 0.0 and outer > 0.5
         assert verdict is InverseVerdict.INNER_ONLY
 
+    def test_twice_the_inverse_fails_both_axioms(self):
+        # b = 2 t+ = diag(2, 1, 0): t b t - t = t and b t b - b = b, so both residuals are 1
+        t = np.diag([1.0, 2.0, 0.0])
+        inner, outer, verdict = verify_gen_inverse(t, np.diag([2.0, 1.0, 0.0]))
+        assert inner == 1.0 and outer == 1.0
+        assert verdict is InverseVerdict.NEITHER
+
     def test_zero_candidate_is_outer_only(self):
         _, _, verdict = verify_gen_inverse(np.diag([1.0, 0.5]), np.zeros((2, 2)))
         assert verdict is InverseVerdict.OUTER_ONLY

@@ -1,10 +1,12 @@
 """Input checks of the library functions, each with its error type and message,
-and no check of the package written as an ``assert`` statement."""
+no check of the package written as an ``assert`` statement, and no module
+of the package importing another's private name."""
 
 from __future__ import annotations
 
 import ast
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -111,15 +113,51 @@ def test_input_check_raises_its_error_naming_the_fault(call, error, fragment):
 
 
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "genresolvent"
+
+
+def parsed(package):
+    """(file name, syntax tree) of every module of a package directory."""
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in sources]
+
+
+def private_imports(package):
+    """``file:line name`` of each relative import of an underscore name, not a
+    dunder such as __version__, in the modules of a package directory."""
+    return [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in parsed(package)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
 def test_no_check_of_the_package_is_an_assert_statement():
     """python -O strips assert statements, so a check written as one would
     pass unchecked there: every check raises its error explicitly."""
-    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "genresolvent").glob("*.py"))
-    assert sources
     asserts = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in parsed(PACKAGE)
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_module_of_the_package_imports_a_private_name_of_another():
+    """A name with a leading underscore belongs to its module: what another
+    module needs is public."""
+    assert private_imports(PACKAGE) == []
+
+
+def test_the_private_import_scan_finds_one_private_name(tmp_path):
+    copy = shutil.copytree(PACKAGE, tmp_path / "genresolvent",
+                           ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "criteria.py", "a", encoding="utf-8") as module:
+        module.write("from .linalg import SCREEN_LIVE, _full_rank_certified\n")
+    lines = len((copy / "criteria.py").read_text(encoding="utf-8").splitlines())
+    assert private_imports(copy) == [f"criteria.py:{lines} _full_rank_certified"]

@@ -5,11 +5,14 @@ and singularity verdict must be the one the values-only SVD would give. The
 stacks here put the smallest singular value at exact rank deficiency, at
 the rank cutoff, at 10x the cutoff (the marginal rule) and at the screen's
 own threshold, at entry scales inside and outside the range it runs on.
-The screen runs in the grid rank pass, ``chunked_stage`` run on the stage
-of ``rank_stage``, and in ``solve_stack``; ``split_ranks`` itself always
-takes the SVD. ``rank_stage`` screens its first chunk by default, as a grid
-pass has it do when the full-rank cover's probe passed. Without a product every chunk of the rank pass has the
-screened length, screened or not.
+The screen runs in the rank pass of ``grid_ranks``, on the chunks
+``chunked_stage`` builds, and in ``solve_stack``; ``split_ranks`` itself
+always takes the SVD. The stacks here reach ``grid_ranks`` as the values
+of a pencil at the points 0, 1, ..., k - 1, with ``pencil_values`` patched
+to copy the members the points name. The full-rank cover is patched too,
+to certify only one point in front of them, so the pass screens its first
+chunk, as it does after a cover that certified a point. Without a product
+every chunk of the rank pass has the screened length, screened or not.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from genresolvent.linalg import (
     SCREEN_LIVE,
     SCREEN_SLACK,
     _full_rank_certified,
-    chunked_stage,
     empty_basis,
-    rank_stage,
+    grid_ranks,
     solve_stack,
     split_ranks,
 )
@@ -89,20 +91,42 @@ def no_products(m, n):
     return empty_basis(n), empty_basis(m)
 
 
-def copying(stack, built=None, addresses=None):
-    """A chunked_stage build callback that copies stack[part] into the
-    workspace, recording each part and the address it was written to."""
+def ranked(stack, tol, right=None, left=None, built=None, addresses=None):
+    """grid_ranks of a pencil whose value at the point j is stack[j], at the
+    points 0, 1, ..., k - 1 in order, recording the members of each chunk
+    built and the address each was written to.
 
-    def build(part, out):
+    Without a product the cover certifies one point, -1, put in front and
+    left out of the result, so the pass screens its first chunk; with one
+    the cover must not run."""
+    k, m, n = stack.shape
+    right = empty_basis(n) if right is None else right
+    left = empty_basis(m) if left is None else left
+    front = 0 if right.shape[1] or left.shape[1] else 1
+    lams = np.arange(-front, k).astype(np.complex128)
+
+    def build(t, s, points, out):
         if built is not None:
-            built.append(part)
+            built.append(points.real.astype(int).tolist())
         if addresses is not None:
             addresses.append(out.__array_interface__["data"][0])
-        assert out.flags.c_contiguous and out.shape == (part.stop - part.start,) + stack.shape[1:]
-        out[...] = stack[part]
+        assert out.flags.c_contiguous and out.shape == (len(points), m, n)
+        out[...] = stack[points.real.astype(int)]
         return out
 
-    return build
+    def cover(t, s, points, tol):
+        assert front
+        return points == -1
+
+    with mock.patch.object(linalg, "pencil_values", build), \
+            mock.patch.object(linalg, "full_rank_cover", cover):
+        split = grid_ranks(stack[0], np.zeros((m, n)), lams, right, left, tol)
+    return tuple(array[front:] for array in split)
+
+
+def chunks_of(length, count):
+    """The member lists of consecutive chunks of the given length."""
+    return [list(range(start, min(start + length, count))) for start in range(0, count, length)]
 
 
 def solve_outcome(a, tol):
@@ -118,12 +142,10 @@ def solve_outcome(a, tol):
 def test_screen_agrees_with_the_svd(case):
     stack, tol = case
     k, m, n = stack.shape
-    stage = rank_stage((m, n), tol, *no_products(m, n))
-    screened = chunked_stage(copying(stack), k, (m, n), *stage)
+    screened = ranked(stack, tol)
     solved = solve_outcome(stack, tol) if m == n else None
     with svd_path():
-        stage = rank_stage((m, n), tol, *no_products(m, n))
-        reference = chunked_stage(copying(stack), k, (m, n), *stage)
+        reference = ranked(stack, tol)
         solved_reference = solve_outcome(stack, tol) if m == n else None
     for got, want in zip(screened, reference):
         np.testing.assert_array_equal(got, want)
@@ -153,13 +175,12 @@ def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
     tol = TolerancePolicy(rank_rtol=rtol)
     built = []
     with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2):
-        ranks, _, _, marginal = chunked_stage(copying(stack, built), len(stack), shape,
-                                              *rank_stage(shape, tol, *no_products(m, n)))
+        ranks, _, _, marginal = ranked(stack, tol, built=built)
     with svd_path():
         reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
     np.testing.assert_array_equal(ranks, reference[0])
     np.testing.assert_array_equal(marginal, reference[3])
-    assert built == [slice(start, min(start + 2, len(stack))) for start in range(0, len(stack), 2)]
+    assert built == chunks_of(2, len(stack))
 
 
 def test_chunked_ranks_build_every_chunk_into_one_workspace():
@@ -179,11 +200,8 @@ def test_chunked_ranks_build_every_chunk_into_one_workspace():
 
     with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 4 ** 2), \
             mock.patch.object(linalg, "_full_rank_certified", spying):
-        ranks, _, _, marginal = chunked_stage(
-            copying(stack, built, addresses), len(stack), (4, 4),
-            *rank_stage((4, 4), TolerancePolicy(), *no_products(4, 4)),
-        )
-    assert built == [slice(start, start + 2) for start in range(0, 14, 2)]
+        ranks, _, _, marginal = ranked(stack, TolerancePolicy(), built=built, addresses=addresses)
+    assert built == chunks_of(2, 14)
     assert len(set(addresses)) == 1
     # two screened chunks, the unscreened one, then four screened
     assert screened == [(2, True), (2, False)] + [(2, True)] * 4
@@ -194,10 +212,10 @@ def test_chunked_ranks_build_every_chunk_into_one_workspace():
 
 @pytest.mark.parametrize("sides", ["right", "left", "both"])
 def test_chunked_ranks_with_products_never_screen(sides):
-    """A pass with products cuts chunks for one matrix per member and one
-    per product, as linalg.chunks cuts them, builds each into one
-    workspace, never runs the screen and returns split_ranks of the whole
-    stack, full-rank runs included."""
+    """A pass with products runs no full-rank cover, cuts chunks for one
+    matrix per member and one per product, as linalg.chunks cuts them,
+    builds each into one workspace, never runs the screen and returns
+    split_ranks of the whole stack, full-rank runs included."""
     m, n = 5, 4
     rng = np.random.default_rng(8)
     places = [1e12, 1e12, 0.0, 10.0, 1e12, 0.5, 1e12, 1e12, 1e12, 0.0, 1e12, 2.0, 1e12]
@@ -209,16 +227,15 @@ def test_chunked_ranks_with_products_never_screen(sides):
     with mock.patch.object(linalg, "CHUNK_BYTES", 6 * 16 * max(m, n) ** 2), \
             mock.patch.object(linalg, "_full_rank_certified",
                               wraps=linalg._full_rank_certified) as screen:
-        split = chunked_stage(copying(stack, built, addresses), len(stack), (m, n),
-                              *rank_stage((m, n), TolerancePolicy(), right, left))
+        split = ranked(stack, TolerancePolicy(), right, left, built, addresses)
         lengths = [part.stop - part.start
                    for part in linalg.chunks(len(stack), (1 + products) * 16 * max(m, n) ** 2)]
     assert screen.call_count == 0
     for got, want in zip(split, split_ranks(stack, right, left)):
         np.testing.assert_array_equal(got, want)
-    assert [part.stop - part.start for part in built] == lengths
+    assert [len(members) for members in built] == lengths
     assert len(lengths) > 2
-    assert [part.start for part in built] == [0] + [part.stop for part in built[:-1]]
+    assert sum(built, []) == list(range(len(stack)))
     assert len(set(addresses)) == 1
 
 

@@ -49,7 +49,7 @@ from genresolvent import (
     pinv_matrix,
     rectangular_region,
 )
-from genresolvent import linalg, resolvent
+from genresolvent import criteria, linalg, resolvent
 from genresolvent.linalg import EPS, NORM_FLOOR, solve_right_stack, solve_stack, split_ranks, split_verdicts
 from helpers import (
     EXACT,
@@ -627,26 +627,26 @@ def test_continuity_names_the_first_bad_member_in_grid_order(budget):
 # --- the per-point stage driver ---------------------------------------------------
 
 
-def stage_spy(monkeypatch, p, points):
-    """Wrap every stage the driver runs: per driver call, record each slice the
-    stage receives and each stack's owner and data address, and check the
-    stack against t - lam*s."""
+def stage_spy(monkeypatch, p):
+    """Wrap every stage the driver runs, wherever it is called from: per
+    driver call, record each slice the stage receives and each stack's
+    owner and data address, and check the stack against t - lam*s."""
     calls = []
-    driver = resolvent.chunked_stage
-    lams = np.array(points, dtype=np.complex128)
+    driver = linalg.chunked_stage
 
-    def spying(build, count, shape, live, stage):
+    def spying(t, s, lams, live, stage):
         seen = []
-        calls.append((count, shape, seen))
+        calls.append((len(lams), t.shape, seen))
 
         def spied(part, a):
-            assert np.array_equal(a, p.at_many(lams[part]))
+            assert np.array_equal(a, np.stack([p.at(lam) for lam in lams[part]]))
             seen.append((part, a.base, a.__array_interface__["data"][0]))
             return stage(part, a)
 
-        return driver(build, count, shape, live, spied)
+        return driver(t, s, lams, live, spied)
 
-    monkeypatch.setattr(resolvent, "chunked_stage", spying)
+    for module in (linalg, resolvent, criteria):
+        monkeypatch.setattr(module, "chunked_stage", spying)
     return calls
 
 
@@ -715,9 +715,9 @@ def test_stages_receive_their_chunks_in_one_workspace(make, run, lives, screened
     p = make()
     grid = grid_for(p, 60)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(resolvent, "full_rank_cover",
+    monkeypatch.setattr(linalg, "full_rank_cover",
                         lambda t, s, lams, tol: np.zeros(len(lams), dtype=bool))
-    calls = stage_spy(monkeypatch, p, grid.points)
+    calls = stage_spy(monkeypatch, p)
     grams = []
     certified = linalg._full_rank_certified
 
