@@ -21,7 +21,9 @@ Runs ``genresolvent.cli.main`` in-process on
   first chunk unscreened and the screen runs again from the next);
 * ``spectrum --steps 61`` on that normal pencil and on one with an
   eigenvalue on a point of the 61 x 61 lattice and one 1e-3 off another,
-  where the full-rank cover certifies boxes of many points;
+  where the full-rank cover certifies boxes of many points, and on one
+  with an eigenvalue at 0 and the rest off the lattice: 0 is the midpoint
+  of the region, so the anchor of the cover's first box is singular;
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
   cut into chunks of 16 and 9 points;
@@ -41,7 +43,9 @@ Runs ``genresolvent.cli.main`` in-process on
   --grid-radius 1``;
 * ``mp-check --grid-radius 5e307`` on diag(1, 2) with s = 10 I, where
   t - lam s overflows on the grid's outer rings: the command exits 2
-  naming the first such point.
+  naming the first such point, and ``mp-check --grid-radius 1e308`` on
+  diag(1, 2) with s = I, where lam_i - lam_j in the identity's pairs
+  would overflow.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -70,7 +74,7 @@ import numpy as np
 
 from genresolvent import load_matrix, save_matrix
 from genresolvent.cli import main as cli_main
-from helpers import framed_pencil, unitary
+from helpers import framed_pencil, off_lattice, unitary
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # (m, n); the larger ones cut the identity's pairs into several chunks
@@ -144,9 +148,11 @@ def spectrum_commands() -> list[list[str]]:
     fine = np.linspace(-3.0, 3.0, 61)
     near = (u * np.concatenate([[complex(fine[40], fine[25]), complex(fine[20], fine[33]) + 1e-3],
                                 eigenvalues[2:]])) @ u.conj().T
+    zero = (u * np.concatenate([[0.0], off_lattice(np.random.default_rng(20), 19)])) @ u.conj().T
     save_matrix(regular, "spectrum/normal-t.json")
     save_matrix(corner, "spectrum/corner-t.json")
     save_matrix(near, "spectrum/near-t.json")
+    save_matrix(zero, "spectrum/zero-t.json")
     save_matrix(np.eye(20), "spectrum/eye-s.json")
     save_matrix(deficient_t, "spectrum/deficient-t.json")
     save_matrix(deficient_s, "spectrum/deficient-s.json")
@@ -158,6 +164,7 @@ def spectrum_commands() -> list[list[str]]:
         ["spectrum", "spectrum/corner-t.json", "spectrum/eye-s.json", *scan],
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", "--steps", "61"],
         ["spectrum", "spectrum/near-t.json", "spectrum/eye-s.json", "--steps", "61"],
+        ["spectrum", "spectrum/zero-t.json", "spectrum/eye-s.json", "--steps", "61"],
     ]
 
 
@@ -195,7 +202,8 @@ def near_eigenvalue_commands() -> list[list[str]]:
 
 def overflow_commands() -> list[list[str]]:
     save_matrix(10.0 * np.eye(2), "framed/ten-eye2.json")
-    return [["mp-check", "data/diag12.json", "framed/ten-eye2.json", "--grid-radius", "5e307"]]
+    return [["mp-check", "data/diag12.json", "framed/ten-eye2.json", "--grid-radius", "5e307"],
+            ["mp-check", "data/diag12.json", "data/eye2.json", "--grid-radius", "1e308"]]
 
 
 def flag_commands() -> list[list[str]]:

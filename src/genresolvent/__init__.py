@@ -76,7 +76,6 @@ from .perturbation import (
 )
 from .resolvent import (
     RADIUS_CAP,
-    RADIUS_EPS,
     ContinuityReport,
     DirectSumReport,
     DiskGrid,

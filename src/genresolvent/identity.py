@@ -177,7 +177,11 @@ def _deviations(
     # matmul with out= may round differently from the per-pair product
     products = g_s @ rights
     deviations = np.subtract(g[firsts], rights, out=rights)
-    np.multiply((lams[firsts] - lams[seconds])[:, None, None], products, out=products)
+    # the difference of the halved points stays finite where l_i - l_j
+    # overflows; the product it scales, doubled, has the bits of the one
+    # l_i - l_j scales wherever the halved points are normal numbers
+    np.multiply((lams[firsts] / 2.0 - lams[seconds] / 2.0)[:, None, None], products, out=products)
+    products *= 2.0
     deviations -= products
     return deviations
 
@@ -219,8 +223,10 @@ def _solve_residual_bounds(
     rounding = EPS * (frobenius_norms(difference) + 2.0 * frobenius_norms(product))
     rounding += _rounding(m) * moduli * frobenius_norms(g) * frobenius_norms(st_plus[None])[0]
     if np.any(st_plus):
-        # sqrt(2) UNDERFLOW per product term and per scaled entry
-        rounding += 2.0 * UNDERFLOW * math.sqrt(m * n) * (moduli * m + 1.0)
+        # sqrt(2) UNDERFLOW per product term and per scaled entry; where
+        # |l_k| m overflows, +inf is the bound, and the exact pairs decide
+        with np.errstate(over="ignore"):
+            rounding += 2.0 * UNDERFLOW * math.sqrt(m * n) * (moduli * m + 1.0)
     difference -= product
     return frobenius_norms(difference) * (1.0 + NORM_BOUND_SLACK) + rounding
 

@@ -45,12 +45,15 @@ holds on whole disks, not only at the points: by Weyl's inequality
 (Golub & Van Loan, Cor. 8.6.2) sigma_p(t - lam s) falls by at most
 |lam - mu| ||s||_2 from its value at mu. So :func:`full_rank_cover` proves
 full rank, not marginal, box by box in front of the rank pass: one
-Cholesky factorization at each box's anchor, its diagonal lowered by the
-screen's target for every point of the box plus the box's radius times a
-bound on ||s||_2 (:func:`norm_upper_bounds` with COVER_SQUARINGS, no SVD)
-and the rounding of forming t - lam s. A box that fails splits into
-quadrants, and :func:`grid_ranks` ranks only the points no box covers,
-so every eigenvalue of the pencil in the region lies in a box left out.
+Cholesky factorization at each box's anchor, the midpoint of its bounding
+box, which need not be a sample point, its diagonal lowered by the
+screen's target for every point of the box plus the box's radius about
+the anchor times a bound on ||s||_2 (:func:`norm_upper_bounds` with
+COVER_SQUARINGS, no SVD) and the rounding of forming t - lam s at the
+anchor and at the points. A box that fails splits into quadrants, and
+:func:`grid_ranks` ranks only the points no box covers, so every
+eigenvalue of the pencil in the region lies in a box left out, and so
+does every point that is not finite, which the rank pass names.
 The cover starts only where its one-matrix probe, the screen of the first
 point, passes, and it builds its anchors in its own chunk loop, into a
 workspace and Gram array of its own.
@@ -726,10 +729,13 @@ def full_rank_cover(
     that one Cholesky factorization. So it certifies some point exactly
     when the probe passed, the first point among them, and the rank pass
     of :func:`grid_ranks` after it screens its first chunk on that.
-    Then the points are cut into boxes, first their bounding box, then
-    quadrants of it. Each box of two points or more is decided by one
-    anchor mu, its point nearest the box's centre. By Weyl's inequality
-    (Golub & Van Loan, Cor. 8.6.2), for lam in the box
+    Then the finite points are cut into boxes, first their bounding box,
+    then quadrants of it; a point that is not finite starts outside every
+    box, so the rank pass names the first such point. Each box of two
+    points or more is decided by one anchor mu, the midpoint of its
+    bounding box, which need not be a point of lams: Weyl's inequality
+    (Golub & Van Loan, Cor. 8.6.2) compares t - lam s and t - mu s at any
+    two complex numbers, so for lam in the box
 
         sigma_p(fl(t - lam s)) >= sigma_p(fl(t - mu s)) - |lam - mu| beta - e(lam) - e(mu),
 
@@ -741,20 +747,21 @@ def full_rank_cover(
 
         c = radius beta + 2 e_max + ratio F,  F = ||fl(t - mu s)||_F + radius ||s||_F + 2 e_max,
 
-    radius the largest |lam - mu| and e_max the largest e(lam) in the box,
-    gives every point of the box sigma_p >= ratio ||fl(t - lam s)||_F, F
-    bounding that norm, which is the target of :func:`_full_rank_certified`
-    (ratio is its ratio); and so the SVD's verdict, full rank and not
-    marginal. c, widened by NORM_BOUND_SLACK for its own rounding (and for
-    any underflow in the products, far below c where ||fl(t - mu s)||_F^2
-    lies in SCREEN_RANGE), is proved at the anchor as the screen proves its
-    target: one Cholesky factorization of the anchor's Gram less
-    (c^2 + kappa ||fl(t - mu s)||_F^2) I, each box its own call. A box
-    whose Cholesky breaks down, or that cannot pass (c^2 p is at least the
-    Gram's trace, or some ||t - lam s||_F is near overflow, which also keeps
-    every point built here finite), splits into the quadrants of its
-    bounding box. Single points, and a box whose points do not spread over
-    its quadrants, such as repeated points, are left out.
+    radius the largest |lam - mu| and e_max the largest of e(mu) and every
+    e(lam) in the box, gives every point of the box
+    sigma_p >= ratio ||fl(t - lam s)||_F, F bounding that norm, which is
+    the target of :func:`_full_rank_certified` (ratio is its ratio); and so
+    the SVD's verdict, full rank and not marginal. c, widened by
+    NORM_BOUND_SLACK for its own rounding (and for any underflow in the
+    products, far below c where ||fl(t - mu s)||_F^2 lies in SCREEN_RANGE),
+    is proved at the anchor as the screen proves its target: one Cholesky
+    factorization of the anchor's Gram less (c^2 + kappa ||fl(t - mu s)||_F^2) I,
+    each box its own call. A box whose Cholesky breaks down, or that cannot
+    pass (c^2 p is at least the Gram's trace, or ||t - mu s||_F or some
+    ||t - lam s||_F is near overflow, which also keeps every anchor built
+    here finite), splits into the quadrants of its bounding box. Single
+    points, and a box whose points do not spread over its quadrants, such
+    as repeated points, are left out.
 
     Each level's anchors are built in the cover's own chunk loop, sized as
     a rank pass without a product sizes its chunks, into one workspace, and
@@ -781,8 +788,9 @@ def full_rank_cover(
     widen = 1.0 + NORM_BOUND_SLACK
     t_norm, s_norm = frobenius_norms(np.stack([t, s])) * widen
     beta = norm_upper_bounds(s[None], COVER_SQUARINGS)[0]
-    # the box of each point at this level, -1 once certified or left out
-    box, count = np.zeros(k, dtype=np.intp), 1
+    # the box of each point at this level, -1 once certified or left out;
+    # a point that is not finite is left out from the start
+    box, count = np.where(np.isfinite(lams), 0, -1), 1
     with np.errstate(over="ignore", invalid="ignore"):
         while count:
             points = np.flatnonzero(box >= 0)
@@ -792,11 +800,10 @@ def full_rank_cover(
             centre = [_per_box(np.minimum, np.inf, at, part, count) / 2
                       + _per_box(np.maximum, -np.inf, at, part, count) / 2
                       for part in (z.real, z.imag)]
-            distance = np.abs(z - (centre[0] + 1j * centre[1])[at])
-            nearest = distance == _per_box(np.minimum, np.inf, at, distance, count)[at]
-            mu = lams[_per_box(np.minimum, k, at[nearest], points[nearest], count)]
+            mu = centre[0] + 1j * centre[1]
             radius = _per_box(np.maximum, 0.0, at, np.abs(z - mu[at]), count)
-            reach = t_norm + _per_box(np.maximum, 0.0, at, np.abs(z), count) * s_norm
+            # the largest of |mu| and every |lam| of the box
+            reach = t_norm + _per_box(np.maximum, np.abs(mu), at, np.abs(z), count) * s_norm
             rounding = 4.0 * EPS * reach
             # c less ratio ||fl(t - mu s)||_F, and a bound on that norm
             base = radius * beta + 2.0 * rounding + ratio * (radius * s_norm + 2.0 * rounding)
@@ -827,8 +834,8 @@ def full_rank_cover(
 
 
 def _per_box(ufunc: np.ufunc, start, boxes: np.ndarray, values: np.ndarray, count: int):
-    """ufunc reduced over the values of each of count boxes, from start;
-    boxes[i] is the box of values[i]."""
+    """ufunc reduced over the values of each of count boxes, from start, a
+    scalar or one value per box; boxes[i] is the box of values[i]."""
     reduced = np.full(count, start, dtype=values.dtype)
     ufunc.at(reduced, boxes, values)
     return reduced

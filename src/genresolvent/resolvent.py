@@ -87,7 +87,6 @@ from .linalg import (
 )
 
 RADIUS_CAP = 1e12
-RADIUS_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def build_family(p: Pencil, g: GenInverse) -> ResolventFamily:
         raise ShapeMismatchError("the inverse was built for a different operator than pencil.t")
     st_plus = p.s @ g.tplus
     st_norm = op_norm2(st_plus)
-    radius = RADIUS_CAP if st_norm <= RADIUS_EPS else min(RADIUS_CAP, 1.0 / st_norm)
+    radius = min(RADIUS_CAP, 1.0 / st_norm) if st_norm else RADIUS_CAP
     return ResolventFamily(pencil=p, g=g, st_plus=st_plus, st_norm=st_norm, radius=radius)
 
 

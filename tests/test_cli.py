@@ -726,14 +726,11 @@ def test_mp_check_on_a_grid_radius_near_the_largest_float_passes(radius):
     assert (done.returncode, done.stderr) == (0, "")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the identity's pair differences lam_i - lam_j reach 2e308 and overflow, so the "
-    "SVD of the non-finite deviations does not converge and the command exits 2 "
-    "(ROADMAP: measure the resolvent identity per pair)",
-)
 def test_mp_check_on_a_grid_of_radius_1e308_passes():
-    """As at radius 6e307: t - lam I is invertible at every grid point."""
+    """As at radius 6e307: t - lam I is invertible at every grid point. The
+    identity's pair differences would reach 2e308; they are formed from the
+    halved points, and an overflowing rounding term is +inf, which leaves
+    the identity to its exact pairs."""
     done = run_fresh(["mp-check", DATA / "diag12.json", DATA / "eye2.json",
                       "--grid-radius", "1e308"])
     assert (done.returncode, done.stderr) == (0, "")

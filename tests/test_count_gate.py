@@ -235,17 +235,18 @@ def test_spectrum_off_the_lattice_takes_no_svd(svds, tmp_path, capsys):
     assert svds["all"] == 0
 
 
-def test_spectrum_off_the_lattice_factors_at_most_a_third_of_its_points(svds, choleskys):
-    """The cover proves full rank box by box: 551 Cholesky factorizations,
-    of 792 matrices in all, where the screen alone factored every one of the
-    3721 points, and still no SVD."""
+def test_spectrum_off_the_lattice_factors_at_most_a_sixth_of_its_points(svds, choleskys):
+    """The cover proves full rank box by box, each box at the midpoint of
+    its bounding box: 432 Cholesky factorizations, of 509 matrices in all,
+    where the screen alone factored every one of the 3721 points, and still
+    no SVD."""
     p = normal_pencil(np.random.default_rng(10), off_lattice(np.random.default_rng(11), 50))
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert all(point.rank == 50 for point in scan)
     assert svds["all"] == 0
-    assert sum(choleskys) <= len(region) // 3
+    assert sum(choleskys) <= len(region) // 6
 
 
 def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):

@@ -188,6 +188,28 @@ def test_cover_agrees_near_eigenvalues(case):
     assert covered == plain
 
 
+@settings(max_examples=60, deadline=None)
+@given(near_spectra(), st.sampled_from(["none", "right", "both"]), st.integers(0, 2**32 - 1))
+def test_permuted_points_give_permuted_ranks_bit_for_bit(case, products, seed):
+    """Each of the four arrays of grid_ranks, with and without products,
+    comes back permuted: the cover's boxes depend on the order of the
+    points only through the first point's probe, and every rank and
+    marginal flag is the SVD's wherever the cover and screen stand in."""
+    p, region, tol = case
+    rng = np.random.default_rng(seed)
+    (m, n), lams = p.shape, np.array(region)
+    right, left = linalg.empty_basis(n), linalg.empty_basis(m)
+    if products != "none":
+        right = unitary(rng, n)[:, : rng.integers(1, n + 1)]
+    if products == "both":
+        left = unitary(rng, m)[:, : rng.integers(1, m + 1)]
+    order = rng.permutation(len(lams))
+    ranked = linalg.grid_ranks(p.t, p.s, lams, right, left, tol)
+    permuted = linalg.grid_ranks(p.t, p.s, lams[order], right, left, tol)
+    for whole, part in zip(ranked, permuted, strict=True):
+        assert np.array_equal(whole[order], part)
+
+
 def test_cover_and_the_rank_pass_after_it_each_build_into_one_workspace(monkeypatch):
     """Chunks of two: the cover's probe and every level's anchors are built
     into one workspace of the cover's, and their Grams written into one

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from genresolvent import (
+    DEFAULT_TOL,
     ComplementPair,
     DiskGrid,
     Pencil,
@@ -34,12 +35,14 @@ from genresolvent import (
     verify_mp_axioms,
     zero_subspace,
 )
+from genresolvent.resolvent import grid_pass
 
 EYE2 = np.eye(2)
 PENCIL = Pencil(np.diag([1.0, 0.0]), EYE2)
 # complements in C^3 and C^2, where a 2 x 2 operator needs C^2 and C^2
 MISPLACED = ComplementPair(e=full_subspace(3), f=zero_subspace(2))
 G_DIAG = mp_inverse(PENCIL.t)
+DIAG12 = Pencil(np.diag([1.0, 2.0]), EYE2)
 # 10 * lam overflows on the outer two rings of the grid of radius 5e307: the
 # stages that build t - lam s name the first such point in grid order
 OVERFLOWING = Pencil(np.diag([1.0, 2.0]), 10.0 * EYE2)
@@ -93,6 +96,12 @@ CHECKS = [
                  ValueError, OVERFLOW_POINT, id="mp_resolvent_characterization-overflow"),
     pytest.param(lambda: continuity_check(OVERFLOWING, lambda lam: EYE2, OVERFLOW_GRID),
                  ValueError, OVERFLOW_POINT, id="continuity_check-overflow"),
+    # from a finite first point the full-rank cover starts; a point that is
+    # not finite stays outside its boxes, and the rank pass names it
+    pytest.param(lambda: grid_pass(DIAG12, [0.0, math.inf], DEFAULT_TOL),
+                 ValueError, "t - lam*s is not finite at lam = (inf+0j)", id="grid_pass-inf"),
+    pytest.param(lambda: grid_pass(DIAG12, [0.0, math.nan], DEFAULT_TOL),
+                 ValueError, "t - lam*s is not finite at lam = (nan+0j)", id="grid_pass-nan"),
     pytest.param(lambda: RankProfile((0j, 0.5), (1,), (1,), (1,), (False,)),
                  ValueError, "equal length", id="RankProfile"),
     pytest.param(lambda: rectangular_region(0.0, math.inf, 0.0, 1.0, 3),
