@@ -27,15 +27,18 @@ Runs ``genresolvent.cli.main`` in-process on
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
   cut into chunks of 16 and 9 points;
-* ``mp-check`` on a pencil whose t is the 3 x 3 zero matrix, of rank 0, so
-  the subspace gaps take their rank-0 branch;
-* ``analyze`` at ``--residual-tol 7e-15`` and ``mp-check`` at
+* ``mp-check`` and ``analyze`` on a pencil whose t is the 3 x 3 zero
+  matrix, of rank 0, so the subspace gaps take their rank-0 branch and
+  ``analyze``'s explicit family has r = 0, and ``analyze`` on a generic
+  20 x 20 pencil of full rank, r = min(m, n);
+* ``analyze`` at ``--residual-tol 7e-15`` and ``8e-15`` and ``mp-check`` at
   ``--residual-tol 1e-14`` on the framed 64 x 64 constant t with s = 0,
-  whose family is constant, so every identity deviation is zero: each
-  tolerance lies between the command's exact axiom residuals and their
-  largest bound (7e-15 between 6.2e-15 and 1.3e-14, 1e-14 between 8.4e-15
-  and 2.5e-14, with OpenBLAS), so the grid passes on exact values where a
-  bound exceeds the tolerance;
+  whose family is constant, so every identity deviation is zero: 8e-15 and
+  1e-14 lie between the command's exact axiom residuals and their largest
+  bound (8e-15 between 7.0e-15 and 1.8e-14, 1e-14 between 8.4e-15 and
+  2.5e-14, with OpenBLAS), so the grid passes on exact values where a
+  bound exceeds the tolerance; 7e-15 lies just below ``analyze``'s exact
+  inner residual, which fails it;
 * t = diag(1/3 + 1e-6, 2.5, -2.5i, 3) with s = I: ``analyze --grid-radius
   0.3333333`` at ``--grid-points 25`` and ``60``, where the identity's
   bound leaves pairs of points near 1/3 undecided, the pairs through
@@ -74,7 +77,7 @@ import numpy as np
 
 from genresolvent import load_matrix, save_matrix
 from genresolvent.cli import main as cli_main
-from helpers import framed_pencil, off_lattice, unitary
+from helpers import framed_pencil, generic_full_pencil, off_lattice, unitary
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # (m, n); the larger ones cut the identity's pairs into several chunks
@@ -179,16 +182,22 @@ def chunked_commands() -> list[list[str]]:
     return commands
 
 
-def rank_zero_commands() -> list[list[str]]:
+def edge_rank_commands() -> list[list[str]]:
     save_matrix(np.zeros((3, 3)), "framed/zero-t.json")
     save_matrix(np.diag([1.0, 2.0, 0.0]), "framed/zero-s.json")
-    return [["mp-check", "framed/zero-t.json", "framed/zero-s.json"]]
+    p = generic_full_pencil(np.random.default_rng([0, 20, 20]), 20, 20)
+    save_matrix(p.t, "framed/full-20-t.json")
+    save_matrix(p.s, "framed/full-20-s.json")
+    return [["mp-check", "framed/zero-t.json", "framed/zero-s.json"],
+            ["analyze", "framed/zero-t.json", "framed/zero-s.json"],
+            ["analyze", "framed/full-20-t.json", "framed/full-20-s.json"]]
 
 
 def slack_commands() -> list[list[str]]:
     save_matrix(np.zeros((64, 64)), "framed/64x64-zero-s.json")
     pair = ["framed/64x64-constant-t.json", "framed/64x64-zero-s.json"]
     return [["analyze", *pair, "--residual-tol", "7e-15"],
+            ["analyze", *pair, "--residual-tol", "8e-15"],
             ["mp-check", *pair, "--residual-tol", "1e-14"]]
 
 
@@ -226,7 +235,7 @@ def main() -> int:
         os.mkdir("out")
         os.mkdir("spectrum")
         for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
-                     + spectrum_commands() + chunked_commands() + rank_zero_commands()
+                     + spectrum_commands() + chunked_commands() + edge_rank_commands()
                      + slack_commands() + near_eigenvalue_commands() + overflow_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")

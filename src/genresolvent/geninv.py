@@ -51,7 +51,11 @@ class InverseVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class GenInverse:
-    """A verified pair (t, tplus) and the kind of inverse tplus is.
+    """A verified pair (t, tplus), the kind of inverse tplus is, and the rank
+    it was built with: an upper bound on rank(tplus), exact but for the
+    rounding of the product that formed tplus. It is the rank of t's SVD for
+    the Moore-Penrose inverse, dim e for one from complements, and
+    min(m, n) for a user-supplied one, which was built with none.
 
     Construction goes through the factory functions, which reject
     candidates violating the inner or outer axiom.
@@ -60,6 +64,7 @@ class GenInverse:
     t: np.ndarray
     tplus: np.ndarray
     kind: InverseKind
+    rank: int
 
 
 def inverse_residuals(
@@ -165,7 +170,9 @@ def verify_mp_axioms(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> MPAxiomReport:
     return MPAxiomReport(inner, outer, p_herm, q_herm, ok)
 
 
-def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePolicy) -> GenInverse:
+def _checked(
+    t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePolicy, rank: int
+) -> GenInverse:
     """The verified pair (t, b); raises InvalidInverseError when b fails an axiom.
     Both axioms are decided bound first (:func:`linalg.residual_bounds`),
     and exactly where a bound exceeds residual_tol, so the residuals in the
@@ -184,7 +191,7 @@ def _checked(t: np.ndarray, b: np.ndarray, kind: InverseKind, tol: TolerancePoli
         raise InvalidInverseError(
             f"{failing} (inner residual {inner:.3e}, outer residual {outer:.3e})"
         )
-    return GenInverse(t=t, tplus=b, kind=kind)
+    return GenInverse(t=t, tplus=b, kind=kind, rank=rank)
 
 
 def pinv_matrix(t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -198,14 +205,15 @@ def pinv_matrix(t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def mp_inverse(t, tol: TolerancePolicy = DEFAULT_TOL) -> GenInverse:
     """The Moore-Penrose inverse of t, verified against all axioms."""
     t = as_matrix(t)
-    return _checked(t, pinv_matrix(t, tol), InverseKind.MOORE_PENROSE, tol)
+    t_factor = factor(t, tol)
+    return _checked(t, t_factor.pinv, InverseKind.MOORE_PENROSE, tol, t_factor.rank)
 
 
 def user_supplied(t, b, tol: TolerancePolicy = DEFAULT_TOL) -> GenInverse:
     """Wrap a caller-provided inverse, rejecting it unless both axioms hold."""
     t = as_matrix(t)
     b = as_matrix(b)
-    return _checked(t, b, InverseKind.USER_SUPPLIED, tol)
+    return _checked(t, b, InverseKind.USER_SUPPLIED, tol, min(t.shape))
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,7 @@ def geninv_from_complements(
         raise InvalidComplementError("codomain split failed: R(t) + f is not the whole codomain")
     f_perp_h = f_perp.conj().T
     tplus = e @ solve(f_perp_h @ t @ e, f_perp_h, tol)
-    return _checked(t, tplus, InverseKind.FROM_COMPLEMENTS, tol)
+    return _checked(t, tplus, InverseKind.FROM_COMPLEMENTS, tol, c.e.dim)
 
 
 def complements_of(g: GenInverse, tol: TolerancePolicy = DEFAULT_TOL) -> ComplementPair:

@@ -63,9 +63,9 @@ def decide_identity(
     passing "pairs" value is the largest of the bounds or exact maxima that
     decided each pair.
 
-    st_norm, when given, is ||S G_0||_2, which gives step 1 its margins
-    before the per-point pass; without it, ||S G_0||_2 is taken only after
-    the pass ends.
+    st_norm, when given, is an upper bound on ||S G_0||_2, as computed,
+    which gives step 1 its margins before the per-point pass; without it,
+    ||S G_0||_2 is taken only after the pass ends.
     """
     limit = tol.residual_tol
     zero = int(np.flatnonzero(lams == 0)[0])

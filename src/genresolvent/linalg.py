@@ -66,7 +66,7 @@ The per-point stages of the package work on stacks: (k, m, n) complex128
 arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
 :func:`norm_lower_bounds`, :func:`frobenius_norms`, :func:`factors`, :func:`split_ranks`,
-:func:`solve_stack`, :func:`solve_right_stack`, :func:`relative_residuals`,
+:func:`solve_stack`, :func:`relative_residuals`,
 :func:`residual_bounds`, :func:`residual_lower_bounds`, :func:`bounded_residuals`)
 trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
@@ -132,9 +132,13 @@ NORM_FLOOR = float(np.finfo(np.float64).tiny)
 # gamma_n ||Y||_F ||w|| <= n^(3/2) * EPS * ||Y||_2 * ||w||, plus the
 # rounding of any scaling and of the two vector norms. Both ways it also
 # covers the computed largest singular value of the exact stage, within a
-# modest multiple of n * EPS of ||X||_2. At every size this package
-# handles (n up to a few hundred, so m * n * EPS, n^(3/2) * EPS and
-# p^2 * EPS below 1e-10) these add up to far less than NORM_BOUND_SLACK.
+# modest multiple of n * EPS of ||X||_2, and the factor 1 +- 3 delta by
+# which a relative residual reduced to the rank-r coordinates of
+# resolvent.RankCoordinates can differ from its m x n value, delta the
+# rounding of the SVD's orthonormal factors, a modest multiple of n * EPS.
+# At every size this package handles (n up to a few hundred, so m * n *
+# EPS, n^(3/2) * EPS and p^2 * EPS below 1e-10) these add up to far less
+# than NORM_BOUND_SLACK.
 NORM_BOUND_SLACK = 1e-6
 # Slack of the full-rank screen (_full_rank_certified), one constant for two
 # quantities. As delta, relative to ||A||_F, it bounds the error of each
@@ -434,6 +438,12 @@ class Factor:
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse: values at or below the cutoff are zeroed, never inverted."""
         return _pinvs(self.u[None], self.s[None], self.vh[None], np.array([self.rank]))[0]
+
+    def with_cutoff(self, tol: TolerancePolicy) -> Factor:
+        """The same SVD with the rank the cutoff of tol gives it, and its views."""
+        shape = (self.u.shape[0], self.vh.shape[0])
+        rank = int(_ranks(self.s[None], shape, tol)[0][0]) if self.s.size else 0
+        return Factor(self.u, self.s, self.vh, rank)
 
 
 @dataclass(frozen=True)
@@ -1002,14 +1012,6 @@ def solve_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
                 f"system matrix singular to tolerance (cond ~ {cond:.3e})", cond
             )
     return np.linalg.solve(a, b[None])
-
-
-def solve_right_stack(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Solve x[k] @ a[k] = b for a (k, m, m) stack, i.e. apply each a[k]^-1 from the right.
-
-    Solved as a[k]^T x[k]^T = b^T, with the singularity check of :func:`solve_stack`.
-    """
-    return solve_stack(a.swapaxes(1, 2), b.T, tol).swapaxes(1, 2)
 
 
 def solve(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -16,6 +16,9 @@ exactly when R(t - lam*s) stays transversal to N(tplus) across the region.
 This module builds and evaluates the family, verifies the three resolvent
 conditions on sampled disk grids, and decides existence through the
 transversality, direct-sum, fixed-complement and continuity criteria.
+The family is evaluated and checked in rank-r coordinates, r the rank of
+tplus (:class:`RankCoordinates`): one r x r solve per point, and no m x m
+system.
 
 The resolvent identity of a sampled family is decided in one place,
 :func:`identity.decide_identity`, for this family and for the pointwise
@@ -58,7 +61,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,6 +71,8 @@ from .geninv import ComplementPair, GenInverse, check_inverse_shape, inverse_res
 from .identity import decide_identity
 from .linalg import (
     DEFAULT_TOL,
+    SCREEN_SLACK,
+    Factor,
     TolerancePolicy,
     as_matrix,
     bounded_residuals,
@@ -75,13 +80,14 @@ from .linalg import (
     decided_maximum,
     empty_basis,
     factor,
+    frobenius_norms,
     grid_ranks,
     op_norm2,
     op_norms2,
     pencil_values,
     relative_residual,
     relative_residuals,
-    solve_right_stack,
+    solve_stack,
     split_ranks,
     split_verdicts,
 )
@@ -163,14 +169,127 @@ def default_grid(radius: float, points: int = 25) -> DiskGrid:
 
 
 @dataclass(frozen=True)
+class RankCoordinates:
+    """The explicit family of an inverse tplus of rank r in r x r coordinates.
+
+    From tplus's SVD take X = U_r (n x r), Sigma_r and V_r (m x r), so that
+    T+_r = X Y^H with Y^H = Sigma_r V_r^H. By the push-through identity the
+    family of T+_r is
+
+        G(lam) = X N(lam) Y^H,  N(lam) = (I_r - lam K)^-1,  K = Y^H S X,
+
+    Urquhart's formula X (Y^H (t - lam s) X)^-1 Y^H, since Y^H t X = I_r
+    for a generalized inverse (Ben-Israel & Greville, *Generalized
+    Inverses*, ch. 1; Henderson & Searle, SIAM Review 23, 1981). So each
+    point solves one r x r system, and with A = t - lam s:
+
+    - the inner deviation A G A - A is (A X) N (Y^H A) - A, where
+      A X = T X - lam S X and Y^H A = Y^H T - lam Y^H S are affine in lam,
+      from four products taken once;
+    - the outer deviation G A G - G is X (N B N - N) Y^H with
+      B = Y^H t X - lam K, and ||X Z Y^H||_2 = ||Z Sigma_r||_2, so the outer
+      residual is ||(N B N - N) Sigma_r||_2 / ||N Sigma_r||_2, all r x r;
+    - the identity deviation G_i - G_j - (l_i - l_j) G_i s G_j is
+      X [N_i - N_j - (l_i - l_j) N_i K N_j] Y^H, of the norm of the bracket
+      times Sigma_r: the deviation of the r x r family
+      M(lam) = 2^-e N(lam) Sigma_r with s' = 2^e V_r^H S X, e the binary
+      exponent of sigma_1, so M(0) has norm in [1/2, 1), and its products
+      M s' M stay in range wherever the m x n products would not. Scaling
+      by a power of 2 is exact in the normal range.
+
+    Which r. The rank tplus was built with (:class:`geninv.GenInverse`),
+    less any singular value that is exactly zero, never a cutoff of
+    rank_rtol on tplus's own singular values: the inner residual is taken
+    relative to ||A||, so a part of tplus far below ||tplus|| can carry it,
+    as the singular value 1 of tplus = diag(1, 1e200) does for
+    t = diag(1, 1e-200) at rank_rtol 1e-300. So ||T+ - T+_r||_2 is
+    sigma_{r+1}, the rounding of the product that formed tplus, and the
+    family is that of tplus up to the rounding an m x m solve had as well.
+
+    Rounding of the reductions. The computed X and V_r are orthonormal
+    only to their rounding: ||X^H X - I||_2 and ||V_r^H V_r - I||_2 are at
+    most delta, a modest multiple of max(m, n) EPS for LAPACK's SVD. Every
+    singular value of X and V_r then lies in [sqrt(1 - delta),
+    sqrt(1 + delta)], so ||X Z V_r^H||_2 lies within a factor 1 +- delta
+    of ||Z||_2, and a relative residual, a quotient of two such norms,
+    within a factor 1 +- 3 delta of its r x r value. At every size this
+    package handles, delta < 1e-11, far inside NORM_BOUND_SLACK, which
+    widens every bound these residuals are decided on.
+
+    st_bound, the norm the identity's margins take (widened there by
+    NORM_BOUND_SLACK), is an upper bound on ||C||_2, C = fl(s' M(0)): the
+    smaller of ||C||_F, which is 0 where s' vanishes, and ||s tplus||_2
+    widened for the rounding. Exactly, s' M(0) = V_r^H S X Sigma_r is
+    V_r^H (s T+_r) V_r, of norm at most ||s tplus||_2 + ||s||_2 sigma_{r+1},
+    up to the factor (1 + delta)^2 and the rounding of the products that
+    formed s tplus, s' and C and of tplus's SVD, each a modest multiple of
+    max(m, n) EPS ||s||_F ||tplus||_F, which SCREEN_SLACK ||s||_F sqrt(r)
+    sigma_1 covers (see SCREEN_SLACK).
+    """
+
+    # X, Y^H, K, then T X, S X, Y^H T, Y^H S and Y^H t X
+    x: np.ndarray
+    yh: np.ndarray
+    k: np.ndarray
+    tx: np.ndarray
+    sx: np.ndarray
+    yht: np.ndarray
+    yhs: np.ndarray
+    yhtx: np.ndarray
+    # 2^-e Sigma_r, the columns scaling N into M, and s' = 2^e V_r^H S X
+    scale: np.ndarray
+    s_prime: np.ndarray
+    st_bound: float
+
+
+@dataclass(frozen=True)
 class ResolventFamily:
-    """Everything needed to evaluate G(lam) = tplus (I - lam s tplus)^-1."""
+    """Everything needed to evaluate G(lam) = tplus (I - lam s tplus)^-1.
+
+    st_plus = s tplus and st_norm = ||s tplus||_2 give the disk of
+    convergence |lam| < radius. The rest is taken once, on first use, so a
+    command that only needs the radius takes neither: tplus_factor, the
+    full SVD of tplus at rank r, the rank tplus was built with less its
+    exactly zero singular values, which :func:`existence_check` and
+    :func:`direct_sum_criteria` read at their own cutoff
+    (:meth:`linalg.Factor.with_cutoff`); and coordinates, the family in
+    rank-r coordinates (:class:`RankCoordinates`), which :func:`evaluate`,
+    :func:`projector_family` and :func:`check_resolvent_axioms` run on: no
+    m x m system is solved.
+    """
 
     pencil: Pencil
     g: GenInverse
     st_plus: np.ndarray
     st_norm: float
     radius: float
+
+    @cached_property
+    def tplus_factor(self) -> Factor:
+        svd = factor(self.g.tplus)
+        return Factor(svd.u, svd.s, svd.vh, int(np.count_nonzero(svd.s[: self.g.rank])))
+
+    @cached_property
+    def coordinates(self) -> RankCoordinates:
+        t, s = self.pencil.t, self.pencil.s
+        svd = self.tplus_factor
+        r = svd.rank
+        sigma, vh = svd.s[:r], svd.vh[:r]
+        x = svd.range.basis
+        yh = sigma[:, None] * vh
+        exponent = math.frexp(sigma[0])[1] if r else 0
+        sx, yht = s @ x, yh @ t
+        w = vh @ sx
+        scale, s_prime = np.ldexp(sigma, -exponent), np.ldexp(1.0, exponent) * w
+        tail = svd.s[r] if r < len(svd.s) else 0.0
+        rounding = SCREEN_SLACK * math.sqrt(r) * (sigma[0] if r else 0.0)
+        widened = self.st_norm + frobenius_norms(s[None])[0] * (tail + rounding)
+        return RankCoordinates(
+            x=x, yh=yh, k=sigma[:, None] * w, tx=t @ x, sx=sx, yht=yht, yhs=yh @ s,
+            yhtx=yht @ x, scale=scale, s_prime=s_prime,
+            # s' M(0) scales the columns of s', with the bits of the product
+            st_bound=min(widened, frobenius_norms((s_prime * scale)[None])[0]),
+        )
 
 
 def build_family(p: Pencil, g: GenInverse) -> ResolventFamily:
@@ -198,18 +317,35 @@ def _require_in_radius(f: ResolventFamily, lam: complex) -> None:
         )
 
 
-def _evaluate_stack(f: ResolventFamily, lams: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """G(lam) for points inside the disk, by one stacked right-solve against I - lam s tplus."""
-    m = f.pencil.shape[0]
-    eye = np.eye(m, dtype=np.complex128)
-    return solve_right_stack(eye - lams[:, None, None] * f.st_plus, f.g.tplus, tol)
+def _solves(c: RankCoordinates, lams: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """N(lam) = (I_r - lam K)^-1 at points inside the disk, by one stacked solve."""
+    eye = np.eye(len(c.k), dtype=np.complex128)
+    return solve_stack(eye - lams[:, None, None] * c.k, eye, tol)
+
+
+def _inner_deviations(
+    c: RankCoordinates, lams: np.ndarray, n: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """A G A - A = (A X) N (Y^H A) - A for the stack a of A = t - lam s at lams."""
+    lam = lams[:, None, None]
+    deviations = (c.tx - lam * c.sx) @ n @ (c.yht - lam * c.yhs)
+    deviations -= a
+    return deviations
+
+
+def _outer_deviations(
+    c: RankCoordinates, lams: np.ndarray, n: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """(N B N - N) 2^-e Sigma_r = N (B M) - M, B = Y^H t X - lam K, for M = 2^-e N Sigma_r."""
+    return n @ ((c.yhtx - lams[:, None, None] * c.k) @ m) - m
 
 
 def evaluate(f: ResolventFamily, lam: complex, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """G(lam) by a direct solve against (I - lam s tplus); G(0) is tplus."""
+    """G(lam) = X (I_r - lam K)^-1 Y^H (:class:`RankCoordinates`); G(0) is X Y^H."""
     lam = complex(lam)
     _require_in_radius(f, lam)
-    return _evaluate_stack(f, np.array([lam]), tol)[0]
+    c = f.coordinates
+    return c.x @ _solves(c, np.array([lam]), tol)[0] @ c.yh
 
 
 @dataclass(frozen=True)
@@ -229,7 +365,8 @@ class ResolventAxiomReport:
         residual_tol; "exact" when some bound exceeded it and that axiom's
         largest value is its exact maximum
     max_identity_residual: the resolvent-identity value the verdict was
-        decided on, relative to ||tplus||_2: at most residual_tol, it is at
+        decided on, relative to ||tplus||_2, in rank-r coordinates
+        (:class:`RankCoordinates`): at most residual_tol, it is at
         least the residual of every ordered pair of usable points; above
         it, the exact residual of worst_pair
     identity_method: as :func:`identity.decide_identity` decided it:
@@ -262,15 +399,23 @@ def check_resolvent_axioms(
 ) -> ResolventAxiomReport:
     """Verify both inverse axioms at every grid point and the identity on every pair.
 
-    Chunk by chunk of the grid, G(lam) comes from one stacked solve and each
-    axiom residual from O(mn) norm bounds: an upper bound where it meets
-    residual_tol, a certified lower bound where that fails it, and the exact
-    norm only where neither decides (:func:`linalg.bounded_residuals`).
-    Where an axiom's largest upper bound exceeds residual_tol, its exact
-    maximum is taken by :func:`linalg.decided_maximum`, one point at a time
-    and only at the points whose bound can reach it. The identity is decided by
-    :func:`identity.decide_identity` on the kept family, whose member at
-    lam = 0 is tplus itself: on the bound of every ordered pair where it
+    Runs in the rank-r coordinates of the family (:class:`RankCoordinates`),
+    whose docstring shows why each reduced norm is the norm of the m x n
+    quantity within NORM_BOUND_SLACK: no m x m system is solved and no
+    n x m G(lam) is formed. Chunk by chunk of the grid, N(lam) comes from
+    one stacked r x r solve, the inner deviation (A X) N (Y^H A) - A from
+    affine factors, and the outer one, r x r, from N and
+    M = 2^-e N Sigma_r. Each axiom residual is decided from O(mn) norm
+    bounds: an upper bound where it meets residual_tol, a certified lower
+    bound where that fails it, and the exact norm only where neither
+    decides (:func:`linalg.bounded_residuals`). Where an axiom's largest
+    upper bound exceeds residual_tol, its exact maximum is taken by
+    :func:`linalg.decided_maximum`, one point at a time and only at the
+    points whose bound can reach it, each deviation rebuilt by the
+    operations of the stage, so it has the stage's bits. The identity is
+    decided by :func:`identity.decide_identity` on the r x r family M with
+    s' = 2^e V_r^H S X, whose member at lam = 0 is 2^-e Sigma_r, and with
+    st_bound for ||s' M(0)||_2: on the bound of every ordered pair where it
     meets residual_tol, and otherwise on exact residuals, of the pairs
     through lam = 0 and then of every pair the bound leaves undecided, so no
     verdict turns false on the bound's slack and none rests on a sample.
@@ -283,32 +428,39 @@ def check_resolvent_axioms(
         else:
             skipped.append(lam)
     lams = np.array(usable, dtype=np.complex128)
+    c = f.coordinates
+    measure = partial(bounded_residuals, limit=tol.residual_tol)
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
-        g = _evaluate_stack(f, lams[part], tol)
-        inner, outer, _ = inverse_residuals(a, g, partial(bounded_residuals, limit=tol.residual_tol))
-        return (g, *inner, *outer)
+        n = _solves(c, lams[part], tol)
+        inner = measure(_inner_deviations(c, lams[part], n, a), a)
+        m = n * c.scale
+        outer = measure(_outer_deviations(c, lams[part], n, m), m)
+        return (n, m, *inner, *outer)
 
     def exact(axiom: int, decided: np.ndarray, known: np.ndarray, k: int) -> float:
-        """The exact residual of one axiom at point k, by the operations of
-        :func:`geninv.inverse_residuals`, so it has the stage's bits."""
+        """The exact residual of one axiom at point k, from a deviation
+        rebuilt as the stage built it, so it has the stage's bits."""
         if not known[k]:
-            a, g = pencil_values(f.pencil.t, f.pencil.s, lams[k : k + 1]), values[k : k + 1]
-            ga = g @ a
-            pair = (a @ ga - a, a) if axiom == 0 else (ga @ g - g, g)
+            part = slice(k, k + 1)
+            if axiom == 0:
+                a = pencil_values(f.pencil.t, f.pencil.s, lams[part])
+                pair = (_inner_deviations(c, lams[part], solves[part], a), a)
+            else:
+                pair = (_outer_deviations(c, lams[part], solves[part], values[part]), values[part])
             decided[k], known[k] = relative_residuals(*pair)[0], True
         return float(decided[k])
 
-    # per point: t - lam s, G, G (t - lam s), one deviation, and the norm
-    # bounds' scaled copy and its squares, with the copy of failing
-    # deviations the lower bound takes; the solve's I - lam s tplus and its
-    # full-rank screen (linalg.SCREEN_LIVE more) are freed before the
-    # residuals are built
-    values, *axioms = chunked_stage(f.pencil.t, f.pencil.s, lams, 7, stage)
+    # per point: t - lam s, (A X) N, Y^H A and their product, which becomes
+    # the deviation in place, then the norm bounds' squares and the copy of
+    # failing deviations the lower bound takes; A X is freed once (A X) N is
+    # formed; N and M are r x r, and the r x r solve with its screen and
+    # the outer deviation are formed while no inner deviation is held
+    solves, values, *axioms = chunked_stage(f.pencil.t, f.pencil.s, lams, 5, stage)
     methods = [decided_maximum(bounds, tol.residual_tol, partial(exact, axiom, decided, known))[1]
                for axiom, (decided, bounds, known) in enumerate((axioms[:3], axioms[3:]))]
     inner, outer = axioms[0], axioms[3]
-    max_identity, method, worst = decide_identity(f.pencil.s, values, lams, tol, f.st_norm)
+    max_identity, method, worst = decide_identity(c.s_prime, values, lams, tol, c.st_bound)
     worst_point = max(inner.tolist() + outer.tolist(), default=0.0)
     ok = not skipped and max(worst_point, max_identity) <= tol.residual_tol
     return ResolventAxiomReport(
@@ -408,7 +560,7 @@ def existence_check(
             "verdicts on or outside it do not certify existence",
             stacklevel=2,
         )
-    coimage = factor(f.g.tplus, tol).coimage.basis
+    coimage = f.tplus_factor.with_cutoff(tol).coimage.basis
     profile, transversal, _, _ = grid_pass(f.pencil, grid.points, tol, f_perp=coimage)
     per_point = tuple(zip(grid.points, transversal.tolist()))
     return ExistenceCertificate(
@@ -479,7 +631,7 @@ def direct_sum_criteria(
 ) -> DirectSumReport:
     """Check both splittings induced by the inverse of the family f at every
     sampled point of its pencil."""
-    tplus_factor = factor(f.g.tplus, tol)
+    tplus_factor = f.tplus_factor.with_cutoff(tol)
     return _direct_sums(f.pencil, grid, tol, tplus_factor.range.basis, tplus_factor.coimage.basis)
 
 

@@ -24,6 +24,8 @@ module, against the package of the base commit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from genresolvent import (
@@ -209,6 +211,36 @@ def reference_identity_max(s, scale, values, points, pairs):
         if res > best:
             best, worst = res, (i, j)
     return best, worst
+
+
+def rank_coordinates(f: ResolventFamily) -> dict:
+    """The family's rank-r coordinates (``resolvent.RankCoordinates``), rebuilt
+    with plain numpy from one SVD of tplus, at the rank its inverse was built
+    with less its exactly zero singular values, by the package's operations,
+    so that each array has the package's bits."""
+    t, s = f.pencil.t, f.pencil.s
+    u, values, vh = np.linalg.svd(np.array(f.g.tplus, dtype=np.complex128, order="C"))
+    r = int(np.count_nonzero(values[: f.g.rank]))
+    sigma, vh = values[:r], vh[:r]
+    x = np.array(u[:, :r], order="C")
+    yh = sigma[:, None] * vh
+    exponent = math.frexp(sigma[0])[1] if r else 0
+    sx, yht = s @ x, yh @ t
+    w = vh @ sx
+    return {"x": x, "yh": yh, "k": sigma[:, None] * w, "tx": t @ x, "sx": sx, "yht": yht,
+            "yhs": yh @ s, "yhtx": yht @ x, "scale": np.ldexp(sigma, -exponent),
+            "s_prime": np.ldexp(1.0, exponent) * w}
+
+
+def rank_point(c: dict, lam: complex, a: np.ndarray):
+    """N = (I_r - lam K)^-1 by one solve, M = 2^-e N Sigma_r, and the inner
+    and outer deviations (A X) N (Y^H A) - A and N (B M) - M,
+    B = Y^H t X - lam K, at one point, where a is t - lam s."""
+    eye = np.eye(len(c["k"]), dtype=np.complex128)
+    n = np.linalg.solve(eye - lam * c["k"], eye)
+    m = n * c["scale"]
+    inner = (c["tx"] - lam * c["sx"]) @ n @ (c["yht"] - lam * c["yhs"]) - a
+    return n, m, inner, n @ ((c["yhtx"] - lam * c["k"]) @ m) - m
 
 
 def span(*columns) -> SubspaceBasis:

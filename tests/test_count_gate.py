@@ -56,8 +56,11 @@ from helpers import (
     normal_pencil,
     off_lattice,
     perturbation_instance,
+    generic_full_pencil,
     random_complements,
     random_rank_matrix,
+    rank_coordinates,
+    rank_point,
 )
 
 
@@ -333,9 +336,12 @@ def test_passing_commands_bound_no_per_point_stack_by_a_gram(monkeypatch, tmp_pa
                                                              n, seed):
     """Every per-point residual of a passing analyze and mp-check is bounded
     in O(mn) work: norm_upper_bounds, which forms a Gram matrix, bounds only
-    the fixed s and tplus of the identity's bound."""
+    the fixed s and G_0 of the identity's bound: analyze's s' and
+    M(0) = 2^-e Sigma_r in rank-r coordinates, mp-check's s and t^+."""
     p = framed_pencil(np.random.default_rng(seed), n, n, n // 2)
-    tplus = mp_inverse(p.t).tplus
+    g = mp_inverse(p.t)
+    c = rank_coordinates(build_family(p, g))
+    fixed = {"analyze": (c["s_prime"], np.diag(c["scale"])), "mp-check": (p.s, g.tplus)}
     operands = []
     for module in (linalg, identity):
         def recording(stack, upper=module.norm_upper_bounds):
@@ -348,7 +354,7 @@ def test_passing_commands_bound_no_per_point_stack_by_a_gram(monkeypatch, tmp_pa
         assert main([command, *paths]) == 0
         capsys.readouterr()
         assert operands
-        assert all(len(a) == 1 and (np.array_equal(a[0], p.s) or np.array_equal(a[0], tplus))
+        assert all(len(a) == 1 and any(np.array_equal(a[0], b) for b in fixed[command])
                    for a in operands), command
 
 
@@ -374,15 +380,62 @@ def test_failing_analyze_takes_exact_norms_only_where_a_bound_reaches_the_maximu
     exact = [k for scale in scales for k, lam in enumerate(lams) if np.array_equal(scale, p.at(lam))]
     assert len(exact) == len(scales)
     bounds, residuals = [], []
+    c = rank_coordinates(family)
     for lam in lams:
         a = p.at(lam)
-        ga = np.linalg.solve((np.eye(50) - lam * family.st_plus).T, g.tplus.T).T @ a
-        bounds.append(linalg.residual_bounds((a @ ga - a)[None], a[None])[0])
-        residuals.append(linalg.relative_residuals((a @ ga - a)[None], a[None])[0])
+        deviation = rank_point(c, lam, a)[2]
+        bounds.append(linalg.residual_bounds(deviation[None], a[None])[0])
+        residuals.append(linalg.relative_residuals(deviation[None], a[None])[0])
     assert sum(r > 1e-10 for r in residuals) == 24
-    assert axioms["max_inner_residual"] == pytest.approx(max(residuals), rel=1e-12)
+    assert axioms["max_inner_residual"] == max(residuals)
     assert sorted(exact) == [k for k, b in enumerate(bounds) if b >= max(residuals)]
     assert len(exact) == 5
+
+
+@pytest.mark.parametrize("make,r", [
+    pytest.param(lambda: framed_pencil(np.random.default_rng(1), 50, 50, 25), 25, id="rank-25"),
+    pytest.param(lambda: framed_pencil(np.random.default_rng(1), 50, 50, 25, switched=True), 25,
+                 id="rank-25-switched"),
+    pytest.param(lambda: generic_full_pencil(np.random.default_rng(2), 20, 14), 14, id="full-rank"),
+    pytest.param(lambda: Pencil(np.zeros((3, 4)), np.ones((3, 4))), 0, id="rank-0"),
+])
+def test_the_explicit_family_solves_r_by_r_and_factors_tplus_once(monkeypatch, tmp_path, capsys,
+                                                                  make, r):
+    """Every system the axiom stage solves is r x r, r = rank(tplus), and
+    analyze takes one full SVD of tplus: the family carries it, and
+    existence_check, direct_sum_criteria and the axiom stage all read it.
+    mp-check, which needs only ||s tplus||_2, takes none."""
+    p = make()
+    tplus = mp_inverse(p.t).tplus
+    solved, factored = [], []
+    solve, svd = np.linalg.solve, np.linalg.svd
+
+    def solving(a, b):
+        solved.append(np.shape(a)[-2:])
+        return solve(a, b)
+
+    def factoring(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True) and np.shape(a)[-2:] == tplus.shape:
+            factored.append(np.array_equal(np.reshape(a, tplus.shape), tplus))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", solving)
+    monkeypatch.setattr(np.linalg, "svd", factoring)
+    family = build_family(p, mp_inverse(p.t))
+    grid = default_grid(family.radius / 2, 25)
+    factored.clear()
+    existence_check(family, grid)
+    direct_sum_criteria(family, grid)
+    resolvent.check_resolvent_axioms(family, grid)
+    assert sum(factored) == 1
+    assert len(family.coordinates.k) == r
+    assert solved and set(solved) == {(r, r)} if r else not solved
+    paths = pencil_files(tmp_path, p)
+    for command, count in (("analyze", 1), ("mp-check", 0)):
+        factored.clear()
+        main([command, *paths])
+        capsys.readouterr()
+        assert sum(factored) == count, command
 
 
 def test_mp_exact_stage_forms_one_axiom_per_candidate(monkeypatch):

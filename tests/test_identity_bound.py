@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genresolvent import (
+    DEFAULT_TOL,
     DiskGrid,
     Pencil,
     TolerancePolicy,
@@ -34,12 +35,15 @@ from genresolvent import (
     op_norm2,
 )
 from genresolvent import criteria, identity, resolvent
+from genresolvent.geninv import inverse_residuals
 from genresolvent.linalg import NORM_BOUND_SLACK, NORM_FLOOR, op_norms2
 from helpers import (
     complex_gaussian,
     framed_pencil,
     generic_full_pencil,
     ordered_pairs,
+    rank_coordinates,
+    rank_point,
     reference_identity_max,
     unitary,
 )
@@ -82,19 +86,27 @@ def identity_bound(s, values, lams, st_norm=None) -> float:
 
 
 def recorded(perturb=None):
-    """A patch of resolvent._evaluate_stack that applies perturb(f, lams, g)
-    to each chunk's family, in place, and keeps every chunk it returned."""
+    """A patch of resolvent._solves that applies perturb(c, lams, n) to each
+    chunk's r x r solutions N(lam) = (I_r - lam K)^-1, in place, and keeps
+    every chunk it returned. The explicit family's identity is decided on
+    M(lam) = 2^-e N(lam) Sigma_r with s' (resolvent.RankCoordinates), which
+    :func:`family_values` rebuilds from them."""
     chunks = []
-    evaluate_stack = resolvent._evaluate_stack
+    solves = resolvent._solves
 
-    def evaluating(f, lams, tol):
-        g = np.array(evaluate_stack(f, lams, tol))
+    def solving(c, lams, tol):
+        n = np.array(solves(c, lams, tol))
         if perturb is not None:
-            perturb(f, lams, g)
-        chunks.append(g)
-        return g
+            perturb(c, lams, n)
+        chunks.append(n)
+        return n
 
-    return mock.patch.object(resolvent, "_evaluate_stack", evaluating), chunks
+    return mock.patch.object(resolvent, "_solves", solving), chunks
+
+
+def family_values(family, chunks):
+    """The stack M = 2^-e N Sigma_r of the recorded chunks, as the stage forms it."""
+    return np.concatenate(chunks) * family.coordinates.scale
 
 
 @st.composite
@@ -123,22 +135,22 @@ def test_bound_covers_every_ordered_pair(case):
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(min(family.radius * fraction, 1e6), points)
     rng = np.random.default_rng(seed)
-    norm = op_norm2(family.g.tplus)
+    c = family.coordinates
 
-    def perturb(f, lams, g):
-        g += noise * norm * complex_gaussian(rng, g.shape)
+    def perturb(c, lams, n):
+        # N(0) = I: noise relative to the anchor, as for G(0) = tplus
+        n += noise * complex_gaussian(rng, n.shape)
 
     patch, chunks = recorded(perturb)
     with patch:
         report = check_resolvent_axioms(family, grid, LOOSE)
-    # C-contiguous like the stack the stage keeps (a solve returns a transposed view)
-    values = np.ascontiguousarray(np.concatenate(chunks))
+    values = family_values(family, chunks)
     lams = np.array(report.points, dtype=np.complex128)
     anchor = values[np.flatnonzero(lams == 0)[0]]
     if noise == 0.0:
-        assert np.array_equal(anchor, family.g.tplus)
-    bound = identity_bound(p.s, values, lams, family.st_norm)
-    assert bound >= all_pairs_maximum(p.s, anchor, values, report.points)
+        assert np.array_equal(anchor, np.diag(c.scale))
+    bound = identity_bound(c.s_prime, values, lams, c.st_bound)
+    assert bound >= all_pairs_maximum(c.s_prime, anchor, values, report.points)
     if report.identity_method == "bound":
         assert report.max_identity_residual == bound
         assert report.worst_pair is None
@@ -177,20 +189,23 @@ def test_bound_is_attained_by_aligned_residuals():
     p = Pencil(np.eye(2), (frame * np.array([1.0, -1.0])) @ frame.conj().T)
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(0.5, 25)
-    plus, minus = frame[:, 0], frame[:, 1]
+    c = family.coordinates
+    # the eigenvectors of K = X^H S X, T+ = I being X X^H
+    plus, minus = c.x.conj().T @ frame[:, 0], c.x.conj().T @ frame[:, 1]
     eps = 1e-8
 
-    def align(f, lams, g):
+    def align(c, lams, n):
         for k, lam in enumerate(lams):
             # -1/2 is 0.5 * exp(i pi), off the real axis by a rounding
             if abs(abs(lam) - 0.5) < 1e-12 and abs(lam.imag) < 1e-12:
-                a_inverse = np.linalg.inv(np.eye(2) - lam * f.st_plus)
-                g[k] -= np.sign(lam.real) * eps * np.outer(minus, plus.conj()) @ a_inverse
+                a_inverse = np.linalg.inv(np.eye(2) - lam * c.k)
+                n[k] -= np.sign(lam.real) * eps * np.outer(minus, plus.conj()) @ a_inverse
 
     patch, chunks = recorded(align)
     with patch:
         report = check_resolvent_axioms(family, grid, LOOSE)
-    exact = all_pairs_maximum(p.s, family.g.tplus, np.concatenate(chunks), report.points)
+    values = family_values(family, chunks)
+    exact = all_pairs_maximum(c.s_prime, values[0], values, report.points)
     assert exact == pytest.approx(2 * eps / 0.25, rel=1e-6)
     assert report.identity_method == "bound"
     assert exact <= report.max_identity_residual <= 1.25 * exact
@@ -222,9 +237,9 @@ def test_one_perturbed_member_fails():
     p, family, grid = seeded()
     target = grid.points[11]
 
-    def perturb(f, lams, g):
+    def perturb(c, lams, n):
         for k in np.flatnonzero(lams == target):
-            g[k] += 1e-6 * complex_gaussian(np.random.default_rng(3), g[k].shape)
+            n[k] += 1e-6 * complex_gaussian(np.random.default_rng(3), n[k].shape)
 
     patch, chunks = recorded(perturb)
     with patch:
@@ -241,27 +256,29 @@ def test_tilted_member_fails_on_the_identity_alone():
     """One member replaced by another reflexive generalized inverse of
     t - lam s, G1 A G2 for inner inverses G1 = G + (I - G A) Y and
     G2 = G + Z (I - A G): both axioms still hold there, only the identity
-    fails."""
+    fails. Such a member leaves R(X) and N(Y^H), which every member
+    X N Y^H of the axiom stage keeps, so the tilted family of
+    G(lam) = X N(lam) Y^H is handed to the identity decision itself, with
+    the family's ||s tplus||_2, as mp-check hands it a family of its own."""
     p, family, grid = seeded()
     target = grid.points[5]
     m, n = p.shape
-
-    def tilt(f, lams, g):
-        for k in np.flatnonzero(lams == target):
-            rng = np.random.default_rng(4)
-            a = p.at(target)
-            first = g[k] + (np.eye(n) - g[k] @ a) @ complex_gaussian(rng, (n, m))
-            second = g[k] + complex_gaussian(rng, (n, m)) @ (np.eye(m) - a @ g[k])
-            g[k] = first @ a @ second
-
-    patch, _ = recorded(tilt)
-    with patch:
-        report = check_resolvent_axioms(family, grid)
-    assert max(report.inner_residuals + report.outer_residuals) <= 1e-12
-    assert not report.ok
-    assert report.identity_method == "pairs"
-    assert report.max_identity_residual > 1e-3
-    assert target in report.worst_pair
+    values = np.stack([resolvent.evaluate(family, lam) for lam in grid.points])
+    k = grid.points.index(target)
+    rng = np.random.default_rng(4)
+    a, g = p.at(target), values[k]
+    first = g + (np.eye(n) - g @ a) @ complex_gaussian(rng, (n, m))
+    second = g + complex_gaussian(rng, (n, m)) @ (np.eye(m) - a @ g)
+    values[k] = first @ a @ second
+    inner, outer, _ = inverse_residuals(a[None], values[k : k + 1])
+    assert max(inner[0], outer[0]) <= 1e-12
+    assert check_resolvent_axioms(family, grid).ok
+    lams = np.array(grid.points)
+    value, method, worst = identity.decide_identity(p.s, values, lams, DEFAULT_TOL, family.st_norm)
+    assert not value <= DEFAULT_TOL.residual_tol
+    assert method == "pairs"
+    assert value > 1e-3
+    assert k in worst
 
 
 @pytest.mark.parametrize("switched", [False, True])
@@ -290,13 +307,15 @@ def test_grid_at_the_disk_boundary_takes_the_exact_pairs(switched, points):
     assert report.points == grid.points
     assert report.identity_method == "pairs"
     lams = np.array(grid.points)
-    outside = np.flatnonzero(~(margins_of(lams, family.st_norm) > 0.0))
+    c = family.coordinates
+    outside = np.flatnonzero(~(margins_of(lams, c.st_bound) > 0.0))
     assert len(outside) == (8 if points == 25 else 3)
     undecided = [(i, j) for i, j in ordered_pairs(points) if 0 not in (i, j)
                  and (i in outside or j in outside)]
     assert decided == [ordered_pairs(points, 0), undecided]
-    values = [resolvent.evaluate(family, lam) for lam in grid.points]
-    best, _ = reference_identity_max(p.s, family.g.tplus, values, grid.points, ordered_pairs(points))
+    reference = rank_coordinates(family)
+    values = [rank_point(reference, lam, p.at(lam))[1] for lam in grid.points]
+    best, _ = reference_identity_max(c.s_prime, values[0], values, grid.points, ordered_pairs(points))
     assert best <= report.max_identity_residual <= 1e-10
     assert report.worst_pair is None
 

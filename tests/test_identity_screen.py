@@ -34,7 +34,14 @@ from genresolvent import (
 )
 from genresolvent import DEFAULT_TOL, linalg
 from genresolvent.identity import decide_identity
-from helpers import EXACT, framed_pencil, ordered_pairs, reference_identity_max
+from helpers import (
+    EXACT,
+    framed_pencil,
+    ordered_pairs,
+    rank_coordinates,
+    rank_point,
+    reference_identity_max,
+)
 
 CASES = [
     (m, n, switched, points)
@@ -63,6 +70,13 @@ def reference_axiom_maxima(p, points):
     return best
 
 
+def rank_family(family, points):
+    """s' and the members M(lam) on which the axiom stage decides the
+    identity of analyze's explicit family, point by point."""
+    c = rank_coordinates(family)
+    return c["s_prime"], [rank_point(c, lam, family.pencil.at(lam))[1] for lam in points]
+
+
 def pencil_for(m, n, switched, seed=0):
     rng = np.random.default_rng([seed, m, n, int(switched)])
     return framed_pencil(rng, m, n, min(m, n) - 1, switched=switched)
@@ -76,9 +90,9 @@ def test_axiom_stage_matches_reference(m, n, switched, points):
     p = pencil_for(m, n, switched)
     family = build_family(p, mp_inverse(p.t))
     report = check_resolvent_axioms(family, default_grid(family.radius / 2, points), EXACT)
-    values = [evaluate(family, lam) for lam in report.points]
+    s_prime, values = rank_family(family, report.points)
     best, worst = reference_identity_max(
-        p.s, family.g.tplus, values, report.points, ordered_pairs(len(report.points), 0)
+        s_prime, values[0], values, report.points, ordered_pairs(len(report.points), 0)
     )
     assert report.identity_method == "pairs"
     assert report.max_identity_residual == best
@@ -113,8 +127,8 @@ def test_pairs_the_bound_leaves_undecided_are_decided(m, n, switched, points):
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(family.radius * (1 - 1e-9), points)
     report = check_resolvent_axioms(family, grid)
-    values = [evaluate(family, lam) for lam in grid.points]
-    best, _ = reference_identity_max(p.s, family.g.tplus, values, grid.points, ordered_pairs(points))
+    s_prime, values = rank_family(family, grid.points)
+    best, _ = reference_identity_max(s_prime, values[0], values, grid.points, ordered_pairs(points))
     assert report.identity_method == "pairs"
     assert report.max_identity_residual >= best
     tol = DEFAULT_TOL.residual_tol
@@ -134,10 +148,10 @@ def test_a_pair_away_from_zero_fails_with_the_maximum_over_every_pair(points):
     family = build_family(p, mp_inverse(p.t))
     grid = default_grid(0.3333333, points)
     report = check_resolvent_axioms(family, grid)
-    values = [evaluate(family, lam) for lam in grid.points]
-    zero = reference_identity_max(p.s, family.g.tplus, values, grid.points, ordered_pairs(points, 0))
+    s_prime, values = rank_family(family, grid.points)
+    zero = reference_identity_max(s_prime, values[0], values, grid.points, ordered_pairs(points, 0))
     best, worst = reference_identity_max(
-        p.s, family.g.tplus, values, grid.points, ordered_pairs(points)
+        s_prime, values[0], values, grid.points, ordered_pairs(points)
     )
     assert zero[0] <= DEFAULT_TOL.residual_tol < best
     assert report.identity_method == "pairs"
@@ -155,20 +169,23 @@ def test_chunking_does_not_change_the_result(monkeypatch, switched):
     the same budget."""
     p = pencil_for(5, 4, switched, seed=1)
     family = build_family(p, mp_inverse(p.t))
-    per_pair = 6 * 16 * 4 * 5
+    # the identity is decided on analyze's r x r family, r = 3 here
+    per_pair = 6 * 16 * 3 * 3
     for points in (25, 60):
         grid = default_grid(family.radius / 2, points)
         boundary = default_grid(family.radius * (1 - 1e-9), points)
         lams = np.array(grid.points)
-        values = np.stack([evaluate(family, lam) for lam in grid.points])
-        expected = reference_identity_max(p.s, family.g.tplus, values, grid.points,
+        s_prime, values = rank_family(family, grid.points)
+        values = np.stack(values)
+        assert values.shape[1:] == (3, 3)
+        expected = reference_identity_max(s_prime, values[0], values, grid.points,
                                           ordered_pairs(points, 0))
         worst_pair = (grid.points[expected[1][0]], grid.points[expected[1][1]])
         at_boundary = check_resolvent_axioms(family, boundary)
         budgets = [1, values[0].nbytes] + [k * per_pair for k in (2, 3, 7, 24, 25, 26, 100)]
         for budget in budgets + [linalg.CHUNK_BYTES]:
             monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
-            assert decide_identity(p.s, values, lams, EXACT) == (expected[0], "pairs", expected[1])
+            assert decide_identity(s_prime, values, lams, EXACT) == (expected[0], "pairs", expected[1])
             report = check_resolvent_axioms(family, grid, EXACT)
             assert (report.max_identity_residual, report.worst_pair) == (expected[0], worst_pair)
             assert check_resolvent_axioms(family, boundary) == at_boundary
