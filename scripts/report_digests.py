@@ -24,6 +24,11 @@ Runs ``genresolvent.cli.main`` in-process on
   where the full-rank cover certifies boxes of many points, and on one
   with an eigenvalue at 0 and the rest off the lattice: 0 is the midpoint
   of the region, so the anchor of the cover's first box is singular;
+* ``spectrum --steps 61`` on a wide 8 x 12 and a tall 12 x 8 framed pencil
+  of full rank, whose cover forms the Gram of the smaller side from the
+  expansion with t0^H and s^H and with t0 and s, and on the near pencil
+  shifted by 10^6, over the lattice shifted with it (``--re-min=999997``),
+  where the cover's anchor Grams are expanded about the region's centre;
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
   cut into chunks of 16 and 9 points;
@@ -159,6 +164,11 @@ def spectrum_commands() -> list[list[str]]:
     save_matrix(np.eye(20), "spectrum/eye-s.json")
     save_matrix(deficient_t, "spectrum/deficient-t.json")
     save_matrix(deficient_s, "spectrum/deficient-s.json")
+    save_matrix(near + 1e6 * np.eye(20), "spectrum/far-t.json")
+    for name, (m, n) in (("wide", (8, 12)), ("tall", (12, 8))):
+        p = framed_pencil(np.random.default_rng([20, m, n]), m, n, 8)
+        save_matrix(p.t, f"spectrum/{name}-t.json")
+        save_matrix(p.s, f"spectrum/{name}-s.json")
     scan = ["--steps", "21"]
     return [
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan],
@@ -168,6 +178,10 @@ def spectrum_commands() -> list[list[str]]:
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", "--steps", "61"],
         ["spectrum", "spectrum/near-t.json", "spectrum/eye-s.json", "--steps", "61"],
         ["spectrum", "spectrum/zero-t.json", "spectrum/eye-s.json", "--steps", "61"],
+        ["spectrum", "spectrum/wide-t.json", "spectrum/wide-s.json", "--steps", "61"],
+        ["spectrum", "spectrum/tall-t.json", "spectrum/tall-s.json", "--steps", "61"],
+        ["spectrum", "spectrum/far-t.json", "spectrum/eye-s.json", "--steps", "61",
+         "--re-min=999997", "--re-max=1000003"],
     ]
 
 

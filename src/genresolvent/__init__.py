@@ -15,7 +15,7 @@ from .criteria import (
     InvertibilityReport,
     MPResolventReport,
     RankConstancyReport,
-    ScanPoint,
+    SpectrumScan,
     finite_rank_criterion,
     generalized_spectrum_scan,
     invertibility_corollary,

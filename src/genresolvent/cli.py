@@ -29,7 +29,7 @@ from .criteria import (
 )
 from .errors import GenResolventError, PerturbationTooLargeError
 from .geninv import mp_inverse
-from .linalg import TolerancePolicy
+from .linalg import TolerancePolicy, factor
 from .matio import file_digest, load_matrix, matrix_payload, report_text, scan_csv
 from .perturbation import perturbed_inverse
 from .resolvent import (
@@ -128,19 +128,21 @@ def _emit(args, inputs: dict, tol: TolerancePolicy, body: dict, exit_code: int,
 
 def _pencil_setup(args):
     """What analyze and mp-check share: the tolerances, the clock's start after
-    loading, the family of the pencil and of T's Moore-Penrose inverse, and
-    the grid."""
+    loading, the family of the pencil and of T's Moore-Penrose inverse, the
+    grid, and the SVD of T that inverse was read off."""
     t = load_matrix(args.t_path)
     s = load_matrix(args.s_path)
     tol = _tolerances(args)
     started = time.perf_counter()
-    family = build_family(Pencil(t, s), mp_inverse(t, tol))
+    t_factor = factor(t, tol)
+    family = build_family(Pencil(t, s), mp_inverse(t, tol, t_factor))
     radius = args.grid_radius if args.grid_radius is not None else family.radius / 2
-    return tol, started, family, default_grid(radius, args.grid_points)
+    return tol, started, family, default_grid(radius, args.grid_points), t_factor
 
 
 def cmd_analyze(args) -> int:
-    tol, started, family, grid = _pencil_setup(args)
+    # T's SVD is dropped here: analyze reads no kernel or range of T
+    tol, started, family, grid = _pencil_setup(args)[:4]
     certificate = existence_check(family, grid, tol)
     axioms = check_resolvent_axioms(family, grid, tol)
     finite_rank = RankConstancyReport(certificate.profile)
@@ -184,8 +186,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mp_check(args) -> int:
-    tol, started, family, grid = _pencil_setup(args)
-    mp = mp_resolvent_characterization(family.pencil, grid, tol, family.st_norm)
+    tol, started, family, grid, t_factor = _pencil_setup(args)
+    mp = mp_resolvent_characterization(family.pencil, grid, tol, family.st_norm, t_factor)
     if mp.constancy_verdict != mp.identity_verdict:
         exit_code = 3
     elif mp.constancy_verdict:

@@ -7,10 +7,12 @@ n - r, equivalently corank m - r) of t - lam*s across the sampled region,
 anchored at lam = 0. :func:`finite_rank_criterion` is therefore also the
 Fredholm and semi-Fredholm criterion; its report exposes the rank,
 nullity and corank verdicts as views of the one rank profile. That profile
-and the spectrum scan read their ranks from :func:`resolvent.grid_pass`,
-which also decides transversality, so
-``RankConstancyReport(existence_check(...).profile)`` is the finite-rank
-report of the same grid without ranking it again. The Moore-Penrose
+reads its ranks from :func:`resolvent.grid_pass`, which also decides
+transversality, so ``RankConstancyReport(existence_check(...).profile)``
+is the finite-rank report of the same grid without ranking it again. The
+spectrum scan reads its ranks straight from :func:`linalg.grid_ranks` and
+keeps them, its points and its drop flags as arrays (:class:`SpectrumScan`),
+so a scan builds no Python object per point until its CSV is written. The Moore-Penrose
 characterization is sharper: the pseudoinverse family (t - lam*s)^+ is
 itself the resolvent exactly when the kernel and range subspaces stay fixed,
 and this module computes both sides of that equivalence independently so the
@@ -19,7 +21,6 @@ agreement is a genuine cross-check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,12 +30,15 @@ from .errors import ShapeMismatchError, SingularSystemError
 from .geninv import mp_axiom_deviations
 from .linalg import (
     DEFAULT_TOL,
+    Factor,
     TolerancePolicy,
     as_matrix,
     chunked_stage,
     decided_maximum,
+    empty_basis,
     factor,
     factors,
+    grid_ranks,
     numerical_rank,
     op_norms2,
     pencil_values,
@@ -137,7 +141,8 @@ class MPResolventReport:
 
 
 def mp_resolvent_characterization(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL, st_norm: float | None = None
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy = DEFAULT_TOL, st_norm: float | None = None,
+    t_factor: Factor | None = None,
 ) -> MPResolventReport:
     """Evaluate both sides of the pseudoinverse-resolvent equivalence.
 
@@ -153,13 +158,16 @@ def mp_resolvent_characterization(
     st_norm, when given, is ||s t^+||_2 for the Moore-Penrose inverse t^+
     of t, as :func:`resolvent.build_family` took it: the norm of s times
     the pseudoinverse at lam = 0, which the identity's bound then does not
-    take again.
+    take again. t_factor, when given, is ``linalg.factor(p.t, tol)``, as the
+    caller took it for :func:`geninv.mp_inverse`: the gaps are read off it,
+    and t is not factored again.
     """
-    return _mp_characterization(p, grid, tol, st_norm)[0]
+    return _mp_characterization(p, grid, tol, st_norm, t_factor)[0]
 
 
 def _mp_characterization(
-    p: Pencil, grid: DiskGrid, tol: TolerancePolicy, st_norm: float | None = None
+    p: Pencil, grid: DiskGrid, tol: TolerancePolicy, st_norm: float | None = None,
+    t_factor: Factor | None = None,
 ) -> tuple[MPResolventReport, np.ndarray]:
     """The report of :func:`mp_resolvent_characterization` and the stack of
     pseudoinverses, one per grid point.
@@ -172,7 +180,7 @@ def _mp_characterization(
     one axiom's D and X from the point's pseudoinverse through the same
     code, so no verdict rests on a bound's slack.
     """
-    t_factor = factor(p.t, tol)
+    t_factor = factor(p.t, tol) if t_factor is None else t_factor
     lams = np.array(grid.points, dtype=np.complex128)
 
     def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -276,12 +284,14 @@ def invertibility_corollary(
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    """One sample of the rank-drop scan: rank of t - lam*s at lam."""
+class SpectrumScan:
+    """The rank-drop scan of t - lam*s over a region, as read-only arrays in
+    the region's order: the points (complex128), the rank of t - lam*s at
+    each (int64) and whether it is a drop point (bool)."""
 
-    lam: complex
-    rank: int
-    is_drop: bool
+    points: np.ndarray
+    ranks: np.ndarray
+    is_drop: np.ndarray
 
 
 def rectangular_region(
@@ -292,38 +302,46 @@ def rectangular_region(
     Each axis is ``numpy.linspace`` of its bounds. Where the width between
     two finite bounds overflows, the axis is that of the halved bounds,
     doubled: scaling by 2 is exact, so it holds the points linspace would
-    give in exact arithmetic up to its own rounding, each finite.
+    give in exact arithmetic up to its own rounding, each finite. Where
+    only the width's last multiple overflows, as from 0 to the largest
+    float, linspace sets that point to its bound, so no point overflows.
     """
     if steps < 1:
         raise ValueError("region needs at least one step per axis")
     for name, bound in (("re_min", re_min), ("re_max", re_max), ("im_min", im_min), ("im_max", im_max)):
         if not math.isfinite(bound):
             raise ValueError(f"region bound {name} must be finite, got {bound!r}")
-    res, ims = (np.linspace(low, high, steps) if math.isfinite(high - low)
-                else 2.0 * np.linspace(low / 2.0, high / 2.0, steps)
-                for low, high in ((float(re_min), float(re_max)), (float(im_min), float(im_max))))
-    return tuple(complex(re, im) for im in ims for re in res)
+    with np.errstate(over="ignore"):
+        res, ims = [np.linspace(low, high, steps) if math.isfinite(high - low)
+                    else 2.0 * np.linspace(low / 2.0, high / 2.0, steps)
+                    for low, high in ((float(re_min), float(re_max)), (float(im_min), float(im_max)))]
+    # parts set apart, not re + 1j * im, which loses the sign of a zero
+    region = np.empty((steps, steps), dtype=np.complex128)
+    region.real, region.imag = res, ims[:, None]
+    return tuple(region.ravel().tolist())
 
 
 def generalized_spectrum_scan(
     p: Pencil, region, tol: TolerancePolicy = DEFAULT_TOL
-) -> list[ScanPoint]:
+) -> SpectrumScan:
     """Rank of t - lam*s over a region; drop points mark the rank-drop locus.
 
     A point is a drop point when its rank falls below the maximum rank seen
     anywhere in the region (the generic value). For a pencil (t, I) with
-    normal t these are exactly the sampled eigenvalues. An empty region or
-    a non-finite point raises ValueError.
+    normal t these are exactly the sampled eigenvalues. The ranks are those
+    of the one rank pass :func:`linalg.grid_ranks`, with no product. An
+    empty region or a non-finite point raises ValueError, naming the first
+    such point.
     """
-    points = [complex(lam) for lam in region]
-    if not points:
+    points = np.fromiter(region, dtype=np.complex128)
+    if not len(points):
         raise ValueError("region is empty")
-    for lam in points:
-        if not cmath.isfinite(lam):
-            raise ValueError(f"scan point {lam} is not finite")
-    ranks = grid_pass(p, points, tol)[0].ranks
-    top = max(ranks)
-    return [
-        ScanPoint(lam=lam, rank=r, is_drop=r < top)
-        for lam, r in zip(points, ranks)
-    ]
+    finite = np.isfinite(points)
+    if not finite.all():
+        raise ValueError(f"scan point {complex(points[np.argmin(finite)])} is not finite")
+    m, n = p.shape
+    ranks = grid_ranks(p.t, p.s, points, empty_basis(n), empty_basis(m), tol)[0]
+    is_drop = ranks < ranks.max()
+    for array in (points, ranks, is_drop):
+        array.setflags(write=False)
+    return SpectrumScan(points, ranks, is_drop)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InvalidComplementError, InvalidInverseError, ShapeMismatchError
 from .linalg import (
     DEFAULT_TOL,
+    Factor,
     SubspaceBasis,
     TolerancePolicy,
     as_matrix,
@@ -202,10 +203,16 @@ def pinv_matrix(t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return factor(t, tol).pinv
 
 
-def mp_inverse(t, tol: TolerancePolicy = DEFAULT_TOL) -> GenInverse:
-    """The Moore-Penrose inverse of t, verified against all axioms."""
+def mp_inverse(
+    t, tol: TolerancePolicy = DEFAULT_TOL, t_factor: Factor | None = None
+) -> GenInverse:
+    """The Moore-Penrose inverse of t, verified against all axioms.
+
+    t_factor, when given, is ``factor(t, tol)`` as the caller took it, so a
+    caller that also reads t's kernel and range factors t once.
+    """
     t = as_matrix(t)
-    t_factor = factor(t, tol)
+    t_factor = factor(t, tol) if t_factor is None else t_factor
     return _checked(t, t_factor.pinv, InverseKind.MOORE_PENROSE, tol, t_factor.rank)
 
 

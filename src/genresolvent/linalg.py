@@ -45,18 +45,22 @@ holds on whole disks, not only at the points: by Weyl's inequality
 (Golub & Van Loan, Cor. 8.6.2) sigma_p(t - lam s) falls by at most
 |lam - mu| ||s||_2 from its value at mu. So :func:`full_rank_cover` proves
 full rank, not marginal, box by box in front of the rank pass: one
-Cholesky factorization at each box's anchor, the midpoint of its bounding
-box, which need not be a sample point, its diagonal lowered by the
-screen's target for every point of the box plus the box's radius about
-the anchor times a bound on ||s||_2 (:func:`norm_upper_bounds` with
+Cholesky factorization of the Gram at each box's anchor, the midpoint of
+its bounding box, which need not be a sample point, its diagonal lowered
+by the screen's target for every point of the box plus the box's radius
+about the anchor times a bound on ||s||_2 (:func:`norm_upper_bounds` with
 COVER_SQUARINGS, no SVD) and the rounding of forming t - lam s at the
-anchor and at the points. A box that fails splits into quadrants, and
-:func:`grid_ranks` ranks only the points no box covers, so every
+points and of the anchor's Gram. A box that fails splits into quadrants,
+and :func:`grid_ranks` ranks only the points no box covers, so every
 eigenvalue of the pencil in the region lies in a box left out, and so
 does every point that is not finite, which the rank pass names.
 The cover starts only where its one-matrix probe, the screen of the first
-point, passes, and it builds its anchors in its own chunk loop, into a
-workspace and Gram array of its own.
+point, passes. It builds no anchor: the Gram of t - x s is a quadratic in
+x, so the cover expands it once about the region's centre mu0 and forms
+each box's Gram from t0 = fl(t - mu0 s), t0^H t0, t0^H s and s^H s in
+O(p^2), chunk by chunk into one Gram array of its own. The centring keeps
+the expansion's rounding on the scale of ||t - lam s|| over the region,
+not of |lam| ||s||.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -80,7 +84,7 @@ point where it is not finite by name, and runs a stage function on each:
 the rank passes of :func:`grid_ranks`, the axiom residuals, the continuity
 probe, the pseudoinverse characterization and the invertibility
 corollary. :func:`full_rank_cover`, which runs before a rank pass without
-a product, builds its anchors in its own chunk loop.
+a product, builds only its probe and its centre.
 The count of the matrices a stage keeps alive per point is the driver's
 one sizing argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
@@ -331,16 +335,17 @@ def _screen_grams(stack: np.ndarray, gram: np.ndarray | None = None):
     H is written into gram, a C-contiguous (k, p, p) array that overlaps no
     input, when given; otherwise it is allocated. The adjoint is allocated
     here and freed before the caller's Cholesky factor is. A Gram that
-    overflows holds inf or nan on its diagonal, which SCREEN_RANGE declines.
+    overflows, or whose diagonal sums past the largest float, holds inf or
+    nan on its diagonal or in its trace, which SCREEN_RANGE declines.
     """
     k, m, n = stack.shape
     adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
-    del adjoint
-    size = gram.shape[1]
-    diagonal = gram.reshape(k, size * size)[:, :: size + 1]
-    return gram, diagonal, diagonal.real.sum(axis=1)
+        del adjoint
+        size = gram.shape[1]
+        diagonal = gram.reshape(k, size * size)[:, :: size + 1]
+        return gram, diagonal, diagonal.real.sum(axis=1)
 
 
 def _in_screen_range(squares: np.ndarray) -> np.ndarray:
@@ -735,69 +740,88 @@ def full_rank_cover(
     and marginal flag is the SVD's.
 
     The cover starts only where its probe, the full-rank screen of the
-    first point alone, passes: on a pencil singular at every lam it costs
-    that one Cholesky factorization. So it certifies some point exactly
-    when the probe passed, the first point among them, and the rank pass
-    of :func:`grid_ranks` after it screens its first chunk on that.
-    Then the finite points are cut into boxes, first their bounding box,
-    then quadrants of it; a point that is not finite starts outside every
-    box, so the rank pass names the first such point. Each box of two
-    points or more is decided by one anchor mu, the midpoint of its
-    bounding box, which need not be a point of lams: Weyl's inequality
-    (Golub & Van Loan, Cor. 8.6.2) compares t - lam s and t - mu s at any
-    two complex numbers, so for lam in the box
+    first point alone, built as the rank pass builds it, passes: on a
+    pencil singular at every lam it costs that one Cholesky factorization.
+    So it certifies some point exactly when the probe passed, the first
+    point among them, and the rank pass of :func:`grid_ranks` after it
+    screens its first chunk on that. Then the finite points are cut into
+    boxes, first their bounding box, then quadrants of it; a point that is
+    not finite starts outside every box, so the rank pass names the first
+    such point. Each box of two points or more is decided at one anchor,
+    the midpoint mu of its bounding box up to rounding, which need not be a
+    point of lams: Weyl's inequality (Golub & Van Loan, Cor. 8.6.2)
+    compares t - lam s and t - nu s at any two complex numbers, so for lam
+    in the box
 
-        sigma_p(fl(t - lam s)) >= sigma_p(fl(t - mu s)) - |lam - mu| beta - e(lam) - e(mu),
+        sigma_p(fl(t - lam s)) >= sigma_p(t - nu s) - |lam - nu| beta - e(lam),
 
     where beta >= ||s||_2 is the Schatten bound of
     :func:`norm_upper_bounds`, and e(x) = 4 EPS (||t||_F + |x| ||s||_F)
-    bounds ||fl(t - x s) - (t - x s)||_2: the complex product rounds within
+    bounds ||fl(t - x s) - (t - x s)||_F: the complex product rounds within
     sqrt(2) EPS |x| |s_ij| and the difference within EPS / 2 of its value,
-    entry by entry. So sigma_p(fl(t - mu s)) >= c, with
+    entry by entry.
 
-        c = radius beta + 2 e_max + ratio F,  F = ||fl(t - mu s)||_F + radius ||s||_F + 2 e_max,
+    No anchor is built: the Gram of t - x s is a quadratic in x, expanded
+    once about the centre mu0, the first box's mu. With t0 = fl(t - mu0 s)
+    and d = fl(mu - mu0), each box's Gram is that of t0 - d s,
 
-    radius the largest |lam - mu| and e_max the largest of e(mu) and every
-    e(lam) in the box, gives every point of the box
-    sigma_p >= ratio ||fl(t - lam s)||_F, F bounding that norm, which is
-    the target of :func:`_full_rank_certified` (ratio is its ratio); and so
-    the SVD's verdict, full rank and not marginal. c, widened by
-    NORM_BOUND_SLACK for its own rounding (and for any underflow in the
-    products, far below c where ||fl(t - mu s)||_F^2 lies in SCREEN_RANGE),
-    is proved at the anchor as the screen proves its target: one Cholesky
-    factorization of the anchor's Gram less (c^2 + kappa ||fl(t - mu s)||_F^2) I,
-    each box its own call. A box whose Cholesky breaks down, or that cannot
-    pass (c^2 p is at least the Gram's trace, or ||t - mu s||_F or some
-    ||t - lam s||_F is near overflow, which also keeps every anchor built
-    here finite), splits into the quadrants of its bounding box. Single
-    points, and a box whose points do not spread over its quadrants, such
-    as repeated points, are left out.
+        H(d) = P - d Q - conj(d) Q^H + |d|^2 R,  P = t0^H t0, Q = t0^H s, R = s^H s,
 
-    Each level's anchors are built in the cover's own chunk loop, sized as
-    a rank pass without a product sizes its chunks, into one workspace, and
-    their Grams written into one array, both allocated once per call.
+    p x p, formed in O(p^2) per box; where m < n the Gram of the smaller
+    side is the same with (t0^H, s^H, conj d). In exact arithmetic
+    t0 - d s = t - nu s + E0 with nu = mu0 + d and ||E0||_F <= e(mu0), and
+    d rounds within EPS |d|, so every point of the box lies within
+    radius = max |lam - mu| + EPS |d| of nu. With N = ||t0||_F + |d| ||s||_F,
+    P, Q and R round within gamma_max(m, n) of their absolute products, and
+    their combination within a few EPS of its terms, whose norms sum to at
+    most N^2: the computed H(d) lies within about (max(m, n) + 8) EPS N^2 of
+    the exact Gram of t0 - d s in 2-norm, and its trace as near
+    ||t0 - d s||_F^2, which kappa N^2 covers. So sigma_p(t0 - d s) >= c, with
+
+        c = radius beta + 2 e_max + ratio F,
+        F = sqrt(tr H(d) + kappa N^2) + radius ||s||_F + 2 e_max,
+
+    e_max the largest of e(mu0) and every e(lam) in the box, gives every
+    point of the box sigma_p(fl(t - lam s)) >= c - e(mu0) - radius beta -
+    e(lam) >= ratio F >= ratio ||fl(t - lam s)||_F, F bounding that norm,
+    which is the target of :func:`_full_rank_certified` (ratio is its
+    ratio); and so the SVD's verdict, full rank and not marginal. c,
+    widened by NORM_BOUND_SLACK for its own rounding, is proved as the
+    screen proves its target: one Cholesky factorization of H(d) less
+    (c^2 + kappa N^2) I, each box its own call, kappa (SCREEN_SLACK)
+    covering the rounding of H(d) and the factorization's backward error.
+    A box whose Cholesky breaks down, or that cannot pass (c^2 p is at
+    least tr H(d), tr H(d) lies outside SCREEN_RANGE, or ||t - x s||_F is
+    near overflow at x = mu0, mu or some lam of the box, which also keeps
+    t0 and every term of H(d) finite), splits into the quadrants of its
+    bounding box. Where ||t0||_F^2 or ||s||_F^2 is neither zero nor inside
+    SCREEN_RANGE, so that P, Q or R could lose more than kappa N^2 to
+    underflow, the cover certifies only its probe. Single points, and a box
+    whose points do not spread over its quadrants, such as repeated
+    points, are left out.
+
+    Each level's Grams are written, chunk by chunk, into one array
+    allocated once per call, and each chunk's diagonals are shifted in one
+    operation.
     """
     k = len(lams)
     m, n = t.shape
     p = min(m, n)
     certified = np.zeros(k, dtype=bool)
-    point_bytes = (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2
-    length = min(k, _chunk_length(point_bytes))
-    work = np.empty(length * m * n, dtype=np.complex128)
-    grams = np.empty((length, p, p), dtype=np.complex128)
-
-    def build(points: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = work[: len(points) * m * n].reshape(len(points), m, n)
-            return pencil_values(t, s, points, out)
-
-    if not (p and _full_rank_certified(build(lams[:1]), tol, grams[:1])):
+    with np.errstate(over="ignore", invalid="ignore"):
+        probe = pencil_values(t, s, lams[:1])
+    if not (p and _full_rank_certified(probe, tol)):
         return certified
     certified[0] = True
     ratio = _screen_ratio((m, n), tol)
     widen = 1.0 + NORM_BOUND_SLACK
     t_norm, s_norm = frobenius_norms(np.stack([t, s])) * widen
     beta = norm_upper_bounds(s[None], COVER_SQUARINGS)[0]
+    # chunks as long as the rank pass's: per box, the Gram and the two terms
+    # of its expansion formed beside it, and one Cholesky factor at a time
+    point_bytes = (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2
+    grams = np.empty((min(k, _chunk_length(point_bytes)), p, p), dtype=np.complex128)
+    terms = None
     # the box of each point at this level, -1 once certified or left out;
     # a point that is not finite is left out from the start
     box, count = np.where(np.isfinite(lams), 0, -1), 1
@@ -807,26 +831,50 @@ def full_rank_cover(
             z, at = lams[points], box[points]
             sizes = np.bincount(at, minlength=count)
             # the midpoint of each box's bounding box
-            centre = [_per_box(np.minimum, np.inf, at, part, count) / 2
+            middle = [_per_box(np.minimum, np.inf, at, part, count) / 2
                       + _per_box(np.maximum, -np.inf, at, part, count) / 2
                       for part in (z.real, z.imag)]
-            mu = centre[0] + 1j * centre[1]
-            radius = _per_box(np.maximum, 0.0, at, np.abs(z - mu[at]), count)
-            # the largest of |mu| and every |lam| of the box
-            reach = t_norm + _per_box(np.maximum, np.abs(mu), at, np.abs(z), count) * s_norm
+            mu = middle[0] + 1j * middle[1]
+            if terms is None:
+                # P, Q and R of the expansion about the centre, the first box's mu
+                centre = mu
+                t0 = pencil_values(t, s, centre)[0]
+                squares = _squared_norms(np.stack([t0, s]))
+                if not np.all((squares == 0.0) | _in_screen_range(squares)):
+                    break
+                t0_norm = np.sqrt(squares[0]) * widen
+                # x and y tall, so that x^H x is the Gram of the smaller side
+                x, y = (t0, s) if m >= n else (t0.conj().T, s.conj().T)
+                xh = np.conjugate(x.T)
+                terms = xh @ x, xh @ y, np.conjugate(y.T) @ y
+            # a wide pencil expands t0^H - conj(d) s^H
+            d = mu - centre if m >= n else np.conjugate(mu - centre)
+            radius = _per_box(np.maximum, 0.0, at, np.abs(z - mu[at]), count) + EPS * np.abs(d)
+            # the largest of |mu0|, |mu| and every |lam| of the box
+            reach = t_norm + _per_box(np.maximum, np.maximum(np.abs(mu), np.abs(centre)),
+                                      at, np.abs(z), count) * s_norm
             rounding = 4.0 * EPS * reach
-            # c less ratio ||fl(t - mu s)||_F, and a bound on that norm
+            # c less ratio sqrt(tr H(d) + kappa N^2), and a bound on ||fl(t - mu s)||_F
             base = radius * beta + 2.0 * rounding + ratio * (radius * s_norm + 2.0 * rounding)
             anchor_norm = t_norm + np.abs(mu) * s_norm + rounding
             eligible = np.flatnonzero((sizes > 1) & (reach < SCREEN_RANGE[1] ** 0.5)
                                       & (base * base * p < anchor_norm * anchor_norm))
             passed = np.zeros(count, dtype=bool)
+            tt, ts, ss = terms
             for part in chunks(len(eligible), point_bytes):
                 boxes = eligible[part]
-                gram, diagonal, squares = _screen_grams(build(mu[boxes]), grams[: len(boxes)])
-                c = (base[boxes] + ratio * np.sqrt(squares) * widen) * widen
+                shift = d[boxes]
+                # H(d) = P - (d Q + (d Q)^H) + |d|^2 R
+                gram = np.multiply(shift[:, None, None], ts, out=grams[: len(boxes)])
+                gram += np.conjugate(gram.swapaxes(1, 2))
+                np.subtract(tt, gram, out=gram)
+                gram += (shift.real * shift.real + shift.imag * shift.imag)[:, None, None] * ss
+                diagonal = gram.reshape(len(boxes), p * p)[:, :: p + 1]
+                squares = diagonal.real.sum(axis=1)
+                kappa = SCREEN_SLACK * np.square(t0_norm + np.abs(shift) * s_norm)
+                c = (base[boxes] + ratio * np.sqrt(squares + kappa) * widen) * widen
+                diagonal -= (c * c + kappa)[:, None]
                 for i in np.flatnonzero(_in_screen_range(squares) & (c * c * p < squares)).tolist():
-                    diagonal[i] -= c[i] * c[i] + SCREEN_SLACK * squares[i]
                     try:
                         np.linalg.cholesky(gram[i])
                     except np.linalg.LinAlgError:
@@ -835,7 +883,7 @@ def full_rank_cover(
             certified[points[passed[at]]] = True
             # the quadrants of two points or more of each box left, numbered
             # box by box; a box whose points fall in one quadrant is left out
-            keys = 4 * at + (z.real > centre[0][at]) + 2 * (z.imag > centre[1][at])
+            keys = 4 * at + (z.real > middle[0][at]) + 2 * (z.imag > middle[1][at])
             children = np.bincount(keys, minlength=4 * count)
             kept = (children > 1) & (children < np.repeat(sizes, 4)) & np.repeat(~passed, 4)
             box[points] = np.where(kept[keys], np.cumsum(kept)[keys] - 1, -1)
@@ -874,7 +922,7 @@ def chunked_stage(
     and allocated again at every chunk would be returned to the operating
     system and faulted back in each time by a fresh process's allocator.
     Every grid stage of the package, the rank passes of :func:`grid_ranks`
-    among them, runs here; :func:`full_rank_cover` runs its own chunk loop.
+    among them, runs here; :func:`full_rank_cover` builds no chunk of t - lam s.
     With no point no chunk is built and the result is the empty tuple.
     """
     m, n = t.shape

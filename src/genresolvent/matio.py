@@ -133,8 +133,9 @@ def report_text(report: dict) -> str:
 
 
 def scan_csv(scan) -> str:
-    """CSV text of a spectrum scan: the header re,im,rank,is_drop, then one row
-    per point, coordinates as repr of the float (exact round trip)."""
-    rows = ["re,im,rank,is_drop"]
-    rows += [f"{p.lam.real!r},{p.lam.imag!r},{p.rank},{int(p.is_drop)}" for p in scan]
-    return "\n".join(rows) + "\n"
+    """CSV text of a spectrum scan (:class:`criteria.SpectrumScan`): the header
+    re,im,rank,is_drop, then one row per point, coordinates as repr of the
+    float (exact round trip), formatted from the arrays' plain values."""
+    rows = map("{!r},{!r},{},{}".format, scan.points.real.tolist(), scan.points.imag.tolist(),
+               scan.ranks.tolist(), scan.is_drop.astype(np.int64).tolist())
+    return "\n".join(["re,im,rank,is_drop", *rows]) + "\n"

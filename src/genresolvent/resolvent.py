@@ -27,9 +27,9 @@ one residual per point, anchored at the member at lam = 0, and exact
 residuals, first of the pairs through lam = 0 and then of every other pair,
 only where a bound exceeds residual_tol.
 
-Every rank of t - lam*s at sampled points comes from :func:`grid_pass`,
-the rank profile and :func:`linalg.split_verdicts` of the one rank pass
-:func:`linalg.grid_ranks`, which runs the rank kernel
+Every rank of t - lam*s at sampled points comes from the one rank pass
+:func:`linalg.grid_ranks`, here through :func:`grid_pass`, its rank
+profile and :func:`linalg.split_verdicts`; it runs the rank kernel
 :func:`linalg.split_ranks` chunk by chunk; a pass without a product ranks
 only the points :func:`linalg.full_rank_cover` leaves out, every other one
 being proved of full rank, not marginal, box by box. The subspace criteria
@@ -37,8 +37,9 @@ compare the numerical ranks of t - lam*s and of its products with fixed
 orthonormal bases, read off one factorization of tplus or of the
 complements, so no grid point is given a full SVD. The direct sums of an inverse and of
 fixed complements are one check of a pair of bases, with one report,
-:class:`DirectSumReport`. The same pass gives the rank profile and the
-spectrum scan of :mod:`criteria`, and :func:`existence_check` keeps the
+:class:`DirectSumReport`. The same pass gives the rank profile of
+:mod:`criteria` and its spectrum scan, which reads the ranks straight
+from :func:`linalg.grid_ranks`, and :func:`existence_check` keeps the
 profile of the ranks it decided with, so transversality and rank
 constancy on one grid rank each point once.
 

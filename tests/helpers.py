@@ -193,6 +193,14 @@ def off_lattice(rng: np.random.Generator, count: int, extent: float = 3.0,
 EXACT = TolerancePolicy(residual_tol=1e-300)
 
 
+def assert_same_scan(a, b) -> None:
+    """Two spectrum scans hold the same points, bit for bit, and the same
+    ranks and drop flags, of the same dtypes."""
+    assert a.points.dtype == b.points.dtype and a.points.tobytes() == b.points.tobytes()
+    for x, y in ((a.ranks, b.ranks), (a.is_drop, b.is_drop)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def ordered_pairs(count, through=None):
     """Every ordered pair (i, j), i != j, of count points, in row-major order;
     with through, only the pairs of which it is one index."""

@@ -19,10 +19,16 @@ from genresolvent import (
     mp_inverse,
     mp_resolvent_characterization,
     rectangular_region,
+    scan_csv,
 )
-from helpers import framed_pencil
+from helpers import assert_same_scan, framed_pencil
 
 seeds = st.integers(0, 2**32 - 1)
+# region bounds: signed zeros, subnormals, the extremes and any finite float
+bounds = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -1.5e-310, 1e308, -1e308, 1.0, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 CONST = Pencil(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
 BROKEN = Pencil(np.diag([1.0, 0.0]), np.eye(2))
@@ -143,7 +149,7 @@ class TestSpectrumScan:
     def test_diagonal_eigenvalues(self):
         p = Pencil(np.diag([1.0, 2.0]), np.eye(2))
         scan = generalized_spectrum_scan(p, rectangular_region(-3, 3, -3, 3, 61))
-        drops = {point.lam for point in scan if point.is_drop}
+        drops = set(scan.points[scan.is_drop].tolist())
         assert drops == {1.0 + 0.0j, 2.0 + 0.0j}
 
     def test_scan_of_a_pencil_whose_gram_overflows_keeps_its_ranks(self):
@@ -152,8 +158,8 @@ class TestSpectrumScan:
         p = Pencil(np.diag([1.0, 2.0]), np.eye(2))
         region = rectangular_region(-3, 3, -3, 3, 7)
         scaled = generalized_spectrum_scan(Pencil(1e160 * p.t, 1e160 * p.s), region)
-        assert scaled == generalized_spectrum_scan(p, region)
-        assert {point.lam for point in scaled if point.is_drop} == {1.0 + 0.0j, 2.0 + 0.0j}
+        assert_same_scan(scaled, generalized_spectrum_scan(p, region))
+        assert set(scaled.points[scaled.is_drop].tolist()) == {1.0 + 0.0j, 2.0 + 0.0j}
 
     @pytest.mark.xfail(
         strict=True,
@@ -168,18 +174,18 @@ class TestSpectrumScan:
         eigenvalues = (1.03, 2.17)
         p = Pencil(np.diag(eigenvalues), np.eye(2))
         scan = generalized_spectrum_scan(p, rectangular_region(-3, 3, -3, 3, 61))
-        drops = [point.lam for point in scan if point.is_drop]
+        drops = scan.points[scan.is_drop].tolist()
         assert all(any(abs(lam - e) <= 0.1 for lam in drops) for e in eigenvalues)
         assert all(min(abs(lam - e) for e in eigenvalues) <= 0.1 for lam in drops)
 
     def test_constant_rank_pencil_has_no_drops(self):
         scan = generalized_spectrum_scan(CONST, rectangular_region(-2, 2, -2, 2, 21))
-        assert not any(point.is_drop for point in scan)
+        assert not scan.is_drop.any()
 
     def test_nilpotent_drops_only_at_origin(self):
         p = Pencil(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
         scan = generalized_spectrum_scan(p, rectangular_region(-1, 1, -1, 1, 21))
-        drops = {point.lam for point in scan if point.is_drop}
+        drops = set(scan.points[scan.is_drop].tolist())
         assert drops == {0.0 + 0.0j}
 
     def test_empty_region_rejected(self):
@@ -201,6 +207,28 @@ class TestSpectrumScan:
         assert rectangular_region(-1e308, 1e308, 0.0, 1.0, 5)[:5] == (-1e308, -5e307, 0j, 5e307, 1e308)
         assert rectangular_region(0.0, 1.0, 0.0, 1.0, 5) == tuple(
             complex(re, im) for im in np.linspace(0.0, 1.0, 5) for re in np.linspace(0.0, 1.0, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounds, bounds, bounds, bounds, st.integers(1, 4))
+def test_scan_csv_rows_parse_back_to_the_scan(re_min, re_max, im_min, im_max, steps):
+    """Each CSV row holds its point's exact bits, the sign of a zero
+    included, its rank and its drop flag, and reads as the per-row
+    f-string a list of points once formatted."""
+    p = Pencil(np.diag([1.0, 2.0]), np.eye(2))
+    region = rectangular_region(re_min, re_max, im_min, im_max, steps)
+    scan = generalized_spectrum_scan(p, region)
+    assert np.array(region).tobytes() == scan.points.tobytes()
+    header, *rows, last = scan_csv(scan).split("\n")
+    assert (header, last) == ("re,im,rank,is_drop", "")
+    ranks, drops = scan.ranks.tolist(), scan.is_drop.tolist()
+    assert rows == [f"{lam.real!r},{lam.imag!r},{rank},{int(drop)}"
+                    for lam, rank, drop in zip(region, ranks, drops)]
+    fields = [row.split(",") for row in rows]
+    parsed = np.array([[float(re), float(im)] for re, im, _, _ in fields])
+    assert parsed.tobytes() == scan.points.view(np.float64).tobytes()
+    assert [int(rank) for _, _, rank, _ in fields] == ranks
+    assert [flag == "1" for _, _, _, flag in fields] == drops
 
 
 class TestCriterionWeb:

@@ -2,8 +2,9 @@
 
 A point the cover certifies is not ranked, so every rank and marginal flag
 of a product-free grid pass must be the one the pass gives with the cover
-switched off, at every point: the scans compare ScanPoint for ScanPoint and
-the finite-rank profiles compare rank and marginal flag for flag. The
+switched off, at every point: the scans compare their points bit for bit
+and their ranks and drop flags exactly, and the finite-rank profiles
+compare rank and marginal flag for flag. The
 pencils put eigenvalues on lattice points and just off them, keep a rank
 deficiency at every lam, are rectangular, have s = 0, are scaled near
 under- and overflow, or are the Jordan block J_30, whose rank drops far
@@ -27,7 +28,7 @@ from genresolvent import linalg
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.linalg import EPS, SCREEN_LIVE
-from helpers import framed_pencil, normal_pencil, off_lattice, unitary
+from helpers import assert_same_scan, framed_pencil, normal_pencil, off_lattice, unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 LATTICE = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
@@ -43,13 +44,28 @@ def no_cover(t, s, lams, tol):
     return np.zeros(len(lams), dtype=bool)
 
 
-def on_and_off_pencil(scale=1.0):
+def on_and_off_pencil(scale=1.0, shift=0.0):
     """Order 20: one eigenvalue on a lattice point, one 1e-3 off another,
-    the rest off the lattice."""
+    the rest off the lattice; with shift, the eigenvalues of the lattice
+    moved by shift, each computed as the shifted lattice's points are."""
     eigenvalues = np.concatenate([[LATTICE[1234], LATTICE[2500] + 1e-3],
                                   off_lattice(np.random.default_rng(21), 18)])
-    p = normal_pencil(np.random.default_rng(22), eigenvalues)
+    p = normal_pencil(np.random.default_rng(22), eigenvalues + shift)
     return Pencil(p.t * scale, p.s * scale)
+
+
+def mixed_scale_pencil():
+    """Order 20: eigenvalues on, near and off the lattice as above, and 8
+    of modulus 1e3 far outside it, so that ||t - mu0 s||_F is about 100
+    times the region's width times ||s||_F."""
+    far = 1e3 * np.exp(2j * np.pi * np.random.default_rng(31).uniform(size=8))
+    eigenvalues = np.concatenate([[LATTICE[1234], LATTICE[2500] + 1e-3],
+                                  off_lattice(np.random.default_rng(21), 10), far])
+    return normal_pencil(np.random.default_rng(22), eigenvalues)
+
+
+def shifted_lattice(shift):
+    return tuple((np.array(LATTICE) + shift).tolist())
 
 
 def jordan(n, similar=False):
@@ -73,6 +89,10 @@ PENCILS = {
     "on-and-off-lattice": on_and_off_pencil,
     "scaled-1e150": lambda: on_and_off_pencil(1e150),
     "scaled-1e-150": lambda: on_and_off_pencil(1e-150),
+    "shifted-1e4": lambda: on_and_off_pencil(shift=1e4),
+    "shifted-1e6": lambda: on_and_off_pencil(shift=1e6),
+    "mixed-scale": mixed_scale_pencil,
+    "tiny-s": lambda: Pencil(on_and_off_pencil().t, 1e-155 * np.eye(20)),
     "framed-full": lambda: framed_pencil(np.random.default_rng(26), 12, 12, 12),
     "framed-deficient": lambda: framed_pencil(np.random.default_rng(27), 12, 12, 9),
     "framed-switched": lambda: framed_pencil(np.random.default_rng(28), 12, 12, 9, switched=True),
@@ -86,6 +106,8 @@ PENCILS = {
 
 REGIONS = {
     "lattice": lambda: LATTICE,
+    "lattice-1e4": lambda: shifted_lattice(1e4),
+    "lattice-1e6": lambda: shifted_lattice(1e6),
     "unit-square": lambda: rectangular_region(-1.0, 1.0, -1.0, 1.0, 41),
     "single-point": lambda: (LATTICE[1234],),
     "single-row": lambda: LATTICE[1830:1891],
@@ -93,8 +115,9 @@ REGIONS = {
     "unordered": unordered,
 }
 
-# the pencils the cover certifies much of on every region; those whose probe
-# fails, so that the cover stays off, on one row; J_30 on [-1, 1]^2
+# the pencils the cover certifies much of on every region, the shifted ones
+# on their shifted lattice; those whose probe fails, so that the cover stays
+# off, on one row; J_30 on [-1, 1]^2
 CASES = [pytest.param(pencil, region, id=f"{pencil}-{region}")
          for pencil, regions in (
              ("on-and-off-lattice", REGIONS),
@@ -102,6 +125,10 @@ CASES = [pytest.param(pencil, region, id=f"{pencil}-{region}")
              ("wide", ("lattice", "unordered")),
              ("tall", ("lattice", "single-point")),
              ("zero-s", ("lattice", "single-row")),
+             ("shifted-1e4", ("lattice-1e4",)),
+             ("shifted-1e6", ("lattice-1e6",)),
+             ("mixed-scale", ("lattice", "unordered")),
+             ("tiny-s", ("single-row",)),
              ("scaled-1e150", ("single-row",)),
              ("scaled-1e-150", ("single-row",)),
              ("framed-deficient", ("single-row",)),
@@ -128,18 +155,23 @@ def test_cover_gives_the_ranks_of_the_plain_pass(monkeypatch, pencil, region):
     grid = DiskGrid(max(abs(lam) for lam in points) + 1.0, points)
     for tol in (TolerancePolicy(), TolerancePolicy(rank_rtol=1e-3)):
         covered, plain = both_ways(monkeypatch, lambda: generalized_spectrum_scan(p, points, tol))
-        assert covered == plain
+        assert_same_scan(covered, plain)
         covered, plain = both_ways(monkeypatch, lambda: finite_rank_criterion(p, grid, tol).profile)
         assert covered == plain
 
 
 @pytest.mark.parametrize("pencil,least", [("on-and-off-lattice", 0.9), ("framed-full", 0.5),
                                           ("wide", 0.5), ("tall", 0.5), ("zero-s", 1.0),
-                                          ("jordan-30-similar", 0.2)])
+                                          ("jordan-30-similar", 0.2), ("shifted-1e4", 0.9),
+                                          ("shifted-1e6", 0.9), ("mixed-scale", 0.9)])
 def test_cover_certifies_most_points_away_from_the_spectrum(pencil, least):
-    """The comparisons above are not vacuous: the cover decides most points."""
+    """The comparisons above are not vacuous: the cover decides most points.
+    On the shifted lattices it does so only by expanding each anchor's Gram
+    about the region's centre: about 0, the rounding of the expansion is
+    on the scale of |lam|^2 ||s||_F^2, far above the margin."""
     p = PENCILS[pencil]()
-    region = REGIONS["unit-square" if pencil.startswith("jordan") else "lattice"]()
+    region = REGIONS[{"jordan-30-similar": "unit-square", "shifted-1e4": "lattice-1e4",
+                      "shifted-1e6": "lattice-1e6"}.get(pencil, "lattice")]()
     certified = full_rank_cover(p.t, p.s, region)
     # the first point is the probe's
     assert certified[0]
@@ -153,6 +185,16 @@ def test_cover_starts_only_after_its_probe_passes(pencil):
     the one-matrix probe fails, and the cover certifies nothing."""
     p = PENCILS[pencil]()
     assert not full_rank_cover(p.t, p.s, LATTICE).any()
+
+
+def test_cover_certifies_only_its_probe_where_the_expansion_could_underflow():
+    """||s||_F^2 is about 2e-309, neither zero nor inside SCREEN_RANGE, so
+    the products of the centred expansion could lose more than its
+    rounding term to underflow: the cover certifies its probe alone."""
+    p = PENCILS["tiny-s"]()
+    certified = full_rank_cover(p.t, p.s, LATTICE)
+    assert 0.0 < np.vdot(p.s, p.s).real < linalg.SCREEN_RANGE[0]
+    assert certified.tolist() == [True] + [False] * (len(LATTICE) - 1)
 
 
 @st.composite
@@ -185,7 +227,7 @@ def test_cover_agrees_near_eigenvalues(case):
         plain = generalized_spectrum_scan(p, region, tol)
     finally:
         linalg.full_rank_cover = original
-    assert covered == plain
+    assert_same_scan(covered, plain)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,19 +252,22 @@ def test_permuted_points_give_permuted_ranks_bit_for_bit(case, products, seed):
         assert np.array_equal(whole[order], part)
 
 
-def test_cover_and_the_rank_pass_after_it_each_build_into_one_workspace(monkeypatch):
-    """Chunks of two: the cover's probe and every level's anchors are built
-    into one workspace of the cover's, and their Grams written into one
-    array; the rank pass then builds every chunk of the points the cover
-    leaves out, and only those, in their order, into one workspace of its
-    own, and writes the Grams of the chunks it screens into one array."""
+def test_cover_builds_its_probe_and_centre_and_the_rank_pass_builds_into_one_workspace(monkeypatch):
+    """Chunks of two: the cover builds only its probe, the first point, and
+    its centre, the midpoint of the region, and writes every anchor's Gram
+    into one array; the rank pass then builds every chunk of the points
+    the cover leaves out, and only those, in their order, into one
+    workspace of its own, and writes the Grams of the chunks it screens
+    into one array."""
     p = on_and_off_pencil()
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 20 ** 2)
     certified = full_rank_cover(p.t, p.s, LATTICE)
     builds = {"cover": [], "pass": []}
-    grams = {"cover": set(), "pass": set()}
-    built, owners = [], []
+    factored = {"cover": [], "pass": []}
+    grams = set()
+    owners = ["pass"]
     build, screen_grams, cover = linalg.pencil_values, linalg._screen_grams, linalg.full_rank_cover
+    cholesky = np.linalg.cholesky
 
     def covering(*args):
         owners.append("cover")
@@ -232,28 +277,37 @@ def test_cover_and_the_rank_pass_after_it_each_build_into_one_workspace(monkeypa
             owners.append("pass")
 
     def building(t, s, lams, out=None):
-        builds[owners[-1]].append((len(lams), out.__array_interface__["data"][0]))
-        if owners[-1] == "pass":
-            built.extend(lams.tolist())
+        address = None if out is None else out.__array_interface__["data"][0]
+        builds[owners[-1]].append((lams.tolist(), address))
         return build(t, s, lams, out)
 
     def forming(stack, gram=None):
-        grams[owners[-1]].add(gram.__array_interface__["data"][0])
+        if owners[-1] == "pass":
+            grams.add(gram.__array_interface__["data"][0])
         return screen_grams(stack, gram)
+
+    def factoring(a, *args, **kwargs):
+        factored[owners[-1]].append(a)
+        return cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "full_rank_cover", covering)
     monkeypatch.setattr(linalg, "pencil_values", building)
     monkeypatch.setattr(linalg, "_screen_grams", forming)
+    monkeypatch.setattr(np.linalg, "cholesky", factoring)
     scan = generalized_spectrum_scan(p, LATTICE)
     assert certified.mean() > 0.9
+    assert [points for points, _ in builds["cover"]] == [[LATTICE[0]], [0j]]
+    # the probe's Gram is its own; every anchor's is a view of one array
+    anchors = factored["cover"][1:]
+    assert len(anchors) > 100
+    assert len({id(gram.base) for gram in anchors}) == 1
+    assert all(gram.base is not None and gram.base.shape[0] == 2 for gram in anchors)
+    built = [lam for points, _ in builds["pass"] for lam in points]
     assert built == np.array(LATTICE)[~certified].tolist()
-    # the cover's probe first, then chunks of at most two
-    assert builds["cover"][0][0] == 1
-    for owner in ("cover", "pass"):
-        assert max(length for length, _ in builds[owner]) == 2
-        assert len({address for _, address in builds[owner]}) == 1
-        assert len(grams[owner]) == 1
-    assert [point.is_drop for point in scan].count(True) == 1
+    assert max(len(points) for points, _ in builds["pass"]) == 2
+    assert len({address for _, address in builds["pass"]}) == 1
+    assert len(grams) == 1
+    assert np.count_nonzero(scan.is_drop) == 1
 
 
 def test_cover_certifies_no_point_where_the_pencil_overflows():

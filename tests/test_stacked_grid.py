@@ -626,7 +626,7 @@ def test_spectrum_scan_ranks(make, budget):
     p = make()
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 13)
     scan = generalized_spectrum_scan(p, region)
-    assert [point.rank for point in scan] == [rank_marginal(p.at(lam))[0] for lam in region]
+    assert scan.ranks.tolist() == [rank_marginal(p.at(lam))[0] for lam in region]
 
 
 def test_invertibility_reuses_the_characterization(budget):
