@@ -29,6 +29,11 @@ Runs ``genresolvent.cli.main`` in-process on
   expansion with t0^H and s^H and with t0 and s, and on the near pencil
   shifted by 10^6, over the lattice shifted with it (``--re-min=999997``),
   where the cover's anchor Grams are expanded about the region's centre;
+* ``spectrum --steps 61`` on the normal pencil with s = 1e-155 I, and on
+  the normal pencil scaled by 1e-150 over the lattice shifted by 10^4
+  (``--re-min=9997``): the squares of s lie below the normal range, so the
+  cover's expansion loses bits to gradual underflow, which its underflow
+  term covers;
 * ``analyze`` on a framed 64 x 64 pencil, constant and switched support,
   on the default 25-point grid: its rank pass, which forms a product, is
   cut into chunks of 16 and 9 points;
@@ -165,6 +170,9 @@ def spectrum_commands() -> list[list[str]]:
     save_matrix(deficient_t, "spectrum/deficient-t.json")
     save_matrix(deficient_s, "spectrum/deficient-s.json")
     save_matrix(near + 1e6 * np.eye(20), "spectrum/far-t.json")
+    save_matrix(1e-155 * np.eye(20), "spectrum/tiny-s.json")
+    save_matrix(1e-150 * regular, "spectrum/small-t.json")
+    save_matrix(1e-150 * np.eye(20), "spectrum/small-s.json")
     for name, (m, n) in (("wide", (8, 12)), ("tall", (12, 8))):
         p = framed_pencil(np.random.default_rng([20, m, n]), m, n, 8)
         save_matrix(p.t, f"spectrum/{name}-t.json")
@@ -182,6 +190,9 @@ def spectrum_commands() -> list[list[str]]:
         ["spectrum", "spectrum/tall-t.json", "spectrum/tall-s.json", "--steps", "61"],
         ["spectrum", "spectrum/far-t.json", "spectrum/eye-s.json", "--steps", "61",
          "--re-min=999997", "--re-max=1000003"],
+        ["spectrum", "spectrum/normal-t.json", "spectrum/tiny-s.json", "--steps", "61"],
+        ["spectrum", "spectrum/small-t.json", "spectrum/small-s.json", "--steps", "61",
+         "--re-min=9997", "--re-max=10003"],
     ]
 
 

@@ -34,6 +34,7 @@ from .linalg import (
     EPS,
     NORM_BOUND_SLACK,
     NORM_FLOOR,
+    UNDERFLOW,
     TolerancePolicy,
     chunks,
     decided_maximum,
@@ -43,9 +44,6 @@ from .linalg import (
     op_norm2,
     op_norms2,
 )
-
-# The smallest positive double: a product in gradual underflow errs by at most half of it.
-UNDERFLOW = float(np.nextafter(0.0, 1.0))
 
 
 def decide_identity(

@@ -50,17 +50,20 @@ its bounding box, which need not be a sample point, its diagonal lowered
 by the screen's target for every point of the box plus the box's radius
 about the anchor times a bound on ||s||_2 (:func:`norm_upper_bounds` with
 COVER_SQUARINGS, no SVD) and the rounding of forming t - lam s at the
-points and of the anchor's Gram. A box that fails splits into quadrants,
-and :func:`grid_ranks` ranks only the points no box covers, so every
-eigenvalue of the pencil in the region lies in a box left out, and so
-does every point that is not finite, which the rank pass names.
+points and of the anchor's Gram, its gradual underflow included, so one
+test decides every box, however small s is. A box that fails splits into
+quadrants, and :func:`grid_ranks` ranks only the points no box covers,
+so every eigenvalue of the pencil in the region lies in a box left out,
+and so does every point that is not finite, which the rank pass names.
 The cover starts only where its one-matrix probe, the screen of the first
 point, passes. It builds no anchor: the Gram of t - x s is a quadratic in
 x, so the cover expands it once about the region's centre mu0 and forms
 each box's Gram from t0 = fl(t - mu0 s), t0^H t0, t0^H s and s^H s in
 O(p^2), chunk by chunk into one Gram array of its own. The centring keeps
 the expansion's rounding on the scale of ||t - lam s|| over the region,
-not of |lam| ||s||.
+not of |lam| ||s||; what its products lose below the normal range is a
+term of a few max(m, n) p UNDERFLOW in each box's shift, UNDERFLOW the
+constant the identity's bounds take for the same loss.
 
 All functions are pure: inputs are never mutated, so results are safe to
 share across threads. Public single-matrix functions validate their inputs and
@@ -173,6 +176,9 @@ SCREEN_LIVE = 3
 # takes from norm_upper_bounds: the Schatten-128 norm of s, at most
 # min(m, n)^(1/128) times ||s||_2 (3.1% above it at min(m, n) = 50).
 COVER_SQUARINGS = 5
+# The smallest positive double: a product in gradual underflow errs by at most
+# half of it (Higham, Accuracy and Stability of Numerical Algorithms, §2.1).
+UNDERFLOW = float(np.nextafter(0.0, 1.0))
 # Approximate bytes held at once by one stack of per-point matrices and the
 # arrays built from it, so peak memory stays flat in n and grid size.
 CHUNK_BYTES = 2 << 20
@@ -762,8 +768,9 @@ def full_rank_cover(
     entry by entry.
 
     No anchor is built: the Gram of t - x s is a quadratic in x, expanded
-    once about the centre mu0, the first box's mu. With t0 = fl(t - mu0 s)
-    and d = fl(mu - mu0), each box's Gram is that of t0 - d s,
+    once about the centre mu0, the first box's mu to the bit. With
+    t0 = fl(t - mu0 s) and d = fl(mu - mu0), each box's Gram is that of
+    t0 - d s,
 
         H(d) = P - d Q - conj(d) Q^H + |d|^2 R,  P = t0^H t0, Q = t0^H s, R = s^H s,
 
@@ -776,10 +783,22 @@ def full_rank_cover(
     their combination within a few EPS of its terms, whose norms sum to at
     most N^2: the computed H(d) lies within about (max(m, n) + 8) EPS N^2 of
     the exact Gram of t0 - d s in 2-norm, and its trace as near
-    ||t0 - d s||_F^2, which kappa N^2 covers. So sigma_p(t0 - d s) >= c, with
+    ||t0 - d s||_F^2, which kappa N^2 covers. Below the normal range a real
+    product also errs by up to UNDERFLOW / 2 and a sum by nothing (gradual
+    underflow; Higham, Accuracy and Stability of Numerical Algorithms,
+    §2.1): sqrt(2) UNDERFLOW per complex product term, max(m, n) of them in
+    each entry of P, Q and R and a few more in their combination, and
+    UNDERFLOW in fl(|d|^2), which R multiplies. So the 2-norm and the trace
+    of the error of H(d) gain at most
+
+        W = sqrt(2) (max(m, n) + 4) p (1 + |d|)^2 UNDERFLOW + ||s||_F^2 UNDERFLOW,
+
+    each entry's term p times over, however small t0 and s are; the norms
+    in N and W are :func:`frobenius_norms`, which no underflow shrinks. So
+    sigma_p(t0 - d s) >= c, with
 
         c = radius beta + 2 e_max + ratio F,
-        F = sqrt(tr H(d) + kappa N^2) + radius ||s||_F + 2 e_max,
+        F = sqrt(tr H(d) + kappa N^2 + W) + radius ||s||_F + 2 e_max,
 
     e_max the largest of e(mu0) and every e(lam) in the box, gives every
     point of the box sigma_p(fl(t - lam s)) >= c - e(mu0) - radius beta -
@@ -788,17 +807,17 @@ def full_rank_cover(
     ratio); and so the SVD's verdict, full rank and not marginal. c,
     widened by NORM_BOUND_SLACK for its own rounding, is proved as the
     screen proves its target: one Cholesky factorization of H(d) less
-    (c^2 + kappa N^2) I, each box its own call, kappa (SCREEN_SLACK)
+    (c^2 + kappa N^2 + W) I, each box its own call, kappa (SCREEN_SLACK)
     covering the rounding of H(d) and the factorization's backward error.
-    A box whose Cholesky breaks down, or that cannot pass (c^2 p is at
-    least tr H(d), tr H(d) lies outside SCREEN_RANGE, or ||t - x s||_F is
-    near overflow at x = mu0, mu or some lam of the box, which also keeps
-    t0 and every term of H(d) finite), splits into the quadrants of its
-    bounding box. Where ||t0||_F^2 or ||s||_F^2 is neither zero nor inside
-    SCREEN_RANGE, so that P, Q or R could lose more than kappa N^2 to
-    underflow, the cover certifies only its probe. Single points, and a box
-    whose points do not spread over its quadrants, such as repeated
-    points, are left out.
+    A box whose Cholesky breaks down, or that cannot pass, splits into the
+    quadrants of its bounding box. A box cannot pass where c^2 p is at
+    least tr H(d); where tr H(d) lies outside SCREEN_RANGE, which keeps the
+    factorization itself in the normal range; or where ||t - x s||_F is
+    near overflow at x = mu0, mu or some lam of the box, which keeps t0,
+    P, d Q and |d|^2 R finite, while W, infinite where ||s||_F^2 overflows,
+    keeps R finite wherever a box can pass. Single points, and a box whose
+    points do not spread over its quadrants, such as repeated points, are
+    left out.
 
     Each level's Grams are written, chunk by chunk, into one array
     allocated once per call, and each chunk's diagonals are shifted in one
@@ -815,17 +834,27 @@ def full_rank_cover(
     certified[0] = True
     ratio = _screen_ratio((m, n), tol)
     widen = 1.0 + NORM_BOUND_SLACK
-    t_norm, s_norm = frobenius_norms(np.stack([t, s])) * widen
     beta = norm_upper_bounds(s[None], COVER_SQUARINGS)[0]
+    # the first term of W over (1 + |d|)^2
+    underflow = 2.0 ** 0.5 * (max(m, n) + 4) * p * UNDERFLOW
     # chunks as long as the rank pass's: per box, the Gram and the two terms
     # of its expansion formed beside it, and one Cholesky factor at a time
     point_bytes = (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2
     grams = np.empty((min(k, _chunk_length(point_bytes)), p, p), dtype=np.complex128)
-    terms = None
     # the box of each point at this level, -1 once certified or left out;
     # a point that is not finite is left out from the start
     box, count = np.where(np.isfinite(lams), 0, -1), 1
     with np.errstate(over="ignore", invalid="ignore"):
+        # P, Q and R of the expansion about the centre mu0, the midpoint of
+        # the finite points' bounding box as the first level computes it
+        z = lams[box == 0]
+        centre = z.real.min() / 2 + z.real.max() / 2 + 1j * (z.imag.min() / 2 + z.imag.max() / 2)
+        t0 = pencil_values(t, s, np.array([centre]))[0]
+        t_norm, t0_norm, s_norm = frobenius_norms(np.stack([t, t0, s])) * widen
+        # x and y tall, so that x^H x is the Gram of the smaller side
+        x, y = (t0, s) if m >= n else (t0.conj().T, s.conj().T)
+        xh = np.conjugate(x.T)
+        tt, ts, ss = xh @ x, xh @ y, np.conjugate(y.T) @ y
         while count:
             points = np.flatnonzero(box >= 0)
             z, at = lams[points], box[points]
@@ -835,18 +864,6 @@ def full_rank_cover(
                       + _per_box(np.maximum, -np.inf, at, part, count) / 2
                       for part in (z.real, z.imag)]
             mu = middle[0] + 1j * middle[1]
-            if terms is None:
-                # P, Q and R of the expansion about the centre, the first box's mu
-                centre = mu
-                t0 = pencil_values(t, s, centre)[0]
-                squares = _squared_norms(np.stack([t0, s]))
-                if not np.all((squares == 0.0) | _in_screen_range(squares)):
-                    break
-                t0_norm = np.sqrt(squares[0]) * widen
-                # x and y tall, so that x^H x is the Gram of the smaller side
-                x, y = (t0, s) if m >= n else (t0.conj().T, s.conj().T)
-                xh = np.conjugate(x.T)
-                terms = xh @ x, xh @ y, np.conjugate(y.T) @ y
             # a wide pencil expands t0^H - conj(d) s^H
             d = mu - centre if m >= n else np.conjugate(mu - centre)
             radius = _per_box(np.maximum, 0.0, at, np.abs(z - mu[at]), count) + EPS * np.abs(d)
@@ -854,13 +871,10 @@ def full_rank_cover(
             reach = t_norm + _per_box(np.maximum, np.maximum(np.abs(mu), np.abs(centre)),
                                       at, np.abs(z), count) * s_norm
             rounding = 4.0 * EPS * reach
-            # c less ratio sqrt(tr H(d) + kappa N^2), and a bound on ||fl(t - mu s)||_F
+            # c less ratio sqrt(tr H(d) + kappa N^2 + W)
             base = radius * beta + 2.0 * rounding + ratio * (radius * s_norm + 2.0 * rounding)
-            anchor_norm = t_norm + np.abs(mu) * s_norm + rounding
-            eligible = np.flatnonzero((sizes > 1) & (reach < SCREEN_RANGE[1] ** 0.5)
-                                      & (base * base * p < anchor_norm * anchor_norm))
+            eligible = np.flatnonzero((sizes > 1) & (reach < SCREEN_RANGE[1] ** 0.5))
             passed = np.zeros(count, dtype=bool)
-            tt, ts, ss = terms
             for part in chunks(len(eligible), point_bytes):
                 boxes = eligible[part]
                 shift = d[boxes]
@@ -871,9 +885,12 @@ def full_rank_cover(
                 gram += (shift.real * shift.real + shift.imag * shift.imag)[:, None, None] * ss
                 diagonal = gram.reshape(len(boxes), p * p)[:, :: p + 1]
                 squares = diagonal.real.sum(axis=1)
-                kappa = SCREEN_SLACK * np.square(t0_norm + np.abs(shift) * s_norm)
-                c = (base[boxes] + ratio * np.sqrt(squares + kappa) * widen) * widen
-                diagonal -= (c * c + kappa)[:, None]
+                # kappa N^2 + W, (1 + |d|)^2 taken so that it cannot overflow
+                size = np.abs(shift)
+                slack = SCREEN_SLACK * np.square(t0_norm + size * s_norm)
+                slack += underflow * (1.0 + size) * (1.0 + size) + UNDERFLOW * (s_norm * s_norm)
+                c = (base[boxes] + ratio * np.sqrt(squares + slack) * widen) * widen
+                diagonal -= (c * c + slack)[:, None]
                 for i in np.flatnonzero(_in_screen_range(squares) & (c * c * p < squares)).tolist():
                     try:
                         np.linalg.cholesky(gram[i])

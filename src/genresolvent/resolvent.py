@@ -247,8 +247,8 @@ class RankCoordinates:
 class ResolventFamily:
     """Everything needed to evaluate G(lam) = tplus (I - lam s tplus)^-1.
 
-    st_plus = s tplus and st_norm = ||s tplus||_2 give the disk of
-    convergence |lam| < radius. The rest is taken once, on first use, so a
+    st_norm = ||s tplus||_2 gives the disk of convergence |lam| < radius;
+    no product s tplus is kept. The rest is taken once, on first use, so a
     command that only needs the radius takes neither: tplus_factor, the
     full SVD of tplus at rank r, the rank tplus was built with less its
     exactly zero singular values, which :func:`existence_check` and
@@ -261,7 +261,6 @@ class ResolventFamily:
 
     pencil: Pencil
     g: GenInverse
-    st_plus: np.ndarray
     st_norm: float
     radius: float
 
@@ -303,10 +302,9 @@ def build_family(p: Pencil, g: GenInverse) -> ResolventFamily:
     """
     if not np.array_equal(g.t, p.t):
         raise ShapeMismatchError("the inverse was built for a different operator than pencil.t")
-    st_plus = p.s @ g.tplus
-    st_norm = op_norm2(st_plus)
+    st_norm = op_norm2(p.s @ g.tplus)
     radius = min(RADIUS_CAP, 1.0 / st_norm) if st_norm else RADIUS_CAP
-    return ResolventFamily(pencil=p, g=g, st_plus=st_plus, st_norm=st_norm, radius=radius)
+    return ResolventFamily(pencil=p, g=g, st_norm=st_norm, radius=radius)
 
 
 def _require_in_radius(f: ResolventFamily, lam: complex) -> None:

@@ -288,7 +288,7 @@ def evaluate_neumann(f: ResolventFamily, lam: complex, terms: int) -> np.ndarray
     """
     term = f.g.tplus
     total = term.copy()
-    step = complex(lam) * f.st_plus
+    step = complex(lam) * (f.pencil.s @ f.g.tplus)
     for _ in range(terms - 1):
         term = term @ step
         total += term

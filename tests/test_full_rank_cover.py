@@ -128,7 +128,7 @@ CASES = [pytest.param(pencil, region, id=f"{pencil}-{region}")
              ("shifted-1e4", ("lattice-1e4",)),
              ("shifted-1e6", ("lattice-1e6",)),
              ("mixed-scale", ("lattice", "unordered")),
-             ("tiny-s", ("single-row",)),
+             ("tiny-s", ("lattice", "single-row", "unordered")),
              ("scaled-1e150", ("single-row",)),
              ("scaled-1e-150", ("single-row",)),
              ("framed-deficient", ("single-row",)),
@@ -187,14 +187,27 @@ def test_cover_starts_only_after_its_probe_passes(pencil):
     assert not full_rank_cover(p.t, p.s, LATTICE).any()
 
 
-def test_cover_certifies_only_its_probe_where_the_expansion_could_underflow():
-    """||s||_F^2 is about 2e-309, neither zero nor inside SCREEN_RANGE, so
-    the products of the centred expansion could lose more than its
-    rounding term to underflow: the cover certifies its probe alone."""
-    p = PENCILS["tiny-s"]()
-    certified = full_rank_cover(p.t, p.s, LATTICE)
+@pytest.mark.parametrize("pencil,region", [("tiny-s", "lattice"),
+                                           ("scaled-1e-150", "lattice-1e4")])
+def test_cover_certifies_every_point_where_the_expansion_underflows(pencil, region):
+    """||s||_F^2 is about 2e-309 on tiny-s and 2e-299 on the scaled pencil,
+    nonzero but below SCREEN_RANGE, so the products of the centred
+    expansion lose bits to gradual underflow; the underflow term of each
+    box's shift covers them, and every point is certified."""
+    p = PENCILS[pencil]()
     assert 0.0 < np.vdot(p.s, p.s).real < linalg.SCREEN_RANGE[0]
-    assert certified.tolist() == [True] + [False] * (len(LATTICE) - 1)
+    assert full_rank_cover(p.t, p.s, REGIONS[region]()).all()
+
+
+@pytest.mark.parametrize("k", [100, 146, 147, 155, 161, 162, 200])
+def test_cover_certifies_every_point_however_small_s_is(k):
+    """s = 10^-k I beside the order-20 on-and-off t: the pencil's
+    eigenvalues move out by 10^k, so t - lam s has full rank on the whole
+    lattice. From k = 147 the squares of s fall below SCREEN_RANGE, and
+    from k = 162 they underflow to 0 though s is not the zero matrix;
+    either way the cover certifies every point."""
+    p = Pencil(on_and_off_pencil().t, 10.0 ** -k * np.eye(20))
+    assert full_rank_cover(p.t, p.s, LATTICE).all()
 
 
 @st.composite

@@ -90,7 +90,7 @@ class TestGridTypes:
 class TestBuildFamily:
     def test_constant_family_radius_capped(self):
         fam = family_of(CONST)
-        assert not np.any(fam.st_plus)
+        assert not np.any(fam.pencil.s @ fam.g.tplus)
         assert fam.radius == RADIUS_CAP
 
     def test_diagonal_radius(self):

@@ -147,7 +147,7 @@ def singular_message(a, tol=DEFAULT_TOL):
 
 def evaluate(f, lam):
     """G(lam) = tplus (I - lam s tplus)^-1, solved as in the per-point code."""
-    a = np.eye(f.pencil.shape[0], dtype=np.complex128) - lam * f.st_plus
+    a = np.eye(f.pencil.shape[0], dtype=np.complex128) - lam * (f.pencil.s @ f.g.tplus)
     assert singular_message(a.T) is None
     return np.linalg.solve(copy(a.T), copy(f.g.tplus.T)).T
 
