@@ -10,15 +10,15 @@ Runs ``genresolvent.cli.main`` in-process on
   ``--grid-points 60``;
 * each command with one non-default ``--rank-rtol``, ``--residual-tol`` or
   ``--gap-tol``, and each command with ``--out``;
-* ``spectrum --steps 21`` on seeded normal pencils of order 20 that reach
-  both paths of the full-rank screen in ``linalg.grid_ranks``, the one
-  rank pass: one eigenvalue on a lattice point and one off it (the screen
-  certifies every chunk but the one holding the first), the same pencil
-  at ``--rank-rtol 0.5`` (the screen declines every chunk), a pencil
-  rank-deficient everywhere, and one with an eigenvalue on the region's
-  first point, -3 - 3i (the full-rank cover's one-matrix probe declines,
-  so the cover certifies no point, ``grid_ranks`` takes the SVD of its
-  first chunk unscreened and the screen runs again from the next);
+* ``spectrum --steps 21`` on seeded normal pencils of order 20 in front of
+  ``linalg.grid_ranks``, the one rank pass: one eigenvalue on a lattice
+  point and one off it (the full-rank cover certifies every point but the
+  one on the lattice), the same pencil at ``--rank-rtol 0.5`` (the cover certifies no
+  point), a pencil rank-deficient everywhere, one with an eigenvalue on
+  the region's first point, -3 - 3i (the cover's first one-matrix probe
+  declines and its second, of the last point, passes), and one with
+  eigenvalues on both -3 - 3i and 3 + 3i (both probes decline, so the
+  cover certifies no point and every point takes the SVD);
 * ``spectrum --steps 61`` on that normal pencil and on one with an
   eigenvalue on a point of the 61 x 61 lattice and one 1e-3 off another,
   where the full-rank cover certifies boxes of many points, and on one
@@ -158,12 +158,14 @@ def spectrum_commands() -> list[list[str]]:
     support[-1] = 0.0
     deficient_t, deficient_s = (u * (eigenvalues * support)) @ u.conj().T, (u * support) @ u.conj().T
     corner = (u * np.concatenate([[-3.0 - 3.0j], eigenvalues[1:]])) @ u.conj().T
+    corners = (u * np.concatenate([[-3.0 - 3.0j, 3.0 + 3.0j], eigenvalues[2:]])) @ u.conj().T
     fine = np.linspace(-3.0, 3.0, 61)
     near = (u * np.concatenate([[complex(fine[40], fine[25]), complex(fine[20], fine[33]) + 1e-3],
                                 eigenvalues[2:]])) @ u.conj().T
     zero = (u * np.concatenate([[0.0], off_lattice(np.random.default_rng(20), 19)])) @ u.conj().T
     save_matrix(regular, "spectrum/normal-t.json")
     save_matrix(corner, "spectrum/corner-t.json")
+    save_matrix(corners, "spectrum/corners-t.json")
     save_matrix(near, "spectrum/near-t.json")
     save_matrix(zero, "spectrum/zero-t.json")
     save_matrix(np.eye(20), "spectrum/eye-s.json")
@@ -183,6 +185,7 @@ def spectrum_commands() -> list[list[str]]:
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", *scan, "--rank-rtol", "0.5"],
         ["spectrum", "spectrum/deficient-t.json", "spectrum/deficient-s.json", *scan],
         ["spectrum", "spectrum/corner-t.json", "spectrum/eye-s.json", *scan],
+        ["spectrum", "spectrum/corners-t.json", "spectrum/eye-s.json", *scan],
         ["spectrum", "spectrum/normal-t.json", "spectrum/eye-s.json", "--steps", "61"],
         ["spectrum", "spectrum/near-t.json", "spectrum/eye-s.json", "--steps", "61"],
         ["spectrum", "spectrum/zero-t.json", "spectrum/eye-s.json", "--steps", "61"],

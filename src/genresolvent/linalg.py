@@ -16,12 +16,12 @@ and the perturbation splittings are comparisons of those integers
 views with empty bases. :func:`grid_ranks` owns every rank of t - lam s at
 sampled points, for the rank profiles, scans and subspace criteria: it
 runs the kernel chunk by chunk through :func:`chunked_stage`, as every
-other grid stage runs, behind the full-rank cover and screen below.
+other grid stage runs, on the points the full-rank cover below leaves out.
 
 Most matrices a grid pass ranks without a product, and most systems
 :func:`solve_stack` checks, are of full rank by a wide margin, and an SVD
-is the dearest way to show it. So both first run a private full-rank
-screen: one Gram matrix of the smaller side per member, its diagonal
+is the dearest way to show it. A private full-rank screen shows it
+cheaper: one Gram matrix of the smaller side per member, its diagonal
 lowered by a shift that covers the rank cutoff, the factor 10 of the
 marginal rule and every rounding error on the way (SCREEN_SLACK), and one
 batched Cholesky factorization. If it succeeds, the SVD would have given
@@ -30,15 +30,11 @@ down on any member, or some ||A||_F^2 is near under- or overflow, the
 stack takes the SVD path unchanged, which also gives the condition number
 of a singular system. So every rank, marginal flag and singularity
 verdict is the SVD's, and a certified member carries no singular values.
-Ranks with products skip the screen: A's own SVD sets their cutoff. A
-declined screen adds its cost to the SVD's, so :func:`grid_ranks` screens
-a chunk only when the matrices before it were full rank: the first chunk
-when the full-rank cover's one-matrix probe passed, a later one when the
-chunk before held a member of full rank, not marginal. On a pencil
-singular at every lam only that probe is screened. Every chunk of a
-rank pass without a product is sized for the screen's SCREEN_LIVE matrices
-beside each member, screened or not. :func:`split_ranks` itself never
-screens, so a single matrix is always factored.
+:func:`solve_stack` screens every stack it solves, and the cover below
+screens one point alone as its probe; the rank pass itself never
+screens, nor does :func:`split_ranks`, so a matrix the cover leaves out is
+always factored. Ranks with products skip the cover and the screen: A's
+own SVD sets their cutoff.
 
 A grid pass without a product ranks t - lam s at points where full rank
 holds on whole disks, not only at the points: by Weyl's inequality
@@ -51,12 +47,15 @@ by the screen's target for every point of the box plus the box's radius
 about the anchor times a bound on ||s||_2 (:func:`norm_upper_bounds` with
 COVER_SQUARINGS, no SVD) and the rounding of forming t - lam s at the
 points and of the anchor's Gram, its gradual underflow included, so one
-test decides every box, however small s is. A box that fails splits into
-quadrants, and :func:`grid_ranks` ranks only the points no box covers,
-so every eigenvalue of the pencil in the region lies in a box left out,
-and so does every point that is not finite, which the rank pass names.
-The cover starts only where its one-matrix probe, the screen of the first
-point, passes. It builds no anchor: the Gram of t - x s is a quadratic in
+test decides every box, however small s is, and however few its points:
+a single point is a box too, whose radius is a rounding error. A box
+that fails splits into quadrants, and :func:`grid_ranks` ranks only the
+points no box covers, among them every point that is not finite, which
+the rank pass names. A certified box of two points or more proves full
+rank on a disk that holds its points, so no eigenvalue of the pencil lies
+there; a single point's box excludes no area. The cover starts only where
+one of its probes, the screen of the first point alone, else of the
+last, passes. It builds no anchor: the Gram of t - x s is a quadratic in
 x, so the cover expands it once about the region's centre mu0 and forms
 each box's Gram from t0 = fl(t - mu0 s), t0^H t0, t0^H s and s^H s in
 O(p^2), chunk by chunk into one Gram array of its own. The centring keeps
@@ -87,7 +86,7 @@ point where it is not finite by name, and runs a stage function on each:
 the rank passes of :func:`grid_ranks`, the axiom residuals, the continuity
 probe, the pseudoinverse characterization and the invertibility
 corollary. :func:`full_rank_cover`, which runs before a rank pass without
-a product, builds only its probe and its centre.
+a product, builds only its probes and its centre.
 The count of the matrices a stage keeps alive per point is the driver's
 one sizing argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
@@ -333,27 +332,6 @@ def _ranks(s: np.ndarray, shape: tuple[int, ...], tol: TolerancePolicy):
     return np.count_nonzero(s > cutoffs[:, None], axis=1), cutoffs
 
 
-def _screen_grams(stack: np.ndarray, gram: np.ndarray | None = None):
-    """The Gram matrix H of the smaller side of each member of a (k, m, n)
-    stack, its diagonal as a writable view and ||A||_F^2, the real part of
-    its trace, as the full-rank screen takes them.
-
-    H is written into gram, a C-contiguous (k, p, p) array that overlaps no
-    input, when given; otherwise it is allocated. The adjoint is allocated
-    here and freed before the caller's Cholesky factor is. A Gram that
-    overflows, or whose diagonal sums past the largest float, holds inf or
-    nan on its diagonal or in its trace, which SCREEN_RANGE declines.
-    """
-    k, m, n = stack.shape
-    adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(adjoint, stack, out=gram) if n <= m else np.matmul(stack, adjoint, out=gram)
-        del adjoint
-        size = gram.shape[1]
-        diagonal = gram.reshape(k, size * size)[:, :: size + 1]
-        return gram, diagonal, diagonal.real.sum(axis=1)
-
-
 def _in_screen_range(squares: np.ndarray) -> np.ndarray:
     return (squares > SCREEN_RANGE[0]) & (squares < SCREEN_RANGE[1])
 
@@ -363,9 +341,7 @@ def _screen_ratio(shape: tuple[int, ...], tol: TolerancePolicy) -> float:
     return 10.0 * tol.rank_rtol * max(shape[-2:]) * (1.0 + SCREEN_SLACK) + SCREEN_SLACK
 
 
-def _full_rank_certified(
-    stack: np.ndarray, tol: TolerancePolicy, gram: np.ndarray | None = None
-) -> bool:
+def _full_rank_certified(stack: np.ndarray, tol: TolerancePolicy) -> bool:
     """Whether the values-only SVD would give every member A of a (k, m, n)
     stack, min(m, n) > 0, full rank p = min(m, n) with a rank not marginal.
 
@@ -378,13 +354,18 @@ def _full_rank_certified(
     (target^2 + kappa ||A||_F^2) I that runs to completion proves it is at
     least target^2, rounding included (SCREEN_SLACK is delta and kappa).
     False when the factorization breaks down on some member (the batched
-    call raises for the whole stack) or some ||A||_F^2 lies outside
-    SCREEN_RANGE; the caller then takes the SVD.
-
-    The Gram is written into gram when given (see :func:`_screen_grams`);
-    kappa covers its rounding in any order of summation.
+    call raises for the whole stack) or some ||A||_F^2 = tr(H) lies outside
+    SCREEN_RANGE, as where the Gram overflows; the caller then takes the SVD.
+    The adjoint is freed before the Cholesky factor is allocated.
     """
-    gram, diagonal, squares = _screen_grams(stack, gram)
+    k, m, n = stack.shape
+    adjoint = np.conjugate(stack.swapaxes(1, 2), order="C")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(adjoint, stack) if n <= m else np.matmul(stack, adjoint)
+        del adjoint
+        p = gram.shape[1]
+        diagonal = gram.reshape(k, p * p)[:, :: p + 1]
+        squares = diagonal.real.sum(axis=1)
     if not np.all(_in_screen_range(squares)):
         return False
     ratio = _screen_ratio(stack.shape, tol)
@@ -563,14 +544,17 @@ def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its peak, except where the peak is subnormal and the reciprocal could
     overflow: such a matrix is divided by its peak. The scaled stack is
     C-contiguous, whatever the memory order of the input, so it can be
-    viewed as real pairs.
+    viewed as real pairs, and real where the input is.
     """
     peak = np.abs(stack).max(axis=(1, 2))
     scaled = np.multiply(stack, (1.0 / np.maximum(peak, NORM_FLOOR))[:, None, None], order="C")
     if peak.min() < NORM_FLOOR:
-        # real and imaginary parts apart: a complex division takes the reciprocal too
         for k in np.flatnonzero((peak > 0.0) & (peak < NORM_FLOOR)):
-            scaled[k] = stack[k].real / peak[k] + 1j * (stack[k].imag / peak[k])
+            if np.isrealobj(scaled):
+                scaled[k] = stack[k] / peak[k]
+            else:
+                # real and imaginary parts apart: a complex division takes the reciprocal too
+                scaled[k] = stack[k].real / peak[k] + 1j * (stack[k].imag / peak[k])
     return peak, scaled
 
 
@@ -745,15 +729,16 @@ def full_rank_cover(
     pass without a product ranks only the points left out, so each rank
     and marginal flag is the SVD's.
 
-    The cover starts only where its probe, the full-rank screen of the
-    first point alone, built as the rank pass builds it, passes: on a
-    pencil singular at every lam it costs that one Cholesky factorization.
-    So it certifies some point exactly when the probe passed, the first
-    point among them, and the rank pass of :func:`grid_ranks` after it
-    screens its first chunk on that. Then the finite points are cut into
+    The cover starts only where a probe passes: the full-rank screen of the
+    first point alone, built as the rank pass builds it, else that of the
+    last point, the opposite corner of a row-major region or a point of the
+    outer ring of :func:`resolvent.default_grid`. A probe that passes
+    certifies its point, so the cover certifies some point exactly when a
+    probe passed, and on a pencil singular at every lam it costs those two
+    one-matrix Cholesky factorizations. Then the finite points are cut into
     boxes, first their bounding box, then quadrants of it; a point that is
     not finite starts outside every box, so the rank pass names the first
-    such point. Each box of two points or more is decided at one anchor,
+    such point. Each box, of one point or more, is decided at one anchor,
     the midpoint mu of its bounding box up to rounding, which need not be a
     point of lams: Weyl's inequality (Golub & Van Loan, Cor. 8.6.2)
     compares t - lam s and t - nu s at any two complex numbers, so for lam
@@ -815,9 +800,10 @@ def full_rank_cover(
     factorization itself in the normal range; or where ||t - x s||_F is
     near overflow at x = mu0, mu or some lam of the box, which keeps t0,
     P, d Q and |d|^2 R finite, while W, infinite where ||s||_F^2 overflows,
-    keeps R finite wherever a box can pass. Single points, and a box whose
-    points do not spread over its quadrants, such as repeated points, are
-    left out.
+    keeps R finite wherever a box can pass. A single point is a box of
+    radius EPS |d|, which the proof covers unchanged. A box whose points do
+    not spread over its quadrants, such as a single point or repeated
+    points, is left out when it fails.
 
     Each level's Grams are written, chunk by chunk, into one array
     allocated once per call, and each chunk's diagonals are shifted in one
@@ -827,18 +813,23 @@ def full_rank_cover(
     m, n = t.shape
     p = min(m, n)
     certified = np.zeros(k, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        probe = pencil_values(t, s, lams[:1])
-    if not (p and _full_rank_certified(probe, tol)):
+    # the probes: the first point alone, else the last
+    for probe in sorted({0, k - 1}) if k and p else ():
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = pencil_values(t, s, lams[probe : probe + 1])
+        if _full_rank_certified(stack, tol):
+            certified[probe] = True
+            break
+    else:
         return certified
-    certified[0] = True
     ratio = _screen_ratio((m, n), tol)
     widen = 1.0 + NORM_BOUND_SLACK
     beta = norm_upper_bounds(s[None], COVER_SQUARINGS)[0]
     # the first term of W over (1 + |d|)^2
     underflow = 2.0 ** 0.5 * (max(m, n) + 4) * p * UNDERFLOW
-    # chunks as long as the rank pass's: per box, the Gram and the two terms
-    # of its expansion formed beside it, and one Cholesky factor at a time
+    # chunks of boxes sized as a screened stack of m x n matrices: per box,
+    # the Gram and the two terms of its expansion formed beside it, and one
+    # Cholesky factor at a time
     point_bytes = (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2
     grams = np.empty((min(k, _chunk_length(point_bytes)), p, p), dtype=np.complex128)
     # the box of each point at this level, -1 once certified or left out;
@@ -873,7 +864,7 @@ def full_rank_cover(
             rounding = 4.0 * EPS * reach
             # c less ratio sqrt(tr H(d) + kappa N^2 + W)
             base = radius * beta + 2.0 * rounding + ratio * (radius * s_norm + 2.0 * rounding)
-            eligible = np.flatnonzero((sizes > 1) & (reach < SCREEN_RANGE[1] ** 0.5))
+            eligible = np.flatnonzero(reach < SCREEN_RANGE[1] ** 0.5)
             passed = np.zeros(count, dtype=bool)
             for part in chunks(len(eligible), point_bytes):
                 boxes = eligible[part]
@@ -898,11 +889,11 @@ def full_rank_cover(
                         continue
                     passed[boxes[i]] = True
             certified[points[passed[at]]] = True
-            # the quadrants of two points or more of each box left, numbered
-            # box by box; a box whose points fall in one quadrant is left out
+            # the quadrants of each box left that hold a point, numbered box
+            # by box; a box whose points fall in one quadrant is left out
             keys = 4 * at + (z.real > middle[0][at]) + 2 * (z.imag > middle[1][at])
             children = np.bincount(keys, minlength=4 * count)
-            kept = (children > 1) & (children < np.repeat(sizes, 4)) & np.repeat(~passed, 4)
+            kept = (children > 0) & (children < np.repeat(sizes, 4)) & np.repeat(~passed, 4)
             box[points] = np.where(kept[keys], np.cumsum(kept)[keys] - 1, -1)
             count = int(np.count_nonzero(kept))
     return certified
@@ -979,50 +970,21 @@ def grid_ranks(
     lams, in order: the one rank pass of the package.
 
     right and left are the bases of :func:`split_ranks`; an
-    :func:`empty_basis` asks for no product. With a product, the pass is
-    :func:`split_ranks` run by :func:`chunked_stage`, each chunk sized for
-    one matrix per member and one per product, and never screened: A's own
-    SVD sets the products' cutoff. Without one, :func:`full_rank_cover`
-    first proves full rank, not marginal, box by box, and the pass ranks
-    only the points it leaves out, in their order, in chunks sized for
-    SCREEN_LIVE matrices beside each member, screened or not.
-
-    The full-rank screen saves the SVD of a chunk it certifies but adds its
-    Gram and Cholesky to the SVD of one it declines, so it runs on a chunk
-    only when the matrices before suggest it will certify: on the first
-    chunk when the cover certified a point, which is when the cover's
-    one-matrix probe passed, and on each later one when the chunk before
-    held a matrix of full rank and not marginal. So on a pencil singular at
-    every lam the screen never runs after that probe, and on one rank
-    deficient at isolated points it runs on every chunk after one of full
-    rank; either way each rank and marginal flag is the SVD's. Every Gram
-    of the pass is written into one array, allocated at the first chunk
-    screened; only the screen's adjoint and Cholesky factor, and the
-    singular values of an SVD, are allocated per chunk.
+    :func:`empty_basis` asks for no product. The pass is :func:`split_ranks`
+    run by :func:`chunked_stage`, each chunk sized for one matrix per
+    member and one per product, and never screened. With a product it ranks
+    every point: A's own SVD sets the products' cutoff. Without one,
+    :func:`full_rank_cover` first proves full rank, not marginal, box by
+    box, and the pass ranks only the points it leaves out, in their order.
+    With no point to rank, the four arrays are empty.
     """
     products = bool(right.shape[1]) + bool(left.shape[1])
-    if products:
-        return chunked_stage(t, s, lams, 1 + products,
-                             lambda part, a: split_ranks(a, right, left, tol))
-    p = min(t.shape)
-    certified = full_rank_cover(t, s, lams, tol)
-    screen, gram = bool(certified.any()), None
-
-    def stage(part: slice, a: np.ndarray) -> tuple[np.ndarray, ...]:
-        nonlocal screen, gram
-        if screen:
-            # allocated at the first chunk screened: no later chunk is longer
-            gram = np.empty((len(a), p, p), dtype=np.complex128) if gram is None else gram
-            if _full_rank_certified(a, tol, gram[: len(a)]):
-                return _full_rank(len(a), p)
-        split = split_ranks(a, right, left, tol)
-        screen = bool(np.any((split[0] == p) & ~split[3]))
-        return split
-
-    rest = ~certified
-    split = _full_rank(len(lams), p)
-    for joined, ranked in zip(split, chunked_stage(t, s, lams[rest], 1 + SCREEN_LIVE, stage)):
-        joined[rest] = ranked
+    rest = np.ones(len(lams), dtype=bool) if products else ~full_rank_cover(t, s, lams, tol)
+    split = _full_rank(len(lams), min(t.shape))
+    ranked = chunked_stage(t, s, lams[rest], 1 + products,
+                           lambda part, a: split_ranks(a, right, left, tol))
+    for joined, ranks in zip(split, ranked):
+        joined[rest] = ranks
     return split
 
 

@@ -10,15 +10,14 @@ matrices are counted apart, so batching cannot hide work: a call on a
 ``test_svd_count_gate``: rank 3, 25 grid points, constant and switched
 support. Later changes may only lower these bounds. The spectrum scan
 takes its ranks from ``linalg.grid_ranks``, the one rank pass: the
-full-rank cover proves full rank box by box, one Cholesky factorization
-per box, and the pass ranks only the points the cover leaves out, by the
-full-rank screen, factoring only the chunks the screen cannot certify. It
-screens its first chunk only when the cover's one-point probe passed,
-which is when the cover certified a point, and takes no probe of its own:
-on a pencil singular at every lam that probe is the one Cholesky
-factorization, and the scan factors every chunk, each of the screened
-size; after a singular first point the cover certifies nothing and the
-first chunk takes the SVD.
+full-rank cover proves full rank box by box, single points included, one
+Cholesky factorization per box, and the pass takes the SVD of the points
+the cover leaves out, in chunks of one matrix per member, never screened.
+The cover starts when one of its probes passes, the full-rank screen of
+the first point alone, else of the last: on a pencil singular at every
+lam those two are its only Cholesky factorizations, and the scan factors
+every point; a first point that is an eigenvalue leaves the cover to the
+last point's probe, and the scan factors that point alone.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from genresolvent import (
 from genresolvent import criteria, identity, linalg, resolvent
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
-from genresolvent.linalg import SCREEN_LIVE, chunks
+from genresolvent.linalg import chunks
 from helpers import (
     EXACT,
     framed_pencil,
@@ -240,7 +239,7 @@ def test_spectrum_off_the_lattice_takes_no_svd(svds, tmp_path, capsys):
 
 def test_spectrum_off_the_lattice_factors_at_most_a_sixth_of_its_points(svds, choleskys):
     """The cover proves full rank box by box, each box at the midpoint of
-    its bounding box: 432 Cholesky factorizations, of 509 matrices in all,
+    its bounding box: 509 Cholesky factorizations of one matrix each,
     where the screen alone factored every one of the 3721 points, and still
     no SVD."""
     p = normal_pencil(np.random.default_rng(10), off_lattice(np.random.default_rng(11), 50))
@@ -252,47 +251,73 @@ def test_spectrum_off_the_lattice_factors_at_most_a_sixth_of_its_points(svds, ch
     assert sum(choleskys) <= len(region) // 6
 
 
+def test_spectrum_off_the_lattice_is_covered_at_every_point():
+    """Boxes of one point are decided too, so the cover leaves no point of
+    the off-lattice scan to the rank pass."""
+    p = normal_pencil(np.random.default_rng(10), off_lattice(np.random.default_rng(11), 50))
+    region = np.array(rectangular_region(-3.0, 3.0, -3.0, 3.0, 61))
+    assert linalg.full_rank_cover(p.t, p.s, region, linalg.DEFAULT_TOL).all()
+
+
 def test_spectrum_factors_only_the_chunk_with_an_eigenvalue(svds):
     """The rank pass chunks only the points the cover leaves out, and takes
-    one SVD, of the chunk of those that holds the eigenvalue."""
+    one SVD, of the one point that is an eigenvalue."""
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
     on = 1234
     eigenvalues = np.concatenate([[region[on]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
-    certified = linalg.full_rank_cover(p.t, p.s, np.array(region), linalg.DEFAULT_TOL)
-    left = np.flatnonzero(~certified)
-    sizes = [part.stop - part.start
-             for part in chunks(len(left), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)]
-    holding = sizes[np.searchsorted(np.cumsum(sizes), np.searchsorted(left, on), side="right")]
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
     assert svds["all"] == 1
-    assert svds["matrices"] == holding
+    assert svds["matrices"] == 1
     assert np.flatnonzero(scan.is_drop).tolist() == [on]
 
 
-def test_spectrum_screens_again_after_a_singular_first_point(svds):
+def test_spectrum_covers_a_pencil_whose_first_point_is_an_eigenvalue(svds, choleskys):
+    """The first point's probe fails, the last point's passes, and the cover
+    leaves the eigenvalue alone to the rank pass: one SVD of one matrix."""
     region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
     eigenvalues = np.concatenate([[region[0]], off_lattice(np.random.default_rng(12), 49)])
     p = normal_pencil(np.random.default_rng(13), eigenvalues)
-    first = next(chunks(len(region), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)).stop
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
+    assert choleskys[:2] == [1, 1]
     assert svds["all"] == 1
-    assert svds["matrices"] == first
+    assert svds["matrices"] == 1
     assert np.flatnonzero(scan.is_drop).tolist() == [0]
 
 
 @pytest.mark.parametrize("switched", [False, True])
-def test_spectrum_of_a_singular_pencil_screens_one_point(svds, choleskys, switched):
+def test_spectrum_of_a_singular_pencil_screens_its_two_probes(svds, choleskys, switched):
+    """Both probes fail, so the cover certifies nothing and every point takes
+    the SVD, in chunks of one matrix per member."""
     p = framed_pencil(np.random.default_rng(14), 20, 20, 15, switched=switched)
     region = rectangular_region(-2.0, 2.0, -2.0, 2.0, 61)
     reset(svds)
     scan = generalized_spectrum_scan(p, region)
-    assert choleskys == [1]
-    assert svds["all"] == len(list(chunks(len(region), (1 + SCREEN_LIVE) * 16 * max(p.shape) ** 2)))
+    assert choleskys == [1, 1]
+    assert svds["all"] == len(list(chunks(len(region), 16 * max(p.shape) ** 2)))
     assert svds["matrices"] == len(region)
     assert np.count_nonzero(scan.is_drop) == switched
+
+
+def test_spectrum_with_eigenvalues_on_both_probes_ranks_every_point(svds, choleskys):
+    """A regular pencil with eigenvalues on the region's first and last
+    points: both probes fail, the cover certifies nothing, and every point
+    takes the SVD, with the ranks split_ranks gives each point."""
+    region = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
+    eigenvalues = np.concatenate([[region[0], region[-1]],
+                                  off_lattice(np.random.default_rng(12), 48)])
+    p = normal_pencil(np.random.default_rng(13), eigenvalues)
+    lams = np.array(region)
+    reset(svds)
+    scan = generalized_spectrum_scan(p, region)
+    assert choleskys == [1, 1]
+    assert svds["matrices"] == len(region)
+    stack = p.t - lams[:, None, None] * p.s
+    ranks = linalg.split_ranks(stack, linalg.empty_basis(50), linalg.empty_basis(50))[0]
+    assert scan.ranks.tolist() == ranks.tolist()
+    assert np.flatnonzero(scan.is_drop).tolist() == [0, len(region) - 1]
 
 
 def test_analyze_takes_the_norm_of_s_tplus_once(monkeypatch, tmp_path, capsys):

@@ -27,7 +27,8 @@ from genresolvent import DiskGrid, Pencil, TolerancePolicy, finite_rank_criterio
 from genresolvent import linalg
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
-from genresolvent.linalg import EPS, SCREEN_LIVE
+from genresolvent.resolvent import grid_pass
+from genresolvent.linalg import EPS
 from helpers import assert_same_scan, framed_pencil, normal_pencil, off_lattice, unitary
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,7 +183,7 @@ def test_cover_certifies_most_points_away_from_the_spectrum(pencil, least):
                                     "scaled-1e150", "scaled-1e-150"])
 def test_cover_starts_only_after_its_probe_passes(pencil):
     """Rank deficient at every lam, or with ||A||_F^2 outside SCREEN_RANGE:
-    the one-matrix probe fails, and the cover certifies nothing."""
+    both one-matrix probes fail, and the cover certifies nothing."""
     p = PENCILS[pencil]()
     assert not full_rank_cover(p.t, p.s, LATTICE).any()
 
@@ -208,6 +209,12 @@ def test_cover_certifies_every_point_however_small_s_is(k):
     either way the cover certifies every point."""
     p = Pencil(on_and_off_pencil().t, 10.0 ** -k * np.eye(20))
     assert full_rank_cover(p.t, p.s, LATTICE).all()
+
+
+def test_cover_certifies_every_point_beside_a_real_subnormal_s():
+    """s = 1e-323 I as a real array: its norm bound scales it into a real
+    copy, casting no complex value to real, and every point is certified."""
+    assert full_rank_cover(on_and_off_pencil().t, 1e-323 * np.eye(20), LATTICE).all()
 
 
 @st.composite
@@ -248,8 +255,9 @@ def test_cover_agrees_near_eigenvalues(case):
 def test_permuted_points_give_permuted_ranks_bit_for_bit(case, products, seed):
     """Each of the four arrays of grid_ranks, with and without products,
     comes back permuted: the cover's boxes depend on the order of the
-    points only through the first point's probe, and every rank and
-    marginal flag is the SVD's wherever the cover and screen stand in."""
+    points only through its probes, of the first and the last point, and
+    every rank and marginal flag is the SVD's wherever the cover stands
+    in."""
     p, region, tol = case
     rng = np.random.default_rng(seed)
     (m, n), lams = p.shape, np.array(region)
@@ -266,20 +274,18 @@ def test_permuted_points_give_permuted_ranks_bit_for_bit(case, products, seed):
 
 
 def test_cover_builds_its_probe_and_centre_and_the_rank_pass_builds_into_one_workspace(monkeypatch):
-    """Chunks of two: the cover builds only its probe, the first point, and
-    its centre, the midpoint of the region, and writes every anchor's Gram
-    into one array; the rank pass then builds every chunk of the points
-    the cover leaves out, and only those, in their order, into one
-    workspace of its own, and writes the Grams of the chunks it screens
-    into one array."""
-    p = on_and_off_pencil()
-    monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 20 ** 2)
+    """The cover builds only its probe, the first point, and its centre, the
+    midpoint of the region, and writes every anchor's Gram into one array;
+    the rank pass then builds every chunk of the three points the cover
+    leaves out, two to a chunk, and only those, in their order, into one
+    workspace of its own, and factors none by Cholesky."""
+    p = mixed_scale_pencil()
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 16 * 20 ** 2)
     certified = full_rank_cover(p.t, p.s, LATTICE)
     builds = {"cover": [], "pass": []}
     factored = {"cover": [], "pass": []}
-    grams = set()
     owners = ["pass"]
-    build, screen_grams, cover = linalg.pencil_values, linalg._screen_grams, linalg.full_rank_cover
+    build, cover = linalg.pencil_values, linalg.full_rank_cover
     cholesky = np.linalg.cholesky
 
     def covering(*args):
@@ -294,18 +300,12 @@ def test_cover_builds_its_probe_and_centre_and_the_rank_pass_builds_into_one_wor
         builds[owners[-1]].append((lams.tolist(), address))
         return build(t, s, lams, out)
 
-    def forming(stack, gram=None):
-        if owners[-1] == "pass":
-            grams.add(gram.__array_interface__["data"][0])
-        return screen_grams(stack, gram)
-
     def factoring(a, *args, **kwargs):
         factored[owners[-1]].append(a)
         return cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "full_rank_cover", covering)
     monkeypatch.setattr(linalg, "pencil_values", building)
-    monkeypatch.setattr(linalg, "_screen_grams", forming)
     monkeypatch.setattr(np.linalg, "cholesky", factoring)
     scan = generalized_spectrum_scan(p, LATTICE)
     assert certified.mean() > 0.9
@@ -314,12 +314,12 @@ def test_cover_builds_its_probe_and_centre_and_the_rank_pass_builds_into_one_wor
     anchors = factored["cover"][1:]
     assert len(anchors) > 100
     assert len({id(gram.base) for gram in anchors}) == 1
-    assert all(gram.base is not None and gram.base.shape[0] == 2 for gram in anchors)
+    assert all(gram.base is not None for gram in anchors)
     built = [lam for points, _ in builds["pass"] for lam in points]
     assert built == np.array(LATTICE)[~certified].tolist()
-    assert max(len(points) for points, _ in builds["pass"]) == 2
+    assert [len(points) for points, _ in builds["pass"]] == [2, 1]
     assert len({address for _, address in builds["pass"]}) == 1
-    assert len(grams) == 1
+    assert factored["pass"] == []
     assert np.count_nonzero(scan.is_drop) == 1
 
 
@@ -327,11 +327,35 @@ def test_cover_certifies_no_point_where_the_pencil_overflows():
     """t - lam s overflows at lam = -1e308 with s = 10 I: those points stay
     out of the cover, which raises no floating-point warning."""
     lams = np.array(rectangular_region(-1e308, 0.0, -3.0, 3.0, 3))
-    assert not full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams).any()
+    # the first point overflows; the last, 3j, is certified by its own probe
+    certified = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams)
+    assert certified.tolist() == [False] * 8 + [True]
     # from a finite first point the cover starts, and still leaves them out
     certified = full_rank_cover(np.diag([1.0, 2.0]) + 0j, 10.0 * np.eye(2), lams[::-1])
     assert certified[0]
     assert not certified[np.abs(lams[::-1].real) > 1e300].any()
+
+
+@pytest.mark.parametrize("products", ["none", "right"])
+def test_a_rank_pass_over_no_points_returns_empty_arrays(products):
+    """No point: the cover certifies none, the rank pass returns the four
+    empty arrays split_ranks gives an empty stack, and grid_pass an empty
+    profile."""
+    p = PENCILS["framed-full"]()
+    lams = np.array([], dtype=np.complex128)
+    right = linalg.empty_basis(12)
+    if products == "right":
+        right = unitary(np.random.default_rng(32), 12)[:, :3]
+    assert full_rank_cover(p.t, p.s, lams).shape == (0,)
+    split = linalg.grid_ranks(p.t, p.s, lams, right, linalg.empty_basis(12), TolerancePolicy())
+    empty = linalg.split_ranks(np.zeros((0, 12, 12), dtype=np.complex128), right,
+                               linalg.empty_basis(12))
+    assert len(split) == 4
+    for got, want in zip(split, empty, strict=True):
+        assert got.shape == (0,) and got.dtype == want.dtype
+    profile, *verdicts = grid_pass(p, [], TolerancePolicy(), e=right)
+    assert profile.points == profile.ranks == profile.marginal == ()
+    assert all(verdict.shape == (0,) for verdict in verdicts)
 
 
 def test_scan_where_the_pencil_overflows_raises_naming_the_point():

@@ -296,6 +296,14 @@ class TestNorm:
         assert 0.0 < bounds[1] == pytest.approx(lifted, rel=1e-12)
         assert bounds[2] == 0.0
 
+    @pytest.mark.parametrize("bound", [norm_upper_bounds, frobenius_norms])
+    def test_a_real_stack_with_a_subnormal_peak_stays_real(self, bound):
+        """A real stack is scaled into a real copy, with no complex value cast
+        to real on the way (NumPy's ComplexWarning), and bounds as the same
+        stack in complex form does."""
+        stack = (1e-323 * np.eye(3))[None]
+        assert bound(stack)[0] == bound(stack + 0j)[0] > 0.0
+
     def test_bounded_residuals_are_exact_only_where_neither_bound_decides(self):
         """Each member keeps its upper bound where that is at most the limit,
         takes its lower bound where that exceeds the limit, and otherwise its

@@ -5,14 +5,13 @@ and singularity verdict must be the one the values-only SVD would give. The
 stacks here put the smallest singular value at exact rank deficiency, at
 the rank cutoff, at 10x the cutoff (the marginal rule) and at the screen's
 own threshold, at entry scales inside and outside the range it runs on.
-The screen runs in the rank pass of ``grid_ranks``, on the chunks
-``chunked_stage`` builds, and in ``solve_stack``; ``split_ranks`` itself
-always takes the SVD. The stacks here reach ``grid_ranks`` as the values
-of a pencil at the points 0, 1, ..., k - 1, with ``pencil_values`` patched
-to copy the members the points name. The full-rank cover is patched too,
-to certify only one point in front of them, so the pass screens its first
-chunk, as it does after a cover that certified a point. Without a product
-every chunk of the rank pass has the screened length, screened or not.
+The screen runs in ``solve_stack`` and as the one-point probes of the
+full-rank cover; the rank pass of ``grid_ranks`` never screens, and
+``split_ranks`` always takes the SVD. The stacks here reach ``grid_ranks``
+as the values of a pencil at the points 0, 1, ..., k - 1, with
+``pencil_values`` patched to copy the members the points name, and the
+full-rank cover patched to certify none of them, so the pass ranks every
+member, in chunks sized for one matrix per member and one per product.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from genresolvent import SingularSystemError, TolerancePolicy
 from genresolvent import linalg
 from genresolvent.linalg import (
     EPS,
-    SCREEN_LIVE,
     SCREEN_SLACK,
     _full_rank_certified,
     empty_basis,
@@ -83,7 +81,7 @@ def stacks(draw):
 
 def svd_path():
     """The screen switched off: every stack takes the values-only SVD."""
-    return mock.patch.object(linalg, "_full_rank_certified", lambda stack, tol, gram=None: False)
+    return mock.patch.object(linalg, "_full_rank_certified", lambda stack, tol: False)
 
 
 def no_products(m, n):
@@ -96,14 +94,12 @@ def ranked(stack, tol, right=None, left=None, built=None, addresses=None):
     points 0, 1, ..., k - 1 in order, recording the members of each chunk
     built and the address each was written to.
 
-    Without a product the cover certifies one point, -1, put in front and
-    left out of the result, so the pass screens its first chunk; with one
-    the cover must not run."""
+    Without a product the cover certifies no point; with one it must not
+    run."""
     k, m, n = stack.shape
     right = empty_basis(n) if right is None else right
     left = empty_basis(m) if left is None else left
-    front = 0 if right.shape[1] or left.shape[1] else 1
-    lams = np.arange(-front, k).astype(np.complex128)
+    lams = np.arange(k).astype(np.complex128)
 
     def build(t, s, points, out):
         if built is not None:
@@ -115,13 +111,12 @@ def ranked(stack, tol, right=None, left=None, built=None, addresses=None):
         return out
 
     def cover(t, s, points, tol):
-        assert front
-        return points == -1
+        assert not (right.shape[1] or left.shape[1])
+        return np.zeros(len(points), dtype=bool)
 
     with mock.patch.object(linalg, "pencil_values", build), \
             mock.patch.object(linalg, "full_rank_cover", cover):
-        split = grid_ranks(stack[0], np.zeros((m, n)), lams, right, left, tol)
-    return tuple(array[front:] for array in split)
+        return grid_ranks(stack[0], np.zeros((m, n)), lams, right, left, tol)
 
 
 def chunks_of(length, count):
@@ -167,45 +162,40 @@ def test_screen_agrees_with_the_svd(case):
     st.integers(0, 2**32 - 1),
 )
 def test_chunked_ranks_agree_with_the_svd(places, shape, rtol, seed):
-    """Chunks of 2 matrices, screened or not, so runs of full-rank and
-    deficient members switch the screen on and off between chunks."""
+    """Chunks of 2 matrices, one matrix per member, each taking the SVD:
+    the pass never screens, whatever runs of full-rank and deficient
+    members it meets."""
     m, n = shape
     rng = np.random.default_rng(seed)
     stack = np.stack([member(rng, m, n, rtol, place) for place in places])
     tol = TolerancePolicy(rank_rtol=rtol)
     built = []
-    with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2):
+    with mock.patch.object(linalg, "CHUNK_BYTES", 2 * 16 * max(m, n) ** 2), \
+            mock.patch.object(linalg, "_full_rank_certified",
+                              wraps=linalg._full_rank_certified) as screen:
         ranks, _, _, marginal = ranked(stack, tol, built=built)
     with svd_path():
         reference = split_ranks(stack, empty_basis(n), empty_basis(m), tol)
     np.testing.assert_array_equal(ranks, reference[0])
     np.testing.assert_array_equal(marginal, reference[3])
     assert built == chunks_of(2, len(stack))
+    assert screen.call_count == 0
 
 
 def test_chunked_ranks_build_every_chunk_into_one_workspace():
-    """Screened chunks of 2, the first among them, and an unscreened chunk
-    (after a screened chunk of deficient members) are all built into the
-    same memory, and every Gram into one array."""
+    """Chunks of 2, of full-rank and of deficient members alike, are all
+    built into the same memory, and none is screened."""
     rng = np.random.default_rng(6)
     places = [1e12, 1e12, 0.0, 0.0] + [1e12] * 10
     stack = np.stack([member(rng, 4, 4, EPS, place) for place in places])
-    built, addresses, screened, grams = [], [], [], []
-    certified = linalg._full_rank_certified
-
-    def spying(stack, tol, gram=None):
-        grams.append(gram.__array_interface__["data"][0])
-        screened.append((len(stack), certified(stack, tol, gram)))
-        return screened[-1][1]
-
-    with mock.patch.object(linalg, "CHUNK_BYTES", 2 * (1 + SCREEN_LIVE) * 16 * 4 ** 2), \
-            mock.patch.object(linalg, "_full_rank_certified", spying):
+    built, addresses = [], []
+    with mock.patch.object(linalg, "CHUNK_BYTES", 2 * 16 * 4 ** 2), \
+            mock.patch.object(linalg, "_full_rank_certified",
+                              wraps=linalg._full_rank_certified) as screen:
         ranks, _, _, marginal = ranked(stack, TolerancePolicy(), built=built, addresses=addresses)
     assert built == chunks_of(2, 14)
     assert len(set(addresses)) == 1
-    # two screened chunks, the unscreened one, then four screened
-    assert screened == [(2, True), (2, False)] + [(2, True)] * 4
-    assert len(set(grams)) == 1
+    assert screen.call_count == 0
     assert ranks.tolist() == [4, 4, 3, 3] + [4] * 10
     assert not marginal.any()
 
