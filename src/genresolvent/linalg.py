@@ -696,8 +696,8 @@ def split_ranks(
     marginal when its smallest kept singular value is within a factor of 10
     of the cutoff, i.e. the rank would flip under a modest tolerance change.
     Empty matrices and products have rank 0 and are not factored. Every
-    other stack is factored: the full-rank screen runs in
-    :func:`grid_ranks`, not here.
+    other stack is factored: the full-rank screen runs only in
+    :func:`solve_stack` and as the probes of :func:`full_rank_cover`.
     """
     k, m, n = stack.shape
     ranks = np.zeros((3, k), dtype=np.int64)

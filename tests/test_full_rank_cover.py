@@ -28,7 +28,7 @@ from genresolvent import linalg
 from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.resolvent import grid_pass
-from genresolvent.linalg import EPS
+from genresolvent.linalg import EPS, SCREEN_LIVE
 from helpers import assert_same_scan, framed_pencil, normal_pencil, off_lattice, unitary
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +41,7 @@ def full_rank_cover(t, s, lams, tol=TolerancePolicy()):
 
 
 def no_cover(t, s, lams, tol):
-    """The cover switched off: every point is ranked by the pass, whose first chunk takes the SVD."""
+    """The cover switched off: every point is ranked by the pass, each chunk by the SVD."""
     return np.zeros(len(lams), dtype=bool)
 
 
@@ -314,7 +314,9 @@ def test_cover_builds_its_probe_and_centre_and_the_rank_pass_builds_into_one_wor
     anchors = factored["cover"][1:]
     assert len(anchors) > 100
     assert len({id(gram.base) for gram in anchors}) == 1
-    assert all(gram.base is not None for gram in anchors)
+    # one chunk of boxes, sized for 1 + SCREEN_LIVE matrices each, not one Gram per point
+    cover_chunk = linalg._chunk_length((1 + SCREEN_LIVE) * 16 * 20 ** 2)
+    assert all(gram.base is not None and gram.base.shape[0] == cover_chunk for gram in anchors)
     built = [lam for points, _ in builds["pass"] for lam in points]
     assert built == np.array(LATTICE)[~certified].tolist()
     assert [len(points) for points, _ in builds["pass"]] == [2, 1]
