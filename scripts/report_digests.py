@@ -58,7 +58,15 @@ Runs ``genresolvent.cli.main`` in-process on
   t - lam s overflows on the grid's outer rings: the command exits 2
   naming the first such point, and ``mp-check --grid-radius 1e308`` on
   diag(1, 2) with s = I, where lam_i - lam_j in the identity's pairs
-  would overflow.
+  would overflow;
+* ``analyze`` and ``mp-check`` on diag(1, 2) with s = I at
+  ``--grid-points 1500``, where the identity's bound decides and its
+  maximum is taken block by block of rows, and ``spectrum --steps 2`` on
+  the region [-1, -0.0] x [-1, -0.0], whose CSV holds -0.0 in both
+  columns;
+* ``analyze --grid-radius 1e300`` on diag(1e-10, 1) with s = I, where
+  t - lam s is finite on the grid but |lam| ||s tplus|| overflows, so the
+  axiom check skips the outer rings.
 
 Each digest covers the command's exit code, standard output, standard error,
 the text of the warnings it raised and the file written with ``--out``. Inputs are written to a temporary
@@ -243,6 +251,15 @@ def overflow_commands() -> list[list[str]]:
             ["mp-check", "data/diag12.json", "data/eye2.json", "--grid-radius", "1e308"]]
 
 
+def edge_grid_commands() -> list[list[str]]:
+    save_matrix(np.diag([1e-10, 1.0]), "framed/small-t.json")
+    pair = ["data/diag12.json", "data/eye2.json"]
+    return [["analyze", *pair, "--grid-points", "1500"], ["mp-check", *pair, "--grid-points", "1500"],
+            ["spectrum", *pair, "--re-min=-1", "--re-max=-0.0", "--im-min=-1", "--im-max=-0.0",
+             "--steps", "2"],
+            ["analyze", "framed/small-t.json", "data/eye2.json", "--grid-radius", "1e300"]]
+
+
 def flag_commands() -> list[list[str]]:
     commands = [[*argv, *flag] for argv in COMMANDS.values() for flag in TOLERANCES]
     return commands + [[*argv, "--out", f"out/{name}"] for name, argv in COMMANDS.items()]
@@ -264,7 +281,8 @@ def main() -> int:
         os.mkdir("spectrum")
         for argv in (data_commands() + framed_commands(args.pencils) + flag_commands()
                      + spectrum_commands() + chunked_commands() + edge_rank_commands()
-                     + slack_commands() + near_eigenvalue_commands() + overflow_commands()):
+                     + slack_commands() + near_eigenvalue_commands() + overflow_commands()
+                     + edge_grid_commands()):
             line = f"{run(argv)}  {' '.join(argv)}"
             total.update(line.encode() + b"\n")
             print(line)

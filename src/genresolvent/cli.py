@@ -302,7 +302,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GenResolventError, ValueError) as exc:
+    # a MemoryError is an input too large for this machine, such as a grid
+    # whose identity bound fails and whose k x k pairs do not fit; NumPy's
+    # names the allocation it could not make
+    except (GenResolventError, ValueError, MemoryError) as exc:
         print(f"genresolvent: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,10 @@ steps, each only where the one before leaves a pair undecided:
 
 1. "bound": a bound on every ordered pair from one residual per point
    (:func:`_identity_bound`); where every pair's bound is at most
-   residual_tol, their maximum decides.
+   residual_tol, their maximum decides. It is taken block by block of
+   rows, so memory stays flat in the number of points; the (k, k) array
+   of the bounds is formed only where the maximum exceeds residual_tol,
+   for the steps below, which form pair deviations anyway.
 2. The 2 (k - 1) pairs through lam = 0: their deviations are formed and
    bounded, and their exact maximum taken where a bound exceeds
    residual_tol. An exact maximum above residual_tol decides.
@@ -27,6 +30,7 @@ residual, and a value above it is the exact residual of the pair it names.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -66,12 +70,15 @@ def decide_identity(
     ||S G_0||_2 is taken only after the pass ends.
     """
     limit = tol.residual_tol
-    zero = int(np.flatnonzero(lams == 0)[0])
-    bounds = _pair_bounds(s, values, lams, zero, limit, st_norm)
-    top = float(bounds.max(initial=0.0))
+    zero, count = int(np.flatnonzero(lams == 0)[0]), len(lams)
+    bound_rows = _pair_bounds(s, values, lams, zero, limit, st_norm)
+    # taken block by block of rows, the maximum has the bits of the whole
+    # array's, a NaN included; a block keeps about four floats per pair alive
+    top = float(np.max([bound_rows(rows).max(initial=0.0) for rows in chunks(count, 4 * 8 * count)]))
     # a NaN bound, as of non-finite entries, fails the comparison too
     if top <= limit:
         return top, "bound", None
+    bounds = bound_rows(slice(0, count))
     through_zero = np.zeros(bounds.shape, dtype=bool)
     through_zero[zero] = through_zero[:, zero] = True
     through_zero[zero, zero] = False
@@ -89,10 +96,11 @@ def decide_identity(
 def _pair_bounds(
     s: np.ndarray, values: np.ndarray, lams: np.ndarray, zero: int, limit: float,
     st_norm: float | None,
-) -> np.ndarray:
-    """The (k, k) bounds of :func:`_identity_bound` on every ordered pair,
-    anchored at G_0 = values[zero] with C = fl(S G_0), from one per-point
-    pass of the solve residuals E_k = G_k (I - l_k C) - G_0
+) -> Callable[[slice], np.ndarray]:
+    """The rows of the (k, k) bounds of :func:`_identity_bound` on every
+    ordered pair, as a function of a slice of rows, anchored at
+    G_0 = values[zero] with C = fl(S G_0), from one per-point pass of the
+    solve residuals E_k = G_k (I - l_k C) - G_0
     (:func:`_solve_residual_bounds`), chunk by chunk.
 
     For the explicit family, whose G_0 is tplus, E_k is the residual of the
@@ -114,11 +122,11 @@ def _pair_bounds(
         # +inf, where a residual overflows against the floored scale, exceeds limit
         with np.errstate(over="ignore"):
             if count > 1 and np.any(residuals[part] / scale > limit):
-                return np.where(np.eye(count, dtype=bool), 0.0, np.inf)
+                return lambda rows: np.where(np.eye(count, dtype=bool)[rows], 0.0, np.inf)
     norm = op_norm2(st_plus) if st_norm is None else st_norm
     # lower bounds on 1 - |l_k| ||C||_2, from ||C||_2 widened by NORM_BOUND_SLACK
     margins = 1.0 - np.abs(lams) * (norm * (1.0 + NORM_BOUND_SLACK))
-    return _identity_bound(s, anchor, lams, margins, residuals)
+    return _identity_bound(s, anchor, lams, margins, residuals, scale)
 
 
 def _pairs_maximum(
@@ -231,11 +239,12 @@ def _solve_residual_bounds(
 
 def _identity_bound(
     s: np.ndarray, tplus: np.ndarray, lams: np.ndarray, margins: np.ndarray,
-    residuals: np.ndarray,
-) -> np.ndarray:
-    """Bounds on ||D_ij||_2 / ||T+||_2, as the (k, k) array of every ordered
-    pair (i, j) of the points lams, for matrices G_k whose residuals
-    E_k = G_k A_k - T+ have the bounds ``residuals``
+    residuals: np.ndarray, scale: float,
+) -> Callable[[slice], np.ndarray]:
+    """Bounds on ||D_ij||_2 / scale, scale a lower bound on ||T+||_2 floored
+    at NORM_FLOOR, as the rows, for a slice of rows, of the (k, k) array of
+    every ordered pair (i, j) of the points lams, for matrices G_k whose
+    residuals E_k = G_k A_k - T+ have the bounds ``residuals``
     (:func:`_solve_residual_bounds`), where margins[k] is a lower bound on
     1 - |l_k| ||C||_2. A pair through a point whose margin is not positive
     has no bound, +inf; the diagonal, whose deviations are exactly zero, is 0.
@@ -249,8 +258,8 @@ def _identity_bound(
     * ||A_j^-1||. Here ||A_j^-1|| <= 1 / margins[j], G_i A_i = T+ + E_i
     gives ||G_i|| <= (||T+|| + ||E_i||) ||A_i^-1||, and ||S T+ - C|| is C's
     own rounding, :func:`_rounding` of || |S| |T+| ||_F. The norms of S and
-    T+ come from :func:`linalg.norm_upper_bounds` and the scale ||T+||_2
-    from :func:`linalg.norm_lower_bounds`.
+    T+ come from :func:`linalg.norm_upper_bounds`. Each row is computed by
+    the same operations as the whole array, so it has the whole array's bits.
     """
     m, n = s.shape
     usable = margins > 0.0
@@ -260,12 +269,17 @@ def _identity_bound(
         # sqrt(2) n UNDERFLOW per entry of C
         drift += 2.0 * UNDERFLOW * m * n
     g_norms = (norm_upper_bounds(tplus[None])[0] + residuals) / margins
-    gaps = np.abs(lams[:, None] - lams[None, :]) * g_norms[:, None]
     spread = drift + norm_upper_bounds(s[None])[0] * residuals
-    bounds = (residuals[:, None] + residuals[None, :] + gaps * spread[None, :]) / margins[None, :]
-    bounds[~usable] = np.inf
-    bounds[:, ~usable] = np.inf
-    np.fill_diagonal(bounds, 0.0)
-    # +inf, where a bound overflows against a floored scale, exceeds residual_tol
-    with np.errstate(over="ignore"):
-        return bounds / max(norm_lower_bounds(tplus[None])[0], NORM_FLOOR)
+
+    def bound_rows(rows: slice) -> np.ndarray:
+        gaps = np.abs(lams[rows, None] - lams[None, :]) * g_norms[rows, None]
+        bounds = (residuals[rows, None] + residuals[None, :] + gaps * spread[None, :]) / margins[None, :]
+        bounds[~usable[rows]] = np.inf
+        bounds[:, ~usable] = np.inf
+        # the block's square of columns rows holds its part of the diagonal
+        np.fill_diagonal(bounds[:, rows], 0.0)
+        # +inf, where a bound overflows against a floored scale, exceeds residual_tol
+        with np.errstate(over="ignore"):
+            return bounds / scale
+
+    return bound_rows

@@ -73,7 +73,7 @@ arrays built inside the package, such as ``t - lams[:, None, None] * s``.
 The stack functions (:func:`op_norms2`, :func:`norm_upper_bounds`,
 :func:`norm_lower_bounds`, :func:`frobenius_norms`, :func:`factors`, :func:`split_ranks`,
 :func:`solve_stack`, :func:`relative_residuals`,
-:func:`residual_bounds`, :func:`residual_lower_bounds`, :func:`bounded_residuals`)
+:func:`residual_bounds`, :func:`bounded_residuals`)
 trust their input and skip ``as_matrix``; each makes one batched LAPACK
 call per stack it factors. The single-matrix functions are their
 one-element views, so there is one code path. Batched SVDs, solves and
@@ -92,21 +92,21 @@ one sizing argument. CHUNK_BYTES is an approximate budget, not a cap: copies and
 scratch arrays a stage makes beyond that count are not counted.
 
 The residuals the reports print are decided bound first, in O(mn) work
-per matrix. :func:`residual_bounds` bounds each relative residual from
-above by the deviation's :func:`frobenius_norms`, since
-||D||_2 <= ||D||_F (Golub & Van Loan, §2.3), over the scale's
-:func:`norm_lower_bounds`; :func:`residual_lower_bounds` bounds it from
-below the other way round. :func:`bounded_residuals` takes an upper bound
-at most residual_tol as the value, certifies a failing residual by a lower
-bound above it, and takes the exact value only where neither decides, so
-no verdict rests on a bound's slack. Where a report prints a maximum of
-residuals, :func:`decided_maximum` prints the largest upper bound if that
-is at most residual_tol, and otherwise the exact maximum of
-:func:`exact_maximum`, which takes exact norms largest bound first, one
-at a time, only until no bound left can reach the best exact value: the
-maximum and its first maximizing position are those of an exact norm of
-every member. :func:`norm_upper_bounds`, a tighter bound that forms a
-Gram matrix, prunes the exact maximum over the resolvent identity's pairs.
+per matrix, and two functions decide them. :func:`residual_bounds` bounds
+each relative residual from above by the deviation's
+:func:`frobenius_norms`, since ||D||_2 <= ||D||_F (Golub & Van Loan,
+§2.3), over the scale's :func:`norm_lower_bounds`. :func:`bounded_residuals`
+answers whether each residual is within residual_tol: it takes an upper
+bound at most residual_tol as the value, certifies a failing residual by a
+lower bound above it, the deviation's :func:`norm_lower_bounds` over the
+scale's :func:`frobenius_norms`, and takes the exact value only where
+neither decides, so no verdict rests on a bound's slack. :func:`decided_maximum` gives the maximum a report prints: the
+largest upper bound if that is at most residual_tol, and otherwise exact
+norms taken largest bound first, one at a time, only until no bound left
+can reach the best exact value, so the maximum and its first maximizing
+position are those of an exact norm of every member.
+:func:`norm_upper_bounds`, a tighter bound that forms a Gram matrix,
+prunes the exact maximum over the resolvent identity's pairs.
 Each bound scales a matrix by its peak entry only where its squares could
 over- or underflow (:func:`_scaled_where_needed`).
 The same bounds, with :func:`frobenius_norms` for rounding terms, build
@@ -179,7 +179,10 @@ COVER_SQUARINGS = 5
 # half of it (Higham, Accuracy and Stability of Numerical Algorithms, §2.1).
 UNDERFLOW = float(np.nextafter(0.0, 1.0))
 # Approximate bytes held at once by one stack of per-point matrices and the
-# arrays built from it, so peak memory stays flat in n and grid size.
+# arrays built from it, so peak memory stays flat in n and grid size; the
+# resolvent identity's pairs are bounded in blocks of rows too, so it stays
+# flat wherever the identity's bound decides, and only a grid whose bound
+# fails forms the k x k array of its pairs.
 CHUNK_BYTES = 2 << 20
 
 
@@ -657,26 +660,6 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return factors * np.sqrt(squares)
 
 
-def exact_maximum(bounds: np.ndarray, exact: Callable[[int], float]) -> tuple[float, int | None]:
-    """The largest exact(i) over the positions i of bounds, given 0 <= exact(i) <= bounds[i].
-
-    exact is called largest bound first, ties in position order, until the
-    next bound is zero or strictly below the best exact value: no value
-    left out can reach the maximum. A NaN bound, as of a matrix with
-    non-finite entries, counts as unbounded. Returns the maximum and the
-    first position attaining it, or (0.0, None) when every value is zero.
-    """
-    best, best_position = 0.0, None
-    order = np.argsort(-np.nan_to_num(bounds, nan=np.inf), kind="stable")
-    for position in order.tolist():
-        if bounds[position] == 0.0 or bounds[position] < best:
-            break
-        value = exact(position)
-        if value > best or (value == best > 0.0 and position < best_position):
-            best, best_position = value, position
-    return best, best_position
-
-
 def split_ranks(
     stack: np.ndarray,
     right: np.ndarray,
@@ -1082,14 +1065,6 @@ def residual_bounds(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return upper / np.maximum(norm_lower_bounds(scales), NORM_FLOOR)
 
 
-def residual_lower_bounds(deviations: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Lower bounds on :func:`relative_residuals` without a factorization:
-    :func:`norm_lower_bounds` of each deviation over :func:`frobenius_norms`
-    of its scale, widened by NORM_BOUND_SLACK and floored as there."""
-    upper = frobenius_norms(scales) * (1.0 + NORM_BOUND_SLACK)
-    return norm_lower_bounds(deviations) / np.maximum(upper, NORM_FLOOR)
-
-
 def bounded_residuals(
     deviations: np.ndarray, scales: np.ndarray, limit: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1097,9 +1072,11 @@ def bounded_residuals(
     and the mask of the exact ones.
 
     Each value is the member's :func:`residual_bounds` where that is at most
-    limit; where it exceeds limit or is NaN, its
-    :func:`residual_lower_bounds` where that exceeds limit, which certifies
-    the residual failing; and its exact :func:`relative_residuals` where
+    limit; where it exceeds limit or is NaN, its lower bound where that
+    exceeds limit, which certifies the residual failing: the
+    :func:`norm_lower_bounds` of the deviation over the
+    :func:`frobenius_norms` of its scale, widened by NORM_BOUND_SLACK and
+    floored as there; and its exact :func:`relative_residuals` where
     neither bound decides. So every value at most limit is at least the
     exact residual, every value above limit is at most the exact one, and
     each comparison with limit gives the exact verdict: none rests on a
@@ -1109,7 +1086,8 @@ def bounded_residuals(
     values, over = bounds.copy(), np.flatnonzero(~(bounds <= limit))
     exact = np.zeros(len(bounds), dtype=bool)
     if over.size:
-        values[over] = residual_lower_bounds(deviations[over], scales[over])
+        upper = frobenius_norms(scales[over]) * (1.0 + NORM_BOUND_SLACK)
+        values[over] = norm_lower_bounds(deviations[over]) / np.maximum(upper, NORM_FLOOR)
         exact[over] = ~(values[over] > limit)
     if exact.any():
         values[exact] = relative_residuals(deviations[exact], scales[exact])
@@ -1122,16 +1100,25 @@ def decided_maximum(
     """The maximum of residuals with the upper bounds ``bounds``, as a report
     prints it, its method and the first position attaining it.
 
-    Where every bound is at most limit, the largest bound, "bound" and None;
-    otherwise, or where a bound is NaN, their exact maximum and its position
-    by :func:`exact_maximum`, which calls exact(i) on the raveled positions,
-    one at a time, only where a bound can reach it, and "exact".
+    Where every bound is at most limit, the largest bound, "bound" and None.
+    Otherwise, or where a bound is NaN, given 0 <= exact(i) <= bounds[i] on
+    the raveled positions i: their exact maximum, the first position
+    attaining it (None when every value is zero) and "exact". exact is
+    called largest bound first, ties in position order, a NaN bound counting
+    as unbounded, until the next bound is zero or strictly below the best
+    exact value: no value left out can reach the maximum.
     """
     top = float(bounds.max(initial=0.0))
     if top <= limit:
         return top, "bound", None
-    best, position = exact_maximum(bounds.ravel(), exact)
-    return best, "exact", position
+    best, best_position = 0.0, None
+    for position in np.argsort(-np.nan_to_num(bounds, nan=np.inf), axis=None, kind="stable").tolist():
+        if bounds.flat[position] == 0.0 or bounds.flat[position] < best:
+            break
+        value = exact(position)
+        if value > best or (value == best > 0.0 and position < best_position):
+            best, best_position = value, position
+    return best, "exact", best_position
 
 
 def relative_residual(deviation, scale) -> float:

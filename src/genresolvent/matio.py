@@ -136,6 +136,14 @@ def scan_csv(scan) -> str:
     """CSV text of a spectrum scan (:class:`criteria.SpectrumScan`): the header
     re,im,rank,is_drop, then one row per point, coordinates as repr of the
     float (exact round trip), formatted from the arrays' plain values."""
-    rows = map("{!r},{!r},{},{}".format, scan.points.real.tolist(), scan.points.imag.tolist(),
+    rows = map("{},{},{},{}".format, _reprs(scan.points.real), _reprs(scan.points.imag),
                scan.ranks.tolist(), scan.is_drop.astype(np.int64).tolist())
     return "\n".join(["re,im,rank,is_drop", *rows]) + "\n"
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float of values, each distinct value formatted once: a
+    region of steps x steps points has only 2 steps distinct coordinates.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their reprs."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse].tolist()

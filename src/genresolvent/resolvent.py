@@ -419,14 +419,12 @@ def check_resolvent_axioms(
     through lam = 0 and then of every pair the bound leaves undecided, so no
     verdict turns false on the bound's slack and none rests on a sample.
     """
-    usable: list[complex] = []
-    skipped: list[complex] = []
-    for lam in grid.points:
-        if abs(lam) * f.st_norm < 1.0:
-            usable.append(lam)
-        else:
-            skipped.append(lam)
-    lams = np.array(usable, dtype=np.complex128)
+    points = np.array(grid.points, dtype=np.complex128)
+    # |lam| is the hypot of Python's abs(lam), which NumPy's complex abs can
+    # differ from in the last bit; +inf, where |lam| ||s tplus|| overflows, is outside
+    with np.errstate(over="ignore"):
+        inside = np.hypot(points.real, points.imag) * f.st_norm < 1.0
+    lams, usable, skipped = points[inside], points[inside].tolist(), tuple(points[~inside].tolist())
     c = f.coordinates
     measure = partial(bounded_residuals, limit=tol.residual_tol)
 
@@ -470,7 +468,7 @@ def check_resolvent_axioms(
         max_identity_residual=max_identity,
         identity_method=method,
         worst_pair=None if worst is None else (usable[worst[0]], usable[worst[1]]),
-        skipped=tuple(skipped),
+        skipped=skipped,
         ok=ok,
     )
 

@@ -405,6 +405,21 @@ def test_unwritable_out_exits_two(command, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_a_command_out_of_memory_exits_two_with_one_line(capsys, monkeypatch):
+    """A MemoryError inside a command, as NumPy raises for a grid whose
+    identity bound fails and whose k x k pairs do not fit, is an input
+    error: exit 2 and one line on stderr, not a traceback."""
+    message = "Unable to allocate 149. GiB for an array with shape (100000, 100000)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "check_resolvent_axioms", exhausted)
+    code, out, err = run(COMMANDS["analyze"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"genresolvent: {message}"]
+
+
 class TestMpCheckCommand:
     def test_positive_family(self, capsys):
         code, out, _ = run(["mp-check", DATA / "diag110.json", DATA / "diag120.json"], capsys)

@@ -21,6 +21,7 @@ from genresolvent import (
     rectangular_region,
     scan_csv,
 )
+from genresolvent.criteria import SpectrumScan
 from helpers import assert_same_scan, framed_pencil
 
 seeds = st.integers(0, 2**32 - 1)
@@ -229,6 +230,32 @@ def test_scan_csv_rows_parse_back_to_the_scan(re_min, re_max, im_min, im_max, st
     assert parsed.tobytes() == scan.points.view(np.float64).tobytes()
     assert [int(rank) for _, _, rank, _ in fields] == ranks
     assert [flag == "1" for _, _, _, flag in fields] == drops
+
+
+def unordered_points() -> np.ndarray:
+    """Points in no lattice order, whose coordinates repeat 5e-324, both
+    zeros and 1e308, with -0.0 and 0.0 in each column."""
+    points = np.empty(8, dtype=np.complex128)
+    points.real = [5e-324, -0.0, 1e308, 0.0, 5e-324, 1e308, -0.0, 0.0]
+    points.imag = [0.0, 1e308, -0.0, 5e-324, -0.0, 0.0, 5e-324, 1e308]
+    return points
+
+
+@pytest.mark.parametrize("points", [
+    np.array(rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)),
+    np.array(rectangular_region(-1.0, -0.0, -1.0, -0.0, 2)),
+    unordered_points(),
+], ids=["default", "negative-zero", "unordered"])
+def test_scan_csv_is_the_repr_of_every_point(points):
+    """scan_csv formats each distinct coordinate once per column, told apart
+    by its bits, and writes the text of the per-point repr formatting, kept
+    here as the reference, a column holding -0.0 and 0.0 included."""
+    ranks = np.arange(len(points)) % 3
+    drops = ranks == 1
+    scan = SpectrumScan(points, ranks, drops)
+    reference = "".join(f"{lam.real!r},{lam.imag!r},{rank},{int(drop)}\n"
+                        for lam, rank, drop in zip(points.tolist(), ranks.tolist(), drops.tolist()))
+    assert scan_csv(scan) == "re,im,rank,is_drop\n" + reference
 
 
 class TestCriterionWeb:

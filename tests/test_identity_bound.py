@@ -17,6 +17,7 @@ lam = 0, then only those the bound leaves undecided.
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,9 +35,9 @@ from genresolvent import (
     mp_inverse,
     op_norm2,
 )
-from genresolvent import criteria, identity, resolvent
+from genresolvent import criteria, identity, linalg, resolvent
 from genresolvent.geninv import inverse_residuals
-from genresolvent.linalg import NORM_BOUND_SLACK, NORM_FLOOR, op_norms2
+from genresolvent.linalg import NORM_BOUND_SLACK, NORM_FLOOR, norm_lower_bounds, op_norms2
 from helpers import (
     complex_gaussian,
     framed_pencil,
@@ -75,14 +76,18 @@ def margins_of(lams, st_norm) -> np.ndarray:
 def identity_bound(s, values, lams, st_norm=None) -> float:
     """The largest of the bounds the identity decision builds on the family
     values at lams, anchored at its member at lam = 0, inf where a point's
-    margin is not positive; ||s G_0||_2 is taken here unless st_norm gives it."""
+    margin is not positive; ||s G_0||_2 is taken here unless st_norm gives it.
+    The bounds are relative to the scale the decision takes once, the lower
+    bound on ||G_0||_2 floored at NORM_FLOOR, and are taken in one block of
+    every row."""
     anchor = values[np.flatnonzero(lams == 0)[0]]
     st_plus = s @ anchor
     if st_norm is None:
         st_norm = op_norm2(st_plus)
     residuals = identity._solve_residual_bounds(s, anchor, st_plus, lams, values)
-    bounds = identity._identity_bound(s, anchor, lams, margins_of(lams, st_norm), residuals)
-    return float(bounds.max(initial=0.0))
+    scale = max(norm_lower_bounds(anchor[None])[0], NORM_FLOOR)
+    bound_rows = identity._identity_bound(s, anchor, lams, margins_of(lams, st_norm), residuals, scale)
+    return float(bound_rows(slice(None)).max(initial=0.0))
 
 
 def recorded(perturb=None):
@@ -329,3 +334,22 @@ def test_skipped_points_are_outside_the_bound():
     assert report.skipped == (family.radius * 1.5 + 0j,)
     assert report.identity_method == "bound"
     assert not report.ok
+
+
+def test_a_deciding_bound_keeps_memory_flat_in_grid_size():
+    """The decision takes the bound's maximum block by block of rows, and
+    forms the (k, k) array of every pair only where that maximum exceeds
+    residual_tol. On 1500 points, every member diag(0.5, 0.25) and s = 0,
+    every bound is 0 and decides, and the traced peak stays under four
+    chunk budgets, where one float (k, k) array alone takes 18 MB."""
+    lams = np.array(default_grid(0.5, 1500).points)
+    values = np.repeat(np.diag([0.5, 0.25]).astype(np.complex128)[None], len(lams), axis=0)
+    s = np.zeros((2, 2), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        decided = identity.decide_identity(s, values, lams, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decided == (0.0, "bound", None)
+    assert peak < 4 * linalg.CHUNK_BYTES

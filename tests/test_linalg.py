@@ -27,14 +27,13 @@ from genresolvent import (
 from genresolvent import linalg
 from genresolvent.linalg import (
     bounded_residuals,
-    exact_maximum,
+    decided_maximum,
     frobenius_norms,
     norm_lower_bounds,
     norm_upper_bounds,
     op_norms2,
     relative_residuals,
     residual_bounds,
-    residual_lower_bounds,
     split_ranks,
     split_verdicts,
 )
@@ -304,6 +303,14 @@ class TestNorm:
         stack = (1e-323 * np.eye(3))[None]
         assert bound(stack)[0] == bound(stack + 0j)[0] > 0.0
 
+    @staticmethod
+    def lower_bounds(deviations, scales):
+        """The lower bound bounded_residuals certifies a failing residual by:
+        norm_lower_bounds of each deviation over the frobenius_norms of its
+        scale, widened by NORM_BOUND_SLACK and floored at NORM_FLOOR."""
+        upper = frobenius_norms(scales) * (1.0 + linalg.NORM_BOUND_SLACK)
+        return norm_lower_bounds(deviations) / np.maximum(upper, linalg.NORM_FLOOR)
+
     def test_bounded_residuals_are_exact_only_where_neither_bound_decides(self):
         """Each member keeps its upper bound where that is at most the limit,
         takes its lower bound where that exceeds the limit, and otherwise its
@@ -317,7 +324,7 @@ class TestNorm:
         deviations = complex_gaussian(rng, (6, 5, 4)) * np.logspace(-12, -2, 6)[:, None, None]
         deviations[1] = 0.0
         bounds = residual_bounds(deviations, scales)
-        lower = residual_lower_bounds(deviations, scales)
+        lower = self.lower_bounds(deviations, scales)
         exact = relative_residuals(deviations, scales)
         assert np.all(lower <= exact) and np.all(exact <= bounds)
         assert exact[3] < bounds[3] and lower[4] < exact[4]
@@ -334,7 +341,7 @@ class TestNorm:
     @given(seeds, st.integers(1, 4), st.integers(1, 6), st.integers(0, 4),
            st.sampled_from(["random", "rank-one", "tall", "wide", "subnormal"]))
     def test_residual_bounds_enclose_the_relative_residuals(self, seed, k, side, extra, kind):
-        """residual_lower_bounds <= relative_residuals <= residual_bounds
+        """lower bounds <= relative_residuals <= residual_bounds
         against the computed SVD values, on random, rank-one, tall and wide
         stacks, and where a subnormal peak takes _peak_scaled's division:
         one member's deviation and scale both subnormal, another's deviation
@@ -350,7 +357,7 @@ class TestNorm:
             scales[0] *= 1e-310
             deviations[-1] *= 1e-310
         exact = relative_residuals(deviations, scales)
-        assert np.all(residual_lower_bounds(deviations, scales) <= exact)
+        assert np.all(self.lower_bounds(deviations, scales) <= exact)
         assert np.all(exact <= residual_bounds(deviations, scales))
 
     @settings(max_examples=100, deadline=None)
@@ -382,6 +389,9 @@ class TestNorm:
         np.testing.assert_array_equal(norm_lower_bounds(stack)[untied], reference[untied])
 
     def test_exact_maximum_takes_a_nan_bound_as_unbounded(self):
+        """decided_maximum, with a limit below the bounds, calls exact on the
+        NaN bound first, as unbounded, then on the largest bound, and stops
+        where no bound left can reach the best exact value."""
         values = [1.0, 3.0, 2.0, 3.0]
         called = []
 
@@ -390,9 +400,9 @@ class TestNorm:
             return values[position]
 
         bounds = np.array([1.5, np.nan, 2.5, 3.5])
-        assert exact_maximum(bounds, exact) == (3.0, 1)
+        assert decided_maximum(bounds, 1.0, exact) == (3.0, "exact", 1)
         assert called == [1, 3]
-        assert exact_maximum(np.zeros(3), exact) == (0.0, None)
+        assert decided_maximum(np.zeros(3), -1.0, exact) == (0.0, "exact", None)
 
 
 class TestGap:

@@ -191,6 +191,33 @@ class TestAxiomReport:
         assert report.skipped == (0.9,)
         assert not report.ok
 
+    def test_usable_points_are_split_off_as_the_per_point_test_splits_them(self):
+        """The axiom check keeps the points with abs(lam) * st_norm < 1, the
+        per-point test kept here as the reference, and skips the rest, in
+        grid order, on points within two ulps of the boundary in 16
+        directions. s tplus is nilpotent, so I - lam K is invertible on
+        the whole boundary."""
+        fam = family_of(Pencil(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
+        eps = np.finfo(np.float64).eps
+        directions = np.exp(2j * np.pi * np.arange(16) / 16).tolist()
+        points = [0j] + [lam * fam.radius * (1.0 + k * eps) for lam in directions for k in range(-2, 3)]
+        grid = DiskGrid(2.0 * fam.radius, points)
+        report = check_resolvent_axioms(fam, grid)
+        inside = [abs(lam) * fam.st_norm < 1.0 for lam in grid.points]
+        assert report.points == tuple(lam for lam, ok in zip(grid.points, inside) if ok)
+        assert report.skipped == tuple(lam for lam, ok in zip(grid.points, inside) if not ok)
+        assert len(report.points) > 17 and len(report.skipped) > 16
+
+    def test_points_whose_growth_overflows_are_skipped_quietly(self):
+        """|lam| ||s tplus|| overflows at |lam| = 1e300 against
+        ||s tplus|| = 1e10, where t - lam s is finite: those points are
+        skipped, and no overflow warning is raised."""
+        fam = family_of(Pencil(np.diag([1e-10, 1.0]), np.eye(2)))
+        report = check_resolvent_axioms(fam, DiskGrid(1e300, [0, 1e-11, 1e300, -1e300j]))
+        assert report.points == (0j, 1e-11 + 0j)
+        assert report.skipped == (1e300 + 0j, -1e300j)
+        assert not report.ok
+
 
 class TestProjectorFamily:
     def test_at_zero(self):
