@@ -56,11 +56,14 @@ rank on a disk that holds its points, so no eigenvalue of the pencil lies
 there; a single point's box excludes no area. The cover starts only where
 one of its probes, the screen of the first point alone, else of the
 last, passes. It builds no anchor: the Gram of t - x s is a quadratic in
-x, so the cover expands it once about the region's centre mu0 and forms
-each box's Gram from t0 = fl(t - mu0 s), t0^H t0, t0^H s and s^H s in
-O(p^2), chunk by chunk into one Gram array of its own. The centring keeps
-the expansion's rounding on the scale of ||t - lam s|| over the region,
-not of |lam| ||s||; what its products lose below the normal range is a
+x, so the cover expands it once about the region's centre mu0. With
+t0 = fl(t - mu0 s) and Q = t0^H s, the Gram at mu0 + d is
+P - Re(d) (Q + Q^H) - Im(d) i (Q - Q^H) + |d|^2 R, P = t0^H t0 and
+R = s^H s: four fixed Hermitian matrices with real coefficients, so each
+chunk of boxes' Grams is one real matrix product, written into one Gram
+array of the cover's own. The centring keeps the expansion's rounding on
+the scale of ||t - lam s|| over the region, not of |lam| ||s||; what its
+products lose below the normal range is a
 term of a few max(m, n) p UNDERFLOW in each box's shift, UNDERFLOW the
 constant the identity's bounds take for the same loss.
 
@@ -698,8 +701,19 @@ def split_ranks(
 
 
 def pencil_values(t: np.ndarray, s: np.ndarray, lams: np.ndarray, out: np.ndarray | None = None):
-    """The (k, m, n) stack t - lams[i] * s, written into out when given."""
-    stack = np.multiply(lams[:, None, None], s, out=out)
+    """The (k, m, n) stack t - lams[i] * s, written into out, C-contiguous,
+    when given.
+
+    The product is taken as (k, 1) times (1, m n), so that NumPy rounds each
+    entry in the same loop however many points the stack holds: a product
+    of shape (1, 1, 1), a 1 x 1 pencil at one point, would skip the fused
+    multiply-add of the loop every longer product takes, and a point built
+    alone, as a probe or a lone point left to the rank pass, would then
+    differ from the same point built in a chunk.
+    """
+    k = len(lams)
+    stack = np.empty((k,) + s.shape, dtype=np.result_type(lams, s)) if out is None else out
+    np.multiply(lams[:, None], s.reshape(1, s.size), out=stack.reshape(k, s.size))
     return np.subtract(t, stack, out=stack)
 
 
@@ -741,23 +755,31 @@ def full_rank_cover(
     t0 - d s,
 
         H(d) = P - d Q - conj(d) Q^H + |d|^2 R,  P = t0^H t0, Q = t0^H s, R = s^H s,
+             = P - Re(d) (Q + Q^H) - Im(d) i (Q - Q^H) + |d|^2 R,
 
-    p x p, formed in O(p^2) per box; where m < n the Gram of the smaller
-    side is the same with (t0^H, s^H, conj d). In exact arithmetic
-    t0 - d s = t - nu s + E0 with nu = mu0 + d and ||E0||_F <= e(mu0), and
-    d rounds within EPS |d|, so every point of the box lies within
-    radius = max |lam - mu| + EPS |d| of nu. With N = ||t0||_F + |d| ||s||_F,
-    P, Q and R round within gamma_max(m, n) of their absolute products, and
-    their combination within a few EPS of its terms, whose norms sum to at
-    most N^2: the computed H(d) lies within about (max(m, n) + 8) EPS N^2 of
-    the exact Gram of t0 - d s in 2-norm, and its trace as near
-    ||t0 - d s||_F^2, which kappa N^2 covers. Below the normal range a real
-    product also errs by up to UNDERFLOW / 2 and a sum by nothing (gradual
-    underflow; Higham, Accuracy and Stability of Numerical Algorithms,
-    §2.1): sqrt(2) UNDERFLOW per complex product term, max(m, n) of them in
-    each entry of P, Q and R and a few more in their combination, and
-    UNDERFLOW in fl(|d|^2), which R multiplies. So the 2-norm and the trace
-    of the error of H(d) gain at most
+    p x p; where m < n the Gram of the smaller side is the same with
+    (t0^H, s^H, conj d). P, R and the two middle terms, each exactly
+    Hermitian, are formed once (:func:`_gram_terms`), and each chunk of
+    boxes' Grams is one real product of their coefficients
+    (1, -Re d, -Im d, |d|^2) with them (:func:`_box_grams`). In exact
+    arithmetic t0 - d s = t - nu s + E0 with nu = mu0 + d and
+    ||E0||_F <= e(mu0), and d rounds within EPS |d|, so every point of the
+    box lies within radius = max |lam - mu| + EPS |d| of nu. With
+    N = ||t0||_F + |d| ||s||_F, P, Q and R round within gamma_max(m, n) of
+    their absolute products; Q + Q^H and i (Q - Q^H) each round once more,
+    within EPS; and each entry of the real product rounds within gamma_4
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3) of the
+    sum of the terms' moduli, fl(|d|^2) within gamma_2 included, which is
+    at most sqrt(2) N^2 in norm. So the computed H(d) lies within about
+    (max(m, n) + 8) EPS N^2 of the exact Gram of t0 - d s in 2-norm, and its
+    trace as near ||t0 - d s||_F^2, which kappa N^2 covers. Below the normal
+    range a real product also errs by up to UNDERFLOW / 2 and a sum by
+    nothing (gradual underflow; Higham, §2.1): sqrt(2) UNDERFLOW per complex
+    product term, max(m, n) of them in each entry of P, Q and R (an error E
+    of Q enters H(d) as d E + conj(d) E^H), four real products in each real
+    part of an entry of H(d), and UNDERFLOW in fl(|d|^2), which R
+    multiplies. So the 2-norm and the trace of the error of H(d) gain at
+    most
 
         W = sqrt(2) (max(m, n) + 4) p (1 + |d|)^2 UNDERFLOW + ||s||_F^2 UNDERFLOW,
 
@@ -782,15 +804,18 @@ def full_rank_cover(
     least tr H(d); where tr H(d) lies outside SCREEN_RANGE, which keeps the
     factorization itself in the normal range; or where ||t - x s||_F is
     near overflow at x = mu0, mu or some lam of the box, which keeps t0,
-    P, d Q and |d|^2 R finite, while W, infinite where ||s||_F^2 overflows,
-    keeps R finite wherever a box can pass. A single point is a box of
+    P and the middle terms times their coefficients finite, while W,
+    infinite where ||s||_F^2 overflows, keeps R finite wherever a box can
+    pass. Where fl(|d|^2) overflows, H(d) has an infinite diagonal entry
+    wherever R has a positive one, and is NaN where R is 0, so its trace
+    lies outside SCREEN_RANGE. A single point is a box of
     radius EPS |d|, which the proof covers unchanged. A box whose points do
     not spread over its quadrants, such as a single point or repeated
     points, is left out when it fails.
 
     Each level's Grams are written, chunk by chunk, into one array
     allocated once per call, and each chunk's diagonals are shifted in one
-    operation.
+    operation; no other per-box matrix is formed.
     """
     k = len(lams)
     m, n = t.shape
@@ -810,8 +835,10 @@ def full_rank_cover(
     beta = norm_upper_bounds(s[None], COVER_SQUARINGS)[0]
     # the first term of W over (1 + |d|)^2
     underflow = 2.0 ** 0.5 * (max(m, n) + 4) * p * UNDERFLOW
-    # chunks of boxes sized as a screened stack of m x n matrices: per box,
-    # the Gram and the two terms of its expansion formed beside it, and one
+    # a chunk of boxes is as long as a screened chunk of m x n matrices,
+    # 1 + SCREEN_LIVE of them a member, so the one Gram array, into which
+    # each chunk's product writes, takes at most a quarter of CHUNK_BYTES;
+    # beside it a chunk forms only its boxes' four coefficients, and one
     # Cholesky factor at a time
     point_bytes = (1 + SCREEN_LIVE) * 16 * max(m, n) ** 2
     grams = np.empty((min(k, _chunk_length(point_bytes)), p, p), dtype=np.complex128)
@@ -825,10 +852,7 @@ def full_rank_cover(
         centre = z.real.min() / 2 + z.real.max() / 2 + 1j * (z.imag.min() / 2 + z.imag.max() / 2)
         t0 = pencil_values(t, s, np.array([centre]))[0]
         t_norm, t0_norm, s_norm = frobenius_norms(np.stack([t, t0, s])) * widen
-        # x and y tall, so that x^H x is the Gram of the smaller side
-        x, y = (t0, s) if m >= n else (t0.conj().T, s.conj().T)
-        xh = np.conjugate(x.T)
-        tt, ts, ss = xh @ x, xh @ y, np.conjugate(y.T) @ y
+        terms = _gram_terms(t0, s)
         while count:
             points = np.flatnonzero(box >= 0)
             z, at = lams[points], box[points]
@@ -852,11 +876,7 @@ def full_rank_cover(
             for part in chunks(len(eligible), point_bytes):
                 boxes = eligible[part]
                 shift = d[boxes]
-                # H(d) = P - (d Q + (d Q)^H) + |d|^2 R
-                gram = np.multiply(shift[:, None, None], ts, out=grams[: len(boxes)])
-                gram += np.conjugate(gram.swapaxes(1, 2))
-                np.subtract(tt, gram, out=gram)
-                gram += (shift.real * shift.real + shift.imag * shift.imag)[:, None, None] * ss
+                gram = _box_grams(terms, shift, grams[: len(boxes)])
                 diagonal = gram.reshape(len(boxes), p * p)[:, :: p + 1]
                 squares = diagonal.real.sum(axis=1)
                 # kappa N^2 + W, (1 + |d|)^2 taken so that it cannot overflow
@@ -880,6 +900,31 @@ def full_rank_cover(
             box[points] = np.where(kept[keys], np.cumsum(kept)[keys] - 1, -1)
             count = int(np.count_nonzero(kept))
     return certified
+
+
+def _gram_terms(t0: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The four Hermitian terms of the Gram of the smaller side of t0 - d s,
+    P = x^H x, Q + Q^H, i (Q - Q^H) and R = y^H y with Q = x^H y, as one
+    (4, 2 p^2) float64 array, for :func:`_box_grams`: x, y = t0, s, or
+    t0^H, s^H where m < n, whose Gram is then that of x - conj(d) y. The
+    two middle terms are exactly Hermitian, each rounded once."""
+    x, y = (t0, s) if t0.shape[0] >= t0.shape[1] else (t0.conj().T, s.conj().T)
+    xh = np.conjugate(x.T)
+    q = xh @ y
+    qh = np.conjugate(q.T)
+    terms = np.stack([xh @ x, q + qh, 1j * (q - qh), np.conjugate(y.T) @ y])
+    return terms.reshape(4, -1).view(np.float64)
+
+
+def _box_grams(terms: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Grams H(d) = P - Re(d) (Q + Q^H) - Im(d) i (Q - Q^H) + |d|^2 R,
+    one for each offset d, written into out, a (len(d), p, p) complex
+    array: one real product of the (len(d), 4) coefficients
+    (1, -Re d, -Im d, |d|^2) and the :func:`_gram_terms`."""
+    coefficients = np.stack([np.ones(len(d)), -d.real, -d.imag,
+                             d.real * d.real + d.imag * d.imag], axis=1)
+    np.matmul(coefficients, terms, out=out.reshape(len(d), -1).view(np.float64))
+    return out
 
 
 def _per_box(ufunc: np.ufunc, start, boxes: np.ndarray, values: np.ndarray, count: int):

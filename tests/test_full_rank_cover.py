@@ -29,7 +29,8 @@ from genresolvent.cli import main
 from genresolvent.criteria import generalized_spectrum_scan, rectangular_region
 from genresolvent.resolvent import grid_pass
 from genresolvent.linalg import EPS, SCREEN_LIVE
-from helpers import assert_same_scan, framed_pencil, normal_pencil, off_lattice, unitary
+from helpers import (assert_same_scan, complex_gaussian, framed_pencil, normal_pencil, off_lattice,
+                     unitary)
 
 ROOT = Path(__file__).resolve().parent.parent
 LATTICE = rectangular_region(-3.0, 3.0, -3.0, 3.0, 61)
@@ -43,6 +44,16 @@ def full_rank_cover(t, s, lams, tol=TolerancePolicy()):
 def no_cover(t, s, lams, tol):
     """The cover switched off: every point is ranked by the pass, each chunk by the SVD."""
     return np.zeros(len(lams), dtype=bool)
+
+
+def scan_without_cover(p, region, tol):
+    """generalized_spectrum_scan with the cover switched off, outside any fixture."""
+    original = linalg.full_rank_cover
+    linalg.full_rank_cover = no_cover
+    try:
+        return generalized_spectrum_scan(p, region, tol)
+    finally:
+        linalg.full_rank_cover = original
 
 
 def on_and_off_pencil(scale=1.0, shift=0.0):
@@ -94,6 +105,7 @@ PENCILS = {
     "shifted-1e6": lambda: on_and_off_pencil(shift=1e6),
     "mixed-scale": mixed_scale_pencil,
     "tiny-s": lambda: Pencil(on_and_off_pencil().t, 1e-155 * np.eye(20)),
+    "s-1e-200": lambda: Pencil(on_and_off_pencil().t, 1e-200 * np.eye(20)),
     "framed-full": lambda: framed_pencil(np.random.default_rng(26), 12, 12, 12),
     "framed-deficient": lambda: framed_pencil(np.random.default_rng(27), 12, 12, 9),
     "framed-switched": lambda: framed_pencil(np.random.default_rng(28), 12, 12, 9, switched=True),
@@ -112,6 +124,8 @@ REGIONS = {
     "unit-square": lambda: rectangular_region(-1.0, 1.0, -1.0, 1.0, 41),
     "single-point": lambda: (LATTICE[1234],),
     "single-row": lambda: LATTICE[1830:1891],
+    # the row of the eigenvalue on LATTICE[1234], scaled as s-1e-200's eigenvalues are
+    "row-1e200": lambda: tuple((np.array(LATTICE[1220:1281]) * 1e200).tolist()),
     "repeated-points": lambda: LATTICE[1000:1400] + LATTICE[1300:1200:-1] + (LATTICE[1234],) * 5,
     "unordered": unordered,
 }
@@ -130,6 +144,7 @@ CASES = [pytest.param(pencil, region, id=f"{pencil}-{region}")
              ("shifted-1e6", ("lattice-1e6",)),
              ("mixed-scale", ("lattice", "unordered")),
              ("tiny-s", ("lattice", "single-row", "unordered")),
+             ("s-1e-200", ("row-1e200",)),
              ("scaled-1e150", ("single-row",)),
              ("scaled-1e-150", ("single-row",)),
              ("framed-deficient", ("single-row",)),
@@ -211,6 +226,16 @@ def test_cover_certifies_every_point_however_small_s_is(k):
     assert full_rank_cover(p.t, p.s, LATTICE).all()
 
 
+def test_cover_passes_no_box_where_the_offset_squared_overflows():
+    """Over the row scaled by 1e200, |d|^2 overflows at every box but
+    those of the centre, point 30, where d = 0: the cover certifies only
+    that point and its probe's, and the pass ranks the rest, the eigenvalue
+    at point 14 among them."""
+    p = PENCILS["s-1e-200"]()
+    certified = full_rank_cover(p.t, p.s, REGIONS["row-1e200"]())
+    assert np.flatnonzero(certified).tolist() == [0, 30]
+
+
 def test_cover_certifies_every_point_beside_a_real_subnormal_s():
     """s = 1e-323 I as a real array: its norm bound scales it into a real
     copy, casting no complex value to real, and every point is certified."""
@@ -240,14 +265,72 @@ def near_spectra(draw):
 @given(near_spectra())
 def test_cover_agrees_near_eigenvalues(case):
     p, region, tol = case
-    covered = generalized_spectrum_scan(p, region, tol)
-    original = linalg.full_rank_cover
-    linalg.full_rank_cover = no_cover
-    try:
-        plain = generalized_spectrum_scan(p, region, tol)
-    finally:
-        linalg.full_rank_cover = original
-    assert_same_scan(covered, plain)
+    assert_same_scan(generalized_spectrum_scan(p, region, tol), scan_without_cover(p, region, tol))
+
+
+@st.composite
+def skewed_spectra(draw):
+    """A pencil (t M, M) or (M t, M) of order at most 12: t normal, with
+    eigenvalues on points of an 11 x 11 lattice and near them, and M
+    invertible, of condition number up to 1e3 and norm 1e-2 to 1e2; and
+    that lattice."""
+    extent = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    region = np.array(rectangular_region(-extent, extent, -extent, extent, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    offsets = [draw(st.sampled_from([0.0, 1e-14, 1e-8, 1e-3, 0.3])) for _ in range(n)]
+    picks = rng.integers(0, len(region), n)
+    eigenvalues = region[picks] + np.array(offsets) * extent * np.exp(2j * np.pi * rng.uniform(size=n))
+    t = normal_pencil(rng, eigenvalues).t
+    spread = np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 3.0)), n)
+    m = (unitary(rng, n) * spread) @ unitary(rng, n).conj().T * 10.0 ** draw(st.floats(-2.0, 2.0))
+    t = m @ t if draw(st.booleans()) else t @ m
+    rtol = draw(st.sampled_from([EPS, 1e-8, 1e-3]))
+    return Pencil(t, m), tuple(region.tolist()), TolerancePolicy(rank_rtol=rtol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skewed_spectra())
+def test_cover_agrees_near_eigenvalues_where_s_is_not_the_identity(case):
+    """Where s is not a multiple of I, R = s^H s is not diagonal and
+    Q = t0^H s mixes t0 with s, so every term of each box's Gram is a full
+    matrix."""
+    p, region, tol = case
+    assert_same_scan(generalized_spectrum_scan(p, region, tol), scan_without_cover(p, region, tol))
+
+
+@st.composite
+def box_offsets(draw):
+    """t0 and s of shape 20 x 20, 8 x 12 or 12 x 8, with norms from 1e-3 to
+    1e3, and an offset d, real, imaginary or neither, with |d| from 1e-8 to 1e8."""
+    shape = draw(st.sampled_from([(20, 20), (8, 12), (12, 8)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t0, s = (complex_gaussian(rng, shape) * 10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    phase = {"real": 1.0, "imaginary": 1j,
+             "general": np.exp(2j * np.pi * rng.uniform())}[draw(st.sampled_from(["real", "imaginary",
+                                                                                   "general"]))]
+    d = phase * draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-8.0, 8.0))
+    return t0, s, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_offsets())
+def test_a_box_gram_lies_within_its_rounding_bound(case):
+    """The cover's Gram of t0 - d s, as one real product of its four terms,
+    lies within (max(m, n) + 8) EPS N^2 in 2-norm, N = ||t0||_F + |d| ||s||_F,
+    of the Gram taken in extended precision; a wide pencil's is that of
+    t0^H - conj(d) s^H, as the cover forms it."""
+    t0, s, d = case
+    m, n = t0.shape
+    p = min(m, n)
+    terms = linalg._gram_terms(t0, s)
+    offset = np.array([d if m >= n else np.conjugate(d)])
+    gram = linalg._box_grams(terms, offset, np.empty((1, p, p), dtype=np.complex128))[0]
+    a = t0.astype(np.clongdouble) - np.clongdouble(d) * s.astype(np.clongdouble)
+    exact = a.conj().T @ a if m >= n else a @ a.conj().T
+    error = np.linalg.norm((gram - exact).astype(np.complex128), 2)
+    size = np.linalg.norm(t0) + abs(d) * np.linalg.norm(s)
+    assert error <= (max(m, n) + 8) * EPS * size * size
 
 
 @settings(max_examples=60, deadline=None)

@@ -621,6 +621,20 @@ def test_a_kernel_is_not_its_own_complement(budget):
         geninv_from_complements(p.t, c)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (12, 8)])
+def test_a_point_built_alone_equals_it_built_in_a_stack(shape):
+    """pencil_values rounds a point alike however many points it builds:
+    a 1 x 1 pencil at one point is a single entry, whose product NumPy
+    could otherwise round outside the fused multiply-add loop that every
+    longer product takes, so that its rank differed between the cover's
+    probe, a lone point left to the rank pass and a chunk."""
+    rng = np.random.default_rng(40)
+    t, s = (complex_gaussian(rng, shape) for _ in range(2))
+    lams = complex_gaussian(rng, 40)
+    alone = np.concatenate([linalg.pencil_values(t, s, lams[i : i + 1]) for i in range(40)])
+    assert alone.tobytes() == linalg.pencil_values(t, s, lams).tobytes()
+
+
 @pytest.mark.parametrize("make", PENCILS)
 def test_spectrum_scan_ranks(make, budget):
     p = make()
